@@ -6,7 +6,9 @@ The ISSUE-4 acceptance criteria, pinned at bench scale:
    issue at least ``CALL_REDUCTION_FACTOR`` (3x) fewer *Python-level*
    oracle calls (``oracle_calls``) than the scalar arm, for the *same*
    logical ``distance_queries`` total — the kernels change transport, not
-   work.
+   work.  An upper->=3 edge is one ``within_many`` block, so one call
+   (not one per source): the batched arm is expected to make a handful
+   of calls per Run where the scalar arm makes one per candidate pair.
 2. **Not slower.**  Interleaved A/B (order alternated per repeat, per-arm
    minimum over ``REPEATS``): the batched arm's wall-clock must not exceed
    the scalar arm's by more than a small noise allowance.  The CI

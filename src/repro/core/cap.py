@@ -25,6 +25,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.query import BPHQuery, canonical_edge
 from repro.errors import CAPStateError
 
@@ -149,23 +151,37 @@ class CAPIndex:
         self._aivs[(qi, qj)][vi].add(vj)
         self._aivs[(qj, qi)][vj].add(vi)
 
-    def add_pairs(
-        self, qi: int, qj: int, pairs: Iterable[tuple[int, int]]
-    ) -> int:
-        """Bulk :meth:`add_pair` for a batched PVS; returns the pair count.
+    def add_pairs(self, qi: int, qj: int, pairs: np.ndarray) -> int:
+        """Bulk :meth:`add_pair` of an int32 ``(P, 2)`` block; returns ``P``.
 
-        The forward/reverse maps are resolved once instead of per pair —
-        the difference matters when the large-upper search hands over the
-        whole edge's AIVS in one call.
+        The block (what ``within_many`` returns) is ingested grouped: one
+        ``set.update`` per run of equal sources and, after a stable sort
+        by target, one per target for the reverse map.  The members are
+        the candidate sets' own ``int`` objects: no fresh ``int`` per pair.
         """
-        forward = self._aivs[(qi, qj)]
-        reverse = self._aivs[(qj, qi)]
-        count = 0
-        for vi, vj in pairs:
-            forward[vi].add(vj)
-            reverse[vj].add(vi)
-            count += 1
-        return count
+        block = np.asarray(pairs).reshape(-1, 2)
+        by_target = np.argsort(block[:, 1], kind="stable")
+        sources, source_bounds = self._runs(qi, block[:, 0])
+        targets, target_bounds = self._runs(qj, block[by_target, 1])
+        source_of = np.repeat(np.array(sources, dtype=object), np.diff(source_bounds))
+        target_of = np.empty(len(block), dtype=object)  # ... of each pair
+        target_of[by_target] = np.repeat(
+            np.array(targets, dtype=object), np.diff(target_bounds)
+        )
+        for aivs, keys, bounds, members in (
+            (self._aivs[(qi, qj)], sources, source_bounds, target_of.tolist()),
+            (self._aivs[(qj, qi)], targets, target_bounds, source_of[by_target].tolist()),
+        ):
+            for key, lo, hi in zip(keys, bounds, bounds[1:]):
+                aivs[key].update(members[lo:hi])
+        return len(block)
+
+    def _runs(self, q: int, keys: np.ndarray) -> tuple[list[int], list[int]]:
+        """Runs of equal consecutive ``keys``: per run level ``q``'s own
+        ``int`` object for the key, and the runs' bounds."""
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        own = {v: v for v in self._candidates[q]}
+        return [own[k] for k in keys[starts].tolist()], starts.tolist() + [len(keys)]
 
     def finish_edge(self, qi: int, qj: int) -> list[int]:
         """Mark edge processed and prune isolated candidates.
@@ -179,17 +195,8 @@ class CAPIndex:
             raise CAPStateError(f"edge {key} was not begun")
         self._processed.add(key)
         self._note_peak()
-        if not self.pruning_enabled:
-            return []
-        removed: list[int] = []
         # Algorithm 6 lines 9-18: candidates isolated w.r.t. the new edge.
-        for q, other in ((qi, qj), (qj, qi)):
-            aivs = self._aivs[(q, other)]
-            isolated = [v for v in self._candidates[q] if not aivs.get(v)]
-            for v in isolated:
-                if v in self._candidates[q]:
-                    self._prune(q, v, removed)
-        return removed
+        return self.prune_isolated(qi, qj)
 
     def is_processed(self, qi: int, qj: int) -> bool:
         """True iff the query edge ``(qi, qj)`` has been processed."""

@@ -8,7 +8,7 @@ experiments report (distance queries issued, PVS scan choices, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,10 @@ class EngineCounters:
 
     distance_queries: int = 0
     #: Interpreter-level oracle invocations.  A scalar query is 1; a batch
-    #: query through a native kernel is 1 per vectorized call regardless
-    #: of how many logical distances it answered; a batch query that fell
-    #: back to the per-pair shim counts every shim call.  The ratio
+    #: query through a native kernel is 1 per kernel call (a whole
+    #: ``within_many`` block is one) regardless of how many logical
+    #: distances it answered; a batch query that fell back to the
+    #: per-pair shim counts every shim call.  The ratio
     #: ``distance_queries / oracle_calls`` is the batching win the
     #: ``bench_distance_batch`` benchmark gates on.
     oracle_calls: int = 0
@@ -42,27 +43,11 @@ class EngineCounters:
 
     def reset(self) -> None:
         """Zero all counters."""
-        self.distance_queries = 0
-        self.oracle_calls = 0
-        self.out_scans = 0
-        self.in_scans = 0
-        self.pairs_added = 0
-        self.edges_processed = 0
-        self.edges_deferred = 0
-        self.pool_probes = 0
+        self.__init__()
 
     def snapshot(self) -> dict[str, int]:
         """Counters as a plain dict (for reports)."""
-        return {
-            "distance_queries": self.distance_queries,
-            "oracle_calls": self.oracle_calls,
-            "out_scans": self.out_scans,
-            "in_scans": self.in_scans,
-            "pairs_added": self.pairs_added,
-            "edges_processed": self.edges_processed,
-            "edges_deferred": self.edges_deferred,
-            "pool_probes": self.pool_probes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -142,24 +127,23 @@ class EngineContext:
 
     def within_many(
         self, sources, targets, upper: int, skip_equal: bool = False
-    ) -> list[tuple[int, int]]:
+    ) -> np.ndarray:
         """Counted batch bounded-distance check over ``sources × targets``.
 
-        Returns qualifying ``(u, v)`` pairs source-major, targets in the
-        given order — the exact emission order of the per-pair double
-        loop, so consumers are order-identical under either path.
-        ``skip_equal=True`` excludes (and does not count) the diagonal.
+        Returns the qualifying pairs as an int32 ``(P, 2)`` block in the
+        emission order of the per-pair double loop (source-major, targets
+        in the given order) under either path.  ``distance_queries`` is
+        charged all ``|sources|·|targets|`` logical queries (Lemma 5.5),
+        the diagonal ``skip_equal=True`` keeps from the oracle included;
+        ``oracle_calls`` 1 for the kernel, else one per evaluated pair.
         """
         queries = len(sources) * len(targets)
-        if skip_equal:
-            target_set = {int(v) for v in targets}
-            queries -= sum(1 for u in sources if int(u) in target_set)
         self.counters.distance_queries += queries
         if self._use_batch():
-            self.counters.oracle_calls += len(sources)
-            return _batch.within_many(
-                self.oracle, sources, targets, upper, skip_equal
-            )
+            self.counters.oracle_calls += 1
+            return self.oracle.within_many(sources, targets, upper, skip_equal)
+        if skip_equal:
+            queries -= len(set(sources).intersection(targets))
         self.counters.oracle_calls += queries
         return _batch.scalar_within_many(
             self.oracle, sources, targets, upper, skip_equal

@@ -130,7 +130,12 @@ def iter_partial_vertex_sets(
             used.discard(v)
             del assignment[q_next]
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    finally:
+        # ``extend`` refers to itself through its own cell: left alone, that
+        # cycle pins ``cap`` until the next full collection.
+        extend = None
 
 
 def partial_vertex_sets(

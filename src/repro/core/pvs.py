@@ -73,6 +73,17 @@ def _choose_out(ctx: EngineContext, cost_out: float, cost_in: float) -> bool:
     return cost_out < cost_in
 
 
+def _scan_setup(cap: CAPIndex, graph, edge: QueryEdge) -> tuple:
+    """``(qi, qj, V_qi, V_qj)``, the smaller candidate side first, then the
+    label frequency, size and log-size of ``V_qj`` for the cost model."""
+    qi, qj = edge.u, edge.v
+    if cap.candidate_count(qj) < cap.candidate_count(qi):
+        qi, qj = qj, qi
+    v_qj = cap.candidates(qj)
+    p_label = graph.label_frequency(_level_label(graph, v_qj))
+    return qi, qj, cap.candidates(qi), v_qj, p_label, len(v_qj), _log2(len(v_qj))
+
+
 def neighbor_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> None:
     """Upper bound 1: AIVS via adjacency scans (Algorithm 9 / Lemma 5.3).
 
@@ -80,17 +91,8 @@ def neighbor_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> None:
     the per-edge work is ``min(|V_qi|, |V_qj|)`` scans — which is also what
     the pool's bound-aware cost estimate assumes.
     """
-    qi, qj = edge.u, edge.v
-    graph = ctx.graph
-    counters = ctx.counters
-    v_qi = cap.candidates(qi)
-    v_qj = cap.candidates(qj)
-    if len(v_qj) < len(v_qi):
-        qi, qj = qj, qi
-        v_qi, v_qj = v_qj, v_qi
-    p_label = graph.label_frequency(_level_label(graph, v_qj))
-    size_j = len(v_qj)
-    log_size_j = _log2(size_j)
+    graph, counters = ctx.graph, ctx.counters
+    qi, qj, v_qi, v_qj, p_label, size_j, log_size_j = _scan_setup(cap, graph, edge)
 
     for vi in v_qi:
         deg_vi = graph.degree(vi)
@@ -116,17 +118,8 @@ def two_hop_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> None:
 
     Iterates the smaller candidate side, like :func:`neighbor_search`.
     """
-    qi, qj = edge.u, edge.v
-    graph = ctx.graph
-    counters = ctx.counters
-    v_qi = cap.candidates(qi)
-    v_qj = cap.candidates(qj)
-    if len(v_qj) < len(v_qi):
-        qi, qj = qj, qi
-        v_qi, v_qj = v_qj, v_qi
-    p_label = graph.label_frequency(_level_label(graph, v_qj))
-    size_j = len(v_qj)
-    log_size_j = _log2(size_j)
+    graph, counters = ctx.graph, ctx.counters
+    qi, qj, v_qi, v_qj, p_label, size_j, log_size_j = _scan_setup(cap, graph, edge)
     mean_deg = (2.0 * graph.num_edges / graph.num_vertices) if len(graph) else 0.0
 
     for vi in v_qi:
@@ -176,25 +169,19 @@ def large_upper_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> No
     """Upper bound >= 3 (or forced): batched all-pairs checks (Lemma 5.5).
 
     One :meth:`~repro.core.context.EngineContext.within_many` call per
-    edge replaces the |V_qi|·|V_qj| interpreter-level oracle loop; the
-    qualifying pairs land in the CAP through one bulk
-    :meth:`~repro.core.cap.CAPIndex.add_pairs`.  Diagonal pairs are
-    skipped before the oracle (the 1-1 mapping can never use them) but
-    still charged to ``distance_queries``, matching the Lemma 5.5 cost
-    accounting this search always reported.
+    edge answers all |V_qi|·|V_qj| checks, and its pair block lands in
+    the CAP through one :meth:`~repro.core.cap.CAPIndex.add_pairs`.
+    Diagonal pairs never reach the oracle (the 1-1 mapping cannot use
+    them) but ``within_many`` still charges them to ``distance_queries``,
+    the Lemma 5.5 accounting this search always reported.
     """
     qi, qj = edge.u, edge.v
-    upper = edge.upper
-    # Candidate sets are iterated in their (deterministic) set order, the
-    # same order the former per-pair double loop used — so oracle call
-    # order, and therefore fault-injection schedules, are unchanged.
-    v_qi = list(cap.candidates(qi))
-    v_qj = list(cap.candidates(qj))
-    counters = ctx.counters
-    diagonal = len(cap.candidates(qi) & cap.candidates(qj))
-    pairs = ctx.within_many(v_qi, v_qj, upper, skip_equal=True)
-    counters.distance_queries += diagonal
-    counters.pairs_added += cap.add_pairs(qi, qj, pairs)
+    # Candidate sets go in their (deterministic) set order: on the per-pair
+    # fallback that fixes the oracle call order and so the fault schedules.
+    pairs = ctx.within_many(
+        list(cap.candidates(qi)), list(cap.candidates(qj)), edge.upper, skip_equal=True
+    )
+    ctx.counters.pairs_added += cap.add_pairs(qi, qj, pairs)
 
 
 def _level_label(graph, candidates: set[int]) -> object:

@@ -5,29 +5,27 @@ by interpreter-level ``oracle.within(u, v, upper)`` loops over candidate
 pairs.  This module is the batch side of the oracle contract:
 
 * :func:`distances_from` / :func:`within_many` — dispatchers that route a
-  one-source-vs-many query to an oracle's native vectorized kernel
-  (:class:`~repro.indexing.pml.PrunedLandmarkLabeling` answers it with one
-  merge over CSR label arrays, :class:`~repro.indexing.oracle.BFSOracle`
-  with one cached BFS vector slice) and otherwise fall back to the
-  per-pair scalar loop.  The fallback is what keeps
+  one-source-vs-many query, or a whole (sources x targets) block, to an
+  oracle's native kernel (:class:`~repro.indexing.pml.PrunedLandmarkLabeling`
+  answers over CSR label arrays, :class:`~repro.indexing.oracle.BFSOracle`
+  over cached BFS vectors) and otherwise fall back to the per-pair
+  scalar loop.  The fallback is what keeps
   :class:`~repro.indexing.oracle.CountingOracle` and the fault injectors
   working unchanged: every logical query still reaches ``distance``/
   ``within`` one call at a time, so counts and fault schedules are
-  preserved.
+  preserved.  ``within_many`` returns, on every path, the same int32
+  ``(P, 2)`` block of qualifying pairs; :func:`checked_block` and
+  :func:`pair_block` are the pieces of that contract the native kernels
+  share.
 * :class:`DistanceVectorCache` — a process-wide bounded LRU of full
-  distance vectors, shared across service sessions that query the same
-  oracle.  Entries are keyed by ``(id(oracle), epoch, source)`` — the
-  epoch is the oracle's (ultimately the graph's) mutation counter, so a
-  vector computed before an edge update can never be served after it —
-  and carry a weak reference to the oracle that is identity-checked on
-  every hit, so a recycled ``id()`` can never serve another oracle's
-  distances and a dead oracle is not pinned in memory by its own cache
-  entries.  Hits/misses are exported through :mod:`repro.obs.metrics`
-  (``repro_distcache_hits_total`` / ``repro_distcache_misses_total``).
+  distance vectors for :func:`distances_from` (``within_many``, the Run
+  path, never consults it), keyed so that neither a graph update nor a
+  recycled ``id()`` can serve a wrong vector; hits and misses go to
+  :mod:`repro.obs.metrics` (``repro_distcache_hits_total`` /
+  ``repro_distcache_misses_total``).
 
-Batch answers are bit-identical to the scalar path by construction: the
-kernels compute the same min-over-landmarks (or BFS) integers, and every
-consumer that batches preserves its scalar iteration order.
+Batch answers are bit-identical to the scalar path by construction, and
+every consumer that batches preserves its scalar iteration order.
 """
 
 from __future__ import annotations
@@ -38,28 +36,32 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.errors import VertexNotFoundError
 from repro.obs.metrics import metrics
 
 __all__ = [
     "supports_batch",
     "distances_from",
     "within_many",
+    "checked_block",
+    "pair_block",
     "scalar_distances",
     "scalar_within_many",
     "DistanceVectorCache",
     "shared_distance_cache",
 ]
 
+#: Vertex ids on one side of a batch query.
+Ids = Sequence[int] | np.ndarray
+
 #: Below this many targets a full-vector cache fill costs more than it
 #: saves; the query goes straight to the oracle's native kernel.
 FULL_VECTOR_MIN_TARGETS = 32
 
-#: The cache detour computes dist(source, *) for ALL n vertices.  That is
+#: The cache detour computes dist(source, *) for ALL n vertices, which is
 #: only close to free when the requested targets already cover a good
-#: fraction of the graph — for a narrow target set the full fill costs
-#: n/|targets| times the direct kernel, and a source that never repeats
-#: (the common case inside one Run) would pay it for nothing.  Require
-#: ``|targets| * FULL_VECTOR_MAX_OVERFILL >= n`` before detouring.
+#: fraction of the graph (a narrow target set pays n/|targets| times the
+#: direct kernel): require ``|targets| * FULL_VECTOR_MAX_OVERFILL >= n``.
 FULL_VECTOR_MAX_OVERFILL = 4
 
 
@@ -68,16 +70,10 @@ def supports_batch(oracle: object) -> bool:
     return hasattr(oracle, "distances_from") and hasattr(oracle, "within_many")
 
 
-def _as_targets(targets: Sequence[int] | np.ndarray) -> np.ndarray:
-    return np.asarray(targets, dtype=np.int64)
-
-
 # ----------------------------------------------------------------------
 # Dispatchers
 # ----------------------------------------------------------------------
-def distances_from(
-    oracle: object, source: int, targets: Sequence[int] | np.ndarray
-) -> np.ndarray:
+def distances_from(oracle: object, source: int, targets: Ids) -> np.ndarray:
     """``dist(source, t)`` for every ``t`` in ``targets`` (int32, -1 = unreachable).
 
     Uses the oracle's native vectorized kernel when it has one (routing
@@ -85,115 +81,108 @@ def distances_from(
     that advertise ``cacheable_vectors``), else falls back to one scalar
     ``distance`` call per target.
     """
-    t = _as_targets(targets)
+    t = np.asarray(targets, dtype=np.int64)
     if not supports_batch(oracle):
         return scalar_distances(oracle, source, t)
+    graph = getattr(oracle, "graph", None)
     if (
         t.size >= FULL_VECTOR_MIN_TARGETS
         and getattr(oracle, "cacheable_vectors", False)
+        and graph is not None
+        and t.size * FULL_VECTOR_MAX_OVERFILL >= graph.num_vertices
     ):
-        graph = getattr(oracle, "graph", None)
-        if (
-            graph is not None
-            and t.size * FULL_VECTOR_MAX_OVERFILL >= graph.num_vertices
-        ):
-            vec = shared_distance_cache.lookup(oracle, source)
-            if vec is None:
-                vec = oracle.distances_from(
-                    source, np.arange(graph.num_vertices, dtype=np.int64)
-                )
-                shared_distance_cache.store(oracle, source, vec)
-            # The cached vector skipped the oracle's own target validation.
-            n = vec.shape[0]
-            bad = (t < 0) | (t >= n)
-            if bad.any():
-                from repro.errors import VertexNotFoundError
-
-                raise VertexNotFoundError(int(t[np.argmax(bad)]))
-            return vec[t]
+        vec = shared_distance_cache.lookup(oracle, source)
+        if vec is None:
+            vec = oracle.distances_from(
+                source, np.arange(graph.num_vertices, dtype=np.int64)
+            )
+            shared_distance_cache.store(oracle, source, vec)
+        # The cached vector skipped the oracle's own target validation.
+        return vec[checked_block(vec.shape[0], (), t)[1]]
     return oracle.distances_from(source, t)
 
 
 def within_many(
-    oracle: object,
-    sources: Sequence[int],
-    targets: Sequence[int] | np.ndarray,
-    upper: int,
-    skip_equal: bool = False,
-) -> list[tuple[int, int]]:
-    """All ``(u, v)`` with ``0 <= dist(u, v) <= upper``, source-major.
+    oracle: object, sources: Ids, targets: Ids, upper: int, skip_equal: bool = False
+) -> np.ndarray:
+    """All ``(u, v)`` with ``0 <= dist(u, v) <= upper`` as an int32 ``(P, 2)`` block.
 
-    Pairs are emitted in source order, each source's targets in target
-    order — the same order a per-pair double loop produces.  With
-    ``skip_equal=True`` diagonal pairs ``u == v`` are not evaluated (the
-    AIVS never uses them: the 1-1 mapping forbids a candidate matching
-    two query vertices).
+    Rows are source-major, each source's targets in target order — the
+    order a per-pair double loop produces.  With ``skip_equal=True``
+    diagonal pairs ``u == v`` are not evaluated (the 1-1 mapping forbids
+    a candidate matching two query vertices).  Native oracles answer
+    with one block kernel, everything else with :func:`scalar_within_many`.
     """
-    t = _as_targets(targets)
     if not supports_batch(oracle):
-        return scalar_within_many(oracle, sources, t, upper, skip_equal)
-    pairs: list[tuple[int, int]] = []
-    for u in sources:
-        u = int(u)
-        dists = distances_from(oracle, u, t)
-        ok = (dists >= 0) & (dists <= upper)
-        if skip_equal:
-            ok &= t != u
-        pairs.extend((u, int(v)) for v in t[ok])
-    return pairs
+        return scalar_within_many(oracle, sources, targets, upper, skip_equal)
+    return oracle.within_many(sources, targets, upper, skip_equal)
+
+
+def checked_block(
+    num_vertices: int, sources: Ids, targets: Ids
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of a block query as int64 arrays, validated: the id
+    raised is the one the per-pair double loop would reject first (the
+    first source, then the targets in order, then the other sources)."""
+    s = np.asarray(sources, dtype=np.int64)
+    t = np.asarray(targets, dtype=np.int64)
+    ids = np.concatenate((s[:1], t, s[1:]))
+    bad = (ids < 0) | (ids >= num_vertices)
+    if bad.any():
+        raise VertexNotFoundError(int(ids[np.argmax(bad)]))
+    return s, t
+
+
+def pair_block(
+    sources: np.ndarray, targets: np.ndarray, hit: np.ndarray, diagonal: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 ``(P, 2)`` block of a boolean ``(sources, targets)`` mask,
+    row-major, and the position in ``sources`` of each row's source.
+
+    The mask's diagonal is forced to ``diagonal``: off under
+    ``skip_equal``, else on (``dist(v, v) = 0`` whatever the labels say).
+    """
+    equal = sources[:, None] == targets[None, :]
+    rows, cols = np.nonzero(hit | equal if diagonal else hit & ~equal)
+    block = np.empty((rows.size, 2), dtype=np.int32)
+    block[:, 0] = sources[rows]
+    block[:, 1] = targets[cols]
+    return block, rows
 
 
 # ----------------------------------------------------------------------
 # Per-pair fallback shim
 # ----------------------------------------------------------------------
-def scalar_distances(
-    oracle: object, source: int, targets: Sequence[int] | np.ndarray
-) -> np.ndarray:
-    """The per-pair shim: one ``oracle.distance`` call per target.
-
-    This is both the fallback for batch-incapable oracles (counting
-    wrappers, fault injectors) and the reference arm batch kernels are
-    verified against.
-    """
-    t = _as_targets(targets)
-    out = np.empty(t.size, dtype=np.int32)
-    for i, v in enumerate(t):
-        out[i] = oracle.distance(int(source), int(v))
-    return out
+def scalar_distances(oracle: object, source: int, targets: Ids) -> np.ndarray:
+    """The per-pair shim, one ``oracle.distance`` call per target: the
+    fallback for batch-incapable oracles (counting wrappers, fault
+    injectors) and the reference arm batch kernels are verified against."""
+    t = np.asarray(targets, dtype=np.int64).tolist()
+    source = int(source)
+    return np.array([oracle.distance(source, v) for v in t], dtype=np.int32)
 
 
 def scalar_within_many(
-    oracle: object,
-    sources: Sequence[int],
-    targets: Sequence[int] | np.ndarray,
-    upper: int,
-    skip_equal: bool = False,
-) -> list[tuple[int, int]]:
-    """Per-pair ``within`` double loop, same emission order as the kernel."""
-    t = _as_targets(targets)
-    pairs: list[tuple[int, int]] = []
-    for u in sources:
-        u = int(u)
-        for v in t:
-            v = int(v)
-            if skip_equal and u == v:
-                continue
-            if oracle.within(u, v, upper):
-                pairs.append((u, v))
-    return pairs
+    oracle: object, sources: Ids, targets: Ids, upper: int, skip_equal: bool = False
+) -> np.ndarray:
+    """One ``within`` per pair, same block and row order as the kernel."""
+    t = np.asarray(targets, dtype=np.int64).tolist()
+    pairs = [
+        (u, v)
+        for u in np.asarray(sources, dtype=np.int64).tolist()
+        for v in t
+        if not (skip_equal and u == v) and oracle.within(u, v, upper)
+    ]
+    return np.array(pairs, dtype=np.int32).reshape(-1, 2)
 
 
 # ----------------------------------------------------------------------
 # Shared full-vector cache
 # ----------------------------------------------------------------------
 def _oracle_epoch(oracle: object) -> int:
-    """The mutation counter a cached vector must match to be served.
-
-    Prefers the oracle's own ``epoch`` (PML tracks the epoch its labels
-    were maintained to; BFS mirrors its graph's), falling back to the
-    graph's counter, then to 0 for epoch-unaware test doubles — which
-    thereby keep the pre-epoch behavior of identity-only keys.
-    """
+    """The mutation counter a cached vector must match to be served: the
+    oracle's own ``epoch`` (PML's is the one its labels were maintained
+    to), else its graph's, else 0 for epoch-unaware test doubles."""
     epoch = getattr(oracle, "epoch", None)
     if epoch is None:
         epoch = getattr(getattr(oracle, "graph", None), "epoch", 0)
@@ -206,20 +195,17 @@ class DistanceVectorCache:
     One instance (:data:`shared_distance_cache`) is shared process-wide:
     the service layer hosts many sessions over one PML oracle, and hot
     sources (high-degree candidates re-probed across sessions) hit the
-    same vectors.  Thread-safe; eviction is least-recently-*used* (hits
-    refresh recency, unlike a FIFO).
+    same vectors.  Thread-safe; hits refresh recency.
 
-    Keys are ``(id(oracle), epoch, source)``.  The epoch dimension makes
-    graph mutation a cache flush for free: after :mod:`repro.updates`
-    bumps the counter, every pre-mutation vector sits under a key no
-    lookup will ever form again (and ages out of the LRU).  Because
-    ``id()`` values can be recycled after an oracle is garbage
-    collected, each entry also stores a *weak* reference to its oracle
-    and a hit requires ``entry.ref() is oracle`` — a stale entry for a
-    dead oracle is evicted on sight instead of pinning the oracle (and
-    its graph) in memory, which the old strong-reference design did.
-    Oracles that don't support weak references are held strongly as a
-    fallback (plain test doubles; every real oracle here is weakrefable).
+    Keys are ``(id(oracle), epoch, source)``.  The epoch makes graph
+    mutation a cache flush for free: after :mod:`repro.updates` bumps
+    the counter, every pre-mutation vector sits under a key no lookup
+    will ever form again.  Because ``id()`` values are recycled once an
+    oracle is collected, each entry also holds a *weak* reference to its
+    oracle and a hit requires ``entry.ref() is oracle`` — a stale entry
+    is evicted on sight and never pins a dead oracle (and its graph).
+    Oracles without weak-reference support (plain test doubles) are held
+    strongly.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -250,9 +236,8 @@ class DistanceVectorCache:
                 self.hits += 1
                 hit = True
             else:
-                # The holder dereferences to a different object (or to
-                # None): id() was recycled after the original oracle
-                # died; the popped stale entry stays evicted.
+                # A different object (or None): id() was recycled after
+                # the original oracle died; the stale entry stays evicted.
                 self.misses += 1
                 hit = False
         self._record(hit)
@@ -271,17 +256,14 @@ class DistanceVectorCache:
                 self._entries.pop(next(iter(self._entries)))
             self._entries[key] = (holder, vector)
             size = len(self._entries)
-        metrics.gauge(
-            "repro_distcache_entries", "distance vectors currently cached"
-        ).set(size)
+        self._record_size(size)
 
     def invalidate(self, oracle: object) -> int:
-        """Proactively drop every entry held for ``oracle`` (any epoch).
+        """Drop every entry held for ``oracle`` (any epoch); returns how many.
 
-        The epoch key already makes stale vectors unreachable; this
-        frees their memory immediately instead of waiting for LRU churn.
-        :mod:`repro.updates` calls it after every mutation.  Returns the
-        number of entries dropped.
+        The epoch key already makes stale vectors unreachable; this frees
+        their memory at once, and :mod:`repro.updates` calls it after
+        every mutation.
         """
         with self._lock:
             doomed = [
@@ -292,18 +274,14 @@ class DistanceVectorCache:
             for key in doomed:
                 del self._entries[key]
             size = len(self._entries)
-        metrics.gauge(
-            "repro_distcache_entries", "distance vectors currently cached"
-        ).set(size)
+        self._record_size(size)
         return len(doomed)
 
     def clear(self) -> None:
         """Drop every entry (tests / memory pressure)."""
         with self._lock:
             self._entries.clear()
-        metrics.gauge(
-            "repro_distcache_entries", "distance vectors currently cached"
-        ).set(0)
+        self._record_size(0)
 
     def __len__(self) -> int:
         with self._lock:
@@ -321,6 +299,12 @@ class DistanceVectorCache:
             metrics.counter(
                 "repro_distcache_misses_total", "shared distance-vector cache misses"
             ).inc()
+
+    @staticmethod
+    def _record_size(size: int) -> None:
+        metrics.gauge(
+            "repro_distcache_entries", "distance vectors currently cached"
+        ).set(size)
 
     def __repr__(self) -> str:
         return (

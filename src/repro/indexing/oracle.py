@@ -14,12 +14,12 @@ Batch contract
 --------------
 Oracles may additionally implement :class:`BatchDistanceOracle` —
 ``distances_from(source, targets)`` and ``within_many(sources, targets,
-upper)`` — answering one-source-vs-many queries in a single
-interpreter-level call.  PML and :class:`BFSOracle` do; consumers reach
-the methods through :mod:`repro.indexing.batch`, whose per-pair fallback
-shim keeps scalar-only oracles (:class:`CountingOracle`, the fault
-injectors) working unchanged.  Batch answers must be bit-identical to the
-equivalent loop of scalar calls, including validation errors.
+upper, skip_equal)`` — answering one source against many targets, or a
+whole (sources x targets) block, in one interpreter-level call.  PML and
+:class:`BFSOracle` do; consumers go through :mod:`repro.indexing.batch`,
+whose per-pair shim keeps scalar-only oracles (:class:`CountingOracle`,
+the fault injectors) working unchanged.  Batch answers must be
+bit-identical to the equivalent loop of scalar calls, errors included.
 
 Thread safety
 -------------
@@ -43,9 +43,9 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import VertexNotFoundError
 from repro.graph.algorithms import bfs_distances
 from repro.graph.graph import Graph
+from repro.indexing.batch import checked_block, pair_block
 
 __all__ = [
     "DistanceOracle",
@@ -76,16 +76,18 @@ class BatchDistanceOracle(DistanceOracle, Protocol):
     Implementations must be answer- and error-identical to the scalar
     loop: same int32 distances (``-1`` unreachable), same
     ``VertexNotFoundError`` for the first invalid id in iteration order,
-    and ``within_many`` emits pairs source-major with each source's
-    targets in the given target order.
+    and ``within_many`` returns its pairs as an int32 ``(P, 2)`` block,
+    source-major with each source's targets in the given target order.
     """
 
     def distances_from(self, source: int, targets) -> "np.ndarray":
         """``dist(source, t)`` for every ``t`` (int32; -1 unreachable)."""
         ...
 
-    def within_many(self, sources, targets, upper: int) -> list[tuple[int, int]]:
-        """All ``(u, v)`` pairs with ``0 <= dist(u, v) <= upper``."""
+    def within_many(
+        self, sources, targets, upper: int, skip_equal: bool = False
+    ) -> "np.ndarray":
+        """Int32 ``(P, 2)`` block of the pairs with ``0 <= dist <= upper``."""
         ...
 
 
@@ -190,28 +192,24 @@ class BFSOracle:
     # -- batch contract (see repro.indexing.batch) ---------------------
     def distances_from(self, source: int, targets) -> np.ndarray:
         """One cached BFS vector sliced against the whole target set."""
-        self._graph._check_vertex(int(source))
-        t = np.asarray(targets, dtype=np.int64)
-        n = self._graph.num_vertices
-        bad = (t < 0) | (t >= n)
-        if bad.any():
-            raise VertexNotFoundError(int(t[np.argmax(bad)]))
+        _, t = checked_block(self._graph.num_vertices, [source], targets)
         with self._lock:
             self.query_count += int(t.size)
         if t.size == 0:
             return np.empty(0, dtype=np.int32)
         return self._vector(int(source))[t]
 
-    def within_many(self, sources, targets, upper: int) -> list[tuple[int, int]]:
-        """All qualifying pairs, source-major, targets in given order."""
-        t = np.asarray(targets, dtype=np.int64)
-        pairs: list[tuple[int, int]] = []
-        for u in sources:
-            u = int(u)
-            dists = self.distances_from(u, t)
-            ok = (dists >= 0) & (dists <= upper)
-            pairs.extend((u, int(v)) for v in t[ok])
-        return pairs
+    def within_many(
+        self, sources, targets, upper: int, skip_equal: bool = False
+    ) -> np.ndarray:
+        """The sources' cached BFS vectors, stacked and masked at once."""
+        s, t = checked_block(self._graph.num_vertices, sources, targets)
+        with self._lock:
+            self.query_count += s.size * t.size
+        dists = np.array([self._vector(u)[t] for u in s.tolist()], dtype=np.int32)
+        dists = dists.reshape(s.size, t.size)  # also when a side is empty
+        hit = (dists >= 0) & (dists <= upper)
+        return pair_block(s, t, hit, upper >= 0 and not skip_equal)[0]
 
 
 class CountingOracle:

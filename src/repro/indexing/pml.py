@@ -25,31 +25,40 @@ exactly the ``O(|C(u)| + |C(v)|)`` cost that Lemma 5.5 charges.
 Batch queries
 -------------
 At construction the per-vertex label lists are also finalized into CSR
-numpy arrays (``offsets`` + concatenated rank/distance columns), which is
-what :meth:`PrunedLandmarkLabeling.distances_from` vectorizes over: the
-source's label is spread into a dense rank-indexed array once, every
-target's label slice is gathered in one fancy-index, and a segmented
-``np.minimum.reduceat`` yields all distances — one interpreter-level call
-answering what the scalar path needs ``len(targets)`` merge joins for.
-The scalar lists are kept beside the arrays: single-pair queries stay on
-the tight Python merge, which beats numpy on the typically short labels.
+numpy arrays (``offsets`` + concatenated rank/distance columns).  From
+them :meth:`PrunedLandmarkLabeling.distances_from` answers one source
+against many targets in one interpreter-level call (the source's label
+spread into a dense rank-indexed array, every target's label slice
+gathered in one fancy-index, a segmented ``np.minimum.reduceat``), and
+:meth:`PrunedLandmarkLabeling.within_many` a whole (sources x targets)
+block (packed target bitsets per landmark and distance, one OR-reduce
+per source).  The scalar lists are kept beside the arrays: single-pair
+queries stay on the tight Python merge, which beats numpy on the
+typically short labels.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
-from repro.errors import IndexNotBuiltError, StaleIndexError, VertexNotFoundError
+from repro.errors import IndexNotBuiltError, StaleIndexError
 from repro.graph.graph import Graph
+from repro.indexing.batch import checked_block, pair_block
 from repro.indexing.order import degree_order
 
 __all__ = ["PrunedLandmarkLabeling"]
 
 UNREACHABLE = -1
 _INF = float("inf")
+
+#: :meth:`PrunedLandmarkLabeling.within_many` blocks: targets per bitset
+#: table (64-byte rows) and sources per gather (~13k rows, under 1 MB).
+_TARGET_BLOCK = 512
+_SOURCE_BLOCK = 256
 
 
 class PrunedLandmarkLabeling:
@@ -67,11 +76,9 @@ class PrunedLandmarkLabeling:
     labels backs the vectorized batch queries (module docstring).
     """
 
-    #: Full distance vectors from this oracle are pure functions of the
-    #: frozen index — safe to keep in the process-wide
-    #: :data:`repro.indexing.batch.shared_distance_cache` (whose keys
-    #: carry :attr:`epoch`, so vectors from a superseded index are
-    #: unreachable the moment the graph moves).
+    #: Full distance vectors are pure functions of the frozen index — safe
+    #: to keep in :data:`repro.indexing.batch.shared_distance_cache` (its
+    #: keys carry :attr:`epoch`: a superseded index's vectors are unreachable).
     cacheable_vectors = True
 
     #: Whether :meth:`apply_edge_insert` can patch this index in place.
@@ -98,44 +105,33 @@ class PrunedLandmarkLabeling:
     def _finalize_labels(self) -> None:
         """Freeze the label lists into CSR arrays for the batch kernels.
 
-        Idempotent: once the CSR arrays exist they are frozen for the
-        index's lifetime, and callers (the storage layer, the lazy
-        post-unpickle path below) may invoke this unconditionally.  The
-        ``_finalized`` flag also travels through pickle and the dataset
-        disk cache, so an index restored from a cache written by this
-        version skips the rebuild entirely — and storage backends that
-        assemble an index over already-final on-disk arrays set the flag
-        directly (see :mod:`repro.storage.basis`), where re-finalizing
-        would walk label *views* to rebuild arrays that already exist.
+        Idempotent, so the storage layer and the lazy post-unpickle path
+        may call it unconditionally.  The ``_finalized`` flag travels
+        through pickle and the dataset disk cache (a restored index skips
+        the rebuild), and storage backends that assemble an index over
+        already-final arrays set it directly (:mod:`repro.storage.basis`)
+        rather than have label *views* walked to rebuild what exists.
         """
-        if getattr(self, "_finalized", False):
-            return
-        if hasattr(self, "_label_offsets"):
-            # Arrays exist but the flag predates them (an index unpickled
-            # from an old cache): adopt them rather than rebuilding.
+        if getattr(self, "_finalized", False) or hasattr(self, "_label_offsets"):
+            # Arrays without the flag predate it (an index unpickled from
+            # an old cache): adopt them rather than rebuilding.
             self._finalized = True
             return
-        counts = np.fromiter(
-            (len(lst) for lst in self._label_ranks),
-            dtype=np.int64,
-            count=len(self._label_ranks),
+        n = len(self._label_ranks)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, self._label_ranks), dtype=np.int64, count=n),
+            out=offsets[1:],
         )
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
         self._label_offsets = offsets
         total = int(offsets[-1])
-        ranks_arr = np.empty(total, dtype=np.int32)
-        dists_arr = np.empty(total, dtype=np.int32)
-        for v, (ranks, dists) in enumerate(
-            zip(self._label_ranks, self._label_dists)
-        ):
-            start, end = offsets[v], offsets[v + 1]
-            ranks_arr[start:end] = ranks
-            dists_arr[start:end] = dists
-        self._label_ranks_arr = ranks_arr
-        self._label_dists_arr = dists_arr
+        self._label_ranks_arr = np.fromiter(
+            chain.from_iterable(self._label_ranks), dtype=np.int32, count=total
+        )
+        self._label_dists_arr = np.fromiter(
+            chain.from_iterable(self._label_dists), dtype=np.int32, count=total
+        )
         # Mean label size, for the dense-vs-merge crossover heuristic.
-        n = len(self._label_ranks)
         self._avg_label = (total / n) if n else 0.0
         self._finalized = True
 
@@ -155,11 +151,8 @@ class PrunedLandmarkLabeling:
         label_ranks: list[list[int]] = [[] for _ in range(n)]
         label_dists: list[list[int]] = [[] for _ in range(n)]
 
-        # Temporary dense arrays reused across landmarks; `tmp_dist` holds
-        # the landmark's own label as rank -> landmark-to-landmark distance
-        # is not needed — we index by *vertex*, holding d(landmark, x) for
-        # every x in the landmark's current label support.
-        tmp = np.full(n, _INF, dtype=np.float64)  # landmark label spread by rank
+        # Temporary dense arrays, reused across landmarks.
+        tmp = np.full(n, _INF, dtype=np.float64)  # root's label spread by rank
         bfs_dist = np.full(n, UNREACHABLE, dtype=np.int32)
         touched: list[int] = []
 
@@ -289,79 +282,142 @@ class PrunedLandmarkLabeling:
         source, then each target in order, first offender raises.
         """
         self._check_fresh()
-        if not getattr(self, "_finalized", False):
-            # Indexes unpickled from a pre-flag disk cache skip __init__
-            # and carry no arrays; freeze the CSR on first batch query.
-            # (Caches written with the flag skip this entirely.)
-            self._finalize_labels()
-        self._graph._check_vertex(int(source))
-        t = np.asarray(targets, dtype=np.int64)
+        # Indexes unpickled from a pre-flag disk cache skip __init__ and
+        # carry no arrays: freeze the CSR on first batch query (else a no-op).
+        self._finalize_labels()
+        source = int(source)
         n = self._graph.num_vertices
-        bad = (t < 0) | (t >= n)
-        if bad.any():
-            raise VertexNotFoundError(int(t[np.argmax(bad)]))
+        _, t = checked_block(n, [source], targets)
         self.query_count += int(t.size)
         if t.size == 0:
             return np.empty(0, dtype=np.int32)
-        source = int(source)
 
         # Crossover: a dense pass costs ~O(n) regardless of |targets|; the
         # scalar merges cost ~|targets| * 2*avg_label interpreter steps.
         # Python steps are ~two orders slower than vectorized ones, hence
         # the 1/16 discount before preferring the per-target merges.
-        if t.size * 2.0 * max(self._avg_label, 1.0) < n / 16.0:
-            out = np.empty(t.size, dtype=np.int32)
-            for i, v in enumerate(t):
-                v = int(v)
-                out[i] = 0 if v == source else self._merge(source, v)
-            return out
+        small = t.size * 2.0 * max(self._avg_label, 1.0) < n / 16.0
+        if not small:
+            gather, counts = self._label_entries(t)
+        if small or int(counts.min()) == 0:
+            # (An empty label is only possible in a hand-built index --
+            # pruned BFS labels every vertex with itself -- and reduceat
+            # needs non-empty segments.)
+            return np.array(
+                [0 if v == source else self._merge(source, v) for v in t.tolist()],
+                dtype=np.int32,
+            )
 
         # Spread the source's label into a dense rank-indexed array ...
         dense = np.full(n, self._UNREACHED, dtype=np.int64)
         s_ranks = self._label_ranks[source]
         dense[s_ranks] = self._label_dists[source]
-        # ... gather every target's label slice in one fancy-index ...
-        offsets = self._label_offsets
-        starts = offsets[t]
-        counts = offsets[t + 1] - starts
-        if int(counts.min()) == 0:
-            # Only possible for hand-built indexes (pruned BFS always
-            # labels a vertex with itself); reduceat needs non-empty
-            # segments, so fall back to scalar merges.
-            out = np.empty(t.size, dtype=np.int32)
-            for i, v in enumerate(t):
-                v = int(v)
-                out[i] = 0 if v == source else self._merge(source, v)
-            return out
-        ends = np.cumsum(counts)
-        total = int(ends[-1])
-        gather = np.arange(total, dtype=np.int64) - np.repeat(
-            ends - counts - starts, counts
-        )
+        # ... add every target's label slice, gathered in one fancy-index ...
         sums = (
             dense[self._label_ranks_arr[gather]]
             + self._label_dists_arr[gather]
         )
         # ... and take the per-target minimum over common landmarks.
-        best = np.minimum.reduceat(sums, ends - counts)
+        best = np.minimum.reduceat(sums, np.cumsum(counts) - counts)
         out = np.where(best >= self._UNREACHED, -1, best).astype(np.int32)
         out[t == source] = 0  # same self-distance special case as distance()
         return out
 
-    def within_many(self, sources, targets, upper: int) -> list[tuple[int, int]]:
-        """All ``(u, v)`` with ``0 <= dist(u, v) <= upper``, source-major.
+    def _label_entries(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR positions of all label entries of ``vertices``, vertex by
+        vertex, and how many each vertex has."""
+        starts = self._label_offsets[vertices]
+        counts = self._label_offsets[vertices + 1] - starts
+        ends = np.cumsum(counts)
+        entries = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(
+            ends - counts - starts, counts
+        )
+        return entries, counts
 
-        Emission order equals the per-pair double loop's: sources in
-        given order, each source's qualifying targets in target order.
+    def within_many(
+        self, sources, targets, upper: int, skip_equal: bool = False
+    ) -> np.ndarray:
+        """The batch contract's int32 ``(P, 2)`` block, by one block kernel.
+
+        Counted as ``|sources| * |targets|`` queries.  Exact by the 2-hop
+        cover: a pair qualifies iff some common landmark ``l`` has
+        ``d(u, l) + d(l, v) <= upper``, so per block of targets the
+        kernel tabulates, per landmark and ``k <= upper``, the packed
+        bitset of the targets within ``k`` of it, and a source's answer
+        is the OR of row ``(upper - d(u, l), l)`` over its label.  The
+        block constants bound the scratch, whatever the sides' sizes.
         """
-        t = np.asarray(targets, dtype=np.int64)
-        pairs: list[tuple[int, int]] = []
-        for u in sources:
-            u = int(u)
-            dists = self.distances_from(u, t)
-            ok = (dists >= 0) & (dists <= upper)
-            pairs.extend((u, int(v)) for v in t[ok])
-        return pairs
+        self._check_fresh()
+        self._finalize_labels()  # pre-flag pickle, as in distances_from
+        n = self._graph.num_vertices
+        s, t = checked_block(n, sources, targets)
+        self.query_count += s.size * t.size
+        upper = min(int(upper), n)  # no finite distance reaches n
+        if upper < 0 or not (s.size and t.size):
+            return np.empty((0, 2), dtype=np.int32)
+        blocks, rows = [], []
+        for t0 in range(0, t.size, _TARGET_BLOCK):
+            t_block = t[t0 : t0 + _TARGET_BLOCK]
+            table, landmarks = self._target_bitsets(t_block, upper)
+            for s0 in range(0, s.size, _SOURCE_BLOCK):
+                s_block = s[s0 : s0 + _SOURCE_BLOCK]
+                words = self._or_rows(s_block, table, landmarks, upper)
+                hit = np.unpackbits(words.view(np.uint8), axis=1, count=t_block.size)
+                block, r = pair_block(s_block, t_block, hit.view(np.bool_), not skip_equal)
+                blocks.append(block)
+                rows.append(r + s0)
+        block = np.concatenate(blocks)
+        if t.size > _TARGET_BLOCK:  # the blocks came target-block-major
+            block = block[np.argsort(np.concatenate(rows), kind="stable")]
+        return block
+
+    def _near_entries(
+        self, vertices: np.ndarray, upper: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Label entries ``(l, d <= upper)`` of ``vertices``: the owner's
+        position in ``vertices``, the landmark rank and the distance."""
+        entries, counts = self._label_entries(vertices)
+        dist = self._label_dists_arr[entries]
+        near = dist <= upper
+        owner = np.repeat(np.arange(vertices.size), counts)[near]
+        return owner, self._label_ranks_arr[entries[near]], dist[near]
+
+    def _target_bitsets(
+        self, t_block: np.ndarray, upper: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``table[k, i]`` = packed bitset (uint64 words) of the block's
+        targets within ``k`` of landmark ``landmarks[i]``, ``k <= upper``."""
+        position, rank, dist = self._near_entries(t_block, upper)
+        landmarks, column = np.unique(rank, return_inverse=True)
+        table = np.zeros(
+            (int(dist.max(initial=0)) + 1, landmarks.size, -(-t_block.size // 64) * 8),
+            dtype=np.uint8,
+        )
+        # A (landmark, target) pair occurs once, so among the entries of
+        # one bit plane no two name the same byte: a plain fancy |= is exact.
+        for plane in range(8):
+            pick = (position & 7) == plane
+            table[dist[pick], column[pick], position[pick] >> 3] |= 128 >> plane
+        table = table.view(np.uint64)
+        for k in range(1, len(table)):  # "exactly k away" -> "within k"
+            table[k] |= table[k - 1]
+        return table, landmarks
+
+    def _or_rows(
+        self, s_block: np.ndarray, table: np.ndarray, landmarks: np.ndarray, upper: int
+    ) -> np.ndarray:
+        """Per source, the OR of row ``table[upper - d, l]`` over its label
+        entries ``(l, d <= upper)`` whose landmark is tabulated."""
+        owner, rank, dist = self._near_entries(s_block, upper)
+        column = np.searchsorted(landmarks, rank)
+        live = np.append(landmarks, -1)[column] == rank
+        owner, level = owner[live], np.minimum(upper - dist[live], len(table) - 1)
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        words = np.zeros((s_block.size, table.shape[2]), dtype=np.uint64)
+        words[owner[first]] = np.bitwise_or.reduceat(
+            table[level, column[live]], first, axis=0
+        )
+        return words
 
     # ------------------------------------------------------------------
     # Incremental maintenance (driven by repro.updates)
@@ -396,13 +452,10 @@ class PrunedLandmarkLabeling:
         # The R10 suppressions mark the one legitimate stale read in the
         # tree: this method *is* the repair path, invoked while the epoch
         # intentionally lags the graph, and it syncs self._epoch at exit.
-        u_entries = list(
-            zip(self._label_ranks[u], self._label_dists[u])  # boomerlint: disable=R10
-        )
-        v_entries = list(
-            zip(self._label_ranks[v], self._label_dists[v])  # boomerlint: disable=R10
-        )
-        seeds = [(v, u_entries), (u, v_entries)]
+        seeds = [
+            (start, list(zip(self._label_ranks[end], self._label_dists[end])))  # boomerlint: disable=R10
+            for start, end in ((v, u), (u, v))
+        ]
         added = updated = 0
         for start, entries in seeds:
             for rank, dist in entries:
@@ -460,24 +513,14 @@ class PrunedLandmarkLabeling:
         holding the oracle sees the repaired index without re-plumbing.
         """
         fresh = PrunedLandmarkLabeling.build(self._graph)
-        self._label_ranks = fresh._label_ranks
-        self._label_dists = fresh._label_dists
-        self._order = fresh._order
-        self._label_offsets = fresh._label_offsets
-        self._label_ranks_arr = fresh._label_ranks_arr
-        self._label_dists_arr = fresh._label_dists_arr
-        self._avg_label = fresh._avg_label
-        self._finalized = True
-        if hasattr(self, "_rank_of"):
-            del self._rank_of  # landmark order may have changed
-        self._epoch = self._graph.epoch
+        fresh.query_count = self.query_count
+        self.__dict__.pop("_rank_of", None)  # landmark order may have changed
+        self.__dict__.update(fresh.__dict__)
 
     def _refinalize(self) -> None:
         """Re-freeze the CSR arrays after the label lists changed."""
         self._finalized = False
-        for attr in ("_label_offsets", "_label_ranks_arr", "_label_dists_arr"):
-            if hasattr(self, attr):
-                delattr(self, attr)
+        self.__dict__.pop("_label_offsets", None)  # or they would be adopted
         self._finalize_labels()
 
     # ------------------------------------------------------------------

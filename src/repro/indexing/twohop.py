@@ -22,19 +22,10 @@ def two_hop_counts(graph: Graph) -> np.ndarray:
     One pass of neighbor-of-neighbor set unions per vertex; computed once
     per data graph by the preprocessor and cached with the dataset.
     """
-    offsets, neighbors = graph.raw_csr()
     n = graph.num_vertices
-    counts = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        reach: set[int] = set()
-        for i in range(int(offsets[v]), int(offsets[v + 1])):
-            u = int(neighbors[i])
-            reach.add(u)
-            for j in range(int(offsets[u]), int(offsets[u + 1])):
-                reach.add(int(neighbors[j]))
-        reach.discard(v)
-        counts[v] = len(reach)
-    return counts
+    return np.fromiter(
+        (len(two_hop_neighbors(graph, v)) for v in range(n)), dtype=np.int64, count=n
+    )
 
 
 def two_hop_neighbors(graph: Graph, v: int) -> set[int]:

@@ -11,12 +11,16 @@ identical logical ``distance_queries`` totals.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.baseline.bu import BoomerUnaware
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context
+from repro.core.query import BPHQuery
 from tests.conftest import make_fig2_query
 
 
@@ -58,8 +62,6 @@ def test_strategy_matches_bit_identical(fig2_pre, strategy):
 
 
 def test_bu_matches_bit_identical(fig2_pre):
-    from dataclasses import replace
-
     query = make_fig2_query()
     arms = {}
     for batch in (True, False):
@@ -122,3 +124,52 @@ def test_results_identical_after_lower_bound_filtering(fig2_pre):
             for r in boomer.results()
         ]
     assert outs[True] == outs[False]
+
+
+def test_context_block_identical_with_batch_disabled():
+    """``batch_enabled=False`` answers the same pair block, one ``within``
+    per evaluated pair, with the same logical query count."""
+    pre = make_two_label_pre()
+    sources = list(range(0, 16))
+    targets = list(range(8, 24))  # overlaps the sources: a diagonal to skip
+    blocks, counters = {}, {}
+    for batch in (True, False):
+        ctx = replace(make_context(pre), batch_enabled=batch)
+        blocks[batch] = ctx.within_many(sources, targets, 3, skip_equal=True)
+        counters[batch] = ctx.counters.snapshot()
+    assert blocks[True].dtype == blocks[False].dtype == np.int32
+    np.testing.assert_array_equal(blocks[True], blocks[False])
+    assert counters[True]["distance_queries"] == 16 * 16
+    assert counters[False]["distance_queries"] == 16 * 16
+    assert counters[True]["oracle_calls"] == 1  # one kernel call
+    assert counters[False]["oracle_calls"] == 16 * 16 - 8  # diagonal skipped
+
+
+@pytest.mark.parametrize("upper", [1, 2])
+def test_forced_large_upper_agrees_with_every_strategy(fig2_pre, upper):
+    """Fig. 5's 1-Strategy arm: upper-1/2 edges pushed through the block
+    kernel give the match set of IC = DR = DI = BU."""
+    query = BPHQuery()
+    for q, label in enumerate("ABC"):
+        query.add_vertex(label, vertex_id=q)
+    script = [NewVertex(0, "A"), NewVertex(1, "B"), NewVertex(2, "C")]
+    for u, v in ((0, 1), (1, 2), (0, 2)):
+        query.add_edge(u, v, 1, upper)
+        script.append(NewEdge(u, v, 1, upper))
+    outcomes = {
+        "BU": sorted(
+            ordered_matches(BoomerUnaware(make_context(fig2_pre)).evaluate(query).matches)
+        )
+    }
+    for strategy in ("IC", "DR", "DI"):
+        for force in (False, True):
+            boomer = Boomer(
+                make_context(fig2_pre), strategy=strategy, force_large_upper=force
+            )
+            for action in (*script, Run()):
+                boomer.apply(action)
+            outcomes[strategy, force] = sorted(
+                ordered_matches(boomer.run_result.matches.matches)
+            )
+    assert len({tuple(matches) for matches in outcomes.values()}) == 1, outcomes
+    assert outcomes["BU"] or upper == 1

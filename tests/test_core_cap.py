@@ -1,5 +1,6 @@
 """Tests for the CAP index data structure."""
 
+import numpy as np
 import pytest
 
 from repro.core.cap import CAPIndex
@@ -113,6 +114,47 @@ class TestEdges:
         cap.finish_edge(0, 1)
         cap.drop_edge(0, 1)
         assert not cap.is_processed(0, 1)
+
+
+class TestAddPairs:
+    """A pair block lands exactly like the same pairs added one by one."""
+
+    @staticmethod
+    def two_levels():
+        cap = CAPIndex()
+        cap.add_level(0, [1000, 7, 300, 42])
+        cap.add_level(1, [300, 9, 5000, 7])
+        cap.begin_edge(0, 1)
+        return cap
+
+    def test_block_equals_per_pair(self):
+        # Source-major like a kernel block, targets out of numeric order.
+        pairs = [(1000, 9), (1000, 300), (7, 5000), (42, 7), (42, 9), (42, 300)]
+        bulk, single = self.two_levels(), self.two_levels()
+        assert bulk.add_pairs(0, 1, np.array(pairs, dtype=np.int32)) == len(pairs)
+        for vi, vj in pairs:
+            single.add_pair(0, 1, vi, vj)
+        assert bulk._aivs == single._aivs
+        assert bulk.finish_edge(0, 1) == single.finish_edge(0, 1)
+        assert bulk._candidates == single._candidates
+
+    def test_members_are_the_candidate_sets_own_ints(self):
+        cap = self.two_levels()
+        cap.add_pairs(0, 1, np.array([[1000, 5000], [300, 5000]], dtype=np.int32))
+        own = {id(v) for v in cap.candidates(0)} | {id(v) for v in cap.candidates(1)}
+        assert {id(v) for v in cap.aivs(0, 1, 1000)} <= own
+        assert {id(v) for v in cap.aivs(1, 0, 5000)} <= own
+
+    def test_empty_block(self):
+        cap = self.two_levels()
+        assert cap.add_pairs(0, 1, np.empty((0, 2), dtype=np.int32)) == 0
+        assert all(not s for s in cap._aivs[(0, 1)].values())
+
+    def test_non_candidate_rejected(self):
+        cap = self.two_levels()
+        for bad in ([7, 8], [8, 7], [7, 999999]):  # like add_pair
+            with pytest.raises(KeyError):
+                cap.add_pairs(0, 1, np.array([bad], dtype=np.int32))
 
 
 class TestPruning:

@@ -1,8 +1,12 @@
 """Tests for partial-matched vertex set enumeration (V_Delta)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.blender import Boomer
+from repro.core.cap import CAPIndex
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.enumerate import (
     iter_partial_vertex_sets,
@@ -134,3 +138,32 @@ class TestEnumeration:
         boomer.apply(NewVertex(0, "C"))
         boomer.apply(Run())
         assert [m[0] for m in boomer.run_result.matches] == [11]
+
+
+class TestNoReferenceCycle:
+    def test_dropped_engine_frees_its_cap_without_the_collector(self, fig2_ctx):
+        # The DFS helper used to be a closure calling itself: function and
+        # cell formed a cycle whose other cells pinned the CAP of every
+        # finished Run until the next full collection.
+        gc.collect()
+        gc.disable()
+        try:
+            boomer = Boomer(fig2_ctx, strategy="IC", max_results=1)  # truncates
+            for action in (
+                NewVertex(0, "A"),
+                NewVertex(1, "B"),
+                NewEdge(0, 1, 1, 3),
+                Run(),
+            ):
+                boomer.apply(action)
+            assert boomer.run_result.matches.truncated
+            cap_ref = weakref.ref(boomer.engine.cap)
+            del boomer
+            assert cap_ref() is None
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            assert not [o for o in gc.garbage if isinstance(o, CAPIndex)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()

@@ -8,17 +8,22 @@ batch-incapable oracles like :class:`CountingOracle` — must give
 * identical validation errors for bad vertex ids, and
 * batch results equal to a loop of scalar calls, in the same order.
 
-The hypothesis section fuzzes these invariants over random graphs.
+``within_many`` answers with an int32 ``(P, 2)`` pair block; the block
+contract (values *and* row order equal to the per-pair double loop over
+plain BFS) is pinned for every arm in :class:`TestBlockContract` and
+fuzzed in the hypothesis section.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import VertexNotFoundError
+from repro.errors import StaleIndexError, VertexNotFoundError
 from repro.graph.algorithms import bfs_distances
 from repro.graph.builder import GraphBuilder
 from repro.indexing.batch import (
@@ -32,7 +37,9 @@ from repro.indexing.batch import (
     within_many,
 )
 from repro.indexing.oracle import BatchDistanceOracle, BFSOracle, CountingOracle
+from repro.indexing import pml as pml_module
 from repro.indexing.pml import PrunedLandmarkLabeling
+from repro.updates import delete_edge, graph_insert_edge, insert_edge
 from tests.conftest import build_fig2_graph, build_path_graph
 
 
@@ -47,6 +54,24 @@ def make_oracle(kind: str, graph):
 
 
 ORACLE_KINDS = ["pml", "bfs", "counting"]
+
+
+def reference_block(graph, sources, targets, upper, skip_equal=False):
+    """The per-pair double loop over plain BFS: the dumbest possible arm."""
+    pairs = []
+    for u in sources:
+        dist = bfs_distances(graph, u)
+        for v in targets:
+            if not (skip_equal and u == v) and 0 <= int(dist[v]) <= upper:
+                pairs.append((u, v))
+    return np.array(pairs, dtype=np.int32).reshape(-1, 2)
+
+
+def assert_block(got, want, msg=""):
+    """Same int32 ``(P, 2)`` block: values and row order."""
+    assert isinstance(got, np.ndarray), msg
+    assert got.dtype == np.int32 and got.ndim == 2 and got.shape[1] == 2, msg
+    np.testing.assert_array_equal(got, want, err_msg=msg)
 
 
 @pytest.fixture(params=ORACLE_KINDS)
@@ -88,7 +113,8 @@ class TestConformance:
         reference = make_oracle(kind, graph)
         expected = scalar_within_many(reference, sources, targets, upper, skip_equal)
         got = within_many(oracle, sources, targets, upper, skip_equal=skip_equal)
-        assert got == expected  # same pairs, same source-major order
+        assert_block(got, expected, kind)  # same pairs, same source-major order
+        assert_block(got, reference_block(graph, sources, targets, upper, skip_equal))
 
     def test_empty_targets(self, fig2_oracle):
         _, oracle = fig2_oracle
@@ -164,6 +190,97 @@ class TestPMLKernel:
             np.asarray(clone.distances_from(0, np.arange(6))),
             np.asarray(bfs_distances(graph, 0)),
         )
+        clone.__dict__.pop("_label_offsets")
+        clone.__dict__.pop("_finalized")
+        assert_block(
+            clone.within_many([0, 5], [1, 4], 2), np.array([[0, 1], [5, 4]])
+        )
+
+
+def ring_with_chords(n: int):
+    builder = GraphBuilder("ring")
+    builder.add_vertices(["L"] * n)
+    for v in range(n):
+        builder.add_edge(v, (v + 1) % n)
+    for v in range(0, n, 5):
+        builder.add_edge_if_absent(v, (v * 7 + 11) % n)
+    return builder.build()
+
+
+class TestBlockContract:
+    """``within_many``'s pair block, arm by arm, at the contract's edges."""
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_empty_sides(self, kind):
+        oracle = make_oracle(kind, build_fig2_graph())
+        for sources, targets in (([], [1, 2]), ([0, 3], []), ([], [])):
+            got = within_many(oracle, sources, targets, upper=3)
+            assert_block(got, np.empty((0, 2), dtype=np.int32), kind)
+
+    def test_sizes_straddling_the_block_constants(self):
+        # One more source block and one more target block than fit, with
+        # a last bitset row that is not a whole number of bytes.
+        num_sources = pml_module._SOURCE_BLOCK + 3
+        num_targets = pml_module._TARGET_BLOCK + 13
+        assert num_targets % 8
+        graph = ring_with_chords(num_targets + 40)
+        order = np.random.default_rng(7).permutation(graph.num_vertices)
+        sources = order[:num_sources].tolist()
+        targets = order[-num_targets:].tolist()  # overlaps the sources
+        assert set(sources) & set(targets)
+        pml = PrunedLandmarkLabeling.build(graph)
+        for upper, skip_equal in ((3, True), (4, False)):
+            want = BFSOracle(graph).within_many(sources, targets, upper, skip_equal)
+            assert_block(pml.within_many(sources, targets, upper, skip_equal), want)
+        assert_block(
+            BFSOracle(graph).within_many(sources[:9], targets, 3, True),
+            reference_block(graph, sources[:9], targets, 3, True),
+        )
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize(
+        "sources,targets",
+        [([99, 0], [1, -5]), ([0, 99], [1, -5, 2]), ([0, 99, -7], [1, 2])],
+    )
+    def test_first_offender_is_the_scalar_loops(self, kind, sources, targets):
+        graph = build_fig2_graph()
+        with pytest.raises(VertexNotFoundError) as scalar:
+            scalar_within_many(make_oracle(kind, graph), sources, targets, 3)
+        with pytest.raises(VertexNotFoundError) as block:
+            within_many(make_oracle(kind, graph), sources, targets, 3)
+        assert block.value.vertex == scalar.value.vertex
+
+    def test_counts_every_logical_query(self):
+        graph = build_fig2_graph()
+        for oracle in (PrunedLandmarkLabeling.build(graph), BFSOracle(graph)):
+            oracle.within_many([0, 1, 2], [2, 3], 3, skip_equal=True)
+            assert oracle.query_count == 6
+
+    def test_unmaintained_epoch_bump_refuses(self):
+        graph = build_fig2_graph()
+        pml = PrunedLandmarkLabeling.build(graph)
+        graph_insert_edge(graph, 0, 11)  # bypasses maintenance on purpose
+        with pytest.raises(StaleIndexError, match="epoch"):
+            pml.within_many([0], [11], 3)
+
+    def test_correct_right_after_insert_and_rebuild(self):
+        from tests.test_updates_conformance import make_ctx
+
+        ctx = make_ctx(build_fig2_graph())
+        everyone = list(range(ctx.graph.num_vertices))
+        insert_edge(ctx, 0, 11)  # apply_edge_insert: patched labels
+        for upper in (1, 2, 3):
+            assert_block(
+                ctx.oracle.within_many(everyone, everyone, upper, True),
+                reference_block(ctx.graph, everyone, everyone, upper, True),
+            )
+        u, v = next(iter(ctx.graph.iter_edges()))
+        delete_edge(ctx, u, v)  # rebuild_inplace: fresh label arrays
+        for upper in (1, 2, 3):
+            assert_block(
+                ctx.oracle.within_many(everyone, everyone, upper),
+                reference_block(ctx.graph, everyone, everyone, upper),
+            )
 
 
 class TestBFSOracleBatch:
@@ -332,15 +449,25 @@ class TestRandomizedConformance:
             got = np.asarray(distances_from(oracle, source, targets))
             np.testing.assert_array_equal(got, truth, err_msg=kind)
 
-    @settings(max_examples=20, deadline=None)
-    @given(graph=small_graphs(), upper=st.integers(0, 5), skip=st.booleans())
-    def test_within_many_equals_scalar_loop(self, graph, upper, skip):
-        sources = list(range(graph.num_vertices))
-        targets = list(range(graph.num_vertices))
-        reference = scalar_within_many(
-            BFSOracle(graph), sources, targets, upper, skip
-        )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=small_graphs(),
+        data=st.data(),
+        upper=st.integers(0, 6),
+        skip=st.booleans(),
+    )
+    def test_within_many_equals_scalar_loop(self, graph, data, upper, skip):
+        # Duplicate-free sides in arbitrary order that may overlap each
+        # other, on graphs that may be disconnected; the kernel also runs
+        # with block constants small enough for several blocks per side.
+        vertices = st.permutations(range(graph.num_vertices))
+        sources = data.draw(vertices)[: data.draw(st.integers(0, graph.num_vertices))]
+        targets = data.draw(vertices)[: data.draw(st.integers(0, graph.num_vertices))]
+        reference = reference_block(graph, sources, targets, upper, skip)
         for kind in ORACLE_KINDS:
             oracle = make_oracle(kind, graph)
             got = within_many(oracle, sources, targets, upper, skip_equal=skip)
-            assert got == reference, kind
+            assert_block(got, reference, kind)
+        with mock.patch.multiple(pml_module, _TARGET_BLOCK=3, _SOURCE_BLOCK=2):
+            got = make_oracle("pml", graph).within_many(sources, targets, upper, skip)
+        assert_block(got, reference, "pml, tiny blocks")

@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context, preprocess
+from repro.indexing.batch import scalar_within_many
+from repro.indexing.oracle import BFSOracle
 from repro.storage import (
     ARRAY_NAMES,
     ByteBudgetPolicy,
@@ -27,6 +29,7 @@ from repro.storage import (
     basis_from_context,
     open_backend,
 )
+from repro.storage.basis import LazyLabelView, StoredPML
 from tests.test_property_graph import labeled_graphs
 
 
@@ -72,6 +75,44 @@ def test_backends_byte_and_answer_identical(tmp_path_factory, graph, budgeted):
             assert canonical_run(backend.context(), labels) == reference, (
                 f"{name}: matches diverged"
             )
+    finally:
+        for backend in backends.values():
+            backend.close()
+
+
+@given(labeled_graphs(), st.data(), st.integers(0, 6), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_block_kernel_identical_across_backends(
+    tmp_path_factory, graph, data, upper, skip_equal
+):
+    """``StoredPML`` answers ``within_many`` from the stored label CSR:
+    the same pair block as the heap index, from resident, shm and mmap
+    arrays alike, without materialising a per-vertex label list."""
+    ctx = make_context(preprocess(graph, seed=5))
+    basis = basis_from_context(ctx)
+    vertices = st.permutations(range(graph.num_vertices))
+    sources = data.draw(vertices)[: data.draw(st.integers(0, graph.num_vertices))]
+    targets = data.draw(vertices)[: data.draw(st.integers(0, graph.num_vertices))]
+    want = scalar_within_many(BFSOracle(graph), sources, targets, upper, skip_equal)
+    np.testing.assert_array_equal(
+        ctx.oracle.within_many(sources, targets, upper, skip_equal), want
+    )
+    backends = {
+        "resident": open_backend("resident", basis=basis),
+        "shm": open_backend("shm", basis=basis),
+        "mmap": open_backend(
+            "mmap", basis=basis, directory=tmp_path_factory.mktemp("basis") / "b"
+        ),
+    }
+    try:
+        for name, backend in backends.items():
+            oracle = backend.context().oracle
+            assert isinstance(oracle, StoredPML), name
+            got = oracle.within_many(sources, targets, upper, skip_equal)
+            assert got.dtype == np.int32, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            if isinstance(oracle._label_ranks, LazyLabelView):
+                assert not oracle._label_ranks._cache, name
     finally:
         for backend in backends.values():
             backend.close()
