@@ -27,8 +27,12 @@ def test_ablation_scan_choice(benchmark, ablation_tables):
         out_idx = table.headers.index("forced out-scan")
         for row in table.rows:
             best_forced = min(row[in_idx], row[out_idx])
-            # cost-model choice tracks the better forced arm (2x headroom)
-            assert row[model_idx] <= best_forced * 2 + 5
+            # Every arm runs through the hop_pairs block kernel, where a
+            # forced in-scan is one shared pass from the other level: the
+            # arms differ by noise, and the cost-model arm must not stand
+            # out from the better forced one (2x headroom, plus one cyclic
+            # GC pause: the cells are single-shot and now ~10 ms each).
+            assert row[model_idx] <= best_forced * 2 + 15
 
     bundle = get_dataset("dblp", SCALE)
     pml = bundle.pre.pml

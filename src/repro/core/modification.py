@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.query import QueryEdge, canonical_edge
 from repro.errors import CAPStateError
+from repro.indexing.twohop import hop_pairs
 from repro.utils.timing import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -161,23 +162,20 @@ def _tighten(engine: "BlenderEngine", edge: QueryEdge) -> ModificationReport:
     Every surviving AIVS pair is re-validated against the new bound; pairs
     that now violate it are removed, then the isolation prune re-runs for
     this edge.  The re-check uses the same bound specialization as PVS:
-    adjacency test for upper 1, sorted common-neighbor join for upper 2,
-    oracle distance otherwise.
+    the bounded-hop kernel over the two levels for upper 1 and 2, oracle
+    distance otherwise.
     """
     qi, qj = edge.u, edge.v
     cap = engine.cap
     ctx = engine.ctx
     upper = edge.upper
-    graph = ctx.graph
 
-    if upper == 1:
-        still_valid = lambda vi, vj: graph.has_edge(vi, vj)
-    elif upper == 2:
-        from repro.core.pvs import _within_two_hops
-
-        still_valid = lambda vi, vj: _within_two_hops(
-            graph, vi, vj, graph.neighbors(vi)
+    if upper <= 2:
+        block = hop_pairs(
+            ctx.graph, list(cap.candidates(qi)), list(cap.candidates(qj)), upper
         )
+        within = set(map(tuple, block.tolist()))
+        still_valid = lambda vi, vj: (vi, vj) in within
     else:
         still_valid = lambda vi, vj: ctx.within(vi, vj, upper)
 

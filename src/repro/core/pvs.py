@@ -9,11 +9,13 @@ PVS fills the AIVS maps of the CAP index with every candidate pair
   membership) or *in-scan* (walk ``V_qj``, test adjacency) by the cost
   model of Lemma 5.3.
 * ``b == 2`` — **two-hop search**: same structure, with the 2-hop
-  neighborhood enumerated on the fly for out-scans and a sorted
-  common-neighbor merge join for in-scans (Lemma 5.4); scan choice uses
-  the precomputed 2-hop *counts*.
+  neighborhoods enumerated on the fly (Lemma 5.4); scan choice uses the
+  precomputed 2-hop *counts*.
 * ``b >= 3`` — **large-upper search**: all-pairs bounded-distance checks
   through the PML oracle (Lemma 5.5).
+
+Both scan searches answer a whole level at once through the block kernel
+:func:`~repro.indexing.twohop.hop_pairs` and hand the CAP one pair block.
 
 Pairs with ``v_i == v_j`` are skipped: the 1-1 mapping can never use them
 and keeping them would let a candidate keep itself alive.
@@ -28,7 +30,7 @@ import numpy as np
 from repro.core.cap import CAPIndex
 from repro.core.context import EngineContext
 from repro.core.query import QueryEdge
-from repro.indexing.twohop import two_hop_neighbors
+from repro.indexing.twohop import hop_pairs
 
 __all__ = [
     "populate_vertex_set",
@@ -64,105 +66,73 @@ def _log2(x: int) -> float:
     return math.log2(x) if x > 1 else 1.0
 
 
-def _choose_out(ctx: EngineContext, cost_out: float, cost_in: float) -> bool:
-    """Scan choice: the Lemma 5.3/5.4 cost model, or the ablation override."""
-    if ctx.scan_override == "out":
-        return True
-    if ctx.scan_override == "in":
-        return False
-    return cost_out < cost_in
-
-
-def _scan_setup(cap: CAPIndex, graph, edge: QueryEdge) -> tuple:
-    """``(qi, qj, V_qi, V_qj)``, the smaller candidate side first, then the
-    label frequency, size and log-size of ``V_qj`` for the cost model."""
+def _scan_setup(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> tuple:
+    """``(qi, qj, V_qi, V_qj)`` as arrays, the smaller candidate side first,
+    then ``deg(v_i)`` per scanned vertex and the label frequency, size and
+    log-size of ``V_qj`` for the cost model."""
     qi, qj = edge.u, edge.v
     if cap.candidate_count(qj) < cap.candidate_count(qi):
         qi, qj = qj, qi
-    v_qj = cap.candidates(qj)
-    p_label = graph.label_frequency(_level_label(graph, v_qj))
-    return qi, qj, cap.candidates(qi), v_qj, p_label, len(v_qj), _log2(len(v_qj))
+    v_i, v_j = (np.fromiter(c, np.int64, len(c)) for c in map(cap.candidates, (qi, qj)))
+    offsets, _ = ctx.graph.raw_csr()
+    p_label = ctx.graph.label_frequency(_level_label(ctx.graph, cap.candidates(qj)))
+    return qi, qj, v_i, v_j, offsets[v_i + 1] - offsets[v_i], p_label, len(v_j), _log2(len(v_j))
+
+
+def _scan(cap, ctx, qi, qj, v_i, v_j, cost_out, cost_in, hops: int) -> None:
+    """Per-source scan choice (cost model or ablation override), then the
+    pairs of the whole level through :func:`~repro.indexing.twohop.hop_pairs`.
+
+    Out-scan sources are expanded from their own side.  In-scan sources
+    ("walk ``V_qj``, test adjacency") are answered by one pass from
+    ``V_qj`` with the columns flipped: exact because distance is
+    symmetric, and its cost does not grow with their number.
+    """
+    counters = ctx.counters
+    out = cost_out < cost_in
+    if ctx.scan_override in ("out", "in"):
+        out[:] = ctx.scan_override == "out"
+    n_out = int(out.sum())
+    counters.out_scans += n_out
+    counters.in_scans += len(out) - n_out
+    blocks = [np.empty((0, 2), dtype=np.int32)]
+    for scanned, member, flip in ((v_i[out], v_j, 1), (v_j, v_i[~out], -1)):
+        if len(scanned) and len(member):
+            blocks.append(hop_pairs(ctx.graph, scanned, member, hops)[:, ::flip])
+    pairs = np.concatenate(blocks)
+    if n_out < len(out):  # regroup by source: the flipped rows are sorted by target
+        pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    counters.pairs_added += cap.add_pairs(qi, qj, pairs)
 
 
 def neighbor_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> None:
     """Upper bound 1: AIVS via adjacency scans (Algorithm 9 / Lemma 5.3).
 
-    Iterates the *smaller* candidate side (the relation is symmetric), so
+    Scans the *smaller* candidate side (the relation is symmetric), so
     the per-edge work is ``min(|V_qi|, |V_qj|)`` scans — which is also what
-    the pool's bound-aware cost estimate assumes.
+    the pool's bound-aware cost estimate assumes.  The comparison is the
+    scalar one, evaluated for the whole level in float64 in the same order.
     """
-    graph, counters = ctx.graph, ctx.counters
-    qi, qj, v_qi, v_qj, p_label, size_j, log_size_j = _scan_setup(cap, graph, edge)
-
-    for vi in v_qi:
-        deg_vi = graph.degree(vi)
-        cost_out = deg_vi + deg_vi * p_label * log_size_j
-        cost_in = size_j * _log2(deg_vi)
-        if _choose_out(ctx, cost_out, cost_in):
-            counters.out_scans += 1
-            for vj in graph.neighbors(vi):
-                vj = int(vj)
-                if vj != vi and vj in v_qj:
-                    cap.add_pair(qi, qj, vi, vj)
-                    counters.pairs_added += 1
-        else:
-            counters.in_scans += 1
-            for vj in v_qj:
-                if vj != vi and graph.has_edge(vi, vj):
-                    cap.add_pair(qi, qj, vi, vj)
-                    counters.pairs_added += 1
+    qi, qj, v_i, v_j, deg, p_label, size_j, log_size_j = _scan_setup(cap, ctx, edge)
+    # math.log2 per distinct degree: a SIMD np.log2 may differ in the last bit.
+    distinct, inverse = np.unique(deg, return_inverse=True)
+    log_deg = np.array([_log2(d) for d in distinct.tolist()])[inverse]
+    cost_out = deg + deg * p_label * log_size_j
+    _scan(cap, ctx, qi, qj, v_i, v_j, cost_out, size_j * log_deg, hops=1)
 
 
 def two_hop_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> None:
     """Upper bound 2: AIVS via 2-hop scans (Lemma 5.4).
 
-    Iterates the smaller candidate side, like :func:`neighbor_search`.
+    Scans the smaller candidate side, like :func:`neighbor_search`; the
+    out-scan cost uses the precomputed 2-hop counts.
     """
-    graph, counters = ctx.graph, ctx.counters
-    qi, qj, v_qi, v_qj, p_label, size_j, log_size_j = _scan_setup(cap, graph, edge)
+    graph = ctx.graph
+    qi, qj, v_i, v_j, deg, p_label, size_j, log_size_j = _scan_setup(cap, ctx, edge)
     mean_deg = (2.0 * graph.num_edges / graph.num_vertices) if len(graph) else 0.0
-
-    for vi in v_qi:
-        twohop_vi = int(ctx.two_hop[vi])
-        deg_vi = graph.degree(vi)
-        cost_out = twohop_vi + twohop_vi * p_label * log_size_j
-        cost_in = size_j * (deg_vi + mean_deg)
-        if _choose_out(ctx, cost_out, cost_in):
-            counters.out_scans += 1
-            for vj in two_hop_neighbors(graph, vi):
-                if vj != vi and vj in v_qj:
-                    cap.add_pair(qi, qj, vi, vj)
-                    counters.pairs_added += 1
-        else:
-            counters.in_scans += 1
-            nbrs_vi = graph.neighbors(vi)
-            for vj in v_qj:
-                if vj == vi:
-                    continue
-                if _within_two_hops(graph, vi, vj, nbrs_vi):
-                    cap.add_pair(qi, qj, vi, vj)
-                    counters.pairs_added += 1
-
-
-def _within_two_hops(graph, vi: int, vj: int, nbrs_vi: np.ndarray) -> bool:
-    """``dist(vi, vj) <= 2`` via adjacency + sorted common-neighbor join."""
-    nbrs_vj = graph.neighbors(vj)
-    # Adjacent?  Both arrays are sorted; binary search the shorter probe.
-    pos = int(np.searchsorted(nbrs_vi, vj))
-    if pos < len(nbrs_vi) and int(nbrs_vi[pos]) == vj:
-        return True
-    # Common neighbor?  Merge-join (Lemma 5.4 charges deg(vi) + deg(vj)).
-    i = j = 0
-    len_i, len_j = len(nbrs_vi), len(nbrs_vj)
-    while i < len_i and j < len_j:
-        a, b = int(nbrs_vi[i]), int(nbrs_vj[j])
-        if a == b:
-            return True
-        if a < b:
-            i += 1
-        else:
-            j += 1
-    return False
+    two_hop = ctx.two_hop[v_i]
+    cost_out = two_hop + two_hop * p_label * log_size_j
+    _scan(cap, ctx, qi, qj, v_i, v_j, cost_out, size_j * (deg + mean_deg), hops=2)
 
 
 def large_upper_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> None:

@@ -4,12 +4,11 @@ Why CSR rather than dict-of-sets: BOOMER's hot loops (neighbor scans during
 PopulateVertexSet, pruned BFS during PML construction) iterate adjacency
 lists millions of times.  A pair of numpy arrays (``offsets``/``neighbors``)
 keeps those scans allocation-free and cache-friendly while still being pure
-Python at the algorithm level.  Adjacency is sorted per vertex, which gives:
-
-* O(log deg(v)) membership tests via binary search — the exact primitive the
-  in-scan cost model of Lemma 5.3 charges ``log(deg(v_i))`` for, and
-* merge-join style common-neighbor intersection for the two-hop search of
-  Lemma 5.4.
+Python at the algorithm level, and lets the block kernels gather the rows
+of a whole candidate level with flat index arithmetic
+(:func:`repro.indexing.twohop.hop_pairs`).  Adjacency is sorted per vertex,
+which gives O(log deg(v)) membership tests via binary search — the exact
+primitive the in-scan cost model of Lemma 5.3 charges ``log(deg(v_i))`` for.
 
 Instances are constructed through :class:`repro.graph.builder.GraphBuilder`
 or the loaders/generators; direct construction expects already-validated

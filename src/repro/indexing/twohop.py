@@ -4,7 +4,9 @@ Section 5.2 of the paper: "we pre-compute the 2-hop neighbourhood of each
 vertex in G.  Note that we only record the *count* and not the exact vertex
 set" — the counts feed the out-scan/in-scan cost comparison of the two-hop
 search (Lemma 5.4), while the actual 2-hop *sets* are enumerated on the fly
-when an out-scan is chosen.
+when a scan runs: :func:`hop_pairs` does it for a whole candidate level at
+once over the CSR arrays; :func:`two_hop_neighbors` is its per-vertex
+reference and what the counts are computed from.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ import numpy as np
 
 from repro.graph.graph import Graph
 
-__all__ = ["two_hop_counts", "two_hop_neighbors", "patch_two_hop_counts"]
+__all__ = ["two_hop_counts", "two_hop_neighbors", "hop_pairs", "patch_two_hop_counts"]
+
+#: Adjacency entries :func:`hop_pairs` gathers per chunk (plus one row).
+_HOP_BLOCK = 1 << 16
 
 
 def two_hop_counts(graph: Graph) -> np.ndarray:
@@ -44,6 +49,64 @@ def two_hop_neighbors(graph: Graph, v: int) -> set[int]:
             reach.add(int(neighbors[j]))
     reach.discard(v)
     return reach
+
+
+def _adjacent(offsets, neighbors, owners, rows, closed: bool):
+    """Yield ``(owner, vertex)`` array chunks: ``owners[i]`` beside every
+    neighbour of ``rows[i]`` (and beside ``rows[i]`` itself when ``closed``).
+
+    Rows whose flat start falls in the same ``_HOP_BLOCK`` window share a
+    chunk, so a chunk gathers at most ``_HOP_BLOCK`` entries plus one row.
+    """
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    base = np.cumsum(counts) - counts
+    cuts = np.flatnonzero(np.diff(base // _HOP_BLOCK, prepend=-1)).tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [len(rows)]):
+        count = counts[lo:hi]
+        flat = np.repeat(starts[lo:hi] - base[lo:hi], count)
+        flat += np.arange(base[lo], base[hi - 1] + count[-1])
+        owner, vertex = np.repeat(owners[lo:hi], count), neighbors[flat]
+        if closed:
+            owner = np.concatenate((owners[lo:hi], owner))
+            vertex = np.concatenate((rows[lo:hi], vertex))
+        yield owner, vertex
+
+
+def hop_pairs(graph: Graph, scanned, member, hops: int) -> np.ndarray:
+    """Every ``(s, t)`` with ``s`` in ``scanned``, ``t`` in ``member``,
+    ``t != s`` and ``dist(s, t) <= hops`` (1 or 2), as an int32 ``(P, 2)``
+    block sorted by ``(s, t)``.
+
+    The bounded-hop search of a whole candidate level at once; the two
+    sides are collections of vertices and may overlap.  The adjacency
+    rows of ``scanned`` (for ``hops == 2`` also the rows of those
+    neighbours) are gathered with flat index arithmetic on the CSR arrays,
+    endpoints outside ``member`` are dropped, and what is left is
+    de-duplicated, since a 2-hop target is reached along several paths.
+    Chunks arrive in source order, so only the last source of a chunk can
+    continue into the next one: its pairs are carried over and everything
+    before them is final.  Scratch beyond the two sides is bounded by
+    ``_HOP_BLOCK`` plus one adjacency row per level, never by the size of
+    the balls.
+    """
+    offsets, neighbors = graph.raw_csr()
+    n = max(graph.num_vertices, 1)
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(member, dtype=np.int64)] = True
+    scanned = np.sort(np.asarray(scanned, dtype=np.int64))
+    final, carry = [], np.empty(0, dtype=np.int64)
+    for chunk in _adjacent(offsets, neighbors, scanned, scanned, closed=False):
+        pieces = [chunk] if hops == 1 else _adjacent(offsets, neighbors, *chunk, closed=True)
+        for s, t in pieces:
+            keep = mask[t] & (t != s)
+            keys = np.sort(np.concatenate((carry, s[keep] * n + t[keep])))
+            keys = keys[np.diff(keys, prepend=-1) != 0]  # faster than np.unique
+            cut = np.searchsorted(keys, keys[-1] // n * n) if len(keys) else 0
+            final.append(keys[:cut])
+            carry = keys[cut:]
+    keys = np.concatenate(final + [carry])
+    return np.stack((keys // n, keys % n), axis=1).astype(np.int32)
 
 
 def patch_two_hop_counts(

@@ -39,7 +39,11 @@ acceptance check compare exactly these bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from typing import Any
+
+import numpy as np
 
 from repro.core.actions import Action
 from repro.core.blender import ActionReport, RunResult
@@ -196,10 +200,28 @@ def error_retryable(exc: BaseException) -> bool:
 
 
 def canonical_matches(matches) -> list[list[list[int]]]:
-    """``V_Δ`` in canonical wire form: sorted pairs, sorted matches."""
-    return sorted(
-        [[int(q), int(v)] for q, v in sorted(m.items())] for m in matches
-    )
+    """``V_Δ`` in canonical wire form: sorted pairs, sorted matches.
+
+    All matches of one ``V_Δ`` map the same query vertices, so the data
+    vertices form one ``(M, k)`` block (columns in sorted query-vertex
+    order) that a single ``lexsort`` puts in the order sorting the nested
+    pair lists would.  A match mapping other query vertices raises.
+    """
+    matches = list(matches)
+    qs = sorted(matches[0]) if matches else []
+    k = len(qs)
+    if sum(map(len, matches)) != k * len(matches):
+        raise ProtocolError("matches of one V_Δ must map the same query vertices")
+    if not k:
+        return [[] for _ in matches]
+    rows = map(itemgetter(*qs), matches)  # KeyError on a match lacking one
+    block = np.fromiter(
+        rows if k == 1 else chain.from_iterable(rows), np.int64, k * len(matches)
+    ).reshape(-1, k)
+    pairs = np.empty((len(matches), k, 2), dtype=np.int64)
+    pairs[:, :, 0] = qs
+    pairs[:, :, 1] = block[np.lexsort(block.T[::-1])]
+    return pairs.tolist()
 
 
 def encode_line(payload: dict[str, Any]) -> bytes:

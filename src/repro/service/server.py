@@ -51,12 +51,15 @@ class _Handler(socketserver.StreamRequestHandler):
             if not line.strip():
                 continue
             response = self.server.query_server.handle_line(line)
+            # Handler-internal marker (set on the shutdown ack): it ends this
+            # connection and must not reach the wire.
+            close = response.pop("_close", False)
             try:
                 self.wfile.write(protocol.encode_line(response))
                 self.wfile.flush()
             except (ConnectionError, OSError):
                 return
-            if response.pop("_close", False):
+            if close:
                 return
 
 

@@ -5,8 +5,14 @@ edge's upper bound — verified against ground truth on the Figure-2 graph
 and random graphs.
 """
 
-import pytest
+import math
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.core.actions import ModifyBounds, NewEdge, NewVertex
+from repro.core.blender import Boomer
 from repro.core.cap import CAPIndex
 from repro.core.cost import CostModel
 from repro.core.context import EngineContext
@@ -18,10 +24,12 @@ from repro.core.pvs import (
 )
 from repro.core.query import BPHQuery
 from repro.graph.algorithms import bfs_distances
+from repro.graph.builder import GraphBuilder
 from repro.graph.generators import erdos_renyi
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import two_hop_counts
 from tests.conftest import build_fig2_graph
+from tests.test_property_graph import labeled_graphs
 
 
 def make_ctx(graph, scan_override=None):
@@ -45,8 +53,7 @@ def expected_pairs(graph, cands_i, cands_j, upper):
     return out
 
 
-def run_search(graph, label_i, label_j, upper, ctx=None, force=False):
-    ctx = ctx or make_ctx(graph)
+def begin_two_levels(graph, label_i, label_j, upper):
     query = BPHQuery()
     query.add_vertex(label_i, vertex_id=0)
     query.add_vertex(label_j, vertex_id=1)
@@ -55,6 +62,12 @@ def run_search(graph, label_i, label_j, upper, ctx=None, force=False):
     cap.add_level(0, (int(v) for v in graph.vertices_with_label(label_i)))
     cap.add_level(1, (int(v) for v in graph.vertices_with_label(label_j)))
     cap.begin_edge(0, 1)
+    return cap, edge
+
+
+def run_search(graph, label_i, label_j, upper, ctx=None, force=False):
+    ctx = ctx or make_ctx(graph)
+    cap, edge = begin_two_levels(graph, label_i, label_j, upper)
     populate_vertex_set(cap, ctx, edge, force_large_upper=force)
     actual = {
         (vi, vj) for vi in cap.candidates(0) for vj in cap.aivs(0, 1, vi)
@@ -158,14 +171,7 @@ def test_direct_function_calls_equal_dispatch():
     graph = build_fig2_graph()
     for upper, fn in ((1, neighbor_search), (2, two_hop_search), (3, large_upper_search)):
         ctx = make_ctx(graph)
-        query = BPHQuery()
-        query.add_vertex("A", vertex_id=0)
-        query.add_vertex("B", vertex_id=1)
-        edge = query.add_edge(0, 1, 1, upper)
-        cap = CAPIndex()
-        cap.add_level(0, (int(v) for v in graph.vertices_with_label("A")))
-        cap.add_level(1, (int(v) for v in graph.vertices_with_label("B")))
-        cap.begin_edge(0, 1)
+        cap, edge = begin_two_levels(graph, "A", "B", upper)
         fn(cap, ctx, edge)
         got = {(vi, vj) for vi in cap.candidates(0) for vj in cap.aivs(0, 1, vi)}
         want = expected_pairs(
@@ -175,3 +181,108 @@ def test_direct_function_calls_equal_dispatch():
             upper,
         )
         assert got == want
+
+
+# ----------------------------------------------------------------------
+# Conformance of the block searches (upper 1 and 2)
+# ----------------------------------------------------------------------
+def scalar_scan_choice(ctx, cap, edge):
+    """``(out_scans, in_scans)``: the Lemma 5.3/5.4 choice, one source at a
+    time in Python floats, as the scalar searches stated it."""
+    graph = ctx.graph
+    qi, qj = edge.u, edge.v
+    if cap.candidate_count(qj) < cap.candidate_count(qi):
+        qi, qj = qj, qi
+    v_qj = cap.candidates(qj)
+    label = graph.label(next(iter(v_qj))) if v_qj else None
+    p_label, size_j = graph.label_frequency(label), len(v_qj)
+    log2 = lambda x: math.log2(x) if x > 1 else 1.0
+    mean_deg = (2.0 * graph.num_edges / graph.num_vertices) if len(graph) else 0.0
+    out_scans = 0
+    for vi in cap.candidates(qi):
+        deg_vi = graph.degree(vi)
+        if edge.upper == 1:
+            cost_out = deg_vi + deg_vi * p_label * log2(size_j)
+            cost_in = size_j * log2(deg_vi)
+        else:
+            twohop_vi = int(ctx.two_hop[vi])
+            cost_out = twohop_vi + twohop_vi * p_label * log2(size_j)
+            cost_in = size_j * (deg_vi + mean_deg)
+        out_scans += cost_out < cost_in
+    return out_scans, cap.candidate_count(qi) - out_scans
+
+
+def assert_three_arms(graph, label_i, label_j, upper):
+    """Cost-model, forced-in and forced-out arms build one CAP; the counters
+    say how each source was scanned."""
+    built = {}
+    for arm in (None, "in", "out"):
+        ctx = make_ctx(graph, arm)
+        cap, edge = begin_two_levels(graph, label_i, label_j, upper)
+        scanned = min(cap.candidate_count(0), cap.candidate_count(1))
+        chosen = scalar_scan_choice(ctx, cap, edge)
+        populate_vertex_set(cap, ctx, edge)
+        built[arm] = (cap._candidates, cap._aivs)
+        counters = ctx.counters
+        assert (counters.out_scans, counters.in_scans) == {
+            None: chosen, "in": (0, scanned), "out": (scanned, 0)
+        }[arm]
+        assert counters.pairs_added == sum(len(s) for s in cap._aivs[(0, 1)].values())
+    assert built[None] == built["in"] == built["out"]
+    want = expected_pairs(graph, cap.candidates(0), cap.candidates(1), upper)
+    assert {(vi, vj) for vi, s in cap._aivs[(0, 1)].items() for vj in s} == want
+    assert {(vi, vj) for vj, s in cap._aivs[(1, 0)].items() for vi in s} == want
+
+
+class TestBlockSearchConformance:
+    @given(labeled_graphs(), st.sampled_from("ABC"), st.sampled_from("ABC"), st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_arms_agree_on_random_graphs(self, graph, label_i, label_j, upper):
+        """Includes same-label levels, empty levels and degree-0 sources."""
+        assert_three_arms(graph, label_i, label_j, upper)
+
+    @pytest.mark.parametrize("upper", [1, 2])
+    def test_arms_agree_when_the_choice_is_mixed(self, upper):
+        """A hub and a leaf in one scanned level: at upper 1 the cost model
+        in-scans the hub and out-scans the leaf, at upper 2 the reverse."""
+        builder = GraphBuilder("mixed")
+        builder.add_vertices("BB" + "A" * 4 + "C" * 64)
+        for v in range(1, 70):
+            builder.add_edge(0, v)
+        builder.add_edge(1, 2)
+        graph = builder.build()
+        cap, edge = begin_two_levels(graph, "A", "B", upper)
+        assert scalar_scan_choice(make_ctx(graph), cap, edge) == (1, 1)
+        assert_three_arms(graph, "A", "B", upper)
+
+    def test_a_tie_is_an_in_scan(self):
+        """deg 1, p_label 1, |V_qj| 2: cost_out == cost_in == 2.0 exactly."""
+        builder = GraphBuilder("tie")
+        builder.add_vertices("AA")
+        builder.add_edge(0, 1)
+        graph = builder.build()
+        ctx = make_ctx(graph)
+        cap, edge = begin_two_levels(graph, "A", "A", 1)
+        assert scalar_scan_choice(ctx, cap, edge) == (0, 2)
+        populate_vertex_set(cap, ctx, edge)
+        assert (ctx.counters.out_scans, ctx.counters.in_scans) == (0, 2)
+        assert cap._aivs[(0, 1)] == {0: {1}, 1: {0}} == cap._aivs[(1, 0)]
+
+    @given(labeled_graphs(), st.sampled_from([(3, 2), (2, 1), (3, 1)]))
+    @settings(max_examples=40, deadline=None)
+    def test_tighten_equals_a_fresh_build(self, graph, bounds):
+        """Algorithm 15 re-validates through the same kernel: the index
+        after tightening is the one built at the new bound."""
+        old, new = bounds
+        labels = graph.labels()
+        a, b = labels[0], labels[-1]
+        script = [NewVertex(0, a), NewVertex(1, b), NewVertex(2, a)]
+        tightened = Boomer(make_ctx(graph), strategy="IC", auto_idle=False)
+        fresh = Boomer(make_ctx(graph), strategy="IC", auto_idle=False)
+        for action in script + [NewEdge(0, 1, 1, old), NewEdge(1, 2, 1, 2)]:
+            tightened.apply(action)
+        assert tightened.apply(ModifyBounds(0, 1, 1, new)).modification.kind == "tighten"
+        for action in script + [NewEdge(0, 1, 1, new), NewEdge(1, 2, 1, 2)]:
+            fresh.apply(action)
+        assert tightened.cap._candidates == fresh.cap._candidates
+        assert tightened.cap._aivs == fresh.cap._aivs

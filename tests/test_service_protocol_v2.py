@@ -10,8 +10,11 @@ file pins, both at the codec level and over a real socket.
 import json
 import socket
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.core.enumerate import PartialMatches
 from repro.core.preprocessor import make_context
 from repro.errors import (
     ActionError,
@@ -106,6 +109,55 @@ class TestEnvelopeCodec:
         assert protocol.best_effort_id(b"[1, 2]") == (None, 1)
         assert protocol.best_effort_id(b'{"id": 3, "op": "nope"}') == (3, 1)
         assert protocol.best_effort_id(b'{"v": 2, "req_id": 8, "op": "nope"}') == (8, 2)
+
+
+# ---------------------------------------------------------------------------
+# canonical_matches: one numpy pass == the sorted comprehension
+# ---------------------------------------------------------------------------
+def reference_canonical(matches):
+    """The definition: sorted pairs inside sorted matches."""
+    return sorted([[int(q), int(v)] for q, v in sorted(m.items())] for m in matches)
+
+
+@st.composite
+def match_sets(draw):
+    """Matches of one V_Δ: the same query vertices (drawn in any dict
+    order), data vertices with repeats across rows and duplicate rows."""
+    qs = draw(st.lists(st.integers(0, 40), unique=True, max_size=5))
+    row = st.tuples(*[st.integers(0, 30)] * len(qs))
+    return [dict(zip(qs, vs)) for vs in draw(st.lists(row, max_size=40))]
+
+
+class TestCanonicalMatches:
+    @given(match_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_values_and_bytes(self, matches):
+        want = reference_canonical(matches)
+        for given_as in (matches, PartialMatches(matches=matches, order=[]), iter(matches)):
+            got = protocol.canonical_matches(given_as)
+            assert got == want
+            assert all(type(x) is int for match in got for pair in match for x in pair)
+            assert protocol.encode_line({"m": got}) == protocol.encode_line({"m": want})
+
+    def test_one_query_vertex_and_empty(self):
+        assert protocol.canonical_matches([{4: 9}, {4: 2}, {4: 9}]) == [
+            [[4, 2]], [[4, 9]], [[4, 9]]
+        ]
+        assert protocol.canonical_matches([]) == []
+        assert protocol.canonical_matches([{}, {}]) == [[], []]
+
+    @pytest.mark.parametrize(
+        "ragged",
+        [
+            [{0: 1, 1: 2}, {0: 1}],  # a key missing
+            [{0: 1}, {0: 1, 1: 2}],  # a key too many: must not be truncated
+            [{0: 1, 1: 2}, {0: 1, 2: 2}],  # same size, another key
+            [{}, {0: 1}],
+        ],
+    )
+    def test_ragged_input_raises(self, ragged):
+        with pytest.raises((ProtocolError, KeyError)):
+            protocol.canonical_matches(ragged)
 
 
 # ---------------------------------------------------------------------------

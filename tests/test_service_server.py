@@ -158,6 +158,23 @@ def test_shutdown_op_stops_the_server(fig2_ctx):
     srv.stop()  # idempotent
 
 
+def test_shutdown_ack_carries_no_internal_marker(fig2_ctx):
+    """The handler's ``_close`` marker ends the connection, off the wire."""
+    srv = QueryServer(SessionManager(fig2_ctx), host="127.0.0.1", port=0).start()
+    try:
+        with socket.create_connection(srv.address, timeout=10) as sock:
+            f = sock.makefile("rwb")
+            f.write(b'{"v": 2, "req_id": 7, "op": "shutdown"}\n')
+            f.flush()
+            ack = json.loads(f.readline())
+            assert sorted(ack) == ["ok", "req_id", "result", "v"]
+            assert ack["ok"] is True and ack["req_id"] == 7
+            assert ack["result"] == {"stopping": True}
+            assert f.readline() == b""  # the server closed the connection
+    finally:
+        srv.stop()
+
+
 def test_stop_twice_is_a_safe_noop(fig2_ctx):
     srv = QueryServer(SessionManager(fig2_ctx), host="127.0.0.1", port=0).start()
     summary = srv.stop()

@@ -10,6 +10,8 @@ pins the hot tier's budget invariant under adversarial put sequences.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context, preprocess
 from repro.indexing.batch import scalar_within_many
 from repro.indexing.oracle import BFSOracle
+from repro.indexing.twohop import hop_pairs
 from repro.storage import (
     ARRAY_NAMES,
     ByteBudgetPolicy,
@@ -45,6 +48,23 @@ def canonical_run(ctx, labels: list[str]):
     )
 
 
+@contextmanager
+def all_backends(basis, directory, budget_bytes=None):
+    """``{name: backend}`` over one basis: resident, shm and mmap; closed on exit."""
+    backends = {
+        "resident": open_backend("resident", basis=basis),
+        "shm": open_backend("shm", basis=basis),
+        "mmap": open_backend(
+            "mmap", basis=basis, directory=directory, budget_bytes=budget_bytes
+        ),
+    }
+    try:
+        yield backends
+    finally:
+        for backend in backends.values():
+            backend.close()
+
+
 @given(labeled_graphs(), st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_backends_byte_and_answer_identical(tmp_path_factory, graph, budgeted):
@@ -56,14 +76,7 @@ def test_backends_byte_and_answer_identical(tmp_path_factory, graph, budgeted):
 
     tmp = tmp_path_factory.mktemp("basis")
     budget = max(1024, basis.nbytes() // 4) if budgeted else None
-    backends = {
-        "resident": open_backend("resident", basis=basis),
-        "shm": open_backend("shm", basis=basis),
-        "mmap": open_backend(
-            "mmap", basis=basis, directory=tmp / "b", budget_bytes=budget
-        ),
-    }
-    try:
+    with all_backends(basis, tmp / "b", budget) as backends:
         for name, backend in backends.items():
             if name != "resident":
                 spec = backend.spec()
@@ -75,9 +88,6 @@ def test_backends_byte_and_answer_identical(tmp_path_factory, graph, budgeted):
             assert canonical_run(backend.context(), labels) == reference, (
                 f"{name}: matches diverged"
             )
-    finally:
-        for backend in backends.values():
-            backend.close()
 
 
 @given(labeled_graphs(), st.data(), st.integers(0, 6), st.booleans())
@@ -97,14 +107,7 @@ def test_block_kernel_identical_across_backends(
     np.testing.assert_array_equal(
         ctx.oracle.within_many(sources, targets, upper, skip_equal), want
     )
-    backends = {
-        "resident": open_backend("resident", basis=basis),
-        "shm": open_backend("shm", basis=basis),
-        "mmap": open_backend(
-            "mmap", basis=basis, directory=tmp_path_factory.mktemp("basis") / "b"
-        ),
-    }
-    try:
+    with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as backends:
         for name, backend in backends.items():
             oracle = backend.context().oracle
             assert isinstance(oracle, StoredPML), name
@@ -113,9 +116,26 @@ def test_block_kernel_identical_across_backends(
             np.testing.assert_array_equal(got, want, err_msg=name)
             if isinstance(oracle._label_ranks, LazyLabelView):
                 assert not oracle._label_ranks._cache, name
-    finally:
-        for backend in backends.values():
-            backend.close()
+
+
+@given(labeled_graphs(), st.data(), st.sampled_from([1, 2]))
+@settings(max_examples=15, deadline=None)
+def test_hop_kernel_identical_across_backends(tmp_path_factory, graph, data, hops):
+    """``hop_pairs`` reads the graph CSR wherever it lives: the same block
+    from heap arrays, shm segments and a read-only mmap."""
+    ctx = make_context(preprocess(graph, seed=5))
+    basis = basis_from_context(ctx)
+    subsets = st.lists(st.integers(0, graph.num_vertices - 1), unique=True)
+    scanned, member = data.draw(subsets), data.draw(subsets)
+    want = hop_pairs(graph, scanned, member, hops)
+    with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as backends:
+        for name, backend in backends.items():
+            stored = backend.context().graph
+            if name == "mmap":
+                assert not any(a.flags.writeable for a in stored.raw_csr())
+            got = hop_pairs(stored, scanned, member, hops)
+            assert got.dtype == np.int32, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 @given(labeled_graphs())

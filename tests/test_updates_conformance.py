@@ -25,7 +25,7 @@ from repro.graph.builder import GraphBuilder
 from repro.indexing.batch import DistanceVectorCache, shared_distance_cache
 from repro.indexing.oracle import BFSOracle
 from repro.indexing.pml import PrunedLandmarkLabeling
-from repro.indexing.twohop import two_hop_counts
+from repro.indexing.twohop import hop_pairs, two_hop_counts
 from repro.storage import (
     basis_from_context,
     context_from_basis,
@@ -121,6 +121,28 @@ class TestScheduleConformance:
             report = insert_edge(ctx, u, v)
             assert report.strategy == "pml-incremental"
         assert_matches_fresh_build(ctx)
+
+    @given(labeled_graphs(max_n=12), st.data(), st.sampled_from([1, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_hop_kernel_right_after_each_update(self, graph, data, hops):
+        """``hop_pairs`` reads the swapped CSR: after every insert or delete
+        its block is plain BFS over the mutated graph."""
+        ctx = make_ctx(graph)
+        everything = list(range(graph.num_vertices))
+        for _ in range(data.draw(st.integers(1, 6))):
+            step = draw_step(data, graph)
+            if step is None:
+                break
+            kind, u, v = step
+            (insert_edge if kind == "insert" else delete_edge)(ctx, u, v)
+            want = [
+                (s, t)
+                for s in everything
+                for t in np.flatnonzero(bfs_distances(graph, s, cutoff=hops) > 0)
+            ]
+            assert hop_pairs(graph, everything, everything, hops).tolist() == [
+                list(pair) for pair in want
+            ]
 
     def test_apply_updates_schedule_and_reports(self):
         ctx = make_ctx(build_fig2_graph())
