@@ -70,7 +70,8 @@ class BoomerUnaware:
 
         # Reordered matching order: increasing candidate-set size.
         candidates_of = {
-            q: self.ctx.candidates_for(query.label(q)) for q in query.vertex_ids()
+            q: self.ctx.candidates_for(query.label(q)).tolist()
+            for q in query.vertex_ids()
         }
         base = query.matching_order
         position = {q: i for i, q in enumerate(base)}

@@ -80,7 +80,8 @@ class DistanceJoin:
         relation_sizes: dict[tuple[int, int], int] = {}
         timed_out = False
         candidates = {
-            q: self.ctx.candidates_for(query.label(q)) for q in query.vertex_ids()
+            q: self.ctx.candidates_for(query.label(q)).tolist()
+            for q in query.vertex_ids()
         }
         for edge in query.edges():
             bound = self.global_upper if self.global_upper is not None else edge.upper

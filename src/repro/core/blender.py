@@ -801,8 +801,8 @@ class Boomer:
                 )
             self._result_ctx = ctx  # lower-bound JIT checks use the live oracle
             return (
-                PartialMatches(
-                    matches=result.matches,
+                PartialMatches.from_dicts(
+                    result.matches,
                     order=result.order,
                     truncated=result.truncated,
                     extras={"fallback": name, "bu_srt_seconds": result.srt_seconds},

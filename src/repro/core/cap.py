@@ -15,6 +15,12 @@ incident edge is empty is *isolated* and pruned, recursively (Algorithm 7),
 which is what keeps the index "compact in practice" despite the quadratic
 worst case (Lemma 5.2).
 
+Layout: the one the graph CSR, the PML labels and the PVS kernels use.  A
+level is one sorted int32 array.  A processed edge is two int32 ``(P, 2)``
+pair blocks, one per direction, each sorted by (source, target): the block
+a PVS kernel emits is stored as it arrives, ``V_qi^qj(v)`` is a
+``searchsorted`` slice of it, and the Lemma 5.2 size is a sum of lengths.
+
 The index also tracks which query edges are processed vs still pooled;
 the connected components of the *processed* edge set are what query
 modification rolls back (Section 6 / Algorithm 5).
@@ -30,7 +36,41 @@ import numpy as np
 from repro.core.query import BPHQuery, canonical_edge
 from repro.errors import CAPStateError
 
-__all__ = ["CAPIndex", "CAPSizeReport"]
+__all__ = ["CAPIndex", "CAPSizeReport", "pair_keys", "in_sorted"]
+
+_NO_IDS = np.empty(0, dtype=np.int32)
+_NO_PAIRS = np.empty((0, 2), dtype=np.int32)
+
+
+def pair_keys(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """One int64 per (source, target) pair, ordered like the pairs; the keys
+    of a pair block are ``pair_keys(*block.T)``."""
+    return (sources.astype(np.int64) << 32) | targets
+
+
+def _pair_block(keys: np.ndarray) -> np.ndarray:
+    """The int32 ``(P, 2)`` block whose :func:`pair_keys` are ``keys``."""
+    block = np.empty((len(keys), 2), dtype=np.int32)
+    block[:, 0] = keys >> 32
+    block[:, 1] = keys & 0xFFFFFFFF
+    return block
+
+
+def in_sorted(values: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``probes`` occur in the sorted array ``values``."""
+    if not len(values):
+        return np.zeros(len(probes), dtype=bool)
+    at = np.searchsorted(values, probes)
+    at[at == len(values)] = 0
+    return values[at] == probes
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``values`` ascending without repeats; untouched when it already is."""
+    if len(values) > 1 and not (values[1:] > values[:-1]).all():
+        values = np.sort(values)
+        values = values[np.diff(values, prepend=values[0] - 1) != 0]
+    return values
 
 
 @dataclass(frozen=True)
@@ -63,11 +103,11 @@ class CAPIndex:
 
     def __init__(self, pruning_enabled: bool = True) -> None:
         self.pruning_enabled = pruning_enabled
-        #: level -> candidate set V_q (data-vertex ids)
-        self._candidates: dict[int, set[int]] = {}
-        #: directed AIVS maps: (qi, qj) -> {v_i -> set(v_j)}.  Both
-        #: directions of a processed edge are materialized.
-        self._aivs: dict[tuple[int, int], dict[int, set[int]]] = {}
+        #: level -> candidate set V_q: sorted int32 data-vertex ids
+        self._levels: dict[int, np.ndarray] = {}
+        #: directed pair blocks: (qi, qj) -> int32 (P, 2) rows (v_i, v_j)
+        #: sorted by (v_i, v_j).  Both directions of an edge are kept.
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
         #: canonical (qi, qj) keys of processed query edges
         self._processed: set[tuple[int, int]] = set()
         #: count of prune steps performed (Lemma 5.6 instrumentation)
@@ -84,32 +124,39 @@ class CAPIndex:
     # ------------------------------------------------------------------
     def add_level(self, q: int, candidates: Iterable[int]) -> None:
         """Create level ``q`` holding ``candidates`` (Algorithm 2, lines 3-4)."""
-        if q in self._candidates:
+        if q in self._levels:
             raise CAPStateError(f"CAP level for query vertex {q} already exists")
-        self._candidates[q] = set(int(v) for v in candidates)
+        self._set_level(q, candidates)
         self._note_peak()
 
-    def remove_level(self, q: int) -> None:
-        """Drop level ``q`` and all its AIVS maps (used by rollback)."""
-        if q not in self._candidates:
-            raise CAPStateError(f"CAP has no level for query vertex {q}")
-        del self._candidates[q]
-        for key in [k for k in self._aivs if q in k]:
-            del self._aivs[key]
+    def _set_level(self, q: int, candidates: Iterable[int]) -> None:
+        """Store a sorted int32 array; the graph's label index is kept as it
+        is, and every pair block and processed mark touching ``q`` goes."""
+        if not isinstance(candidates, np.ndarray):
+            candidates = np.array(list(candidates), dtype=np.int32)
+        self._levels[q] = _sorted_unique(candidates.astype(np.int32, copy=False))
+        for key in [k for k in self._blocks if q in k]:
+            del self._blocks[key]
         self._processed = {e for e in self._processed if q not in e}
+
+    def remove_level(self, q: int) -> None:
+        """Drop level ``q`` and all its pair blocks."""
+        self.reset_level(q, _NO_IDS)
+        del self._levels[q]
 
     def has_level(self, q: int) -> bool:
         """True iff level ``q`` exists."""
-        return q in self._candidates
+        return q in self._levels
 
     def levels(self) -> list[int]:
         """Query-vertex ids that have levels."""
-        return list(self._candidates)
+        return list(self._levels)
 
-    def candidates(self, q: int) -> set[int]:
-        """The live candidate set ``V_q`` (the actual set — do not mutate)."""
+    def candidates(self, q: int) -> np.ndarray:
+        """The live candidate set ``V_q``, ascending (the stored array — do
+        not mutate)."""
         try:
-            return self._candidates[q]
+            return self._levels[q]
         except KeyError:
             raise CAPStateError(f"CAP has no level for query vertex {q}") from None
 
@@ -119,83 +166,77 @@ class CAPIndex:
 
     def reset_level(self, q: int, candidates: Iterable[int]) -> None:
         """Replace level ``q``'s candidates (rollback re-retrieval, Alg. 5)."""
-        if q not in self._candidates:
-            raise CAPStateError(f"CAP has no level for query vertex {q}")
-        self._candidates[q] = set(int(v) for v in candidates)
-        for key in [k for k in self._aivs if q in k]:
-            del self._aivs[key]
-        self._processed = {e for e in self._processed if q not in e}
+        self.candidates(q)
+        self._set_level(q, candidates)
 
     # ------------------------------------------------------------------
     # Edges / AIVS
     # ------------------------------------------------------------------
     def begin_edge(self, qi: int, qj: int) -> None:
-        """Materialize empty AIVS maps for edge ``(qi, qj)``.
-
-        Mirrors Algorithm 6 lines 1-7: every current candidate starts with
-        an empty adjacent indexed vertex set, to be populated by PVS.
-        """
+        """Open edge ``(qi, qj)`` for PVS (Algorithm 6 lines 1-7): every
+        candidate starts with an empty AIVS — here, no row in the block."""
         for q in (qi, qj):
-            if q not in self._candidates:
+            if q not in self._levels:
                 raise CAPStateError(
                     f"cannot process edge ({qi}, {qj}): level {q} missing"
                 )
         key = canonical_edge(qi, qj)
         if key in self._processed:
             raise CAPStateError(f"query edge {key} was already processed")
-        self._aivs[(qi, qj)] = {v: set() for v in self._candidates[qi]}
-        self._aivs[(qj, qi)] = {v: set() for v in self._candidates[qj]}
-
-    def add_pair(self, qi: int, qj: int, vi: int, vj: int) -> None:
-        """Record that ``(vi, vj)`` satisfies the upper bound of ``(qi, qj)``."""
-        self._aivs[(qi, qj)][vi].add(vj)
-        self._aivs[(qj, qi)][vj].add(vi)
+        self._blocks[(qi, qj)] = self._blocks[(qj, qi)] = _NO_PAIRS
 
     def add_pairs(self, qi: int, qj: int, pairs: np.ndarray) -> int:
-        """Bulk :meth:`add_pair` of an int32 ``(P, 2)`` block; returns ``P``.
+        """Record an int32 ``(P, 2)`` block of ``(v_i, v_j)`` pairs that
+        satisfy the upper bound of ``(qi, qj)``; returns ``P``.
 
-        The block (what ``within_many`` returns) is ingested grouped: one
-        ``set.update`` per run of equal sources and, after a stable sort
-        by target, one per target for the reverse map.  The members are
-        the candidate sets' own ``int`` objects: no fresh ``int`` per pair.
+        The block (what ``within_many`` and ``hop_pairs`` return) is kept as
+        it is when its rows are sorted by ``(v_i, v_j)``, which both kernels
+        guarantee for sorted levels, and sorted otherwise.  A second block
+        for the same edge is merged in (union of the pairs).
         """
-        block = np.asarray(pairs).reshape(-1, 2)
-        by_target = np.argsort(block[:, 1], kind="stable")
-        sources, source_bounds = self._runs(qi, block[:, 0])
-        targets, target_bounds = self._runs(qj, block[by_target, 1])
-        source_of = np.repeat(np.array(sources, dtype=object), np.diff(source_bounds))
-        target_of = np.empty(len(block), dtype=object)  # ... of each pair
-        target_of[by_target] = np.repeat(
-            np.array(targets, dtype=object), np.diff(target_bounds)
-        )
-        for aivs, keys, bounds, members in (
-            (self._aivs[(qi, qj)], sources, source_bounds, target_of.tolist()),
-            (self._aivs[(qj, qi)], targets, target_bounds, source_of[by_target].tolist()),
-        ):
-            for key, lo, hi in zip(keys, bounds, bounds[1:]):
-                aivs[key].update(members[lo:hi])
+        stored = self.pairs(qi, qj)
+        block = np.ascontiguousarray(pairs, dtype=np.int32).reshape(-1, 2)
+        for q, ids in ((qi, block[:, 0]), (qj, block[:, 1])):
+            level = self._levels[q]
+            live = np.zeros(max(ids.max(initial=-1), level.max(initial=-1)) + 1, dtype=bool)
+            live[level] = True
+            if ids.min(initial=0) < 0 or not live[ids].all():
+                raise CAPStateError(
+                    f"pair block of edge ({qi}, {qj}) names a vertex that is "
+                    f"not a candidate of level {q}"
+                )
+        merged = np.concatenate((stored, block)) if len(stored) else block
+        keys = pair_keys(*merged.T)
+        ordered = _sorted_unique(keys)
+        self._store(qi, qj, merged if ordered is keys else _pair_block(ordered))
         return len(block)
 
-    def _runs(self, q: int, keys: np.ndarray) -> tuple[list[int], list[int]]:
-        """Runs of equal consecutive ``keys``: per run level ``q``'s own
-        ``int`` object for the key, and the runs' bounds."""
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        own = {v: v for v in self._candidates[q]}
-        return [own[k] for k in keys[starts].tolist()], starts.tolist() + [len(keys)]
+    def _store(self, qi: int, qj: int, block: np.ndarray) -> None:
+        """Keep ``block`` (sorted) for ``(qi, qj)`` and, for ``(qj, qi)``, its
+        rows flipped and sorted again (by key: several times faster than a
+        stable argsort by target)."""
+        self._blocks[(qi, qj)] = block
+        self._blocks[(qj, qi)] = _pair_block(np.sort(pair_keys(*block.T[::-1])))
+
+    def retain_pairs(self, qi: int, qj: int, valid: np.ndarray) -> int:
+        """Keep only the pairs of ``(qi, qj)`` that also occur in the block
+        ``valid`` (bound-tightening re-check, Algorithm 15); returns how
+        many were dropped.  Isolated candidates stay until
+        :meth:`prune_isolated`."""
+        stored = self.pairs(qi, qj)
+        valid = np.asarray(valid, dtype=np.int32).reshape(-1, 2)
+        keep = in_sorted(np.sort(pair_keys(*valid.T)), pair_keys(*stored.T))
+        self._store(qi, qj, np.compress(keep, stored, axis=0))
+        return len(stored) - int(keep.sum())
 
     def finish_edge(self, qi: int, qj: int) -> list[int]:
-        """Mark edge processed and prune isolated candidates.
-
-        Returns the list of data vertices pruned (possibly across several
-        levels, because pruning cascades).  With pruning disabled, marks
-        the edge processed and returns ``[]``.
-        """
-        key = canonical_edge(qi, qj)
-        if (qi, qj) not in self._aivs:
-            raise CAPStateError(f"edge {key} was not begun")
-        self._processed.add(key)
+        """Mark edge processed and prune isolated candidates (Algorithm 6
+        lines 9-18).  Returns the data vertices pruned, possibly across
+        several levels because pruning cascades; ``[]`` with pruning off."""
+        if (qi, qj) not in self._blocks:
+            raise CAPStateError(f"edge {canonical_edge(qi, qj)} was not begun")
+        self._processed.add(canonical_edge(qi, qj))
         self._note_peak()
-        # Algorithm 6 lines 9-18: candidates isolated w.r.t. the new edge.
         return self.prune_isolated(qi, qj)
 
     def is_processed(self, qi: int, qj: int) -> bool:
@@ -207,96 +248,103 @@ class CAPIndex:
         return set(self._processed)
 
     def drop_edge(self, qi: int, qj: int) -> None:
-        """Forget a processed edge's AIVS maps without pruning.
+        """Forget an edge's pair blocks without pruning (a failed attempt
+        at processing it, or a stale entry the audit found)."""
+        self._processed.discard(canonical_edge(qi, qj))
+        self._blocks.pop((qi, qj), None)
+        self._blocks.pop((qj, qi), None)
 
-        Used by modification when an edge's pairs are about to be fully
-        recomputed (loosening) or discarded (deletion rollback handles the
-        level resets itself).
-        """
-        key = canonical_edge(qi, qj)
-        self._processed.discard(key)
-        self._aivs.pop((qi, qj), None)
-        self._aivs.pop((qj, qi), None)
-
-    def aivs(self, qi: int, qj: int, v: int) -> set[int]:
-        """``V_qi^qj(v)`` — candidates of ``qj`` within bound of ``v``.
-
-        Returns the live set (do not mutate).  Raises if the edge is not
-        processed or ``v`` is not a candidate of ``qi``.
-        """
+    def pairs(self, qi: int, qj: int) -> np.ndarray:
+        """The pair block of direction ``(qi, qj)``: int32 ``(P, 2)`` rows
+        ``(v_i, v_j)`` sorted by ``(v_i, v_j)`` (the stored array — do not
+        mutate).  Raises if the edge was not begun."""
         try:
-            return self._aivs[(qi, qj)][v]
+            return self._blocks[(qi, qj)]
         except KeyError:
-            raise CAPStateError(
-                f"no AIVS for edge ({qi}, {qj}) and candidate {v}"
-            ) from None
+            raise CAPStateError(f"no pair block for edge ({qi}, {qj})") from None
 
-    def remove_pair(self, qi: int, qj: int, vi: int, vj: int) -> None:
-        """Remove a pair (bound-tightening re-check, Algorithm 15)."""
-        self._aivs[(qi, qj)].get(vi, set()).discard(vj)
-        self._aivs[(qj, qi)].get(vj, set()).discard(vi)
+    def aivs(self, qi: int, qj: int, v: int) -> np.ndarray:
+        """``V_qi^qj(v)`` — candidates of ``qj`` within bound of ``v``,
+        ascending: a slice of the stored block (do not mutate).  Raises if
+        the edge was not begun or ``v`` is not a candidate of ``qi``."""
+        block = self._blocks.get((qi, qj))
+        if block is None or not in_sorted(self._levels[qi], np.array([v]))[0]:
+            raise CAPStateError(f"no AIVS for edge ({qi}, {qj}) and candidate {v}")
+        lo, hi = np.searchsorted(block[:, 0], [v, v + 1])
+        return block[lo:hi, 1]
 
     # ------------------------------------------------------------------
     # Pruning (Algorithm 7)
     # ------------------------------------------------------------------
-    def _prune(self, q: int, v: int, removed: list[int]) -> None:
-        """Remove candidate ``v`` from level ``q`` and cascade (iterative).
+    def _scratch(self) -> np.ndarray:
+        """An all-False mask indexable by every vertex id the index holds
+        (block entries are level members, unless the index is corrupted)."""
+        arrays = (*self._levels.values(), *self._blocks.values())
+        top = max((int(a.max(initial=-1)) for a in arrays), default=-1)
+        return np.zeros(top + 1, dtype=bool)
 
-        A worklist replaces Algorithm 7's recursion: prune cascades can be
-        thousands of steps deep on low-selectivity queries, which would
-        overflow Python's recursion limit.
+    def _prune(self, dead: dict[int, np.ndarray], scratch: np.ndarray) -> list[int]:
+        """Remove the candidates ``dead`` (level -> live ids) and cascade.
+
+        Algorithm 7's recursion as a fixpoint of mask rounds: a round drops
+        the dead of every level, deletes their rows from every block of
+        that level (both directions), and collects the candidates that
+        thereby lost their last row in some block — the dead of the next
+        round.  The survivors are the unique fixpoint, so levels, pairs and
+        the step count do not depend on the order candidates die in.
         """
-        worklist: list[tuple[int, int]] = [(q, v)]
-        while worklist:
-            level, vertex = worklist.pop()
-            if vertex not in self._candidates.get(level, ()):
-                continue
-            self._candidates[level].discard(vertex)
-            removed.append(vertex)
-            self.prune_steps += 1
-            # For every processed edge (level, other): delete the vertex's
-            # AIVS and remove it from the reverse sets; reverse candidates
-            # left empty become isolated in turn.
-            for (a, b), aivs in list(self._aivs.items()):
-                if a != level:
-                    continue
-                neighbors = aivs.pop(vertex, None)
-                if not neighbors:
-                    continue
-                reverse = self._aivs[(b, a)]
-                for w in neighbors:
-                    rev_set = reverse.get(w)
-                    if rev_set is None:
+        removed: list[int] = []
+        while dead:
+            lost: dict[int, list[tuple[int, np.ndarray]]] = {}
+            for q, ids in dead.items():
+                scratch[ids] = True
+                level = self._levels[q]
+                self._levels[q] = level[~scratch[level]]
+                for (a, b), block in self._blocks.items():
+                    if q not in (a, b):
                         continue
-                    rev_set.discard(vertex)
-                    if not rev_set and w in self._candidates[b]:
-                        worklist.append((b, w))
+                    gone = scratch[block[:, 0 if a == q else 1]]
+                    if not gone.any():
+                        continue
+                    if a == q:
+                        lost.setdefault(b, []).append((q, block[:, 1][gone]))
+                    # (np.compress: boolean row indexing is ten times slower.)
+                    self._blocks[(a, b)] = np.compress(~gone, block, axis=0)
+                scratch[ids] = False
+                removed.extend(ids.tolist())
+            dead = {}
+            for b, bereft in lost.items():
+                level = self._levels[b]
+                orphan = np.zeros(len(level), dtype=bool)
+                for q, targets in bereft:
+                    scratch[targets] = True
+                    scratch[self._blocks[(b, q)][:, 0]] = False  # still has a row
+                    orphan |= scratch[level]
+                    scratch[targets] = False
+                if orphan.any():
+                    dead[b] = level[orphan]
+        self.prune_steps += len(removed)
+        return removed
 
     def prune_candidate(self, q: int, v: int) -> list[int]:
         """Public entry point for pruning a specific candidate."""
-        if v not in self._candidates.get(q, set()):
+        if not in_sorted(self._levels.get(q, _NO_IDS), np.array([v]))[0]:
             return []
-        removed: list[int] = []
-        self._prune(q, v, removed)
-        return removed
+        return self._prune({q: np.array([v], dtype=np.int32)}, self._scratch())
 
     def prune_isolated(self, qi: int, qj: int) -> list[int]:
-        """Re-run the isolation check for edge ``(qi, qj)``.
-
-        Needed after bound tightening removes pairs (Algorithm 15 line 9).
-        """
-        if not self.pruning_enabled:
+        """Re-run the isolation check for edge ``(qi, qj)`` (also needed
+        after bound tightening removed pairs, Algorithm 15 line 9)."""
+        if not self.pruning_enabled or (qi, qj) not in self._blocks:
             return []
-        removed: list[int] = []
+        scratch = self._scratch()
+        dead = {}
         for q, other in ((qi, qj), (qj, qi)):
-            aivs = self._aivs.get((q, other))
-            if aivs is None:
-                continue
-            isolated = [v for v in self._candidates[q] if not aivs.get(v)]
-            for v in isolated:
-                if v in self._candidates[q]:
-                    self._prune(q, v, removed)
-        return removed
+            sources, level = self._blocks[(q, other)][:, 0], self._levels[q]
+            scratch[sources] = True
+            dead[q] = level[~scratch[level]]
+            scratch[sources] = False
+        return self._prune({q: ids for q, ids in dead.items() if len(ids)}, scratch)
 
     # ------------------------------------------------------------------
     # Components / introspection
@@ -324,20 +372,14 @@ class CAPIndex:
         return component, edges
 
     def _note_peak(self) -> None:
-        total = self.size_report().total
-        if total > self.peak_total:
-            self.peak_total = total
+        self.peak_total = max(self.peak_total, self.size_report().total)
 
     def size_report(self) -> CAPSizeReport:
-        """Current size per Lemma 5.2's accounting."""
-        vertex_entries = sum(len(c) for c in self._candidates.values())
-        aivs_pairs = sum(
-            len(s) for aivs in self._aivs.values() for s in aivs.values()
-        )
+        """Current size per Lemma 5.2's accounting: a sum of array lengths."""
         return CAPSizeReport(
-            num_levels=len(self._candidates),
-            vertex_entries=vertex_entries,
-            aivs_pairs=aivs_pairs,
+            num_levels=len(self._levels),
+            vertex_entries=sum(map(len, self._levels.values())),
+            aivs_pairs=sum(map(len, self._blocks.values())),
         )
 
     def integrity_issues(
@@ -346,70 +388,57 @@ class CAPIndex:
         """Collect every structural-invariant violation without raising.
 
         Returns ``(edge_key, message)`` tuples — ``edge_key`` is the
-        canonical query edge whose entry is corrupt (None when the issue is
-        not attributable to one edge).  Checked invariants:
+        canonical query edge whose entry is corrupt.  Checked invariants:
 
-        * AIVS maps exist exactly for processed edges, in both directions;
-        * AIVS symmetry: ``vj in V_qi^qj(vi)`` iff ``vi in V_qj^qi(vj)``;
-        * AIVS sources and members are live candidates;
+        * pair blocks exist exactly for processed edges, in both directions;
+        * every block is sorted by (source, target) without repeats;
+        * symmetry: the block of ``(qi, qj)`` holds ``(vi, vj)`` iff the
+          block of ``(qj, qi)`` holds ``(vj, vi)``;
+        * block sources and targets are live candidates (set differences of
+          sorted ids: one no level or graph ever held is a stranger like any);
         * with pruning on, no live candidate is isolated w.r.t. a
           processed incident edge.
 
-        This is the audit surface the resilience layer's
-        :class:`~repro.resilience.CAPInvariantChecker` builds on; an empty
-        list means the index is structurally sound.
+        This is the audit surface :class:`~repro.resilience.CAPInvariantChecker`
+        builds on; an empty list means the index is structurally sound.
         """
         issues: list[tuple[tuple[int, int] | None, str]] = []
         for qi, qj in sorted(self._processed):
-            key = canonical_edge(qi, qj)
             for a, b in ((qi, qj), (qj, qi)):
-                if (a, b) not in self._aivs:
-                    issues.append((key, f"missing AIVS direction ({a}, {b})"))
+                if (a, b) not in self._blocks:
+                    issues.append(((qi, qj), f"missing AIVS direction ({a}, {b})"))
             if not query.has_edge(qi, qj):
-                issues.append((key, f"processed edge {(qi, qj)} not in query"))
-        for (a, b), aivs in sorted(self._aivs.items()):
+                issues.append(((qi, qj), f"processed edge {(qi, qj)} not in query"))
+        for (a, b), block in sorted(self._blocks.items()):
             key = canonical_edge(a, b)
             if key not in self._processed:
                 issues.append((key, f"AIVS for unprocessed edge ({a}, {b})"))
                 continue
-            reverse = self._aivs.get((b, a), {})
-            level = self._candidates.get(a, set())
-            other_level = self._candidates.get(b, set())
-            for v in sorted(level):
-                if v not in aivs:
-                    issues.append(
-                        (key, f"candidate {v} of {a} has no AIVS entry for ({a}, {b})")
-                    )
-            for v, targets in sorted(aivs.items()):
-                if v not in level:
-                    issues.append(
-                        (key, f"AIVS source {v} is not a live candidate of {a}")
-                    )
-                for w in sorted(targets):
-                    if w not in other_level:
-                        issues.append(
-                            (key, f"AIVS target {w} is not a live candidate of {b}")
-                        )
-                    if v not in reverse.get(w, set()):
-                        issues.append(
-                            (key, f"AIVS asymmetry: {v}->{w} on ({a},{b}) lacks reverse")
-                        )
-                if self.pruning_enabled and not targets and v in level:
-                    issues.append(
-                        (
-                            key,
-                            f"candidate {v} of {a} is isolated w.r.t. ({a}, {b}) "
-                            "but was not pruned",
-                        )
-                    )
+            found: list[str] = []
+            keys = pair_keys(*block.T)
+            if (np.diff(keys) <= 0).any():
+                found.append(f"pair block of ({a}, {b}) is out of order")
+            for q, ids, role in ((a, block[:, 0], "source"), (b, block[:, 1], "target")):
+                found += [
+                    f"AIVS {role} {v} is not a live candidate of {q}"
+                    for v in np.setdiff1d(ids, self._levels.get(q, _NO_IDS)).tolist()
+                ]
+            flipped = pair_keys(*self._blocks.get((b, a), _NO_PAIRS).T[::-1])
+            found += [
+                f"AIVS asymmetry: {v}->{w} on ({a},{b}) lacks reverse"
+                for v, w in _pair_block(np.setdiff1d(keys, flipped)).tolist()
+            ]
+            if self.pruning_enabled:
+                found += [
+                    f"candidate {v} of {a} is isolated w.r.t. ({a}, {b}) but was not pruned"
+                    for v in np.setdiff1d(self._levels.get(a, _NO_IDS), block[:, 0]).tolist()
+                ]
+            issues += [(key, message) for message in found]
         return issues
 
     def check_consistency(self, query: BPHQuery) -> None:
-        """Verify internal invariants (tests + debugging; not on hot paths).
-
-        Raises :class:`CAPStateError` on the first violation found by
-        :meth:`integrity_issues`.
-        """
+        """Raise :class:`CAPStateError` on the first violation found by
+        :meth:`integrity_issues` (tests + debugging; not on hot paths)."""
         issues = self.integrity_issues(query)
         if issues:
             raise CAPStateError(issues[0][1])

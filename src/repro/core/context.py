@@ -90,9 +90,10 @@ class EngineContext:
         """The graph's mutation epoch (see :attr:`repro.graph.graph.Graph.epoch`)."""
         return self.graph.epoch
 
-    def candidates_for(self, label: object) -> list[int]:
-        """Candidate data vertices of a query vertex labeled ``label``."""
-        return [int(v) for v in self.matcher.candidates_for(self.graph, label)]
+    def candidates_for(self, label: object) -> np.ndarray:
+        """Candidate data vertices of a query vertex labeled ``label``: the
+        matcher's sorted int32 array (shared — do not mutate)."""
+        return self.matcher.candidates_for(self.graph, label)
 
     def distance(self, u: int, v: int) -> int:
         """Counted oracle distance query."""

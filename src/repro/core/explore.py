@@ -39,9 +39,7 @@ def maximum_match(engine: BlenderEngine) -> dict[int, list[int]]:
     everything that could still appear in some partial match given the
     processed constraints.
     """
-    return {
-        q: sorted(engine.cap.candidates(q)) for q in engine.cap.levels()
-    }
+    return {q: engine.cap.candidates(q).tolist() for q in engine.cap.levels()}
 
 
 def suggest_extension_labels(
@@ -59,7 +57,7 @@ def suggest_extension_labels(
         raise CAPStateError(f"query vertex {query_vertex} has no CAP level")
     graph = engine.ctx.graph
     support: Counter[Label] = Counter()
-    for v in engine.cap.candidates(query_vertex):
+    for v in engine.cap.candidates(query_vertex).tolist():
         seen: set[Label] = set()
         for w in graph.neighbors(v):
             seen.add(graph.label(int(w)))

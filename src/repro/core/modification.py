@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.query import QueryEdge, canonical_edge
 from repro.errors import CAPStateError
 from repro.indexing.twohop import hop_pairs
@@ -159,11 +161,11 @@ def quarantine_edge(engine: "BlenderEngine", u: int, v: int) -> ModificationRepo
 def _tighten(engine: "BlenderEngine", edge: QueryEdge) -> ModificationReport:
     """Algorithm 15: stricter upper bound on a processed edge.
 
-    Every surviving AIVS pair is re-validated against the new bound; pairs
-    that now violate it are removed, then the isolation prune re-runs for
-    this edge.  The re-check uses the same bound specialization as PVS:
-    the bounded-hop kernel over the two levels for upper 1 and 2, oracle
-    distance otherwise.
+    Every surviving AIVS pair is re-validated against the new bound: the
+    stored block keeps the rows that are also in the block of still-valid
+    pairs, then the isolation prune re-runs for this edge.  The re-check
+    uses the same bound specialization as PVS: the bounded-hop kernel over
+    the two levels for upper 1 and 2, oracle distance otherwise.
     """
     qi, qj = edge.u, edge.v
     cap = engine.cap
@@ -171,21 +173,12 @@ def _tighten(engine: "BlenderEngine", edge: QueryEdge) -> ModificationReport:
     upper = edge.upper
 
     if upper <= 2:
-        block = hop_pairs(
-            ctx.graph, list(cap.candidates(qi)), list(cap.candidates(qj)), upper
-        )
-        within = set(map(tuple, block.tolist()))
-        still_valid = lambda vi, vj: (vi, vj) in within
+        valid = hop_pairs(ctx.graph, cap.candidates(qi), cap.candidates(qj), upper)
     else:
-        still_valid = lambda vi, vj: ctx.within(vi, vj, upper)
-
-    removed_pairs: list[tuple[int, int]] = []
-    for vi in list(cap.candidates(qi)):
-        for vj in list(cap.aivs(qi, qj, vi)):
-            if not still_valid(vi, vj):
-                removed_pairs.append((vi, vj))
-    for vi, vj in removed_pairs:
-        cap.remove_pair(qi, qj, vi, vj)
+        stored = cap.pairs(qi, qj)
+        checks = (ctx.within(vi, vj, upper) for vi, vj in stored.tolist())
+        valid = stored[np.fromiter(checks, bool, len(stored))]
+    cap.retain_pairs(qi, qj, valid)
     pruned = cap.prune_isolated(qi, qj)
     return ModificationReport(
         kind="tighten",

@@ -73,9 +73,9 @@ def _scan_setup(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> tuple:
     qi, qj = edge.u, edge.v
     if cap.candidate_count(qj) < cap.candidate_count(qi):
         qi, qj = qj, qi
-    v_i, v_j = (np.fromiter(c, np.int64, len(c)) for c in map(cap.candidates, (qi, qj)))
+    v_i, v_j = (cap.candidates(q).astype(np.int64) for q in (qi, qj))
     offsets, _ = ctx.graph.raw_csr()
-    p_label = ctx.graph.label_frequency(_level_label(ctx.graph, cap.candidates(qj)))
+    p_label = ctx.graph.label_frequency(_level_label(ctx.graph, v_j))
     return qi, qj, v_i, v_j, offsets[v_i + 1] - offsets[v_i], p_label, len(v_j), _log2(len(v_j))
 
 
@@ -99,10 +99,8 @@ def _scan(cap, ctx, qi, qj, v_i, v_j, cost_out, cost_in, hops: int) -> None:
     for scanned, member, flip in ((v_i[out], v_j, 1), (v_j, v_i[~out], -1)):
         if len(scanned) and len(member):
             blocks.append(hop_pairs(ctx.graph, scanned, member, hops)[:, ::flip])
-    pairs = np.concatenate(blocks)
-    if n_out < len(out):  # regroup by source: the flipped rows are sorted by target
-        pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    counters.pairs_added += cap.add_pairs(qi, qj, pairs)
+    # With in-scans the flipped rows come sorted by target; the CAP sorts.
+    counters.pairs_added += cap.add_pairs(qi, qj, np.concatenate(blocks))
 
 
 def neighbor_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> None:
@@ -146,16 +144,14 @@ def large_upper_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> No
     the Lemma 5.5 accounting this search always reported.
     """
     qi, qj = edge.u, edge.v
-    # Candidate sets go in their (deterministic) set order: on the per-pair
-    # fallback that fixes the oracle call order and so the fault schedules.
+    # Ascending levels in, a block sorted by (v_i, v_j) out; on the per-pair
+    # fallback that also fixes the oracle call order and so the fault schedules.
     pairs = ctx.within_many(
-        list(cap.candidates(qi)), list(cap.candidates(qj)), edge.upper, skip_equal=True
+        cap.candidates(qi), cap.candidates(qj), edge.upper, skip_equal=True
     )
     ctx.counters.pairs_added += cap.add_pairs(qi, qj, pairs)
 
 
-def _level_label(graph, candidates: set[int]) -> object:
+def _level_label(graph, candidates: np.ndarray) -> object:
     """Label shared by a candidate level (levels are label-homogeneous)."""
-    for v in candidates:
-        return graph.label(v)
-    return None
+    return graph.label(int(candidates[0])) if len(candidates) else None

@@ -19,7 +19,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.cap import CAPIndex
+import numpy as np
+
+from repro.core.cap import CAPIndex, pair_keys
 from repro.faults.plan import CAPCorruptionSpec, GUIFaultSpec, OracleFaultSpec
 from repro.gui.latency import LatencyModel
 from repro.indexing.oracle import DistanceOracle
@@ -185,11 +187,11 @@ class CAPCorruptor:
     by the resilience layer's audit:
 
     * *drop-pair*: remove one direction of an AIVS pair (breaks symmetry);
-    * *bogus-pair*: insert a symmetric pair between arbitrary candidates
-      (caught by the sampled upper-bound spot check, or by liveness when an
-      endpoint is not a candidate);
-    * *drop-candidate*: delete a candidate from its level while neighbors
-      still reference it (breaks AIVS liveness).
+    * *bogus-pair*: insert a symmetric pair, in sorted position, between a
+      candidate and a vertex id beyond every level (caught by liveness, and
+      unverifiable for the sampled upper-bound spot check);
+    * *drop-candidate*: delete a candidate from its level while pair
+      blocks still name it (breaks AIVS liveness).
     """
 
     def __init__(self, spec: CAPCorruptionSpec, seed: int = 0) -> None:
@@ -200,42 +202,43 @@ class CAPCorruptor:
         """Damage ``cap`` in place; returns what was done (for assertions)."""
         report = CorruptionReport()
         rng = self._rng
-        directed = sorted(cap._aivs)  # noqa: SLF001 - deliberate internal access
+        levels, blocks = cap._levels, cap._blocks  # noqa: SLF001 - deliberate internal access
+        directed = sorted(blocks)
 
         if self.spec.drop_pair_count > 0 and directed:
             candidates = [
-                (key, vi, vj)
-                for key in directed
-                for vi, targets in sorted(cap._aivs[key].items())
-                for vj in sorted(targets)
+                (key, vi, vj) for key in directed for vi, vj in blocks[key].tolist()
             ]
             for key, vi, vj in self._pick(candidates, self.spec.drop_pair_count):
-                cap._aivs[key][vi].discard(vj)  # one direction only
+                block = blocks[key]  # one direction only
+                blocks[key] = block[(block != (vi, vj)).any(axis=1)]
                 report.dropped_pairs.append((key, vi, vj))
 
         if self.spec.bogus_pair_count > 0 and directed:
             for _ in range(self.spec.bogus_pair_count):
                 qi, qj = rng.choice(directed)
-                if not cap._candidates.get(qi):
+                if not len(levels.get(qi, ())):
                     continue
-                vi = rng.choice(sorted(cap._candidates[qi]))
-                # A data vertex that is (very likely) not a live candidate
-                # of qj: max id + offset — liveness check must flag it.
-                all_known = {v for c in cap._candidates.values() for v in c}
-                vj = (max(all_known) if all_known else 0) + 1 + rng.randrange(1000)
-                cap._aivs[(qi, qj)].setdefault(vi, set()).add(vj)
-                cap._aivs.setdefault((qj, qi), {}).setdefault(vj, set()).add(vi)
+                vi = rng.choice(levels[qi].tolist())
+                # A data vertex that is not a live candidate of qj (nor of
+                # the graph): max id + offset — liveness check must flag it.
+                top = max(int(level[-1]) for level in levels.values() if len(level))
+                vj = top + 1 + rng.randrange(1000)
+                for key, row in (((qi, qj), (vi, vj)), ((qj, qi), (vj, vi))):
+                    block = blocks[key]
+                    at = np.searchsorted(pair_keys(*block.T), pair_keys(*np.array([row]).T))
+                    blocks[key] = np.insert(block, at, row, axis=0)
                 report.bogus_pairs.append(((qi, qj), vi, vj))
 
         if self.spec.drop_candidate_count > 0:
             referenced = [
                 (key[0], vi)
                 for key in directed
-                for vi, targets in sorted(cap._aivs[key].items())
-                if targets and vi in cap._candidates.get(key[0], set())
+                for vi in np.unique(blocks[key][:, 0]).tolist()
+                if vi in levels.get(key[0], ())
             ]
             for q, v in self._pick(sorted(set(referenced)), self.spec.drop_candidate_count):
-                cap._candidates[q].discard(v)  # level lies; AIVS still points at v
+                levels[q] = levels[q][levels[q] != v]  # level lies; blocks still name v
                 report.dropped_candidates.append((q, v))
 
         return report

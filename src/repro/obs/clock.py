@@ -14,8 +14,7 @@ apart.  This module is that single source:
 ``repro.utils.timing`` (:class:`Stopwatch`, :class:`TimeBudget`) and
 ``repro.obs.trace`` (span timestamps) both read through this module at
 call time, never caching the callable, so a monkeypatched clock takes
-effect everywhere at once.  The legacy ``repro.utils.timing.now`` is a
-deprecated alias of :func:`now`.
+effect everywhere at once.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.cap import CAPIndex
+from repro.core.cap import CAPIndex, in_sorted
 from repro.core.context import EngineContext
 from repro.core.query import BPHQuery, canonical_edge
 from repro.errors import CAPCorruptionError, CAPStateError
@@ -121,18 +121,12 @@ class CAPInvariantChecker:
             if not query.has_edge(qi, qj):
                 continue  # already flagged structurally
             upper = query.edge_between(qi, qj).upper
-            pairs: list[tuple[int, int]] = []
-            for vi in sorted(cap.candidates(qi)):
-                try:
-                    targets = cap.aivs(qi, qj, vi)
-                except CAPStateError:
-                    report.note(
-                        (qi, qj),
-                        f"candidate {vi} of level {qi} lacks an AIVS entry "
-                        f"for edge ({qi}, {qj})",
-                    )
-                    continue
-                pairs.extend((vi, vj) for vj in sorted(targets))
+            try:
+                block = cap.pairs(qi, qj)
+            except CAPStateError:
+                continue  # a missing direction: already flagged structurally
+            # Pairs of live candidates only; strangers are flagged structurally.
+            pairs = block[in_sorted(cap.candidates(qi), block[:, 0])].tolist()
             if len(pairs) > self.sample_pairs:
                 pairs = rng.sample(pairs, self.sample_pairs)
             for vi, vj in pairs:

@@ -117,9 +117,7 @@ class LocalDispatcher:
             session = manager.get(session_id)
             return protocol.run_payload(result, session.backlog_seconds)
         if op == "matches":
-            return {
-                "matches": protocol.canonical_matches(manager.matches(session_id))
-            }
+            return {"matches": protocol.match_block(manager.matches(session_id))}
         if op == "results":
             limit = request.get("limit")
             subgraphs = manager.results(

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from repro.core.actions import Action
 from repro.core.blender import ActionReport, RunResult
 from repro.core.context import EngineContext
+from repro.core.enumerate import PartialMatches
 from repro.errors import (
     AdmissionError,
     CheckpointError,
@@ -469,7 +470,7 @@ class SessionManager:
                 self._touch(session)
                 return session.results(limit=limit)
 
-    def matches(self, session_id: str) -> list[dict[int, int]]:
+    def matches(self, session_id: str) -> PartialMatches:
         """Raw ``V_Δ`` of a completed session."""
         with self._track_request(mutating=False):
             session = self.get(session_id)
@@ -504,7 +505,7 @@ class SessionManager:
         for session in sessions:
             try:
                 total += session.cap_entries()
-            except RuntimeError:  # dict resized mid-walk by its own thread
+            except RuntimeError:  # a CAP dict grew mid-walk on its own thread
                 continue
         return total
 

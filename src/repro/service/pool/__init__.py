@@ -16,9 +16,7 @@ through :mod:`repro.storage`:
 * :mod:`repro.service.pool.worker` — the child-process entry point (one
   manager + :class:`~repro.service.dispatch.LocalDispatcher` behind a
   pipe) attaching whatever spec the dispatcher published via the
-  backend-generic :func:`repro.storage.attach`;
-* :mod:`repro.service.pool.shm` — deprecation shim re-exporting the
-  historical publish/attach names over :mod:`repro.storage.shm`.
+  backend-generic :func:`repro.storage.attach`.
 
 ``repro serve --workers N`` selects this backend; ``--workers 0`` keeps
 the in-process threaded path bit-for-bit, and ``--storage mmap`` swaps
@@ -26,22 +24,10 @@ the transport under the same wire surface.
 """
 
 from repro.service.pool.dispatcher import PoolDispatcher
-from repro.service.pool.shm import (
-    SharedContextSpec,
-    SharedPML,
-    attach_context,
-    publish_context,
-    unlink_segments,
-)
 from repro.service.pool.worker import WorkerConfig, worker_main
 
 __all__ = [
     "PoolDispatcher",
-    "SharedContextSpec",
-    "SharedPML",
-    "attach_context",
-    "publish_context",
-    "unlink_segments",
     "WorkerConfig",
     "worker_main",
 ]

@@ -26,13 +26,18 @@ import socketserver
 import threading
 from typing import Any
 
+from repro.errors import ProtocolError
 from repro.obs import clock
 from repro.obs.metrics import metrics
 from repro.service import protocol
 from repro.service.dispatch import LocalDispatcher
 from repro.service.manager import SessionManager
 
-__all__ = ["QueryServer"]
+__all__ = ["QueryServer", "MAX_REQUEST_BYTES"]
+
+#: Longest request line the server buffers, newline included.  A whole
+#: session sends about 1.5 KB of requests; only replies are large.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -43,16 +48,25 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         while True:
             try:
-                line = self.rfile.readline()
+                line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+                oversize = len(line) > MAX_REQUEST_BYTES
+                while oversize and line and not line.endswith(b"\n"):
+                    # Read past the rest of it, keeping nothing, so that the
+                    # reply below is not lost to a reset on close.
+                    line = self.rfile.readline(MAX_REQUEST_BYTES)
             except (ConnectionError, OSError):
                 return
-            if not line:
+            if oversize:
+                response = self.server.query_server.refuse_oversize_line()
+            elif not line:
                 return  # client closed the connection
-            if not line.strip():
+            elif not line.strip():
                 continue
-            response = self.server.query_server.handle_line(line)
-            # Handler-internal marker (set on the shutdown ack): it ends this
-            # connection and must not reach the wire.
+            else:
+                response = self.server.query_server.handle_line(line)
+            # Handler-internal marker (set on the shutdown ack and on a
+            # refused line): it ends this connection and must not reach
+            # the wire.
             close = response.pop("_close", False)
             try:
                 self.wfile.write(protocol.encode_line(response))
@@ -218,6 +232,20 @@ class QueryServer:
             # before admission closes.
             self._shutdown_requested.set()
             threading.Thread(target=self.stop, daemon=True).start()
+        return response
+
+    def refuse_oversize_line(self) -> dict[str, Any]:
+        """The reply to a request line longer than :data:`MAX_REQUEST_BYTES`:
+        the typed ``bad_request`` envelope, after which the handler closes
+        the connection (the line was never parsed, so there is no id to
+        echo and no dialect to answer in but the current one)."""
+        self._observe("invalid", clock.now(), ok=False)
+        response = protocol.error_response(
+            protocol.PROTOCOL_VERSION,
+            None,
+            ProtocolError(f"request line exceeds {MAX_REQUEST_BYTES} bytes"),
+        )
+        response["_close"] = True
         return response
 
     @staticmethod

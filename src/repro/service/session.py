@@ -26,6 +26,7 @@ from typing import Callable
 from repro.core.actions import Action, Run
 from repro.core.blender import ActionReport, Boomer, RunResult
 from repro.core.context import EngineContext, EngineCounters
+from repro.core.enumerate import PartialMatches
 from repro.errors import ActionError, SessionError
 from repro.gui.session import TimelineState
 from repro.obs import export as obs_export
@@ -163,9 +164,9 @@ class ManagedSession:
             raise SessionError(f"session {self.id} has not executed Run yet")
         return result
 
-    def matches(self) -> list[dict[int, int]]:
+    def matches(self) -> PartialMatches:
         """Raw ``V_Δ`` (upper-bound matches) of a completed Run."""
-        return list(self.run_result.matches)
+        return self.run_result.matches
 
     def results(self, limit: int | None = None):
         """Fully validated result subgraphs (lower bounds checked JIT)."""

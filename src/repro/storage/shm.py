@@ -8,9 +8,7 @@ and hands attachers a small picklable :class:`SharedContextSpec`
 costs page-table entries, not bytes, so per-worker memory for the basis
 is ~zero regardless of worker count.
 
-This module is the storage-layer home of what used to live in
-:mod:`repro.service.pool.shm` (which now re-exports from here behind a
-deprecation shim).  Two deliberate asymmetries survive the move:
+Two deliberate asymmetries:
 
 * **Ownership.** Only the publisher unlinks.  Attaching processes must
   also tell *their* ``resource_tracker`` to forget the segment —

@@ -15,31 +15,13 @@ Both read the process-wide clock in :mod:`repro.obs.clock` at call time —
 the same source span timestamps use — so stopwatch accumulators, deadline
 accounting, and trace timelines can never skew against each other.
 Monkeypatch ``repro.obs.clock.monotonic`` to move all of them together.
-The module-level :func:`now` is a deprecated alias of
-:func:`repro.obs.clock.now` kept for older call sites.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.obs import clock
-
-
-def now() -> float:
-    """Deprecated alias of :func:`repro.obs.clock.now`.
-
-    .. deprecated::
-        Import ``now`` from :mod:`repro.obs.clock` instead; this wrapper
-        only survives for legacy call sites and will be removed.
-    """
-    warnings.warn(
-        "repro.utils.timing.now() is deprecated; use repro.obs.clock.now()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return clock.now()
 
 
 @dataclass

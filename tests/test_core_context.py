@@ -56,8 +56,10 @@ class TestContextQueries:
         assert ctx.counters.distance_queries == before + 2
 
     def test_candidates_for_default_matcher(self, ctx):
-        assert ctx.candidates_for("A") == [0, 1, 2, 3]
-        assert ctx.candidates_for("missing") == []
+        assert ctx.candidates_for("A").tolist() == [0, 1, 2, 3]
+        assert ctx.candidates_for("missing").tolist() == []
+        # The graph's label index itself, not a copy of it.
+        assert ctx.candidates_for("A") is ctx.graph.vertices_with_label("A")
 
     def test_candidates_for_custom_matcher(self, ctx):
         ctx.matcher = SimilarityMatcher(lambda a, b: 1.0, threshold=1.0)

@@ -2,23 +2,33 @@
 
 import gc
 import weakref
+from unittest import mock
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.core import enumerate as enumerate_module
 from repro.core.blender import Boomer
 from repro.core.cap import CAPIndex
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.enumerate import (
+    PartialMatches,
     iter_partial_vertex_sets,
     partial_vertex_sets,
     reorder_matching_order,
 )
-from repro.errors import CAPStateError
+from repro.errors import CAPStateError, DeadlineExceededError
+from repro.resilience import Deadline
 from tests.conftest import (
     brute_force_upper_matches,
     build_fig2_graph,
     make_fig2_query,
 )
+from tests.reference_models import recursive_dfs
+from tests.test_core_pvs import make_ctx
+from tests.test_property_graph import labeled_graphs
 
 
 @pytest.fixture()
@@ -167,3 +177,96 @@ class TestNoReferenceCycle:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Conformance of the block DFS against the recursion it replaced
+# ----------------------------------------------------------------------
+#: Query shapes as edge lists over vertices 0..n-1.
+SHAPES = {
+    "edge": [(0, 1)],
+    "path": [(0, 1), (1, 2)],
+    "triangle": [(0, 1), (1, 2), (0, 2)],
+    "star": [(0, 1), (0, 2), (0, 3)],
+    "square": [(0, 1), (1, 2), (2, 3), (0, 3)],
+}
+
+
+@st.composite
+def built_caps(draw):
+    """``(query, cap, a matching order)`` of a random query on a random
+    graph, every edge processed; labels repeat (the same data vertex sits
+    in several levels), levels may be empty, pruning on or off, and the
+    order is any permutation (a vertex may precede all its neighbors)."""
+    graph = draw(labeled_graphs())
+    edges = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    n = 1 + max(max(edge) for edge in edges)
+    boomer = Boomer(
+        make_ctx(graph), strategy="IC", pruning=draw(st.booleans()), auto_idle=False
+    )
+    for q in range(n):
+        boomer.apply(NewVertex(q, draw(st.sampled_from("ABC"))))
+    for u, v in edges:
+        boomer.apply(NewEdge(u, v, 1, draw(st.integers(1, 3))))
+    return boomer.query, boomer.cap, list(draw(st.permutations(range(n))))
+
+
+class TestBlockDFSConformance:
+    @given(built_caps(), st.sampled_from([1, 2, 7, 2048]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_order_and_truncation_equal_the_recursion(self, built, chunk):
+        query, cap, drawn = built
+        with mock.patch.object(enumerate_module, "_CHUNK", chunk):
+            for reorder in (True, False):
+                order = reorder_matching_order(query, cap, drawn) if reorder else drawn
+                want, _ = recursive_dfs(query, cap, order)
+                got = partial_vertex_sets(query, cap, matching_order=drawn, reorder=reorder)
+                assert (got.order, got.matches, got.truncated) == (order, want, False)
+                assert got.block.dtype == np.int32 and got.block.shape == (len(want), len(order))
+                assert list(iter_partial_vertex_sets(query, cap, drawn, reorder=reorder)) == want
+                m = len(want)
+                for cap_at in {0, 1, max(m - 1, 0), m, m + 1}:
+                    capped = partial_vertex_sets(
+                        query, cap, matching_order=drawn, max_results=cap_at, reorder=reorder
+                    )
+                    assert (capped.matches, capped.truncated) == recursive_dfs(
+                        query, cap, order, max_results=cap_at
+                    )
+                    assert capped.truncated == (m > cap_at)
+
+    def test_a_vertex_before_all_its_neighbors_takes_the_whole_level(self, fig2_run):
+        """Path A-B-C drawn as A, C, B: C has no matched neighbor yet."""
+        engine = fig2_run.engine
+        got = partial_vertex_sets(engine.query, engine.cap, matching_order=[0, 2, 1], reorder=False)
+        assert got.order == [0, 2, 1]
+        assert got.matches == recursive_dfs(engine.query, engine.cap, [0, 2, 1])[0]
+        assert {tuple(sorted(m.items())) for m in got} == brute_force_upper_matches(
+            build_fig2_graph(), make_fig2_query()
+        )
+
+    def test_an_expired_deadline_raises_at_the_first_chunk(self, fig2_run):
+        engine = fig2_run.engine
+        with pytest.raises(DeadlineExceededError):
+            partial_vertex_sets(engine.query, engine.cap, deadline=Deadline(0.0))
+        with pytest.raises(DeadlineExceededError):
+            next(iter_partial_vertex_sets(engine.query, engine.cap, deadline=Deadline(0.0)))
+
+
+class TestPartialMatchesViews:
+    def test_iteration_is_lazy_and_matches_is_cached(self):
+        block = np.arange(12, dtype=np.int32).reshape(4, 3)
+        found = PartialMatches([5, 1, 3], block, truncated=True)
+        assert len(found) == 4 and found.truncated and found.extras == {}
+        assert next(iter(found)) == {5: 0, 1: 1, 3: 2}
+        assert "matches" not in vars(found)  # iterating built no list
+        assert found.matches is found.matches
+        assert found.matches == list(found)
+        assert all(type(v) is int for m in found.matches for v in m.values())
+
+    def test_from_dicts_is_the_same_block(self):
+        dicts = [{1: 4, 0: 7}, {0: 2, 1: 4}]
+        found = PartialMatches.from_dicts(dicts, order=[1, 0], extras={"fallback": "bu-bfs"})
+        assert found.block.tolist() == [[4, 7], [4, 2]] and found.block.dtype == np.int32
+        assert found.matches == dicts and found.extras == {"fallback": "bu-bfs"}
+        assert PartialMatches.from_dicts(dicts).order == [0, 1]
+        assert len(PartialMatches.from_dicts([], order=[3, 4])) == 0

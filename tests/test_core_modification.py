@@ -5,12 +5,20 @@ exactly the same final results as a fresh session formulating the modified
 query from scratch.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.actions import DeleteEdge, ModifyBounds, NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
+from repro.core.query import canonical_edge
 from repro.errors import CAPStateError
+from repro.graph.algorithms import bfs_distances
 from tests.conftest import brute_force_upper_matches
+from tests.reference_models import SetCAP
+from tests.test_core_cap import assert_same_index
+from tests.test_core_pvs import make_ctx
+from tests.test_property_graph import labeled_graphs
 
 
 def formulate_fig2(boomer: Boomer, bounds=((1, 1), (1, 2), (1, 3))):
@@ -193,3 +201,128 @@ class TestDeleteValidation:
         boomer.apply(NewEdge(0, 1, 1, 1))
         boomer.apply(Run())
         assert boomer.run_result.num_matches > 0
+
+
+# ----------------------------------------------------------------------
+# Conformance: the array CAP under modification == the dict-of-set model
+# ----------------------------------------------------------------------
+class ModelSession:
+    """An IC session over :class:`SetCAP`, pairs from plain BFS.
+
+    It processes edges in the order the real engine did (the transient
+    peak depends on it; levels, pairs and prune steps do not), so the two
+    indexes must agree after every action.
+    """
+
+    def __init__(self, graph, pruning):
+        self.graph = graph
+        self.cap = SetCAP(pruning)
+        self.labels: dict[int, str] = {}
+        self.uppers: dict[tuple[int, int], int] = {}
+        self._dist = {v: bfs_distances(graph, v) for v in range(graph.num_vertices)}
+
+    def within(self, v, w, upper) -> bool:
+        return v != w and 0 <= self._dist[v][w] <= upper
+
+    def new_vertex(self, q, label) -> None:
+        self.labels[q] = label
+        self.cap.add_level(q, self.graph.vertices_with_label(label).tolist())
+
+    def process(self, u, v) -> None:
+        upper = self.uppers[canonical_edge(u, v)]
+        self.cap.begin_edge(u, v)
+        for vi in self.cap.candidates[u]:
+            for vj in self.cap.candidates[v]:
+                if self.within(vi, vj, upper):
+                    self.cap.add_pair(u, v, vi, vj)
+        self.cap.finish_edge(u, v)
+
+    def tighten(self, u, v, upper) -> int:
+        self.uppers[canonical_edge(u, v)] = upper
+        for vi, targets in list(self.cap.aivs[(u, v)].items()):
+            for vj in [vj for vj in targets if not self.within(vi, vj, upper)]:
+                self.cap.remove_pair(u, v, vi, vj)
+        return len(self.cap.prune_isolated(u, v))
+
+    def rollback(self, u, v, reprocessed) -> None:
+        """Algorithm 5: reset the processed component of ``{u, v}``, then
+        process what the engine re-processed, in its order."""
+        component, frontier = {u}, [u]
+        while frontier:
+            q = frontier.pop()
+            for a, b in self.cap.processed:
+                for near, far in ((a, b), (b, a)):
+                    if near == q and far not in component:
+                        component.add(far)
+                        frontier.append(far)
+        for q in sorted(component):
+            self.cap.reset_level(q, self.graph.vertices_with_label(self.labels[q]).tolist())
+        for edge in reprocessed:
+            self.process(edge.u, edge.v)
+
+
+SHAPES = {
+    "path": [(0, 1), (1, 2)],
+    "triangle": [(0, 1), (1, 2), (0, 2)],
+    "star": [(0, 1), (0, 2), (0, 3)],
+}
+
+
+class TestArrayCapUnderModification:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_tighten_loosen_delete_equal_the_set_model(self, data):
+        """Every edge drawn at upper 3; then a random run of tighten
+        3 -> 2 -> 1, loosen back up and delete, on random graphs with
+        repeating labels, pruning on and off."""
+        graph = data.draw(labeled_graphs())
+        pruning = data.draw(st.booleans())
+        boomer = Boomer(make_ctx(graph), strategy="IC", pruning=pruning, auto_idle=False)
+        model = ModelSession(graph, pruning)
+        engine = boomer.engine
+        processed = []
+        attempt = engine._process_edge_once
+        engine._process_edge_once = lambda edge: (processed.append(edge), attempt(edge))
+
+        def check():
+            assert_same_index(boomer.cap, model.cap)
+            assert boomer.cap.processed_edges() == model.cap.processed
+            boomer.cap.check_consistency(boomer.query)
+
+        edges = SHAPES[data.draw(st.sampled_from(sorted(SHAPES)))]
+        for q in range(1 + max(max(e) for e in edges)):
+            label = data.draw(st.sampled_from("ABC"))
+            boomer.apply(NewVertex(q, label))
+            model.new_vertex(q, label)
+        for u, v in edges:
+            boomer.apply(NewEdge(u, v, 1, 3))
+            model.uppers[(u, v)] = 3
+            model.process(u, v)
+            check()
+
+        live = list(edges)
+        for _ in range(data.draw(st.integers(1, 6))):
+            if not live:
+                break
+            u, v = data.draw(st.sampled_from(live))
+            old = model.uppers[(u, v)]
+            upper = data.draw(st.sampled_from([0, 1, 2, 3]))  # 0: delete
+            del processed[:]
+            if upper == 0:
+                report = boomer.apply(DeleteEdge(u, v)).modification
+                live.remove((u, v))
+                del model.uppers[(u, v)]
+                model.rollback(u, v, processed)
+                assert report.kind == "delete"
+            else:
+                report = boomer.apply(ModifyBounds(u, v, 1, upper)).modification
+                if upper < old:
+                    assert report.kind == "tighten" and not processed
+                    assert report.pruned_vertices == model.tighten(u, v, upper)
+                elif upper > old:
+                    assert report.kind == "loosen"
+                    model.uppers[(u, v)] = upper
+                    model.rollback(u, v, processed)
+                else:
+                    assert report.kind == "lower-only"
+            check()

@@ -29,6 +29,7 @@ from repro.graph.generators import erdos_renyi
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import two_hop_counts
 from tests.conftest import build_fig2_graph
+from tests.reference_models import cap_state
 from tests.test_property_graph import labeled_graphs
 
 
@@ -193,13 +194,13 @@ def scalar_scan_choice(ctx, cap, edge):
     qi, qj = edge.u, edge.v
     if cap.candidate_count(qj) < cap.candidate_count(qi):
         qi, qj = qj, qi
-    v_qj = cap.candidates(qj)
-    label = graph.label(next(iter(v_qj))) if v_qj else None
+    v_qj = cap.candidates(qj).tolist()
+    label = graph.label(v_qj[0]) if v_qj else None
     p_label, size_j = graph.label_frequency(label), len(v_qj)
     log2 = lambda x: math.log2(x) if x > 1 else 1.0
     mean_deg = (2.0 * graph.num_edges / graph.num_vertices) if len(graph) else 0.0
     out_scans = 0
-    for vi in cap.candidates(qi):
+    for vi in cap.candidates(qi).tolist():
         deg_vi = graph.degree(vi)
         if edge.upper == 1:
             cost_out = deg_vi + deg_vi * p_label * log2(size_j)
@@ -222,16 +223,19 @@ def assert_three_arms(graph, label_i, label_j, upper):
         scanned = min(cap.candidate_count(0), cap.candidate_count(1))
         chosen = scalar_scan_choice(ctx, cap, edge)
         populate_vertex_set(cap, ctx, edge)
-        built[arm] = (cap._candidates, cap._aivs)
+        built[arm] = cap_state(cap)
         counters = ctx.counters
         assert (counters.out_scans, counters.in_scans) == {
             None: chosen, "in": (0, scanned), "out": (scanned, 0)
         }[arm]
-        assert counters.pairs_added == sum(len(s) for s in cap._aivs[(0, 1)].values())
+        assert counters.pairs_added == len(cap.pairs(0, 1))
     assert built[None] == built["in"] == built["out"]
-    want = expected_pairs(graph, cap.candidates(0), cap.candidates(1), upper)
-    assert {(vi, vj) for vi, s in cap._aivs[(0, 1)].items() for vj in s} == want
-    assert {(vi, vj) for vj, s in cap._aivs[(1, 0)].items() for vi in s} == want
+    want = expected_pairs(graph, cap.candidates(0).tolist(), cap.candidates(1).tolist(), upper)
+    _, pairs = built[None]
+    assert pairs[(0, 1)] == want == {(vi, vj) for vj, vi in pairs[(1, 0)]}
+    # Stored the way the kernels emit them: sorted by (source, target).
+    for direction in ((0, 1), (1, 0)):
+        assert cap.pairs(*direction).tolist() == sorted(map(list, pairs[direction]))
 
 
 class TestBlockSearchConformance:
@@ -266,7 +270,7 @@ class TestBlockSearchConformance:
         assert scalar_scan_choice(ctx, cap, edge) == (0, 2)
         populate_vertex_set(cap, ctx, edge)
         assert (ctx.counters.out_scans, ctx.counters.in_scans) == (0, 2)
-        assert cap._aivs[(0, 1)] == {0: {1}, 1: {0}} == cap._aivs[(1, 0)]
+        assert cap.pairs(0, 1).tolist() == [[0, 1], [1, 0]] == cap.pairs(1, 0).tolist()
 
     @given(labeled_graphs(), st.sampled_from([(3, 2), (2, 1), (3, 1)]))
     @settings(max_examples=40, deadline=None)
@@ -284,5 +288,4 @@ class TestBlockSearchConformance:
         assert tightened.apply(ModifyBounds(0, 1, 1, new)).modification.kind == "tighten"
         for action in script + [NewEdge(0, 1, 1, new), NewEdge(1, 2, 1, 2)]:
             fresh.apply(action)
-        assert tightened.cap._candidates == fresh.cap._candidates
-        assert tightened.cap._aivs == fresh.cap._aivs
+        assert cap_state(tightened.cap) == cap_state(fresh.cap)

@@ -313,17 +313,6 @@ class TestSharedClock:
         span.close()
         assert watch.stop() == pytest.approx(span.duration) == pytest.approx(4.0)
 
-    def test_utils_timing_now_is_deprecated(self):
-        import warnings
-
-        from repro.utils import timing
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = timing.now()
-        assert isinstance(value, float)
-        assert any(w.category is DeprecationWarning for w in caught)
-
     def test_span_is_only_created_by_tracer(self):
         tracer = Tracer()
         span = tracer.start("s")

@@ -18,7 +18,7 @@ import pytest
 from repro.errors import RelayedError, WorkerPoolError
 from repro.service import LocalDispatcher, PoolDispatcher, SessionManager
 from repro.service import protocol
-from repro.service.pool import attach_context, publish_context, unlink_segments
+from repro.storage import attach, basis_from_context, publish_basis, unlink_segments
 
 FIG2_WIRE_ACTIONS = [
     {"kind": "NewVertex", "vertex_id": 0, "label": "A"},
@@ -47,9 +47,9 @@ def pool(fig2_ctx):
 class TestSharedContext:
     def test_publish_attach_round_trip(self, fig2_ctx):
         """An attached context answers exactly like the original."""
-        spec, segments = publish_context(fig2_ctx)
+        spec, segments = publish_basis(basis_from_context(fig2_ctx))
         try:
-            shared_ctx, attached = attach_context(spec)
+            shared_ctx, attached = attach(spec)
             try:
                 graph = shared_ctx.graph
                 assert graph.num_vertices == fig2_ctx.graph.num_vertices
@@ -77,7 +77,7 @@ class TestSharedContext:
             pass
 
         with pytest.raises(WorkerPoolError):
-            publish_context(replace(fig2_ctx, oracle=NotPML()))
+            PoolDispatcher(replace(fig2_ctx, oracle=NotPML()), workers=1)
 
     def test_no_segments_leak_after_close(self, fig2_ctx):
         dispatcher = PoolDispatcher(fig2_ctx, workers=2, max_sessions=8)

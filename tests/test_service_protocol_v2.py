@@ -11,9 +11,12 @@ import json
 import socket
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core.actions import Run
+from repro.core.blender import Boomer
 from repro.core.enumerate import PartialMatches
 from repro.core.preprocessor import make_context
 from repro.errors import (
@@ -25,7 +28,14 @@ from repro.errors import (
     SessionEvictedError,
     SessionNotFoundError,
 )
-from repro.service import QueryServer, ServiceClient, SessionManager, protocol
+from repro.service import (
+    LocalDispatcher,
+    PoolDispatcher,
+    QueryServer,
+    ServiceClient,
+    SessionManager,
+    protocol,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +143,7 @@ class TestCanonicalMatches:
     @settings(max_examples=200, deadline=None)
     def test_equals_reference_values_and_bytes(self, matches):
         want = reference_canonical(matches)
-        for given_as in (matches, PartialMatches(matches=matches, order=[]), iter(matches)):
+        for given_as in (matches, PartialMatches.from_dicts(matches), iter(matches)):
             got = protocol.canonical_matches(given_as)
             assert got == want
             assert all(type(x) is int for match in got for pair in match for x in pair)
@@ -156,8 +166,107 @@ class TestCanonicalMatches:
         ],
     )
     def test_ragged_input_raises(self, ragged):
-        with pytest.raises((ProtocolError, KeyError)):
+        with pytest.raises(ProtocolError):
             protocol.canonical_matches(ragged)
+
+    def test_block_columns_follow_the_matching_order(self):
+        """A DFS block's columns are in matching order, not query-id order."""
+        block = np.array([[5, 1, 9], [2, 8, 3], [5, 0, 9]], dtype=np.int32)
+        matches = PartialMatches([7, 0, 3], block)
+        assert protocol.canonical_matches(matches) == reference_canonical(list(matches))
+        assert protocol.canonical_matches(matches)[0] == [[0, 0], [3, 9], [7, 5]]
+
+
+# ---------------------------------------------------------------------------
+# The `matches` frame: spliced text == json.dumps of the nested lists
+# ---------------------------------------------------------------------------
+def reference_frame(version, req_id, result) -> bytes:
+    payload = protocol.ok_response(version, req_id, result)
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+#: fig2 scripts: 3 matches over k = 3, k = 1, and M = 0 (no A next to a D).
+FRAME_SCRIPTS = {
+    "q1": [
+        {"kind": "NewVertex", "vertex_id": 0, "label": "A"},
+        {"kind": "NewVertex", "vertex_id": 1, "label": "B"},
+        {"kind": "NewEdge", "u": 0, "v": 1, "lower": 1, "upper": 1},
+        {"kind": "NewVertex", "vertex_id": 2, "label": "C"},
+        {"kind": "NewEdge", "u": 1, "v": 2, "lower": 1, "upper": 2},
+        {"kind": "NewEdge", "u": 0, "v": 2, "lower": 1, "upper": 3},
+    ],
+    "one vertex": [{"kind": "NewVertex", "vertex_id": 4, "label": "B"}],
+    "no match": [
+        {"kind": "NewVertex", "vertex_id": 0, "label": "A"},
+        {"kind": "NewVertex", "vertex_id": 1, "label": "D"},
+        {"kind": "NewEdge", "u": 0, "v": 1, "lower": 1, "upper": 1},
+    ],
+}
+
+
+def serial_matches(ctx, script) -> list[dict[int, int]]:
+    boomer = Boomer(ctx, strategy="IC")
+    for action in script:
+        boomer.apply(protocol.wire_action(action))
+    boomer.apply(Run())
+    return boomer.run_result.matches.matches
+
+
+class TestMatchesFrameBytes:
+    @given(
+        match_sets(),
+        st.sampled_from([1, 2]),
+        st.one_of(st.integers(), st.none(), st.text(), st.just('"matches":')),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spliced_frame_equals_json_dumps(self, matches, version, req_id, routed):
+        """Any M and k (0 and 1 included), both dialects, any echoed id,
+        with and without a key after ``matches`` in the result."""
+        extra = {"worker": 1} if routed else {}
+        block = protocol.match_block(matches)
+        got = protocol.encode_line(
+            protocol.ok_response(version, req_id, {"matches": block, **extra})
+        )
+        want = reference_frame(
+            version, req_id, {"matches": reference_canonical(matches), **extra}
+        )
+        assert got == want
+        assert block.dumps() == json.dumps(block.tolist(), separators=(",", ":"))
+
+    def test_block_survives_a_pickle(self):
+        import pickle
+
+        block = protocol.match_block([{3: 9, 1: 4}, {3: 2, 1: 4}])
+        again = pickle.loads(pickle.dumps(block))
+        assert again == block and again.tolist() == [[[1, 4], [3, 2]], [[1, 4], [3, 9]]]
+        assert block != protocol.match_block([{3: 9, 1: 4}])
+        assert block != protocol.match_block([{3: 9, 2: 4}, {3: 2, 2: 4}])
+
+    @pytest.fixture(scope="class")
+    def backends(self, fig2_pre):
+        ctx = make_context(fig2_pre)
+        pool = PoolDispatcher(ctx, workers=2, max_sessions=8)
+        yield ctx, {"local": LocalDispatcher(SessionManager(ctx)), "pool": pool}
+        pool.close()
+
+    @pytest.mark.parametrize("backend", ["local", "pool"])
+    @pytest.mark.parametrize("script", sorted(FRAME_SCRIPTS))
+    def test_dispatched_frame_bytes(self, backends, backend, script):
+        """Threaded and through a two-worker pool's pipe, v1 and v2: the
+        frame is ``json.dumps`` of the sorted comprehension."""
+        ctx, dispatchers = backends
+        dispatcher = dispatchers[backend]
+        want = reference_canonical(serial_matches(ctx, FRAME_SCRIPTS[script]))
+        assert bool(want) == (script != "no match")
+        sid = dispatcher.dispatch({"op": "create_session", "strategy": "DI"})["session"]
+        for action in FRAME_SCRIPTS[script]:
+            dispatcher.dispatch({"op": "action", "session": sid, "action": action})
+        dispatcher.dispatch({"op": "run", "session": sid})
+        result = dispatcher.dispatch({"op": "matches", "session": sid})
+        for version in (1, 2):
+            frame = protocol.encode_line(protocol.ok_response(version, 7, result))
+            assert frame == reference_frame(version, 7, {"matches": want})
 
 
 # ---------------------------------------------------------------------------

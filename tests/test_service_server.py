@@ -95,6 +95,42 @@ def test_bad_json_is_answered_not_fatal(server):
         assert response["ok"] is True and response["id"] == 1
 
 
+@pytest.mark.parametrize("terminated", [True, False], ids=["newline", "no-newline"])
+def test_oversize_request_line_is_refused_and_the_connection_closed(server, terminated):
+    """A line past the frame cap is never buffered whole: one typed error
+    frame, then EOF; the server keeps serving other connections."""
+    from repro.service.server import MAX_REQUEST_BYTES
+
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(b'{"v": 2, "req_id": 1, "op": "ping", "pad": "' + b"x" * MAX_REQUEST_BYTES)
+        if terminated:
+            sock.sendall(b'"}\n{"v": 2, "req_id": 2, "op": "ping"}\n')
+        else:
+            sock.shutdown(socket.SHUT_WR)
+        f = sock.makefile("rb")
+        response = json.loads(f.readline())
+        assert response["ok"] is False and response["req_id"] is None
+        assert response["error"]["code"] == "bad_request"
+        assert str(MAX_REQUEST_BYTES) in response["error"]["message"]
+        try:  # closed: the ping behind it is not served
+            assert f.readline() == b""
+        except ConnectionResetError:
+            pass  # closed with that ping still unread in the kernel's buffer
+    with ServiceClient(*server.address) as other:
+        assert other.ping()["pong"] is True
+
+
+def test_a_request_line_at_the_cap_is_served(server):
+    from repro.service.server import MAX_REQUEST_BYTES
+
+    head = b'{"v": 2, "req_id": 1, "op": "ping", "pad": "'
+    line = head + b"x" * (MAX_REQUEST_BYTES - len(head) - 3) + b'"}\n'
+    assert len(line) == MAX_REQUEST_BYTES
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(line)
+        assert json.loads(sock.makefile("rb").readline())["result"]["pong"] is True
+
+
 def test_unknown_op_is_protocol_error(client):
     with pytest.raises(RemoteServiceError) as excinfo:
         client.request("frobnicate")

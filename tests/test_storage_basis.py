@@ -11,7 +11,7 @@ from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context, preprocess
 from repro.datasets.registry import clear_memory_cache, get_dataset, materialize_basis
-from repro.errors import BasisFormatError, DatasetError, StorageError, WorkerPoolError
+from repro.errors import BasisFormatError, DatasetError, StorageError
 from repro.storage import (
     ARRAY_NAMES,
     ByteBudgetPolicy,
@@ -277,49 +277,6 @@ class TestBackends:
     def test_attach_rejects_unknown_spec(self):
         with pytest.raises(StorageError, match="unknown storage spec"):
             attach(object())
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims (pool's historical shm API)
-# ----------------------------------------------------------------------
-class TestPoolShims:
-    def test_publish_context_positional_warns(self, fig2_ctx):
-        from repro.service.pool.shm import publish_context, unlink_segments
-
-        with pytest.deprecated_call():
-            spec, segments = publish_context(fig2_ctx)
-        unlink_segments(segments)
-        assert spec.graph_name == fig2_ctx.graph.name
-
-    def test_publish_basis_kwarg_is_quiet(self, fig2_basis, recwarn):
-        import warnings
-
-        from repro.service.pool.shm import publish_context, unlink_segments
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            spec, segments = publish_context(basis=fig2_basis)
-        unlink_segments(segments)
-
-    def test_attach_context_basis_kwarg(self, fig2_ctx, fig2_basis):
-        from repro.service.pool.shm import attach_context
-
-        ctx, handles = attach_context(basis=fig2_basis)
-        assert handles == []
-        assert run_script(ctx) == run_script(fig2_ctx)
-
-    def test_publish_requires_something(self):
-        from repro.service.pool.shm import attach_context, publish_context
-
-        with pytest.raises(WorkerPoolError):
-            publish_context()
-        with pytest.raises(WorkerPoolError):
-            attach_context()
-
-    def test_shared_pml_alias(self):
-        from repro.service.pool.shm import SharedPML
-
-        assert SharedPML is StoredPML
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from repro.utils.timing import Stopwatch, TimeBudget, now
+from repro.obs.clock import now
+from repro.utils.timing import Stopwatch, TimeBudget
 
 
 class TestStopwatch:
