@@ -1,15 +1,15 @@
 """The whole-program tier of boomerlint: per-module facts + project rules.
 
-R1–R8 see one file at a time, which is exactly why protocol-code drift
-slipped past them: the error-code table lives in ``service/protocol.py``,
-the ``code`` attributes live in ``errors.py``, and no single parse sees
-both.  This module adds the missing index:
+R1–R8 see one file at a time, which is exactly why wire-protocol drift
+slipped past them: the op registry lives in ``service/protocol.py``, the
+handlers in the two dispatchers, the callers in ``service/client.py``,
+and no single parse sees them together.  This module adds the missing
+index:
 
 * :class:`ModuleFacts` — a compact, JSON-serializable summary of one
-  module: its import graph edges, class symbol table (bases plus
-  class-level string/bool attributes), module-level string/name/pair
-  tuple registries (``OPS``, ``_RETRYABLE``, ``ERROR_CODES``), equality
-  and membership comparisons against string literals, and
+  module: its import graph edges, class symbol table (bases and method
+  names), module-level string-tuple registries (``OPS``), equality and
+  membership comparisons against string literals, and
   ``self.method("literal", kw=...)`` call sites.  Facts are extracted
   once per file and cached by content hash, so the cross-module pass
   costs nothing on a warm run.
@@ -59,13 +59,11 @@ def _call_name(node: ast.expr) -> str | None:
 
 @dataclass
 class ClassFact:
-    """One class definition: bases + class-level literal attributes."""
+    """One class definition: bases + method names."""
 
     name: str
     line: int
     bases: list[str] = field(default_factory=list)
-    str_attrs: dict[str, str] = field(default_factory=dict)
-    bool_attrs: dict[str, bool] = field(default_factory=dict)
     methods: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
@@ -73,8 +71,6 @@ class ClassFact:
             "name": self.name,
             "line": self.line,
             "bases": self.bases,
-            "str_attrs": self.str_attrs,
-            "bool_attrs": self.bool_attrs,
             "methods": self.methods,
         }
 
@@ -84,10 +80,6 @@ class ClassFact:
             name=str(payload["name"]),
             line=int(payload["line"]),
             bases=[str(b) for b in payload.get("bases", [])],
-            str_attrs={str(k): str(v) for k, v in payload.get("str_attrs", {}).items()},
-            bool_attrs={
-                str(k): bool(v) for k, v in payload.get("bool_attrs", {}).items()
-            },
             methods=[str(m) for m in payload.get("methods", [])],
         )
 
@@ -106,10 +98,6 @@ class ModuleFacts:
     functions: list[str] = field(default_factory=list)
     #: ``NAME = ("a", "b", ...)`` string registries, with the assign line.
     str_tuples: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: ``NAME = (ClsA, ClsB, ...)`` name registries (e.g. ``_RETRYABLE``).
-    name_tuples: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: ``NAME = ((Cls, "str"), ...)`` pair registries (``ERROR_CODES``).
-    pair_tuples: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: ``<name> == "literal"`` comparisons: {"name", "value", "line", "col"}.
     eq_compares: list[dict[str, Any]] = field(default_factory=list)
     #: ``<name> in NAME`` memberships: {"name", "container", "line", "col"}.
@@ -125,8 +113,6 @@ class ModuleFacts:
             "classes": {name: c.to_dict() for name, c in self.classes.items()},
             "functions": self.functions,
             "str_tuples": self.str_tuples,
-            "name_tuples": self.name_tuples,
-            "pair_tuples": self.pair_tuples,
             "eq_compares": self.eq_compares,
             "memberships": self.memberships,
             "self_calls": self.self_calls,
@@ -144,8 +130,6 @@ class ModuleFacts:
             },
             functions=[str(f) for f in payload.get("functions", [])],
             str_tuples=dict(payload.get("str_tuples", {})),
-            name_tuples=dict(payload.get("name_tuples", {})),
-            pair_tuples=dict(payload.get("pair_tuples", {})),
             eq_compares=list(payload.get("eq_compares", [])),
             memberships=list(payload.get("memberships", [])),
             self_calls=list(payload.get("self_calls", [])),
@@ -161,57 +145,21 @@ def _class_fact(node: ast.ClassDef) -> ClassFact:
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fact.methods.append(stmt.name)
-            continue
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target, value = stmt.target, stmt.value
-        if not isinstance(target, ast.Name) or value is None:
-            continue
-        if isinstance(value, ast.Constant):
-            if isinstance(value.value, str):
-                fact.str_attrs[target.id] = value.value
-            elif isinstance(value.value, bool):
-                fact.bool_attrs[target.id] = value.value
     return fact
 
 
-def _tuple_registries(fact: ModuleFacts, name: str, value: ast.expr, line: int) -> None:
-    if not isinstance(value, (ast.Tuple, ast.List)):
+def _str_tuple(fact: ModuleFacts, name: str, value: ast.expr, line: int) -> None:
+    """Record ``NAME = ("a", "b", ...)`` when every element is a string."""
+    if not isinstance(value, (ast.Tuple, ast.List)) or not value.elts:
         return
-    strings: list[str] = []
-    names: list[str] = []
-    pairs: list[dict[str, Any]] = []
-    for element in value.elts:
-        if isinstance(element, ast.Constant) and isinstance(element.value, str):
-            strings.append(element.value)
-        cls_name = _call_name(element)
-        if cls_name is not None:
-            names.append(cls_name)
-        if (
-            isinstance(element, (ast.Tuple, ast.List))
-            and len(element.elts) == 2
-            and isinstance(element.elts[1], ast.Constant)
-            and isinstance(element.elts[1].value, str)
-        ):
-            first = _call_name(element.elts[0])
-            if first is not None:
-                pairs.append(
-                    {
-                        "cls": first,
-                        "value": element.elts[1].value,
-                        "line": element.lineno,
-                        "col": element.col_offset + 1,
-                    }
-                )
-    if strings and len(strings) == len(value.elts):
-        fact.str_tuples[name] = {"values": strings, "line": line}
-    if names and len(names) == len(value.elts):
-        fact.name_tuples[name] = {"names": names, "line": line}
-    if pairs and len(pairs) == len(value.elts):
-        fact.pair_tuples[name] = {"pairs": pairs, "line": line}
+    if all(
+        isinstance(element, ast.Constant) and isinstance(element.value, str)
+        for element in value.elts
+    ):
+        fact.str_tuples[name] = {
+            "values": [element.value for element in value.elts],
+            "line": line,
+        }
 
 
 def collect_facts(module: "ModuleSource") -> ModuleFacts:
@@ -229,10 +177,10 @@ def collect_facts(module: "ModuleSource") -> ModuleFacts:
         elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target = stmt.targets[0]
             if isinstance(target, ast.Name):
-                _tuple_registries(facts, target.id, stmt.value, stmt.lineno)
+                _str_tuple(facts, target.id, stmt.value, stmt.lineno)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             if isinstance(stmt.target, ast.Name):
-                _tuple_registries(facts, stmt.target.id, stmt.value, stmt.lineno)
+                _str_tuple(facts, stmt.target.id, stmt.value, stmt.lineno)
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Compare) and len(node.ops) == 1:
             left, op, right = node.left, node.ops[0], node.comparators[0]

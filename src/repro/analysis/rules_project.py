@@ -1,16 +1,14 @@
 """Cross-module boomerlint rules: R9 protocol-drift.
 
-The wire contract is spread over four files by design — the error-code
-table and op registry live in ``service/protocol.py``, the exception
-classes in ``errors.py``, the handlers in ``service/dispatch.py`` (and
-the pool's ``dispatcher.py``), and the callers in ``service/client.py``.
-R1–R8 parse one file at a time and therefore cannot see the seams this
-rule exists for: an exception class whose declared ``code`` is shadowed
-by a base-class entry earlier in ``ERROR_CODES``, a verb added to ``OPS``
-that one dispatcher never routes, a ``retryable`` verdict that the
-client and the table disagree on, or a request parameter that collides
-with a reserved envelope key (the exact bug the ``update`` verb's ``v``
-key was).
+The wire contract is spread over four files by design — the op registry
+lives in ``service/protocol.py``, the handlers in ``service/dispatch.py``
+(and the pool's ``dispatcher.py``), and the callers in
+``service/client.py``.  R1–R8 parse one file at a time and therefore
+cannot see the seams this rule exists for: a verb added to ``OPS`` that
+one dispatcher never routes, or a request parameter that collides with a
+reserved envelope key (the exact bug the ``update`` verb's ``v`` key
+was).  (An error's ``code`` and ``retryable`` verdict are declared once,
+on the class in ``errors.py``, so there is no second copy to drift.)
 
 Each sub-check only runs when *every* module it reads is part of the
 lint run (see :class:`~repro.analysis.project.ProjectRule`), so linting
@@ -19,14 +17,13 @@ a subtree or a test fixture never yields phantom drift.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.analysis.project import ModuleFacts, ProjectIndex, ProjectRule
 from repro.analysis.registry import Violation, register
 
 __all__ = ["ProtocolDriftRule"]
 
-ERRORS = "repro/errors.py"
 PROTOCOL = "repro/service/protocol.py"
 DISPATCH = "repro/service/dispatch.py"
 CLIENT = "repro/service/client.py"
@@ -34,172 +31,26 @@ POOL_DISPATCH = "repro/service/pool/dispatcher.py"
 
 #: Envelope keys owned by the transport; request params must not shadow
 #: them because the client merges params flat into the envelope dict.
-ENVELOPE_KEYS = frozenset({"v", "req_id", "op", "id", "ok", "result", "error"})
-
-
-class _ClassGraph:
-    """Subclass reachability over one module's class symbol table."""
-
-    def __init__(self, errors: ModuleFacts) -> None:
-        self._classes = errors.classes
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._classes
-
-    def descends(self, sub: str, ancestor: str) -> bool:
-        """True when ``sub`` is ``ancestor`` or inherits from it."""
-        seen: set[str] = set()
-        stack = [sub]
-        while stack:
-            current = stack.pop()
-            if current == ancestor:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            fact = self._classes.get(current)
-            if fact is not None:
-                stack.extend(fact.bases)
-        return False
-
-    def effective_bool(self, name: str, attr: str) -> bool:
-        """The inherited value of a class-level bool attribute (first
-        definition found walking up the bases), defaulting to False."""
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            fact = self._classes.get(current)
-            if fact is None:
-                continue
-            if attr in fact.bool_attrs:
-                return fact.bool_attrs[attr]
-            stack.extend(fact.bases)
-        return False
+ENVELOPE_KEYS = frozenset({"v", "req_id", "op", "ok", "result", "error"})
 
 
 @register
 class ProtocolDriftRule(ProjectRule):
-    """ERROR_CODES / OPS / retryable verdicts must agree across the seam."""
+    """``OPS`` must agree with both dispatchers and the client."""
 
     id = "R9"
     title = (
-        "wire-protocol registries (ERROR_CODES, OPS, _RETRYABLE) must agree "
-        "with errors.py, both dispatchers, and the client"
+        "the wire-protocol op registry (OPS) must agree with both "
+        "dispatchers and the client"
     )
 
     def finalize(self, project: ProjectIndex) -> Iterator[Violation]:
-        if project.has_all(PROTOCOL, ERRORS):
-            yield from self._check_error_codes(project)
-            yield from self._check_retryable(project)
         if project.has_all(PROTOCOL, DISPATCH):
             yield from self._check_ops(project, DISPATCH)
         if project.has_all(PROTOCOL, POOL_DISPATCH):
             yield from self._check_ops(project, POOL_DISPATCH)
         if project.has_all(PROTOCOL, CLIENT):
             yield from self._check_client(project)
-
-    # -- ERROR_CODES <-> errors.py --------------------------------------
-    def _check_error_codes(self, project: ProjectIndex) -> Iterator[Violation]:
-        protocol = project.modules[PROTOCOL]
-        errors = project.modules[ERRORS]
-        table = protocol.pair_tuples.get("ERROR_CODES")
-        if table is None:
-            return
-        graph = _ClassGraph(errors)
-        pairs: list[dict[str, Any]] = table["pairs"]
-
-        for pair in pairs:
-            if pair["cls"] not in graph:
-                yield self.at(
-                    protocol,
-                    pair["line"],
-                    pair["col"],
-                    f"ERROR_CODES entry ({pair['cls']}, {pair['value']!r}) "
-                    "names a class that does not exist in errors.py",
-                )
-
-        # Simulate error_code()'s first-match scan for every class that
-        # declares a wire code: the prediction must equal the declaration,
-        # or an earlier (base-class) entry is shadowing it.
-        for cls_name, fact in errors.classes.items():
-            declared = fact.str_attrs.get("code")
-            if declared is None:
-                continue  # codes set per-instance (RelayedError) or inherited
-            matched: dict[str, Any] | None = None
-            for pair in pairs:
-                if pair["cls"] in graph and graph.descends(cls_name, pair["cls"]):
-                    matched = pair
-                    break
-            if matched is None:
-                yield self.at(
-                    errors,
-                    fact.line,
-                    1,
-                    f"{cls_name} declares code {declared!r} but no "
-                    "ERROR_CODES entry in service/protocol.py matches it; "
-                    "the wire would report the generic fallback",
-                )
-            elif matched["value"] != declared:
-                yield self.at(
-                    protocol,
-                    matched["line"],
-                    matched["col"],
-                    f"ERROR_CODES resolves {cls_name} to "
-                    f"{matched['value']!r} via the ({matched['cls']}, "
-                    f"{matched['value']!r}) entry, but the class declares "
-                    f"code {declared!r}; add a more specific entry before it",
-                )
-
-    # -- _RETRYABLE <-> errors.py retryable flags ------------------------
-    def _check_retryable(self, project: ProjectIndex) -> Iterator[Violation]:
-        protocol = project.modules[PROTOCOL]
-        errors = project.modules[ERRORS]
-        registry = protocol.name_tuples.get("_RETRYABLE")
-        if registry is None:
-            return
-        graph = _ClassGraph(errors)
-        members: list[str] = registry["names"]
-        line = registry["line"]
-
-        for member in members:
-            if member not in graph:
-                yield self.at(
-                    protocol,
-                    line,
-                    1,
-                    f"_RETRYABLE names {member}, which does not exist in "
-                    "errors.py",
-                )
-            elif not graph.effective_bool(member, "retryable"):
-                yield self.at(
-                    protocol,
-                    line,
-                    1,
-                    f"_RETRYABLE names {member} but the class does not "
-                    "declare retryable = True in errors.py; the client and "
-                    "the table disagree on the retry verdict",
-                )
-
-        for cls_name, fact in errors.classes.items():
-            if not graph.effective_bool(cls_name, "retryable"):
-                continue
-            covered = any(
-                member in graph and graph.descends(cls_name, member)
-                for member in members
-            )
-            if not covered:
-                yield self.at(
-                    errors,
-                    fact.line,
-                    1,
-                    f"{cls_name} declares retryable = True but is not "
-                    "covered by _RETRYABLE in service/protocol.py; "
-                    "error_retryable() would report it as fatal",
-                )
 
     # -- OPS <-> dispatcher coverage -------------------------------------
     @staticmethod

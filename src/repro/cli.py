@@ -91,7 +91,7 @@ from repro.graph.generators import dblp_like, flickr_like, wordnet_like
 from repro.graph.io import load_edge_list, save_edge_list
 from repro.graph.stats import compute_stats
 from repro.gui.render import to_dot, to_text
-from repro.resilience import ResilienceConfig
+from repro.resilience import POSTURES, ResilienceConfig
 
 __all__ = [
     "main",
@@ -219,18 +219,9 @@ def _resilience_config(
     args: argparse.Namespace, plan: FaultPlan | None
 ) -> ResilienceConfig | None:
     """Assemble the resilience posture the flags describe (None = off)."""
-    mode = getattr(args, "resilience", "off")
-    deadline = getattr(args, "deadline", None)
-    if mode == "off" and deadline is None:
+    config = ResilienceConfig.from_posture(args.resilience, args.deadline)
+    if config is None:
         return None
-    if mode == "strict":
-        config = ResilienceConfig.strict()
-    elif mode == "paranoid":
-        config = ResilienceConfig.paranoid()
-    else:  # "default", or "off" upgraded by --deadline
-        config = ResilienceConfig.default()
-    if deadline is not None:
-        config = replace(config, deadline_seconds=deadline)
     if plan is not None and plan.cap is not None and not config.verify_cap_on_run:
         # Injected storage rot without an audit could silently change
         # answers; storage is known untrusted here, so verification is on.
@@ -339,7 +330,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.resilience import ResilienceConfig as _RC
     from repro.service import QueryServer, SessionManager
     from repro.service.session import SessionLimits
 
@@ -402,18 +392,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         base_ctx = storage_backend.context()
 
-    posture = getattr(args, "resilience", "off")
-    default_resilience = None if posture == "off" else {
-        "default": _RC.default,
-        "strict": _RC.strict,
-        "paranoid": _RC.paranoid,
-    }[posture]()
-    if args.deadline is not None:
-        default_resilience = replace(
-            default_resilience or _RC.default(), deadline_seconds=args.deadline
-        )
-
-    limits = SessionLimits(resilience=default_resilience)
+    limits = SessionLimits(
+        resilience=ResilienceConfig.from_posture(args.resilience, args.deadline)
+    )
     if args.workers > 0:
         from repro.service.pool import PoolDispatcher
 
@@ -856,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--t-avg-samples", type=int, default=5000)
     serve.add_argument(
         "--resilience",
-        choices=("off", "default", "strict", "paranoid"),
+        choices=POSTURES,
         default="off",
         help="default resilience posture for hosted sessions",
     )
@@ -1038,7 +1019,7 @@ def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
 def _add_resilience_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--resilience",
-        choices=("off", "default", "strict", "paranoid"),
+        choices=POSTURES,
         default="off",
         help="resilience posture (retries, degradation, CAP verification)",
     )

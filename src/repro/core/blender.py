@@ -370,14 +370,6 @@ class Boomer:
         the span taxonomy in ``docs/OBSERVABILITY.md`` (a ``session``
         root tiled by ``phase.formulation``/``phase.run``, with per-action
         and per-edge children).  Defaults to the free no-op tracer.
-    batch_enabled:
-        When False, every batched distance query (AIVS materialization,
-        DetectPath pruning) is answered by the per-pair scalar loop
-        instead of the oracle's vectorized kernels — the A/B arm of
-        ``bench_distance_batch`` and the bit-identity tests.  Matches are
-        identical either way; only speed differs.  ``None`` (the default)
-        keeps whatever the context says, so a session harness can toggle
-        the flag once on its ``EngineContext``.
     """
 
     def __init__(
@@ -390,13 +382,9 @@ class Boomer:
         auto_idle: bool = True,
         resilience: ResilienceConfig | None = None,
         tracer: Tracer | NullTracer | None = None,
-        batch_enabled: bool | None = None,
     ) -> None:
         if isinstance(strategy, str):
             strategy = make_strategy(strategy)
-        if batch_enabled is not None and ctx.batch_enabled != batch_enabled:
-            # Same shared counters/oracle, only the dispatch flag differs.
-            ctx = replace(ctx, batch_enabled=batch_enabled)
         self.resilience = resilience
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.engine = BlenderEngine(
@@ -663,11 +651,15 @@ class Boomer:
         repaired_edges = 0
         try:
             try:
-                engine.drain_pool()
                 if config is not None and config.verify_cap_on_run:
+                    # Before the drain: pruning a pooled edge against rotten
+                    # entries would cascade the rot into a consistent,
+                    # wrong index that no later audit could tell from a
+                    # sound one.
                     with self.tracer.span("run.verify_cap") as vspan:
                         repaired_edges = self._verify_cap()
                         vspan.set(repaired_edges=repaired_edges)
+                engine.drain_pool()
                 drain_seconds = now() - srt_start
 
                 enum_start = now()

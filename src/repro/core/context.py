@@ -31,8 +31,8 @@ class EngineCounters:
     #: ``within_many`` block is one) regardless of how many logical
     #: distances it answered; a batch query that fell back to the
     #: per-pair shim counts every shim call.  The ratio
-    #: ``distance_queries / oracle_calls`` is the batching win the
-    #: ``bench_distance_batch`` benchmark gates on.
+    #: ``distance_queries / oracle_calls`` is the batching win
+    #: ``tests/test_batch_parity.py`` gates on.
     oracle_calls: int = 0
     out_scans: int = 0
     in_scans: int = 0
@@ -79,11 +79,6 @@ class EngineContext:
     #: Vertex-matching policy: label equality (BPH default, Def. 3.1) or a
     #: similarity matcher (full 1-1 p-hom semantics, Sec. 2).
     matcher: VertexMatcher = field(default_factory=LabelEqualityMatcher)
-    #: When False every batch query is answered by the per-pair scalar
-    #: loop instead of the oracle's native kernel — the A/B toggle the
-    #: bit-identity tests and ``bench_distance_batch`` flip (results must
-    #: not depend on it).
-    batch_enabled: bool = True
 
     @property
     def epoch(self) -> int:
@@ -109,7 +104,10 @@ class EngineContext:
 
     # -- batched queries (see repro.indexing.batch) --------------------
     def _use_batch(self) -> bool:
-        return self.batch_enabled and _batch.supports_batch(self.oracle)
+        """Native kernels when the oracle has them; scalar-only oracles
+        (counting wrappers, fault injectors) get the per-pair shim, so
+        every logical query still reaches them one call at a time."""
+        return _batch.supports_batch(self.oracle)
 
     def distances_from(self, source: int, targets) -> np.ndarray:
         """Counted batch distance query: ``dist(source, t)`` per target.

@@ -60,13 +60,13 @@ __all__ = [
 class ReproError(Exception):
     """Base class for every error raised by the :mod:`repro` library.
 
-    Every class carries a stable machine-readable ``code`` (what the v2
-    wire protocol and scripts switch on); subclasses override it, the
-    base matches the protocol's generic ``engine_error``.  ``retryable``
-    is the class-level retry verdict mirrored by the wire protocol's
-    ``_RETRYABLE`` registry — boomerlint R9 cross-checks the two, so a
-    class flipping the flag without a registry update fails the lint
-    gate instead of silently changing client retry behavior.
+    Every class carries a stable machine-readable ``code`` (what the
+    wire protocol and scripts switch on) and the class-level ``retryable``
+    verdict.  This is their one declaration: a subclass that says nothing
+    inherits both from its first base that does, and
+    :mod:`repro.service.protocol` only reads the attributes when it
+    serialises a failure.  ``tests/test_service_protocol_v2.py`` freezes
+    the whole table, since clients switch on it.
     """
 
     code: str = "engine_error"
@@ -229,9 +229,13 @@ class CAPStateError(CAPError):
 class SessionError(ReproError):
     """Base class for visual-session failures."""
 
+    code = "session_state"
+
 
 class ActionError(SessionError):
     """Raised for malformed or out-of-order GUI actions."""
+
+    code = "bad_action"
 
 
 class LatencyConfigError(SessionError, ValueError):
@@ -265,6 +269,8 @@ class DeadlineExceededError(ResilienceError, TimeoutError):
     to exit code 3) can report *where* the budget went.
     """
 
+    code = "deadline_exceeded"
+
     def __init__(self, context: str = "operation", limit: float | None = None) -> None:
         detail = f" (budget {limit:.3f}s)" if limit is not None else ""
         super().__init__(f"deadline exceeded during {context}{detail}")
@@ -278,6 +284,8 @@ class RetryExhaustedError(ResilienceError):
     ``last_error`` holds the final underlying exception (also chained as
     ``__cause__``); ``attempts`` is how many times the operation was tried.
     """
+
+    code = "retry_exhausted"
 
     def __init__(self, operation: str, attempts: int, last_error: BaseException) -> None:
         super().__init__(
@@ -297,6 +305,8 @@ class CAPCorruptionError(ResilienceError, CAPError):
     out-of-bound pairs) that quarantine + rebuild could not restore.
     """
 
+    code = "cap_corrupted"
+
     def __init__(self, message: str, corrupt_edges: list[tuple[int, int]] | None = None) -> None:
         super().__init__(message)
         self.corrupt_edges = list(corrupt_edges or [])
@@ -310,6 +320,8 @@ class DegradedModeError(ResilienceError):
     answer left to return.
     """
 
+    code = "degraded_mode"
+
 
 # --------------------------------------------------------------------------
 # Multi-session service (see repro.service)
@@ -320,6 +332,8 @@ class ServiceError(ReproError):
 
 class SessionNotFoundError(ServiceError, KeyError):
     """Raised when a service operation references an unknown session id."""
+
+    code = "session_not_found"
 
     def __init__(self, session_id: str) -> None:
         super().__init__(f"session {session_id!r} does not exist")
@@ -334,6 +348,7 @@ class SessionEvictedError(ServiceError):
     should recreate the session and replay its formulation).
     """
 
+    code = "session_evicted"
     retryable = True
 
     def __init__(self, session_id: str, reason: str = "memory pressure") -> None:
@@ -351,6 +366,7 @@ class AdmissionError(ServiceError):
     one tenant push the process into swap.
     """
 
+    code = "admission_refused"
     retryable = True
 
 
@@ -430,6 +446,8 @@ class CheckpointError(ServiceError):
 class ProtocolError(ServiceError, ValueError):
     """Raised for malformed wire requests (bad JSON, unknown op, ...)."""
 
+    code = "bad_request"
+
 
 class WorkerPoolError(ServiceError):
     """Raised for worker-pool configuration and lifecycle failures.
@@ -464,21 +482,20 @@ class WorkerDiedError(WorkerPoolError):
 class RelayedError(ServiceError):
     """A typed worker-side failure rehydrated in the dispatcher.
 
-    Worker processes report failures over the control pipe as the v1
-    error payload plus the stable v2 code (exceptions themselves are not
-    pickled — custom ``__init__`` signatures make that fragile).  The
-    dispatcher wraps that structure in this carrier; the wire protocol
-    renders it in either dialect exactly as if the original exception
-    had been raised in-process (see :func:`repro.service.protocol.error_code`).
+    Worker processes report failures over the control pipe as the wire
+    protocol's ``error`` object, ``{code, message, retryable, details}``
+    (exceptions themselves are not pickled — custom ``__init__``
+    signatures make that fragile).  The dispatcher wraps that object in
+    this carrier, and serialising the carrier gives the object back
+    unchanged, so a client reads the same bytes with ``--workers N`` as
+    with ``--workers 0`` (see :func:`repro.service.protocol.error_object`).
     """
 
-    def __init__(
-        self, code: str, payload: dict, retryable: bool = False
-    ) -> None:
-        super().__init__(str(payload.get("message", code)))
-        self.code = code
-        self.payload = dict(payload)
-        self.retryable = retryable
+    def __init__(self, error: dict) -> None:
+        super().__init__(str(error["message"]))
+        self.error = error
+        self.code = error["code"]
+        self.retryable = error["retryable"]
 
 
 # --------------------------------------------------------------------------

@@ -4,12 +4,14 @@ AIVS materialization (PVS / Algorithm 8) and the BU baseline are dominated
 by interpreter-level ``oracle.within(u, v, upper)`` loops over candidate
 pairs.  This module is the batch side of the oracle contract:
 
-* :func:`distances_from` / :func:`within_many` — dispatchers that route a
-  one-source-vs-many query, or a whole (sources x targets) block, to an
+* :func:`distances_from` — routes a one-source-vs-many query to an
   oracle's native kernel (:class:`~repro.indexing.pml.PrunedLandmarkLabeling`
   answers over CSR label arrays, :class:`~repro.indexing.oracle.BFSOracle`
-  over cached BFS vectors) and otherwise fall back to the per-pair
-  scalar loop.  The fallback is what keeps
+  over cached BFS vectors) and otherwise falls back to the per-pair
+  scalar loop; :class:`~repro.core.context.EngineContext` makes the same
+  choice (:func:`supports_batch`) for a whole (sources x targets)
+  ``within_many`` block.  The fallback (:func:`scalar_distances`,
+  :func:`scalar_within_many`) is what keeps
   :class:`~repro.indexing.oracle.CountingOracle` and the fault injectors
   working unchanged: every logical query still reaches ``distance``/
   ``within`` one call at a time, so counts and fault schedules are
@@ -42,7 +44,6 @@ from repro.obs.metrics import metrics
 __all__ = [
     "supports_batch",
     "distances_from",
-    "within_many",
     "checked_block",
     "pair_block",
     "scalar_distances",
@@ -71,7 +72,7 @@ def supports_batch(oracle: object) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Dispatchers
+# Dispatcher
 # ----------------------------------------------------------------------
 def distances_from(oracle: object, source: int, targets: Ids) -> np.ndarray:
     """``dist(source, t)`` for every ``t`` in ``targets`` (int32, -1 = unreachable).
@@ -100,22 +101,6 @@ def distances_from(oracle: object, source: int, targets: Ids) -> np.ndarray:
         # The cached vector skipped the oracle's own target validation.
         return vec[checked_block(vec.shape[0], (), t)[1]]
     return oracle.distances_from(source, t)
-
-
-def within_many(
-    oracle: object, sources: Ids, targets: Ids, upper: int, skip_equal: bool = False
-) -> np.ndarray:
-    """All ``(u, v)`` with ``0 <= dist(u, v) <= upper`` as an int32 ``(P, 2)`` block.
-
-    Rows are source-major, each source's targets in target order — the
-    order a per-pair double loop produces.  With ``skip_equal=True``
-    diagonal pairs ``u == v`` are not evaluated (the 1-1 mapping forbids
-    a candidate matching two query vertices).  Native oracles answer
-    with one block kernel, everything else with :func:`scalar_within_many`.
-    """
-    if not supports_batch(oracle):
-        return scalar_within_many(oracle, sources, targets, upper, skip_equal)
-    return oracle.within_many(sources, targets, upper, skip_equal)
 
 
 def checked_block(

@@ -24,7 +24,7 @@ the injectors.
 
 from repro.resilience.checker import CAPAuditReport, CAPInvariantChecker, CAPRepairReport
 from repro.resilience.deadline import Deadline
-from repro.resilience.policy import ResilienceConfig
+from repro.resilience.policy import POSTURES, ResilienceConfig
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "CAPInvariantChecker",
     "CAPRepairReport",
     "Deadline",
+    "POSTURES",
     "ResilienceConfig",
     "RetryPolicy",
 ]

@@ -31,11 +31,15 @@ degraded-mode SRT separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.resilience.retry import RetryPolicy
 
-__all__ = ["ResilienceConfig"]
+__all__ = ["POSTURES", "ResilienceConfig"]
+
+#: The posture names ``--resilience`` and the wire's ``create_session``
+#: accept (see :meth:`ResilienceConfig.from_posture`).
+POSTURES = ("off", "default", "strict", "paranoid")
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,11 @@ class ResilienceConfig:
         Walk the BU degradation ladder on unrecoverable CAP failure
         instead of raising.
     verify_cap_on_run:
-        Audit (and if needed repair) the CAP index between pool drain and
-        enumeration.  Off by default: it spends oracle queries, and the
-        structural invariants are already property-tested; turn it on when
-        the storage layer is untrusted.
+        Audit (and if needed repair) the CAP index at the Run click,
+        before the pool drains into it and enumeration reads it.  Off by
+        default: it spends oracle queries, and the structural invariants
+        are already property-tested; turn it on when the storage layer is
+        untrusted.
     audit_sample_pairs:
         Per-edge oracle spot-check budget of the pre-enumeration audit.
     absorb_action_failures:
@@ -70,6 +75,31 @@ class ResilienceConfig:
     verify_cap_on_run: bool = False
     audit_sample_pairs: int = 16
     absorb_action_failures: bool = True
+
+    @classmethod
+    def from_posture(
+        cls,
+        posture: "str | ResilienceConfig | None",
+        deadline_seconds: float | None = None,
+    ) -> "ResilienceConfig | None":
+        """The configuration a posture stands for (None = resilience off).
+
+        ``posture`` is one of :data:`POSTURES`, or an already-built
+        configuration (``None`` for "off"), which passes through; anything
+        else raises :class:`ValueError`.  A ``deadline_seconds`` override
+        bounds the Run phase of whatever that gives, and implies the
+        default posture when it gives none.
+        """
+        if not (posture is None or isinstance(posture, cls)):
+            if posture not in POSTURES:
+                raise ValueError(
+                    f"unknown resilience posture {posture!r} "
+                    f"(choose from {sorted(POSTURES)})"
+                )
+            posture = None if posture == "off" else getattr(cls, posture)()
+        if deadline_seconds is not None:
+            posture = replace(posture or cls(), deadline_seconds=deadline_seconds)
+        return posture
 
     @classmethod
     def default(cls) -> "ResilienceConfig":

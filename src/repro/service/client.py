@@ -2,7 +2,7 @@
 
 Blocking, line-oriented, dependency-free — the reference implementation
 of the protocol in docs/SERVICE.md and the driver used by the CI smoke
-job, the concurrency tests, and ``benchmarks/bench_service_throughput``.
+job, the concurrency tests, and the ``perf/`` ledger.
 
     with ServiceClient(host, port) as client:
         sid = client.create_session(strategy="DI")
@@ -30,8 +30,8 @@ see exactly the old behavior):
   is still held server-side (``details.restorable``), issue
   ``restore_session`` and retry the original request transparently.
 
-The client speaks protocol v2 (``v``/``req_id`` envelope) but understands
-v1-shaped error payloads too, so it can talk to a pre-envelope server.
+Every request carries the ``v``/``req_id`` envelope and every response
+must echo that ``req_id``.
 """
 
 from __future__ import annotations
@@ -69,19 +69,15 @@ class _TransientServiceFailure(Exception):
 
 
 class RemoteServiceError(ServiceError):
-    """A failure response from the service, rehydrated client-side.
-
-    Accepts both error dialects: the v2 typed envelope (``code`` +
-    ``details.type``) and the deprecated v1 shape (bare ``type``).
-    """
+    """A failure response from the service, rehydrated client-side from
+    its ``error`` object (``payload``): ``code``, ``retryable`` and, under
+    ``details``, the server-side class name and the exception's extras."""
 
     def __init__(self, payload: dict[str, Any]) -> None:
         details = payload.get("details")
-        details = details if isinstance(details, dict) else {}
+        self.details: dict[str, Any] = details if isinstance(details, dict) else {}
         self.code = str(payload.get("code", "")) or None
-        self.remote_type = str(
-            details.get("type") or payload.get("type") or "UnknownError"
-        )
+        self.remote_type = str(self.details.get("type") or "UnknownError")
         self.retryable = bool(payload.get("retryable", False))
         self.payload = payload
         super().__init__(f"{self.remote_type}: {payload.get('message', '')}")
@@ -145,7 +141,7 @@ class ServiceClient:
                     self.auto_restore
                     and op != "restore_session"
                     and isinstance(session, str)
-                    and self._details(exc).get("restorable")
+                    and exc.details.get("restorable")
                 ):
                     # Resume the evicted session by id, then let the
                     # policy re-issue the original request against it.
@@ -178,7 +174,7 @@ class ServiceClient:
         if not line:
             raise ServiceError("server closed the connection mid-request")
         response = protocol.decode_response(line)
-        echoed = response.get("req_id", response.get("id"))
+        echoed = response.get("req_id")
         if echoed != self._next_id:
             raise ServiceError(
                 f"response id {echoed!r} does not match "
@@ -189,17 +185,11 @@ class ServiceClient:
         result = response.get("result")
         return result if isinstance(result, dict) else {}
 
-    @staticmethod
-    def _details(exc: "RemoteServiceError") -> dict[str, Any]:
-        """Exception extras in either dialect (v2 ``details`` or v1 flat)."""
-        details = exc.payload.get("details")
-        return details if isinstance(details, dict) else exc.payload
-
     def _sleep_server_hint(self, attempt: int, exc: BaseException) -> None:
         """Honor the server's ``retry_after_ms`` before the policy backoff."""
         error = getattr(exc, "error", exc)
         if isinstance(error, RemoteServiceError):
-            hint = self._details(error).get("retry_after_ms")
+            hint = error.details.get("retry_after_ms")
             if isinstance(hint, (int, float)) and hint > 0:
                 time.sleep(float(hint) / 1000.0)
 

@@ -49,7 +49,6 @@ class LocalDispatcher:
             return {
                 "pong": True,
                 "protocol": protocol.PROTOCOL_VERSION,
-                "supported_protocols": list(protocol.SUPPORTED_VERSIONS),
                 "graph": self.graph_name,
             }
         if op == "create_session":

@@ -66,14 +66,6 @@ from repro.updates import UpdateReport, delete_edge, insert_edge
 
 __all__ = ["SessionManager", "ManagerStats"]
 
-_POSTURES = {
-    "off": lambda: None,
-    "default": ResilienceConfig.default,
-    "strict": ResilienceConfig.strict,
-    "paranoid": ResilienceConfig.paranoid,
-}
-
-
 @dataclass
 class ManagerStats:
     """Counters the service exposes on the wire ``stats`` op."""
@@ -319,24 +311,13 @@ class SessionManager:
         trace: bool | None = None,
     ) -> SessionLimits:
         base = self.default_limits
-        config: ResilienceConfig | None
-        if isinstance(resilience, ResilienceConfig):
-            config = resilience
-        elif isinstance(resilience, str):
-            try:
-                config = _POSTURES[resilience]()
-            except KeyError:
-                raise AdmissionError(
-                    f"unknown resilience posture {resilience!r} "
-                    f"(choose from {sorted(_POSTURES)})"
-                ) from None
-        else:
-            config = base.resilience
-        if deadline_seconds is not None:
-            from dataclasses import replace as _replace
-
-            config = config or ResilienceConfig.default()
-            config = _replace(config, deadline_seconds=deadline_seconds)
+        try:
+            config = ResilienceConfig.from_posture(
+                resilience if resilience is not None else base.resilience,
+                deadline_seconds,
+            )
+        except ValueError as exc:  # a posture name the wire made up
+            raise AdmissionError(str(exc)) from None
         return SessionLimits(
             strategy=strategy if strategy is not None else base.strategy,
             pruning=pruning if pruning is not None else base.pruning,

@@ -1,9 +1,7 @@
 """Multi-process worker pool: the service past the GIL ceiling.
 
 The threaded :class:`~repro.service.manager.SessionManager` tops out at
-one core — BENCH_service.json's collapse from ~169 sessions/s at 1
-concurrent session to ~10/s at 32 is the GIL, not the engine.  This
-package splits the service into a **dispatcher** (socket front end +
+one core: its handler threads share one GIL.  This package splits the service into a **dispatcher** (socket front end +
 routing, still threads) and **N worker processes**, each running the
 unchanged single-process stack over a shared engine basis published
 through :mod:`repro.storage`:

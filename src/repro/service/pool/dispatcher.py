@@ -234,9 +234,7 @@ class PoolDispatcher:
             if kind == "ok":
                 pending.result = body
             else:
-                pending.error = RelayedError(
-                    body["code"], body["payload"], retryable=body["retryable"]
-                )
+                pending.error = RelayedError(body)
             pending.event.set()
         self._on_worker_exit(handle)
 
@@ -366,7 +364,6 @@ class PoolDispatcher:
             return {
                 "pong": True,
                 "protocol": protocol.PROTOCOL_VERSION,
-                "supported_protocols": list(protocol.SUPPORTED_VERSIONS),
                 "graph": self.graph_name,
                 "workers": len(self._alive()),
             }

@@ -12,14 +12,13 @@ Wire format on the pipe (picklable tuples):
 
 * parent → worker: ``("req", seq, request)`` — one decoded wire request;
   ``("drain", seq, timeout)`` — graceful drain; ``("exit", seq)`` — stop.
-* worker → parent: ``("ok", seq, result)`` or ``("err", seq, verdict)``
-  where ``verdict`` is ``{"code", "retryable", "payload"}`` built by
-  :func:`~repro.service.protocol.error_code` /
-  :func:`~repro.service.protocol.error_payload` — exceptions cross the
+* worker → parent: ``("ok", seq, result)`` or ``("err", seq, error)``
+  where ``error`` is the wire ``error`` object built by
+  :func:`~repro.service.protocol.error_object` — exceptions cross the
   boundary as *data*, not pickles (exception ``__init__`` signatures are
   fragile across versions), and rehydrate dispatcher-side as
-  :class:`~repro.errors.RelayedError` so clients see identical codes and
-  retry hints with ``--workers 0`` and ``--workers N``.
+  :class:`~repro.errors.RelayedError` so clients read identical error
+  frames with ``--workers 0`` and ``--workers N``.
 
 Requests run on their own thread (the pipe reader never blocks on engine
 compute), replies are serialized by a send lock.  The shared basis is
@@ -62,24 +61,13 @@ class WorkerConfig:
     checkpoint_on_mutate: bool = True
 
 
-def _error_verdict(exc: BaseException) -> dict[str, Any]:
-    """Serialize a failure as plain data for the pipe."""
-    from repro.service import protocol
-
-    payload = protocol.error_payload(exc)
-    return {
-        "code": protocol.error_code(exc),
-        "retryable": bool(payload.get("retryable", False)),
-        "payload": payload,
-    }
-
-
 def worker_main(
     index: int | str, spec: Any, config: WorkerConfig, conn: Any
 ) -> None:
     """Run one worker until ``exit`` (or the dispatcher's pipe closes)."""
     from repro.service.dispatch import LocalDispatcher
     from repro.service.manager import SessionManager
+    from repro.service.protocol import error_object
 
     send_lock = threading.Lock()
     attached: list[Any] = []
@@ -117,7 +105,7 @@ def worker_main(
         try:
             result = _backend().dispatch(request)
         except Exception as exc:
-            _send(("err", seq, _error_verdict(exc)))
+            _send(("err", seq, error_object(exc)))
             return
         _send(("ok", seq, result))
 
@@ -129,7 +117,7 @@ def worker_main(
                 else {"checkpointed": [], "busy": [], "inflight_at_timeout": 0}
             )
         except Exception as exc:
-            _send(("err", seq, _error_verdict(exc)))
+            _send(("err", seq, error_object(exc)))
             return
         _send(("ok", seq, summary))
 

@@ -3,7 +3,9 @@
 One request per line, one response per line, UTF-8 JSON (no framing
 beyond the newline — every payload the service produces is newline-free).
 
-**Protocol v2** (current) puts a versioned envelope on every frame::
+Every frame carries the versioned envelope (``"v": 2``); a frame without
+it, or with another version, is refused with the typed ``bad_request``
+error below::
 
     {"v": 2, "req_id": 7, "op": "action", "session": "s1",
      "action": {"kind": "NewVertex", "vertex_id": 0, "label": "A"}}
@@ -14,16 +16,12 @@ beyond the newline — every payload the service produces is newline-free).
                "retryable": true, "details": {"type": "SessionEvictedError",
                                               "session": "s1"}}}
 
-Every failure uses that single typed error envelope: a stable ``code``
-from :data:`ERROR_CODES` (what programs switch on), a human ``message``,
-a ``retryable`` hint, and ``details`` carrying the originating exception
-class plus any exception-specific extras.
-
-**Protocol v1** (deprecated, still accepted) is the pre-envelope dialect:
-requests carry ``id`` and no ``v``; responses echo ``id`` and errors are
-the ad-hoc ``{"type", "message", "retryable", ...}`` shape.  The server
-answers each request in the dialect it arrived in, so old clients keep
-round-tripping unchanged — see docs/SERVICE.md for the migration notes.
+Every failure is that one ``error`` object (:func:`error_object`): the
+stable ``code`` and the ``retryable`` verdict the exception class declares
+in :mod:`repro.errors` (what programs switch on), a human ``message``, and
+``details`` carrying the exception class name plus any exception-specific
+extras.  A pool worker sends the same object over its pipe, so a failure
+has one shape from the raise site to the client.
 
 Actions on the wire reuse the session-recording dict format
 (:mod:`repro.gui.recording`), so a recorded formulation replays over the
@@ -50,54 +48,31 @@ from repro.core.blender import ActionReport, RunResult
 from repro.core.enumerate import PartialMatches
 from repro.core.lowerbound import ResultSubgraph
 from repro.errors import (
-    ActionError,
-    AdmissionError,
-    AnalysisError,
-    BasisFormatError,
-    CAPCorruptionError,
-    CheckpointError,
     DeadlineExceededError,
-    DegradedModeError,
-    GraphMutationError,
-    LatencyConfigError,
-    LintUsageError,
-    LockOrderViolationError,
-    OverloadConfigError,
     ProtocolError,
-    QueryFileError,
     RelayedError,
     ReproError,
-    RetryExhaustedError,
     ServiceOverloadedError,
-    ServiceTimeoutError,
-    SessionError,
     SessionEvictedError,
     SessionNotFoundError,
-    StaleIndexError,
-    StorageError,
     WorkerDiedError,
-    WorkerPoolError,
 )
 from repro.gui.recording import action_from_dict, action_to_dict
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "OPS",
-    "ERROR_CODES",
     "MatchBlock",
     "match_block",
     "canonical_matches",
     "encode_line",
     "decode_request",
-    "request_version",
-    "request_id",
     "best_effort_id",
     "decode_response",
     "ok_response",
     "error_response",
     "error_code",
-    "error_payload",
+    "error_object",
     "action_payload",
     "report_payload",
     "run_payload",
@@ -105,11 +80,8 @@ __all__ = [
     "wire_action",
 ]
 
+#: The one dialect: the ``v`` every frame carries, in both directions.
 PROTOCOL_VERSION = 2
-
-#: Dialects the server still answers.  v1 is deprecated: it predates the
-#: envelope (no ``v``, ``id`` instead of ``req_id``, ad-hoc error shapes).
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Every operation the server understands (documented in docs/SERVICE.md).
 OPS = (
@@ -128,78 +100,47 @@ OPS = (
     "shutdown",
 )
 
-#: Error types a client may retry (after recreating state if needed);
-#: everything else is a caller bug or a terminal server verdict.
-#: :class:`ServiceOverloadedError` is the backpressure verdict — retry
-#: after its ``retry_after_ms`` hint and the shed normally clears.
-_RETRYABLE = (
-    SessionEvictedError,
-    AdmissionError,
-    ServiceOverloadedError,
-    ServiceTimeoutError,
-    WorkerDiedError,
-)
-
-#: Stable v2 error codes by exception type — what client programs switch
-#: on (exception class names are an implementation detail carried in
-#: ``details.type``).  First match wins, so subclasses precede bases.
-ERROR_CODES: tuple[tuple[type, str], ...] = (
-    (ProtocolError, "bad_request"),
-    (SessionNotFoundError, "session_not_found"),
-    (SessionEvictedError, "session_evicted"),
-    (ServiceOverloadedError, "overloaded"),
-    (CheckpointError, "checkpoint_invalid"),
-    (WorkerDiedError, "worker_died"),
-    (WorkerPoolError, "worker_pool"),
-    (AdmissionError, "admission_refused"),
-    (DeadlineExceededError, "deadline_exceeded"),
-    (DegradedModeError, "degraded_mode"),
-    (CAPCorruptionError, "cap_corrupted"),
-    (RetryExhaustedError, "retry_exhausted"),
-    (GraphMutationError, "graph_mutation_invalid"),
-    (StaleIndexError, "stale_index"),
-    (ActionError, "bad_action"),
-    (LatencyConfigError, "latency_config_invalid"),
-    (SessionError, "session_state"),
-    (QueryFileError, "query_file_invalid"),
-    (OverloadConfigError, "overload_config"),
-    (ServiceTimeoutError, "service_timeout"),
-    (BasisFormatError, "basis_format_invalid"),
-    (StorageError, "storage_error"),
-    (LintUsageError, "lint_usage_invalid"),
-    (LockOrderViolationError, "lock_order_inversion"),
-    (AnalysisError, "analysis_error"),
-    (ReproError, "engine_error"),
-)
-
 
 def error_code(exc: BaseException) -> str:
-    """The stable v2 ``code`` for an exception (``internal_error`` fallback).
+    """The stable ``code`` of a failure: the one its class declares in
+    :mod:`repro.errors` (a :class:`~repro.errors.RelayedError` carries the
+    worker-side exception's), ``internal_error`` for anything that is not
+    a :class:`~repro.errors.ReproError` — an engine bug."""
+    return exc.code if isinstance(exc, ReproError) else "internal_error"
 
-    A :class:`~repro.errors.RelayedError` — a worker-side failure
-    rehydrated by the pool dispatcher — passes its original code through
-    unchanged, so clients see identical codes with ``--workers 0`` and
-    ``--workers N``.
+
+def error_object(exc: BaseException) -> dict[str, Any]:
+    """The ``error`` object of a failure frame: ``{code, message,
+    retryable, details}``, ``details`` being the exception class name plus
+    its extras.
+
+    The one serialisation of a failure.  A pool worker sends this object
+    over its pipe and the dispatcher raises it inside a
+    :class:`~repro.errors.RelayedError`, which comes back out unchanged —
+    so the bytes a client reads do not depend on ``--workers``.
     """
     if isinstance(exc, RelayedError):
-        return exc.code
-    for cls, code in ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
-    return "internal_error"
-
-
-def error_retryable(exc: BaseException) -> bool:
-    """Whether a client may retry after this failure.
-
-    A :class:`~repro.errors.RelayedError` carries the worker-side
-    verdict through verbatim — an ``overloaded`` shed must read
-    retryable with ``--workers N`` exactly as it does with
-    ``--workers 0``.
-    """
-    if isinstance(exc, RelayedError):
-        return bool(exc.retryable)
-    return isinstance(exc, _RETRYABLE)
+        return exc.error
+    details: dict[str, Any] = {"type": type(exc).__name__}
+    if isinstance(exc, WorkerDiedError):
+        details["worker"] = exc.worker
+    if isinstance(exc, DeadlineExceededError):
+        details["deadline_context"] = exc.context
+    if isinstance(exc, (SessionNotFoundError, SessionEvictedError)):
+        details["session"] = exc.session_id
+    if isinstance(exc, SessionEvictedError):
+        # Restore-by-id is possible while the checkpoint survives; after
+        # that the client falls back to recreate-and-replay.
+        details["restorable"] = bool(getattr(exc, "restorable", False))
+    if isinstance(exc, ServiceOverloadedError):
+        details["retry_after_ms"] = exc.retry_after_ms
+        details["reason"] = exc.reason
+    return {
+        "code": error_code(exc),
+        "message": str(exc),
+        "retryable": isinstance(exc, ReproError) and exc.retryable,
+        "details": details,
+    }
 
 
 @dataclass(eq=False)
@@ -289,28 +230,25 @@ def encode_line(payload: dict[str, Any]) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def decode_request(line: bytes | str) -> dict[str, Any]:
-    """Parse one request line; typed :class:`ProtocolError` on junk.
-
-    Negotiation happens here: a frame without ``v`` is a deprecated v1
-    request; ``v`` must otherwise name a supported dialect.  The raw
-    payload is returned — read the dialect back with
-    :func:`request_version` and the correlation id with
-    :func:`request_id`.
-    """
+def _loads(line: bytes | str, what: str) -> Any:
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
-        payload = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+        raise ProtocolError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def decode_request(line: bytes | str) -> dict[str, Any]:
+    """Parse one request line; typed :class:`ProtocolError` on junk, on a
+    frame that is not the v2 envelope, and on an unknown op."""
+    payload = _loads(line, "request")
     if not isinstance(payload, dict):
         raise ProtocolError("request must be a JSON object")
-    version = payload.get("v", 1)
-    if version not in SUPPORTED_VERSIONS:
+    if payload.get("v") != PROTOCOL_VERSION:
         raise ProtocolError(
-            f"unsupported protocol version {version!r} "
-            f"(supported: {SUPPORTED_VERSIONS})"
+            f"unsupported protocol version {payload.get('v')!r}: "
+            f'every frame carries "v": {PROTOCOL_VERSION}'
         )
     op = payload.get("op")
     if op not in OPS:
@@ -318,83 +256,35 @@ def decode_request(line: bytes | str) -> dict[str, Any]:
     return payload
 
 
-def request_version(request: dict[str, Any]) -> int:
-    """The dialect a decoded request arrived in (absent ``v`` = 1)."""
-    version = request.get("v", 1)
-    return version if version in SUPPORTED_VERSIONS else 1
-
-
-def request_id(request: dict[str, Any]) -> Any:
-    """The correlation id of a decoded request (``req_id`` or legacy ``id``)."""
-    if "req_id" in request:
-        return request["req_id"]
-    return request.get("id")
-
-
-def best_effort_id(line: bytes | str) -> tuple[Any, int]:
-    """``(correlation id, version)`` of a request line that failed validation.
-
-    Error responses should still echo the id (in the right dialect)
-    whenever the line was at least well-formed JSON, so pipelining
-    clients can correlate them.  Anything that did not explicitly claim
-    a v2+ envelope — junk included — is answered in the legacy v1 shape,
-    which every client understands.
-    """
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
+def best_effort_id(line: bytes | str) -> Any:
+    """The ``req_id`` to echo for a request line that failed validation:
+    the line's own whenever it was at least a JSON object, so pipelining
+    clients can correlate the refusal; else None."""
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError:
-        return None, 1
-    if not isinstance(payload, dict):
-        return None, 1
-    version = payload.get("v", 1)
-    if not isinstance(version, int) or version not in SUPPORTED_VERSIONS:
-        version = PROTOCOL_VERSION if isinstance(version, int) and version >= 2 else 1
-    return request_id(payload), version
+        payload = _loads(line, "request")
+    except ProtocolError:
+        return None
+    return payload.get("req_id") if isinstance(payload, dict) else None
 
 
-def ok_response(version: int, req_id: Any, result: dict[str, Any]) -> dict[str, Any]:
-    """A success frame in the dialect the request arrived in."""
-    if version >= 2:
-        return {"v": version, "req_id": req_id, "ok": True, "result": result}
-    return {"id": req_id, "ok": True, "result": result}
+def ok_response(req_id: Any, result: dict[str, Any]) -> dict[str, Any]:
+    """A success frame."""
+    return {"v": PROTOCOL_VERSION, "req_id": req_id, "ok": True, "result": result}
 
 
-def error_response(version: int, req_id: Any, exc: BaseException) -> dict[str, Any]:
-    """A failure frame in the dialect the request arrived in.
-
-    v2 uses the typed envelope (``code``/``message``/``retryable`` +
-    ``details``); v1 keeps its exact legacy error shape.
-    """
-    if version >= 2:
-        legacy = error_payload(exc)
-        details = {"type": legacy.pop("type")}
-        legacy.pop("message", None)
-        legacy.pop("retryable", None)
-        details.update(legacy)  # exception-specific extras
-        return {
-            "v": version,
-            "req_id": req_id,
-            "ok": False,
-            "error": {
-                "code": error_code(exc),
-                "message": str(exc),
-                "retryable": error_retryable(exc),
-                "details": details,
-            },
-        }
-    return {"id": req_id, "ok": False, "error": error_payload(exc)}
+def error_response(req_id: Any, exc: BaseException) -> dict[str, Any]:
+    """A failure frame: the envelope around :func:`error_object`."""
+    return {
+        "v": PROTOCOL_VERSION,
+        "req_id": req_id,
+        "ok": False,
+        "error": error_object(exc),
+    }
 
 
 def decode_response(line: bytes | str) -> dict[str, Any]:
     """Parse one response line (client side)."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"response is not valid JSON: {exc}") from exc
+    payload = _loads(line, "response")
     if not isinstance(payload, dict) or "ok" not in payload:
         raise ProtocolError("response must be a JSON object with 'ok'")
     return payload
@@ -413,33 +303,6 @@ def wire_action(payload: Any) -> Action:
 def action_payload(action: Action) -> dict[str, Any]:
     """Encode an action for the wire (recording format)."""
     return action_to_dict(action)
-
-
-def error_payload(exc: BaseException) -> dict[str, Any]:
-    """The ``error`` object of a failure response."""
-    if isinstance(exc, RelayedError):
-        # Worker-side failure: re-emit the exact payload the worker
-        # built, bit-compatible with the in-process path.
-        return dict(exc.payload)
-    payload: dict[str, Any] = {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "retryable": error_retryable(exc),
-    }
-    if isinstance(exc, WorkerDiedError):
-        payload["worker"] = exc.worker
-    if isinstance(exc, DeadlineExceededError):
-        payload["deadline_context"] = exc.context
-    if isinstance(exc, (SessionNotFoundError, SessionEvictedError)):
-        payload["session"] = exc.session_id
-    if isinstance(exc, SessionEvictedError):
-        # Restore-by-id is possible while the checkpoint survives; after
-        # that the client falls back to recreate-and-replay.
-        payload["restorable"] = bool(getattr(exc, "restorable", False))
-    if isinstance(exc, ServiceOverloadedError):
-        payload["retry_after_ms"] = exc.retry_after_ms
-        payload["reason"] = exc.reason
-    return payload
 
 
 def report_payload(report: ActionReport) -> dict[str, Any]:

@@ -200,10 +200,8 @@ class QueryServer:
     def handle_line(self, line: bytes) -> dict[str, Any]:
         """Decode one request line and produce the response payload.
 
-        The response speaks whatever protocol dialect the request arrived
-        in (v2 envelope, or the deprecated v1 shapes), and every request —
-        success or failure — lands in the per-verb service latency
-        histogram ``repro_service_request_seconds``.
+        Every request — success or failure — lands in the per-verb
+        service latency histogram ``repro_service_request_seconds``.
         """
         started = clock.now()
         op = "invalid"
@@ -211,18 +209,19 @@ class QueryServer:
         try:
             request = protocol.decode_request(line)
             op = request["op"]
-            version = protocol.request_version(request)
-            req_id = protocol.request_id(request)
             result = self.backend.dispatch(request)
         except Exception as exc:
             # ReproError: typed service verdicts. Anything else: an engine
             # bug — still reported, the server stays up.
-            if request is None:
-                req_id, version = protocol.best_effort_id(line)
+            req_id = (
+                request.get("req_id")
+                if request is not None
+                else protocol.best_effort_id(line)
+            )
             self._observe(op, started, ok=False)
-            return protocol.error_response(version, req_id, exc)
+            return protocol.error_response(req_id, exc)
         self._observe(op, started, ok=True)
-        response = protocol.ok_response(version, req_id, result)
+        response = protocol.ok_response(request.get("req_id"), result)
         if op == "shutdown":
             response["_close"] = True
             # Ack first, then run the full graceful stop (drain +
@@ -238,12 +237,10 @@ class QueryServer:
         """The reply to a request line longer than :data:`MAX_REQUEST_BYTES`:
         the typed ``bad_request`` envelope, after which the handler closes
         the connection (the line was never parsed, so there is no id to
-        echo and no dialect to answer in but the current one)."""
+        echo)."""
         self._observe("invalid", clock.now(), ok=False)
         response = protocol.error_response(
-            protocol.PROTOCOL_VERSION,
-            None,
-            ProtocolError(f"request line exceeds {MAX_REQUEST_BYTES} bytes"),
+            None, ProtocolError(f"request line exceeds {MAX_REQUEST_BYTES} bytes")
         )
         response["_close"] = True
         return response

@@ -28,7 +28,7 @@ regardless of which backend held the bytes in between
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -68,9 +68,11 @@ class EngineBasis:
 
     ``arrays`` maps each :data:`ARRAY_NAMES` entry to a 1-D numpy array
     (resident, shared-memory view, or memmap — the consumer does not
-    care).  The scalars mirror what the shared-memory spec already
-    shipped by value: labels, cost-model constants, and the two ablation
-    toggles that must survive a process boundary.
+    care).  Everything else is small by-value metadata: the label list,
+    and the :meth:`scalars` — graph name, cost-model constants, the
+    scan-choice ablation override and the graph epoch — which every
+    backend carries as one mapping, so a field added here cannot be
+    missed by one of them.
     """
 
     graph_name: str
@@ -79,7 +81,6 @@ class EngineBasis:
     cost_model: dict[str, float] = field(default_factory=dict)
     avg_label: float = 0.0
     scan_override: str | None = None
-    batch_enabled: bool = True
     #: Graph epoch the arrays were extracted at (see
     #: :attr:`repro.graph.graph.Graph.epoch`).  Persisted by every
     #: backend; a live graph that has moved past a saved basis makes
@@ -91,6 +92,19 @@ class EngineBasis:
         missing = [name for name in ARRAY_NAMES if name not in self.arrays]
         if missing:
             raise StorageError(f"engine basis is missing arrays: {missing}")
+
+    @classmethod
+    def scalar_names(cls) -> tuple[str, ...]:
+        """The fields of :meth:`scalars`: all but ``labels`` and ``arrays``."""
+        return tuple(
+            f.name for f in fields(cls) if f.name not in ("labels", "arrays")
+        )
+
+    def scalars(self) -> dict[str, Any]:
+        """The JSON-safe by-value fields, by name: what a backend stores
+        beside the arrays and the label list (``meta.json`` keys, the shm
+        spec) and passes back as keywords to rebuild the basis."""
+        return {name: getattr(self, name) for name in self.scalar_names()}
 
     def nbytes(self) -> int:
         """Fully-resident footprint of the arrays (the tiering yardstick)."""
@@ -248,7 +262,6 @@ def basis_from_context(ctx: EngineContext) -> EngineBasis:
         },
         avg_label=float(oracle._avg_label),
         scan_override=ctx.scan_override,
-        batch_enabled=ctx.batch_enabled,
         epoch=ctx.graph.epoch,
     )
 
@@ -286,5 +299,4 @@ def context_from_basis(
         two_hop=arrays["two_hop"],
         cost_model=CostModel(**basis.cost_model),
         scan_override=basis.scan_override,
-        batch_enabled=basis.batch_enabled,
     )

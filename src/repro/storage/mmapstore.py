@@ -96,12 +96,7 @@ def save_basis(basis: EngineBasis, directory: str | Path) -> Path:
         pickle.dump(list(basis.labels), fh, protocol=pickle.HIGHEST_PROTOCOL)
     meta = {
         "format_version": FORMAT_VERSION,
-        "graph_name": basis.graph_name,
-        "cost_model": basis.cost_model,
-        "avg_label": basis.avg_label,
-        "scan_override": basis.scan_override,
-        "batch_enabled": basis.batch_enabled,
-        "epoch": basis.epoch,
+        **basis.scalars(),
         "finalized": True,
         "arrays": dtypes,
         "nbytes": basis.nbytes(),
@@ -166,17 +161,15 @@ def load_basis(directory: str | Path) -> EngineBasis:
             labels = pickle.load(fh)
     except (OSError, pickle.UnpicklingError) as exc:
         raise BasisFormatError(f"unreadable label list in {path}: {exc}") from exc
-    scan = meta.get("scan_override")
-    return EngineBasis(
-        graph_name=meta["graph_name"],
-        labels=tuple(labels),
-        arrays=arrays,
-        cost_model=dict(meta["cost_model"]),
-        avg_label=float(meta["avg_label"]),
-        scan_override=scan,
-        batch_enabled=bool(meta.get("batch_enabled", True)),
-        epoch=int(meta.get("epoch", 0)),
-    )
+    # A scalar an older writer did not record keeps its default (epoch 0);
+    # a key no field answers to any more ("batch_enabled") is ignored.
+    scalars = {
+        name: meta[name] for name in EngineBasis.scalar_names() if name in meta
+    }
+    try:
+        return EngineBasis(labels=tuple(labels), arrays=arrays, **scalars)
+    except TypeError as exc:  # a scalar without a default is missing
+        raise BasisFormatError(f"incomplete basis manifest in {path}: {exc}") from exc
 
 
 def basis_nbytes_on_disk(directory: str | Path) -> int:

@@ -4,7 +4,7 @@ The shm backend moves an :class:`~repro.storage.basis.EngineBasis`
 across a process boundary with zero copies on the consumer side: the
 publisher copies each array once into a named ``SharedMemory`` segment
 and hands attachers a small picklable :class:`SharedContextSpec`
-(segment names + dtypes + shapes + the scalar leftovers).  Attaching
+(segment names + dtypes + shapes + the by-value leftovers).  Attaching
 costs page-table entries, not bytes, so per-worker memory for the basis
 is ~zero regardless of worker count.
 
@@ -24,6 +24,7 @@ Two deliberate asymmetries:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -52,18 +53,19 @@ class _ArraySpec:
 class SharedContextSpec:
     """Everything an attacher needs to rebuild the basis, picklable.
 
-    The arrays travel by *name* (shared segments); only the scalars — the
-    per-vertex label list, graph name, cost-model constants — travel by
-    value in the spawn pickle.
+    The arrays travel by *name* (shared segments); the per-vertex label
+    list and the basis' :meth:`~repro.storage.basis.EngineBasis.scalars`
+    (graph name, cost-model constants, epoch, ...) travel by value in the
+    spawn pickle.
     """
 
-    graph_name: str
     labels: tuple
+    scalars: dict[str, Any]
     arrays: dict[str, _ArraySpec] = field(default_factory=dict)
-    cost_model: dict[str, float] = field(default_factory=dict)
-    avg_label: float = 0.0
-    scan_override: str | None = None
-    batch_enabled: bool = True
+
+    @property
+    def graph_name(self) -> str:
+        return self.scalars["graph_name"]
 
     def segment_names(self) -> list[str]:
         return [spec.segment for spec in self.arrays.values()]
@@ -101,13 +103,7 @@ def publish_basis(
         unlink_segments(segments)
         raise
     spec = SharedContextSpec(
-        graph_name=basis.graph_name,
-        labels=basis.labels,
-        arrays=arrays,
-        cost_model=dict(basis.cost_model),
-        avg_label=basis.avg_label,
-        scan_override=basis.scan_override,
-        batch_enabled=basis.batch_enabled,
+        labels=basis.labels, scalars=basis.scalars(), arrays=arrays
     )
     return spec, segments
 
@@ -176,13 +172,5 @@ def attach_basis(
             except OSError:
                 pass
         raise
-    basis = EngineBasis(
-        graph_name=spec.graph_name,
-        labels=tuple(spec.labels),
-        arrays=views,
-        cost_model=dict(spec.cost_model),
-        avg_label=spec.avg_label,
-        scan_override=spec.scan_override,
-        batch_enabled=spec.batch_enabled,
-    )
+    basis = EngineBasis(labels=tuple(spec.labels), arrays=views, **spec.scalars)
     return basis, attached

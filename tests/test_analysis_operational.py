@@ -250,9 +250,7 @@ class TestIncrementalCache:
     def test_project_rules_recompute_from_cached_facts(self, tmp_path):
         from tests.test_analysis_project import PROTOCOL_OK, write_tree
 
-        drifted = PROTOCOL_OK.replace(
-            '    (StorageError, "storage_error"),\n', ""
-        )
+        drifted = PROTOCOL_OK.replace('("ping", "run")', '("ping", "run", "mystery")')
         root = write_tree(tmp_path, protocol=drifted)
         cache_file = tmp_path / "lint-cache.json"
         engine = LintEngine.for_rule_ids(["R9"])

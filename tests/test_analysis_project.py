@@ -1,7 +1,7 @@
 """Whole-program tier tests: module facts, the project index, and R9.
 
-R9 fixtures recreate the four-file protocol seam under a temp root; the
-gating tests prove the doctrine that a project rule stays silent unless
+R9 fixtures recreate the protocol seam (op registry, both dispatchers,
+client) under a temp root; the gating tests prove the doctrine that a project rule stays silent unless
 *every* participating module is part of the lint run.
 """
 
@@ -36,17 +36,9 @@ class StorageError(ServiceError):
 """
 
 PROTOCOL_OK = """
-from repro.errors import OverloadError, ReproError, StorageError
+from repro.errors import ReproError
 
 OPS = ("ping", "run")
-
-_RETRYABLE = (OverloadError,)
-
-ERROR_CODES: tuple = (
-    (OverloadError, "overloaded"),
-    (StorageError, "storage_error"),
-    (ReproError, "engine_error"),
-)
 """
 
 DISPATCH_OK = """
@@ -116,17 +108,16 @@ class TestModuleFacts:
     def test_registries_extracted(self):
         facts = facts_for(PROTOCOL_OK)
         assert facts.str_tuples["OPS"]["values"] == ["ping", "run"]
-        assert facts.name_tuples["_RETRYABLE"]["names"] == ["OverloadError"]
-        pairs = facts.pair_tuples["ERROR_CODES"]["pairs"]
-        assert pairs[0]["cls"] == "OverloadError"
-        assert pairs[0]["value"] == "overloaded"
+        assert facts.imports == ["repro.errors"]
+        # A tuple that is not all strings is not an op registry.
+        mixed = facts_for('NAMES = ("ping", OverloadError)\nEMPTY = ()\n')
+        assert mixed.str_tuples == {}
 
-    def test_class_table_carries_bases_and_literal_attrs(self):
+    def test_class_table_carries_bases(self):
         facts = facts_for(ERRORS_OK, "repro/errors.py")
         overload = facts.classes["OverloadError"]
         assert overload.bases == ["ServiceError"]
-        assert overload.str_attrs["code"] == "overloaded"
-        assert overload.bool_attrs["retryable"] is True
+        assert facts.classes["ReproError"].bases == ["Exception"]
 
     def test_eq_and_membership_compares(self):
         facts = facts_for(POOL_OK, "repro/service/pool/dispatcher.py")
@@ -151,65 +142,6 @@ class TestModuleFacts:
 class TestProtocolDriftRule:
     def test_consistent_seam_is_clean(self, tmp_path):
         assert lint_r9(write_tree(tmp_path)).ok
-
-    def test_shadowed_error_code_fires(self, tmp_path):
-        drifted = PROTOCOL_OK.replace(
-            '    (StorageError, "storage_error"),\n', ""
-        )
-        report = lint_r9(write_tree(tmp_path, protocol=drifted))
-        assert any(
-            "StorageError" in v.message and "engine_error" in v.message
-            for v in report.violations
-        )
-
-    def test_unregistered_exception_class_fires(self, tmp_path):
-        drifted = PROTOCOL_OK.replace(
-            "(StorageError, ", "(GhostError, "
-        )
-        report = lint_r9(write_tree(tmp_path, protocol=drifted))
-        assert any("GhostError" in v.message for v in report.violations)
-
-    def test_retryable_drift_fires_both_directions(self, tmp_path):
-        # Table says retryable, class says no.
-        report = lint_r9(
-            write_tree(
-                tmp_path,
-                protocol=PROTOCOL_OK.replace(
-                    "_RETRYABLE = (OverloadError,)",
-                    "_RETRYABLE = (OverloadError, StorageError)",
-                ),
-            )
-        )
-        assert any(
-            "StorageError" in v.message and "retryable" in v.message
-            for v in report.violations
-        )
-        # Class says retryable, table omits it.
-        report = lint_r9(
-            write_tree(
-                tmp_path,
-                protocol=PROTOCOL_OK.replace(
-                    "_RETRYABLE = (OverloadError,)", "_RETRYABLE = (StorageError,)"
-                ),
-                errors=ERRORS_OK.replace(
-                    'code = "storage_error"',
-                    'code = "storage_error"\n    retryable = True',
-                ),
-            )
-        )
-        assert any(
-            "OverloadError" in v.message and "_RETRYABLE" in v.message
-            for v in report.violations
-        )
-
-    def test_retryable_subclass_of_member_is_covered(self, tmp_path):
-        grown = ERRORS_OK + textwrap.dedent(
-            """
-            class ShedError(OverloadError):
-                pass
-            """
-        )
-        assert lint_r9(write_tree(tmp_path, errors=grown)).ok
 
     def test_unhandled_op_fires_per_dispatcher(self, tmp_path):
         report = lint_r9(
@@ -267,8 +199,8 @@ class TestProtocolDriftRule:
 
     def test_project_violation_respects_inline_suppression(self, tmp_path):
         drifted = PROTOCOL_OK.replace(
-            "_RETRYABLE = (OverloadError,)",
-            "_RETRYABLE = (  # boomerlint: disable=R9\n    OverloadError,\n    StorageError,\n)",
+            'OPS = ("ping", "run")',
+            'OPS = ("ping", "run", "mystery")  # boomerlint: disable=R9',
         )
         report = lint_r9(write_tree(tmp_path, protocol=drifted))
         assert report.ok

@@ -54,6 +54,26 @@ def test_deliverable_files_present(filename):
     assert len(path.read_text(encoding="utf-8")) > 400, f"{filename} is stubby"
 
 
+def test_service_doc_lists_every_error_code_with_its_retry_verdict():
+    """docs/SERVICE.md's code table against the classes of errors.py: every
+    declared ``code`` (and the ``internal_error`` fallback) has a row, and
+    the row's verdict is the class's ``retryable``."""
+    import re
+
+    from repro import errors
+
+    text = (REPO_ROOT / "docs/SERVICE.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` \| (\*\*yes\*\*|no) \|", text, re.M))
+    declared = {"internal_error": False}
+    for name in errors.__all__:
+        cls = getattr(errors, name)
+        if "code" in vars(cls):
+            declared[cls.code] = cls.retryable
+    assert set(rows) == set(declared)
+    for code, retryable in declared.items():
+        assert rows[code] == ("**yes**" if retryable else "no"), code
+
+
 def test_design_covers_every_experiment():
     text = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
     for artifact in [

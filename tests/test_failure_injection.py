@@ -10,7 +10,7 @@ silently wrong matches.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.actions import NewEdge, NewVertex, Run
@@ -196,6 +196,15 @@ cap_specs = st.one_of(
     oracle=oracle_specs,
     cap=cap_specs,
     strategy=st.sampled_from(["IC", "DR", "DI"]),
+)
+@example(
+    # An edge left in the pool by an exhausted retry, then CAP rot, then
+    # Run: draining before the audit pruned the rot into an empty index
+    # that audited clean.
+    seed=1586,
+    oracle=OracleFaultSpec(transient_rate=0.2, transient_burst=1),
+    cap=CAPCorruptionSpec(bogus_pair_count=2, drop_candidate_count=1),
+    strategy="IC",
 )
 def test_session_is_never_silently_wrong(pre, clean_matches, seed, oracle, cap, strategy):
     plan = FaultPlan(seed=seed, oracle=oracle, cap=cap)

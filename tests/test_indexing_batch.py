@@ -34,7 +34,6 @@ from repro.indexing.batch import (
     scalar_within_many,
     shared_distance_cache,
     supports_batch,
-    within_many,
 )
 from repro.indexing.oracle import BatchDistanceOracle, BFSOracle, CountingOracle
 from repro.indexing import pml as pml_module
@@ -54,6 +53,14 @@ def make_oracle(kind: str, graph):
 
 
 ORACLE_KINDS = ["pml", "bfs", "counting"]
+
+
+def within_many(oracle, sources, targets, upper, skip_equal=False):
+    """The choice ``EngineContext.within_many`` makes: the oracle's block
+    kernel when it has one, the per-pair shim for a scalar-only oracle."""
+    if supports_batch(oracle):
+        return oracle.within_many(sources, targets, upper, skip_equal)
+    return scalar_within_many(oracle, sources, targets, upper, skip_equal)
 
 
 def reference_block(graph, sources, targets, upper, skip_equal=False):

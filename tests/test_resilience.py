@@ -6,6 +6,8 @@ equals a clean BU run, and a transient failure is retried away so the
 CAP-path result equals the fault-free result.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.actions import NewEdge, NewVertex, Run
@@ -24,6 +26,7 @@ from repro.errors import (
 from repro.faults import CAPCorruptionSpec, CAPCorruptor, FaultPlan, OracleFaultSpec
 from repro.gui.session import VisualSession
 from repro.resilience import (
+    POSTURES,
     CAPInvariantChecker,
     Deadline,
     ResilienceConfig,
@@ -395,6 +398,27 @@ class TestConfig:
         paranoid = ResilienceConfig.paranoid(deadline_seconds=5.0)
         assert paranoid.verify_cap_on_run
         assert paranoid.deadline_seconds == 5.0
+
+    def test_from_posture_is_the_one_name_mapping(self):
+        """What ``--resilience``/``--deadline`` and the wire's
+        ``create_session`` resolve through."""
+        assert POSTURES == ("off", "default", "strict", "paranoid")
+        assert ResilienceConfig.from_posture("off") is None
+        assert ResilienceConfig.from_posture(None) is None
+        for name in POSTURES[1:]:
+            assert ResilienceConfig.from_posture(name) == getattr(ResilienceConfig, name)()
+        # A deadline bounds whatever the posture gives; alone it implies "default".
+        assert ResilienceConfig.from_posture("off", 2.0) == replace(
+            ResilienceConfig.default(), deadline_seconds=2.0
+        )
+        assert ResilienceConfig.from_posture("strict", 2.0) == replace(
+            ResilienceConfig.strict(), deadline_seconds=2.0
+        )
+        built = ResilienceConfig.paranoid()
+        assert ResilienceConfig.from_posture(built) is built
+        assert ResilienceConfig.from_posture(built, 1.5).deadline_seconds == 1.5
+        with pytest.raises(ValueError, match="bogus"):
+            ResilienceConfig.from_posture("bogus")
 
     def test_config_is_immutable(self):
         with pytest.raises(Exception):

@@ -122,6 +122,17 @@ class TestAdmissionAndEviction:
         assert manager.stats()["admission_rejections"] == 1
         assert manager.get(session.id) is session  # survivor intact
 
+    def test_unknown_resilience_posture_is_refused(self, fig2_ctx):
+        """A posture name only the wire can make up: typed, nothing admitted."""
+        manager = SessionManager(fig2_ctx)
+        for made_up in ("bogus", 5, ["strict"]):
+            with pytest.raises(AdmissionError, match="unknown resilience posture"):
+                manager.create_session(resilience=made_up)
+        assert manager.session_ids() == []
+        session = manager.create_session(resilience="strict", deadline_seconds=2.0)
+        assert session.limits.resilience.deadline_seconds == 2.0
+        assert not session.limits.resilience.degrade_to_bu
+
     def test_cap_budget_evicts_largest_idle_history(self, fig2_ctx):
         manager = SessionManager(fig2_ctx, cap_entry_budget=1)
         a = manager.create_session()

@@ -155,20 +155,16 @@ class TestParity:
         assert protocol.error_code(excinfo.value) == "session_not_found"
 
     def test_error_response_respects_relayed_retryable(self):
-        relayed = RelayedError(
-            "overloaded",
-            {
-                "type": "ServiceOverloadedError",
-                "message": "shed",
-                "retryable": True,
-                "retry_after_ms": 50,
-            },
-            retryable=True,
-        )
-        assert protocol.error_retryable(relayed) is True
-        response = protocol.error_response(2, "r1", relayed)
-        assert response["error"]["code"] == "overloaded"
-        assert response["error"]["retryable"] is True
+        error = {
+            "code": "overloaded",
+            "message": "shed",
+            "retryable": True,
+            "details": {"type": "ServiceOverloadedError", "retry_after_ms": 50},
+        }
+        relayed = RelayedError(error)
+        assert relayed.retryable is True
+        response = protocol.error_response("r1", relayed)
+        assert response["error"] == error
 
 
 class TestWorkerDeath:

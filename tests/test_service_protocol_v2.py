@@ -1,13 +1,16 @@
-"""Protocol v2 envelope + v1 backward compatibility.
+"""The wire contract: one dialect, one declaration of an error's code.
 
-The redesigned wire protocol (docs/SERVICE.md) puts ``v`` and ``req_id``
-on every frame and reports every failure through one typed error
-envelope.  The deprecated v1 dialect must keep round-tripping against
-the v2 server byte-compatibly — that is the negotiation contract this
-file pins, both at the codec level and over a real socket.
+The wire protocol (docs/SERVICE.md) puts ``v`` and ``req_id`` on every
+frame and reports every failure through one typed error envelope; a frame
+that is not that envelope is refused with it.  An error's ``code`` and
+``retryable`` verdict are class attributes in :mod:`repro.errors` — the
+frozen table below is what pins them, since clients switch on them.  Both
+are checked at the codec level, through a worker pool, and over a real
+socket.
 """
 
 import json
+import pickle
 import socket
 
 import hypothesis.strategies as st
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import errors
 from repro.core.actions import Run
 from repro.core.blender import Boomer
 from repro.core.enumerate import PartialMatches
@@ -24,6 +28,7 @@ from repro.errors import (
     AdmissionError,
     DeadlineExceededError,
     ProtocolError,
+    RelayedError,
     ReproError,
     SessionEvictedError,
     SessionNotFoundError,
@@ -43,8 +48,13 @@ from repro.service import (
 # ---------------------------------------------------------------------------
 class TestEnvelopeCodec:
     def test_current_version_and_supported_set(self):
+        """One dialect: a frame is the v2 envelope or it is refused."""
         assert protocol.PROTOCOL_VERSION == 2
-        assert protocol.SUPPORTED_VERSIONS == (1, 2)
+        assert protocol.decode_request(b'{"v": 2, "op": "ping"}')["op"] == "ping"
+        for frame in (b'{"op": "ping"}', b'{"id": 9, "op": "ping"}',
+                      b'{"v": 1, "op": "ping"}', b'{"v": "2", "op": "ping"}'):
+            with pytest.raises(ProtocolError, match="unsupported protocol version"):
+                protocol.decode_request(frame)
 
     def test_trace_and_metrics_are_ops(self):
         assert "trace" in protocol.OPS
@@ -52,14 +62,7 @@ class TestEnvelopeCodec:
 
     def test_v2_request_decodes_with_version_and_req_id(self):
         line = b'{"v": 2, "req_id": 5, "op": "ping"}'
-        request = protocol.decode_request(line)
-        assert protocol.request_version(request) == 2
-        assert protocol.request_id(request) == 5
-
-    def test_v1_request_decodes_as_version_1(self):
-        request = protocol.decode_request(b'{"id": 9, "op": "ping"}')
-        assert protocol.request_version(request) == 1
-        assert protocol.request_id(request) == 9
+        assert protocol.decode_request(line) == {"v": 2, "req_id": 5, "op": "ping"}
 
     def test_unsupported_version_rejected(self):
         with pytest.raises(ProtocolError, match="unsupported protocol version"):
@@ -70,15 +73,14 @@ class TestEnvelopeCodec:
             protocol.decode_request(b'{"v": 2, "req_id": 1, "op": "frobnicate"}')
 
     def test_ok_response_dialects(self):
-        v2 = protocol.ok_response(2, 7, {"x": 1})
-        assert v2 == {"v": 2, "req_id": 7, "ok": True, "result": {"x": 1}}
-        v1 = protocol.ok_response(1, 7, {"x": 1})
-        assert v1 == {"id": 7, "ok": True, "result": {"x": 1}}
-        assert "v" not in v1
+        """There is one: the v2 envelope."""
+        assert protocol.ok_response(7, {"x": 1}) == {
+            "v": 2, "req_id": 7, "ok": True, "result": {"x": 1}
+        }
 
     def test_error_response_v2_typed_envelope(self):
         exc = SessionEvictedError("s1", "cap pressure")
-        response = protocol.error_response(2, 3, exc)
+        response = protocol.error_response(3, exc)
         error = response["error"]
         assert response["v"] == 2 and response["req_id"] == 3
         assert response["ok"] is False
@@ -86,14 +88,7 @@ class TestEnvelopeCodec:
         assert error["retryable"] is True
         assert error["details"]["type"] == "SessionEvictedError"
         assert error["details"]["session"] == "s1"
-
-    def test_error_response_v1_keeps_legacy_shape(self):
-        exc = SessionNotFoundError("nope")
-        response = protocol.error_response(1, 4, exc)
-        error = response["error"]
-        assert response == {"id": 4, "ok": False, "error": error}
-        assert error["type"] == "SessionNotFoundError"
-        assert "code" not in error  # v1 never grew the v2 fields
+        assert list(error) == ["code", "message", "retryable", "details"]
 
     def test_error_codes_are_stable(self):
         cases = {
@@ -107,18 +102,142 @@ class TestEnvelopeCodec:
         }
         for exc, code in cases.items():
             assert protocol.error_code(exc) == code
+        bug = protocol.error_object(RuntimeError("bug"))
+        assert bug["retryable"] is False and bug["details"] == {"type": "RuntimeError"}
 
     def test_deadline_details_carry_context(self):
         exc = DeadlineExceededError(context="enumeration")
-        error = protocol.error_response(2, 1, exc)["error"]
+        error = protocol.error_response(1, exc)["error"]
         assert error["code"] == "deadline_exceeded"
         assert error["details"]["deadline_context"] == "enumeration"
 
-    def test_best_effort_id_defaults_junk_to_v1(self):
-        assert protocol.best_effort_id(b"{not json") == (None, 1)
-        assert protocol.best_effort_id(b"[1, 2]") == (None, 1)
-        assert protocol.best_effort_id(b'{"id": 3, "op": "nope"}') == (3, 1)
-        assert protocol.best_effort_id(b'{"v": 2, "req_id": 8, "op": "nope"}') == (8, 2)
+    def test_best_effort_id_echoes_a_json_objects_req_id(self):
+        assert protocol.best_effort_id(b"{not json") is None
+        assert protocol.best_effort_id(b"[1, 2]") is None
+        assert protocol.best_effort_id(b'{"id": 3, "op": "nope"}') is None
+        assert protocol.best_effort_id(b'{"req_id": 3, "op": "ping"}') == 3
+        assert protocol.best_effort_id(b'{"v": 2, "req_id": 8, "op": "nope"}') == 8
+
+
+# ---------------------------------------------------------------------------
+# The error table: (code, retryable) per class, frozen
+# ---------------------------------------------------------------------------
+#: What every ``ReproError`` subclass of errors.py resolves to on the wire.
+#: The classes declare it (``code`` / ``retryable`` attributes, inherited
+#: where a class says nothing); this table is the wire-stability pin, equal
+#: to what the two registries protocol.py used to keep resolved to.  A new
+#: class, a changed code or a flipped verdict is a client-visible change
+#: and must be made here too, on purpose.
+ERROR_TABLE = {
+    "ReproError": ("engine_error", False),
+    "GraphError": ("engine_error", False),
+    "GraphBuildError": ("engine_error", False),
+    "VertexNotFoundError": ("engine_error", False),
+    "EdgeNotFoundError": ("engine_error", False),
+    "GraphIOError": ("engine_error", False),
+    "QueryError": ("engine_error", False),
+    "QueryValidationError": ("engine_error", False),
+    "QueryVertexNotFoundError": ("engine_error", False),
+    "QueryEdgeNotFoundError": ("engine_error", False),
+    "BoundsError": ("engine_error", False),
+    "QueryFileError": ("query_file_invalid", False),
+    "IndexError_": ("engine_error", False),
+    "IndexNotBuiltError": ("engine_error", False),
+    "StaleIndexError": ("stale_index", False),
+    "GraphMutationError": ("graph_mutation_invalid", False),
+    "CAPError": ("engine_error", False),
+    "CAPStateError": ("engine_error", False),
+    "SessionError": ("session_state", False),
+    "ActionError": ("bad_action", False),
+    "LatencyConfigError": ("latency_config_invalid", False),
+    "DatasetError": ("engine_error", False),
+    "ExperimentError": ("engine_error", False),
+    "ResilienceError": ("engine_error", False),
+    "DeadlineExceededError": ("deadline_exceeded", False),
+    "RetryExhaustedError": ("retry_exhausted", False),
+    "CAPCorruptionError": ("cap_corrupted", False),
+    "DegradedModeError": ("degraded_mode", False),
+    "ServiceError": ("engine_error", False),
+    "SessionNotFoundError": ("session_not_found", False),
+    "SessionEvictedError": ("session_evicted", True),
+    "AdmissionError": ("admission_refused", True),
+    "OverloadConfigError": ("overload_config", False),
+    "ServiceOverloadedError": ("overloaded", True),
+    "ServiceTimeoutError": ("service_timeout", True),
+    "CheckpointError": ("checkpoint_invalid", False),
+    "ProtocolError": ("bad_request", False),
+    "WorkerPoolError": ("worker_pool", False),
+    "WorkerDiedError": ("worker_died", True),
+    "StorageError": ("storage_error", False),
+    "BasisFormatError": ("basis_format_invalid", False),
+    "AnalysisError": ("analysis_error", False),
+    "LintUsageError": ("lint_usage_invalid", False),
+    "LockOrderViolationError": ("lock_order_inversion", False),
+}
+
+#: Constructor arguments of the classes that do not take one message.
+ERROR_ARGS = {
+    "VertexNotFoundError": (7,),
+    "EdgeNotFoundError": (1, 2),
+    "QueryVertexNotFoundError": (3,),
+    "QueryEdgeNotFoundError": (3, 4),
+    "StaleIndexError": ("PML index", 3, 1),
+    "DeadlineExceededError": ("enumeration", 0.25),
+    "RetryExhaustedError": ("process_edge", 3, RuntimeError("boom")),
+    "SessionNotFoundError": ("s9",),
+    "SessionEvictedError": ("s1", "cap pressure"),
+    "ServiceOverloadedError": ("shed", "queue", 75),
+    "ServiceTimeoutError": ("run", 1.5),
+    "WorkerDiedError": (1, "pipe closed"),
+}
+
+#: The ``details`` extras, in wire order, of the classes that have any.
+ERROR_EXTRAS = {
+    "DeadlineExceededError": {"deadline_context": "enumeration"},
+    "SessionNotFoundError": {"session": "s9"},
+    "SessionEvictedError": {"session": "s1", "restorable": False},
+    "ServiceOverloadedError": {"retry_after_ms": 75, "reason": "queue"},
+    "WorkerDiedError": {"worker": 1},
+}
+
+
+class TestErrorTable:
+    def test_table_names_every_error_class(self):
+        """Every ``ReproError`` subclass errors.py defines is in the table
+        (``RelayedError`` carries another exception's code per instance)."""
+        defined = {
+            name
+            for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, ReproError)
+        }
+        assert defined - {"RelayedError"} == set(ERROR_TABLE)
+        assert defined == set(errors.__all__)
+
+    @pytest.mark.parametrize("name", sorted(ERROR_TABLE))
+    def test_code_retryable_and_frame_are_frozen(self, name):
+        """The class attributes, the serialised ``error`` object (key order
+        included) and its relay through a pool pipe, class by class."""
+        code, retryable = ERROR_TABLE[name]
+        cls = getattr(errors, name)
+        assert (cls.code, cls.retryable) == (code, retryable)
+        exc = cls(*ERROR_ARGS.get(name, ("something failed",)))
+        want = {
+            "code": code,
+            "message": str(exc),
+            "retryable": retryable,
+            "details": {"type": name, **ERROR_EXTRAS.get(name, {})},
+        }
+        error = protocol.error_object(exc)
+        assert json.dumps(error) == json.dumps(want)
+        assert protocol.error_code(exc) == code
+        # What the worker sends is what the dispatcher's carrier gives back.
+        relayed = RelayedError(pickle.loads(pickle.dumps(error)))
+        assert (relayed.code, relayed.retryable, str(relayed)) == (
+            code, retryable, str(exc)
+        )
+        assert protocol.encode_line(
+            protocol.error_response(7, relayed)
+        ) == protocol.encode_line(protocol.error_response(7, exc))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +299,8 @@ class TestCanonicalMatches:
 # ---------------------------------------------------------------------------
 # The `matches` frame: spliced text == json.dumps of the nested lists
 # ---------------------------------------------------------------------------
-def reference_frame(version, req_id, result) -> bytes:
-    payload = protocol.ok_response(version, req_id, result)
+def reference_frame(req_id, result) -> bytes:
+    payload = {"v": 2, "req_id": req_id, "ok": True, "result": result}
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -215,28 +334,25 @@ def serial_matches(ctx, script) -> list[dict[int, int]]:
 class TestMatchesFrameBytes:
     @given(
         match_sets(),
-        st.sampled_from([1, 2]),
         st.one_of(st.integers(), st.none(), st.text(), st.just('"matches":')),
         st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_spliced_frame_equals_json_dumps(self, matches, version, req_id, routed):
-        """Any M and k (0 and 1 included), both dialects, any echoed id,
-        with and without a key after ``matches`` in the result."""
+    def test_spliced_frame_equals_json_dumps(self, matches, req_id, routed):
+        """Any M and k (0 and 1 included), any echoed id, with and without
+        a key after ``matches`` in the result."""
         extra = {"worker": 1} if routed else {}
         block = protocol.match_block(matches)
         got = protocol.encode_line(
-            protocol.ok_response(version, req_id, {"matches": block, **extra})
+            protocol.ok_response(req_id, {"matches": block, **extra})
         )
         want = reference_frame(
-            version, req_id, {"matches": reference_canonical(matches), **extra}
+            req_id, {"matches": reference_canonical(matches), **extra}
         )
         assert got == want
         assert block.dumps() == json.dumps(block.tolist(), separators=(",", ":"))
 
     def test_block_survives_a_pickle(self):
-        import pickle
-
         block = protocol.match_block([{3: 9, 1: 4}, {3: 2, 1: 4}])
         again = pickle.loads(pickle.dumps(block))
         assert again == block and again.tolist() == [[[1, 4], [3, 2]], [[1, 4], [3, 9]]]
@@ -253,8 +369,8 @@ class TestMatchesFrameBytes:
     @pytest.mark.parametrize("backend", ["local", "pool"])
     @pytest.mark.parametrize("script", sorted(FRAME_SCRIPTS))
     def test_dispatched_frame_bytes(self, backends, backend, script):
-        """Threaded and through a two-worker pool's pipe, v1 and v2: the
-        frame is ``json.dumps`` of the sorted comprehension."""
+        """Threaded and through a two-worker pool's pipe: the frame is
+        ``json.dumps`` of the sorted comprehension."""
         ctx, dispatchers = backends
         dispatcher = dispatchers[backend]
         want = reference_canonical(serial_matches(ctx, FRAME_SCRIPTS[script]))
@@ -264,9 +380,8 @@ class TestMatchesFrameBytes:
             dispatcher.dispatch({"op": "action", "session": sid, "action": action})
         dispatcher.dispatch({"op": "run", "session": sid})
         result = dispatcher.dispatch({"op": "matches", "session": sid})
-        for version in (1, 2):
-            frame = protocol.encode_line(protocol.ok_response(version, 7, result))
-            assert frame == reference_frame(version, 7, {"matches": want})
+        frame = protocol.encode_line(protocol.ok_response(7, result))
+        assert frame == reference_frame(7, {"matches": want})
 
 
 # ---------------------------------------------------------------------------
@@ -288,36 +403,42 @@ def raw_roundtrip(address, frame: dict) -> dict:
 
 
 class TestWireNegotiation:
-    def test_v2_frame_gets_v2_envelope(self, server):
+    def test_v2_frame_gets_v2_envelope(self, server, fig2_ctx):
         response = raw_roundtrip(
             server.address, {"v": 2, "req_id": 11, "op": "ping"}
         )
-        assert response["v"] == 2
-        assert response["req_id"] == 11
-        assert response["ok"] is True
-        assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION
-        assert response["result"]["supported_protocols"] == [1, 2]
+        assert response == {
+            "v": 2,
+            "req_id": 11,
+            "ok": True,
+            "result": {"pong": True, "protocol": 2, "graph": fig2_ctx.graph.name},
+        }
 
-    def test_v1_frame_still_roundtrips(self, server):
-        """The acceptance check: pre-envelope clients keep working."""
-        response = raw_roundtrip(server.address, {"id": 21, "op": "ping"})
-        assert response["id"] == 21
-        assert response["ok"] is True
-        assert "v" not in response and "req_id" not in response
-
-    def test_v1_error_keeps_legacy_shape_on_the_wire(self, server):
-        response = raw_roundtrip(
-            server.address,
-            {
-                "id": 1,
-                "op": "action",
-                "session": "ghost",
-                "action": {"kind": "NewVertex", "vertex_id": 0, "label": "A"},
-            },
-        )
-        assert response["ok"] is False
-        assert response["error"]["type"] == "SessionNotFoundError"
-        assert "code" not in response["error"]
+    @pytest.mark.parametrize(
+        "envelope", [{}, {"v": 1}, {"v": 3}], ids=["no-v", "v1", "v3"]
+    )
+    def test_other_dialects_get_bad_request_and_the_connection_stays_usable(
+        self, server, envelope
+    ):
+        """A frame that is not the v2 envelope — the retired v1 dialect
+        included — is refused in v2, ``req_id`` echoed, and the next frame
+        on the same connection is served."""
+        with socket.create_connection(server.address, timeout=10) as sock:
+            handle = sock.makefile("rwb")
+            frame = {**envelope, "req_id": 21, "id": 21, "op": "ping"}
+            handle.write(json.dumps(frame).encode() + b"\n")
+            handle.flush()
+            response = json.loads(handle.readline())
+            assert response["v"] == 2 and response["req_id"] == 21
+            assert response["ok"] is False and "id" not in response
+            error = response["error"]
+            assert list(error) == ["code", "message", "retryable", "details"]
+            assert error["code"] == "bad_request" and error["retryable"] is False
+            assert error["details"] == {"type": "ProtocolError"}
+            handle.write(b'{"v": 2, "req_id": 22, "op": "ping"}\n')
+            handle.flush()
+            response = json.loads(handle.readline())
+            assert response["ok"] is True and response["req_id"] == 22
 
     def test_v2_error_envelope_on_the_wire(self, server):
         response = raw_roundtrip(
@@ -334,39 +455,6 @@ class TestWireNegotiation:
         )
         assert response["error"]["code"] == "bad_request"
         assert response["req_id"] == 5
-
-    def test_v1_session_lifecycle_end_to_end(self, server):
-        """A whole pre-envelope conversation: create, act, run, matches."""
-        with socket.create_connection(server.address, timeout=10) as sock:
-            handle = sock.makefile("rwb")
-
-            def call(frame):
-                handle.write(json.dumps(frame).encode() + b"\n")
-                handle.flush()
-                response = json.loads(handle.readline())
-                assert response["ok"], response
-                assert "v" not in response
-                return response["result"]
-
-            sid = call({"id": 1, "op": "create_session", "strategy": "DI"})["session"]
-            for i, action in enumerate(
-                [
-                    {"kind": "NewVertex", "vertex_id": 0, "label": "A"},
-                    {"kind": "NewVertex", "vertex_id": 1, "label": "B"},
-                    {
-                        "kind": "NewEdge",
-                        "u": 0,
-                        "v": 1,
-                        "lower": 1,
-                        "upper": 1,
-                    },
-                ]
-            ):
-                call({"id": 2 + i, "op": "action", "session": sid, "action": action})
-            summary = call({"id": 10, "op": "run", "session": sid})
-            assert summary["num_matches"] > 0
-            matches = call({"id": 11, "op": "matches", "session": sid})["matches"]
-            assert matches
 
 
 class TestClientSpeaksV2:
@@ -386,13 +474,53 @@ class TestClientSpeaksV2:
         assert info.value.code == "session_not_found"
         assert info.value.remote_type == "SessionNotFoundError"
         assert info.value.retryable is False
+        assert info.value.details == {
+            "type": "SessionNotFoundError", "session": "ghost"
+        }
 
-    def test_remote_error_parses_v1_payloads_too(self):
-        from repro.service.client import RemoteServiceError
 
-        legacy = RemoteServiceError(
-            {"type": "AdmissionError", "message": "full", "retryable": True}
-        )
-        assert legacy.code is None
-        assert legacy.remote_type == "AdmissionError"
-        assert legacy.retryable is True
+# ---------------------------------------------------------------------------
+# Error frames: threaded == through a two-worker pool, byte for byte
+# ---------------------------------------------------------------------------
+def error_frame(dispatcher, request) -> bytes:
+    """The reply ``QueryServer.handle_line`` writes when ``request`` fails."""
+    with pytest.raises(ReproError) as info:
+        dispatcher.dispatch(request)
+    return protocol.encode_line(protocol.error_response(7, info.value))
+
+
+def test_error_frames_byte_identical_threaded_and_pooled(fig2_pre):
+    """One non-retryable and two retryable verdicts with extras: the whole
+    frame a client reads is the same with ``--workers 0`` and through a
+    worker's pipe.  (The local manager numbers sessions like worker 0.)"""
+    ctx = make_context(fig2_pre)
+    local = LocalDispatcher(SessionManager(ctx, max_sessions=1, session_prefix="w0s"))
+    pool = PoolDispatcher(ctx, workers=2, max_sessions=2)  # one session a worker
+    try:
+        frames = {}
+        for name, backend, creates in (("local", local, 2), ("pool", pool, 3)):
+            # The last create lands where the first did and evicts it.
+            sids = [
+                backend.dispatch({"op": "create_session"})["session"]
+                for _ in range(creates)
+            ]
+            assert (sids[0], sids[-1]) == ("w0s1", "w0s2")
+            unknown = error_frame(backend, {"op": "matches", "session": "w0s999"})
+            evicted = error_frame(backend, {"op": "run", "session": "w0s1"})
+            backend.drain(timeout=5.0)
+            shed = error_frame(backend, {"op": "run", "session": "w0s2"})
+            frames[name] = (unknown, evicted, shed)
+        assert frames["local"] == frames["pool"]
+        unknown, evicted, shed = (json.loads(f)["error"] for f in frames["pool"])
+        assert (unknown["code"], unknown["retryable"]) == ("session_not_found", False)
+        assert unknown["details"] == {"type": "SessionNotFoundError", "session": "w0s999"}
+        assert (evicted["code"], evicted["retryable"]) == ("session_evicted", True)
+        assert evicted["details"] == {
+            "type": "SessionEvictedError", "session": "w0s1", "restorable": True
+        }
+        assert (shed["code"], shed["retryable"]) == ("overloaded", True)
+        assert shed["details"] == {
+            "type": "ServiceOverloadedError", "retry_after_ms": 250, "reason": "draining"
+        }
+    finally:
+        pool.close()

@@ -86,13 +86,14 @@ def test_bad_json_is_answered_not_fatal(server):
         f.write(b"this is not json\n")
         f.flush()
         response = json.loads(f.readline())
-        assert response["ok"] is False
-        assert response["error"]["type"] == "ProtocolError"
+        assert response["ok"] is False and response["req_id"] is None
+        assert response["error"]["code"] == "bad_request"
+        assert response["error"]["details"]["type"] == "ProtocolError"
         # Same connection still serves valid requests afterwards.
-        f.write(b'{"id": 1, "op": "ping"}\n')
+        f.write(b'{"v": 2, "req_id": 1, "op": "ping"}\n')
         f.flush()
         response = json.loads(f.readline())
-        assert response["ok"] is True and response["id"] == 1
+        assert response["ok"] is True and response["req_id"] == 1
 
 
 @pytest.mark.parametrize("terminated", [True, False], ids=["newline", "no-newline"])

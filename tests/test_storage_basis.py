@@ -151,6 +151,29 @@ class TestMmapStore:
         with pytest.raises(BasisFormatError, match="finalized"):
             load_basis(directory)
 
+    def test_directory_of_an_older_writer_opens(self, fig2_ctx, fig2_basis, tmp_path):
+        """``meta.json`` once recorded a ``batch_enabled`` flag and, before
+        that, no ``epoch``: same format version, so such a directory opens
+        and serves the same matches."""
+        directory = save_basis(fig2_basis, tmp_path / "b")
+        meta = json.loads((directory / "meta.json").read_text())
+        assert "batch_enabled" not in meta
+        meta["batch_enabled"] = True
+        del meta["epoch"]
+        (directory / "meta.json").write_text(json.dumps(meta))
+        loaded = load_basis(directory)
+        assert loaded.scalars() == fig2_basis.scalars()
+        assert loaded.equal_bytes(fig2_basis)
+        assert run_script(context_from_basis(loaded)) == run_script(fig2_ctx)
+
+    def test_manifest_without_a_required_scalar_rejected(self, fig2_basis, tmp_path):
+        directory = save_basis(fig2_basis, tmp_path / "b")
+        meta = json.loads((directory / "meta.json").read_text())
+        del meta["graph_name"]
+        (directory / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(BasisFormatError, match="graph_name"):
+            load_basis(directory)
+
     def test_shape_drift_rejected(self, fig2_basis, tmp_path):
         directory = save_basis(fig2_basis, tmp_path / "b")
         np.save(

@@ -183,6 +183,40 @@ def test_hot_tier_never_exceeds_budget(budget, overfill, puts):
     assert cache.resident_bytes == 0
 
 
+def test_epoch_survives_publish_and_attach_on_every_backend(tmp_path):
+    """A basis extracted after an update is at epoch 1, and every transport
+    hands back epoch 1: the backend's own context, and the context a pool
+    worker attaches from the spec (shm segments, the mmap directory)."""
+    from repro.updates import insert_edge
+    from tests.conftest import build_fig2_graph
+
+    ctx = make_context(preprocess(build_fig2_graph(), seed=1))
+    graph = ctx.graph
+    u, v = next(
+        (u, v)
+        for u in range(graph.num_vertices)
+        for v in range(u + 1, graph.num_vertices)
+        if not graph.has_edge(u, v)
+    )
+    insert_edge(ctx, u, v)
+    basis = basis_from_context(ctx)
+    assert basis.epoch == 1 and basis.scalars()["epoch"] == 1
+    with all_backends(basis, tmp_path / "b") as backends:
+        for name, backend in backends.items():
+            own = backend.context()
+            assert (own.epoch, own.oracle.epoch) == (1, 1), name
+            assert own.graph.has_edge(u, v), name
+            if name == "resident":
+                continue
+            attached, handles = attach(backend.spec())
+            try:
+                assert (attached.epoch, attached.oracle.epoch) == (1, 1), name
+                assert basis_from_context(attached).scalars() == basis.scalars(), name
+            finally:
+                for handle in handles:
+                    handle.close()
+
+
 def test_shm_segments_unlinked_on_close():
     """No leaked shared-memory segments after a backend close."""
     from multiprocessing import shared_memory
