@@ -46,18 +46,12 @@ def main() -> None:
         f"(SRT {result.srt_seconds * 1e3:.2f} ms)"
     )
 
-    # Visualization phase: keep only pairs where user A itself is matched
-    # and the JIT lower-bound check confirms a genuine 2-hop connection.
-    shown = 0
-    rejected_direct = 0
-    for match in result.matches:
-        if match[0] != hub:
-            continue
-        subgraph = boomer.visualize(match)
-        if subgraph is None:
-            rejected_direct += 1
-            continue
-        friend_of_friend = match[1]
+    # Visualization phase: the JIT lower-bound check keeps the pairs with a
+    # genuine 2-hop connection; of those, show the ones matching user A itself.
+    fofs = [s for s in boomer.iter_results() if s.assignment[0] == hub]
+    rejected_direct = sum(m[0] == hub for m in result.matches) - len(fofs)
+    for subgraph in fofs[:10]:
+        friend_of_friend = subgraph.assignment[1]
         path = subgraph.paths[(0, 1)]
         middle = path[1]
         is_direct = graph.has_edge(hub, friend_of_friend)
@@ -66,10 +60,8 @@ def main() -> None:
             f"{'  (also direct friends)' if is_direct else ''}"
         )
         assert len(path) - 1 == 2
-        shown += 1
-        if shown >= 10:
-            print("  ... (showing first 10)")
-            break
+    if len(fofs) > 10:
+        print("  ... (showing first 10)")
     print(
         f"\n{rejected_direct} candidate(s) rejected by the just-in-time "
         "lower-bound check (no simple 2-hop path)"

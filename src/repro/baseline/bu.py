@@ -23,9 +23,11 @@ answers are comparable 1:1 with BOOMER's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.context import EngineContext
-from repro.core.lowerbound import ResultSubgraph, filter_by_lower_bound
+from repro.core.enumerate import PartialMatches
+from repro.core.lowerbound import ResultSubgraph, filter_by_lower_bound, valid_chunks
 from repro.core.query import BPHQuery
 from repro.obs.clock import now
 
@@ -146,11 +148,6 @@ class BoomerUnaware:
 
     def results(self, bu_result: BUResult, query: BPHQuery, limit: int | None = None) -> list[ResultSubgraph]:
         """Lower-bound-validated result subgraphs (same JIT path as BOOMER)."""
-        out: list[ResultSubgraph] = []
-        for match in bu_result.matches:
-            subgraph = filter_by_lower_bound(match, query, self.ctx)
-            if subgraph is not None:
-                out.append(subgraph)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
+        matches = PartialMatches.from_dicts(bu_result.matches, order=bu_result.order or None)
+        verify = partial(filter_by_lower_bound, query=query, ctx=self.ctx)
+        return [s for valid in valid_chunks(matches, limit, verify) for s in valid]

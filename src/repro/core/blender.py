@@ -49,7 +49,7 @@ from repro.core.context import EngineContext
 from repro.core.cost import CostModel
 from repro.core.edge_pool import EdgePool
 from repro.core.enumerate import PartialMatches, partial_vertex_sets
-from repro.core.lowerbound import ResultSubgraph, filter_by_lower_bound
+from repro.core.lowerbound import ResultSubgraph, filter_by_lower_bound, valid_chunks
 from repro.core.modification import (
     ModificationReport,
     delete_edge,
@@ -74,6 +74,7 @@ from repro.errors import (
     RetryExhaustedError,
     SessionError,
 )
+from repro.indexing.oracle import shared_bfs_oracle
 from repro.obs.clock import now
 from repro.obs.metrics import record_run_counters
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -764,7 +765,6 @@ class Boomer:
         # Lazy import: core -> baseline is a deliberate, contained layer
         # inversion that only the degraded path pays for.
         from repro.baseline.bu import BoomerUnaware
-        from repro.indexing.oracle import shared_bfs_oracle
 
         engine = self.engine
         timeout: float | None = None
@@ -806,22 +806,15 @@ class Boomer:
         ) from last_error
 
     # -- result generation (Section 5.4) ------------------------------------
-    def visualize(self, match: dict[int, int]) -> ResultSubgraph | None:
-        """Lower-bound check + path materialization for one ``V_P``.
-
-        Returns None when the match fails some lower bound (it is then not
-        a bounded 1-1 p-hom match and is not displayed).
-        """
-        if self.run_result is None:
-            raise SessionError("call apply(Run()) before visualizing results")
-        with self.tracer.span("result.visualize") as span, self.result_generation:
+    def _verify(self, rows: PartialMatches) -> list[ResultSubgraph | None]:
+        """Lower-bound check + path materialization for a chunk of ``V_Δ``
+        rows: one span, one stopwatch and one oracle failover for all."""
+        with self.tracer.span("result.visualize", rows=len(rows)) as span, self.result_generation:
             # _result_ctx is the session context normally; after a degraded
             # run it is the fallback rung's context, so JIT lower-bound
             # checks never touch a dead oracle.
             try:
-                subgraph = filter_by_lower_bound(
-                    match, self.engine.query, self._result_ctx
-                )
+                verdicts = filter_by_lower_bound(rows, self.engine.query, self._result_ctx)
             except Exception as exc:
                 if not self._absorbable(exc):
                     raise
@@ -829,37 +822,35 @@ class Boomer:
                 # have needed it): fail result generation over to the
                 # shared BFS oracle — exact distances, so validation is
                 # unchanged, and repeated failures reuse its warm cache.
-                from repro.indexing.oracle import shared_bfs_oracle
-
                 self.absorbed_failures.append(f"{type(exc).__name__}: {exc}")
                 self._result_ctx = replace(
                     self.engine.ctx, oracle=shared_bfs_oracle(self.engine.ctx.graph)
                 )
-                subgraph = filter_by_lower_bound(
-                    match, self.engine.query, self._result_ctx
-                )
-            span.set(valid=subgraph is not None)
-            return subgraph
+                verdicts = filter_by_lower_bound(rows, self.engine.query, self._result_ctx)
+            span.set(valid=sum(subgraph is not None for subgraph in verdicts))
+            return verdicts
 
-    def iter_results(self):
-        """Lazily yield validated result subgraphs, one per Results-Panel step.
+    def visualize(self, match: dict[int, int]) -> ResultSubgraph | None:
+        """The validated subgraph of one ``V_P``, or None when the match
+        fails some lower bound (it is then not a bounded 1-1 p-hom match
+        and is not displayed)."""
+        if self.run_result is None:
+            raise SessionError("call apply(Run()) before visualizing results")
+        return self._verify(PartialMatches.from_dicts([match], order=list(match)))[0]
+
+    def iter_results(self, limit: int | None = None):
+        """Lazily yield validated result subgraphs, a chunk of rows at a time.
 
         Mirrors the paper's iteration model: the lower-bound check runs
-        just-in-time per displayed result, so the first results appear
-        without paying for validating the whole ``V_Δ``.
+        just-in-time as results are displayed, so the first results appear
+        without paying for validating the whole ``V_Δ``
+        (:func:`~repro.core.lowerbound.valid_chunks` sizes the chunks).
         """
         if self.run_result is None:
             raise SessionError("call apply(Run()) before fetching results")
-        for match in self.run_result.matches:
-            subgraph = self.visualize(match)
-            if subgraph is not None:
-                yield subgraph
+        for valid in valid_chunks(self.run_result.matches, limit, self._verify):
+            yield from valid
 
     def results(self, limit: int | None = None) -> list[ResultSubgraph]:
         """All (or the first ``limit``) fully validated result subgraphs."""
-        out: list[ResultSubgraph] = []
-        for subgraph in self.iter_results():
-            out.append(subgraph)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        return list(self.iter_results(limit))

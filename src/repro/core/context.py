@@ -66,6 +66,13 @@ class EngineContext:
         two-hop search's scan-choice cost model.
     cost_model:
         ``t_avg`` / ``t_lat`` bundle answering Definition 5.8.
+
+    A Results page (:func:`~repro.core.lowerbound.filter_by_lower_bound`
+    over a chunk of rows) charges ``distance_queries`` one logical query
+    per distinct (source, target) pair of its cells and ``oracle_calls``
+    one per distinct target (a kernel invocation; one per pair on the
+    scalar shim).  The BFS level arrays that answer every other distance
+    are graph reads, not oracle queries, and are charged to neither.
     """
 
     graph: Graph

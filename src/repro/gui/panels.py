@@ -55,7 +55,7 @@ class InterfaceSession:
         self.user_time_seconds = 0.0
         self._selected_label: Label | None = None
         self._next_vertex_id = 0
-        self._result_cursor = 0
+        self._results = None  # the Results Panel's position in iter_results()
         self._available_labels = sorted(
             ctx.graph.distinct_labels(), key=repr
         )
@@ -132,18 +132,12 @@ class InterfaceSession:
         Matches failing the just-in-time lower-bound check are skipped
         transparently, exactly as the paper's Results Panel would.
         """
-        run = self.boomer.run_result
-        if run is None:
+        if self.boomer.run_result is None:
             raise SessionError("press Run before browsing results")
-        matches = run.matches.matches
-        while self._result_cursor < len(matches):
-            match = matches[self._result_cursor]
-            self._result_cursor += 1
-            subgraph = self.boomer.visualize(match)
-            if subgraph is not None:
-                return subgraph
-        return None
+        if self._results is None:
+            self._results = self.boomer.iter_results()
+        return next(self._results, None)
 
     def reset_results(self) -> None:
         """Rewind the Results Panel iteration."""
-        self._result_cursor = 0
+        self._results = None

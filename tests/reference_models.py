@@ -1,16 +1,21 @@
-"""The container models the array CAP and the block DFS replaced.
+"""The container models the array CAP, the block DFS and the block
+lower-bound verify replaced.
 
 Kept here, and only here, as the references the conformance tests drive
 beside the real thing: a dict-of-set CAP with the scalar ``add_pair`` /
-``remove_pair`` and Algorithm 7's worklist prune, and the recursive
-depth-first enumeration over it.  Plus two helpers that turn the array
-CAP's state into plain Python for ``==``.
+``remove_pair`` and Algorithm 7's worklist prune, the recursive
+depth-first enumeration over it, and Algorithms 13/14 as the per-match,
+per-DFS-node oracle loop they are stated as.  Plus two helpers that turn
+the array CAP's state into plain Python for ``==``.
 """
 
 from __future__ import annotations
 
 from repro.core.cap import CAPIndex
+from repro.core.context import EngineContext
+from repro.core.lowerbound import PathSearchStats, ResultSubgraph
 from repro.core.query import BPHQuery, canonical_edge
+from repro.obs.metrics import metrics
 
 
 def ids(array) -> set[int]:
@@ -144,3 +149,107 @@ def recursive_dfs(
     except Full:
         return matches, True
     return matches, False
+
+
+def scalar_detect_path(
+    ctx: EngineContext,
+    source: int,
+    target: int,
+    lower: int,
+    upper: int,
+    max_nodes: int = 100_000,
+    stats: PathSearchStats | None = None,
+) -> list[int] | None:
+    """Find one simple path ``source -> target`` with length in [lower, upper].
+
+    Returns the vertex list (including endpoints) or None when no such path
+    exists.  ``max_nodes`` bounds the DFS expansion as a safety valve; the
+    distance-guided pruning keeps real searches tiny (Exp 5 measures this).
+    Pass a :class:`PathSearchStats` to learn whether a ``None`` meant
+    "proved absent" or "gave up at the expansion budget" (``truncated``).
+
+    The per-node pruning distances are fetched with one batched
+    ``distances_from(target, unvisited_neighbors)`` call — distances are
+    symmetric on the undirected data graph — instead of one oracle call
+    per neighbor.
+    """
+    if stats is None:
+        stats = PathSearchStats()
+    else:
+        stats.expanded = 0
+        stats.truncated = False
+    if source == target:
+        return None  # matching paths are non-empty and simple
+    d0 = ctx.distance(source, target)
+    if d0 < 0 or d0 > upper:
+        return None
+
+    graph = ctx.graph
+    path = [source]
+    visited = {source}
+
+    def dfs(current: int, steps: int) -> bool:
+        stats.expanded += 1
+        if stats.expanded > max_nodes:
+            stats.truncated = True
+            return False
+        if current == target:
+            return lower <= steps <= upper
+        if steps >= upper:
+            return False
+        d_current = ctx.distance(current, target)
+        neighbors = [
+            w for w in (int(w) for w in graph.neighbors(current))
+            if w not in visited
+        ]
+        progress: list[int] = []
+        detour: list[int] = []
+        if neighbors:
+            dists = ctx.distances_from(target, neighbors)
+            for w, d_w in zip(neighbors, dists):
+                d_w = int(d_w)
+                if d_w < 0 or steps + 1 + d_w > upper:
+                    continue  # cannot reach target within upper any more
+                if d_w == d_current - 1:
+                    progress.append(w)
+                else:
+                    detour.append(w)
+        # Algorithm 14 lines 15-19: if finishing via shortest continuation
+        # already satisfies lower, try progress first; else detour first.
+        ordered = progress + detour if steps + d_current >= lower else detour + progress
+        for w in ordered:
+            visited.add(w)
+            path.append(w)
+            if dfs(w, steps + 1):
+                return True
+            path.pop()
+            visited.discard(w)
+        return False
+
+    if dfs(source, 0):
+        return path
+    return None
+
+
+def scalar_filter_by_lower_bound(
+    assignment: dict[int, int],
+    query: BPHQuery,
+    ctx: EngineContext,
+    max_nodes: int = 100_000,
+) -> ResultSubgraph | None:
+    """Algorithm 13 for one match: a path per query edge, in edge order,
+    stopping at the first edge without one (counted as a truncation when
+    that search ran out of budget)."""
+    result = ResultSubgraph(assignment=dict(assignment))
+    stats = PathSearchStats()
+    for edge in query.edges():
+        path = scalar_detect_path(
+            ctx, assignment[edge.u], assignment[edge.v], edge.lower, edge.upper,
+            max_nodes=max_nodes, stats=stats,
+        )
+        if path is None:
+            if stats.truncated:
+                metrics.counter("repro_detect_path_truncations_total").inc()
+            return None
+        result.paths[edge.key] = path
+    return result

@@ -135,19 +135,12 @@ class TestFilterTruncationMetric:
 
         return metrics.counter("repro_detect_path_truncations_total").value
 
-    def test_truncated_rejection_increments_counter(self, fig2_ctx, monkeypatch):
-        import repro.core.lowerbound as lb
+    def test_truncated_rejection_increments_counter(self, fig2_ctx):
         from tests.conftest import make_fig2_query
 
-        original = lb.detect_path
-
-        def tiny_budget(ctx, source, target, lower, upper, max_nodes=100_000, stats=None):
-            return original(ctx, source, target, lower, upper, max_nodes=1, stats=stats)
-
-        monkeypatch.setattr(lb, "detect_path", tiny_budget)
         before = self._truncation_count()
-        result = lb.filter_by_lower_bound(
-            {0: 1, 1: 4, 2: 11}, make_fig2_query(), fig2_ctx
+        result = filter_by_lower_bound(
+            {0: 1, 1: 4, 2: 11}, make_fig2_query(), fig2_ctx, max_nodes=1
         )
         assert result is None  # the (valid) match was dropped at the budget
         assert self._truncation_count() == before + 1

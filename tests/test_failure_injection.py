@@ -142,19 +142,49 @@ class TestProtected:
         # Result generation must survive the dead oracle too.
         assert boomer.results()  # lower=1 bounds: every match validates
 
-    def test_dead_oracle_fails_over_during_result_generation(self, pre):
-        """Oracle dies *after* Run: visualize() swaps to a BFS oracle."""
-        # CAP construction needs only ~2 oracle calls for this query;
-        # result generation needs dozens, so the death lands there.
-        plan = FaultPlan(seed=5, oracle=OracleFaultSpec(fail_after=10))
-        ctx = make_ctx(pre, plan)
-        boomer = Boomer(ctx, strategy="IC", resilience=ResilienceConfig.default())
+    def _die_inside_the_page(self, pre):
+        """A session whose oracle dies one call into its first results page,
+        plus the clean page.  ``fail_after`` comes from the counted calls of
+        a clean Run, not from how many a page happens to need today."""
+        probe = make_ctx(pre, FaultPlan(seed=5, oracle=OracleFaultSpec()))
+        clean = Boomer(probe, strategy="IC", resilience=ResilienceConfig.default())
+        for action in triangle_actions():
+            clean.apply(action)
+        run_calls = probe.oracle.calls
+        clean_page = clean.results()
+        assert probe.oracle.calls > run_calls + 1  # the page asks more than once
+        plan = FaultPlan(seed=5, oracle=OracleFaultSpec(fail_after=run_calls + 1))
+        boomer = Boomer(
+            make_ctx(pre, plan), strategy="IC", resilience=ResilienceConfig.default()
+        )
         for action in triangle_actions():
             boomer.apply(action)
         assert not boomer.run_result.degraded
+        return boomer, clean_page
+
+    def test_dead_oracle_fails_over_during_result_generation(self, pre):
+        """Oracle dies *after* Run: the page's chunk swaps to a BFS oracle."""
+        boomer, _ = self._die_inside_the_page(pre)
         results = boomer.results()
         assert results
         assert not isinstance(boomer._result_ctx.oracle, FaultyOracle)
+
+    def test_failed_over_page_equals_clean_page(self, pre):
+        """One absorbed failure for the chunk the death landed in (three
+        matches), the same page, and the shared BFS oracle from then on."""
+        from repro.indexing.oracle import shared_bfs_oracle
+
+        boomer, clean_page = self._die_inside_the_page(pre)
+        absorbed = len(boomer.absorbed_failures)
+        page = boomer.results()
+        assert len(page) == 3
+        assert [(s.assignment, s.paths) for s in page] == [
+            (s.assignment, s.paths) for s in clean_page
+        ]
+        assert len(boomer.absorbed_failures) == absorbed + 1
+        assert "InjectedFaultError" in boomer.absorbed_failures[-1]
+        assert boomer._result_ctx.oracle is shared_bfs_oracle(boomer.engine.ctx.graph)
+        assert boomer.results() and len(boomer.absorbed_failures) == absorbed + 1
 
     def test_strict_config_raises_typed_error(self, pre):
         plan = FaultPlan(seed=5, oracle=OracleFaultSpec(fail_after=0))

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.graph.algorithms import k_hop_neighborhood
+from repro.graph.algorithms import bfs_distances, k_hop_neighborhood
 from repro.graph.builder import GraphBuilder
 from repro.indexing import twohop
-from repro.indexing.twohop import hop_pairs, two_hop_counts, two_hop_neighbors
+from repro.indexing.twohop import bfs_levels, hop_pairs, level_of, two_hop_counts, two_hop_neighbors
 from tests.conftest import build_cycle_graph, build_fig2_graph, build_path_graph
 
 
@@ -133,3 +133,28 @@ def test_hop_pairs_empty_sides(hops):
     assert hop_pairs(graph, everything, [], hops).shape == (0, 2)
     assert hop_pairs(graph, [], [], hops).dtype == np.int32
     assert hop_pairs(GraphBuilder().build(), [], [], hops).shape == (0, 2)
+
+
+# ----------------------------------------------------------------------
+# bfs_levels: bounded balls around many roots at once
+# ----------------------------------------------------------------------
+@given(hop_graphs(), st.data(), st.sampled_from([1, 2, 5, 1 << 16]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_bfs_levels_equals_bfs(graph, data, block):
+    """Every root's ball holds exactly the vertices within its own radius,
+    at their BFS distance, under one sorted key array."""
+    n = graph.num_vertices
+    roots = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    radii = [data.draw(st.integers(0, 4)) for _ in roots]
+    with mock.patch.object(twohop, "_HOP_BLOCK", block):
+        keys, levels = bfs_levels(graph, roots, radii)
+    assert keys.tolist() == sorted(set(keys.tolist()))
+    want = {}
+    for i, (root, radius) in enumerate(zip(roots, radii)):
+        for v, d in enumerate(bfs_distances(graph, root).tolist()):
+            if 0 <= d <= radius:
+                want[i * max(n, 1) + v] = d
+    assert dict(zip(keys.tolist(), levels.tolist())) == want
+    probes = np.arange(len(roots) * max(n, 1))
+    if len(keys):
+        assert level_of(keys, levels, probes, -7).tolist() == [want.get(k, -7) for k in probes.tolist()]
