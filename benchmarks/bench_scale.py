@@ -8,14 +8,12 @@ all three :mod:`repro.storage` backends:
   the on-disk basis amortizes away across restarts);
 * **basis** — the fully-resident footprint (``EngineBasis.nbytes()``)
   and the mmap save/open round trip;
-* **serve** — one scripted Run per backend, recording SRT and asserting
+* **serve** — one scripted Run per backend, recording the time to open
+  the backend, SRT and the process' peak RSS after the arm, and asserting
   the matches are byte-identical everywhere (the conformance invariant
-  at bench scale);
-* **tiering** — the mmap arm runs under a hot-tier byte budget of
-  ``BUDGET_FRACTION`` (25%) of the resident footprint, and the
-  ``repro_storage_resident_bytes`` gauge must stay under it — the
-  ISSUE-8 acceptance shape: paper-scale data served in a quarter of the
-  memory without changing a single answer.
+  at bench scale).  No arm has a cache to size: a stored index reads its
+  label columns where they lie (``docs/STORAGE.md``), so what the mmap
+  arm keeps resident is whatever pages the kernel decides to.
 
 The ``flickr/paper`` rung (1.8M vertices, ~23M edges) is hours of
 pure-Python PML construction, so it only joins the ladder when
@@ -35,12 +33,8 @@ from pathlib import Path
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.datasets.registry import clear_memory_cache, get_dataset
-from repro.obs.metrics import metrics
 from repro.service import canonical_matches
-from repro.storage import (
-    basis_from_context,
-    open_backend,
-)
+from repro.storage import basis_from_context, open_backend
 
 #: (dataset, scale) rungs, smallest first.  The paper rung is env-gated.
 STEPS: tuple[tuple[str, str], ...] = (
@@ -49,8 +43,6 @@ STEPS: tuple[tuple[str, str], ...] = (
     ("flickr", "small"),
 )
 PAPER_STEP = ("flickr", "paper")
-#: Hot-tier budget as a fraction of the fully-resident basis footprint.
-BUDGET_FRACTION = 0.25
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
 
@@ -82,17 +74,6 @@ def _serve_once(ctx, actions) -> tuple[float, tuple]:
     return run.srt_seconds, canonical_matches(run.matches)
 
 
-def _series_value(name: str) -> float:
-    """Sum of a metric's series in the process registry (0.0 if absent)."""
-    total = 0.0
-    for key, value in metrics.snapshot().items():
-        if (key == name or key.startswith(name + "{")) and isinstance(
-            value, (int, float)
-        ):
-            total += value
-    return total
-
-
 def _peak_rss_bytes() -> int:
     # ru_maxrss is KiB on Linux.
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
@@ -105,8 +86,6 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
     build_seconds = time.perf_counter() - t0
 
     basis = basis_from_context(bundle.make_context())
-    nbytes = basis.nbytes()
-    budget = max(1, int(nbytes * BUDGET_FRACTION))
     actions = _script(bundle.graph)
 
     row: dict = {
@@ -115,8 +94,7 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
         "num_vertices": bundle.graph.num_vertices,
         "num_edges": bundle.graph.num_edges,
         "build_seconds": round(build_seconds, 4),
-        "basis_nbytes": nbytes,
-        "budget_bytes": budget,
+        "basis_nbytes": basis.nbytes(),
         "backends": {},
     }
 
@@ -124,41 +102,19 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
     matches_by_backend: dict[str, tuple] = {}
     for backend_name in ("resident", "shm", "mmap"):
         t0 = time.perf_counter()
-        backend = open_backend(
-            backend_name,
-            basis=basis,
-            directory=basis_dir if backend_name == "mmap" else None,
-            budget_bytes=budget if backend_name == "mmap" else None,
-        )
+        backend = open_backend(backend_name, basis=basis, directory=basis_dir)
         open_seconds = time.perf_counter() - t0
         try:
-            ctx = backend.context()
-            srt, matches = _serve_once(ctx, actions)
-            if backend_name == "mmap":
-                # The Run above rides the batch kernels (raw array reads);
-                # scalar oracle queries are what flow through the tiered
-                # label views, so probe a spread of pairs to exercise the
-                # hot tier before reading its gauges.
-                n = bundle.graph.num_vertices
-                for v in range(0, n, max(1, n // 512)):
-                    ctx.oracle.distance(0, v)
+            srt, matches = _serve_once(backend.context(), actions)
         finally:
             backend.close()
         matches_by_backend[backend_name] = matches
-        entry = {
+        row["backends"][backend_name] = {
             "open_seconds": round(open_seconds, 4),
             "srt_seconds": round(srt, 6),
             "num_matches": len(matches),
+            "peak_rss_bytes": _peak_rss_bytes(),
         }
-        if backend_name == "mmap":
-            resident = _series_value("repro_storage_resident_bytes")
-            entry["hot_tier_resident_bytes"] = int(resident)
-            entry["hot_tier_hits"] = int(_series_value("repro_storage_hits_total"))
-            assert resident <= budget, (
-                f"{name}/{scale}: hot tier {resident:.0f}B exceeds the "
-                f"{budget}B budget (25% of the {nbytes}B footprint)"
-            )
-        row["backends"][backend_name] = entry
 
     reference = matches_by_backend["resident"]
     for backend_name, matches in matches_by_backend.items():
@@ -166,14 +122,12 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
             f"{name}/{scale}: {backend_name} matches diverged from resident"
         )
     row["matches_identical"] = True
-    row["peak_rss_bytes"] = _peak_rss_bytes()
     return row
 
 
 def test_scale_ladder(tmp_path: Path) -> None:
     rows = [bench_step(name, scale, tmp_path) for name, scale in _steps()]
     payload = {
-        "budget_fraction": BUDGET_FRACTION,
         "paper_rung_included": os.environ.get("REPRO_BENCH_PAPER") == "1",
         "cpu_count": os.cpu_count(),
         "steps": rows,

@@ -573,8 +573,7 @@ class GraphMutationSeamRule(Rule):
     to the mutable graph fields on any object other than ``self``:
     ``obj._offsets = ...``, ``graph._num_edges += 1``,
     ``g._epoch = 0``.  Reads stay free; ``self.…`` writes stay free
-    (a class owns its fields — :class:`~repro.storage.basis.LazyLabelView`
-    has an ``_offsets`` of its own); and :mod:`repro.graph`,
+    (a class owns its fields); and :mod:`repro.graph`,
     :mod:`repro.updates`, and :mod:`repro.storage` (``__new__``-based
     rehydration from serialized state) are the sanctioned writers.
     """

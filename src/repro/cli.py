@@ -114,25 +114,6 @@ _GENERATORS = {
 }
 
 
-def _parse_byte_budget(text: str) -> int:
-    """``"64M"`` / ``"2G"`` / plain integers -> bytes (for --storage-budget)."""
-    raw = text.strip().upper()
-    factor = 1
-    for suffix, mult in (("K", 1 << 10), ("M", 1 << 20), ("G", 1 << 30)):
-        if raw.endswith(suffix):
-            raw, factor = raw[: -len(suffix)], mult
-            break
-    try:
-        value = int(raw) * factor
-    except ValueError:
-        raise StorageError(
-            f"--storage-budget {text!r} is not BYTES or BYTES with K/M/G"
-        ) from None
-    if value <= 0:
-        raise StorageError("--storage-budget must be positive")
-    return value
-
-
 def parse_query_file(path: str | Path) -> list[Action]:
     """Parse the query-file format into an action list ending with Run."""
     actions: list[Action] = []
@@ -333,13 +314,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import QueryServer, SessionManager
     from repro.service.session import SessionLimits
 
-    if args.storage != "mmap" and (args.storage_dir or args.storage_budget):
-        raise StorageError(
-            "--storage-dir/--storage-budget only apply to --storage mmap"
-        )
-    storage_budget = (
-        _parse_byte_budget(args.storage_budget) if args.storage_budget else None
-    )
+    if args.storage != "mmap" and args.storage_dir:
+        raise StorageError("--storage-dir only applies to --storage mmap")
     storage_backend = None
     if args.storage == "mmap" and args.storage_dir:
         # A named dir already holding a valid saved basis serves as-is —
@@ -355,9 +331,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except BasisFormatError:
             pass  # nothing saved there yet: build below, save into it
         else:
-            storage_backend = MmapBackend(
-                args.storage_dir, budget_bytes=storage_budget
-            )
+            storage_backend = MmapBackend(args.storage_dir)
             print(
                 f"opened saved basis '{storage_backend.basis.graph_name}' "
                 f"from {args.storage_dir}",
@@ -388,7 +362,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "mmap",
             basis=basis_from_context(base_ctx),
             directory=args.storage_dir,
-            budget_bytes=storage_budget,
         )
         base_ctx = storage_backend.context()
 
@@ -407,7 +380,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             storage="mmap" if args.storage == "mmap" else "shm",
             basis_dir=args.storage_dir,
-            storage_budget_bytes=storage_budget,
         )
     else:
         backend = SessionManager(
@@ -814,13 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="where the mmap basis lives (default: a private temp dir, "
         "deleted on exit; a named dir is reused across restarts)",
-    )
-    serve.add_argument(
-        "--storage-budget",
-        default=None,
-        metavar="BYTES",
-        help="hot-tier byte budget for --storage mmap (suffixes K/M/G; "
-        "unset = unbounded hot tier)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(

@@ -31,10 +31,10 @@ Scaling rules (DESIGN.md, substitution table):
 Preprocessing (PML + 2-hop counts + t_avg) is expensive enough to cache:
 an in-process memo plus an on-disk pickle cache (``~/.cache/repro-boomer``
 or ``$REPRO_CACHE_DIR``) keyed by the full configuration.  Cache files
-are a versioned envelope ``{"version", "finalized", "pre"}`` — the
-``finalized`` flag persists that the PML label CSR in the pickle is
-already frozen, so loads (and mmap bases saved from them) never re-run
-:meth:`~repro.indexing.pml.PrunedLandmarkLabeling._finalize_labels`.
+are the envelope ``{"version": _CACHE_VERSION, "pre": PreprocessResult}``
+and nothing else: the version is part of the file name, so a file an
+older writer left is never opened, and anything that does not read as
+this envelope is rebuilt silently.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ __all__ = [
     "clear_memory_cache",
 ]
 
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _memory_cache: dict[tuple, "DatasetBundle"] = {}
 
 
@@ -217,18 +217,14 @@ def _load_cache_envelope(cache_path: Path) -> PreprocessResult | None:
             payload = pickle.load(handle)
     except Exception:
         return None
-    if isinstance(payload, PreprocessResult):  # pre-envelope cache file
-        return payload
-    if not isinstance(payload, dict) or "pre" not in payload:
-        return None
-    pre = payload["pre"]
-    if not isinstance(pre, PreprocessResult):
-        return None
-    if payload.get("finalized"):
-        # The pickled label CSR is already frozen; make that explicit so
-        # no process re-finalizes what the cache already holds.
-        pre.pml._finalized = True
-    return pre
+    if (
+        isinstance(payload, dict)
+        and payload.keys() == {"version", "pre"}
+        and payload["version"] == _CACHE_VERSION
+        and isinstance(payload["pre"], PreprocessResult)
+    ):
+        return payload["pre"]
+    return None
 
 
 def get_dataset(
@@ -252,13 +248,8 @@ def get_dataset(
     if pre is None:
         graph = _build_graph(config)
         pre = preprocess(graph, seed=config.seed)
-        pre.pml._finalize_labels()  # freeze before caching (idempotent)
         if use_disk_cache:
-            envelope = {
-                "version": _CACHE_VERSION,
-                "finalized": bool(getattr(pre.pml, "_finalized", False)),
-                "pre": pre,
-            }
+            envelope = {"version": _CACHE_VERSION, "pre": pre}
             try:
                 cache_path.parent.mkdir(parents=True, exist_ok=True)
                 with cache_path.open("wb") as handle:

@@ -10,11 +10,11 @@ place (BU timeout = the analog of the paper's 2-hour cap, enumeration cap).
 from __future__ import annotations
 
 import statistics
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.baseline.bu import BoomerUnaware, BUResult
-from repro.datasets.registry import DatasetBundle, get_dataset
+from repro.datasets.registry import DatasetBundle
 from repro.errors import ExperimentError
 from repro.gui.session import SessionResult, VisualSession
 from repro.utils.fmt import ascii_table
@@ -192,32 +192,3 @@ def run_bu(
         max_results=settings.max_results,
     )
     return bu.evaluate(instance.build_query())
-
-
-def load_bundles(names: Iterable[str], scale: str) -> dict[str, DatasetBundle]:
-    """Fetch several dataset bundles (cached)."""
-    return {name: get_dataset(name, scale) for name in names}
-
-
-def fmt_seconds(x: float) -> str:
-    """Seconds -> milliseconds string, the unit most figures use."""
-    return f"{x * 1e3:.2f}ms"
-
-
-def apply_if_exists(
-    instance: QueryInstance,
-    overrides: dict[int, int],
-    tag: str,
-    setter: Callable[[QueryInstance, dict[int, int], str], QueryInstance] | None = None,
-) -> QueryInstance:
-    """Apply upper-bound overrides, silently skipping absent edge indices.
-
-    The paper's per-experiment override lists mention e.g. ``e5``/``e6``
-    which only some templates have; this mirrors that ("if any").
-    """
-    valid = {
-        i: u for i, u in overrides.items() if 1 <= i <= instance.template.num_edges
-    }
-    if setter is not None:
-        return setter(instance, valid, tag)
-    return instance.with_upper(valid, tag=tag)

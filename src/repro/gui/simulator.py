@@ -82,11 +82,3 @@ class SimulatedUser:
             else:
                 timed.append(replace(action, latency_after=durations[i + 1]))
         return timed
-
-    def formulation_time(self, actions: Sequence[Action]) -> float:
-        """Total simulated QFT of an action list (sum of step durations).
-
-        Note this re-samples durations when jitter > 0; use jitter=0 models
-        for exact accounting.
-        """
-        return sum(self.latency.action_time(a) for a in actions)

@@ -82,9 +82,10 @@ class PrunedLandmarkLabeling:
     cacheable_vectors = True
 
     #: Whether :meth:`apply_edge_insert` can patch this index in place.
-    #: True for indexes holding mutable Python label lists; the storage
-    #: layer's :class:`~repro.storage.basis.StoredPML` (read-only views
-    #: over mmap/shm arrays) overrides it to False and must be rebuilt.
+    #: Label lists exist only on an index that can be patched: this one
+    #: holds them (its build and insert form) beside the arrays; the
+    #: storage layer's :class:`~repro.storage.basis.StoredPML` holds the
+    #: read-only arrays and nothing else, says False, and must be rebuilt.
     supports_incremental = True
 
     def __init__(
@@ -105,18 +106,12 @@ class PrunedLandmarkLabeling:
     def _finalize_labels(self) -> None:
         """Freeze the label lists into CSR arrays for the batch kernels.
 
-        Idempotent, so the storage layer and the lazy post-unpickle path
-        may call it unconditionally.  The ``_finalized`` flag travels
-        through pickle and the dataset disk cache (a restored index skips
-        the rebuild), and storage backends that assemble an index over
-        already-final arrays set it directly (:mod:`repro.storage.basis`)
-        rather than have label *views* walked to rebuild what exists.
+        Runs when the lists are set (``__init__``) and again each time
+        they change (:meth:`apply_edge_insert`), nowhere else; an index
+        over arrays that arrived frozen
+        (:meth:`repro.storage.basis.StoredPML.from_arrays`) has no lists
+        and never calls it.
         """
-        if getattr(self, "_finalized", False) or hasattr(self, "_label_offsets"):
-            # Arrays without the flag predate it (an index unpickled from
-            # an old cache): adopt them rather than rebuilding.
-            self._finalized = True
-            return
         n = len(self._label_ranks)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(
@@ -133,7 +128,6 @@ class PrunedLandmarkLabeling:
         )
         # Mean label size, for the dense-vs-merge crossover heuristic.
         self._avg_label = (total / n) if n else 0.0
-        self._finalized = True
 
     # ------------------------------------------------------------------
     # Construction
@@ -209,13 +203,8 @@ class PrunedLandmarkLabeling:
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
-        """Graph epoch the labels currently describe.
-
-        ``getattr`` default covers indexes unpickled from disk caches
-        written before epochs existed — those graphs were frozen at
-        epoch 0, so 0 is exact, not a guess.
-        """
-        return getattr(self, "_epoch", 0)
+        """Graph epoch the labels currently describe."""
+        return self._epoch
 
     def _check_fresh(self) -> None:
         """Refuse to answer from labels the graph has moved past.
@@ -282,9 +271,6 @@ class PrunedLandmarkLabeling:
         source, then each target in order, first offender raises.
         """
         self._check_fresh()
-        # Indexes unpickled from a pre-flag disk cache skip __init__ and
-        # carry no arrays: freeze the CSR on first batch query (else a no-op).
-        self._finalize_labels()
         source = int(source)
         n = self._graph.num_vertices
         _, t = checked_block(n, [source], targets)
@@ -310,8 +296,8 @@ class PrunedLandmarkLabeling:
 
         # Spread the source's label into a dense rank-indexed array ...
         dense = np.full(n, self._UNREACHED, dtype=np.int64)
-        s_ranks = self._label_ranks[source]
-        dense[s_ranks] = self._label_dists[source]
+        lo, hi = self._label_offsets[source], self._label_offsets[source + 1]
+        dense[self._label_ranks_arr[lo:hi]] = self._label_dists_arr[lo:hi]
         # ... add every target's label slice, gathered in one fancy-index ...
         sums = (
             dense[self._label_ranks_arr[gather]]
@@ -348,7 +334,6 @@ class PrunedLandmarkLabeling:
         block constants bound the scratch, whatever the sides' sizes.
         """
         self._check_fresh()
-        self._finalize_labels()  # pre-flag pickle, as in distances_from
         n = self._graph.num_vertices
         s, t = checked_block(n, sources, targets)
         self.query_count += s.size * t.size
@@ -463,7 +448,7 @@ class PrunedLandmarkLabeling:
                 added += a
                 updated += b
         if added or updated:
-            self._refinalize()
+            self._finalize_labels()
         self._epoch = self._graph.epoch
         return added, updated
 
@@ -516,12 +501,6 @@ class PrunedLandmarkLabeling:
         fresh.query_count = self.query_count
         self.__dict__.pop("_rank_of", None)  # landmark order may have changed
         self.__dict__.update(fresh.__dict__)
-
-    def _refinalize(self) -> None:
-        """Re-freeze the CSR arrays after the label lists changed."""
-        self._finalized = False
-        self.__dict__.pop("_label_offsets", None)  # or they would be adopted
-        self._finalize_labels()
 
     # ------------------------------------------------------------------
     # Introspection

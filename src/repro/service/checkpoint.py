@@ -47,6 +47,7 @@ from repro.errors import CheckpointError
 from repro.gui.recording import action_from_dict, action_to_dict
 from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.service.session import ManagedSession, SessionLimits
+from repro.utils.files import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import EngineContext
@@ -357,12 +358,7 @@ class CheckpointStore:
         path = self._path_for(checkpoint.session_id)
         if path is None:
             return
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(checkpoint.to_json())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_atomic(path, checkpoint.to_json())
         self.disk_writes_total += 1
 
     def _read_disk(self, session_id: str) -> SessionCheckpoint | None:

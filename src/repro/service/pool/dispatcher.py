@@ -55,13 +55,7 @@ from repro.errors import (
 from repro.obs.aggregate import merge_snapshots, render_merged_text
 from repro.obs.metrics import metrics
 from repro.service import protocol
-from repro.storage import (
-    StorageBackend,
-    basis_from_context,
-    open_backend,
-    publish_basis,
-    unlink_segments,
-)
+from repro.storage import basis_from_context, open_backend
 from repro.service.pool.worker import WorkerConfig, worker_main
 
 __all__ = ["PoolDispatcher"]
@@ -120,7 +114,6 @@ class PoolDispatcher:
         respawn: bool = True,
         storage: str = "shm",
         basis_dir: str | None = None,
-        storage_budget_bytes: int | None = None,
     ) -> None:
         if workers < 1:
             raise WorkerPoolError("worker pool needs at least 1 worker")
@@ -136,24 +129,14 @@ class PoolDispatcher:
             basis = basis_from_context(base_ctx)
         except StorageError as exc:
             raise WorkerPoolError(str(exc)) from exc
-        self._basis_backend: StorageBackend | None = None
-        if storage == "mmap":
-            # Workers open the same read-only npy files instead of
-            # attaching copies through shm; the kernel page cache is the
-            # shared medium, so fleet residency stays one basis deep.
-            # open_backend reuses a valid saved basis already in
-            # basis_dir (restart / materialize_basis) instead of
-            # rewriting it.
-            self._basis_backend = open_backend(
-                "mmap",
-                basis=basis,
-                directory=basis_dir,
-                budget_bytes=storage_budget_bytes,
-            )
-            self._spec = self._basis_backend.spec()
-            self._segments = []
-        else:
-            self._spec, self._segments = publish_basis(basis)
+        # One way to publish: the backend owns the medium (shm segments,
+        # or the read-only npy files every worker opens, shared through
+        # the kernel page cache), hands out the picklable spec workers
+        # attach from, and releases the medium on close().  For mmap,
+        # open_backend reuses a valid saved basis already in basis_dir
+        # (restart / materialize_basis) instead of rewriting it.
+        self._basis_backend = open_backend(storage, basis=basis, directory=basis_dir)
+        self._spec = self._basis_backend.spec()
         if checkpoint_dir is None:
             checkpoint_dir = tempfile.mkdtemp(prefix="repro-pool-ckpt-")
             self._owns_checkpoint_dir = True
@@ -518,10 +501,7 @@ class PoolDispatcher:
                 handle.conn.close()
             except OSError:
                 pass
-        unlink_segments(self._segments)
-        self._segments = []
-        if self._basis_backend is not None:
-            self._basis_backend.close()
+        self._basis_backend.close()
         if self._owns_checkpoint_dir:
             shutil.rmtree(self.checkpoint_dir, ignore_errors=True)
 
@@ -542,7 +522,7 @@ class PoolDispatcher:
 
     def segment_names(self) -> list[str]:
         """Names of the published shared-memory segments (leak checks)."""
-        return self._spec.segment_names()
+        return self._basis_backend.segment_names()
 
 
 def _sum_into(into: dict[str, Any], stats: dict[str, Any]) -> None:

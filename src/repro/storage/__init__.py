@@ -14,11 +14,13 @@ seam through which that basis is stored, transported, and reopened:
   today's behavior), ``shm`` (zero-copy shared-memory attach for pool
   workers), and ``mmap`` (read-only npy files, demand-paged);
 * :mod:`repro.storage.mmapstore` — the on-disk layout (npy per array +
-  ``meta.json`` manifest with a persisted *finalized* flag);
-* :mod:`repro.storage.tiering` — the byte-budgeted hot tier over mmap
-  (admission policy, LRU page cache, ``repro_storage_*`` metrics).
+  ``meta.json`` manifest, the commit mark of a save);
+* :mod:`repro.storage.shm` — the shared-memory publish/attach transport.
 
-See ``docs/STORAGE.md`` for the backend matrix and byte-budget tuning.
+A stored index is its arrays: :class:`~repro.storage.basis.StoredPML`
+reads label columns where they lie and keeps nothing between queries, so
+no backend has a cache to size.  See ``docs/STORAGE.md`` for the backend
+matrix and how a stored index is read.
 """
 
 from repro.storage.backends import (
@@ -33,14 +35,12 @@ from repro.storage.backends import (
 from repro.storage.basis import (
     ARRAY_NAMES,
     EngineBasis,
-    LazyLabelView,
     StoredPML,
     basis_from_context,
     context_from_basis,
 )
 from repro.storage.mmapstore import (
     MmapSpec,
-    basis_nbytes_on_disk,
     load_basis,
     read_meta,
     save_basis,
@@ -51,19 +51,12 @@ from repro.storage.shm import (
     publish_basis,
     unlink_segments,
 )
-from repro.storage.tiering import (
-    ByteBudgetPolicy,
-    HotPageCache,
-    TieredColumn,
-    TieredLabelView,
-)
 
 __all__ = [
     "ARRAY_NAMES",
     "BACKEND_NAMES",
     "EngineBasis",
     "StoredPML",
-    "LazyLabelView",
     "basis_from_context",
     "context_from_basis",
     "StorageBackend",
@@ -76,13 +69,8 @@ __all__ = [
     "save_basis",
     "load_basis",
     "read_meta",
-    "basis_nbytes_on_disk",
     "SharedContextSpec",
     "publish_basis",
     "attach_basis",
     "unlink_segments",
-    "ByteBudgetPolicy",
-    "HotPageCache",
-    "TieredColumn",
-    "TieredLabelView",
 ]

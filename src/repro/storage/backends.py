@@ -5,7 +5,7 @@ backend    medium                per-consumer cost              handle / spec
 ========== ===================== ============================== =================
 resident   process heap          full copy (today's default)    the basis itself
 shm        SharedMemory segments page tables only               SharedContextSpec
-mmap       read-only npy files   demand-paged + byte-budgeted   MmapSpec
+mmap       read-only npy files   demand-paged by the kernel      MmapSpec
 ========== ===================== ============================== =================
 
 All three expose the same two operations: :meth:`StorageBackend.context`
@@ -27,13 +27,10 @@ import shutil
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.context import EngineContext
 from repro.errors import BasisFormatError, StaleIndexError, StorageError
 from repro.storage.basis import (
     EngineBasis,
-    LabelViewFactory,
     basis_from_context,
     context_from_basis,
 )
@@ -43,13 +40,6 @@ from repro.storage.shm import (
     attach_basis,
     publish_basis,
     unlink_segments,
-)
-from repro.storage.tiering import (
-    DEFAULT_PAGE_ELEMS,
-    ByteBudgetPolicy,
-    HotPageCache,
-    TieredColumn,
-    TieredLabelView,
 )
 
 __all__ = [
@@ -146,11 +136,9 @@ class ShmBackend(StorageBackend):
 class MmapBackend(StorageBackend):
     """Basis on disk as npy files, opened read-only via ``numpy.memmap``.
 
-    With ``budget_bytes`` set, contexts get the hot/cold split of
-    :mod:`repro.storage.tiering`: scalar-path label lists are pinned in
-    a byte-budgeted LRU while everything else stays demand-paged.  With
-    no budget the label cache is unbounded (pure demand paging below
-    it), matching the resident backend's memory behavior over time.
+    Nothing sits between a context and the files but the kernel page
+    cache: queries fault in the pages they touch, and the process pins
+    no copy of its own.
 
     ``owns_directory=True`` (set by :meth:`create` for anonymous temp
     bases) makes ``close()`` delete the directory.
@@ -158,57 +146,28 @@ class MmapBackend(StorageBackend):
 
     name = "mmap"
 
-    def __init__(
-        self,
-        directory: str | Path,
-        budget_bytes: int | None = None,
-        page_elems: int = DEFAULT_PAGE_ELEMS,
-        owns_directory: bool = False,
-    ) -> None:
+    def __init__(self, directory: str | Path, owns_directory: bool = False) -> None:
         self.directory = Path(directory)
-        self.budget_bytes = budget_bytes
-        self._page_elems = page_elems
         self._owns_directory = owns_directory
         self.basis = load_basis(self.directory)
 
     @classmethod
     def create(
-        cls,
-        basis: EngineBasis,
-        directory: str | Path | None = None,
-        budget_bytes: int | None = None,
+        cls, basis: EngineBasis, directory: str | Path | None = None
     ) -> "MmapBackend":
         """Save ``basis`` to ``directory`` (a fresh temp dir if None) and open it."""
         owns = directory is None
         if directory is None:
             directory = tempfile.mkdtemp(prefix="repro-basis-")
         save_basis(basis, directory)
-        return cls(directory, budget_bytes=budget_bytes, owns_directory=owns)
-
-    def _label_view(self) -> LabelViewFactory:
-        if self.budget_bytes is None:
-            from repro.storage.basis import LazyLabelView
-
-            return LazyLabelView
-        cache = HotPageCache(ByteBudgetPolicy(self.budget_bytes))
-        page_elems = self._page_elems
-        counter = iter(range(1 << 30))
-
-        def make(offsets: np.ndarray, column: np.ndarray) -> TieredLabelView:
-            key = f"{self.directory.name}:labels{next(counter)}"
-            tiered = TieredColumn(column, cache, key, page_elems)
-            return TieredLabelView(offsets, tiered, cache, key)
-
-        return make
+        return cls(directory, owns_directory=owns)
 
     def context(self) -> EngineContext:
-        return context_from_basis(self.basis, label_view=self._label_view())
+        return context_from_basis(self.basis)
 
     def spec(self) -> MmapSpec:
         return MmapSpec(
-            directory=str(self.directory),
-            graph_name=self.basis.graph_name,
-            budget_bytes=self.budget_bytes,
+            directory=str(self.directory), graph_name=self.basis.graph_name
         )
 
     def close(self) -> None:
@@ -251,7 +210,6 @@ def open_backend(
     basis: EngineBasis | None = None,
     ctx: EngineContext | None = None,
     directory: str | Path | None = None,
-    budget_bytes: int | None = None,
 ) -> StorageBackend:
     """Open a backend by ``--storage`` name.
 
@@ -274,9 +232,9 @@ def open_backend(
         basis = basis_from_context(ctx)
     if name == "mmap":
         if directory is not None and _holds_basis_for(directory, basis):
-            return MmapBackend(directory, budget_bytes=budget_bytes)
+            return MmapBackend(directory)
         if basis is not None:
-            return MmapBackend.create(basis, directory, budget_bytes=budget_bytes)
+            return MmapBackend.create(basis, directory)
         if directory is None:
             raise StorageError("the mmap backend needs a basis or a directory")
         raise BasisFormatError(
@@ -304,6 +262,5 @@ def attach(spec: SharedContextSpec | MmapSpec) -> tuple[EngineContext, list]:
         basis, handles = attach_basis(spec)
         return context_from_basis(basis), handles
     if isinstance(spec, MmapSpec):
-        backend = MmapBackend(spec.directory, budget_bytes=spec.budget_bytes)
-        return backend.context(), []
+        return MmapBackend(spec.directory).context(), []
     raise StorageError(f"unknown storage spec {type(spec).__name__}")

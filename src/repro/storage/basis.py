@@ -29,7 +29,7 @@ regardless of which backend held the bytes in between
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -43,8 +43,6 @@ __all__ = [
     "ARRAY_NAMES",
     "EngineBasis",
     "StoredPML",
-    "LazyLabelView",
-    "LabelViewFactory",
     "basis_from_context",
     "context_from_basis",
 ]
@@ -107,7 +105,7 @@ class EngineBasis:
         return {name: getattr(self, name) for name in self.scalar_names()}
 
     def nbytes(self) -> int:
-        """Fully-resident footprint of the arrays (the tiering yardstick)."""
+        """Fully-resident footprint of the arrays."""
         return int(sum(self.arrays[name].nbytes for name in ARRAY_NAMES))
 
     def equal_bytes(self, other: "EngineBasis") -> bool:
@@ -125,51 +123,19 @@ class EngineBasis:
         return replace(self, arrays=dict(arrays))
 
 
-#: A per-vertex label materializer: ``(offsets, column) -> view`` where
-#: the view answers ``view[v]`` with that vertex's label column as a
-#: list.  :class:`LazyLabelView` (the class itself) is the default;
-#: the mmap backend passes a byte-budgeted closure instead.
-LabelViewFactory = Callable[[np.ndarray, np.ndarray], Any]
-
-
-class LazyLabelView:
-    """Sequence view of per-vertex label columns over a CSR column pair.
-
-    ``labels[v]`` materializes ``column[offsets[v]:offsets[v+1]]`` as a
-    plain Python list on first access and caches it — the tight scalar
-    merge join keeps its list-of-ints speed, but a consumer only ever
-    pays for the vertices its sessions actually touch.  (The mmap
-    backend swaps in :class:`repro.storage.tiering.TieredLabelView`,
-    which bounds this cache under the hot-set byte budget.)
-    """
-
-    __slots__ = ("_offsets", "_column", "_cache")
-
-    def __init__(self, offsets: np.ndarray, column: np.ndarray) -> None:
-        self._offsets = offsets
-        self._column = column
-        self._cache: dict[int, list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    def __getitem__(self, v: int) -> list[int]:
-        hit = self._cache.get(v)
-        if hit is None:
-            start, end = int(self._offsets[v]), int(self._offsets[v + 1])
-            hit = self._column[start:end].tolist()
-            self._cache[v] = hit
-        return hit
-
-
 class StoredPML(PrunedLandmarkLabeling):
     """A PML index whose backing arrays live in *some* storage backend.
 
     Built via ``__new__`` from already-finalized CSR arrays — never by
     :meth:`~repro.indexing.pml.PrunedLandmarkLabeling.build`.  Query
     behavior is bit-identical to the original index (same arrays, same
-    kernels); only storage differs, so the label-size introspection
-    reads the stored offsets instead of walking materialized lists.
+    kernels); only storage differs.  The index holds the three label
+    arrays and nothing else: there are no per-vertex label lists (lists
+    exist only on an index that can be patched, see
+    :attr:`supports_incremental`), and a scalar query slices the columns
+    where they lie, retaining nothing between calls — so its footprint
+    is the same after a million queries as after none
+    (``docs/STORAGE.md``, "How a stored index is read").
     """
 
     #: Stored label columns are read-only views (mmap pages, shm
@@ -188,27 +154,56 @@ class StoredPML(PrunedLandmarkLabeling):
         label_dists_arr: np.ndarray,
         order: np.ndarray,
         avg_label: float,
-        label_view: LabelViewFactory = LazyLabelView,
     ) -> "StoredPML":
-        """Assemble an index over stored arrays, labels lazily viewed.
+        """Assemble an index over stored arrays, which arrive frozen.
 
-        ``label_view`` is the per-vertex list materializer —
-        :class:`LazyLabelView` for unbounded backends, a tiered view for
-        the byte-budgeted mmap backend.
+        The arrays are kept as plain-``ndarray`` views of the backend's
+        buffers: a slice of an ``np.memmap`` pays its subclass dispatch
+        (``__array_finalize__``) on every scalar query, a view of the
+        same pages does not.
         """
         pml = cls.__new__(cls)
         pml._graph = graph
         pml._order = order
         pml.query_count = 0
-        pml._label_offsets = label_offsets
-        pml._label_ranks_arr = label_ranks_arr
-        pml._label_dists_arr = label_dists_arr
+        pml._label_offsets = label_offsets.view(np.ndarray)
+        pml._label_ranks_arr = label_ranks_arr.view(np.ndarray)
+        pml._label_dists_arr = label_dists_arr.view(np.ndarray)
         pml._avg_label = avg_label
-        pml._finalized = True  # arrays arrived frozen; never re-finalize
         pml._epoch = graph.epoch  # the basis restored graph + labels together
-        pml._label_ranks = label_view(label_offsets, label_ranks_arr)
-        pml._label_dists = label_view(label_offsets, label_dists_arr)
         return pml
+
+    def _merge(self, u: int, v: int) -> int:
+        """The heap index's merge join, over the two stored label columns.
+
+        Four slices of the label CSR are boxed for the duration of one
+        join (a Python merge over ndarray scalars is ~4x slower than
+        over ints) and dropped with it.  The loop is the base class' own,
+        restated: routing both through one helper function measured 4-9 %
+        on the heap index's scalar ``distance``, which times ``t_avg``.
+        """
+        offsets, ranks, dists = (
+            self._label_offsets, self._label_ranks_arr, self._label_dists_arr
+        )
+        u0, u1, v0, v1 = offsets[u], offsets[u + 1], offsets[v], offsets[v + 1]
+        ranks_u, dists_u = ranks[u0:u1].tolist(), dists[u0:u1].tolist()
+        ranks_v, dists_v = ranks[v0:v1].tolist(), dists[v0:v1].tolist()
+        i = j = 0
+        len_u, len_v = len(ranks_u), len(ranks_v)
+        best = -1
+        while i < len_u and j < len_v:
+            ru, rv = ranks_u[i], ranks_v[j]
+            if ru == rv:
+                total = dists_u[i] + dists_v[j]
+                if best < 0 or total < best:
+                    best = total
+                i += 1
+                j += 1
+            elif ru < rv:
+                i += 1
+            else:
+                j += 1
+        return best
 
     def label_size(self, v: int) -> int:
         self._graph._check_vertex(v)
@@ -238,7 +233,6 @@ def basis_from_context(ctx: EngineContext) -> EngineBasis:
         raise StaleIndexError(
             "PML index", expected=ctx.graph.epoch, actual=oracle.epoch
         )
-    oracle._finalize_labels()
     offsets, neighbors = ctx.graph.raw_csr()
     arrays = {
         "graph_offsets": np.ascontiguousarray(offsets),
@@ -266,15 +260,11 @@ def basis_from_context(ctx: EngineContext) -> EngineBasis:
     )
 
 
-def context_from_basis(
-    basis: EngineBasis, label_view: LabelViewFactory = LazyLabelView
-) -> EngineContext:
+def context_from_basis(basis: EngineBasis) -> EngineContext:
     """Rebuild a full :class:`EngineContext` over a basis' buffers.
 
     The context is query-identical to the one the basis was extracted
-    from: same arrays, same kernels, fresh counters.  ``label_view``
-    picks the per-vertex label materialization policy (see
-    :meth:`StoredPML.from_arrays`).
+    from: same arrays, same kernels, fresh counters.
     """
     arrays = basis.arrays
     graph = Graph(
@@ -291,7 +281,6 @@ def context_from_basis(
         label_dists_arr=arrays["pml_dists"],
         order=arrays["pml_order"],
         avg_label=basis.avg_label,
-        label_view=label_view,
     )
     return EngineContext(
         graph=graph,

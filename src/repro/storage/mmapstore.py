@@ -3,7 +3,8 @@
 A saved basis is a directory::
 
     <dir>/meta.json           # format version, graph name, scalars,
-                              # per-array dtype/shape, finalized flag
+                              # per-array dtype/shape, finalized flag;
+                              # the commit mark
     <dir>/labels.pkl          # per-vertex label list (arbitrary hashables)
     <dir>/graph_offsets.npy   # ... one npy per ARRAY_NAMES entry
     <dir>/graph_neighbors.npy
@@ -13,22 +14,25 @@ A saved basis is a directory::
     <dir>/pml_order.npy
     <dir>/two_hop.npy
 
-:func:`save_basis` writes it atomically enough for our uses (meta.json
-last, so a partially written directory is detected as unopenable);
-:func:`load_basis` opens every array with ``np.load(mmap_mode="r")`` —
-nothing is read into memory until a page is touched, which is the whole
-point: a paper-scale basis opens in milliseconds and the OS pages in
-only what queries actually visit.
+:func:`save_basis` makes ``meta.json`` the commit mark: a manifest
+already there is unlinked before the first array is touched, every
+array file and the label list reach the disk, and the new manifest is
+renamed into place last — so a save interrupted anywhere, over an empty
+directory or over another basis, leaves a directory that
+:func:`read_meta` refuses, never a mix of arrays under a manifest that
+validates.  :func:`load_basis` opens every array with
+``np.load(mmap_mode="r")`` — nothing is read into memory until a page is
+touched, which is the whole point: a paper-scale basis opens in
+milliseconds and the OS pages in only what queries actually visit.
 
 ``meta.json`` records ``"finalized": true`` — the arrays on disk *are*
-the finalized PML CSR, so attaching processes must never rebuild them
-(the lazy re-finalization that the pickle cache used to re-run per
-process; see :meth:`repro.indexing.pml.PrunedLandmarkLabeling._finalize_labels`).
+the frozen PML label CSR, and an attaching process reads them as they
+lie (:class:`repro.storage.basis.StoredPML`); a manifest without the
+flag is outside input we refuse.
 
 :class:`MmapSpec` is the picklable handle pool workers receive instead
-of a shared-memory segment list: just the directory path and byte
-budget.  Every worker opens the same files; the page cache is shared by
-the kernel, not by us.
+of a shared-memory segment list: just the directory path.  Every worker
+opens the same files; the page cache is shared by the kernel, not by us.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 
 from repro.errors import BasisFormatError
 from repro.storage.basis import ARRAY_NAMES, EngineBasis
+from repro.utils.files import flush_to_disk, write_atomic
 
 __all__ = [
     "FORMAT_VERSION",
@@ -49,7 +54,6 @@ __all__ = [
     "save_basis",
     "load_basis",
     "read_meta",
-    "basis_nbytes_on_disk",
 ]
 
 #: Bump on any incompatible change to the directory layout.
@@ -70,7 +74,6 @@ class MmapSpec:
 
     directory: str
     graph_name: str
-    budget_bytes: int | None = None
 
     def segment_names(self) -> list[str]:
         """No shared-memory segments back an mmap basis."""
@@ -80,20 +83,24 @@ class MmapSpec:
 def save_basis(basis: EngineBasis, directory: str | Path) -> Path:
     """Write ``basis`` to ``directory`` (created if needed); returns it.
 
-    Arrays are written with :func:`np.save` (plain npy, no pickle), the
-    label list with pickle (labels are arbitrary hashables), and
-    ``meta.json`` last so readers can treat its presence as the commit
-    mark.
+    Arrays are written with :func:`np.save` (plain npy, no pickle) and
+    the label list with pickle (labels are arbitrary hashables).
+    ``meta.json`` is the commit mark (module docstring): withdrawn
+    first, written last, and only over files that are already on disk.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
+    (path / _META).unlink(missing_ok=True)
     dtypes: dict[str, dict] = {}
     for name in ARRAY_NAMES:
         arr = np.ascontiguousarray(basis.arrays[name])
-        np.save(path / f"{name}.npy", arr, allow_pickle=False)
+        with open(path / f"{name}.npy", "wb") as fh:
+            np.save(fh, arr, allow_pickle=False)
+            flush_to_disk(fh)
         dtypes[name] = {"dtype": str(arr.dtype), "shape": list(arr.shape)}
     with open(path / _LABELS, "wb") as fh:
         pickle.dump(list(basis.labels), fh, protocol=pickle.HIGHEST_PROTOCOL)
+        flush_to_disk(fh)
     meta = {
         "format_version": FORMAT_VERSION,
         **basis.scalars(),
@@ -101,8 +108,7 @@ def save_basis(basis: EngineBasis, directory: str | Path) -> Path:
         "arrays": dtypes,
         "nbytes": basis.nbytes(),
     }
-    with open(path / _META, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    write_atomic(path / _META, json.dumps(meta, indent=2, sort_keys=True))
     return path
 
 
@@ -170,18 +176,3 @@ def load_basis(directory: str | Path) -> EngineBasis:
         return EngineBasis(labels=tuple(labels), arrays=arrays, **scalars)
     except TypeError as exc:  # a scalar without a default is missing
         raise BasisFormatError(f"incomplete basis manifest in {path}: {exc}") from exc
-
-
-def basis_nbytes_on_disk(directory: str | Path) -> int:
-    """The manifest's recorded fully-resident footprint.
-
-    Reading it from ``meta.json`` avoids opening (and faulting pages of)
-    the arrays just to size a byte budget.
-    """
-    meta = read_meta(directory)
-    try:
-        return int(meta["nbytes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BasisFormatError(
-            f"basis manifest in {directory} has no usable nbytes field"
-        ) from exc

@@ -392,7 +392,7 @@ class TestStorageSeamRule:
     def test_other_private_attrs_clean(self):
         src = """\
         def peek(pml):
-            return pml._finalized, pml.query_count
+            return pml._order, pml.query_count
         """
         assert not rule_hits("R7", src, "repro/datasets/registry.py")
 
@@ -465,8 +465,8 @@ class TestGraphMutationSeamRule:
         assert not rule_hits("R8", src, "repro/storage/basis.py")
 
     def test_self_writes_clean(self):
-        # A class managing its *own* slots (Graph itself, LazyLabelView's
-        # _offsets) is construction, not cross-object mutation.
+        # A class managing its *own* slots (Graph itself, any view with an
+        # _offsets of its own) is construction, not cross-object mutation.
         src = """\
         class View:
             def __init__(self, offsets):

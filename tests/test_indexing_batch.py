@@ -181,24 +181,23 @@ class TestPMLKernel:
         pml.distances_from(0, [1, 2, 3])
         assert pml.query_count == before + 3
 
-    def test_unpickled_instance_finalizes_lazily(self):
-        # Disk-cached indexes skip __init__ (pickle restores __dict__);
-        # the CSR arrays must be rebuilt on first batch query.
+    def test_pickled_instance_keeps_its_frozen_arrays(self):
+        # The dataset disk cache pickles the index; pickle restores
+        # __dict__ without __init__, and nothing re-freezes on load: the
+        # arrays travel with the lists and the batch kernels read them.
         import pickle
 
         graph = build_path_graph(6)
         pml = PrunedLandmarkLabeling.build(graph)
         clone = pickle.loads(pickle.dumps(pml))
-        for attr in ("_label_offsets", "_label_ranks_arr"):
-            clone.__dict__.pop(attr, None)  # simulate a pre-upgrade pickle
-        clone.__dict__.pop("_avg_label", None)
-        clone.__dict__.pop("_finalized", None)  # pre-flag pickles lack it too
+        assert vars(clone).keys() == vars(pml).keys()
+        for attr in ("_label_offsets", "_label_ranks_arr", "_label_dists_arr"):
+            np.testing.assert_array_equal(getattr(clone, attr), getattr(pml, attr))
+        assert clone.epoch == pml.epoch == 0
         np.testing.assert_array_equal(
             np.asarray(clone.distances_from(0, np.arange(6))),
             np.asarray(bfs_distances(graph, 0)),
         )
-        clone.__dict__.pop("_label_offsets")
-        clone.__dict__.pop("_finalized")
         assert_block(
             clone.within_many([0, 5], [1, 4], 2), np.array([[0, 1], [5, 4]])
         )

@@ -1,4 +1,4 @@
-"""Unit tests for the EngineBasis storage API (basis/mmap/tiering/shims)."""
+"""Unit tests for the EngineBasis storage API (basis, mmap store, backends)."""
 
 from __future__ import annotations
 
@@ -14,15 +14,11 @@ from repro.datasets.registry import clear_memory_cache, get_dataset, materialize
 from repro.errors import BasisFormatError, DatasetError, StorageError
 from repro.storage import (
     ARRAY_NAMES,
-    ByteBudgetPolicy,
     EngineBasis,
-    HotPageCache,
     MmapBackend,
     ResidentBackend,
     ShmBackend,
     StoredPML,
-    TieredColumn,
-    TieredLabelView,
     attach,
     basis_from_context,
     context_from_basis,
@@ -135,6 +131,42 @@ class TestMmapStore:
         with pytest.raises(BasisFormatError, match="meta.json"):
             load_basis(directory)
 
+    def test_interrupted_resave_leaves_no_valid_manifest(
+        self, fig2_basis, tmp_path, monkeypatch
+    ):
+        """Saving over a directory that already validates withdraws its
+        commit mark first: a save that dies on the third array leaves a
+        directory ``read_meta`` refuses, not the other basis' arrays
+        under the old manifest."""
+        from repro.graph.builder import GraphBuilder
+
+        directory = save_basis(fig2_basis, tmp_path / "b")
+        builder = GraphBuilder("other")
+        builder.add_vertices("xyz")
+        builder.add_edge(0, 1)
+        other = basis_from_context(make_context(preprocess(builder.build(), seed=3)))
+
+        real_save, calls = np.save, []
+
+        def dies_on_the_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real_save(*args, **kwargs)
+
+        # The directory holds another graph's basis, so open_backend saves over it.
+        monkeypatch.setattr(np, "save", dies_on_the_third)
+        with pytest.raises(OSError, match="disk full"):
+            open_backend("mmap", basis=other, directory=directory)
+        monkeypatch.undo()
+        with pytest.raises(BasisFormatError, match="meta.json"):
+            read_meta(directory)
+        # ... and a completed save over the wreck round-trips.
+        backend = open_backend("mmap", basis=other, directory=directory)
+        assert backend.basis.equal_bytes(other)
+        assert backend.basis.graph_name == "other"
+        assert list(directory.glob("*.tmp.*")) == []
+
     def test_version_mismatch_rejected(self, fig2_basis, tmp_path):
         directory = save_basis(fig2_basis, tmp_path / "b")
         meta = json.loads((directory / "meta.json").read_text())
@@ -186,67 +218,6 @@ class TestMmapStore:
 
 
 # ----------------------------------------------------------------------
-# Tiering primitives
-# ----------------------------------------------------------------------
-class TestTiering:
-    def test_policy_validates(self):
-        with pytest.raises(StorageError):
-            ByteBudgetPolicy(0)
-        with pytest.raises(StorageError):
-            ByteBudgetPolicy(100, max_overfill=0)
-
-    def test_policy_rejects_giants(self):
-        policy = ByteBudgetPolicy(1000, max_overfill=4)
-        assert policy.admits(250)
-        assert not policy.admits(251)
-
-    def test_cache_lru_eviction_under_budget(self):
-        cache = HotPageCache(ByteBudgetPolicy(100, max_overfill=1))
-        for i in range(10):
-            assert cache.put(i, f"v{i}", 30)
-            assert cache.resident_bytes <= 100
-        # Only the newest entries survive; oldest evicted first.
-        assert cache.get(9) == "v9"
-        assert cache.get(0) is None
-
-    def test_cache_hit_refreshes_recency(self):
-        cache = HotPageCache(ByteBudgetPolicy(90, max_overfill=1))
-        cache.put("a", 1, 30)
-        cache.put("b", 2, 30)
-        cache.put("c", 3, 30)
-        assert cache.get("a") == 1  # refresh: "b" is now oldest
-        cache.put("d", 4, 30)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-
-    def test_cache_reject_leaves_state_alone(self):
-        cache = HotPageCache(ByteBudgetPolicy(100, max_overfill=4))
-        assert not cache.put("giant", object(), 50)
-        assert cache.resident_bytes == 0
-        assert len(cache) == 0
-
-    def test_tiered_column_slices_match_raw(self):
-        raw = np.arange(1000, dtype=np.int32)
-        cache = HotPageCache(ByteBudgetPolicy(10_000, max_overfill=1))
-        column = TieredColumn(raw, cache, "t", page_elems=64)
-        for start, end in [(0, 0), (0, 5), (60, 70), (0, 1000), (990, 1000)]:
-            assert np.array_equal(column.slice(start, end), raw[start:end])
-        assert len(column) == 1000
-
-    def test_tiered_label_view_matches_plain_lists(self):
-        offsets = np.array([0, 3, 3, 7, 10], dtype=np.int64)
-        column = np.arange(10, dtype=np.int32)
-        cache = HotPageCache(ByteBudgetPolicy(100_000, max_overfill=1))
-        tiered = TieredColumn(column, cache, "labels", page_elems=4)
-        view = TieredLabelView(offsets, tiered, cache, "labels")
-        assert len(view) == 4
-        for v in range(4):
-            want = column[offsets[v] : offsets[v + 1]].tolist()
-            assert view[v] == want
-            assert view[v] == want  # hot path returns the same value
-
-
-# ----------------------------------------------------------------------
 # Backends + attach dispatch
 # ----------------------------------------------------------------------
 class TestBackends:
@@ -277,7 +248,7 @@ class TestBackends:
         assert not directory.exists()
 
     def test_mmap_attach_via_spec(self, fig2_ctx, fig2_basis, tmp_path):
-        backend = MmapBackend.create(fig2_basis, tmp_path / "b", budget_bytes=1 << 20)
+        backend = MmapBackend.create(fig2_basis, tmp_path / "b")
         ctx, handles = attach(backend.spec())
         assert handles == []
         assert run_script(ctx) == run_script(fig2_ctx)
@@ -331,11 +302,34 @@ class TestRegistryIntegration:
         assert loaded.graph_name == bundle.graph.name
         clear_memory_cache()
 
-    def test_disk_cache_persists_finalized_flag(self, tmp_path, monkeypatch):
+    def test_disk_cache_envelope_is_exact(self, tmp_path, monkeypatch):
+        """A cache file is ``{"version", "pre"}`` at this version; anything
+        else under the same name is rebuilt silently, never adopted."""
+        import pickle
+
+        from repro.datasets import registry
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_memory_cache()
-        get_dataset("wordnet", "tiny")
+        built = get_dataset("wordnet", "tiny")
+        (cache_file,) = tmp_path.glob("*.pkl")
+        assert f"-v{registry._CACHE_VERSION}" in cache_file.name
+        envelope = pickle.loads(cache_file.read_bytes())
+        assert envelope.keys() == {"version", "pre"}
+        assert envelope["version"] == registry._CACHE_VERSION
         clear_memory_cache()
-        bundle = get_dataset("wordnet", "tiny")  # from disk cache
-        assert getattr(bundle.pre.pml, "_finalized", False) is True
+        assert get_dataset("wordnet", "tiny").pre is not built.pre  # from disk
+        for foreign in (
+            built.pre,  # the bare pre-envelope payload
+            {**envelope, "version": registry._CACHE_VERSION - 1},
+            {**envelope, "finalized": True},
+            {"version": registry._CACHE_VERSION, "pre": "not a result"},
+        ):
+            cache_file.write_bytes(pickle.dumps(foreign))
+            assert registry._load_cache_envelope(cache_file) is None
+        cache_file.write_bytes(b"not a pickle")
+        clear_memory_cache()
+        rebuilt = get_dataset("wordnet", "tiny")  # silent rebuild, cache rewritten
+        assert rebuilt.graph.num_edges == built.graph.num_edges
+        assert pickle.loads(cache_file.read_bytes()).keys() == {"version", "pre"}
         clear_memory_cache()

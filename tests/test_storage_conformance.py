@@ -2,10 +2,10 @@
 
 The storage contract (docs/STORAGE.md): an :class:`EngineBasis` round
 tripped through any backend — resident heap arrays, shared-memory
-segments, mmapped npy files (budgeted or not) — yields byte-identical
-arrays and a context that answers every query identically.  Hypothesis
-drives randomized graphs through all backends at once; a property test
-pins the hot tier's budget invariant under adversarial put sequences.
+segments, mmapped npy files — yields byte-identical arrays and a context
+that answers every query identically.  Hypothesis drives randomized
+graphs through all backends at once; a stored index answers from its
+arrays and keeps nothing between queries.
 """
 
 from __future__ import annotations
@@ -20,19 +20,19 @@ from hypothesis import given, settings
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context, preprocess
+from repro.errors import StaleIndexError, VertexNotFoundError
+from repro.graph.builder import GraphBuilder
 from repro.indexing.batch import scalar_within_many
 from repro.indexing.oracle import BFSOracle
 from repro.indexing.twohop import hop_pairs
 from repro.storage import (
     ARRAY_NAMES,
-    ByteBudgetPolicy,
-    HotPageCache,
     ShmBackend,
     attach,
     basis_from_context,
     open_backend,
 )
-from repro.storage.basis import LazyLabelView, StoredPML
+from repro.storage.basis import StoredPML
 from tests.test_property_graph import labeled_graphs
 
 
@@ -49,14 +49,12 @@ def canonical_run(ctx, labels: list[str]):
 
 
 @contextmanager
-def all_backends(basis, directory, budget_bytes=None):
+def all_backends(basis, directory):
     """``{name: backend}`` over one basis: resident, shm and mmap; closed on exit."""
     backends = {
         "resident": open_backend("resident", basis=basis),
         "shm": open_backend("shm", basis=basis),
-        "mmap": open_backend(
-            "mmap", basis=basis, directory=directory, budget_bytes=budget_bytes
-        ),
+        "mmap": open_backend("mmap", basis=basis, directory=directory),
     }
     try:
         yield backends
@@ -65,18 +63,16 @@ def all_backends(basis, directory, budget_bytes=None):
             backend.close()
 
 
-@given(labeled_graphs(), st.booleans())
+@given(labeled_graphs())
 @settings(max_examples=20, deadline=None)
-def test_backends_byte_and_answer_identical(tmp_path_factory, graph, budgeted):
+def test_backends_byte_and_answer_identical(tmp_path_factory, graph):
     """All three backends agree, bit for bit, on random graphs."""
     ctx = make_context(preprocess(graph, seed=5))
     basis = basis_from_context(ctx)
     labels = graph.labels()
     reference = canonical_run(ctx, labels)
 
-    tmp = tmp_path_factory.mktemp("basis")
-    budget = max(1024, basis.nbytes() // 4) if budgeted else None
-    with all_backends(basis, tmp / "b", budget) as backends:
+    with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as backends:
         for name, backend in backends.items():
             if name != "resident":
                 spec = backend.spec()
@@ -114,8 +110,6 @@ def test_block_kernel_identical_across_backends(
             got = oracle.within_many(sources, targets, upper, skip_equal)
             assert got.dtype == np.int32, name
             np.testing.assert_array_equal(got, want, err_msg=name)
-            if isinstance(oracle._label_ranks, LazyLabelView):
-                assert not oracle._label_ranks._cache, name
 
 
 @given(labeled_graphs(), st.data(), st.sampled_from([1, 2]))
@@ -138,49 +132,114 @@ def test_hop_kernel_identical_across_backends(tmp_path_factory, graph, data, hop
             np.testing.assert_array_equal(got, want, err_msg=name)
 
 
-@given(labeled_graphs())
+def check_stored_index_against_heap(ctx, directory, upper, few, bad):
+    """Every backend's ``StoredPML`` against the heap index of ``ctx``:
+    ``distance`` and ``within`` on all pairs, ``distances_from`` on the
+    ``few`` targets and on a list long enough for the dense path, and the
+    same first offender raised for the vertex ``bad``."""
+    heap, n = ctx.oracle, ctx.graph.num_vertices
+    everyone = list(range(n)) * 16  # past the crossover at any label size
+    want = [[heap.distance(u, v) for v in range(n)] for u in range(n)]
+    with all_backends(basis_from_context(ctx), directory) as backends:
+        for name, backend in backends.items():
+            stored = backend.context().oracle
+            assert isinstance(stored, StoredPML), name
+            before = stored.query_count
+            for u in range(n):
+                assert [stored.distance(u, v) for v in range(n)] == want[u], name
+                assert [stored.within(u, v, upper) for v in range(n)] == [
+                    0 <= d <= upper for d in want[u]
+                ], name
+                for targets in (few, everyone):
+                    got = stored.distances_from(u, targets)
+                    assert got.dtype == np.int32, name
+                    assert got.tolist() == [want[u][v] for v in targets], name
+            asked = n * (2 * n + len(few) + len(everyone))
+            assert stored.query_count - before == asked, name
+            for call in (
+                lambda o: o.distance(bad, n + 7),
+                lambda o: o.distance(0, bad),
+                lambda o: o.within(bad, 0, upper),
+                lambda o: o.distances_from(bad, [n + 7]),
+                lambda o: o.distances_from(0, [0, bad, n + 7]),
+            ):
+                with pytest.raises(VertexNotFoundError) as theirs:
+                    call(stored)
+                with pytest.raises(VertexNotFoundError) as ours:
+                    call(heap)
+                assert str(theirs.value) == str(ours.value), name
+
+
+@given(labeled_graphs(), st.data())
 @settings(max_examples=15, deadline=None)
-def test_scalar_distances_identical_under_tight_budget(graph):
-    """A starved hot tier changes speed, never answers."""
-    ctx = make_context(preprocess(graph, seed=9))
-    basis = basis_from_context(ctx)
-    backend = open_backend("mmap", basis=basis, budget_bytes=2048)
+def test_stored_index_answers_like_the_heap_index(tmp_path_factory, graph, data):
+    """``StoredPML`` reads label columns where they lie — resident, shm or
+    mmap — and every answer is the heap index's, ``u == v`` and unreachable
+    pairs included.  (Graphs this small are all dense-path; the small path
+    is the next test's.)"""
+    n = graph.num_vertices
+    check_stored_index_against_heap(
+        make_context(preprocess(graph, seed=9)),
+        tmp_path_factory.mktemp("basis") / "b",
+        upper=data.draw(st.integers(0, 4)),
+        few=data.draw(st.lists(st.integers(0, n - 1), max_size=3)),
+        bad=data.draw(st.sampled_from([-1, n, n + 3])),
+    )
+
+
+def test_stored_index_small_path_merges_over_slices(tmp_path):
+    """Two targets on a 160-vertex forest stay under the dense crossover,
+    so ``distances_from`` takes the per-target merge — which on a stored
+    index slices the label columns (most pairs here are unreachable)."""
+    builder = GraphBuilder("forest")
+    builder.add_vertices(["L"] * 160)
+    for v in range(160):
+        if v % 4:
+            builder.add_edge(v - 1, v)
+    ctx = make_context(preprocess(builder.build(), seed=9))
+    few = [5, 158]
+    assert len(few) * 2.0 * max(ctx.oracle._avg_label, 1.0) < 160 / 16.0
+    check_stored_index_against_heap(ctx, tmp_path / "b", upper=2, few=few, bad=160)
+
+
+@pytest.mark.parametrize("backend_name", ["resident", "shm", "mmap"])
+def test_scalar_queries_leave_a_stored_index_as_it_was(backend_name, tmp_path):
+    """A stored index is its arrays: 10k scalar queries change nothing on
+    it but ``query_count`` (there is no cache left to grow), and labels the
+    graph has moved past are refused from the slicing read path too."""
+    from repro.updates.csr import graph_insert_edge
+    from tests.conftest import build_fig2_graph
+
+    ctx = make_context(preprocess(build_fig2_graph(), seed=1))
+    backend = open_backend(
+        backend_name, basis=basis_from_context(ctx), directory=tmp_path / "b"
+    )
     try:
-        tiered_ctx = backend.context()
-        n = graph.num_vertices
-        for u in range(n):
-            for v in range(n):
-                assert tiered_ctx.oracle.distance(u, v) == ctx.oracle.distance(
-                    u, v
-                )
+        stored_ctx = backend.context()
+        stored, n = stored_ctx.oracle, ctx.graph.num_vertices
+        before = dict(vars(stored))
+        rng = np.random.default_rng(4)
+        for u, v in rng.integers(0, n, size=(10_000, 2)).tolist():
+            assert stored.distance(u, v) == ctx.oracle.distance(u, v)
+        after = dict(vars(stored))
+        assert after.pop("query_count") == before.pop("query_count") + 10_000
+        assert after.keys() == before.keys()
+        assert all(after[key] is before[key] for key in before)
+
+        graph = stored_ctx.graph
+        u, v = next(
+            (u, v) for u in range(n) for v in range(u + 1, n) if not graph.has_edge(u, v)
+        )
+        graph_insert_edge(graph, u, v)  # the graph moves on; the labels do not
+        for call in (
+            lambda: stored.distance(u, v),
+            lambda: stored.within(u, v, 2),
+            lambda: stored.distances_from(u, [v]),
+        ):
+            with pytest.raises(StaleIndexError):
+                call()
     finally:
         backend.close()
-
-
-@given(
-    st.integers(256, 4096),
-    st.integers(1, 8),
-    st.lists(
-        st.tuples(st.integers(0, 30), st.integers(1, 2048)),
-        min_size=1,
-        max_size=200,
-    ),
-)
-@settings(max_examples=100, deadline=None)
-def test_hot_tier_never_exceeds_budget(budget, overfill, puts):
-    """Property: after any put sequence, resident <= budget always holds.
-
-    The eviction loop stops at one surviving entry, but admission refuses
-    anything larger than budget/max_overfill, so a lone survivor still
-    fits — the gauge can never read over budget.
-    """
-    cache = HotPageCache(ByteBudgetPolicy(budget, max_overfill=overfill))
-    for key, nbytes in puts:
-        admitted = cache.put(key, object(), nbytes)
-        assert admitted == (nbytes * overfill <= budget)
-        assert cache.resident_bytes <= budget
-    cache.clear()
-    assert cache.resident_bytes == 0
 
 
 def test_epoch_survives_publish_and_attach_on_every_backend(tmp_path):

@@ -42,12 +42,8 @@ def _reference_matches(ctx):
 def test_serve_over_backend_matches_resident(backend_name, fig2_ctx, tmp_path):
     """The wire answers are backend-invariant."""
     reference = _reference_matches(fig2_ctx)
-    kwargs = {}
-    if backend_name == "mmap":
-        kwargs["directory"] = tmp_path / "basis"
-        kwargs["budget_bytes"] = 4096  # starved on purpose: exercise eviction
     backend = open_backend(
-        backend_name, basis=basis_from_context(fig2_ctx), **kwargs
+        backend_name, basis=basis_from_context(fig2_ctx), directory=tmp_path / "basis"
     )
     try:
         srv = QueryServer(
