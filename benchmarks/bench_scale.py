@@ -1,19 +1,23 @@
 """Scale ladder over the storage backends — emits ``BENCH_scale.json``.
 
 Climbs the dataset-registry presets from test scale toward the paper's
-real dimensions and, at every rung, serves the same formulation through
-all three :mod:`repro.storage` backends:
+real dimensions and, at every rung, serves the same formulation over
+all three :mod:`repro.storage` backends, each brought up the way
+``repro serve`` brings it up (:func:`repro.service.open_host`):
 
 * **build** — graph generation + PML + two-hop, timed (the one-time cost
   the on-disk basis amortizes away across restarts);
-* **basis** — the fully-resident footprint (``EngineBasis.nbytes()``)
-  and the mmap save/open round trip;
-* **serve** — one scripted Run per backend, recording the time to open
-  the backend, SRT and the process' peak RSS after the arm, and asserting
-  the matches are byte-identical everywhere (the conformance invariant
-  at bench scale).  No arm has a cache to size: a stored index reads its
-  label columns where they lie (``docs/STORAGE.md``), so what the mmap
-  arm keeps resident is whatever pages the kernel decides to.
+* **basis** — the fully-resident footprint (``EngineBasis.nbytes()``);
+* **serve** — one scripted session per backend: ``resident`` threaded
+  over the heap bundle, ``shm`` through one worker process, ``mmap``
+  threaded over the registry's saved basis directory opened in place.
+  Recorded are the time to bring the host up, SRT and the hosting
+  process' peak RSS after the arm (for ``shm`` that is the dispatcher,
+  not the worker), asserting the matches are byte-identical everywhere
+  (the conformance invariant at bench scale).  No arm has a cache to
+  size: a stored index reads its label columns where they lie
+  (``docs/STORAGE.md``), so what the mmap arm keeps resident is whatever
+  pages the kernel decides to.
 
 The ``flickr/paper`` rung (1.8M vertices, ~23M edges) is hours of
 pure-Python PML construction, so it only joins the ladder when
@@ -30,11 +34,11 @@ import resource
 import time
 from pathlib import Path
 
-from repro.core.actions import NewEdge, NewVertex, Run
-from repro.core.blender import Boomer
+from repro.core.actions import NewEdge, NewVertex
 from repro.datasets.registry import clear_memory_cache, get_dataset
-from repro.service import canonical_matches
-from repro.storage import basis_from_context, open_backend
+from repro.gui.recording import action_to_dict
+from repro.service import ServeConfig, open_host
+from repro.storage import basis_from_context
 
 #: (dataset, scale) rungs, smallest first.  The paper rung is env-gated.
 STEPS: tuple[tuple[str, str], ...] = (
@@ -61,17 +65,19 @@ def _script(graph) -> list:
         NewVertex(0, a),
         NewVertex(1, b),
         NewEdge(0, 1, 1, 2),
-        Run(),
     ]
 
 
-def _serve_once(ctx, actions) -> tuple[float, tuple]:
-    """Run the script over ``ctx``; (SRT seconds, canonical matches)."""
-    boomer = Boomer(ctx, strategy="DI", max_results=10_000)
+def _serve_once(backend, actions) -> tuple[float, object]:
+    """One session of the script; (SRT seconds, the ``matches`` block)."""
+    sid = backend.dispatch({"op": "create_session", "strategy": "DI"})["session"]
     for action in actions:
-        boomer.apply(action)
-    run = boomer.run_result
-    return run.srt_seconds, canonical_matches(run.matches)
+        backend.dispatch(
+            {"op": "action", "session": sid, "action": action_to_dict(action)}
+        )
+    run = backend.dispatch({"op": "run", "session": sid})
+    matches = backend.dispatch({"op": "matches", "session": sid})["matches"]
+    return run["srt_seconds"], matches
 
 
 def _peak_rss_bytes() -> int:
@@ -85,7 +91,8 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
     bundle = get_dataset(name, scale)
     build_seconds = time.perf_counter() - t0
 
-    basis = basis_from_context(bundle.make_context())
+    ctx = bundle.make_context()
+    basis = basis_from_context(ctx)
     actions = _script(bundle.graph)
 
     row: dict = {
@@ -98,14 +105,21 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
         "backends": {},
     }
 
-    basis_dir = tmp_root / f"{name}-{scale}.basis"
-    matches_by_backend: dict[str, tuple] = {}
-    for backend_name in ("resident", "shm", "mmap"):
+    # The registry's cache entry is the basis the mmap arm opens in place
+    # (a read-only cache dir leaves none: save a private one instead).
+    basis_dir = bundle.basis_dir or tmp_root / f"{name}-{scale}.basis"
+    configs = {
+        "resident": ServeConfig(),
+        "shm": ServeConfig(workers=1, storage="shm"),
+        "mmap": ServeConfig(storage="mmap", storage_dir=str(basis_dir)),
+    }
+    matches_by_backend: dict[str, object] = {}
+    for backend_name, config in configs.items():
         t0 = time.perf_counter()
-        backend = open_backend(backend_name, basis=basis, directory=basis_dir)
+        backend = open_host(ctx, config)
         open_seconds = time.perf_counter() - t0
         try:
-            srt, matches = _serve_once(backend.context(), actions)
+            srt, matches = _serve_once(backend, actions)
         finally:
             backend.close()
         matches_by_backend[backend_name] = matches

@@ -24,6 +24,7 @@ Scale knobs:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,8 +32,7 @@ import pytest
 from benchmarks.conftest import SCALE
 from repro.datasets.registry import get_dataset
 from repro.faults import FaultPlan, GUIFaultSpec, OracleFaultSpec
-from repro.service.overload import OverloadPolicy
-from repro.soak import SLO, run_soak
+from repro.soak import SLO, SOAK_CONFIG, run_soak
 from repro.workload import SoakWorkloadConfig
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_soak.json"
@@ -71,13 +71,9 @@ def test_soak_meets_slo():
     report = run_soak(
         bundle.make_context(),
         workload,
+        replace(SOAK_CONFIG, max_sessions=max_sessions),
         fault_plan=plan,
         slo=slo,
-        overload=OverloadPolicy(
-            session_watermark=0.75, cap_watermark=0.85, max_inflight=32
-        ),
-        max_sessions=max_sessions,
-        cap_entry_budget=100_000,
         time_scale=0.02,
         lock_monitor=True,
     )

@@ -80,12 +80,7 @@ from repro.core.actions import Action, NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context, preprocess
 from repro.core.ranking import RANKINGS, rank_results
-from repro.errors import (
-    DeadlineExceededError,
-    QueryFileError,
-    ReproError,
-    StorageError,
-)
+from repro.errors import DeadlineExceededError, QueryFileError, ReproError
 from repro.faults import FaultPlan
 from repro.graph.generators import dblp_like, flickr_like, wordnet_like
 from repro.graph.io import load_edge_list, save_edge_list
@@ -310,94 +305,67 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_DEGRADED if result.degraded else EXIT_OK
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import QueryServer, SessionManager
-    from repro.service.session import SessionLimits
-
-    if args.storage != "mmap" and args.storage_dir:
-        raise StorageError("--storage-dir only applies to --storage mmap")
-    storage_backend = None
-    if args.storage == "mmap" and args.storage_dir:
-        # A named dir already holding a valid saved basis serves as-is —
-        # no graph build, no PML construction.  This is how a
-        # materialize_basis()-produced paper-scale basis (or a previous
-        # run's --storage-dir) comes back up in milliseconds.
-        from repro.errors import BasisFormatError
-        from repro.storage import MmapBackend
-        from repro.storage.mmapstore import read_meta
-
-        try:
-            read_meta(args.storage_dir)
-        except BasisFormatError:
-            pass  # nothing saved there yet: build below, save into it
-        else:
-            storage_backend = MmapBackend(args.storage_dir)
-            print(
-                f"opened saved basis '{storage_backend.basis.graph_name}' "
-                f"from {args.storage_dir}",
-                file=sys.stderr,
-            )
-
-    if storage_backend is not None:
-        base_ctx = storage_backend.context()
-    elif args.graph:
+def _load_served_context(args: argparse.Namespace):
+    """``(context, basis_dir)`` for ``serve``/``soak``: the ``--graph``
+    file preprocessed now (no saved basis), or the registry's
+    ``--dataset`` bundle and the directory its basis is cached in."""
+    if args.graph:
         graph = load_edge_list(args.graph)
         print(f"loaded {graph}", file=sys.stderr)
         pre = preprocess(graph, t_avg_samples=args.t_avg_samples)
         print(pre.summary(), file=sys.stderr)
-        base_ctx = make_context(pre)
-    else:
-        from repro.datasets.registry import get_dataset
+        return make_context(pre), None
+    from repro.datasets.registry import get_dataset
 
-        bundle = get_dataset(args.dataset, args.scale)
-        print(bundle.pre.summary(), file=sys.stderr)
-        base_ctx = bundle.make_context()
+    bundle = get_dataset(args.dataset, args.scale)
+    print(bundle.pre.summary(), file=sys.stderr)
+    return bundle.make_context(), bundle.basis_dir
 
-    if args.storage == "mmap" and storage_backend is None and args.workers == 0:
-        # The threaded path owns its mmap basis directly (the pool
-        # dispatcher creates its own instead, so workers share it).
-        from repro.storage import basis_from_context, open_backend
 
-        storage_backend = open_backend(
-            "mmap",
-            basis=basis_from_context(base_ctx),
-            directory=args.storage_dir,
-        )
-        base_ctx = storage_backend.context()
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.errors import BasisFormatError
+    from repro.service import QueryServer, ServeConfig, open_host
+    from repro.service.session import SessionLimits
+    from repro.storage import MmapBackend
 
-    limits = SessionLimits(
-        resilience=ResilienceConfig.from_posture(args.resilience, args.deadline)
+    config = ServeConfig(
+        workers=args.workers,
+        max_sessions=args.max_sessions,
+        cap_entry_budget=args.cap_budget,
+        default_limits=SessionLimits(
+            resilience=ResilienceConfig.from_posture(args.resilience, args.deadline)
+        ),
+        checkpoint_dir=args.checkpoint_dir,
+        storage=args.storage,
+        storage_dir=args.storage_dir,
     )
-    if args.workers > 0:
-        from repro.service.pool import PoolDispatcher
+    base_ctx = None
+    if config.storage_dir:
+        # A named dir already holding a valid saved basis serves as-is —
+        # no graph build, no PML construction.  This is how a paper-scale
+        # basis (or a previous run's --storage-dir) comes back up in
+        # milliseconds.
+        try:
+            base_ctx = MmapBackend(config.storage_dir).context()
+        except BasisFormatError:
+            pass  # nothing saved there yet: build below, save into it
+        else:
+            print(
+                f"opened saved basis '{base_ctx.graph.name}' "
+                f"from {config.storage_dir}",
+                file=sys.stderr,
+            )
+    if base_ctx is None:
+        base_ctx, basis_dir = _load_served_context(args)
+        if config.storage == "mmap" and not config.storage_dir and basis_dir:
+            # The registry's cache entry is this very basis: open it in place.
+            config = replace(config, storage_dir=str(basis_dir))
 
-        backend = PoolDispatcher(
-            base_ctx,
-            workers=args.workers,
-            max_sessions=args.max_sessions,
-            cap_entry_budget=args.cap_budget,
-            default_limits=limits,
-            checkpoint_dir=args.checkpoint_dir,
-            storage="mmap" if args.storage == "mmap" else "shm",
-            basis_dir=args.storage_dir,
-        )
-    else:
-        backend = SessionManager(
-            base_ctx,
-            max_sessions=args.max_sessions,
-            cap_entry_budget=args.cap_budget,
-            default_limits=limits,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_on_mutate=args.checkpoint_dir is not None,
-        )
-    server = QueryServer(backend, host=args.host, port=args.port)
+    server = QueryServer(open_host(base_ctx, config), host=args.host, port=args.port)
     host, port = server.address
-    basis_kind = "mmap" if args.storage == "mmap" else (
-        "shm" if args.workers > 0 else "resident"
-    )
     mode = (
         f"{args.workers} workers" if args.workers > 0 else "threaded"
-    ) + f", {basis_kind} basis"
+    ) + f", {config.basis_kind} basis"
     # The banner line is a parsing contract (smoke tests, scripts): keep
     # it exactly `serving on host:port`; the mode goes to stderr.
     print(f"serving on {host}:{port}", flush=True)
@@ -413,8 +381,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except Exception:
             stats = {}
         server.stop()
-        if storage_backend is not None:
-            storage_backend.close()
         print(
             f"served {stats.get('sessions_created', 0)} sessions "
             f"({stats.get('runs_completed', 0)} runs, "
@@ -427,20 +393,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_soak(args: argparse.Namespace) -> int:
     import json
 
+    from repro.service import ServeConfig
     from repro.service.overload import OverloadPolicy
     from repro.soak import SLO, run_soak
     from repro.workload import SoakWorkloadConfig
 
-    if args.graph:
-        graph = load_edge_list(args.graph)
-        print(f"loaded {graph}", file=sys.stderr)
-        pre = preprocess(graph, t_avg_samples=args.t_avg_samples)
-        base_ctx = make_context(pre)
-    else:
-        from repro.datasets.registry import get_dataset
-
-        bundle = get_dataset(args.dataset, args.scale)
-        base_ctx = bundle.make_context()
+    base_ctx, _ = _load_served_context(args)
 
     if args.workers > 0:
         # Fault wrappers cannot cross the process boundary; the pool
@@ -470,22 +428,24 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         abandon_rate=args.abandon_rate,
         postures=tuple(args.postures.split(",")),
     )
-    overload = OverloadPolicy(
-        session_watermark=args.session_watermark,
-        cap_watermark=args.cap_watermark,
-        max_inflight=args.max_inflight,
+    config = ServeConfig(
+        workers=args.workers,
+        max_sessions=args.max_sessions,
+        cap_entry_budget=args.cap_budget,
+        overload=OverloadPolicy(
+            session_watermark=args.session_watermark,
+            cap_watermark=args.cap_watermark,
+            max_inflight=args.max_inflight,
+        ),
     )
     report = run_soak(
         base_ctx,
         workload,
+        config,
         fault_plan=plan,
         slo=SLO(max_memory_growth_mib=args.max_memory_growth),
-        overload=overload,
-        max_sessions=args.max_sessions,
-        cap_entry_budget=args.cap_budget,
         time_scale=args.time_scale,
         lock_monitor=not args.no_lock_monitor,
-        workers=args.workers,
         kill_worker_after=args.kill_worker_after,
     )
     payload = report.to_dict()

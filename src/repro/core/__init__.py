@@ -35,7 +35,6 @@ from repro.core.enumerate import (
 )
 from repro.core.explore import (
     estimate_selectivity,
-    maximum_match,
     suggest_extension_labels,
 )
 from repro.core.lowerbound import ResultSubgraph, detect_path, filter_by_lower_bound
@@ -100,7 +99,6 @@ __all__ = [
     "VertexMatcher",
     "jaccard_label_similarity",
     "estimate_selectivity",
-    "maximum_match",
     "suggest_extension_labels",
     "RANKINGS",
     "rank_results",

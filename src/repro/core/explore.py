@@ -3,12 +3,10 @@
 The paper argues the blended paradigm "opens up opportunities to enhance
 usability of graph databases (e.g., exploratory search)" (Section 1, citing
 PICASSO).  With a partially formulated query, the CAP index already knows
-which candidates are alive — so the GUI can *guide* the user:
+which candidates are alive (the live level ``cap.candidates(q)`` of every
+query vertex is Fan et al.'s maximum match ``S_M``, the paper's footnote
+6) — so the GUI can *guide* the user:
 
-* :func:`maximum_match` — Fan et al.'s maximum match ``S_M`` (the paper's
-  footnote 6): for every query vertex, all data vertices that participate
-  in at least the partial constraints processed so far (its live CAP
-  level).
 * :func:`suggest_extension_labels` — ranked labels for the *next* vertex
   the user might attach to query vertex ``q``: labels found among the data
   neighbors of ``q``'s live candidates.  Drawing a suggested label with a
@@ -27,19 +25,9 @@ from collections.abc import Hashable
 from repro.core.blender import BlenderEngine
 from repro.errors import CAPStateError
 
-__all__ = ["maximum_match", "suggest_extension_labels", "estimate_selectivity"]
+__all__ = ["suggest_extension_labels", "estimate_selectivity"]
 
 Label = Hashable
-
-
-def maximum_match(engine: BlenderEngine) -> dict[int, list[int]]:
-    """``S_M``: per query vertex, the sorted live candidate vertices.
-
-    This is exactly the union semantics of the paper's footnote 6 —
-    everything that could still appear in some partial match given the
-    processed constraints.
-    """
-    return {q: engine.cap.candidates(q).tolist() for q in engine.cap.levels()}
 
 
 def suggest_extension_labels(

@@ -8,10 +8,10 @@ preset table, never hand-maintained):
 * ``small`` — the default benchmark scale;
 * ``paper`` — the source paper's actual dimensions (currently Flickr,
   1.8M vertices / ~23M edges / 3000 labels).  Paper-scale bundles are
-  built for the mmap storage backend: the basis is materialized once on
-  disk (:func:`materialize_basis`) and served demand-paged under a byte
-  budget — holding it fully resident is exactly what
-  :mod:`repro.storage` exists to avoid.
+  built for the mmap storage backend: the basis directory this module
+  writes (:attr:`DatasetBundle.basis_dir`) is opened in place and
+  demand-paged by the kernel — holding it fully resident is exactly
+  what :mod:`repro.storage` exists to avoid.
 
 Scaling rules (DESIGN.md, substitution table):
 
@@ -29,27 +29,35 @@ Scaling rules (DESIGN.md, substitution table):
   nothing shrank.
 
 Preprocessing (PML + 2-hop counts + t_avg) is expensive enough to cache:
-an in-process memo plus an on-disk pickle cache (``~/.cache/repro-boomer``
-or ``$REPRO_CACHE_DIR``) keyed by the full configuration.  Cache files
-are the envelope ``{"version": _CACHE_VERSION, "pre": PreprocessResult}``
-and nothing else: the version is part of the file name, so a file an
-older writer left is never opened, and anything that does not read as
-this envelope is rebuilt silently.
+an in-process memo plus one saved engine basis per configuration,
+``<cache dir>/<cache_key>.basis`` (``~/.cache/repro-boomer`` or
+``$REPRO_CACHE_DIR``).  The directory is the only stored form of a
+prepared dataset: :func:`repro.storage.save_basis` writes it under its
+``meta.json`` commit mark, a cache hit rebuilds from it the same
+patchable heap bundle a fresh build gives, and ``repro serve --storage
+mmap`` opens it in place.  Its format is :mod:`repro.storage.mmapstore`'s
+alone; a directory that does not load as a committed basis of this very
+graph is rebuilt silently, never served.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.context import EngineContext
 from repro.core.cost import GUILatencyConstants
 from repro.core.preprocessor import PreprocessResult, make_context, preprocess
-from repro.errors import DatasetError
+from repro.errors import BasisFormatError, DatasetError
 from repro.graph.generators import dblp_like, flickr_like, wordnet_like
 from repro.graph.graph import Graph
+from repro.storage.basis import (
+    basis_from_context,
+    context_from_basis,
+    heap_context_from_basis,
+)
+from repro.storage.mmapstore import load_basis, save_basis
 
 __all__ = [
     "DatasetConfig",
@@ -58,12 +66,10 @@ __all__ = [
     "SCALES",
     "dataset_config",
     "get_dataset",
-    "materialize_basis",
     "clear_memory_cache",
 ]
 
-_CACHE_VERSION = 3
-_memory_cache: dict[tuple, "DatasetBundle"] = {}
+_memory_cache: dict[str, "DatasetBundle"] = {}
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class DatasetConfig:
         ratio = "" if self.edge_ratio is None else f"-r{self.edge_ratio}"
         return (
             f"{self.name}-{self.scale}-n{self.num_vertices}"
-            f"-l{self.num_labels}-s{self.seed}{ratio}-v{_CACHE_VERSION}"
+            f"-l{self.num_labels}-s{self.seed}{ratio}"
         )
 
 
@@ -160,6 +166,10 @@ class DatasetBundle:
     graph: Graph
     pre: PreprocessResult
     latency: GUILatencyConstants
+    #: The saved engine basis of this bundle (the disk cache entry), or
+    #: None when none was read or written (``use_disk_cache=False``, a
+    #: read-only cache directory).
+    basis_dir: Path | None = None
 
     def make_context(self, oracle=None, *, basis=None) -> EngineContext:
         """Fresh :class:`EngineContext` (fresh counters, shared index).
@@ -175,8 +185,6 @@ class DatasetBundle:
                 raise DatasetError(
                     "make_context takes either oracle= or basis=, not both"
                 )
-            from repro.storage import context_from_basis
-
             return context_from_basis(basis)
         return make_context(self.pre, latency=self.latency, oracle=oracle)
 
@@ -210,21 +218,34 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-boomer"
 
 
-def _load_cache_envelope(cache_path: Path) -> PreprocessResult | None:
-    """Read one disk-cache file; None on any corruption (silent rebuild)."""
+def _load_cached(basis_dir: Path, config: DatasetConfig) -> PreprocessResult | None:
+    """A cache hit, as the patchable heap form a fresh build gives.
+
+    None means rebuild: the directory is missing, uncommitted (no
+    ``meta.json`` — a save died), unreadable, or holds some other
+    graph's basis (a ``--storage-dir`` pointed here by mistake).  Nothing
+    was built or measured in this process, so the timings read 0.0 and
+    ``t_avg`` is the stored one.
+    """
     try:
-        with cache_path.open("rb") as handle:
-            payload = pickle.load(handle)
-    except Exception:
+        basis = load_basis(basis_dir)
+    except BasisFormatError:
         return None
-    if (
-        isinstance(payload, dict)
-        and payload.keys() == {"version", "pre"}
-        and payload["version"] == _CACHE_VERSION
-        and isinstance(payload["pre"], PreprocessResult)
+    # The generators name their graphs "<dataset>-like".
+    if (basis.graph_name, len(basis.labels), basis.epoch) != (
+        f"{config.name}-like", config.num_vertices, 0,
     ):
-        return payload["pre"]
-    return None
+        return None
+    ctx = heap_context_from_basis(basis)
+    return PreprocessResult(
+        graph=ctx.graph,
+        pml=ctx.oracle,
+        two_hop=ctx.two_hop,
+        t_avg=ctx.cost_model.t_avg,
+        pml_build_seconds=0.0,
+        two_hop_seconds=0.0,
+        t_avg_samples=0,
+    )
 
 
 def get_dataset(
@@ -236,64 +257,34 @@ def get_dataset(
     hits are exact replicas of fresh builds.
     """
     config = dataset_config(name, scale)
-    memo_key = (config.cache_key,)
-    if memo_key in _memory_cache:
-        return _memory_cache[memo_key]
+    if config.cache_key in _memory_cache:
+        return _memory_cache[config.cache_key]
 
-    cache_path = _cache_dir() / f"{config.cache_key}.pkl"
-    pre: PreprocessResult | None = None
-    if use_disk_cache and cache_path.exists():
-        pre = _load_cache_envelope(cache_path)
-
+    latency = GUILatencyConstants().scaled(config.latency_scale)
+    basis_dir = (
+        _cache_dir() / f"{config.cache_key}.basis" if use_disk_cache else None
+    )
+    pre = _load_cached(basis_dir, config) if basis_dir is not None else None
     if pre is None:
-        graph = _build_graph(config)
-        pre = preprocess(graph, seed=config.seed)
-        if use_disk_cache:
-            envelope = {"version": _CACHE_VERSION, "pre": pre}
+        pre = preprocess(_build_graph(config), seed=config.seed)
+        if basis_dir is not None:
             try:
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                with cache_path.open("wb") as handle:
-                    pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                save_basis(
+                    basis_from_context(make_context(pre, latency=latency)),
+                    basis_dir,
+                )
             except OSError:
-                pass  # read-only filesystems just skip the disk cache
+                basis_dir = None  # read-only filesystems just skip the disk cache
 
     bundle = DatasetBundle(
         config=config,
         graph=pre.graph,
         pre=pre,
-        latency=GUILatencyConstants().scaled(config.latency_scale),
+        latency=latency,
+        basis_dir=basis_dir,
     )
-    _memory_cache[memo_key] = bundle
+    _memory_cache[config.cache_key] = bundle
     return bundle
-
-
-def materialize_basis(
-    bundle: DatasetBundle, directory: str | Path | None = None
-) -> Path:
-    """Save (or reuse) the bundle's on-disk mmap basis; returns its path.
-
-    The default location is ``<cache dir>/<cache_key>.basis`` — next to
-    the pickle cache, keyed identically, so one preprocessing run feeds
-    both the resident and the mmap service paths.  An existing valid
-    basis is reused as-is (manifest-validated, never rebuilt).
-    """
-    from repro.errors import BasisFormatError
-    from repro.storage import basis_from_context, save_basis
-    from repro.storage.mmapstore import read_meta
-
-    path = (
-        Path(directory)
-        if directory is not None
-        else _cache_dir() / f"{bundle.config.cache_key}.basis"
-    )
-    if path.exists():
-        try:
-            read_meta(path)
-            return path
-        except BasisFormatError:
-            pass  # partial/stale save: rewrite below
-    basis = basis_from_context(bundle.make_context())
-    return save_basis(basis, path)
 
 
 def clear_memory_cache() -> None:

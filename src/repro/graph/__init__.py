@@ -32,7 +32,6 @@ from repro.graph.algorithms import (
     k_hop_neighborhood,
     connected_components,
     largest_component,
-    shortest_path,
     has_path_within,
     region_around,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "k_hop_neighborhood",
     "connected_components",
     "largest_component",
-    "shortest_path",
     "has_path_within",
     "region_around",
     "bounded_paths",

@@ -4,13 +4,13 @@ These are the unindexed primitives: breadth-first distances (the ground
 truth the PML index is tested against, and the fallback distance oracle),
 k-hop neighborhoods (the two-hop search of Lemma 5.4), connected components
 (used when extracting the largest component of generated datasets and when
-rolling back CAP regions), and path reconstruction for result visualization.
+rolling back CAP regions).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "k_hop_neighborhood",
     "connected_components",
     "largest_component",
-    "shortest_path",
     "has_path_within",
     "region_around",
 ]
@@ -130,36 +129,6 @@ def largest_component(graph: Graph) -> Graph:
     return graph.induced_subgraph(sorted(components[0]))
 
 
-def shortest_path(graph: Graph, u: int, v: int) -> list[int] | None:
-    """One shortest path from ``u`` to ``v`` as a vertex list; None if none.
-
-    Used by the just-in-time lower-bound checker when materializing the
-    matching path of a query edge for visualization.
-    """
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    if u == v:
-        return [u]
-    offsets, neighbors = graph.raw_csr()
-    parent = {u: u}
-    frontier = deque([u])
-    while frontier:
-        x = frontier.popleft()
-        for idx in range(int(offsets[x]), int(offsets[x + 1])):
-            w = int(neighbors[idx])
-            if w in parent:
-                continue
-            parent[w] = x
-            if w == v:
-                path = [v]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            frontier.append(w)
-    return None
-
-
 def has_path_within(graph: Graph, u: int, v: int, lower: int, upper: int) -> bool:
     """True iff a *simple* path of length in ``[lower, upper]`` joins u and v.
 
@@ -221,9 +190,3 @@ def region_around(
     region = graph.induced_subgraph(ordered)
     mapping = {orig: new for new, orig in enumerate(ordered)}
     return region, mapping
-
-
-def path_length_ok(path: Sequence[int], lower: int, upper: int) -> bool:
-    """Convenience: does ``path`` (vertex list) satisfy ``[lower, upper]``?"""
-    length = len(path) - 1
-    return lower <= length <= upper

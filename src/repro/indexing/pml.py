@@ -108,9 +108,8 @@ class PrunedLandmarkLabeling:
 
         Runs when the lists are set (``__init__``) and again each time
         they change (:meth:`apply_edge_insert`), nowhere else; an index
-        over arrays that arrived frozen
-        (:meth:`repro.storage.basis.StoredPML.from_arrays`) has no lists
-        and never calls it.
+        assembled over arrays that arrived frozen (:mod:`repro.storage.basis`)
+        never calls it.
         """
         n = len(self._label_ranks)
         offsets = np.zeros(n + 1, dtype=np.int64)

@@ -33,6 +33,9 @@ PML oracle.  This package is that layer:
   backend seam: the former is the in-process threaded path, the latter
   fans sessions out across N worker processes sharing the engine basis
   zero-copy (``repro serve --workers N``; see :mod:`repro.service.pool`).
+* :class:`ServeConfig` / :func:`open_host` — the one configuration of a
+  hosting process and the one door that brings either backend up from
+  it (:mod:`repro.service.host`).
 
 Layering: ``service`` sits *above* ``gui``/``core`` — it imports them,
 never the reverse.  Everything below the manager is unchanged BOOMER; the
@@ -43,6 +46,7 @@ deferral-neutrality invariant is what makes cross-session scheduling safe
 from repro.service.checkpoint import CheckpointStore, SessionCheckpoint
 from repro.service.client import ServiceClient
 from repro.service.dispatch import LocalDispatcher
+from repro.service.host import ServeConfig, open_host
 from repro.service.manager import ManagerStats, SessionManager
 from repro.service.overload import OverloadPolicy
 from repro.service.pool import PoolDispatcher
@@ -61,6 +65,8 @@ __all__ = [
     "ServiceClient",
     "LocalDispatcher",
     "PoolDispatcher",
+    "ServeConfig",
+    "open_host",
     "OverloadPolicy",
     "SessionCheckpoint",
     "CheckpointStore",

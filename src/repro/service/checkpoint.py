@@ -10,7 +10,7 @@ session by id*:
   — the formulation itself;
 * the **virtual timeline** (:class:`~repro.gui.session.TimelineState`
   scalars) — arrival/busy horizon/QFT accounting;
-* the **limits** — strategy, pruning, result cap, trace knobs, and the
+* the **limits** — strategy, pruning, result cap, trace switch, and the
   resilience posture (scalar fields; exception-type tuples are rebuilt
   from policy defaults);
 * the session's service-side **accounting** (actions applied, donated /
@@ -39,7 +39,7 @@ import os
 import re
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.core.actions import Run
@@ -71,72 +71,37 @@ _CHECKPOINTABLE_STATES = ("formulating", "ran")
 # --------------------------------------------------------------------------
 # Limits / resilience serialization
 # --------------------------------------------------------------------------
-def _retry_to_dict(policy: RetryPolicy) -> dict[str, object]:
-    return {
-        "max_attempts": policy.max_attempts,
-        "base_delay": policy.base_delay,
-        "backoff": policy.backoff,
-        "max_delay": policy.max_delay,
-    }
-
-
-def _retry_from_dict(payload: dict[str, object]) -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=int(payload["max_attempts"]),
-        base_delay=float(payload["base_delay"]),
-        backoff=float(payload["backoff"]),
-        max_delay=float(payload["max_delay"]),
-    )
-
-
-def _resilience_to_dict(config: ResilienceConfig | None) -> dict | None:
-    if config is None:
-        return None
-    return {
-        "retry": _retry_to_dict(config.retry),
-        "deadline_seconds": config.deadline_seconds,
-        "degrade_to_bu": config.degrade_to_bu,
-        "verify_cap_on_run": config.verify_cap_on_run,
-        "audit_sample_pairs": config.audit_sample_pairs,
-        "absorb_action_failures": config.absorb_action_failures,
-    }
-
-
-def _resilience_from_dict(payload: dict | None) -> ResilienceConfig | None:
-    if payload is None:
-        return None
-    deadline = payload["deadline_seconds"]
-    return ResilienceConfig(
-        retry=_retry_from_dict(payload["retry"]),
-        deadline_seconds=None if deadline is None else float(deadline),
-        degrade_to_bu=bool(payload["degrade_to_bu"]),
-        verify_cap_on_run=bool(payload["verify_cap_on_run"]),
-        audit_sample_pairs=int(payload["audit_sample_pairs"]),
-        absorb_action_failures=bool(payload["absorb_action_failures"]),
-    )
-
-
 def _limits_to_dict(limits: SessionLimits) -> dict[str, object]:
-    return {
-        "strategy": limits.strategy,
-        "pruning": limits.pruning,
-        "max_results": limits.max_results,
-        "resilience": _resilience_to_dict(limits.resilience),
-        "trace": limits.trace,
-        "trace_capacity": limits.trace_capacity,
-    }
+    """``limits`` as JSON: every field by name, nested configs as objects.
+
+    The two exception-type tuples of a :class:`RetryPolicy` do not
+    serialize; restore rebuilds them from the policy defaults.
+    """
+    out = asdict(limits)
+    if out["resilience"] is not None:
+        for name in ("retry_on", "never_retry"):
+            del out["resilience"]["retry"][name]
+    return out
+
+
+def _from_dict(cls, payload: dict[str, object]):
+    """``cls`` from the payload keys that are still fields of it (a key
+    an older writer recorded and no field answers to is ignored)."""
+    known = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in payload.items() if k in known})
 
 
 def _limits_from_dict(payload: dict[str, object]) -> SessionLimits:
-    max_results = payload["max_results"]
-    return SessionLimits(
-        strategy=str(payload["strategy"]),
-        pruning=bool(payload["pruning"]),
-        max_results=None if max_results is None else int(max_results),
-        resilience=_resilience_from_dict(payload["resilience"]),
-        trace=bool(payload["trace"]),
-        trace_capacity=int(payload["trace_capacity"]),
-    )
+    try:
+        resilience = payload["resilience"]
+        if resilience is not None:
+            retry = _from_dict(RetryPolicy, resilience["retry"])
+            resilience = _from_dict(
+                ResilienceConfig, {**resilience, "retry": retry}
+            )
+        return _from_dict(SessionLimits, {**payload, "resilience": resilience})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint limits: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +296,7 @@ class CheckpointStore:
     requeues the session onto — opens a fresh store over the same
     directory and finds every checkpoint its predecessor wrote.  The
     in-memory capacity bound does **not** evict disk files; disk is the
-    durable tier, bounded only by explicit ``pop``/``clear_disk``.
+    durable tier, bounded only by explicit ``pop``.
     """
 
     def __init__(self, capacity: int = 256, directory: str | None = None) -> None:
@@ -436,15 +401,6 @@ class CheckpointStore:
             for session_id in self._disk_ids():
                 known.setdefault(session_id, None)
             return list(known)
-
-    def clear_disk(self) -> int:
-        """Delete every on-disk checkpoint; returns how many were removed."""
-        with self._lock:
-            removed = 0
-            for session_id in self._disk_ids():
-                self._remove_disk(session_id)
-                removed += 1
-            return removed
 
     def __len__(self) -> int:
         with self._lock:

@@ -21,21 +21,32 @@ lives in :mod:`repro.service.pool.dispatcher`.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ProtocolError
 from repro.obs.metrics import metrics
 from repro.service import protocol
-from repro.service.manager import SessionManager
+from repro.service.manager import DRAIN_TIMEOUT, SessionManager
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage import StorageBackend
 
 __all__ = ["LocalDispatcher"]
 
 
 class LocalDispatcher:
-    """In-process backend: one :class:`SessionManager`, no pipes."""
+    """In-process backend: one :class:`SessionManager`, no pipes.
 
-    def __init__(self, manager: SessionManager) -> None:
+    ``storage`` is the backend the manager's context was opened from
+    when this dispatcher owns it (:func:`repro.service.host.open_host`
+    over mmap): :meth:`close` releases it.
+    """
+
+    def __init__(
+        self, manager: SessionManager, storage: "StorageBackend | None" = None
+    ) -> None:
         self.manager = manager
+        self._storage = storage
 
     @property
     def graph_name(self) -> str:
@@ -132,8 +143,10 @@ class LocalDispatcher:
             return {"closed": session_id}
         raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
 
-    def drain(self, timeout: float | None = 5.0) -> dict[str, object]:
+    def drain(self, timeout: float | None = DRAIN_TIMEOUT) -> dict[str, object]:
         return self.manager.drain(timeout=timeout)
 
     def close(self) -> None:
-        """Nothing process-level to release in-process."""
+        """Release the storage backend, if this dispatcher owns one."""
+        if self._storage is not None:
+            self._storage.close()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from repro.core.actions import Action
 from repro.core.blender import ActionReport, RunResult
@@ -59,12 +59,18 @@ from repro.service.checkpoint import (
     checkpoint_session as _capture_checkpoint,
     restore_session as _rebuild_from_checkpoint,
 )
+from repro.service.host import ServeConfig
 from repro.service.overload import OverloadPolicy
 from repro.service.scheduler import IdleScheduler
-from repro.service.session import ManagedSession, SessionLimits
+from repro.service.session import ManagedSession
 from repro.updates import UpdateReport, delete_edge, insert_edge
 
-__all__ = ["SessionManager", "ManagerStats"]
+__all__ = ["SessionManager", "ManagerStats", "DRAIN_TIMEOUT"]
+
+#: Seconds a drain waits for in-flight requests to retire before it
+#: checkpoints the idle sessions and reports the rest as busy.
+DRAIN_TIMEOUT = 5.0
+
 
 @dataclass
 class ManagerStats:
@@ -84,20 +90,13 @@ class ManagerStats:
     eviction_log: list[str] = field(default_factory=list)
 
     def snapshot(self) -> dict[str, object]:
-        return {
-            "sessions_created": self.sessions_created,
-            "sessions_closed": self.sessions_closed,
-            "sessions_evicted": self.sessions_evicted,
-            "admission_rejections": self.admission_rejections,
-            "requests_shed": self.requests_shed,
-            "sessions_checkpointed": self.sessions_checkpointed,
-            "sessions_restored": self.sessions_restored,
-            "runs_completed": self.runs_completed,
-            "runs_degraded": self.runs_degraded,
-            "runs_failed": self.runs_failed,
-            "updates_applied": self.updates_applied,
-            "recent_evictions": list(self.eviction_log[-16:]),
+        out: dict[str, object] = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "eviction_log"
         }
+        out["recent_evictions"] = self.eviction_log[-16:]
+        return out
 
 
 class SessionManager:
@@ -106,33 +105,21 @@ class SessionManager:
     def __init__(
         self,
         base_ctx: EngineContext,
-        max_sessions: int = 64,
-        cap_entry_budget: int | None = 1_000_000,
-        default_limits: SessionLimits | None = None,
-        overload: OverloadPolicy | None = None,
-        checkpoint_capacity: int = 256,
-        checkpoint_dir: str | None = None,
-        checkpoint_on_mutate: bool = False,
+        config: ServeConfig | None = None,
         session_prefix: str = "s",
     ) -> None:
-        if max_sessions < 1:
-            raise AdmissionError("max_sessions must be at least 1")
         self.base_ctx = base_ctx
-        self.max_sessions = max_sessions
-        self.cap_entry_budget = cap_entry_budget
-        self.default_limits = default_limits or SessionLimits()
-        #: Watermark backpressure; None disables shedding (hard budgets
-        #: and :class:`AdmissionError` still apply, as before).
-        self.overload = overload
+        #: Budgets, creation defaults, backpressure and the checkpoint
+        #: directory (see :class:`~repro.service.host.ServeConfig`).
+        self.config = config = config or ServeConfig()
         #: Verdict builder for drain refusals even when shedding is off.
-        self._shed_policy = overload or OverloadPolicy()
-        self.checkpoints = CheckpointStore(
-            capacity=checkpoint_capacity, directory=checkpoint_dir
-        )
-        #: Write-through mode: checkpoint after every successful mutating
-        #: op, so a SIGKILL'd worker process loses at most the request it
-        #: was servicing (which the client retries).  Used by the pool.
-        self.checkpoint_on_mutate = checkpoint_on_mutate
+        self._shed_policy = config.overload or OverloadPolicy()
+        self.checkpoints = CheckpointStore(directory=config.checkpoint_dir)
+        #: Write-through mode: with a checkpoint directory, checkpoint
+        #: after every successful mutating op, so a SIGKILL'd worker
+        #: process loses at most the request it was servicing (which the
+        #: client retries).
+        self._write_through_on = config.checkpoint_dir is not None
         #: Session-id namespace — worker ``k`` of a pool uses ``w{k}s``
         #: so ids never collide across the fleet's managers.
         self.session_prefix = session_prefix
@@ -176,12 +163,15 @@ class SessionManager:
             reason=reason,
         ).inc()
         if admission:
-            self.stats_counters.admission_rejections += 1
-            metrics.counter(
-                "repro_admission_rejections_total",
-                "session creations refused for lack of budget",
-            ).inc()
+            self._count_admission_rejection()
         raise self._shed_policy.shed(reason, detail)
+
+    def _count_admission_rejection(self) -> None:
+        self.stats_counters.admission_rejections += 1
+        metrics.counter(
+            "repro_admission_rejections_total",
+            "session creations refused for lack of budget",
+        ).inc()
 
     @contextmanager
     def _track_request(self, mutating: bool = True):
@@ -197,11 +187,8 @@ class SessionManager:
             if mutating:
                 if self._draining:
                     self._shed("draining", "server is draining for shutdown")
-                limit = (
-                    self.overload.max_inflight
-                    if self.overload is not None
-                    else None
-                )
+                overload = self.config.overload
+                limit = overload.max_inflight if overload is not None else None
                 if limit is not None and self._inflight >= limit:
                     self._shed(
                         "queue",
@@ -234,114 +221,129 @@ class SessionManager:
         :class:`~repro.errors.AdmissionError` is reserved for a budget
         that is exhausted outright.
         """
-        limits = self._build_limits(
-            strategy, pruning, max_results, resilience, deadline_seconds, trace
-        )
-        with self._track_request(), self._lock:
-            if len(self._sessions) >= self.max_sessions:
-                self._evict_lru(
-                    need_sessions=1, reason="session budget", active=None
-                )
-            if len(self._sessions) >= self.max_sessions:
-                self.stats_counters.admission_rejections += 1
-                metrics.counter(
-                    "repro_admission_rejections_total",
-                    "session creations refused for lack of budget",
-                ).inc()
-                raise AdmissionError(
-                    f"session budget exhausted ({self.max_sessions} open, "
-                    "none evictable)"
-                )
-            if self.overload is not None:
-                threshold = self.overload.session_threshold(self.max_sessions)
-                if len(self._sessions) >= threshold:
-                    self._evict_lru(
-                        need_sessions=len(self._sessions) - threshold + 1,
-                        reason="session watermark",
-                        active=None,
-                    )
-                if len(self._sessions) >= threshold:
-                    self._shed(
-                        "sessions",
-                        f"{len(self._sessions)} open sessions "
-                        f"(watermark {threshold}/{self.max_sessions})",
-                        admission=True,
-                    )
-                cap_threshold = self.overload.cap_threshold(self.cap_entry_budget)
-                if cap_threshold is not None:
-                    in_use = self.total_cap_entries()
-                    if in_use >= cap_threshold:
-                        self._evict_lru(
-                            need_entries=in_use - cap_threshold + 1,
-                            reason="CAP watermark",
-                            active=None,
-                        )
-                        in_use = self.total_cap_entries()
-                    if in_use >= cap_threshold:
-                        self._shed(
-                            "cap",
-                            f"{in_use} CAP entries in use "
-                            f"(watermark {cap_threshold}/{self.cap_entry_budget})",
-                            admission=True,
-                        )
-            session_id = f"{self.session_prefix}{next(self._id_counter)}"
-            session = ManagedSession(session_id, self.base_ctx, limits)
-            session.touch_seq = next(self._touch_counter)
-            self._sessions[session_id] = session
-            self.scheduler.register(session)
-            self.stats_counters.sessions_created += 1
-            metrics.counter(
-                "repro_sessions_created_total", "sessions admitted"
-            ).inc()
-            metrics.gauge(
-                "repro_sessions_open", "currently hosted sessions"
-            ).set(len(self._sessions))
-        if self.checkpoint_on_mutate:
-            with session.lock:
-                self._write_through(session)
-        return session
-
-    def _build_limits(
-        self,
-        strategy: str | None,
-        pruning: bool | None,
-        max_results: int | None,
-        resilience: str | ResilienceConfig | None,
-        deadline_seconds: float | None,
-        trace: bool | None = None,
-    ) -> SessionLimits:
-        base = self.default_limits
+        base = self.config.default_limits
         try:
-            config = ResilienceConfig.from_posture(
+            posture = ResilienceConfig.from_posture(
                 resilience if resilience is not None else base.resilience,
                 deadline_seconds,
             )
         except ValueError as exc:  # a posture name the wire made up
             raise AdmissionError(str(exc)) from None
-        return SessionLimits(
-            strategy=strategy if strategy is not None else base.strategy,
-            pruning=pruning if pruning is not None else base.pruning,
-            max_results=max_results if max_results is not None else base.max_results,
-            resilience=config,
-            trace=trace if trace is not None else base.trace,
-            trace_capacity=base.trace_capacity,
+        chosen = {
+            "strategy": strategy, "pruning": pruning,
+            "max_results": max_results, "trace": trace,
+        }
+        limits = replace(
+            base,
+            resilience=posture,
+            **{name: value for name, value in chosen.items() if value is not None},
         )
+
+        def new_session() -> ManagedSession:
+            return ManagedSession(
+                f"{self.session_prefix}{next(self._id_counter)}",
+                self.base_ctx,
+                limits,
+            )
+
+        with self._track_request(), self._lock:
+            session = self._admit(
+                new_session, self._refuse_create, shed_at_watermarks=True
+            )
+            self.stats_counters.sessions_created += 1
+            metrics.counter(
+                "repro_sessions_created_total", "sessions admitted"
+            ).inc()
+        if self._write_through_on:
+            with session.lock:
+                self._write_through(session)
+        return session
+
+    def _refuse_create(self) -> None:
+        self._count_admission_rejection()
+        raise AdmissionError(
+            f"session budget exhausted ({self.config.max_sessions} open, "
+            "none evictable)"
+        )
+
+    def _admit(self, build, refuse, shed_at_watermarks: bool = False) -> ManagedSession:
+        """Admit one session under the budgets (caller holds the manager lock).
+
+        A full table first loses its least-recently-touched idle session;
+        when nothing idle could go, ``refuse`` raises the caller's
+        verdict.  A new session is additionally shed past the overload
+        watermarks; a restored one was admitted once already and is not.
+        ``build`` then yields the session to register.
+        """
+        max_sessions = self.config.max_sessions
+        if len(self._sessions) >= max_sessions:
+            self._evict_lru(need_sessions=1, reason="session budget", active=None)
+        if len(self._sessions) >= max_sessions:
+            refuse()
+        if shed_at_watermarks and self.config.overload is not None:
+            self._shed_past_watermarks(self.config.overload)
+        session = build()
+        session.touch_seq = next(self._touch_counter)
+        self._sessions[session.id] = session
+        self._evicted.pop(session.id, None)
+        self.scheduler.register(session)
+        self._note_open_sessions()
+        return session
+
+    def _shed_past_watermarks(self, overload: OverloadPolicy) -> None:
+        """Reclaim idle sessions down to the session and CAP watermarks,
+        or shed the admission (caller holds the manager lock)."""
+        max_sessions, cap_budget = self.config.max_sessions, self.config.cap_entry_budget
+        threshold = overload.session_threshold(max_sessions)
+        if len(self._sessions) >= threshold:
+            self._evict_lru(
+                need_sessions=len(self._sessions) - threshold + 1,
+                reason="session watermark",
+                active=None,
+            )
+        if len(self._sessions) >= threshold:
+            self._shed(
+                "sessions",
+                f"{len(self._sessions)} open sessions "
+                f"(watermark {threshold}/{max_sessions})",
+                admission=True,
+            )
+        cap_threshold = overload.cap_threshold(cap_budget)
+        if cap_threshold is not None:
+            in_use = self.total_cap_entries()
+            if in_use >= cap_threshold:
+                self._evict_lru(
+                    need_entries=in_use - cap_threshold + 1,
+                    reason="CAP watermark",
+                    active=None,
+                )
+                in_use = self.total_cap_entries()
+            if in_use >= cap_threshold:
+                self._shed(
+                    "cap",
+                    f"{in_use} CAP entries in use "
+                    f"(watermark {cap_threshold}/{cap_budget})",
+                    admission=True,
+                )
+
+    def _note_open_sessions(self) -> None:
+        metrics.gauge(
+            "repro_sessions_open", "currently hosted sessions"
+        ).set(len(self._sessions))
 
     def close_session(self, session_id: str) -> None:
         """Client-initiated teardown; frees the session's budget share."""
         session = self.get(session_id)
         with session.lock:
             session.close()
-        if self.checkpoint_on_mutate:
+        if self._write_through_on:
             # An explicitly closed session must not come back from disk.
             self.checkpoints.pop(session_id)
         with self._lock:
             self._sessions.pop(session_id, None)
             self.scheduler.unregister(session_id)
             self.stats_counters.sessions_closed += 1
-            metrics.gauge(
-                "repro_sessions_open", "currently hosted sessions"
-            ).set(len(self._sessions))
+            self._note_open_sessions()
 
     def get(self, session_id: str) -> ManagedSession:
         """Look up a live session; typed errors for evicted vs unknown."""
@@ -349,21 +351,19 @@ class SessionManager:
             session = self._sessions.get(session_id)
             if session is not None:
                 return session
-            if session_id in self._evicted:
-                error = SessionEvictedError(session_id, self._evicted[session_id])
-                # Tell the client whether restore-by-id can still work or
-                # it must fall back to recreate-and-replay.
-                error.restorable = self.checkpoints.get(session_id) is not None
-                raise error
+            reason = self._evicted.get(session_id)
+        # Tell the client whether restore-by-id can still work or it must
+        # fall back to recreate-and-replay.
+        restorable = self.checkpoints.get(session_id) is not None
+        if reason is None and not restorable:
+            raise SessionNotFoundError(session_id)
         # Unknown to *this* process, but a disk checkpoint exists: the id
         # belonged to a manager that died (worker SIGKILL) or was
         # requeued here.  Evicted-and-restorable is the truthful verdict;
         # the client's auto-restore path then resumes it transparently.
-        if self.checkpoints.get(session_id) is not None:
-            error = SessionEvictedError(session_id, "process restart")
-            error.restorable = True
-            raise error
-        raise SessionNotFoundError(session_id)
+        error = SessionEvictedError(session_id, reason or "process restart")
+        error.restorable = restorable
+        raise error
 
     # -- request dispatch ------------------------------------------------
     def apply_action(self, session_id: str, action: Action) -> ActionReport:
@@ -376,8 +376,7 @@ class SessionManager:
                     action,
                     idle_sink=lambda idle: self.scheduler.donate(session, idle),
                 )
-                if self.checkpoint_on_mutate:
-                    self._write_through(session)
+                self._write_through(session)
             self._enforce_cap_budget(active=session_id)
             return report
 
@@ -393,8 +392,7 @@ class SessionManager:
                     with self._lock:
                         self.stats_counters.runs_failed += 1
                     raise
-                if self.checkpoint_on_mutate:
-                    self._write_through(session)
+                self._write_through(session)
             with self._lock:
                 self.stats_counters.runs_completed += 1
                 if result.degraded:
@@ -443,29 +441,27 @@ class SessionManager:
                 self.stats_counters.updates_applied += 1
             return report
 
-    def results(self, session_id: str, limit: int | None = None):
-        """Validated result subgraphs of a completed session."""
+    def _read(self, session_id: str, read):
+        """Run one read-only verb on a session, under its lock."""
         with self._track_request(mutating=False):
             session = self.get(session_id)
             with session.lock:
                 self._touch(session)
-                return session.results(limit=limit)
+                return read(session)
+
+    def results(self, session_id: str, limit: int | None = None):
+        """Validated result subgraphs of a completed session."""
+        return self._read(session_id, lambda s: s.results(limit=limit))
 
     def matches(self, session_id: str) -> PartialMatches:
         """Raw ``V_Δ`` of a completed session."""
-        with self._track_request(mutating=False):
-            session = self.get(session_id)
-            with session.lock:
-                self._touch(session)
-                return session.matches()
+        return self._read(session_id, ManagedSession.matches)
 
     def trace(self, session_id: str, include_open: bool = True) -> dict[str, object]:
         """One session's span timeline (the wire ``trace`` verb)."""
-        with self._track_request(mutating=False):
-            session = self.get(session_id)
-            with session.lock:
-                self._touch(session)
-                return session.trace_export(include_open=include_open)
+        return self._read(
+            session_id, lambda s: s.trace_export(include_open=include_open)
+        )
 
     # -- accounting / eviction -------------------------------------------
     def _touch(self, session: ManagedSession) -> None:
@@ -498,12 +494,13 @@ class SessionManager:
         budget is allowed to finish — load shedding targets *other*
         tenants' retained state, not the request in flight.
         """
-        if self.cap_entry_budget is None:
+        budget = self.config.cap_entry_budget
+        if budget is None:
             return
         with self._lock:
-            if self.total_cap_entries() <= self.cap_entry_budget:
+            if self.total_cap_entries() <= budget:
                 return
-            overshoot = self.total_cap_entries() - self.cap_entry_budget
+            overshoot = self.total_cap_entries() - budget
             self._evict_lru(
                 need_entries=overshoot, reason="CAP budget", active=active
             )
@@ -532,11 +529,7 @@ class SessionManager:
             freed_sessions += 1
             self._checkpoint_quietly(session, reason)
             session.close()
-            del self._sessions[session.id]
-            self.scheduler.unregister(session.id)
-            if len(self._evicted) >= 1024:
-                self._evicted.pop(next(iter(self._evicted)))
-            self._evicted[session.id] = reason
+            self._retire(session, reason)
             self.stats_counters.sessions_evicted += 1
             self.stats_counters.eviction_log.append(
                 f"{session.id}: {reason}"
@@ -547,9 +540,20 @@ class SessionManager:
                 reason=reason.replace(" ", "_"),
             ).inc()
 
+    def _retire(self, session: ManagedSession, reason: str) -> None:
+        """Drop a closed session from the table and remember why, so its
+        id answers ``session_evicted`` (caller holds the manager lock;
+        the memory of retired ids is bounded)."""
+        self._sessions.pop(session.id, None)
+        self.scheduler.unregister(session.id)
+        if len(self._evicted) >= 1024:
+            self._evicted.pop(next(iter(self._evicted)))
+        self._evicted[session.id] = reason
+        self._note_open_sessions()
+
     # -- checkpoint / restore --------------------------------------------
-    def _checkpoint_quietly(self, session: ManagedSession, reason: str) -> None:
-        """Best-effort capture before reclaiming ``session``.
+    def _checkpoint_quietly(self, session: ManagedSession, reason: str) -> bool:
+        """Best-effort capture before reclaiming ``session``; True if taken.
 
         Terminal sessions (failed/closed) cannot round-trip; they evict
         exactly as before this layer existed.  Capture reads bookkeeping
@@ -558,17 +562,18 @@ class SessionManager:
         try:
             checkpoint = _capture_checkpoint(session, reason)
         except CheckpointError:
-            return
+            return False
         self.checkpoints.put(checkpoint)
         self.stats_counters.sessions_checkpointed += 1
         metrics.counter(
             "repro_sessions_checkpointed_total",
             "sessions checkpointed at eviction or drain",
         ).inc()
+        return True
 
     def _write_through(self, session: ManagedSession) -> None:
-        """Checkpoint after a successful mutating op (caller holds the
-        session lock).
+        """With a checkpoint directory, checkpoint after a successful
+        mutating op (caller holds the session lock).
 
         The capture happens *after* the op applied, so a crash mid-op
         leaves the previous checkpoint intact — the failed request is not
@@ -576,6 +581,8 @@ class SessionManager:
         exactly-once.  Terminal states simply skip (same contract as
         eviction capture).
         """
+        if not self._write_through_on:
+            return
         try:
             checkpoint = _capture_checkpoint(session, "write-through")
         except CheckpointError:
@@ -613,31 +620,23 @@ class SessionManager:
             except CheckpointError:
                 self.checkpoints.put(checkpoint)  # leave it restorable
                 raise
+
+            def refuse() -> None:
+                self.checkpoints.put(checkpoint)  # leave it restorable
+                self._shed(
+                    "sessions",
+                    f"no session slot free to restore {session_id!r}",
+                    admission=True,
+                )
+
             with self._lock:
-                if len(self._sessions) >= self.max_sessions:
-                    self._evict_lru(
-                        need_sessions=1, reason="session budget", active=None
-                    )
-                if len(self._sessions) >= self.max_sessions:
-                    self.checkpoints.put(checkpoint)
-                    self._shed(
-                        "sessions",
-                        f"no session slot free to restore {session_id!r}",
-                        admission=True,
-                    )
-                session.touch_seq = next(self._touch_counter)
-                self._sessions[session_id] = session
-                self._evicted.pop(session_id, None)
-                self.scheduler.register(session)
+                self._admit(lambda: session, refuse)
                 self.stats_counters.sessions_restored += 1
                 metrics.counter(
                     "repro_sessions_restored_total",
                     "sessions resumed from a checkpoint",
                 ).inc()
-                metrics.gauge(
-                    "repro_sessions_open", "currently hosted sessions"
-                ).set(len(self._sessions))
-            if self.checkpoint_on_mutate:
+            if self._write_through_on:
                 # ``pop`` consumed the stored checkpoint; re-arm so the
                 # restored session survives another process death even
                 # if no further mutation ever lands.
@@ -657,7 +656,7 @@ class SessionManager:
         with self._lock:
             self._draining = False
 
-    def drain(self, timeout: float | None = 5.0) -> dict[str, object]:
+    def drain(self, timeout: float | None = DRAIN_TIMEOUT) -> dict[str, object]:
         """Graceful drain: refuse new work, wait out in-flight requests,
         checkpoint every idle session instead of dropping it.
 
@@ -683,30 +682,18 @@ class SessionManager:
                 skipped.append(session.id)  # still busy past timeout
                 continue
             try:
-                before = self.checkpoints.stats()["stored_total"]
-                self._checkpoint_quietly(session, "drain")
-                captured = (
-                    self.checkpoints.stats()["stored_total"] > before
-                )
+                captured = self._checkpoint_quietly(session, "drain")
                 session.close()
             finally:
                 session.lock.release()
             with self._lock:
-                self._sessions.pop(session.id, None)
-                self.scheduler.unregister(session.id)
-                if len(self._evicted) >= 1024:
-                    self._evicted.pop(next(iter(self._evicted)))
-                self._evicted[session.id] = "drain"
+                self._retire(session, "drain")
                 if captured:
                     checkpointed.append(session.id)
             metrics.counter(
                 "repro_sessions_drained_total",
                 "sessions checkpointed and closed by drain",
             ).inc()
-        with self._lock:
-            metrics.gauge(
-                "repro_sessions_open", "currently hosted sessions"
-            ).set(len(self._sessions))
         return {
             "checkpointed": checkpointed,
             "busy": skipped,
@@ -725,24 +712,20 @@ class SessionManager:
             open_sessions = len(self._sessions)
             inflight = self._inflight
             draining = self._draining
-        oracle = self.base_ctx.oracle
+        oracle, overload = self.base_ctx.oracle, self.config.overload
         out: dict[str, object] = {
             "open_sessions": open_sessions,
-            "max_sessions": self.max_sessions,
-            "cap_entry_budget": self.cap_entry_budget,
+            "max_sessions": self.config.max_sessions,
+            "cap_entry_budget": self.config.cap_entry_budget,
             "cap_entries_in_use": self.total_cap_entries(),
             "inflight": inflight,
             "draining": draining,
-            "overload": (
-                None
-                if self.overload is None
-                else {
-                    "session_watermark": self.overload.session_watermark,
-                    "cap_watermark": self.overload.cap_watermark,
-                    "max_inflight": self.overload.max_inflight,
-                    "retry_after_ms": self.overload.retry_after_ms,
-                }
-            ),
+            "overload": None if overload is None else {
+                "session_watermark": overload.session_watermark,
+                "cap_watermark": overload.cap_watermark,
+                "max_inflight": overload.max_inflight,
+                "retry_after_ms": overload.retry_after_ms,
+            },
             "checkpoints": self.checkpoints.stats(),
             "graph": {
                 "name": self.base_ctx.graph.name,

@@ -8,9 +8,10 @@ through :mod:`repro.storage`:
 
 * :mod:`repro.service.pool.dispatcher` — :class:`PoolDispatcher`, the
   :class:`~repro.service.server.QueryServer` backend: sticky routing,
-  metrics/stats fan-out, worker-death repair (respawn + checkpoint
-  requeue), and the ``storage="shm"|"mmap"`` choice of basis transport
-  (zero-copy shared-memory segments, or a shared on-disk mmap basis);
+  metrics/stats fan-out, worker-death repair (replacement worker +
+  checkpoint requeue), over the basis transport
+  :func:`~repro.service.host.open_host` resolved (zero-copy
+  shared-memory segments, or a shared on-disk mmap basis);
 * :mod:`repro.service.pool.worker` — the child-process entry point (one
   manager + :class:`~repro.service.dispatch.LocalDispatcher` behind a
   pipe) attaching whatever spec the dispatcher published via the
@@ -22,10 +23,9 @@ the transport under the same wire surface.
 """
 
 from repro.service.pool.dispatcher import PoolDispatcher
-from repro.service.pool.worker import WorkerConfig, worker_main
+from repro.service.pool.worker import worker_main
 
 __all__ = [
     "PoolDispatcher",
-    "WorkerConfig",
     "worker_main",
 ]

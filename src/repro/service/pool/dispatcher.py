@@ -42,6 +42,7 @@ import shutil
 import tempfile
 import threading
 import zlib
+from dataclasses import replace
 from typing import Any
 
 from repro.core.context import EngineContext
@@ -55,8 +56,10 @@ from repro.errors import (
 from repro.obs.aggregate import merge_snapshots, render_merged_text
 from repro.obs.metrics import metrics
 from repro.service import protocol
+from repro.service.host import ServeConfig
+from repro.service.manager import DRAIN_TIMEOUT
+from repro.service.pool.worker import worker_main
 from repro.storage import basis_from_context, open_backend
-from repro.service.pool.worker import WorkerConfig, worker_main
 
 __all__ = ["PoolDispatcher"]
 
@@ -101,29 +104,11 @@ class _WorkerHandle:
 class PoolDispatcher:
     """Dispatcher + N worker processes behind the QueryServer seam."""
 
-    def __init__(
-        self,
-        base_ctx: EngineContext,
-        workers: int = 2,
-        max_sessions: int = 64,
-        cap_entry_budget: int | None = 1_000_000,
-        default_limits: Any = None,
-        overload: Any = None,
-        checkpoint_capacity: int = 256,
-        checkpoint_dir: str | None = None,
-        respawn: bool = True,
-        storage: str = "shm",
-        basis_dir: str | None = None,
-    ) -> None:
-        if workers < 1:
+    def __init__(self, base_ctx: EngineContext, config: ServeConfig) -> None:
+        if config.workers < 1:
             raise WorkerPoolError("worker pool needs at least 1 worker")
-        if storage not in ("shm", "mmap"):
-            raise WorkerPoolError(
-                f"pool storage must be 'shm' or 'mmap', got {storage!r}"
-            )
-        self.workers = workers
-        self.respawn = respawn
-        self.storage = storage
+        self.workers = config.workers
+        self.storage = config.basis_kind
         self._mp = mp.get_context("spawn")
         try:
             basis = basis_from_context(base_ctx)
@@ -133,10 +118,13 @@ class PoolDispatcher:
         # or the read-only npy files every worker opens, shared through
         # the kernel page cache), hands out the picklable spec workers
         # attach from, and releases the medium on close().  For mmap,
-        # open_backend reuses a valid saved basis already in basis_dir
-        # (restart / materialize_basis) instead of rewriting it.
-        self._basis_backend = open_backend(storage, basis=basis, directory=basis_dir)
+        # open_backend reuses a valid saved basis already in storage_dir
+        # (a restart, the dataset registry's cache) instead of rewriting it.
+        self._basis_backend = open_backend(
+            self.storage, basis=basis, directory=config.storage_dir
+        )
         self._spec = self._basis_backend.spec()
+        checkpoint_dir = config.checkpoint_dir
         if checkpoint_dir is None:
             checkpoint_dir = tempfile.mkdtemp(prefix="repro-pool-ckpt-")
             self._owns_checkpoint_dir = True
@@ -144,13 +132,11 @@ class PoolDispatcher:
             os.makedirs(checkpoint_dir, exist_ok=True)
             self._owns_checkpoint_dir = False
         self.checkpoint_dir = checkpoint_dir
-        #: The fleet session budget; each worker hosts its even share.
-        self._config = WorkerConfig(
-            max_sessions=max(1, math.ceil(max_sessions / workers)),
-            cap_entry_budget=cap_entry_budget,
-            default_limits=default_limits,
-            overload=overload,
-            checkpoint_capacity=checkpoint_capacity,
+        #: What each worker's manager runs under: its even share of the
+        #: fleet session budget, writing through to the one directory.
+        self._config = replace(
+            config,
+            max_sessions=max(1, math.ceil(config.max_sessions / config.workers)),
             checkpoint_dir=checkpoint_dir,
         )
         self._lock = threading.Lock()
@@ -164,7 +150,7 @@ class PoolDispatcher:
         self._requeued = 0
         self._requeue_failures = 0
         try:
-            for index in range(workers):
+            for index in range(self.workers):
                 self._handles.append(self._spawn(index, generation=0))
         except Exception:
             self.close()
@@ -237,8 +223,8 @@ class PoolDispatcher:
         metrics.counter(
             "repro_pool_worker_deaths_total", "worker processes lost unexpectedly"
         ).inc()
-        # Repair off the reader thread: respawn, then requeue the corpse's
-        # sessions from their disk checkpoints.
+        # Repair off the reader thread: replace the worker, then requeue
+        # the corpse's sessions from their disk checkpoints.
         threading.Thread(
             target=self._repair,
             args=(handle,),
@@ -254,14 +240,13 @@ class PoolDispatcher:
         with self._lock:
             if self._closing:
                 return
-            if self.respawn:
-                replacement = self._spawn(dead.index, dead.generation + 1)
-                self._handles[dead.index] = replacement
-                self._respawns += 1
-                metrics.counter(
-                    "repro_pool_workers_respawned_total",
-                    "replacement workers started after a death",
-                ).inc()
+            replacement = self._spawn(dead.index, dead.generation + 1)
+            self._handles[dead.index] = replacement
+            self._respawns += 1
+            metrics.counter(
+                "repro_pool_workers_respawned_total",
+                "replacement workers started after a death",
+            ).inc()
             orphans = [
                 sid for sid, idx in self._route.items() if idx == dead.index
             ]
@@ -293,8 +278,10 @@ class PoolDispatcher:
 
     # -- pipe RPC ---------------------------------------------------------
     def _call(
-        self, handle: _WorkerHandle, request: dict[str, Any]
+        self, handle: _WorkerHandle, request: Any, kind: str = "req"
     ) -> dict[str, Any]:
+        """One pipe round trip: a wire ``request`` (``kind="req"``) or a
+        drain with its timeout as the body (``kind="drain"``)."""
         if not handle.alive:
             raise WorkerDiedError(handle.index)
         seq = next(self._seq)
@@ -303,7 +290,7 @@ class PoolDispatcher:
             handle.pending[seq] = pending
         try:
             with handle.send_lock:
-                handle.conn.send(("req", seq, request))
+                handle.conn.send((kind, seq, request))
         except (BrokenPipeError, OSError):
             with handle.pending_lock:
                 handle.pending.pop(seq, None)
@@ -444,28 +431,17 @@ class PoolDispatcher:
         merged["per_worker"] = per_worker
         return merged
 
-    def drain(self, timeout: float | None = 5.0) -> dict[str, object]:
+    def drain(self, timeout: float | None = DRAIN_TIMEOUT) -> dict[str, object]:
         """Graceful fleet drain: every worker drains; summaries merge."""
         self._draining = True
         checkpointed: list[str] = []
         busy: list[str] = []
         inflight = 0
         for handle in self._alive():
-            seq = next(self._seq)
-            pending = _Pending()
-            with handle.pending_lock:
-                handle.pending[seq] = pending
             try:
-                with handle.send_lock:
-                    handle.conn.send(("drain", seq, timeout))
-            except (BrokenPipeError, OSError):
-                with handle.pending_lock:
-                    handle.pending.pop(seq, None)
-                continue
-            pending.event.wait()
-            if pending.error is not None or pending.result is None:
-                continue
-            summary = pending.result
+                summary = self._call(handle, timeout, kind="drain")
+            except (WorkerDiedError, RelayedError):
+                continue  # its sessions are requeued, or were never checkpointable
             checkpointed.extend(summary.get("checkpointed", []))
             busy.extend(summary.get("busy", []))
             inflight += int(summary.get("inflight_at_timeout", 0))

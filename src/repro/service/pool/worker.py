@@ -36,35 +36,25 @@ merged by :mod:`repro.obs.aggregate`).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any
 
+from repro.service.host import ServeConfig
 from repro.storage import attach as attach_storage
 
-__all__ = ["WorkerConfig", "worker_main"]
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Picklable per-worker manager configuration (spawn-shipped)."""
-
-    max_sessions: int = 64
-    cap_entry_budget: int | None = 1_000_000
-    default_limits: Any = None  # SessionLimits | None
-    overload: Any = None  # OverloadPolicy | None
-    checkpoint_capacity: int = 256
-    #: Shared across the fleet: where write-through checkpoints land, and
-    #: where a replacement worker finds its predecessor's sessions.
-    checkpoint_dir: str | None = None
-    #: Write-through checkpointing is what makes SIGKILL survivable; the
-    #: pool leaves it on.  (Off reproduces eviction/drain-only capture.)
-    checkpoint_on_mutate: bool = True
+__all__ = ["worker_main"]
 
 
 def worker_main(
-    index: int | str, spec: Any, config: WorkerConfig, conn: Any
+    index: int | str, spec: Any, config: ServeConfig, conn: Any
 ) -> None:
-    """Run one worker until ``exit`` (or the dispatcher's pipe closes)."""
+    """Run one worker until ``exit`` (or the dispatcher's pipe closes).
+
+    ``config`` is this worker's share of the fleet's
+    :class:`~repro.service.host.ServeConfig`: its slice of the session
+    budget, and the checkpoint directory the whole fleet writes through
+    to — which is what makes a SIGKILL survivable, and where a
+    replacement worker finds its predecessor's sessions.
+    """
     from repro.service.dispatch import LocalDispatcher
     from repro.service.manager import SessionManager
     from repro.service.protocol import error_object
@@ -87,18 +77,9 @@ def worker_main(
             if dispatcher is None:
                 ctx, handles = attach_storage(spec)
                 attached.extend(handles)
-                manager = SessionManager(
-                    ctx,
-                    max_sessions=config.max_sessions,
-                    cap_entry_budget=config.cap_entry_budget,
-                    default_limits=config.default_limits,
-                    overload=config.overload,
-                    checkpoint_capacity=config.checkpoint_capacity,
-                    checkpoint_dir=config.checkpoint_dir,
-                    checkpoint_on_mutate=config.checkpoint_on_mutate,
-                    session_prefix=f"w{index}s",
+                dispatcher = LocalDispatcher(
+                    SessionManager(ctx, config, session_prefix=f"w{index}s")
                 )
-                dispatcher = LocalDispatcher(manager)
         return dispatcher
 
     def _handle(seq: int, request: dict[str, Any]) -> None:

@@ -31,7 +31,7 @@ from repro.obs import clock
 from repro.obs.metrics import metrics
 from repro.service import protocol
 from repro.service.dispatch import LocalDispatcher
-from repro.service.manager import SessionManager
+from repro.service.manager import DRAIN_TIMEOUT, SessionManager
 
 __all__ = ["QueryServer", "MAX_REQUEST_BYTES"]
 
@@ -91,20 +91,16 @@ class QueryServer:
         manager: SessionManager | Any,
         host: str = "127.0.0.1",
         port: int = 0,
-        drain_timeout: float | None = 5.0,
     ) -> None:
-        if isinstance(manager, SessionManager):
-            #: The in-process path: today's threaded manager, verbatim.
-            self.backend = LocalDispatcher(manager)
-            self.manager: SessionManager | None = manager
-        else:
-            # Any backend implementing the dispatch/drain/close seam
-            # (repro.service.dispatch) — notably the worker pool.
-            self.backend = manager
-            self.manager = getattr(manager, "manager", None)
-        #: How long :meth:`stop` waits for in-flight requests to retire
-        #: before checkpointing idle sessions (None = wait forever).
-        self.drain_timeout = drain_timeout
+        #: Anything implementing the dispatch/drain/close seam
+        #: (:mod:`repro.service.dispatch`), as
+        #: :func:`~repro.service.host.open_host` returns it; a bare
+        #: manager is the in-process path and gets its dispatcher here.
+        self.backend = (
+            LocalDispatcher(manager)
+            if isinstance(manager, SessionManager)
+            else manager
+        )
         self._tcp = _TCPServer((host, port), _Handler)
         self._tcp.query_server = self
         self._thread: threading.Thread | None = None
@@ -158,8 +154,9 @@ class QueryServer:
         mutating work (typed retryable ``draining`` sheds), in-flight
         requests retire at their own pace — a long Run still hits its
         cooperative :class:`~repro.resilience.Deadline` checkpoint —
-        bounded by :attr:`drain_timeout`, and every idle session is
-        checkpointed for restore-by-id instead of dropped.  Returns the
+        bounded by :data:`~repro.service.manager.DRAIN_TIMEOUT`, and every
+        idle session is checkpointed for restore-by-id instead of
+        dropped.  Returns the
         drain summary on the stop() that performed it, else None.
 
         Subsequent stop() calls (including stop() after the wire
@@ -172,9 +169,7 @@ class QueryServer:
             self._shutdown_requested.set()
             if first:
                 if drain:
-                    self._drain_summary = self.backend.drain(
-                        timeout=self.drain_timeout
-                    )
+                    self._drain_summary = self.backend.drain(timeout=DRAIN_TIMEOUT)
                 self.backend.close()
             summary = self._drain_summary if first else None
             with self._lifecycle:

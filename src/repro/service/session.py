@@ -35,6 +35,9 @@ from repro.resilience import ResilienceConfig
 
 __all__ = ["ManagedSession", "SessionLimits"]
 
+#: Closed spans a session's ring buffer keeps before the oldest drop.
+TRACE_RING_SPANS = 8192
+
 
 @dataclass(frozen=True)
 class SessionLimits:
@@ -48,8 +51,6 @@ class SessionLimits:
     #: On by default: hosted sessions are exactly where operators need
     #: the Fig.-7 decomposition, and the ring buffer bounds the cost.
     trace: bool = True
-    #: Ring-buffer capacity for the session's closed spans.
-    trace_capacity: int = 8192
 
 
 class ManagedSession:
@@ -79,7 +80,7 @@ class ManagedSession:
         #: Writers always hold :attr:`lock`, which is the tracer's whole
         #: thread-safety story — including cross-session idle donations.
         self.tracer = (
-            Tracer(capacity=self.limits.trace_capacity)
+            Tracer(capacity=TRACE_RING_SPANS)
             if self.limits.trace
             else NULL_TRACER
         )

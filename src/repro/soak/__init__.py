@@ -9,10 +9,11 @@ that proving ground:
   over the wire with a :class:`~repro.workload.SoakWorkloadConfig`
   schedule (Pareto arrivals, jittered think time, mid-session bound
   revisions, abandoned sessions = client-thread death), optionally under
-  a seeded :class:`~repro.faults.FaultPlan`, while the manager runs with
-  deliberately tight budgets and an
-  :class:`~repro.service.OverloadPolicy` so shedding, eviction,
-  checkpointing and restore all actually fire.
+  a seeded :class:`~repro.faults.FaultPlan`, while the service runs
+  under a :class:`~repro.service.ServeConfig` with deliberately tight
+  budgets and an :class:`~repro.service.OverloadPolicy`
+  (:data:`SOAK_CONFIG`) so shedding, eviction, checkpointing and
+  restore all actually fire.
 * :class:`SLO` declares the pass bar — latency percentiles, zero leaked
   sessions/locks, bounded memory growth, every shed resolved, restored
   sessions byte-identical — and :class:`SoakReport` is the machine-
@@ -22,7 +23,7 @@ Invoke it as ``python -m repro soak`` (see :mod:`repro.cli`) or from
 ``benchmarks/bench_soak.py``.
 """
 
-from repro.soak.harness import run_soak
+from repro.soak.harness import SOAK_CONFIG, run_soak
 from repro.soak.slo import SLO, SoakReport
 
-__all__ = ["SLO", "SoakReport", "run_soak"]
+__all__ = ["SLO", "SOAK_CONFIG", "SoakReport", "run_soak"]

@@ -2,10 +2,11 @@
 
 One :func:`run_soak` call is a complete experiment:
 
-1. build a :class:`~repro.service.SessionManager` with deliberately
-   tight budgets and an :class:`~repro.service.OverloadPolicy` over a
-   (possibly fault-wrapped) engine context, and serve it over real
-   sockets;
+1. bring the service up through :func:`~repro.service.open_host` under
+   a :class:`~repro.service.ServeConfig` with deliberately tight budgets
+   and an :class:`~repro.service.OverloadPolicy` (:data:`SOAK_CONFIG`)
+   over a (possibly fault-wrapped) engine context, and serve it over
+   real sockets;
 2. replay a deterministic :func:`~repro.workload.generate_soak_schedule`
    — one client thread per simulated user, Pareto arrival offsets,
    scaled GUI think time, mid-session bound revisions, and abandoning
@@ -26,11 +27,11 @@ Wall-clock use is confined to think-time sleeps (scaled by
 all *behavior* derives from the workload seed, so a failing soak can be
 re-run with the same seed and fail the same way.
 
-With ``workers > 0`` the same traffic drives a
+With ``config.workers > 0`` the same traffic drives a
 :class:`~repro.service.PoolDispatcher` fleet instead of the threaded
 manager, and ``kill_worker_after`` SIGKILLs one seeded-chosen worker
 mid-traffic — the process-level analogue of the injected faults above.
-The fleet must absorb it: the dispatcher respawns the worker, requeues
+The fleet must absorb it: the dispatcher replaces the worker, requeues
 its sessions from disk checkpoints, clients retry transparently, and the
 post-soak restore verification replays every completed session's disk
 checkpoint through a *fresh threaded manager* — proving restore survives
@@ -47,6 +48,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
@@ -55,8 +57,10 @@ from repro.resilience import RetryPolicy
 from repro.service import (
     OverloadPolicy,
     QueryServer,
+    ServeConfig,
     ServiceClient,
     SessionManager,
+    open_host,
 )
 from repro.service import protocol
 from repro.service.client import RemoteServiceError
@@ -68,7 +72,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import EngineContext
     from repro.faults import FaultPlan
 
-__all__ = ["run_soak"]
+__all__ = ["run_soak", "SOAK_CONFIG"]
+
+#: What a soak hosts under unless told otherwise: budgets deliberately
+#: tight, so backpressure, eviction and checkpointing all fire.
+SOAK_CONFIG = ServeConfig(
+    max_sessions=8,
+    cap_entry_budget=100_000,
+    overload=OverloadPolicy(
+        session_watermark=0.75, cap_watermark=0.85, max_inflight=32
+    ),
+)
 
 
 class _SharedState:
@@ -182,30 +196,24 @@ def _count_leaked_segments(names: list[str]) -> int:
 def run_soak(
     ctx: "EngineContext",
     workload: SoakWorkloadConfig,
+    config: ServeConfig = SOAK_CONFIG,
     *,
     fault_plan: "FaultPlan | None" = None,
     slo: SLO | None = None,
-    overload: OverloadPolicy | None = None,
-    max_sessions: int = 8,
-    cap_entry_budget: int | None = 100_000,
     time_scale: float = 0.02,
     client_timeout: float = 30.0,
     retry_policy: RetryPolicy | None = None,
     lock_monitor: bool = True,
     verify_restore: bool = True,
     join_timeout: float = 120.0,
-    workers: int = 0,
     kill_worker_after: float | None = None,
 ) -> SoakReport:
     """Run one complete chaos soak; returns the scored report."""
     slo = slo or SLO()
-    overload = overload or OverloadPolicy(
-        session_watermark=0.75, cap_watermark=0.85, max_inflight=32
-    )
     retry_policy = retry_policy or RetryPolicy(
         max_attempts=5, base_delay=0.01, backoff=2.0, max_delay=0.25
     )
-    if workers > 0 and fault_plan is not None:
+    if config.workers > 0 and fault_plan is not None:
         # Fault wrappers are in-process monkey-business around the oracle;
         # they neither pickle across spawn nor publish as shared arrays.
         # The pool soak's chaos is the worker SIGKILL.
@@ -238,7 +246,7 @@ def run_soak(
     memory_before, _ = tracemalloc.get_traced_memory()
     soak_began = clock.now()
 
-    report.workers = workers
+    report.workers = config.workers
     pool = None
     pool_stats: dict[str, object] = {}
     killed_pids: list[int] = []
@@ -248,31 +256,17 @@ def run_soak(
 
     with monitor_ctx:
         manager: SessionManager | None = None
-        if workers > 0:
-            from repro.service.pool import PoolDispatcher
-
+        if config.workers > 0:
             # The harness owns the checkpoint directory so it outlives the
             # pool: post-soak restore verification reads it with a fresh
             # threaded manager after every worker process is gone.
             ckpt_dir = tempfile.mkdtemp(prefix="repro-soak-ckpt-")
-            pool = PoolDispatcher(
-                ctx,
-                workers=workers,
-                max_sessions=max_sessions,
-                cap_entry_budget=cap_entry_budget,
-                overload=overload,
-                checkpoint_dir=ckpt_dir,
-            )
+            config = replace(config, checkpoint_dir=ckpt_dir)
+            backend = pool = open_host(ctx, config)
             segment_names = pool.segment_names()
-            backend: object = pool
         else:
-            manager = SessionManager(
-                ctx,
-                max_sessions=max_sessions,
-                cap_entry_budget=cap_entry_budget,
-                overload=overload,
-            )
-            backend = manager
+            backend = open_host(ctx, config)
+            manager = backend.manager
         server = QueryServer(backend, host="127.0.0.1", port=0).start()
         if pool is not None and kill_worker_after is not None:
 
@@ -327,9 +321,7 @@ def run_soak(
                 # still alive, then stop without re-draining: stop()'s
                 # close() tears the fleet (and its stats) down.
                 try:
-                    report.drain_summary = (
-                        pool.drain(timeout=server.drain_timeout) or {}
-                    )
+                    report.drain_summary = pool.drain() or {}
                 except Exception as exc:  # noqa: BLE001 - chaos is data
                     state.unexpected.append(
                         f"pool drain failed: {type(exc).__name__}: {exc}"
@@ -353,18 +345,23 @@ def run_soak(
             assert manager is not None
             report.leaked_sessions = len(manager.session_ids())
 
-        if verify_restore and pool is not None:
-            # Every worker process is dead; the only surviving state is
-            # the write-through checkpoint directory.  Restoring through a
-            # *fresh* threaded manager over that directory is the
-            # strongest form of the invariant: byte-identical matches
-            # across a full process generation.
-            verifier = SessionManager(
-                ctx,
-                max_sessions=max_sessions,
-                cap_entry_budget=None,
-                checkpoint_dir=ckpt_dir,
-            )
+        if verify_restore:
+            if pool is not None:
+                # Every worker process is dead; the only surviving state is
+                # the write-through checkpoint directory.  Restoring through
+                # a *fresh* threaded manager over that directory is the
+                # strongest form of the invariant: byte-identical matches
+                # across a full process generation.
+                verifier = SessionManager(
+                    ctx, replace(config, cap_entry_budget=None, overload=None)
+                )
+            else:
+                assert manager is not None
+                verifier = manager
+                verifier.end_drain()
+            # Resume every checkpointed completed session and demand the
+            # exact bytes its original run produced — the wire-level
+            # statement of deferral neutrality.
             for sid, recorded in sorted(state.completed.items()):
                 checkpoint = verifier.checkpoints.get(sid)
                 if checkpoint is None or checkpoint.state != "ran":
@@ -384,27 +381,6 @@ def run_soak(
                     verifier.close_session(sid)
                 except ReproError:  # pragma: no cover - teardown
                     pass
-        elif verify_restore:
-            assert manager is not None
-            # Resume every checkpointed completed session and demand the
-            # exact bytes its original run produced — the wire-level
-            # statement of deferral neutrality.
-            manager.end_drain()
-            for sid, recorded in sorted(state.completed.items()):
-                checkpoint = manager.checkpoints.get(sid)
-                if checkpoint is None or checkpoint.state != "ran":
-                    continue
-                try:
-                    manager.restore_session(sid)
-                    again = protocol.canonical_matches(manager.matches(sid))
-                except ReproError as exc:
-                    report.restore_mismatches += 1
-                    state.unexpected.append(
-                        f"restore of {sid} failed: {type(exc).__name__}: {exc}"
-                    )
-                    continue
-                if again != recorded:
-                    report.restore_mismatches += 1
 
     gc.collect()
     memory_after, _ = tracemalloc.get_traced_memory()
@@ -425,19 +401,23 @@ def run_soak(
     report.typed_errors = dict(state.typed_errors)
     report.unexpected_errors = list(state.unexpected)
     report.unresolved_sheds = state.unresolved_sheds
-    if pool is not None:
-        # Counters come from the aggregated wire ``stats`` harvested just
-        # before teardown (fleet-wide sums + the dispatcher's pool block).
-        def _stat(name: str) -> int:
-            value = pool_stats.get(name, 0)
-            return int(value) if isinstance(value, (int, float)) else 0
+    # Counters come from the wire ``stats``: for a pool the aggregate
+    # harvested just before teardown (fleet-wide sums + the dispatcher's
+    # pool block), in-process the manager's own, read now that the
+    # verification restores are in them.
+    stats = pool_stats if pool is not None else backend.dispatch({"op": "stats"})
 
-        report.requests_shed = _stat("requests_shed")
-        report.sessions_evicted = _stat("sessions_evicted")
-        report.sessions_checkpointed = _stat("sessions_checkpointed")
-        report.sessions_restored = _stat("sessions_restored")
+    def _stat(name: str) -> int:
+        value = stats.get(name, 0)
+        return int(value) if isinstance(value, (int, float)) else 0
+
+    report.requests_shed = _stat("requests_shed")
+    report.sessions_evicted = _stat("sessions_evicted")
+    report.sessions_checkpointed = _stat("sessions_checkpointed")
+    report.sessions_restored = _stat("sessions_restored")
+    if pool is not None:
         report.workers_killed = len(killed_pids)
-        pool_block = pool_stats.get("pool")
+        pool_block = stats.get("pool")
         if isinstance(pool_block, dict):
             report.worker_deaths = int(pool_block.get("worker_deaths", 0))
             report.workers_respawned = int(
@@ -451,13 +431,6 @@ def run_soak(
             )
         if ckpt_dir is not None:
             shutil.rmtree(ckpt_dir, ignore_errors=True)
-    else:
-        assert manager is not None
-        counters = manager.stats_counters
-        report.requests_shed = counters.requests_shed
-        report.sessions_evicted = counters.sessions_evicted
-        report.sessions_checkpointed = counters.sessions_checkpointed
-        report.sessions_restored = counters.sessions_restored
     report.memory_growth_mib = max(0.0, memory_after - memory_before) / (
         1024.0 * 1024.0
     )

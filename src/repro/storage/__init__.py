@@ -38,6 +38,7 @@ from repro.storage.basis import (
     StoredPML,
     basis_from_context,
     context_from_basis,
+    heap_context_from_basis,
 )
 from repro.storage.mmapstore import (
     MmapSpec,
@@ -59,6 +60,7 @@ __all__ = [
     "StoredPML",
     "basis_from_context",
     "context_from_basis",
+    "heap_context_from_basis",
     "StorageBackend",
     "ResidentBackend",
     "ShmBackend",

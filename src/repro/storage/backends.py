@@ -29,11 +29,7 @@ from pathlib import Path
 
 from repro.core.context import EngineContext
 from repro.errors import BasisFormatError, StaleIndexError, StorageError
-from repro.storage.basis import (
-    EngineBasis,
-    basis_from_context,
-    context_from_basis,
-)
+from repro.storage.basis import EngineBasis, context_from_basis
 from repro.storage.mmapstore import MmapSpec, load_basis, read_meta, save_basis
 from repro.storage.shm import (
     SharedContextSpec,
@@ -208,14 +204,13 @@ def open_backend(
     name: str,
     *,
     basis: EngineBasis | None = None,
-    ctx: EngineContext | None = None,
     directory: str | Path | None = None,
 ) -> StorageBackend:
     """Open a backend by ``--storage`` name.
 
-    ``basis`` (or ``ctx``, converted via :func:`basis_from_context`) is
-    required for resident/shm and for creating a fresh mmap basis; an
-    mmap backend over an existing saved basis needs only ``directory``.
+    ``basis`` is required for resident/shm and for creating a fresh mmap
+    basis; an mmap backend over an existing saved basis needs only
+    ``directory``.
 
     When both are given and ``directory`` already holds a valid saved
     basis *for the same graph*, it is reused as-is (no rewrite).  Reuse
@@ -228,8 +223,6 @@ def open_backend(
         raise StorageError(
             f"unknown storage backend {name!r}; expected one of {BACKEND_NAMES}"
         )
-    if basis is None and ctx is not None:
-        basis = basis_from_context(ctx)
     if name == "mmap":
         if directory is not None and _holds_basis_for(directory, basis):
             return MmapBackend(directory)
@@ -242,7 +235,7 @@ def open_backend(
             "was given to create one"
         )
     if basis is None:
-        raise StorageError(f"the {name} backend needs a basis (or a context)")
+        raise StorageError(f"the {name} backend needs a basis")
     if name == "shm":
         return ShmBackend(basis)
     return ResidentBackend(basis)

@@ -7,10 +7,10 @@ handful of flat numpy arrays: the CSR graph (``graph_offsets`` /
 per-vertex ``two_hop`` counts.  Everything else — labels, cost-model
 constants, ablation toggles — is small scalar metadata.
 
-Before this module existed the repo had two ad-hoc ways to materialize
-that bundle (the dataset registry's pickle cache and the worker pool's
-shared-memory publish/attach), each with its own array plumbing.
-:class:`EngineBasis` is the single value both now carry:
+:class:`EngineBasis` is the single value every holder of that bundle
+carries — the dataset registry's disk cache (a saved basis directory,
+:mod:`repro.datasets.registry`), the worker pool's shared-memory
+publish/attach and the mmap backend alike:
 
 * :func:`basis_from_context` extracts it from a live context (this is
   the *only* sanctioned reader of the PML label-CSR internals —
@@ -18,7 +18,11 @@ shared-memory publish/attach), each with its own array plumbing.
 * :func:`context_from_basis` rebuilds a full, query-identical
   :class:`~repro.core.context.EngineContext` over whatever buffers a
   backend hands back — resident numpy arrays, shared-memory views, or
-  read-only ``numpy.memmap`` files.
+  read-only ``numpy.memmap`` files;
+* :func:`heap_context_from_basis` rebuilds the *patchable* form instead
+  — private array copies and per-vertex label lists, what a fresh
+  :func:`~repro.core.preprocessor.preprocess` gives — which is how a
+  registry cache hit comes back able to take edge updates.
 
 Byte identity is the contract: two contexts built from equal bases
 answer every distance query and enumerate every match identically,
@@ -45,6 +49,7 @@ __all__ = [
     "StoredPML",
     "basis_from_context",
     "context_from_basis",
+    "heap_context_from_basis",
 ]
 
 #: Canonical array manifest, in serialization order.  Every backend
@@ -126,7 +131,8 @@ class EngineBasis:
 class StoredPML(PrunedLandmarkLabeling):
     """A PML index whose backing arrays live in *some* storage backend.
 
-    Built via ``__new__`` from already-finalized CSR arrays — never by
+    Assembled by :func:`context_from_basis` from already-finalized CSR
+    arrays — never by
     :meth:`~repro.indexing.pml.PrunedLandmarkLabeling.build`.  Query
     behavior is bit-identical to the original index (same arrays, same
     kernels); only storage differs.  The index holds the three label
@@ -144,34 +150,6 @@ class StoredPML(PrunedLandmarkLabeling):
     #: with a typed :class:`~repro.errors.StaleIndexError` *before*
     #: mutating the graph (fallback policy: rebuild the basis).
     supports_incremental = False
-
-    @classmethod
-    def from_arrays(
-        cls,
-        graph: Graph,
-        label_offsets: np.ndarray,
-        label_ranks_arr: np.ndarray,
-        label_dists_arr: np.ndarray,
-        order: np.ndarray,
-        avg_label: float,
-    ) -> "StoredPML":
-        """Assemble an index over stored arrays, which arrive frozen.
-
-        The arrays are kept as plain-``ndarray`` views of the backend's
-        buffers: a slice of an ``np.memmap`` pays its subclass dispatch
-        (``__array_finalize__``) on every scalar query, a view of the
-        same pages does not.
-        """
-        pml = cls.__new__(cls)
-        pml._graph = graph
-        pml._order = order
-        pml.query_count = 0
-        pml._label_offsets = label_offsets.view(np.ndarray)
-        pml._label_ranks_arr = label_ranks_arr.view(np.ndarray)
-        pml._label_dists_arr = label_dists_arr.view(np.ndarray)
-        pml._avg_label = avg_label
-        pml._epoch = graph.epoch  # the basis restored graph + labels together
-        return pml
 
     def _merge(self, u: int, v: int) -> int:
         """The heap index's merge join, over the two stored label columns.
@@ -260,6 +238,53 @@ def basis_from_context(ctx: EngineContext) -> EngineBasis:
     )
 
 
+def _graph_of(basis: EngineBasis, arrays: Mapping[str, np.ndarray]) -> Graph:
+    return Graph(
+        offsets=arrays["graph_offsets"],
+        neighbors=arrays["graph_neighbors"],
+        labels=list(basis.labels),
+        name=basis.graph_name,
+        epoch=basis.epoch,
+    )
+
+
+def _index_over(
+    cls: type[PrunedLandmarkLabeling],
+    graph: Graph,
+    arrays: Mapping[str, np.ndarray],
+    avg_label: float,
+) -> PrunedLandmarkLabeling:
+    """Assemble an index over label arrays that arrive frozen.
+
+    The arrays are kept as plain-``ndarray`` views of the backend's
+    buffers: a slice of an ``np.memmap`` pays its subclass dispatch
+    (``__array_finalize__``) on every scalar query, a view of the
+    same pages does not.
+    """
+    pml = cls.__new__(cls)
+    pml._graph = graph
+    pml._order = arrays["pml_order"]
+    pml.query_count = 0
+    pml._label_offsets = arrays["pml_offsets"].view(np.ndarray)
+    pml._label_ranks_arr = arrays["pml_ranks"].view(np.ndarray)
+    pml._label_dists_arr = arrays["pml_dists"].view(np.ndarray)
+    pml._avg_label = avg_label
+    pml._epoch = graph.epoch  # the basis restored graph + labels together
+    return pml
+
+
+def _context_over(
+    basis: EngineBasis, arrays: Mapping[str, np.ndarray], pml: PrunedLandmarkLabeling
+) -> EngineContext:
+    return EngineContext(
+        graph=pml.graph,
+        oracle=pml,
+        two_hop=arrays["two_hop"],
+        cost_model=CostModel(**basis.cost_model),
+        scan_override=basis.scan_override,
+    )
+
+
 def context_from_basis(basis: EngineBasis) -> EngineContext:
     """Rebuild a full :class:`EngineContext` over a basis' buffers.
 
@@ -267,25 +292,30 @@ def context_from_basis(basis: EngineBasis) -> EngineContext:
     from: same arrays, same kernels, fresh counters.
     """
     arrays = basis.arrays
-    graph = Graph(
-        offsets=arrays["graph_offsets"],
-        neighbors=arrays["graph_neighbors"],
-        labels=list(basis.labels),
-        name=basis.graph_name,
-        epoch=basis.epoch,
+    pml = _index_over(StoredPML, _graph_of(basis, arrays), arrays, basis.avg_label)
+    return _context_over(basis, arrays, pml)
+
+
+def heap_context_from_basis(basis: EngineBasis) -> EngineContext:
+    """Rebuild the patchable heap context a fresh preprocess would give.
+
+    Every array is copied off the basis' buffers (a memmap page must not
+    outlive its file, and :mod:`repro.updates` rewrites the CSR and the
+    two-hop counts in place); the index keeps the copied label arrays as
+    its frozen half and gets back the per-vertex lists it patches, split
+    from the label CSR.  The cost model is the stored one: ``t_avg`` is
+    not measured again.
+    """
+    arrays = {name: np.array(basis.arrays[name]) for name in ARRAY_NAMES}
+    pml = _index_over(
+        PrunedLandmarkLabeling, _graph_of(basis, arrays), arrays, basis.avg_label
     )
-    pml = StoredPML.from_arrays(
-        graph,
-        label_offsets=arrays["pml_offsets"],
-        label_ranks_arr=arrays["pml_ranks"],
-        label_dists_arr=arrays["pml_dists"],
-        order=arrays["pml_order"],
-        avg_label=basis.avg_label,
-    )
-    return EngineContext(
-        graph=graph,
-        oracle=pml,
-        two_hop=arrays["two_hop"],
-        cost_model=CostModel(**basis.cost_model),
-        scan_override=basis.scan_override,
-    )
+    bounds = arrays["pml_offsets"].tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    # Boxed vertex by vertex: slicing two |labels|-long intermediate
+    # lists instead costs twice as much, the collector walking both once
+    # per generation the 2|V| small lists fill.
+    ranks, dists = pml._label_ranks_arr, pml._label_dists_arr
+    pml._label_ranks = [ranks[lo:hi].tolist() for lo, hi in spans]
+    pml._label_dists = [dists[lo:hi].tolist() for lo, hi in spans]
+    return _context_over(basis, arrays, pml)

@@ -75,10 +75,6 @@ class MmapSpec:
     directory: str
     graph_name: str
 
-    def segment_names(self) -> list[str]:
-        """No shared-memory segments back an mmap basis."""
-        return []
-
 
 def save_basis(basis: EngineBasis, directory: str | Path) -> Path:
     """Write ``basis`` to ``directory`` (created if needed); returns it.
@@ -154,7 +150,10 @@ def load_basis(directory: str | Path) -> EngineBasis:
         npy = path / f"{name}.npy"
         if not npy.is_file():
             raise BasisFormatError(f"basis in {path} is missing {npy.name}")
-        arr = np.load(npy, mmap_mode="r", allow_pickle=False)
+        try:
+            arr = np.load(npy, mmap_mode="r", allow_pickle=False)
+        except (OSError, ValueError) as exc:  # truncated or not an npy file
+            raise BasisFormatError(f"unreadable array file {npy}: {exc}") from exc
         want = meta["arrays"].get(name, {})
         if str(arr.dtype) != want.get("dtype") or list(arr.shape) != want.get("shape"):
             raise BasisFormatError(
@@ -165,7 +164,7 @@ def load_basis(directory: str | Path) -> EngineBasis:
     try:
         with open(path / _LABELS, "rb") as fh:
             labels = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError) as exc:
+    except (OSError, EOFError, pickle.UnpicklingError) as exc:
         raise BasisFormatError(f"unreadable label list in {path}: {exc}") from exc
     # A scalar an older writer did not record keeps its default (epoch 0);
     # a key no field answers to any more ("batch_enabled") is ignored.

@@ -201,13 +201,13 @@ class TestServiceIntegration:
         shared manager.  Any manager/session/scheduler lock-order cycle
         the scheduling can produce shows up as an inversion here.
         """
-        from repro.service import SessionManager
+        from repro.service import ServeConfig, SessionManager
 
         from tests.test_service_concurrency import drive_interleaved
 
         monitor = LockOrderMonitor()
         with patch_locks(monitor):
-            manager = SessionManager(pooled_ctx, max_sessions=8)
+            manager = SessionManager(pooled_ctx, ServeConfig(max_sessions=8))
             drive_interleaved(manager)
         assert monitor.locks_created > 0
         assert monitor.acquisitions > 0

@@ -6,7 +6,6 @@ from repro.core.actions import NewEdge, NewVertex
 from repro.core.blender import Boomer
 from repro.core.explore import (
     estimate_selectivity,
-    maximum_match,
     suggest_extension_labels,
 )
 from repro.errors import CAPStateError
@@ -20,21 +19,6 @@ def partial(fig2_ctx):
     boomer.apply(NewVertex(1, "B"))
     boomer.apply(NewEdge(0, 1, 1, 1))
     return boomer
-
-
-class TestMaximumMatch:
-    def test_live_candidates_per_level(self, partial):
-        s_m = maximum_match(partial.engine)
-        assert set(s_m) == {0, 1}
-        # v1 (id 0) is pruned (no B neighbor within 1 hop)
-        assert 0 not in s_m[0]
-        assert s_m[0] == sorted(partial.cap.candidates(0))
-
-    def test_reflects_pruning(self, fig2_ctx):
-        boomer = Boomer(fig2_ctx, strategy="IC")
-        boomer.apply(NewVertex(0, "A"))
-        before = maximum_match(boomer.engine)
-        assert before[0] == [0, 1, 2, 3]
 
 
 class TestSuggestions:

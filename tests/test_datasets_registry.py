@@ -82,7 +82,7 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_memory_cache()
     first = get_dataset("dblp", "tiny")
-    assert any(tmp_path.iterdir())  # pickle written
+    assert first.basis_dir.parent == tmp_path  # basis directory written
     clear_memory_cache()
     second = get_dataset("dblp", "tiny")  # loaded from disk
     assert second.graph == first.graph
@@ -93,7 +93,8 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
 def test_no_disk_cache_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "sub"))
     clear_memory_cache()
-    get_dataset("dblp", "tiny", use_disk_cache=False)
+    bundle = get_dataset("dblp", "tiny", use_disk_cache=False)
+    assert bundle.basis_dir is None
     assert not (tmp_path / "sub").exists()
     clear_memory_cache()
 
@@ -102,8 +103,9 @@ def test_corrupt_disk_cache_rebuilds(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_memory_cache()
     config = dataset_config("dblp", "tiny")
-    (tmp_path).mkdir(exist_ok=True)
-    (tmp_path / f"{config.cache_key}.pkl").write_bytes(b"garbage")
+    basis_dir = tmp_path / f"{config.cache_key}.basis"
+    basis_dir.mkdir()
+    (basis_dir / "meta.json").write_bytes(b"garbage")
     bundle = get_dataset("dblp", "tiny")
     assert bundle.graph.num_vertices > 0
     clear_memory_cache()

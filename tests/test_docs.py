@@ -74,6 +74,24 @@ def test_service_doc_lists_every_error_code_with_its_retry_verdict():
         assert rows[code] == ("**yes**" if retryable else "no"), code
 
 
+def test_service_doc_config_table_is_the_fields_of_serve_config():
+    """docs/SERVICE.md's configuration table against ``ServeConfig``: one
+    row per field, in field order, each with the field's default."""
+    import dataclasses
+    import re
+
+    from repro.service import ServeConfig, SessionLimits
+
+    text = (REPO_ROOT / "docs/SERVICE.md").read_text(encoding="utf-8")
+    table = text[text.index("| field | default |"):]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", table[: table.index("\n\n")], re.M)
+    fields = dataclasses.fields(ServeConfig)
+    assert [name for name, _ in rows] == [f.name for f in fields]
+    for (name, default), field in zip(rows, fields):
+        documented = eval(default, {"SessionLimits": SessionLimits})  # a literal
+        assert documented == field.default, name
+
+
 def test_design_covers_every_experiment():
     text = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
     for artifact in [

@@ -10,7 +10,6 @@ from repro.graph.algorithms import (
     k_hop_neighborhood,
     largest_component,
     region_around,
-    shortest_path,
 )
 from repro.graph.builder import GraphBuilder
 from tests.conftest import build_cycle_graph, build_fig2_graph, build_path_graph
@@ -102,33 +101,6 @@ class TestComponents:
         g = build_fig2_graph()
         comps = connected_components(g)
         assert sorted(v for comp in comps for v in comp) == list(range(g.num_vertices))
-
-
-class TestShortestPath:
-    def test_trivial(self):
-        assert shortest_path(build_path_graph(3), 1, 1) == [1]
-
-    def test_path_found(self):
-        g = build_path_graph(5)
-        assert shortest_path(g, 0, 4) == [0, 1, 2, 3, 4]
-
-    def test_no_path(self, two_components):
-        assert shortest_path(two_components, 0, 3) is None
-
-    def test_length_matches_distance(self):
-        g = build_fig2_graph()
-        for u in range(g.num_vertices):
-            for v in range(g.num_vertices):
-                p = shortest_path(g, u, v)
-                d = distance(g, u, v)
-                if d < 0:
-                    assert p is None
-                else:
-                    assert p is not None
-                    assert len(p) - 1 == d
-                    # consecutive vertices must be adjacent
-                    for a, b in zip(p, p[1:]):
-                        assert g.has_edge(a, b)
 
 
 class TestHasPathWithin:

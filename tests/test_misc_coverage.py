@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.cap import CAPIndex
 from repro.errors import CAPStateError, IndexNotBuiltError
-from repro.graph.algorithms import path_length_ok
 from repro.indexing.pml import PrunedLandmarkLabeling, require_built
 from tests.conftest import build_path_graph
 from tests.reference_models import ids
@@ -18,16 +17,6 @@ class TestRequireBuilt:
     def test_raises_on_none(self):
         with pytest.raises(IndexNotBuiltError):
             require_built(None)
-
-
-class TestPathLengthOk:
-    def test_within(self):
-        assert path_length_ok([1, 2, 3], 1, 2)
-        assert path_length_ok([1, 2], 1, 1)
-
-    def test_outside(self):
-        assert not path_length_ok([1, 2, 3, 4], 1, 2)
-        assert not path_length_ok([1], 1, 2)  # length 0 < lower
 
 
 class TestCAPErrorPaths:

@@ -4,10 +4,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.graph.algorithms import (
-    bfs_distances,
     connected_components,
     distance,
-    shortest_path,
 )
 from repro.graph.builder import GraphBuilder
 
@@ -90,24 +88,6 @@ def test_components_partition_vertices(graph):
             comp_of[v] = i
     for u, v in graph.iter_edges():
         assert comp_of[u] == comp_of[v]
-
-
-@given(labeled_graphs(), st.data())
-@settings(max_examples=50, deadline=None)
-def test_shortest_path_is_shortest_and_valid(graph, data):
-    n = graph.num_vertices
-    u = data.draw(st.integers(0, n - 1))
-    v = data.draw(st.integers(0, n - 1))
-    path = shortest_path(graph, u, v)
-    d = int(bfs_distances(graph, u)[v])
-    if d < 0:
-        assert path is None
-    else:
-        assert path is not None
-        assert len(path) - 1 == d
-        assert path[0] == u and path[-1] == v
-        for a, b in zip(path, path[1:]):
-            assert graph.has_edge(a, b)
 
 
 @given(labeled_graphs())

@@ -18,6 +18,7 @@ from repro.errors import CheckpointError, SessionEvictedError, SessionNotFoundEr
 from repro.service import (
     CheckpointStore,
     QueryServer,
+    ServeConfig,
     ServiceClient,
     SessionManager,
     canonical_matches,
@@ -83,13 +84,73 @@ class TestSerialization:
         assert checkpoint.state == "ran"
 
 
+#: A ``ran`` fig2 checkpoint exactly as PR 22 wrote it (paranoid posture,
+#: 30 s deadline): it still records ``trace_capacity``, since a constant.
+PARENT_CHECKPOINT_JSON = (
+    '{"actions": [{"kind": "NewVertex", "label": "A", "latency_after": 0.002, "vertex_id": 0}, '
+    '{"kind": "NewVertex", "label": "B", "latency_after": 0.002, "vertex_id": 1}, '
+    '{"kind": "NewEdge", "latency_after": 0.002, "lower": 1, "u": 0, "upper": 1, "v": 1}, '
+    '{"kind": "NewVertex", "label": "C", "latency_after": 0.002, "vertex_id": 2}, '
+    '{"kind": "NewEdge", "latency_after": 0.002, "lower": 1, "u": 1, "upper": 2, "v": 2}, '
+    '{"kind": "NewEdge", "latency_after": 0.002, "lower": 1, "u": 0, "upper": 3, "v": 2}], '
+    '"actions_applied": 7, "backlog_seconds": 0.0, "donated_idle_seconds": 0.01065926100028446, '
+    '"format": 1, "limits": {"max_results": 10000, "pruning": true, "resilience": '
+    '{"absorb_action_failures": true, "audit_sample_pairs": 16, "deadline_seconds": 30.0, '
+    '"degrade_to_bu": true, "retry": {"backoff": 2.0, "base_delay": 0.001, "max_attempts": 3, '
+    '"max_delay": 0.05}, "verify_cap_on_run": true}, "strategy": "DI", "trace": true, '
+    '"trace_capacity": 8192}, "reason": "drain", "serviced_edges": 0, "serviced_seconds": 0.0, '
+    '"session_id": "s1", "state": "ran", "timeline": {"arrival": 0.012, '
+    '"busy_until": 0.010367499000276439, "formulation_busy": 0.001346860000921879, '
+    '"simulated_qft": 0.012}}'
+)
+#: ``canonical_matches`` of that session at the parent.
+PARENT_MATCHES = [[[0, 1], [1, 4], [2, 11]], [[0, 2], [1, 5], [2, 11]], [[0, 2], [1, 7], [2, 11]]]
+
+
+class TestLimitsRoundTrip:
+    def test_parent_checkpoint_restores_byte_identical(self, fig2_ctx):
+        """The key no field answers to any more is ignored; everything
+        else — nested posture included — comes back as the parent set it."""
+        from repro.resilience import ResilienceConfig
+        from repro.service.checkpoint import SessionCheckpoint
+
+        checkpoint = SessionCheckpoint.from_json(PARENT_CHECKPOINT_JSON)
+        session = restore_session(checkpoint, fig2_ctx)
+        assert session.state == "ran"
+        assert canonical_matches(session.matches()) == PARENT_MATCHES
+        assert session.limits.resilience == ResilienceConfig.paranoid(30.0)
+        # Re-captured, it is the parent's payload minus that one key.
+        again = checkpoint_session(session, "drain").to_dict()
+        parent = json.loads(PARENT_CHECKPOINT_JSON)
+        del parent["limits"]["trace_capacity"]
+        assert again["limits"] == parent["limits"]
+        assert again["actions"] == parent["actions"]
+
+    @pytest.mark.parametrize("posture", POSTURES)
+    def test_every_posture_round_trips(self, fig2_ctx, posture):
+        manager = SessionManager(fig2_ctx)
+        session = formulate(manager, posture)
+        checkpoint = checkpoint_session(session, "test")
+        clone = type(checkpoint).from_json(checkpoint.to_json())
+        assert restore_session(clone, fig2_ctx).limits == session.limits
+
+    def test_malformed_limits_are_typed(self, fig2_ctx):
+        from dataclasses import replace
+
+        manager = SessionManager(fig2_ctx)
+        checkpoint = checkpoint_session(formulate(manager, "default"), "test")
+        broken = replace(checkpoint, limits={"strategy": "DI"})  # no resilience
+        with pytest.raises(CheckpointError, match="malformed checkpoint limits"):
+            restore_session(broken, fig2_ctx)
+
+
 class TestCheckpointStore:
     def _checkpoint(self, fig2_ctx, manager=None):
         manager = manager or SessionManager(fig2_ctx)
         return checkpoint_session(formulate(manager, "off"), "test")
 
     def test_capacity_drops_oldest(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=8)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=8))
         store = CheckpointStore(capacity=2)
         checkpoints = [
             checkpoint_session(formulate(manager, "off"), "test")
@@ -121,7 +182,7 @@ class TestRoundTrip:
         expected = canonical_matches(serial.matches(reference.id))
         assert expected  # fig2 Q has matches; identity must be non-vacuous
 
-        manager = SessionManager(fig2_ctx, max_sessions=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         victim = formulate(manager, posture)
         manager.create_session()  # LRU-evicts (and checkpoints) the victim
         assert victim.id not in manager.session_ids()
@@ -139,7 +200,7 @@ class TestRoundTrip:
         serial.run(reference.id)
         expected = canonical_matches(serial.matches(reference.id))
 
-        manager = SessionManager(fig2_ctx, max_sessions=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         victim = formulate(manager, posture)
         manager.run(victim.id)
         manager.create_session()  # evict a completed session
@@ -154,7 +215,7 @@ class TestRoundTrip:
         serial.run(reference.id)
         expected = canonical_matches(serial.matches(reference.id))
 
-        manager = SessionManager(fig2_ctx, max_sessions=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         victim = formulate(manager, "default")  # formulated, not yet run
         manager.create_session()
         manager.restore_session(victim.id)
@@ -173,7 +234,8 @@ class TestRoundTrip:
             manager.restore_session("s999")
 
     def test_expired_checkpoint_restore_is_typed(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=1, checkpoint_capacity=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
+        manager.checkpoints.capacity = 1  # the store's bound, shrunk to overflow
         victim = formulate(manager, "off")
         manager.create_session()  # evicts + checkpoints victim
         # A second eviction overflows the single-slot store: victim expires.
@@ -184,7 +246,7 @@ class TestRoundTrip:
             manager.restore_session(victim.id)
 
     def test_eviction_error_advertises_restorability(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         victim = formulate(manager, "off")
         manager.create_session()
         with pytest.raises(SessionEvictedError) as info:
@@ -195,7 +257,7 @@ class TestRoundTrip:
 class TestRestoreOverTheWire:
     @pytest.fixture()
     def served(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         server = QueryServer(manager, host="127.0.0.1", port=0).start()
         yield server, manager
         server.stop()
@@ -276,7 +338,7 @@ class TestDiskTier:
         assert store.pop(checkpoint.session_id) is None
 
     def test_memory_eviction_keeps_disk_copy(self, fig2_ctx, tmp_path):
-        manager = SessionManager(fig2_ctx, max_sessions=8)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=8))
         store = CheckpointStore(capacity=1, directory=str(tmp_path))
         older = checkpoint_session(formulate(manager, "off"), "test")
         newer = checkpoint_session(formulate(manager, "off"), "test")
@@ -305,11 +367,7 @@ class TestDiskTier:
 
     def test_manager_restart_restores_byte_identical(self, fig2_ctx, tmp_path):
         """The worker-pool contract, minus the pool: survive a restart."""
-        before = SessionManager(
-            fig2_ctx,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_on_mutate=True,
-        )
+        before = SessionManager(fig2_ctx, ServeConfig(checkpoint_dir=str(tmp_path)))
         session = formulate(before, "default")
         before.run(session.id)
         expected = canonical_matches(before.matches(session.id))
@@ -317,7 +375,7 @@ class TestDiskTier:
 
         # "Restart": a brand-new manager over the same directory; the old
         # one is simply dropped, exactly like a SIGKILLed worker.
-        after = SessionManager(fig2_ctx, checkpoint_dir=str(tmp_path))
+        after = SessionManager(fig2_ctx, ServeConfig(checkpoint_dir=str(tmp_path)))
         with pytest.raises(SessionEvictedError) as info:
             after.get(session.id)
         assert info.value.restorable is True

@@ -15,7 +15,7 @@ import threading
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.indexing.oracle import CountingOracle
-from repro.service import SessionManager, canonical_matches
+from repro.service import ServeConfig, SessionManager, canonical_matches
 
 LAT = 0.01
 
@@ -110,7 +110,7 @@ def test_interleaved_sessions_byte_identical_to_serial(pooled_ctx):
     reference = serial_reference(pooled_ctx)
     assert any(reference)  # at least one script has matches
 
-    manager = SessionManager(pooled_ctx, max_sessions=N_SESSIONS)
+    manager = SessionManager(pooled_ctx, ServeConfig(max_sessions=N_SESSIONS))
     interleaved = drive_interleaved(manager)
     assert interleaved == reference
 
@@ -121,8 +121,9 @@ def test_interleaved_sessions_byte_identical_to_serial(pooled_ctx):
 
 def test_interleaved_runs_are_repeatable(pooled_ctx):
     """Two concurrent rounds agree with each other, not just with serial."""
-    first = drive_interleaved(SessionManager(pooled_ctx, max_sessions=N_SESSIONS))
-    second = drive_interleaved(SessionManager(pooled_ctx, max_sessions=N_SESSIONS))
+    config = ServeConfig(max_sessions=N_SESSIONS)
+    first = drive_interleaved(SessionManager(pooled_ctx, config))
+    second = drive_interleaved(SessionManager(pooled_ctx, config))
     assert first == second
 
 

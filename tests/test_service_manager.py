@@ -14,7 +14,7 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.indexing.oracle import shared_bfs_oracle
-from repro.service import SessionManager, canonical_matches
+from repro.service import ServeConfig, SessionManager, canonical_matches
 from repro.service.session import SessionLimits
 
 FIG2_ACTIONS = [
@@ -102,7 +102,7 @@ class TestLifecycle:
 
 class TestAdmissionAndEviction:
     def test_session_budget_evicts_idle_lru(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=2)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=2))
         a = manager.create_session()
         b = manager.create_session()
         manager.apply_action(b.id, NewVertex(0, "A"))  # b now more recent
@@ -114,7 +114,7 @@ class TestAdmissionAndEviction:
         assert manager.stats()["sessions_evicted"] == 1
 
     def test_admission_refused_when_nothing_evictable(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         session = manager.create_session()
         with session.lock:  # actively in use: not evictable
             with pytest.raises(AdmissionError):
@@ -134,7 +134,7 @@ class TestAdmissionAndEviction:
         assert not session.limits.resilience.degrade_to_bu
 
     def test_cap_budget_evicts_largest_idle_history(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, cap_entry_budget=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(cap_entry_budget=1))
         a = manager.create_session()
         for action in FIG2_ACTIONS:
             manager.apply_action(a.id, action)
@@ -152,7 +152,7 @@ class TestAdmissionAndEviction:
         assert any("CAP budget" in entry for entry in stats["recent_evictions"])
 
     def test_eviction_observable_in_stats(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         a = manager.create_session()
         manager.create_session()
         stats = manager.stats()
@@ -161,7 +161,7 @@ class TestAdmissionAndEviction:
         assert f"{a.id}: session budget" in stats["recent_evictions"]
 
     def test_evicted_vs_unknown_are_distinct(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=1)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         a = manager.create_session()
         manager.create_session()  # evicts a
         with pytest.raises(SessionEvictedError):

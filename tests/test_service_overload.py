@@ -23,7 +23,13 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 from repro.resilience import RetryPolicy
-from repro.service import OverloadPolicy, QueryServer, ServiceClient, SessionManager
+from repro.service import (
+    OverloadPolicy,
+    QueryServer,
+    ServeConfig,
+    ServiceClient,
+    SessionManager,
+)
 from repro.service.client import RemoteServiceError
 
 
@@ -63,8 +69,10 @@ def tight_manager(fig2_ctx):
     """Two slots, watermark at one: the second busy session sheds."""
     return SessionManager(
         fig2_ctx,
-        max_sessions=2,
-        overload=OverloadPolicy(session_watermark=0.5, retry_after_ms=20),
+        ServeConfig(
+            max_sessions=2,
+            overload=OverloadPolicy(session_watermark=0.5, retry_after_ms=20),
+        ),
     )
 
 
@@ -92,8 +100,7 @@ class TestManagerShedding:
     def test_hard_budget_still_admission_error(self, fig2_ctx):
         manager = SessionManager(
             fig2_ctx,
-            max_sessions=1,
-            overload=OverloadPolicy(session_watermark=1.0),
+            ServeConfig(max_sessions=1, overload=OverloadPolicy(session_watermark=1.0)),
         )
         session = manager.create_session()
         assert session.lock.acquire(blocking=False)
@@ -105,7 +112,7 @@ class TestManagerShedding:
 
     def test_queue_depth_sheds_mutating_work(self, fig2_ctx):
         manager = SessionManager(
-            fig2_ctx, overload=OverloadPolicy(max_inflight=1)
+            fig2_ctx, ServeConfig(overload=OverloadPolicy(max_inflight=1))
         )
         session = manager.create_session()
         with manager._track_request():  # occupy the only in-flight slot
@@ -117,7 +124,7 @@ class TestManagerShedding:
         manager.apply_action(session.id, NewVertex(0, "A"))  # slot free again
 
     def test_draining_sheds_mutating_but_serves_reads(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, overload=OverloadPolicy())
+        manager = SessionManager(fig2_ctx, ServeConfig(overload=OverloadPolicy()))
         session = manager.create_session()
         manager.apply_action(session.id, NewVertex(0, "A"))
         manager.begin_drain()
@@ -135,7 +142,7 @@ class TestManagerShedding:
         manager.apply_action(session.id, NewVertex(1, "B"))
 
     def test_shed_without_policy_never_fires(self, fig2_ctx):
-        manager = SessionManager(fig2_ctx, max_sessions=1, overload=None)
+        manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1, overload=None))
         session = manager.create_session()
         assert session.lock.acquire(blocking=False)
         try:
@@ -150,8 +157,10 @@ class TestOverloadOnTheWire:
     def overloaded(self, fig2_ctx):
         manager = SessionManager(
             fig2_ctx,
-            max_sessions=2,
-            overload=OverloadPolicy(session_watermark=0.5, retry_after_ms=10),
+            ServeConfig(
+                max_sessions=2,
+                overload=OverloadPolicy(session_watermark=0.5, retry_after_ms=10),
+            ),
         )
         server = QueryServer(manager, host="127.0.0.1", port=0).start()
         yield server, manager

@@ -16,7 +16,7 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.errors import RelayedError, WorkerPoolError
-from repro.service import LocalDispatcher, PoolDispatcher, SessionManager
+from repro.service import ServeConfig, open_host
 from repro.service import protocol
 from repro.storage import attach, basis_from_context, publish_basis, unlink_segments
 
@@ -39,7 +39,7 @@ def formulate_and_run(backend, sid):
 
 @pytest.fixture()
 def pool(fig2_ctx):
-    dispatcher = PoolDispatcher(fig2_ctx, workers=2, max_sessions=8)
+    dispatcher = open_host(fig2_ctx, ServeConfig(workers=2, max_sessions=8))
     yield dispatcher
     dispatcher.close()
 
@@ -77,10 +77,10 @@ class TestSharedContext:
             pass
 
         with pytest.raises(WorkerPoolError):
-            PoolDispatcher(replace(fig2_ctx, oracle=NotPML()), workers=1)
+            open_host(replace(fig2_ctx, oracle=NotPML()), ServeConfig(workers=1))
 
     def test_no_segments_leak_after_close(self, fig2_ctx):
-        dispatcher = PoolDispatcher(fig2_ctx, workers=2, max_sessions=8)
+        dispatcher = open_host(fig2_ctx, ServeConfig(workers=2, max_sessions=8))
         names = dispatcher.segment_names()
         assert names
         dispatcher.close()
@@ -117,7 +117,7 @@ class TestStickyRouting:
 
 class TestParity:
     def test_pool_matches_threaded_byte_identical(self, pool, fig2_ctx):
-        threaded = LocalDispatcher(SessionManager(fig2_ctx, max_sessions=8))
+        threaded = open_host(fig2_ctx, ServeConfig(max_sessions=8))
         reference_sid = threaded.dispatch({"op": "create_session"})["session"]
         reference = formulate_and_run(threaded, reference_sid)
         assert reference  # non-vacuous: fig2 Q1 has matches

@@ -35,10 +35,11 @@ from repro.errors import (
 )
 from repro.service import (
     LocalDispatcher,
-    PoolDispatcher,
     QueryServer,
+    ServeConfig,
     ServiceClient,
     SessionManager,
+    open_host,
     protocol,
 )
 
@@ -362,8 +363,8 @@ class TestMatchesFrameBytes:
     @pytest.fixture(scope="class")
     def backends(self, fig2_pre):
         ctx = make_context(fig2_pre)
-        pool = PoolDispatcher(ctx, workers=2, max_sessions=8)
-        yield ctx, {"local": LocalDispatcher(SessionManager(ctx)), "pool": pool}
+        pool = open_host(ctx, ServeConfig(workers=2, max_sessions=8))
+        yield ctx, {"local": open_host(ctx, ServeConfig()), "pool": pool}
         pool.close()
 
     @pytest.mark.parametrize("backend", ["local", "pool"])
@@ -494,8 +495,10 @@ def test_error_frames_byte_identical_threaded_and_pooled(fig2_pre):
     frame a client reads is the same with ``--workers 0`` and through a
     worker's pipe.  (The local manager numbers sessions like worker 0.)"""
     ctx = make_context(fig2_pre)
-    local = LocalDispatcher(SessionManager(ctx, max_sessions=1, session_prefix="w0s"))
-    pool = PoolDispatcher(ctx, workers=2, max_sessions=2)  # one session a worker
+    local = LocalDispatcher(
+        SessionManager(ctx, ServeConfig(max_sessions=1), session_prefix="w0s")
+    )
+    pool = open_host(ctx, ServeConfig(workers=2, max_sessions=2))  # one session a worker
     try:
         frames = {}
         for name, backend, creates in (("local", local, 2), ("pool", pool, 3)):

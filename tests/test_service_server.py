@@ -23,6 +23,7 @@ from repro.graph.io import save_edge_list
 from repro.service import (
     PROTOCOL_VERSION,
     QueryServer,
+    ServeConfig,
     ServiceClient,
     SessionManager,
     canonical_matches,
@@ -141,7 +142,9 @@ def test_unknown_op_is_protocol_error(client):
 
 def test_unknown_session_vs_evicted_retryability(fig2_ctx):
     srv = QueryServer(
-        SessionManager(fig2_ctx, max_sessions=1), host="127.0.0.1", port=0
+        SessionManager(fig2_ctx, ServeConfig(max_sessions=1)),
+        host="127.0.0.1",
+        port=0,
     ).start()
     try:
         with ServiceClient(*srv.address) as client:

@@ -8,11 +8,12 @@ for the SLO arithmetic itself, which must stay boringly predictable.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import FaultPlan, GUIFaultSpec, OracleFaultSpec
-from repro.service import OverloadPolicy
-from repro.soak import SLO, SoakReport, run_soak
+from repro.soak import SLO, SOAK_CONFIG, SoakReport, run_soak
 from repro.soak.slo import percentile
 from repro.workload import SoakWorkloadConfig
 
@@ -88,17 +89,13 @@ class TestSmokeSoak:
         report = run_soak(
             dblp_tiny.make_context(),
             workload,
+            replace(SOAK_CONFIG, max_sessions=6),
             fault_plan=plan,
             slo=SLO(
                 p50_run_seconds=60.0,
                 p95_run_seconds=120.0,
                 p99_run_seconds=240.0,
             ),
-            overload=OverloadPolicy(
-                session_watermark=0.75, cap_watermark=0.85, max_inflight=32
-            ),
-            max_sessions=6,
-            cap_entry_budget=100_000,
             time_scale=0.01,
             lock_monitor=True,
         )
@@ -118,7 +115,7 @@ class TestSmokeSoak:
         report = run_soak(
             dblp_tiny.make_context(),
             SoakWorkloadConfig(seed=5, sessions=4, abandon_rate=0.0),
-            max_sessions=4,
+            replace(SOAK_CONFIG, max_sessions=4),
             time_scale=0.01,
             lock_monitor=False,
             verify_restore=False,

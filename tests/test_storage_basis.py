@@ -10,7 +10,7 @@ import pytest
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context, preprocess
-from repro.datasets.registry import clear_memory_cache, get_dataset, materialize_basis
+from repro.datasets.registry import clear_memory_cache, dataset_config, get_dataset
 from repro.errors import BasisFormatError, DatasetError, StorageError
 from repro.storage import (
     ARRAY_NAMES,
@@ -288,48 +288,112 @@ class TestRegistryIntegration:
         with pytest.raises(DatasetError, match="not both"):
             wordnet_tiny.make_context(oracle=object(), basis=basis)
 
-    def test_materialize_basis_writes_and_reuses(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_memory_cache()
-        bundle = get_dataset("wordnet", "tiny")
-        path = materialize_basis(bundle)
-        assert path.is_dir() and (path / "meta.json").is_file()
-        before = (path / "meta.json").stat().st_mtime_ns
-        again = materialize_basis(bundle)
-        assert again == path
-        assert (path / "meta.json").stat().st_mtime_ns == before
-        loaded = load_basis(path)
-        assert loaded.graph_name == bundle.graph.name
-        clear_memory_cache()
-
-    def test_disk_cache_envelope_is_exact(self, tmp_path, monkeypatch):
-        """A cache file is ``{"version", "pre"}`` at this version; anything
-        else under the same name is rebuilt silently, never adopted."""
-        import pickle
-
-        from repro.datasets import registry
-
+    @pytest.fixture()
+    def cached(self, tmp_path, monkeypatch):
+        """wordnet/tiny built once into an empty cache dir: (bundle, dir)."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_memory_cache()
         built = get_dataset("wordnet", "tiny")
-        (cache_file,) = tmp_path.glob("*.pkl")
-        assert f"-v{registry._CACHE_VERSION}" in cache_file.name
-        envelope = pickle.loads(cache_file.read_bytes())
-        assert envelope.keys() == {"version", "pre"}
-        assert envelope["version"] == registry._CACHE_VERSION
+        config = dataset_config("wordnet", "tiny")
+        assert built.basis_dir == tmp_path / f"{config.cache_key}.basis"
         clear_memory_cache()
-        assert get_dataset("wordnet", "tiny").pre is not built.pre  # from disk
-        for foreign in (
-            built.pre,  # the bare pre-envelope payload
-            {**envelope, "version": registry._CACHE_VERSION - 1},
-            {**envelope, "finalized": True},
-            {"version": registry._CACHE_VERSION, "pre": "not a result"},
-        ):
-            cache_file.write_bytes(pickle.dumps(foreign))
-            assert registry._load_cache_envelope(cache_file) is None
-        cache_file.write_bytes(b"not a pickle")
+        yield built, built.basis_dir
         clear_memory_cache()
-        rebuilt = get_dataset("wordnet", "tiny")  # silent rebuild, cache rewritten
-        assert rebuilt.graph.num_edges == built.graph.num_edges
-        assert pickle.loads(cache_file.read_bytes()).keys() == {"version", "pre"}
+
+    def test_cache_is_one_basis_directory(self, cached, tmp_path):
+        """The cache entry is a committed basis and nothing else, and a
+        hit reads it without writing it."""
+        built, basis_dir = cached
+        assert [p.name for p in tmp_path.iterdir()] == [basis_dir.name]
+        meta_file = basis_dir / "meta.json"
+        stamp = meta_file.stat().st_mtime_ns
+        assert load_basis(basis_dir).graph_name == built.graph.name
+        hit = get_dataset("wordnet", "tiny")
+        assert hit.pre is not built.pre and hit.basis_dir == basis_dir
+        assert meta_file.stat().st_mtime_ns == stamp
+
+    def test_cache_hit_is_the_heap_form_a_fresh_build_gives(self, cached):
+        built, basis_dir = cached
+        hit = get_dataset("wordnet", "tiny")
+        ctx, fresh = hit.make_context(), built.make_context()
+        # Copied off the memmap, byte-equal to the fresh build's arrays ...
+        basis = basis_from_context(ctx)
+        assert basis.equal_bytes(basis_from_context(fresh))
+        for name in ARRAY_NAMES:
+            arr = basis.arrays[name]
+            assert arr.flags.writeable, name  # a memmap page is read-only
+            assert not isinstance(arr, np.memmap), name
+            assert not isinstance(arr.base, np.memmap), name
+        # ... the label lists split back out of the label CSR ...
+        assert not isinstance(ctx.oracle, StoredPML)
+        assert ctx.oracle._label_ranks == fresh.oracle._label_ranks
+        assert ctx.oracle._label_dists == fresh.oracle._label_dists
+        # ... nothing built or measured: the scalars are the stored ones.
+        stored = read_meta(basis_dir)["cost_model"]
+        assert (hit.pre.pml_build_seconds, hit.pre.two_hop_seconds) == (0.0, 0.0)
+        assert hit.pre.t_avg == built.pre.t_avg == stored["t_avg"]
+        assert ctx.cost_model.t_lat == fresh.cost_model.t_lat == stored["t_lat"]
+
+    def test_cache_hit_is_patchable(self, cached):
+        """An insert on a cache hit takes the incremental path and leaves
+        the index answering like a fresh build (``repro update-check``)."""
+        from repro.indexing.pml import PrunedLandmarkLabeling
+        from repro.indexing.twohop import two_hop_counts
+        from repro.updates import insert_edge
+
+        ctx = get_dataset("wordnet", "tiny").make_context()
+        graph, n = ctx.graph, ctx.graph.num_vertices
+        u, v = next(
+            (u, v) for u in range(n) for v in range(n - 1, u, -1)
+            if not graph.has_edge(u, v)
+        )
+        report = insert_edge(ctx, u, v)
+        assert report.strategy == "pml-incremental" and graph.epoch == 1
+        fresh = PrunedLandmarkLabeling.build(graph)
+        targets = np.arange(n)
+        for source in range(n):
+            assert np.array_equal(
+                ctx.oracle.distances_from(source, targets),
+                fresh.distances_from(source, targets),
+            ), source
+        assert np.array_equal(ctx.two_hop, two_hop_counts(graph))
+
+    @pytest.mark.parametrize("damage", ["no manifest", "truncated array", "foreign basis"])
+    def test_damaged_cache_is_rebuilt_never_served(self, cached, damage, fig2_basis):
+        """A save that died before its commit mark, a torn array file and
+        another graph's basis under our name all rebuild silently."""
+        built, basis_dir = cached
+        if damage == "no manifest":
+            (basis_dir / "meta.json").unlink()
+        elif damage == "truncated array":
+            npy = basis_dir / "pml_ranks.npy"
+            npy.write_bytes(npy.read_bytes()[: npy.stat().st_size // 2])
+        else:
+            save_basis(fig2_basis, basis_dir)
+        rebuilt = get_dataset("wordnet", "tiny")
+        assert rebuilt.pre.pml_build_seconds > 0.0  # built, not loaded
+        assert rebuilt.graph.name == built.graph.name
+        assert basis_from_context(rebuilt.make_context()).equal_bytes(
+            basis_from_context(built.make_context())
+        )
+        # ... and the directory is a committed basis of this graph again.
+        assert load_basis(basis_dir).graph_name == built.graph.name
+
+    def test_leftover_pickle_is_never_opened(self, cached, tmp_path):
+        """The parent's cache file beside the directory is dead weight:
+        unpickling this one would fail the test."""
+        import pickle
+
+        built, basis_dir = cached
+
+        class Bomb:
+            def __reduce__(self):
+                return (pytest.fail, ("the registry unpickled a cache file",))
+
+        leftover = tmp_path / f"{basis_dir.stem}-v3.pkl"
+        leftover.write_bytes(pickle.dumps(Bomb()))
+        assert get_dataset("wordnet", "tiny").graph == built.graph  # a hit
+        (basis_dir / "meta.json").unlink()
         clear_memory_cache()
+        assert get_dataset("wordnet", "tiny").graph == built.graph  # a rebuild
+        assert leftover.exists()

@@ -295,11 +295,11 @@ def test_shm_segments_unlinked_on_close():
 def test_mmap_pool_worker_end_to_end():
     """A spawned pool over an mmap basis answers like the local engine."""
     from tests.conftest import build_fig2_graph
-    from repro.service.pool import PoolDispatcher
+    from repro.service import ServeConfig, open_host
 
     ctx = make_context(preprocess(build_fig2_graph(), seed=1))
     reference = canonical_run(ctx, ctx.graph.labels())
-    dispatcher = PoolDispatcher(ctx, workers=2, storage="mmap")
+    dispatcher = open_host(ctx, ServeConfig(workers=2, storage="mmap"))
     try:
         assert dispatcher.segment_names() == []
         sid = dispatcher.dispatch({"op": "create_session", "strategy": "DI"})[
