@@ -2,22 +2,23 @@
 
 Climbs the dataset-registry presets from test scale toward the paper's
 real dimensions and, at every rung, serves the same formulation over
-all three :mod:`repro.storage` backends, each brought up the way
-``repro serve`` brings it up (:func:`repro.service.open_host`):
+both :mod:`repro.storage` backends, each brought up the way ``repro
+serve`` brings it up (:func:`repro.service.open_host`):
 
 * **build** — graph generation + PML + two-hop, timed (the one-time cost
   the on-disk basis amortizes away across restarts);
 * **basis** — the fully-resident footprint (``EngineBasis.nbytes()``);
-* **serve** — one scripted session per backend: ``resident`` threaded
-  over the heap bundle, ``shm`` through one worker process, ``mmap``
-  threaded over the registry's saved basis directory opened in place.
-  Recorded are the time to bring the host up, SRT and the hosting
-  process' peak RSS after the arm (for ``shm`` that is the dispatcher,
-  not the worker), asserting the matches are byte-identical everywhere
-  (the conformance invariant at bench scale).  No arm has a cache to
-  size: a stored index reads its label columns where they lie
-  (``docs/STORAGE.md``), so what the mmap arm keeps resident is whatever
-  pages the kernel decides to.
+* **serve** — one scripted session per arm: ``resident`` threaded over
+  the heap bundle, ``mmap`` threaded over the registry's saved basis
+  directory opened in place, and ``mmap_worker`` over that same
+  directory through one worker process — so the pipe hop reads apart
+  from the medium.  Recorded are the time to bring the host up, SRT and
+  the hosting process' peak RSS after the arm (for ``mmap_worker`` that
+  is the dispatcher, not the worker), asserting the matches are
+  byte-identical everywhere (the conformance invariant at bench scale).
+  No arm has a cache to size: a stored index reads its label columns
+  where they lie (``docs/STORAGE.md``), so what the mmap arms keep
+  resident is whatever pages the kernel decides to.
 
 The ``flickr/paper`` rung (1.8M vertices, ~23M edges) is hours of
 pure-Python PML construction, so it only joins the ladder when
@@ -102,19 +103,19 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
         "num_edges": bundle.graph.num_edges,
         "build_seconds": round(build_seconds, 4),
         "basis_nbytes": basis.nbytes(),
-        "backends": {},
+        "arms": {},
     }
 
-    # The registry's cache entry is the basis the mmap arm opens in place
+    # The registry's cache entry is the basis the mmap arms open in place
     # (a read-only cache dir leaves none: save a private one instead).
-    basis_dir = bundle.basis_dir or tmp_root / f"{name}-{scale}.basis"
+    basis_dir = str(bundle.basis_dir or tmp_root / f"{name}-{scale}.basis")
     configs = {
         "resident": ServeConfig(),
-        "shm": ServeConfig(workers=1, storage="shm"),
-        "mmap": ServeConfig(storage="mmap", storage_dir=str(basis_dir)),
+        "mmap": ServeConfig(storage="mmap", storage_dir=basis_dir),
+        "mmap_worker": ServeConfig(workers=1, storage_dir=basis_dir),
     }
-    matches_by_backend: dict[str, object] = {}
-    for backend_name, config in configs.items():
+    matches_by_arm: dict[str, object] = {}
+    for arm, config in configs.items():
         t0 = time.perf_counter()
         backend = open_host(ctx, config)
         open_seconds = time.perf_counter() - t0
@@ -122,18 +123,18 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
             srt, matches = _serve_once(backend, actions)
         finally:
             backend.close()
-        matches_by_backend[backend_name] = matches
-        row["backends"][backend_name] = {
+        matches_by_arm[arm] = matches
+        row["arms"][arm] = {
             "open_seconds": round(open_seconds, 4),
             "srt_seconds": round(srt, 6),
             "num_matches": len(matches),
             "peak_rss_bytes": _peak_rss_bytes(),
         }
 
-    reference = matches_by_backend["resident"]
-    for backend_name, matches in matches_by_backend.items():
+    reference = matches_by_arm["resident"]
+    for arm, matches in matches_by_arm.items():
         assert matches == reference, (
-            f"{name}/{scale}: {backend_name} matches diverged from resident"
+            f"{name}/{scale}: {arm} matches diverged from resident"
         )
     row["matches_identical"] = True
     return row

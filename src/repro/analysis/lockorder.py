@@ -250,7 +250,8 @@ class MonitoredRLock:
 
     Implements the private ``_is_owned``/``_release_save``/
     ``_acquire_restore`` trio so :class:`threading.Condition` built on a
-    monitored lock (directly or via the patched factory) works unchanged.
+    monitored lock (directly or via the patched factory) works unchanged,
+    and ``_recursion_count`` for the standard library's other caller.
     """
 
     def __init__(self, monitor: LockOrderMonitor, name: str | None = None) -> None:
@@ -307,6 +308,12 @@ class MonitoredRLock:
         self._owner = threading.get_ident()
         self._count = count
         self._monitor.note_acquired(self, self.site, blocking=True)
+
+    def _recursion_count(self) -> int:
+        # multiprocessing.resource_tracker guards its own reentry with
+        # this; its lock is made on first import, which a spawn inside
+        # ``patch_locks`` can be.
+        return self._count if self._is_owned() else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<MonitoredRLock site={self.site} count={self._count}>"

@@ -33,8 +33,7 @@ R7     Storage seam — the PML label-CSR internals
        are only dereferenced inside :mod:`repro.indexing` and
        :mod:`repro.storage`.  Everyone else goes through the
        :class:`~repro.storage.basis.EngineBasis` API, so the arrays can
-       live on the heap, in shared memory, or in mmapped files without
-       callers noticing.
+       live on the heap or in mmapped files without callers noticing.
 R8     Graph mutation seam — the CSR/epoch state of a
        :class:`~repro.graph.graph.Graph` (``_offsets``/``_neighbors``/
        ``_num_edges``/``_epoch``/``_label_index``) is only *written* on
@@ -526,7 +525,7 @@ class StorageSeamRule(Rule):
     :class:`~repro.storage.basis.EngineBasis` is the one API that may
     assume where (and in what medium) the finalized label arrays live;
     any other module dereferencing them couples itself to the resident
-    layout and silently breaks the shm/mmap backends.  Access through
+    layout and silently breaks the mmap backend.  Access through
     ``self`` stays legal — a subclass owns its own internals.
     """
 

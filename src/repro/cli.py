@@ -326,7 +326,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import BasisFormatError
     from repro.service import QueryServer, ServeConfig, open_host
     from repro.service.session import SessionLimits
-    from repro.storage import MmapBackend
+    from repro.storage import context_from_basis, load_basis
 
     config = ServeConfig(
         workers=args.workers,
@@ -346,7 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # basis (or a previous run's --storage-dir) comes back up in
         # milliseconds.
         try:
-            base_ctx = MmapBackend(config.storage_dir).context()
+            base_ctx = context_from_basis(load_basis(config.storage_dir))
         except BasisFormatError:
             pass  # nothing saved there yet: build below, save into it
         else:
@@ -357,8 +357,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
     if base_ctx is None:
         base_ctx, basis_dir = _load_served_context(args)
-        if config.storage == "mmap" and not config.storage_dir and basis_dir:
-            # The registry's cache entry is this very basis: open it in place.
+        if config.basis_kind == "mmap" and not config.storage_dir and basis_dir:
+            # The registry's cache entry is this very basis: open it in
+            # place (a pool's workers included) and write nothing.
             config = replace(config, storage_dir=str(basis_dir))
 
     server = QueryServer(open_host(base_ctx, config), host=args.host, port=args.port)
@@ -737,15 +738,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="resident",
         help="engine-basis storage: resident arrays (default, bit-for-bit "
         "today's behavior) or a demand-paged on-disk mmap basis; with "
-        "--workers N, mmap makes workers open the same npy files instead "
-        "of copying through shared memory (see docs/STORAGE.md)",
+        "--workers N the basis is always the mmap files, which every "
+        "worker opens read-only (see docs/STORAGE.md)",
     )
     serve.add_argument(
         "--storage-dir",
         default=None,
         metavar="DIR",
-        help="where the mmap basis lives (default: a private temp dir, "
-        "deleted on exit; a named dir is reused across restarts)",
+        help="where the mmap basis lives (default: the dataset cache's "
+        "own directory for --dataset, else a private temp dir deleted on "
+        "exit; a named dir is reused across restarts)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -778,8 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="worker processes sharing the graph/PML zero-copy "
-        "(0 = today's in-process threaded path)",
+        help="worker processes sharing one saved basis through the page "
+        "cache (0 = today's in-process threaded path)",
     )
     serve.add_argument(
         "--checkpoint-dir",

@@ -41,7 +41,7 @@ __all__ = [
 
 
 class ConstructionStrategy:
-    """Base policy; subclasses override the three hooks."""
+    """Base policy; subclasses override the two hooks."""
 
     #: Short name used in experiment tables ("IC", "DR", "DI").
     name: str = "base"
@@ -53,10 +53,6 @@ class ConstructionStrategy:
     def on_idle(self, engine: "BlenderEngine", idle_seconds: float) -> None:
         """The current action finished with ``idle_seconds`` of latency left."""
         # Default: do nothing with idle time.
-
-    def on_run(self, engine: "BlenderEngine") -> None:
-        """Run was clicked: complete CAP construction (drain the pool)."""
-        engine.drain_pool()
 
 
 class ImmediateStrategy(ConstructionStrategy):

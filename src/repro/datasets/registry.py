@@ -35,7 +35,8 @@ an in-process memo plus one saved engine basis per configuration,
 prepared dataset: :func:`repro.storage.save_basis` writes it under its
 ``meta.json`` commit mark, a cache hit rebuilds from it the same
 patchable heap bundle a fresh build gives, and ``repro serve --storage
-mmap`` opens it in place.  Its format is :mod:`repro.storage.mmapstore`'s
+mmap`` — or any ``--workers N``, whose workers share a basis as files —
+opens it in place.  Its format is :mod:`repro.storage.mmapstore`'s
 alone; a directory that does not load as a committed basis of this very
 graph is rebuilt silently, never served.
 """
@@ -177,7 +178,7 @@ class DatasetBundle:
         ``basis=`` builds the context over an
         :class:`~repro.storage.basis.EngineBasis` instead of the
         bundle's resident preprocessing — the storage seam callers use
-        to serve this dataset from shm or an mmap directory.  ``oracle``
+        to serve this dataset from an mmap directory.  ``oracle``
         (ablations only) is incompatible with ``basis``.
         """
         if basis is not None:

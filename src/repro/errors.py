@@ -452,8 +452,8 @@ class ProtocolError(ServiceError, ValueError):
 class WorkerPoolError(ServiceError):
     """Raised for worker-pool configuration and lifecycle failures.
 
-    Covers misconfiguration (zero workers, an oracle the pool cannot
-    publish over shared memory) and dispatcher-side contract breaches
+    Covers misconfiguration (zero workers, a graph update sent to a
+    fleet over a read-only basis) and dispatcher-side contract breaches
     (dispatching into a closed pool).
     """
 

@@ -9,8 +9,8 @@ instead.  This module names the seam: a **backend** is anything with
   server, and ``shutdown`` plumbing, which stays in the server);
 * ``drain(timeout) -> summary`` — refuse new mutating work, wait out
   in-flight requests, checkpoint sessions;
-* ``close()`` — release process-level resources (worker processes,
-  shared-memory segments); idempotent;
+* ``close()`` — release process-level resources (worker processes, a
+  temp basis or checkpoint directory); idempotent;
 * ``graph_name`` — for the ``ping`` payload.
 
 :class:`LocalDispatcher` is the in-process backend: the exact dispatch
@@ -38,8 +38,8 @@ class LocalDispatcher:
     """In-process backend: one :class:`SessionManager`, no pipes.
 
     ``storage`` is the backend the manager's context was opened from
-    when this dispatcher owns it (:func:`repro.service.host.open_host`
-    over mmap): :meth:`close` releases it.
+    (:func:`repro.service.host.open_host` over mmap), which this
+    dispatcher then owns: :meth:`close` releases it.
     """
 
     def __init__(

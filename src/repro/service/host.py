@@ -9,12 +9,15 @@ under it, pool workers included (it is picklable, spawn-shipped as is).
 :func:`open_host` is the only place the hosting policy is decided:
 
 * ``workers > 0`` selects the worker pool, else the threaded manager;
-* a pool cannot share heap arrays, so ``resident`` means ``shm`` there,
-  and ``shm`` means ``resident`` without workers to attach it
+* a pool cannot share heap arrays and a basis crosses a process boundary
+  as files only, so any ``workers > 0`` means ``mmap``
   (:attr:`ServeConfig.basis_kind`);
-* the threaded path over ``mmap`` owns its storage backend, the pool
-  owns the one its workers attach; ``close()`` on what is returned — the
-  dispatch/drain/close seam of :mod:`repro.service.dispatch` — releases it.
+* an ``mmap`` basis is opened here, once, for either hosting mode: in
+  place when ``storage_dir`` already holds it (the dataset registry's
+  cache entry, a previous run), else saved once — into ``storage_dir``,
+  or into a temp dir the backend deletes; ``close()`` on what is
+  returned — the dispatch/drain/close seam of
+  :mod:`repro.service.dispatch` — releases it.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ class ServeConfig:
     checkpoint_dir: str | None = None
     #: Engine-basis storage, one of :data:`repro.storage.BACKEND_NAMES`.
     storage: str = "resident"
-    #: Where the mmap basis lives; a directory already holding this
-    #: graph's saved basis is opened in place, None is a private temp dir.
+    #: Where a basis held as files lives (:attr:`basis_kind` ``mmap``); a
+    #: directory already holding this graph's saved basis is opened in
+    #: place, None is a private temp dir.
     storage_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -71,15 +75,16 @@ class ServeConfig:
                 f"unknown storage backend {self.storage!r}; "
                 f"expected one of {BACKEND_NAMES}"
             )
-        if self.storage != "mmap" and self.storage_dir:
-            raise StorageError("--storage-dir only applies to --storage mmap")
+        if self.storage_dir and self.basis_kind != "mmap":
+            raise StorageError(
+                "--storage-dir only applies to a basis held as files "
+                "(--storage mmap, or any --workers N)"
+            )
 
     @property
     def basis_kind(self) -> str:
         """The storage backend the host actually opens (module docstring)."""
-        if self.storage == "mmap":
-            return "mmap"
-        return "shm" if self.workers > 0 else "resident"
+        return "mmap" if self.storage == "mmap" or self.workers > 0 else "resident"
 
 
 def open_host(
@@ -92,12 +97,11 @@ def open_host(
     from repro.service.manager import SessionManager
     from repro.service.pool.dispatcher import PoolDispatcher
 
+    if config.basis_kind == "resident":
+        return LocalDispatcher(SessionManager(ctx, config))
+    storage = open_backend(
+        "mmap", basis=basis_from_context(ctx), directory=config.storage_dir
+    )
     if config.workers > 0:
-        return PoolDispatcher(ctx, config)
-    storage = None
-    if config.basis_kind == "mmap":
-        storage = open_backend(
-            "mmap", basis=basis_from_context(ctx), directory=config.storage_dir
-        )
-        ctx = storage.context()
-    return LocalDispatcher(SessionManager(ctx, config), storage=storage)
+        return PoolDispatcher(storage, config)
+    return LocalDispatcher(SessionManager(storage.context(), config), storage=storage)

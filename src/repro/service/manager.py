@@ -607,7 +607,13 @@ class SessionManager:
                 existing = self._sessions.get(session_id)
                 if existing is not None:
                     return existing  # restore raced another client: done
-                checkpoint = self.checkpoints.pop(session_id)
+                # Written through, the stored checkpoint is the session's
+                # only durable copy: it stays where it is until the
+                # re-arm below overwrites it, so a process killed
+                # mid-restore loses the request, never the session.
+                store = self.checkpoints
+                take = store.get if self._write_through_on else store.pop
+                checkpoint = take(session_id)
                 if checkpoint is None:
                     if session_id in self._evicted:
                         raise SessionEvictedError(
@@ -630,6 +636,9 @@ class SessionManager:
                 )
 
             with self._lock:
+                existing = self._sessions.get(session_id)
+                if existing is not None:
+                    return existing  # a concurrent restore of this id won
                 self._admit(lambda: session, refuse)
                 self.stats_counters.sessions_restored += 1
                 metrics.counter(

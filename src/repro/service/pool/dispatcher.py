@@ -4,13 +4,13 @@
 :mod:`repro.service.dispatch` over N spawned worker processes:
 
 * **Sticky session→worker routing.**  ``create_session`` picks the
-  least-loaded live worker (ties to the lowest index — deterministic),
-  and every later request for that session id goes to the same worker,
-  so its action log, CAP warm state, and IdleScheduler accounting stay
-  process-local.  A session id the dispatcher has never seen routes by
-  CRC32 of the id — also deterministic — and the worker answers with the
-  usual typed verdicts (evicted-and-restorable if a disk checkpoint
-  exists).
+  least-loaded live worker (mapped sessions plus placements still in
+  flight; ties to the lowest index — deterministic), and every later
+  request for that session id goes to the same worker, so its action
+  log, CAP warm state, and IdleScheduler accounting stay process-local.
+  A session id the dispatcher has never seen routes by CRC32 of the id
+  — also deterministic — and the worker answers with the usual typed
+  verdicts (evicted-and-restorable if a disk checkpoint exists).
 * **Fan-out verbs.**  ``metrics`` pulls every worker's registry snapshot
   over the pipe and folds them through :mod:`repro.obs.aggregate` (plus
   the dispatcher's own registry), so the wire surface still shows one
@@ -23,13 +23,16 @@
   (next id generation, so fresh ids never collide with the dead
   fleet's), and every session that was routed to the corpse is requeued:
   restored from its write-through disk checkpoint onto a healthy worker
-  and remapped.  Deferral neutrality makes the restored session's
+  and remapped — unless its own client restored it first, which any live
+  worker lets it do.  Deferral neutrality makes the restored session's
   subsequent matches byte-identical — the same guarantee the eviction
   ladder already gives, now covering SIGKILL.
 
-The dispatcher owns the published shared-memory segments and the
-checkpoint directory (when it created one); ``close()`` retires workers,
-then unlinks both — no segment survives a drained pool.
+The dispatcher owns the storage backend its workers attach from (handed
+over by :func:`~repro.service.host.open_host`) and the checkpoint
+directory (when it created one); ``close()`` retires workers, then
+releases both — a temp basis directory the backend saved goes with it,
+a directory it opened in place is left exactly as found.
 """
 
 from __future__ import annotations
@@ -45,11 +48,9 @@ import zlib
 from dataclasses import replace
 from typing import Any
 
-from repro.core.context import EngineContext
 from repro.errors import (
     ProtocolError,
     RelayedError,
-    StorageError,
     WorkerDiedError,
     WorkerPoolError,
 )
@@ -59,7 +60,7 @@ from repro.service import protocol
 from repro.service.host import ServeConfig
 from repro.service.manager import DRAIN_TIMEOUT
 from repro.service.pool.worker import worker_main
-from repro.storage import basis_from_context, open_backend
+from repro.storage import StorageBackend
 
 __all__ = ["PoolDispatcher"]
 
@@ -98,32 +99,24 @@ class _WorkerHandle:
         self.pending_lock = threading.Lock()
         self.alive = True
         self.retiring = False  # clean exit requested; EOF is not a death
+        self.placing = 0  # sessions on their way here, not yet routed
         self.reader: threading.Thread | None = None
 
 
 class PoolDispatcher:
     """Dispatcher + N worker processes behind the QueryServer seam."""
 
-    def __init__(self, base_ctx: EngineContext, config: ServeConfig) -> None:
+    def __init__(self, storage: StorageBackend, config: ServeConfig) -> None:
         if config.workers < 1:
             raise WorkerPoolError("worker pool needs at least 1 worker")
         self.workers = config.workers
-        self.storage = config.basis_kind
         self._mp = mp.get_context("spawn")
-        try:
-            basis = basis_from_context(base_ctx)
-        except StorageError as exc:
-            raise WorkerPoolError(str(exc)) from exc
-        # One way to publish: the backend owns the medium (shm segments,
-        # or the read-only npy files every worker opens, shared through
-        # the kernel page cache), hands out the picklable spec workers
-        # attach from, and releases the medium on close().  For mmap,
-        # open_backend reuses a valid saved basis already in storage_dir
-        # (a restart, the dataset registry's cache) instead of rewriting it.
-        self._basis_backend = open_backend(
-            self.storage, basis=basis, directory=config.storage_dir
-        )
-        self._spec = self._basis_backend.spec()
+        # The backend owns the medium (the read-only npy files every
+        # worker opens, shared through the kernel page cache), hands out
+        # the picklable spec workers attach from, and releases the
+        # medium on close().
+        self._basis_backend = storage
+        self._spec = storage.spec()
         checkpoint_dir = config.checkpoint_dir
         if checkpoint_dir is None:
             checkpoint_dir = tempfile.mkdtemp(prefix="repro-pool-ckpt-")
@@ -253,12 +246,18 @@ class PoolDispatcher:
             for sid in orphans:
                 del self._route[sid]
         for sid in orphans:
+            # The session's own client may get there first: any live
+            # worker answers it evicted-and-restorable, and its
+            # restore_session routes the id again.  A routed id is being
+            # served — it is not restored a second time, and a restore
+            # here that lost that race is not a lost session.
+            if self.session_worker(sid) is not None:
+                continue
             try:
-                target = self._pick_worker()
-                result = self._call(
-                    target, {"op": "restore_session", "session": sid}
-                )
+                self._place({"op": "restore_session", "session": sid})
             except Exception:
+                if self.session_worker(sid) is not None:
+                    continue
                 # No checkpoint (or the restore shed): the session is
                 # gone the same way a dropped checkpoint already loses
                 # one — the client's typed-error path handles it.
@@ -268,8 +267,6 @@ class PoolDispatcher:
                     "orphaned sessions that could not be restored",
                 ).inc()
                 continue
-            with self._lock:
-                self._route[str(result.get("session", sid))] = target.index
             self._requeued += 1
             metrics.counter(
                 "repro_pool_sessions_requeued_total",
@@ -308,15 +305,31 @@ class PoolDispatcher:
             raise WorkerPoolError("no live workers in the pool")
         return alive
 
-    def _pick_worker(self) -> _WorkerHandle:
-        """Least mapped sessions among live workers; ties to lowest index."""
+    def _place(self, request: dict[str, Any]) -> dict[str, Any]:
+        """Run a request that places a session (create, requeue) on the
+        least-loaded live worker and route the resulting id there.
+
+        Load is mapped sessions plus placements still in flight — a burst
+        of creates that all arrive before the first reply (cold workers)
+        must spread, not pile onto one worker; ties to the lowest index.
+        """
         alive = self._alive()
         with self._lock:
-            load = {h.index: 0 for h in alive}
+            load = {h.index: h.placing for h in alive}
             for idx in self._route.values():
                 if idx in load:
                     load[idx] += 1
-        return min(alive, key=lambda h: (load[h.index], h.index))
+            target = min(alive, key=lambda h: (load[h.index], h.index))
+            target.placing += 1
+        try:
+            result = self._call(target, request)
+            with self._lock:
+                self._route[result["session"]] = target.index
+        finally:
+            with self._lock:
+                target.placing -= 1
+        result["worker"] = target.index
+        return result
 
     def _worker_for(self, session_id: str) -> _WorkerHandle:
         """Sticky lookup; unseen ids hash deterministically onto the fleet."""
@@ -350,25 +363,18 @@ class PoolDispatcher:
         if op == "shutdown":
             return {"stopping": True}
         if op == "update":
-            # Workers attach the basis arrays read-only (shm segments or
-            # mmap pages shared across processes) — an in-place edge
-            # update cannot reach the whole fleet coherently.  Refuse
-            # with the typed pool verdict; graph updates require the
-            # in-process backend (--workers 0) or a basis rebuild.
+            # Workers attach the basis arrays read-only (mmap pages
+            # shared across processes) — an in-place edge update cannot
+            # reach the whole fleet coherently.  Refuse with the typed
+            # pool verdict; graph updates require the in-process backend
+            # (--workers 0) or a basis rebuild.
             raise WorkerPoolError(
                 "graph updates are not supported behind a worker pool: "
                 "the shared basis is immutable across workers; run with "
                 "--workers 0 or rebuild the basis"
             )
         if op == "create_session":
-            target = self._pick_worker()
-            result = self._call(target, request)
-            sid = result.get("session")
-            if isinstance(sid, str):
-                with self._lock:
-                    self._route[sid] = target.index
-            result["worker"] = target.index
-            return result
+            return self._place(request)
 
         session_id = request.get("session")
         if not isinstance(session_id, str):
@@ -418,7 +424,7 @@ class PoolDispatcher:
             routed_sessions = len(self._route)
             respawned = self._respawns
         merged["pool"] = {
-            "storage": self.storage,
+            "basis_dir": self.basis_dir,
             "workers": self.workers,
             "alive": alive_count,
             "routed_sessions": routed_sessions,
@@ -452,7 +458,7 @@ class PoolDispatcher:
         }
 
     def close(self) -> None:
-        """Retire the fleet and destroy every shared segment (idempotent)."""
+        """Retire the fleet and release what the pool owns (idempotent)."""
         with self._lock:
             if self._closing:
                 return
@@ -496,9 +502,10 @@ class PoolDispatcher:
                 if h.alive and h.process.pid is not None
             }
 
-    def segment_names(self) -> list[str]:
-        """Names of the published shared-memory segments (leak checks)."""
-        return self._basis_backend.segment_names()
+    @property
+    def basis_dir(self) -> str:
+        """The saved basis directory every worker attaches from."""
+        return self._spec.directory
 
 
 def _sum_into(into: dict[str, Any], stats: dict[str, Any]) -> None:

@@ -1,4 +1,4 @@
-"""Worker-process entry point: one manager, one pipe, shared basis.
+"""Worker-process entry point: one manager, one pipe, one saved basis.
 
 A worker is deliberately just today's single-process service stack —
 :class:`~repro.service.manager.SessionManager` behind a
@@ -21,9 +21,11 @@ Wire format on the pipe (picklable tuples):
   frames with ``--workers 0`` and ``--workers N``.
 
 Requests run on their own thread (the pipe reader never blocks on engine
-compute), replies are serialized by a send lock.  The shared basis is
-attached **lazily on the first request** — spawning N workers costs N
-interpreter startups, not N graph copies.
+compute), replies are serialized by a send lock.  The saved basis the
+dispatcher's :class:`~repro.storage.mmapstore.MmapSpec` names is opened
+**lazily on the first request** — spawning N workers costs N interpreter
+startups, not N graph copies, and nothing is held that an exit (clean or
+SIGKILL) would have to release.
 
 Distinct per-process state that stays local by design: the action logs and
 IdleScheduler warm state of this worker's sessions (sticky routing keeps
@@ -39,13 +41,13 @@ import threading
 from typing import Any
 
 from repro.service.host import ServeConfig
-from repro.storage import attach as attach_storage
+from repro.storage import MmapSpec, attach
 
 __all__ = ["worker_main"]
 
 
 def worker_main(
-    index: int | str, spec: Any, config: ServeConfig, conn: Any
+    index: int | str, spec: MmapSpec, config: ServeConfig, conn: Any
 ) -> None:
     """Run one worker until ``exit`` (or the dispatcher's pipe closes).
 
@@ -60,7 +62,6 @@ def worker_main(
     from repro.service.protocol import error_object
 
     send_lock = threading.Lock()
-    attached: list[Any] = []
     dispatcher: LocalDispatcher | None = None
     init_lock = threading.Lock()
 
@@ -75,10 +76,10 @@ def worker_main(
         nonlocal dispatcher
         with init_lock:
             if dispatcher is None:
-                ctx, handles = attach_storage(spec)
-                attached.extend(handles)
                 dispatcher = LocalDispatcher(
-                    SessionManager(ctx, config, session_prefix=f"w{index}s")
+                    SessionManager(
+                        attach(spec), config, session_prefix=f"w{index}s"
+                    )
                 )
         return dispatcher
 
@@ -130,11 +131,6 @@ def worker_main(
                 _send(("ok", seq, {"exited": index}))
                 return
     finally:
-        for shm in attached:
-            try:
-                shm.close()  # close our mapping only; publisher unlinks
-            except OSError:
-                pass
         try:
             conn.close()
         except OSError:

@@ -174,25 +174,6 @@ def _drive_user(
                 pass
 
 
-def _count_leaked_segments(names: list[str]) -> int:
-    """How many published shm segments survived pool close (want: zero)."""
-    from multiprocessing import shared_memory
-
-    leaked = 0
-    for name in names:
-        try:
-            handle = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            continue
-        leaked += 1
-        try:  # count it, then clean up so the leak doesn't outlive us
-            handle.close()
-            handle.unlink()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-    return leaked
-
-
 def run_soak(
     ctx: "EngineContext",
     workload: SoakWorkloadConfig,
@@ -215,7 +196,7 @@ def run_soak(
     )
     if config.workers > 0 and fault_plan is not None:
         # Fault wrappers are in-process monkey-business around the oracle;
-        # they neither pickle across spawn nor publish as shared arrays.
+        # they neither pickle across spawn nor save as basis arrays.
         # The pool soak's chaos is the worker SIGKILL.
         raise ValueError(
             "fault_plan is process-local and cannot cross the worker "
@@ -252,7 +233,6 @@ def run_soak(
     killed_pids: list[int] = []
     kill_timer: threading.Timer | None = None
     ckpt_dir: str | None = None
-    segment_names: list[str] = []
 
     with monitor_ctx:
         manager: SessionManager | None = None
@@ -263,7 +243,6 @@ def run_soak(
             ckpt_dir = tempfile.mkdtemp(prefix="repro-soak-ckpt-")
             config = replace(config, checkpoint_dir=ckpt_dir)
             backend = pool = open_host(ctx, config)
-            segment_names = pool.segment_names()
         else:
             backend = open_host(ctx, config)
             manager = backend.manager
@@ -340,7 +319,11 @@ def run_soak(
             # Sessions drain could not checkpoint are the pool's leaks.
             busy = report.drain_summary.get("busy", [])
             report.leaked_sessions = len(busy) if isinstance(busy, list) else 0
-            report.leaked_shm_segments = _count_leaked_segments(segment_names)
+            # A basis the pool had to save for its workers (no
+            # storage_dir to open in place) is the pool's to delete.
+            report.leaked_basis_dirs = int(
+                config.storage_dir is None and os.path.isdir(pool.basis_dir)
+            )
         else:
             assert manager is not None
             report.leaked_sessions = len(manager.session_ids())

@@ -42,8 +42,9 @@ class SLO:
     max_memory_growth_mib: float = 256.0
     #: The soak must actually exercise the engine to mean anything.
     min_completed_runs: int = 1
-    #: Pool mode only: shared-memory segments alive after close.
-    max_leaked_shm_segments: int = 0
+    #: Pool mode only: temp basis directories the pool saved for its
+    #: workers and left behind after close.
+    max_leaked_basis_dirs: int = 0
     #: Pool mode only: sessions a worker death orphaned for good.
     max_requeue_failures: int = 0
 
@@ -91,11 +92,11 @@ class SLO:
                 f"only {report.runs_completed} run(s) completed "
                 f"(need >= {self.min_completed_runs})"
             )
-        if report.leaked_shm_segments > self.max_leaked_shm_segments:
+        if report.leaked_basis_dirs > self.max_leaked_basis_dirs:
             violations.append(
-                f"{report.leaked_shm_segments} shared-memory segment(s) "
-                f"leaked past pool close "
-                f"(allowed {self.max_leaked_shm_segments})"
+                f"{report.leaked_basis_dirs} temp basis director(ies) "
+                f"left behind past pool close "
+                f"(allowed {self.max_leaked_basis_dirs})"
             )
         if report.requeue_failures > self.max_requeue_failures:
             violations.append(
@@ -126,7 +127,7 @@ class SLO:
             "max_restore_mismatches": self.max_restore_mismatches,
             "max_memory_growth_mib": self.max_memory_growth_mib,
             "min_completed_runs": self.min_completed_runs,
-            "max_leaked_shm_segments": self.max_leaked_shm_segments,
+            "max_leaked_basis_dirs": self.max_leaked_basis_dirs,
             "max_requeue_failures": self.max_requeue_failures,
         }
 
@@ -166,7 +167,7 @@ class SoakReport:
     workers_respawned: int = 0
     sessions_requeued: int = 0
     requeue_failures: int = 0
-    leaked_shm_segments: int = 0
+    leaked_basis_dirs: int = 0
 
     # -- resource health -------------------------------------------------
     memory_growth_mib: float = 0.0
@@ -202,7 +203,7 @@ class SoakReport:
             "workers_respawned": self.workers_respawned,
             "sessions_requeued": self.sessions_requeued,
             "requeue_failures": self.requeue_failures,
-            "leaked_shm_segments": self.leaked_shm_segments,
+            "leaked_basis_dirs": self.leaked_basis_dirs,
             "memory_growth_mib": self.memory_growth_mib,
             "lock_inversions": self.lock_inversions,
             "wall_seconds": self.wall_seconds,

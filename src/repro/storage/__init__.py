@@ -1,4 +1,4 @@
-"""Unified engine-basis storage: one API, three interchangeable backends.
+"""Unified engine-basis storage: one API, two interchangeable backends.
 
 Everything expensive about a prepared engine — the CSR graph, the
 finalized PML label arrays, the two-hop counts — is an immutable
@@ -10,12 +10,11 @@ seam through which that basis is stored, transported, and reopened:
   :class:`~repro.core.context.EngineContext` (boomerlint rule R7
   enforces "only sanctioned": direct label-array plumbing outside this
   package is a lint violation);
-* :mod:`repro.storage.backends` — ``resident`` (heap arrays, bit-for-bit
-  today's behavior), ``shm`` (zero-copy shared-memory attach for pool
-  workers), and ``mmap`` (read-only npy files, demand-paged);
+* :mod:`repro.storage.backends` — ``resident`` (heap arrays, one
+  process) and ``mmap`` (read-only npy files, demand-paged — the one
+  medium a basis crosses a process boundary through);
 * :mod:`repro.storage.mmapstore` — the on-disk layout (npy per array +
-  ``meta.json`` manifest, the commit mark of a save);
-* :mod:`repro.storage.shm` — the shared-memory publish/attach transport.
+  ``meta.json`` manifest, the commit mark of a save).
 
 A stored index is its arrays: :class:`~repro.storage.basis.StoredPML`
 reads label columns where they lie and keeps nothing between queries, so
@@ -27,7 +26,6 @@ from repro.storage.backends import (
     BACKEND_NAMES,
     MmapBackend,
     ResidentBackend,
-    ShmBackend,
     StorageBackend,
     attach,
     open_backend,
@@ -46,12 +44,6 @@ from repro.storage.mmapstore import (
     read_meta,
     save_basis,
 )
-from repro.storage.shm import (
-    SharedContextSpec,
-    attach_basis,
-    publish_basis,
-    unlink_segments,
-)
 
 __all__ = [
     "ARRAY_NAMES",
@@ -63,7 +55,6 @@ __all__ = [
     "heap_context_from_basis",
     "StorageBackend",
     "ResidentBackend",
-    "ShmBackend",
     "MmapBackend",
     "open_backend",
     "attach",
@@ -71,8 +62,4 @@ __all__ = [
     "save_basis",
     "load_basis",
     "read_meta",
-    "SharedContextSpec",
-    "publish_basis",
-    "attach_basis",
-    "unlink_segments",
 ]

@@ -1,19 +1,19 @@
-"""The three interchangeable engine-basis backends and the attach dispatch.
+"""The two interchangeable engine-basis backends and the worker attach.
 
 ========== ===================== ============================== =================
 backend    medium                per-consumer cost              handle / spec
 ========== ===================== ============================== =================
-resident   process heap          full copy (today's default)    the basis itself
-shm        SharedMemory segments page tables only               SharedContextSpec
+resident   process heap          full copy (today's default)    none (one process)
 mmap       read-only npy files   demand-paged by the kernel      MmapSpec
 ========== ===================== ============================== =================
 
-All three expose the same two operations: :meth:`StorageBackend.context`
-builds a query-identical :class:`~repro.core.context.EngineContext` over
-the backend's buffers, and :meth:`StorageBackend.spec` yields the small
-picklable handle a pool worker turns back into a context via
-:func:`attach` — the single dispatch point
-:mod:`repro.service.pool.worker` calls regardless of transport.
+Both expose :meth:`StorageBackend.context`, which builds a
+query-identical :class:`~repro.core.context.EngineContext` over the
+backend's buffers.  A basis crosses a process boundary as files and as
+nothing else: :meth:`MmapBackend.spec` yields the small picklable
+:class:`~repro.storage.mmapstore.MmapSpec` (a directory path) that
+:mod:`repro.service.pool.worker` turns back into a context via
+:func:`attach`, and the kernel page cache is what the processes share.
 
 Byte identity across backends is load-bearing (the conformance suite
 asserts it): checkpoint/restore, requeue-after-SIGKILL, and the SLO
@@ -31,34 +31,27 @@ from repro.core.context import EngineContext
 from repro.errors import BasisFormatError, StaleIndexError, StorageError
 from repro.storage.basis import EngineBasis, context_from_basis
 from repro.storage.mmapstore import MmapSpec, load_basis, read_meta, save_basis
-from repro.storage.shm import (
-    SharedContextSpec,
-    attach_basis,
-    publish_basis,
-    unlink_segments,
-)
 
 __all__ = [
     "BACKEND_NAMES",
     "StorageBackend",
     "ResidentBackend",
-    "ShmBackend",
     "MmapBackend",
     "open_backend",
     "attach",
 ]
 
 #: Valid ``--storage`` values, in documentation order.
-BACKEND_NAMES = ("resident", "shm", "mmap")
+BACKEND_NAMES = ("resident", "mmap")
 
 
 class StorageBackend:
-    """Common surface of the three backends (abstract).
+    """Common surface of the two backends (abstract).
 
     Subclasses own whatever medium holds the basis bytes; ``close()``
     releases it (idempotent).  ``spec()`` returns the picklable handle a
-    spawned worker feeds to :func:`attach`; backends without a
-    cross-process story raise :class:`~repro.errors.StorageError`.
+    spawned worker feeds to :func:`attach`; a backend without a
+    cross-process story raises :class:`~repro.errors.StorageError`.
     """
 
     name = "abstract"
@@ -66,15 +59,11 @@ class StorageBackend:
     def context(self) -> EngineContext:
         raise NotImplementedError
 
-    def spec(self) -> SharedContextSpec | MmapSpec:
+    def spec(self) -> MmapSpec:
         raise StorageError(
             f"the {self.name} backend has no cross-process handle; "
-            "use the shm or mmap backend for pool workers"
+            "use the mmap backend for pool workers"
         )
-
-    def segment_names(self) -> list[str]:
-        """Shared-memory segments owned by this backend (leak checks)."""
-        return []
 
     def close(self) -> None:
         """Release the medium (idempotent)."""
@@ -90,43 +79,6 @@ class ResidentBackend(StorageBackend):
 
     def context(self) -> EngineContext:
         return context_from_basis(self.basis)
-
-
-class ShmBackend(StorageBackend):
-    """Basis published into shared memory; consumers attach zero-copy.
-
-    Publishing copies each array once (into the segments); this process
-    owns them and must stay alive for attachers.  ``close()`` unlinks.
-    """
-
-    name = "shm"
-
-    def __init__(self, basis: EngineBasis) -> None:
-        self._spec, self._segments = publish_basis(basis)
-        # The publisher's own contexts attach like everyone else's —
-        # one storage path, no publisher special case.
-        self._attached: list = []
-
-    def context(self) -> EngineContext:
-        basis, handles = attach_basis(self._spec)
-        self._attached.extend(handles)
-        return context_from_basis(basis)
-
-    def spec(self) -> SharedContextSpec:
-        return self._spec
-
-    def segment_names(self) -> list[str]:
-        return self._spec.segment_names()
-
-    def close(self) -> None:
-        for shm in self._attached:
-            try:
-                shm.close()
-            except OSError:
-                pass
-        self._attached.clear()
-        unlink_segments(self._segments)
-        self._segments = []
 
 
 class MmapBackend(StorageBackend):
@@ -208,7 +160,7 @@ def open_backend(
 ) -> StorageBackend:
     """Open a backend by ``--storage`` name.
 
-    ``basis`` is required for resident/shm and for creating a fresh mmap
+    ``basis`` is required for resident and for creating a fresh mmap
     basis; an mmap backend over an existing saved basis needs only
     ``directory``.
 
@@ -235,25 +187,16 @@ def open_backend(
             "was given to create one"
         )
     if basis is None:
-        raise StorageError(f"the {name} backend needs a basis")
-    if name == "shm":
-        return ShmBackend(basis)
+        raise StorageError("the resident backend needs a basis")
     return ResidentBackend(basis)
 
 
-def attach(spec: SharedContextSpec | MmapSpec) -> tuple[EngineContext, list]:
-    """Turn a backend spec back into a context, in any process.
+def attach(spec: MmapSpec) -> EngineContext:
+    """Open the saved basis ``spec`` points at as a context, in any process.
 
-    The single dispatch point pool workers call: a
-    :class:`~repro.storage.shm.SharedContextSpec` attaches the published
-    segments (returned handles must be kept alive and ``close()``-d at
-    exit); an :class:`~repro.storage.mmapstore.MmapSpec` opens the
-    on-disk basis (no handles — the kernel page cache is the shared
-    medium).
+    What a pool worker calls: nothing was published per worker and
+    nothing is held to release — the files are the shared medium.
     """
-    if isinstance(spec, SharedContextSpec):
-        basis, handles = attach_basis(spec)
-        return context_from_basis(basis), handles
-    if isinstance(spec, MmapSpec):
-        return MmapBackend(spec.directory).context(), []
-    raise StorageError(f"unknown storage spec {type(spec).__name__}")
+    if not isinstance(spec, MmapSpec):
+        raise StorageError(f"unknown storage spec {type(spec).__name__}")
+    return MmapBackend(spec.directory).context()

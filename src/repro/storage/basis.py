@@ -9,16 +9,16 @@ constants, ablation toggles — is small scalar metadata.
 
 :class:`EngineBasis` is the single value every holder of that bundle
 carries — the dataset registry's disk cache (a saved basis directory,
-:mod:`repro.datasets.registry`), the worker pool's shared-memory
-publish/attach and the mmap backend alike:
+:mod:`repro.datasets.registry`), the mmap backend, and through it the
+worker pool alike:
 
 * :func:`basis_from_context` extracts it from a live context (this is
   the *only* sanctioned reader of the PML label-CSR internals —
   boomerlint rule R7 flags any other module touching them);
 * :func:`context_from_basis` rebuilds a full, query-identical
   :class:`~repro.core.context.EngineContext` over whatever buffers a
-  backend hands back — resident numpy arrays, shared-memory views, or
-  read-only ``numpy.memmap`` files;
+  backend hands back — resident numpy arrays or read-only
+  ``numpy.memmap`` files;
 * :func:`heap_context_from_basis` rebuilds the *patchable* form instead
   — private array copies and per-vertex label lists, what a fresh
   :func:`~repro.core.preprocessor.preprocess` gives — which is how a
@@ -70,9 +70,9 @@ class EngineBasis:
     """Everything needed to reconstruct an engine context, as plain data.
 
     ``arrays`` maps each :data:`ARRAY_NAMES` entry to a 1-D numpy array
-    (resident, shared-memory view, or memmap — the consumer does not
-    care).  Everything else is small by-value metadata: the label list,
-    and the :meth:`scalars` — graph name, cost-model constants, the
+    (resident or memmap — the consumer does not care).  Everything else
+    is small by-value metadata: the label list, and the
+    :meth:`scalars` — graph name, cost-model constants, the
     scan-choice ablation override and the graph epoch — which every
     backend carries as one mapping, so a field added here cannot be
     missed by one of them.
@@ -105,8 +105,8 @@ class EngineBasis:
 
     def scalars(self) -> dict[str, Any]:
         """The JSON-safe by-value fields, by name: what a backend stores
-        beside the arrays and the label list (``meta.json`` keys, the shm
-        spec) and passes back as keywords to rebuild the basis."""
+        beside the arrays and the label list (``meta.json`` keys) and
+        passes back as keywords to rebuild the basis."""
         return {name: getattr(self, name) for name in self.scalar_names()}
 
     def nbytes(self) -> int:
@@ -144,8 +144,8 @@ class StoredPML(PrunedLandmarkLabeling):
     (``docs/STORAGE.md``, "How a stored index is read").
     """
 
-    #: Stored label columns are read-only views (mmap pages, shm
-    #: segments) — :meth:`~repro.indexing.pml.PrunedLandmarkLabeling.apply_edge_insert`
+    #: Stored label columns are read-only views (mmap pages) —
+    #: :meth:`~repro.indexing.pml.PrunedLandmarkLabeling.apply_edge_insert`
     #: cannot splice them, so :mod:`repro.updates` refuses this index
     #: with a typed :class:`~repro.errors.StaleIndexError` *before*
     #: mutating the graph (fallback policy: rebuild the basis).

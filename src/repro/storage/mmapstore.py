@@ -30,9 +30,9 @@ the frozen PML label CSR, and an attaching process reads them as they
 lie (:class:`repro.storage.basis.StoredPML`); a manifest without the
 flag is outside input we refuse.
 
-:class:`MmapSpec` is the picklable handle pool workers receive instead
-of a shared-memory segment list: just the directory path.  Every worker
-opens the same files; the page cache is shared by the kernel, not by us.
+:class:`MmapSpec` is the picklable handle pool workers receive: just the
+directory path.  Every worker opens the same files; the page cache is
+shared by the kernel, not by us.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ _LABELS = "labels.pkl"
 class MmapSpec:
     """Picklable pointer to an on-disk basis (what pool workers attach).
 
-    Unlike the shared-memory spec there is nothing to publish or unlink
-    per worker — the directory is the shared medium and the kernel page
-    cache deduplicates residency across processes.
+    There is nothing to publish or unlink per worker — the directory is
+    the shared medium and the kernel page cache deduplicates residency
+    across processes.
     """
 
     directory: str

@@ -6,7 +6,7 @@ counts, the shared distance-vector cache entries.  :func:`insert_edge`
 and :func:`delete_edge` move them *together*:
 
 1. validate that the context can be maintained at all (a
-   :class:`~repro.storage.basis.StoredPML` over read-only mmap/shm
+   :class:`~repro.storage.basis.StoredPML` over read-only mmap
    arrays cannot be patched in place — refuse with
    :class:`~repro.errors.StaleIndexError` *before* mutating, so the
    graph and index never diverge);
@@ -98,7 +98,7 @@ def _require_maintainable(ctx: EngineContext) -> object:
     Runs *before* any mutation: refusing here leaves the context exactly
     as it was.  Two refusal causes, both typed
     :class:`~repro.errors.StaleIndexError`: a PML whose label arrays are
-    read-only views (mmap/shm bases — rebuild the basis instead), and a
+    read-only views (an mmap basis — rebuild the basis instead), and a
     two-hop array that cannot be patched in place for the same reason.
     """
     oracle = _unwrap(ctx.oracle)

@@ -102,7 +102,7 @@ class TestDeferToRun:
         engine = make_engine(DeferToRunStrategy(), t_avg=100.0, t_lat=0.001)
         edge = engine.query.add_edge(0, 1, 1, 5)
         engine.strategy.on_new_edge(engine, edge)
-        engine.strategy.on_run(engine)
+        engine.drain_pool()
         assert not engine.pool
         assert engine.cap.is_processed(0, 1)
 

@@ -382,3 +382,34 @@ class TestDiskTier:
         restored = after.restore_session(session.id)
         assert restored.state == "ran"
         assert canonical_matches(after.matches(session.id)) == expected
+
+    def test_death_mid_restore_keeps_the_checkpoint(
+        self, fig2_ctx, tmp_path, monkeypatch
+    ):
+        """A process that dies while it replays a checkpoint (a SIGKILLed
+        pool worker, its client's ``restore_session`` in flight) has not
+        taken the session's only durable copy with it."""
+        import repro.service.manager as manager_module
+
+        config = ServeConfig(checkpoint_dir=str(tmp_path))
+        before = SessionManager(fig2_ctx, config)
+        session = formulate(before, "default")
+        before.run(session.id)
+        expected = canonical_matches(before.matches(session.id))
+
+        class Killed(BaseException):
+            """Not an error any handler cleans up after: the process is gone."""
+
+        def die(*args):
+            raise Killed
+
+        dying = SessionManager(fig2_ctx, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(manager_module, "_rebuild_from_checkpoint", die)
+            with pytest.raises(Killed):
+                dying.restore_session(session.id)
+        assert (tmp_path / f"{session.id}.ckpt.json").exists()
+
+        after = SessionManager(fig2_ctx, config)
+        assert after.restore_session(session.id).state == "ran"
+        assert canonical_matches(after.matches(session.id)) == expected

@@ -17,7 +17,6 @@ from repro.storage import (
     EngineBasis,
     MmapBackend,
     ResidentBackend,
-    ShmBackend,
     StoredPML,
     attach,
     basis_from_context,
@@ -228,17 +227,6 @@ class TestBackends:
             backend.spec()
         backend.close()
 
-    def test_shm_backend_publish_attach(self, fig2_ctx, fig2_basis):
-        backend = ShmBackend(fig2_basis)
-        try:
-            assert backend.segment_names()
-            ctx, handles = attach(backend.spec())
-            assert run_script(ctx) == run_script(fig2_ctx)
-            for handle in handles:
-                handle.close()
-        finally:
-            backend.close()
-
     def test_mmap_backend_owns_temp_dir(self, fig2_ctx, fig2_basis):
         backend = MmapBackend.create(fig2_basis)
         directory = backend.directory
@@ -249,9 +237,7 @@ class TestBackends:
 
     def test_mmap_attach_via_spec(self, fig2_ctx, fig2_basis, tmp_path):
         backend = MmapBackend.create(fig2_basis, tmp_path / "b")
-        ctx, handles = attach(backend.spec())
-        assert handles == []
-        assert run_script(ctx) == run_script(fig2_ctx)
+        assert run_script(attach(backend.spec())) == run_script(fig2_ctx)
         backend.close()
         assert (tmp_path / "b").exists()  # named dirs are never deleted
 
@@ -266,7 +252,7 @@ class TestBackends:
         with pytest.raises(StorageError, match="unknown storage backend"):
             open_backend("punchcards", basis=fig2_basis)
         with pytest.raises(StorageError):
-            open_backend("shm")  # no basis
+            open_backend("resident")  # no basis
 
     def test_attach_rejects_unknown_spec(self):
         with pytest.raises(StorageError, match="unknown storage spec"):

@@ -1,11 +1,11 @@
 """Cross-backend conformance: byte identity and answer identity.
 
 The storage contract (docs/STORAGE.md): an :class:`EngineBasis` round
-tripped through any backend — resident heap arrays, shared-memory
-segments, mmapped npy files — yields byte-identical arrays and a context
-that answers every query identically.  Hypothesis drives randomized
-graphs through all backends at once; a stored index answers from its
-arrays and keeps nothing between queries.
+tripped through either backend — resident heap arrays, mmapped npy
+files — yields byte-identical arrays and a context that answers every
+query identically.  Hypothesis drives randomized graphs through both
+backends at once; a stored index answers from its arrays and keeps
+nothing between queries.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.indexing.oracle import BFSOracle
 from repro.indexing.twohop import hop_pairs
 from repro.storage import (
     ARRAY_NAMES,
-    ShmBackend,
     attach,
     basis_from_context,
     open_backend,
@@ -50,10 +49,9 @@ def canonical_run(ctx, labels: list[str]):
 
 @contextmanager
 def all_backends(basis, directory):
-    """``{name: backend}`` over one basis: resident, shm and mmap; closed on exit."""
+    """``{name: backend}`` over one basis: resident and mmap; closed on exit."""
     backends = {
         "resident": open_backend("resident", basis=basis),
-        "shm": open_backend("shm", basis=basis),
         "mmap": open_backend("mmap", basis=basis, directory=directory),
     }
     try:
@@ -66,22 +64,19 @@ def all_backends(basis, directory):
 @given(labeled_graphs())
 @settings(max_examples=20, deadline=None)
 def test_backends_byte_and_answer_identical(tmp_path_factory, graph):
-    """All three backends agree, bit for bit, on random graphs."""
+    """Both backends, and a worker's attach, agree bit for bit on random graphs."""
     ctx = make_context(preprocess(graph, seed=5))
     basis = basis_from_context(ctx)
     labels = graph.labels()
     reference = canonical_run(ctx, labels)
 
     with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as backends:
-        for name, backend in backends.items():
-            if name != "resident":
-                spec = backend.spec()
-                attached_ctx, handles = attach(spec)
-                for handle in handles:
-                    handle.close()
-            round_tripped = basis_from_context(backend.context())
+        contexts = {name: backend.context() for name, backend in backends.items()}
+        contexts["attached"] = attach(backends["mmap"].spec())
+        for name, stored_ctx in contexts.items():
+            round_tripped = basis_from_context(stored_ctx)
             assert round_tripped.equal_bytes(basis), f"{name}: bytes diverged"
-            assert canonical_run(backend.context(), labels) == reference, (
+            assert canonical_run(stored_ctx, labels) == reference, (
                 f"{name}: matches diverged"
             )
 
@@ -92,7 +87,7 @@ def test_block_kernel_identical_across_backends(
     tmp_path_factory, graph, data, upper, skip_equal
 ):
     """``StoredPML`` answers ``within_many`` from the stored label CSR:
-    the same pair block as the heap index, from resident, shm and mmap
+    the same pair block as the heap index, from resident and mmap
     arrays alike, without materialising a per-vertex label list."""
     ctx = make_context(preprocess(graph, seed=5))
     basis = basis_from_context(ctx)
@@ -116,7 +111,7 @@ def test_block_kernel_identical_across_backends(
 @settings(max_examples=15, deadline=None)
 def test_hop_kernel_identical_across_backends(tmp_path_factory, graph, data, hops):
     """``hop_pairs`` reads the graph CSR wherever it lives: the same block
-    from heap arrays, shm segments and a read-only mmap."""
+    from heap arrays and a read-only mmap."""
     ctx = make_context(preprocess(graph, seed=5))
     basis = basis_from_context(ctx)
     subsets = st.lists(st.integers(0, graph.num_vertices - 1), unique=True)
@@ -173,7 +168,7 @@ def check_stored_index_against_heap(ctx, directory, upper, few, bad):
 @given(labeled_graphs(), st.data())
 @settings(max_examples=15, deadline=None)
 def test_stored_index_answers_like_the_heap_index(tmp_path_factory, graph, data):
-    """``StoredPML`` reads label columns where they lie — resident, shm or
+    """``StoredPML`` reads label columns where they lie — resident or
     mmap — and every answer is the heap index's, ``u == v`` and unreachable
     pairs included.  (Graphs this small are all dense-path; the small path
     is the next test's.)"""
@@ -202,7 +197,7 @@ def test_stored_index_small_path_merges_over_slices(tmp_path):
     check_stored_index_against_heap(ctx, tmp_path / "b", upper=2, few=few, bad=160)
 
 
-@pytest.mark.parametrize("backend_name", ["resident", "shm", "mmap"])
+@pytest.mark.parametrize("backend_name", ["resident", "mmap"])
 def test_scalar_queries_leave_a_stored_index_as_it_was(backend_name, tmp_path):
     """A stored index is its arrays: 10k scalar queries change nothing on
     it but ``query_count`` (there is no cache left to grow), and labels the
@@ -243,9 +238,9 @@ def test_scalar_queries_leave_a_stored_index_as_it_was(backend_name, tmp_path):
 
 
 def test_epoch_survives_publish_and_attach_on_every_backend(tmp_path):
-    """A basis extracted after an update is at epoch 1, and every transport
-    hands back epoch 1: the backend's own context, and the context a pool
-    worker attaches from the spec (shm segments, the mmap directory)."""
+    """A basis extracted after an update is at epoch 1, and every backend
+    hands back epoch 1: its own context, and the context a pool worker
+    attaches from the mmap spec."""
     from repro.updates import insert_edge
     from tests.conftest import build_fig2_graph
 
@@ -267,29 +262,9 @@ def test_epoch_survives_publish_and_attach_on_every_backend(tmp_path):
             assert own.graph.has_edge(u, v), name
             if name == "resident":
                 continue
-            attached, handles = attach(backend.spec())
-            try:
-                assert (attached.epoch, attached.oracle.epoch) == (1, 1), name
-                assert basis_from_context(attached).scalars() == basis.scalars(), name
-            finally:
-                for handle in handles:
-                    handle.close()
-
-
-def test_shm_segments_unlinked_on_close():
-    """No leaked shared-memory segments after a backend close."""
-    from multiprocessing import shared_memory
-
-    from tests.conftest import build_fig2_graph
-
-    graph_ctx = make_context(preprocess(build_fig2_graph(), seed=1))
-    backend = ShmBackend(basis_from_context(graph_ctx))
-    names = backend.segment_names()
-    assert names
-    backend.close()
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+            attached = attach(backend.spec())
+            assert (attached.epoch, attached.oracle.epoch) == (1, 1), name
+            assert basis_from_context(attached).scalars() == basis.scalars(), name
 
 
 def test_mmap_pool_worker_end_to_end():
@@ -301,7 +276,6 @@ def test_mmap_pool_worker_end_to_end():
     reference = canonical_run(ctx, ctx.graph.labels())
     dispatcher = open_host(ctx, ServeConfig(workers=2, storage="mmap"))
     try:
-        assert dispatcher.segment_names() == []
         sid = dispatcher.dispatch({"op": "create_session", "strategy": "DI"})[
             "session"
         ]
@@ -319,7 +293,7 @@ def test_mmap_pool_worker_end_to_end():
         run = dispatcher.dispatch({"op": "run", "session": sid})
         assert run["num_matches"] == len(reference)
         stats = dispatcher.dispatch({"op": "stats"})
-        assert stats["pool"]["storage"] == "mmap"
+        assert stats["pool"]["basis_dir"] == dispatcher.basis_dir
     finally:
         dispatcher.close()
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import os
 import tempfile
-from multiprocessing import shared_memory
 
 import pytest
 
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
+from repro.errors import StorageError
 from repro.gui.recording import action_to_dict
 from repro.service import (
     QueryServer,
@@ -26,7 +26,7 @@ from repro.service import (
     open_host,
     protocol,
 )
-from repro.storage import BACKEND_NAMES
+from repro.storage import BACKEND_NAMES, basis_from_context, save_basis
 
 ACTIONS = [
     NewVertex(0, "A"),
@@ -50,11 +50,9 @@ def _reference(ctx) -> Boomer:
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_serve_over_backend_matches_resident(backend_name, fig2_ctx, tmp_path):
-    """The wire answers are backend-invariant (shm only exists across
-    processes, so that arm serves through one worker)."""
+    """The wire answers are backend-invariant."""
     reference = canonical_matches(_reference(fig2_ctx).run_result.matches)
     config = ServeConfig(
-        workers=1 if backend_name == "shm" else 0,
         storage=backend_name,
         storage_dir=str(tmp_path / "basis") if backend_name == "mmap" else None,
     )
@@ -69,6 +67,28 @@ def test_serve_over_backend_matches_resident(backend_name, fig2_ctx, tmp_path):
         srv.stop()
 
 
+def _serve_script(backend) -> tuple[bytes, list]:
+    """The fixed script over ``backend``: its ``matches`` frame, first page."""
+    sid = backend.dispatch({"op": "create_session", "strategy": "DI"})["session"]
+    for action in ACTIONS:
+        backend.dispatch(
+            {"op": "action", "session": sid, "action": action_to_dict(action)}
+        )
+    backend.dispatch({"op": "run", "session": sid})
+    matches = backend.dispatch({"op": "matches", "session": sid})
+    page = backend.dispatch({"op": "results", "session": sid, "limit": 10})
+    return protocol.encode_line(protocol.ok_response(7, matches)), page["results"]
+
+
+def _engine_answers(ctx) -> tuple[bytes, list]:
+    """What :func:`_serve_script` must return: the in-process engine's bytes."""
+    boomer = _reference(ctx)
+    block = protocol.match_block(boomer.run_result.matches)
+    page = [protocol.subgraph_payload(s) for s in boomer.results(limit=10)]
+    assert page  # comparisons against it must be non-vacuous
+    return protocol.encode_line(protocol.ok_response(7, {"matches": block})), page
+
+
 @pytest.mark.parametrize("storage", BACKENDS)
 @pytest.mark.parametrize("workers", [0, 2])
 def test_boot_matrix(workers, storage, fig2_ctx, tmp_path, monkeypatch):
@@ -76,38 +96,55 @@ def test_boot_matrix(workers, storage, fig2_ctx, tmp_path, monkeypatch):
     bytes, and ``stop()`` leaves nothing behind."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # temp dirs land here
     config = ServeConfig(workers=workers, storage=storage)
-    # What `repro serve` resolved at the parent: a pool cannot share heap
-    # arrays, and shm needs a worker to attach it.
+    # A basis crosses a process boundary as files: any pool is mmap.
     assert config.basis_kind == {
-        (0, "resident"): "resident", (0, "shm"): "resident", (0, "mmap"): "mmap",
-        (2, "resident"): "shm", (2, "shm"): "shm", (2, "mmap"): "mmap",
+        (0, "resident"): "resident", (0, "mmap"): "mmap",
+        (2, "resident"): "mmap", (2, "mmap"): "mmap",
     }[workers, storage]
-    boomer = _reference(fig2_ctx)
-    block = protocol.match_block(boomer.run_result.matches)
-    want_matches = protocol.encode_line(protocol.ok_response(7, {"matches": block}))
-    want_page = [protocol.subgraph_payload(s) for s in boomer.results(limit=10)]
-    assert want_page  # the comparison below must be non-vacuous
+    want = _engine_answers(fig2_ctx)
 
     server = QueryServer(open_host(fig2_ctx, config), host="127.0.0.1", port=0)
-    backend = server.backend
     try:
-        segments = backend.segment_names() if workers else []
-        assert bool(segments) == (config.basis_kind == "shm")
-        # A pool makes itself a checkpoint dir, mmap a basis dir: both temp.
-        assert any(tmp_path.iterdir()) == (workers > 0 or storage == "mmap")
-        sid = backend.dispatch({"op": "create_session", "strategy": "DI"})["session"]
-        for action in ACTIONS:
-            backend.dispatch(
-                {"op": "action", "session": sid, "action": action_to_dict(action)}
-            )
-        backend.dispatch({"op": "run", "session": sid})
-        matches = backend.dispatch({"op": "matches", "session": sid})
-        page = backend.dispatch({"op": "results", "session": sid, "limit": 10})
-        assert protocol.encode_line(protocol.ok_response(7, matches)) == want_matches
-        assert page["results"] == want_page
+        # An mmap basis with no directory to open is saved into a temp dir
+        # (and a pool makes itself a checkpoint dir beside it).
+        assert any(tmp_path.iterdir()) == (config.basis_kind == "mmap")
+        assert _serve_script(server.backend) == want
     finally:
         server.stop()
-    for name in segments:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
     assert list(tmp_path.iterdir()) == []  # no temp basis, no temp checkpoints
+
+
+def test_pool_opens_a_saved_basis_in_place(fig2_ctx, tmp_path, monkeypatch):
+    """A pool handed a directory that already holds its basis (``repro serve
+    --dataset ... --workers N`` hands over the registry's cache entry) reads
+    it where it lies: no file in it is rewritten or added, and no temp basis
+    is saved beside it."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    directory = save_basis(basis_from_context(fig2_ctx), tmp_path / "basis")
+
+    def listing():
+        stats = ((path.name, path.stat()) for path in directory.iterdir())
+        return sorted((name, st.st_size, st.st_mtime_ns) for name, st in stats)
+
+    before = listing()
+    pool = open_host(fig2_ctx, ServeConfig(workers=2, storage_dir=str(directory)))
+    try:
+        assert pool.basis_dir == str(directory)
+        assert not [p for p in temp.iterdir() if p.name.startswith("repro-basis-")]
+        assert _serve_script(pool) == _engine_answers(fig2_ctx)
+    finally:
+        pool.close()
+    assert listing() == before
+    assert list(temp.iterdir()) == []
+
+
+def test_serve_config_names_the_two_backends():
+    """``shm`` was a backend once; it is refused like any unknown name, and
+    a storage dir is legal exactly when the basis is files."""
+    with pytest.raises(StorageError, match=r"shm.*\('resident', 'mmap'\)"):
+        ServeConfig(storage="shm")
+    assert ServeConfig(workers=2, storage_dir="d").basis_kind == "mmap"
+    with pytest.raises(StorageError, match="storage-dir"):
+        ServeConfig(storage_dir="d")
