@@ -14,8 +14,8 @@ on are *enforced on every commit*, not sampled by tests:
   :mod:`~repro.analysis.dataflow`, :mod:`~repro.analysis.rules_flow`,
   :mod:`~repro.analysis.rules_project`): cross-module protocol-drift
   (R9), epoch-guard flow (R10), resource lifecycle (R11), and inferred
-  lock-guard (R12) rules, plus SARIF output, a ``--baseline`` ratchet,
-  and a content-hash incremental cache.  Run it as ``python -m repro
+  lock-guard (R12) rules, plus SARIF output and a content-hash
+  incremental cache.  Run it as ``python -m repro
   lint src/repro``; suppress a deliberate exception inline with
   ``# boomerlint: disable=R2``.
 * **lock-order race detection** (:mod:`~repro.analysis.lockorder`) — a
@@ -27,7 +27,6 @@ See docs/ANALYSIS.md for the rule catalog, the suppression syntax, how
 to add a rule, and race-detector usage.
 """
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.cache import LintCache
 from repro.analysis.engine import LintEngine, LintReport, ModuleSource, module_key
 from repro.analysis.lockorder import (
@@ -67,9 +66,6 @@ __all__ = [
     # operational modes
     "LintCache",
     "to_sarif",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
     # lock-order detector
     "LockOrderMonitor",
     "MonitoredLock",

@@ -118,8 +118,6 @@ class LintReport:
     violations: list[Violation] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Pre-existing violations tolerated by a ``--baseline`` file.
-    baselined: int = 0
     #: Files served from the incremental cache (0 without a cache).
     cache_hits: int = 0
 
@@ -134,7 +132,6 @@ class LintReport:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "cache_hits": self.cache_hits,
             "violations": [v.to_dict() for v in self.violations],
         }

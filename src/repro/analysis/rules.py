@@ -525,16 +525,16 @@ class StorageSeamRule(Rule):
     :class:`~repro.storage.basis.EngineBasis` is the one API that may
     assume where (and in what medium) the finalized label arrays live;
     any other module dereferencing them couples itself to the resident
-    layout and silently breaks the mmap backend.  Access through
-    ``self`` stays legal — a subclass owns its own internals.
+    layout and silently breaks a basis served from a directory.  Access
+    through ``self`` stays legal — a subclass owns its own internals.
     """
 
     id = "R7"
     title = "PML label-CSR internals only touched in repro.indexing / repro.storage"
 
     ALLOWED_PREFIXES = ("repro/indexing/", "repro/storage/")
-    #: The finalized label CSR: exactly the arrays every storage backend
-    #: must be free to relocate.
+    #: The finalized label CSR: exactly the arrays a basis must be free
+    #: to relocate (heap or memmap).
     PRIVATE_ARRAYS = {"_label_offsets", "_label_ranks_arr", "_label_dists_arr"}
 
     def check(self, module) -> Iterator[Violation]:

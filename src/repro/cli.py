@@ -325,16 +325,13 @@ def _load_served_context(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import BasisFormatError
     from repro.service import QueryServer, ServeConfig, open_host
-    from repro.service.session import SessionLimits
     from repro.storage import context_from_basis, load_basis
 
     config = ServeConfig(
         workers=args.workers,
         max_sessions=args.max_sessions,
         cap_entry_budget=args.cap_budget,
-        default_limits=SessionLimits(
-            resilience=ResilienceConfig.from_posture(args.resilience, args.deadline)
-        ),
+        resilience=ResilienceConfig.from_posture(args.resilience, args.deadline),
         checkpoint_dir=args.checkpoint_dir,
         storage=args.storage,
         storage_dir=args.storage_dir,
@@ -604,15 +601,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.analysis import (
-        LintEngine,
-        apply_baseline,
-        load_baseline,
-        rule_ids,
-        to_sarif,
-        write_baseline,
-    )
-    from repro.errors import LintUsageError
+    from repro.analysis import LintEngine, rule_ids, to_sarif
 
     if args.list_rules:
         for rule in LintEngine().rules:
@@ -626,27 +615,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     cache = engine.open_cache(Path(args.cache)) if args.cache else None
     report = engine.lint_paths(args.paths, cache=cache)
 
-    if args.update_baseline:
-        write_baseline(Path(args.update_baseline), report.violations)
-        print(
-            f"baseline written: {len(report.violations)} violation(s) "
-            f"accepted in {args.update_baseline}",
-            file=sys.stderr,
-        )
-        return EXIT_OK
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.is_file():
-            raise LintUsageError(
-                f"baseline file not found: {baseline_path} "
-                "(create one with --update-baseline)"
-            )
-        fresh, tolerated = apply_baseline(
-            report.violations, load_baseline(baseline_path)
-        )
-        report.violations = fresh
-        report.baselined = tolerated
-
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif args.format == "sarif":
@@ -654,12 +622,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         for violation in report.violations:
             print(violation.format())
-        extras = f" ({report.suppressed} suppressed)"
-        if report.baselined:
-            extras += f" ({report.baselined} baselined)"
         summary = (
             f"{len(report.violations)} violation(s) in "
-            f"{report.files_checked} file(s)" + extras
+            f"{report.files_checked} file(s) ({report.suppressed} suppressed)"
         )
         print(summary if report.violations or report.suppressed else
               f"clean: {report.files_checked} file(s), "
@@ -918,14 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="list rules and exit"
     )
     lint.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="tolerate violations recorded in FILE; fail only on new ones",
-    )
-    lint.add_argument(
-        "--update-baseline", default=None, metavar="FILE",
-        help="record the current violations as the accepted baseline and exit",
-    )
     lint.add_argument(
         "--cache", default=None, metavar="FILE",
         help="content-hash incremental cache (created if absent)",

@@ -31,8 +31,9 @@ PML oracle.  This package is that layer:
   a worker *process* dying, not just in-memory eviction.
 * :class:`LocalDispatcher` / :class:`PoolDispatcher` — the server's
   backend seam: the former is the in-process threaded path, the latter
-  fans sessions out across N worker processes sharing the engine basis
-  zero-copy (``repro serve --workers N``; see :mod:`repro.service.pool`).
+  fans sessions out across N worker processes sharing one saved basis
+  directory through the page cache (``repro serve --workers N``; see
+  :mod:`repro.service.pool`).
 * :class:`ServeConfig` / :func:`open_host` — the one configuration of a
   hosting process and the one door that brings either backend up from
   it (:mod:`repro.service.host`).

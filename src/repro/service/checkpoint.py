@@ -10,9 +10,8 @@ session by id*:
   — the formulation itself;
 * the **virtual timeline** (:class:`~repro.gui.session.TimelineState`
   scalars) — arrival/busy horizon/QFT accounting;
-* the **limits** — strategy, pruning, result cap, trace switch, and the
-  resilience posture (scalar fields; exception-type tuples are rebuilt
-  from policy defaults);
+* the **limits** — strategy and resilience posture (scalar fields;
+  exception-type tuples are rebuilt from policy defaults);
 * the session's service-side **accounting** (actions applied, donated /
   serviced idle seconds).
 

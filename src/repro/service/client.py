@@ -213,26 +213,15 @@ class ServiceClient:
     def create_session(
         self,
         strategy: str | None = None,
-        pruning: bool | None = None,
-        max_results: int | None = None,
         resilience: str | None = None,
-        deadline_seconds: float | None = None,
-        trace: bool | None = None,
     ) -> str:
-        """Create a session; returns its id."""
+        """Create a session; returns its id.  Left out, ``strategy`` is DI
+        and ``resilience`` the server's posture."""
         params: dict[str, Any] = {}
         if strategy is not None:
             params["strategy"] = strategy
-        if pruning is not None:
-            params["pruning"] = pruning
-        if max_results is not None:
-            params["max_results"] = max_results
         if resilience is not None:
             params["resilience"] = resilience
-        if deadline_seconds is not None:
-            params["deadline_seconds"] = deadline_seconds
-        if trace is not None:
-            params["trace"] = trace
         return str(self.request("create_session", **params)["session"])
 
     def action(self, session: str, action: Action | dict[str, Any]) -> dict[str, Any]:

@@ -29,7 +29,7 @@ from repro.service import protocol
 from repro.service.manager import DRAIN_TIMEOUT, SessionManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage import StorageBackend
+    from repro.storage import BasisDirectory
 
 __all__ = ["LocalDispatcher"]
 
@@ -37,16 +37,16 @@ __all__ = ["LocalDispatcher"]
 class LocalDispatcher:
     """In-process backend: one :class:`SessionManager`, no pipes.
 
-    ``storage`` is the backend the manager's context was opened from
-    (:func:`repro.service.host.open_host` over mmap), which this
-    dispatcher then owns: :meth:`close` releases it.
+    ``basis`` is the saved basis directory the manager's context was
+    opened from (:func:`repro.service.host.open_host` over mmap), which
+    this dispatcher then owns: :meth:`close` releases it.
     """
 
     def __init__(
-        self, manager: SessionManager, storage: "StorageBackend | None" = None
+        self, manager: SessionManager, basis: "BasisDirectory | None" = None
     ) -> None:
         self.manager = manager
-        self._storage = storage
+        self._basis = basis
 
     @property
     def graph_name(self) -> str:
@@ -65,11 +65,7 @@ class LocalDispatcher:
         if op == "create_session":
             session = manager.create_session(
                 strategy=request.get("strategy"),
-                pruning=request.get("pruning"),
-                max_results=request.get("max_results"),
                 resilience=request.get("resilience"),
-                deadline_seconds=request.get("deadline_seconds"),
-                trace=request.get("trace"),
             )
             return {"session": session.id, "strategy": session.limits.strategy}
         if op == "metrics":
@@ -147,6 +143,6 @@ class LocalDispatcher:
         return self.manager.drain(timeout=timeout)
 
     def close(self) -> None:
-        """Release the storage backend, if this dispatcher owns one."""
-        if self._storage is not None:
-            self._storage.close()
+        """Release the basis directory, if this dispatcher owns one."""
+        if self._basis is not None:
+            self._basis.close()

@@ -12,12 +12,13 @@ under it, pool workers included (it is picklable, spawn-shipped as is).
 * a pool cannot share heap arrays and a basis crosses a process boundary
   as files only, so any ``workers > 0`` means ``mmap``
   (:attr:`ServeConfig.basis_kind`);
-* an ``mmap`` basis is opened here, once, for either hosting mode: in
-  place when ``storage_dir`` already holds it (the dataset registry's
-  cache entry, a previous run), else saved once — into ``storage_dir``,
-  or into a temp dir the backend deletes; ``close()`` on what is
-  returned — the dispatch/drain/close seam of
-  :mod:`repro.service.dispatch` — releases it.
+* an ``mmap`` basis is opened here, once, for either hosting mode, as a
+  :class:`~repro.storage.BasisDirectory`: in place when ``storage_dir``
+  already holds this graph's basis (the dataset registry's cache entry,
+  a previous run), else saved once — into ``storage_dir``, or into a
+  temp dir it deletes; ``close()`` on what is returned — the
+  dispatch/drain/close seam of :mod:`repro.service.dispatch` — releases
+  it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import AdmissionError, StorageError, WorkerPoolError
+from repro.resilience import ResilienceConfig
 from repro.service.overload import OverloadPolicy
-from repro.service.session import SessionLimits
-from repro.storage import BACKEND_NAMES, basis_from_context, open_backend
+from repro.storage import BACKEND_NAMES, BasisDirectory, basis_from_context
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import EngineContext
@@ -48,8 +49,9 @@ class ServeConfig:
     max_sessions: int = 64
     #: Total CAP entries across sessions before LRU eviction (None = no bound).
     cap_entry_budget: int | None = 1_000_000
-    #: What ``create_session`` falls back to for knobs a client leaves out.
-    default_limits: SessionLimits = SessionLimits()
+    #: The resilience posture (Run deadline included) of a session whose
+    #: client names none; None is resilience off.
+    resilience: ResilienceConfig | None = None
     #: Watermark backpressure; None disables shedding (hard budgets and
     #: :class:`~repro.errors.AdmissionError` still apply).
     overload: OverloadPolicy | None = None
@@ -83,7 +85,8 @@ class ServeConfig:
 
     @property
     def basis_kind(self) -> str:
-        """The storage backend the host actually opens (module docstring)."""
+        """Where the host keeps the basis: ``mmap`` files or the
+        ``resident`` heap (module docstring)."""
         return "mmap" if self.storage == "mmap" or self.workers > 0 else "resident"
 
 
@@ -99,9 +102,7 @@ def open_host(
 
     if config.basis_kind == "resident":
         return LocalDispatcher(SessionManager(ctx, config))
-    storage = open_backend(
-        "mmap", basis=basis_from_context(ctx), directory=config.storage_dir
-    )
+    basis = BasisDirectory(basis_from_context(ctx), config.storage_dir)
     if config.workers > 0:
-        return PoolDispatcher(storage, config)
-    return LocalDispatcher(SessionManager(storage.context(), config), storage=storage)
+        return PoolDispatcher(basis, config)
+    return LocalDispatcher(SessionManager(basis.context(), config), basis=basis)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from repro.core.actions import Action
 from repro.core.blender import ActionReport, RunResult
@@ -62,7 +62,7 @@ from repro.service.checkpoint import (
 from repro.service.host import ServeConfig
 from repro.service.overload import OverloadPolicy
 from repro.service.scheduler import IdleScheduler
-from repro.service.session import ManagedSession
+from repro.service.session import ManagedSession, SessionLimits
 from repro.updates import UpdateReport, delete_edge, insert_edge
 
 __all__ = ["SessionManager", "ManagerStats", "DRAIN_TIMEOUT"]
@@ -109,8 +109,8 @@ class SessionManager:
         session_prefix: str = "s",
     ) -> None:
         self.base_ctx = base_ctx
-        #: Budgets, creation defaults, backpressure and the checkpoint
-        #: directory (see :class:`~repro.service.host.ServeConfig`).
+        #: Budgets, the default resilience posture, backpressure and the
+        #: checkpoint directory (see :class:`~repro.service.host.ServeConfig`).
         self.config = config = config or ServeConfig()
         #: Verdict builder for drain refusals even when shedding is off.
         self._shed_policy = config.overload or OverloadPolicy()
@@ -206,14 +206,12 @@ class SessionManager:
     def create_session(
         self,
         strategy: str | None = None,
-        pruning: bool | None = None,
-        max_results: int | None = None,
         resilience: str | ResilienceConfig | None = None,
-        deadline_seconds: float | None = None,
-        trace: bool | None = None,
     ) -> ManagedSession:
         """Admit a new session (evicting idle LRU sessions if needed).
 
+        ``strategy`` defaults to DI and ``resilience`` (a posture name or
+        configuration) to the host's :attr:`ServeConfig.resilience`.
         With an :class:`OverloadPolicy` set, admissions past the session
         or CAP watermarks first try to reclaim idle sessions (which now
         checkpoints them) and, failing that, *shed* with the retryable
@@ -221,23 +219,14 @@ class SessionManager:
         :class:`~repro.errors.AdmissionError` is reserved for a budget
         that is exhausted outright.
         """
-        base = self.config.default_limits
         try:
             posture = ResilienceConfig.from_posture(
-                resilience if resilience is not None else base.resilience,
-                deadline_seconds,
+                resilience if resilience is not None else self.config.resilience
             )
         except ValueError as exc:  # a posture name the wire made up
             raise AdmissionError(str(exc)) from None
-        chosen = {
-            "strategy": strategy, "pruning": pruning,
-            "max_results": max_results, "trace": trace,
-        }
-        limits = replace(
-            base,
-            resilience=posture,
-            **{name: value for name, value in chosen.items() if value is not None},
-        )
+        chosen = {} if strategy is None else {"strategy": strategy}
+        limits = SessionLimits(resilience=posture, **chosen)
 
         def new_session() -> ManagedSession:
             return ManagedSession(

@@ -28,11 +28,12 @@
   subsequent matches byte-identical — the same guarantee the eviction
   ladder already gives, now covering SIGKILL.
 
-The dispatcher owns the storage backend its workers attach from (handed
-over by :func:`~repro.service.host.open_host`) and the checkpoint
-directory (when it created one); ``close()`` retires workers, then
-releases both — a temp basis directory the backend saved goes with it,
-a directory it opened in place is left exactly as found.
+The dispatcher owns the saved basis directory its workers open (a
+:class:`~repro.storage.BasisDirectory` handed over by
+:func:`~repro.service.host.open_host`) and the checkpoint directory
+(when it created one); ``close()`` retires workers, then releases both —
+a temp basis directory saved for the pool goes with it, a directory
+opened in place is left exactly as found.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.service import protocol
 from repro.service.host import ServeConfig
 from repro.service.manager import DRAIN_TIMEOUT
 from repro.service.pool.worker import worker_main
-from repro.storage import StorageBackend
+from repro.storage import BasisDirectory
 
 __all__ = ["PoolDispatcher"]
 
@@ -106,17 +107,14 @@ class _WorkerHandle:
 class PoolDispatcher:
     """Dispatcher + N worker processes behind the QueryServer seam."""
 
-    def __init__(self, storage: StorageBackend, config: ServeConfig) -> None:
+    def __init__(self, basis: BasisDirectory, config: ServeConfig) -> None:
         if config.workers < 1:
             raise WorkerPoolError("worker pool needs at least 1 worker")
         self.workers = config.workers
         self._mp = mp.get_context("spawn")
-        # The backend owns the medium (the read-only npy files every
-        # worker opens, shared through the kernel page cache), hands out
-        # the picklable spec workers attach from, and releases the
-        # medium on close().
-        self._basis_backend = storage
-        self._spec = storage.spec()
+        # The read-only npy files every worker opens, shared through the
+        # kernel page cache; workers get the path, close() releases it.
+        self._basis = basis
         checkpoint_dir = config.checkpoint_dir
         if checkpoint_dir is None:
             checkpoint_dir = tempfile.mkdtemp(prefix="repro-pool-ckpt-")
@@ -151,7 +149,7 @@ class PoolDispatcher:
 
     @property
     def graph_name(self) -> str:
-        return self._spec.graph_name
+        return self._basis.basis.graph_name
 
     # -- worker lifecycle ------------------------------------------------
     def _spawn(self, index: int, generation: int) -> _WorkerHandle:
@@ -162,7 +160,7 @@ class PoolDispatcher:
         tag = str(index) if generation == 0 else f"{index}g{generation}"
         process = self._mp.Process(
             target=worker_main,
-            args=(tag, self._spec, self._config, child_conn),
+            args=(tag, self.basis_dir, self._config, child_conn),
             name=f"repro-pool-worker-{index}",
             daemon=True,
         )
@@ -483,7 +481,7 @@ class PoolDispatcher:
                 handle.conn.close()
             except OSError:
                 pass
-        self._basis_backend.close()
+        self._basis.close()
         if self._owns_checkpoint_dir:
             shutil.rmtree(self.checkpoint_dir, ignore_errors=True)
 
@@ -504,8 +502,8 @@ class PoolDispatcher:
 
     @property
     def basis_dir(self) -> str:
-        """The saved basis directory every worker attaches from."""
-        return self._spec.directory
+        """The saved basis directory every worker opens."""
+        return str(self._basis.directory)
 
 
 def _sum_into(into: dict[str, Any], stats: dict[str, Any]) -> None:

@@ -21,9 +21,10 @@ Wire format on the pipe (picklable tuples):
   frames with ``--workers 0`` and ``--workers N``.
 
 Requests run on their own thread (the pipe reader never blocks on engine
-compute), replies are serialized by a send lock.  The saved basis the
-dispatcher's :class:`~repro.storage.mmapstore.MmapSpec` names is opened
-**lazily on the first request** — spawning N workers costs N interpreter
+compute), replies are serialized by a send lock.  The saved basis
+directory the dispatcher names is opened **lazily on the first request**
+(``context_from_basis(load_basis(directory))``, as ``repro serve
+--storage-dir`` opens one) — spawning N workers costs N interpreter
 startups, not N graph copies, and nothing is held that an exit (clean or
 SIGKILL) would have to release.
 
@@ -41,13 +42,13 @@ import threading
 from typing import Any
 
 from repro.service.host import ServeConfig
-from repro.storage import MmapSpec, attach
+from repro.storage import context_from_basis, load_basis
 
 __all__ = ["worker_main"]
 
 
 def worker_main(
-    index: int | str, spec: MmapSpec, config: ServeConfig, conn: Any
+    index: int | str, basis_dir: str, config: ServeConfig, conn: Any
 ) -> None:
     """Run one worker until ``exit`` (or the dispatcher's pipe closes).
 
@@ -76,10 +77,9 @@ def worker_main(
         nonlocal dispatcher
         with init_lock:
             if dispatcher is None:
+                ctx = context_from_basis(load_basis(basis_dir))
                 dispatcher = LocalDispatcher(
-                    SessionManager(
-                        attach(spec), config, session_prefix=f"w{index}s"
-                    )
+                    SessionManager(ctx, config, session_prefix=f"w{index}s")
                 )
         return dispatcher
 

@@ -111,7 +111,18 @@ class IdleScheduler:
                 continue
             try:
                 start = now()
-                processed = target.boomer.engine.probe_one(budget.remaining())
+                try:
+                    processed = target.boomer.engine.probe_one(budget.remaining())
+                except Exception:
+                    # The target's failure is not the donor's: the edge is
+                    # back in the target's pool, and the target meets it
+                    # again at its own Run, under its own posture.
+                    metrics.counter(
+                        "repro_idle_cross_session_failures_total",
+                        "donated edges that failed and went back to their pool",
+                    ).inc()
+                    skip.add(target.id)
+                    continue
                 spent = now() - start
                 if processed == 0:
                     # Its cheapest edge no longer fits this window; another

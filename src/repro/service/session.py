@@ -30,27 +30,32 @@ from repro.core.enumerate import PartialMatches
 from repro.errors import ActionError, SessionError
 from repro.gui.session import TimelineState
 from repro.obs import export as obs_export
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 from repro.resilience import ResilienceConfig
 
-__all__ = ["ManagedSession", "SessionLimits"]
+__all__ = ["ManagedSession", "SessionLimits", "MAX_RESULTS"]
 
 #: Closed spans a session's ring buffer keeps before the oldest drop.
 TRACE_RING_SPANS = 8192
 
+#: Cap on a hosted session's ``V_Δ`` enumeration; a Run past it reports
+#: ``truncated``.
+MAX_RESULTS = 10_000
+
 
 @dataclass(frozen=True)
 class SessionLimits:
-    """Per-session knobs fixed at creation time."""
+    """What a client chooses when it creates a session.
+
+    Everything else is the same for every hosted session: CAP pruning
+    on, enumeration capped at :data:`MAX_RESULTS`, and a span timeline
+    always recorded (the wire ``trace`` verb) — hosted sessions are
+    exactly where operators need the Fig.-7 decomposition, and the ring
+    buffer bounds the cost.
+    """
 
     strategy: str = "DI"
-    pruning: bool = True
-    max_results: int | None = 10_000
     resilience: ResilienceConfig | None = None
-    #: Record a per-session span timeline (the wire ``trace`` verb).
-    #: On by default: hosted sessions are exactly where operators need
-    #: the Fig.-7 decomposition, and the ring buffer bounds the cost.
-    trace: bool = True
 
 
 class ManagedSession:
@@ -76,19 +81,14 @@ class ManagedSession:
         self.limits = limits or SessionLimits()
         #: Immutable engine parts shared process-wide; counters private.
         self.ctx = replace(base_ctx, counters=EngineCounters())
-        #: Span recorder (no-op when tracing is disabled for the session).
-        #: Writers always hold :attr:`lock`, which is the tracer's whole
-        #: thread-safety story — including cross-session idle donations.
-        self.tracer = (
-            Tracer(capacity=TRACE_RING_SPANS)
-            if self.limits.trace
-            else NULL_TRACER
-        )
+        #: Span recorder.  Writers always hold :attr:`lock`, which is the
+        #: tracer's whole thread-safety story — including cross-session
+        #: idle donations.
+        self.tracer = Tracer(capacity=TRACE_RING_SPANS)
         self.boomer = Boomer(
             self.ctx,
             strategy=self.limits.strategy,
-            pruning=self.limits.pruning,
-            max_results=self.limits.max_results,
+            max_results=MAX_RESULTS,
             auto_idle=False,
             resilience=self.limits.resilience,
             tracer=self.tracer,

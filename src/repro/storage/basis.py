@@ -1,24 +1,24 @@
-"""The :class:`EngineBasis` — the one immutable value every backend stores.
+"""The :class:`EngineBasis` — the one immutable value every holder stores.
 
 The expensive part of an :class:`~repro.core.context.EngineContext` is a
 handful of flat numpy arrays: the CSR graph (``graph_offsets`` /
 ``graph_neighbors``), the finalized PML label CSR (``pml_offsets`` /
 ``pml_ranks`` / ``pml_dists`` plus the landmark ``pml_order``), and the
 per-vertex ``two_hop`` counts.  Everything else — labels, cost-model
-constants, ablation toggles — is small scalar metadata.
+constants, the graph epoch — is small scalar metadata.
 
 :class:`EngineBasis` is the single value every holder of that bundle
 carries — the dataset registry's disk cache (a saved basis directory,
-:mod:`repro.datasets.registry`), the mmap backend, and through it the
+:mod:`repro.datasets.registry`), a hosted
+:class:`~repro.storage.backends.BasisDirectory`, and through it the
 worker pool alike:
 
 * :func:`basis_from_context` extracts it from a live context (this is
   the *only* sanctioned reader of the PML label-CSR internals —
   boomerlint rule R7 flags any other module touching them);
 * :func:`context_from_basis` rebuilds a full, query-identical
-  :class:`~repro.core.context.EngineContext` over whatever buffers a
-  backend hands back — resident numpy arrays or read-only
-  ``numpy.memmap`` files;
+  :class:`~repro.core.context.EngineContext` over the basis' buffers —
+  resident numpy arrays or read-only ``numpy.memmap`` files;
 * :func:`heap_context_from_basis` rebuilds the *patchable* form instead
   — private array copies and per-vertex label lists, what a fresh
   :func:`~repro.core.preprocessor.preprocess` gives — which is how a
@@ -26,8 +26,8 @@ worker pool alike:
 
 Byte identity is the contract: two contexts built from equal bases
 answer every distance query and enumerate every match identically,
-regardless of which backend held the bytes in between
-(``tests/test_storage_conformance.py`` proves it per backend).
+whether the heap or a directory held the bytes in between
+(``tests/test_storage_conformance.py`` proves it for both).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "heap_context_from_basis",
 ]
 
-#: Canonical array manifest, in serialization order.  Every backend
+#: Canonical array manifest, in serialization order.  A saved basis
 #: stores exactly these seven arrays under exactly these names.
 ARRAY_NAMES = (
     "graph_offsets",
@@ -72,10 +72,9 @@ class EngineBasis:
     ``arrays`` maps each :data:`ARRAY_NAMES` entry to a 1-D numpy array
     (resident or memmap — the consumer does not care).  Everything else
     is small by-value metadata: the label list, and the
-    :meth:`scalars` — graph name, cost-model constants, the
-    scan-choice ablation override and the graph epoch — which every
-    backend carries as one mapping, so a field added here cannot be
-    missed by one of them.
+    :meth:`scalars` — graph name, cost-model constants and the graph
+    epoch — which ``meta.json`` carries as one mapping, so a field added
+    here cannot be missed by the store.
     """
 
     graph_name: str
@@ -83,12 +82,11 @@ class EngineBasis:
     arrays: Mapping[str, np.ndarray]
     cost_model: dict[str, float] = field(default_factory=dict)
     avg_label: float = 0.0
-    scan_override: str | None = None
     #: Graph epoch the arrays were extracted at (see
-    #: :attr:`repro.graph.graph.Graph.epoch`).  Persisted by every
-    #: backend; a live graph that has moved past a saved basis makes
-    #: that directory *stale*, and reopening it is refused (see
-    #: :func:`repro.storage.backends.open_backend`).
+    #: :attr:`repro.graph.graph.Graph.epoch`).  Persisted in
+    #: ``meta.json``; a live graph that has moved past a saved basis
+    #: makes that directory *stale*, and reopening it is refused (see
+    #: :class:`repro.storage.backends.BasisDirectory`).
     epoch: int = 0
 
     def __post_init__(self) -> None:
@@ -104,18 +102,20 @@ class EngineBasis:
         )
 
     def scalars(self) -> dict[str, Any]:
-        """The JSON-safe by-value fields, by name: what a backend stores
-        beside the arrays and the label list (``meta.json`` keys) and
-        passes back as keywords to rebuild the basis."""
+        """The JSON-safe by-value fields, by name: what a saved basis
+        stores beside the arrays and the label list (``meta.json`` keys)
+        and passes back as keywords to rebuild the basis."""
         return {name: getattr(self, name) for name in self.scalar_names()}
 
     def nbytes(self) -> int:
         """Fully-resident footprint of the arrays."""
         return int(sum(self.arrays[name].nbytes for name in ARRAY_NAMES))
 
-    def equal_bytes(self, other: "EngineBasis") -> bool:
-        """True iff every array matches ``other`` byte for byte."""
-        for name in ARRAY_NAMES:
+    def equal_bytes(
+        self, other: "EngineBasis", names: tuple[str, ...] = ARRAY_NAMES
+    ) -> bool:
+        """True iff every array of ``names`` matches ``other`` byte for byte."""
+        for name in names:
             mine, theirs = self.arrays[name], other.arrays[name]
             if mine.dtype != theirs.dtype or mine.shape != theirs.shape:
                 return False
@@ -129,7 +129,7 @@ class EngineBasis:
 
 
 class StoredPML(PrunedLandmarkLabeling):
-    """A PML index whose backing arrays live in *some* storage backend.
+    """A PML index whose backing arrays arrive frozen: heap or memmap.
 
     Assembled by :func:`context_from_basis` from already-finalized CSR
     arrays — never by
@@ -194,10 +194,11 @@ class StoredPML(PrunedLandmarkLabeling):
 def basis_from_context(ctx: EngineContext) -> EngineBasis:
     """Extract the immutable engine basis from a live context.
 
-    Requires a PML oracle (storage backends hold *finalized label
-    arrays*; a BFS oracle has no frozen index to store).  The returned
+    Requires a PML oracle (a basis holds *finalized label arrays*; a
+    BFS oracle has no frozen index to store).  The returned
     arrays are the context's own buffers when already contiguous — no
-    copy is taken here; backends copy on publish/save as needed.
+    copy is taken here; :func:`~repro.storage.mmapstore.save_basis`
+    copies on save.
     """
     oracle = ctx.oracle
     if not isinstance(oracle, PrunedLandmarkLabeling):
@@ -233,7 +234,6 @@ def basis_from_context(ctx: EngineContext) -> EngineBasis:
             "mean_two_hop": cost.mean_two_hop,
         },
         avg_label=float(oracle._avg_label),
-        scan_override=ctx.scan_override,
         epoch=ctx.graph.epoch,
     )
 
@@ -256,7 +256,7 @@ def _index_over(
 ) -> PrunedLandmarkLabeling:
     """Assemble an index over label arrays that arrive frozen.
 
-    The arrays are kept as plain-``ndarray`` views of the backend's
+    The arrays are kept as plain-``ndarray`` views of the basis'
     buffers: a slice of an ``np.memmap`` pays its subclass dispatch
     (``__array_finalize__``) on every scalar query, a view of the
     same pages does not.
@@ -281,7 +281,6 @@ def _context_over(
         oracle=pml,
         two_hop=arrays["two_hop"],
         cost_model=CostModel(**basis.cost_model),
-        scan_override=basis.scan_override,
     )
 
 

@@ -30,16 +30,15 @@ the frozen PML label CSR, and an attaching process reads them as they
 lie (:class:`repro.storage.basis.StoredPML`); a manifest without the
 flag is outside input we refuse.
 
-:class:`MmapSpec` is the picklable handle pool workers receive: just the
-directory path.  Every worker opens the same files; the page cache is
-shared by the kernel, not by us.
+A pool worker receives nothing but the directory path and opens it with
+:func:`load_basis` itself: every worker opens the same files, and the
+page cache is shared by the kernel, not by us.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,6 @@ from repro.utils.files import flush_to_disk, write_atomic
 
 __all__ = [
     "FORMAT_VERSION",
-    "MmapSpec",
     "save_basis",
     "load_basis",
     "read_meta",
@@ -61,19 +59,6 @@ FORMAT_VERSION = 1
 
 _META = "meta.json"
 _LABELS = "labels.pkl"
-
-
-@dataclass(frozen=True)
-class MmapSpec:
-    """Picklable pointer to an on-disk basis (what pool workers attach).
-
-    There is nothing to publish or unlink per worker — the directory is
-    the shared medium and the kernel page cache deduplicates residency
-    across processes.
-    """
-
-    directory: str
-    graph_name: str
 
 
 def save_basis(basis: EngineBasis, directory: str | Path) -> Path:
@@ -167,7 +152,8 @@ def load_basis(directory: str | Path) -> EngineBasis:
     except (OSError, EOFError, pickle.UnpicklingError) as exc:
         raise BasisFormatError(f"unreadable label list in {path}: {exc}") from exc
     # A scalar an older writer did not record keeps its default (epoch 0);
-    # a key no field answers to any more ("batch_enabled") is ignored.
+    # a key no field answers to any more ("batch_enabled",
+    # "scan_override") is ignored.
     scalars = {
         name: meta[name] for name in EngineBasis.scalar_names() if name in meta
     }

@@ -1,11 +1,10 @@
-"""Operational boomerlint tests: robust walking, SARIF, baseline, cache.
+"""Operational boomerlint tests: robust walking, SARIF, cache.
 
-Covers the PR's satellite fixes (unreadable / non-UTF-8 files must not
-abort the run; directory walks must skip ``__pycache__``, hidden dirs,
-and virtualenvs), the suppress edge cases, and the two new CI modes:
-``--baseline`` ratcheting and the content-hash incremental cache — whose
-acceptance criterion (warm run under half the cold time on the shipped
-tree) is asserted here.
+Covers robust walking (unreadable / non-UTF-8 files must not abort the
+run; directory walks must skip ``__pycache__``, hidden dirs, and
+virtualenvs), the suppress edge cases, SARIF output, and the
+content-hash incremental cache — whose acceptance criterion (warm run
+under half the cold time on the shipped tree) is asserted here.
 """
 
 from __future__ import annotations
@@ -17,15 +16,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import (
-    LintEngine,
-    apply_baseline,
-    load_baseline,
-    to_sarif,
-    write_baseline,
-)
+from repro.analysis import LintEngine, to_sarif
 from repro.analysis.engine import PARSE_RULE
-from repro.cli import EXIT_ERROR, EXIT_OK, main
+from repro.cli import EXIT_ERROR, main
 
 
 def tree_with_violation(tmp_path: Path) -> Path:
@@ -148,62 +141,6 @@ class TestSarif:
         assert code == EXIT_ERROR
         log = json.loads(capsys.readouterr().out)
         assert log["runs"][0]["results"]
-
-
-class TestBaseline:
-    def test_ratchet_tolerates_recorded_debt_only(self, tmp_path):
-        engine = LintEngine.for_rule_ids(["R1"])
-        report = engine.lint_paths([tree_with_violation(tmp_path)])
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, report.violations)
-
-        fresh, tolerated = apply_baseline(
-            report.violations, load_baseline(baseline_file)
-        )
-        assert fresh == [] and tolerated == len(report.violations)
-
-        # A *new* violation is not covered by the ratchet.
-        (tmp_path / "repro" / "worse.py").write_text("import random\n")
-        report2 = engine.lint_paths([tmp_path])
-        fresh2, _ = apply_baseline(
-            report2.violations, load_baseline(baseline_file)
-        )
-        assert len(fresh2) == 1
-        assert "worse.py" in fresh2[0].path
-
-    def test_cli_update_then_enforce(self, tmp_path, capsys):
-        tree_with_violation(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        assert (
-            main(
-                ["lint", str(tmp_path), "--update-baseline", str(baseline_file)]
-            )
-            == EXIT_OK
-        )
-        assert baseline_file.is_file()
-        capsys.readouterr()
-        # Same tree + baseline: the gate passes despite the recorded debt.
-        assert (
-            main(["lint", str(tmp_path), "--baseline", str(baseline_file)])
-            == EXIT_OK
-        )
-        # New debt: the gate fails and reports only the new violation.
-        (tmp_path / "repro" / "worse.py").write_text("import random\n")
-        capsys.readouterr()
-        assert (
-            main(["lint", str(tmp_path), "--baseline", str(baseline_file)])
-            == EXIT_ERROR
-        )
-        out = capsys.readouterr().out
-        assert "worse.py" in out and "bad.py" not in out
-
-    def test_missing_baseline_file_is_a_usage_error(self, tmp_path, capsys):
-        tree_with_violation(tmp_path)
-        code = main(
-            ["lint", str(tmp_path), "--baseline", str(tmp_path / "nope.json")]
-        )
-        assert code == EXIT_ERROR
-        assert "update-baseline" in capsys.readouterr().err
 
 
 class TestIncrementalCache:

@@ -109,8 +109,10 @@ PARENT_MATCHES = [[[0, 1], [1, 4], [2, 11]], [[0, 2], [1, 5], [2, 11]], [[0, 2],
 
 class TestLimitsRoundTrip:
     def test_parent_checkpoint_restores_byte_identical(self, fig2_ctx):
-        """The key no field answers to any more is ignored; everything
-        else — nested posture included — comes back as the parent set it."""
+        """Keys no field answers to any more (``trace_capacity``, and the
+        ``pruning``/``max_results``/``trace`` every hosted session now has
+        fixed) are ignored; everything else — nested posture included —
+        comes back as the parent set it."""
         from repro.resilience import ResilienceConfig
         from repro.service.checkpoint import SessionCheckpoint
 
@@ -119,10 +121,11 @@ class TestLimitsRoundTrip:
         assert session.state == "ran"
         assert canonical_matches(session.matches()) == PARENT_MATCHES
         assert session.limits.resilience == ResilienceConfig.paranoid(30.0)
-        # Re-captured, it is the parent's payload minus that one key.
+        # Re-captured, it is the parent's payload minus those keys.
         again = checkpoint_session(session, "drain").to_dict()
         parent = json.loads(PARENT_CHECKPOINT_JSON)
-        del parent["limits"]["trace_capacity"]
+        for gone in ("trace_capacity", "pruning", "max_results", "trace"):
+            del parent["limits"][gone]
         assert again["limits"] == parent["limits"]
         assert again["actions"] == parent["actions"]
 

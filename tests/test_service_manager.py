@@ -14,8 +14,8 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.indexing.oracle import shared_bfs_oracle
+from repro.resilience import ResilienceConfig
 from repro.service import ServeConfig, SessionManager, canonical_matches
-from repro.service.session import SessionLimits
 
 FIG2_ACTIONS = [
     NewVertex(0, "A", latency_after=0.002),
@@ -129,7 +129,8 @@ class TestAdmissionAndEviction:
             with pytest.raises(AdmissionError, match="unknown resilience posture"):
                 manager.create_session(resilience=made_up)
         assert manager.session_ids() == []
-        session = manager.create_session(resilience="strict", deadline_seconds=2.0)
+        strict = ServeConfig(resilience=ResilienceConfig.from_posture("strict", 2.0))
+        session = SessionManager(fig2_ctx, strict).create_session()
         assert session.limits.resilience.deadline_seconds == 2.0
         assert not session.limits.resilience.degrade_to_bu
 

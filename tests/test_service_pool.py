@@ -19,7 +19,12 @@ import pytest
 from repro.errors import RelayedError, StorageError
 from repro.service import ServeConfig, open_host
 from repro.service import protocol
-from repro.storage import attach, basis_from_context, open_backend
+from repro.storage import (
+    BasisDirectory,
+    basis_from_context,
+    context_from_basis,
+    load_basis,
+)
 
 FIG2_WIRE_ACTIONS = [
     {"kind": "NewVertex", "vertex_id": 0, "label": "A"},
@@ -64,11 +69,10 @@ def await_repair(pool, min_requeued=0, deadline_seconds=30.0):
 
 class TestSharedContext:
     def test_publish_attach_round_trip(self, fig2_ctx, tmp_path):
-        """A context attached from the spec answers exactly like the original."""
-        backend = open_backend(
-            "mmap", basis=basis_from_context(fig2_ctx), directory=tmp_path / "b"
-        )
-        shared_ctx = attach(backend.spec())
+        """A context opened from the directory's path, as a worker opens it,
+        answers exactly like the original."""
+        hosted = BasisDirectory(basis_from_context(fig2_ctx), tmp_path / "b")
+        shared_ctx = context_from_basis(load_basis(hosted.directory))
         graph = shared_ctx.graph
         assert graph.num_vertices == fig2_ctx.graph.num_vertices
         assert graph.num_edges == fig2_ctx.graph.num_edges

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
+from repro.obs.metrics import metrics
 from repro.service import SessionManager, canonical_matches
 
 #: Generous virtual latency so every step leaves a real idle window for
@@ -128,3 +129,38 @@ def test_unregistered_sessions_receive_nothing(pooled_ctx):
         manager.apply_action(donor.id, action)
     assert len(beneficiary.boomer.engine.pool) == pooled_before
     assert beneficiary.serviced_edges == 0
+
+
+def test_beneficiary_failure_does_not_fail_the_donor(pooled_ctx):
+    """Donated work that fails is the beneficiary's, not the donor's: the
+    donor's actions all apply and are logged, the failed edge stays in the
+    beneficiary's pool, and the beneficiary's own Run still answers."""
+    manager = SessionManager(pooled_ctx)
+    beneficiary = manager.create_session(strategy="DR", resilience="strict")
+    fill_pool(manager, beneficiary)
+    pooled_before = len(beneficiary.boomer.engine.pool)
+    assert pooled_before > 0
+
+    def oracle_down(edge):
+        raise RuntimeError("injected oracle fault")
+
+    beneficiary.boomer.engine.process_edge = oracle_down
+    before = metrics.snapshot()
+    donor = manager.create_session(strategy="DI")
+    for action in DONOR_ACTIONS:
+        manager.apply_action(donor.id, action)
+    failed = metrics.delta(before, metrics.snapshot())
+    assert failed["repro_idle_cross_session_failures_total"] >= 1
+    assert donor.action_log == DONOR_ACTIONS
+    assert len(beneficiary.boomer.engine.pool) == pooled_before
+    assert beneficiary.serviced_edges == 0
+
+    del beneficiary.boomer.engine.process_edge  # the oracle is back
+    result = manager.run(beneficiary.id)
+    reference = Boomer(pooled_ctx, strategy="DR", auto_idle=False)
+    for action in POOLED_ACTIONS:
+        reference.apply(action)
+    reference.apply(Run())
+    assert canonical_matches(result.matches) == canonical_matches(
+        reference.run_result.matches
+    )

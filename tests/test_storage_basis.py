@@ -1,4 +1,4 @@
-"""Unit tests for the EngineBasis storage API (basis, mmap store, backends)."""
+"""Unit tests for the EngineBasis storage API (basis, mmap store, basis directory)."""
 
 from __future__ import annotations
 
@@ -14,15 +14,12 @@ from repro.datasets.registry import clear_memory_cache, dataset_config, get_data
 from repro.errors import BasisFormatError, DatasetError, StorageError
 from repro.storage import (
     ARRAY_NAMES,
+    BasisDirectory,
     EngineBasis,
-    MmapBackend,
-    ResidentBackend,
     StoredPML,
-    attach,
     basis_from_context,
     context_from_basis,
     load_basis,
-    open_backend,
     read_meta,
     save_basis,
 )
@@ -153,17 +150,17 @@ class TestMmapStore:
                 raise OSError("disk full")
             return real_save(*args, **kwargs)
 
-        # The directory holds another graph's basis, so open_backend saves over it.
+        # The directory holds another graph's basis, so BasisDirectory saves over it.
         monkeypatch.setattr(np, "save", dies_on_the_third)
         with pytest.raises(OSError, match="disk full"):
-            open_backend("mmap", basis=other, directory=directory)
+            BasisDirectory(other, directory)
         monkeypatch.undo()
         with pytest.raises(BasisFormatError, match="meta.json"):
             read_meta(directory)
         # ... and a completed save over the wreck round-trips.
-        backend = open_backend("mmap", basis=other, directory=directory)
-        assert backend.basis.equal_bytes(other)
-        assert backend.basis.graph_name == "other"
+        hosted = BasisDirectory(other, directory)
+        assert hosted.basis.equal_bytes(other)
+        assert hosted.basis.graph_name == "other"
         assert list(directory.glob("*.tmp.*")) == []
 
     def test_version_mismatch_rejected(self, fig2_basis, tmp_path):
@@ -197,6 +194,18 @@ class TestMmapStore:
         assert loaded.equal_bytes(fig2_basis)
         assert run_script(context_from_basis(loaded)) == run_script(fig2_ctx)
 
+    def test_directory_with_a_scan_override_opens(self, fig2_ctx, fig2_basis, tmp_path):
+        """An older writer recorded exp8's ``scan_override`` (always null on
+        disk); the key is ignored and the directory serves the same matches."""
+        directory = save_basis(fig2_basis, tmp_path / "b")
+        meta = json.loads((directory / "meta.json").read_text())
+        assert "scan_override" not in meta
+        meta["scan_override"] = None
+        (directory / "meta.json").write_text(json.dumps(meta))
+        loaded = load_basis(directory)
+        assert loaded.scalars() == fig2_basis.scalars()
+        assert run_script(context_from_basis(loaded)) == run_script(fig2_ctx)
+
     def test_manifest_without_a_required_scalar_rejected(self, fig2_basis, tmp_path):
         directory = save_basis(fig2_basis, tmp_path / "b")
         meta = json.loads((directory / "meta.json").read_text())
@@ -217,46 +226,52 @@ class TestMmapStore:
 
 
 # ----------------------------------------------------------------------
-# Backends + attach dispatch
+# The basis directory a host serves from
 # ----------------------------------------------------------------------
 class TestBackends:
-    def test_resident_backend(self, fig2_ctx, fig2_basis):
-        backend = ResidentBackend(fig2_basis)
-        assert run_script(backend.context()) == run_script(fig2_ctx)
-        with pytest.raises(StorageError, match="cross-process"):
-            backend.spec()
-        backend.close()
-
     def test_mmap_backend_owns_temp_dir(self, fig2_ctx, fig2_basis):
-        backend = MmapBackend.create(fig2_basis)
-        directory = backend.directory
+        hosted = BasisDirectory(fig2_basis)
+        directory = hosted.directory
         assert directory.exists()
-        assert run_script(backend.context()) == run_script(fig2_ctx)
-        backend.close()
+        assert run_script(hosted.context()) == run_script(fig2_ctx)
+        hosted.close()
         assert not directory.exists()
 
     def test_mmap_attach_via_spec(self, fig2_ctx, fig2_basis, tmp_path):
-        backend = MmapBackend.create(fig2_basis, tmp_path / "b")
-        assert run_script(attach(backend.spec())) == run_script(fig2_ctx)
-        backend.close()
+        """Another process opens the directory from its path alone."""
+        hosted = BasisDirectory(fig2_basis, tmp_path / "b")
+        opened = context_from_basis(load_basis(hosted.directory))
+        assert run_script(opened) == run_script(fig2_ctx)
+        hosted.close()
         assert (tmp_path / "b").exists()  # named dirs are never deleted
 
     def test_open_backend_reuses_valid_directory(self, fig2_basis, tmp_path):
         directory = save_basis(fig2_basis, tmp_path / "b")
         before = (directory / "meta.json").stat().st_mtime_ns
-        backend = open_backend("mmap", basis=fig2_basis, directory=directory)
+        hosted = BasisDirectory(fig2_basis, directory)
         assert (directory / "meta.json").stat().st_mtime_ns == before
-        backend.close()
+        hosted.close()
 
-    def test_open_backend_rejects_unknown(self, fig2_basis):
-        with pytest.raises(StorageError, match="unknown storage backend"):
-            open_backend("punchcards", basis=fig2_basis)
-        with pytest.raises(StorageError):
-            open_backend("resident")  # no basis
+    def test_same_name_other_graph_is_saved_over(self, tmp_path):
+        """Two seeds of one generator give graphs with the same name at the
+        same epoch but different edges: a directory holding the first is
+        another graph's basis, saved over, never served for the second."""
+        from repro.graph.generators import wordnet_like
 
-    def test_attach_rejects_unknown_spec(self):
-        with pytest.raises(StorageError, match="unknown storage spec"):
-            attach(object())
+        first, second = wordnet_like(200, seed=1), wordnet_like(200, seed=2)
+        assert (first.name, first.epoch) == (second.name, second.epoch)
+        assert first.num_edges != second.num_edges
+        first_ctx, second_ctx = (
+            make_context(preprocess(g, seed=3, t_avg_samples=50)) for g in (first, second)
+        )
+        directory = save_basis(basis_from_context(first_ctx), tmp_path / "b")
+        hosted = BasisDirectory(basis_from_context(second_ctx), directory)
+        try:
+            assert hosted.context().graph.num_edges == second.num_edges
+            assert hosted.basis.equal_bytes(basis_from_context(second_ctx))
+            assert load_basis(directory).equal_bytes(hosted.basis)
+        finally:
+            hosted.close()
 
 
 # ----------------------------------------------------------------------

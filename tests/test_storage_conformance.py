@@ -1,11 +1,11 @@
 """Cross-backend conformance: byte identity and answer identity.
 
-The storage contract (docs/STORAGE.md): an :class:`EngineBasis` round
-tripped through either backend — resident heap arrays, mmapped npy
-files — yields byte-identical arrays and a context that answers every
-query identically.  Hypothesis drives randomized graphs through both
-backends at once; a stored index answers from its arrays and keeps
-nothing between queries.
+The storage contract (docs/STORAGE.md): an :class:`EngineBasis` held
+on the heap or in a saved basis directory (mmapped npy files) yields
+byte-identical arrays and a context that answers every query
+identically.  Hypothesis drives randomized graphs through both at once;
+a stored index answers from its arrays and keeps nothing between
+queries.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from repro.indexing.oracle import BFSOracle
 from repro.indexing.twohop import hop_pairs
 from repro.storage import (
     ARRAY_NAMES,
-    attach,
+    BasisDirectory,
     basis_from_context,
-    open_backend,
+    context_from_basis,
+    load_basis,
 )
 from repro.storage.basis import StoredPML
 from tests.test_property_graph import labeled_graphs
@@ -49,30 +50,28 @@ def canonical_run(ctx, labels: list[str]):
 
 @contextmanager
 def all_backends(basis, directory):
-    """``{name: backend}`` over one basis: resident and mmap; closed on exit."""
-    backends = {
-        "resident": open_backend("resident", basis=basis),
-        "mmap": open_backend("mmap", basis=basis, directory=directory),
-    }
+    """``{name: context}`` over one basis: the heap (``resident``) and a
+    basis directory (``mmap``), closed on exit."""
+    hosted = BasisDirectory(basis, directory)
     try:
-        yield backends
+        yield {"resident": context_from_basis(basis), "mmap": hosted.context()}
     finally:
-        for backend in backends.values():
-            backend.close()
+        hosted.close()
 
 
 @given(labeled_graphs())
 @settings(max_examples=20, deadline=None)
 def test_backends_byte_and_answer_identical(tmp_path_factory, graph):
-    """Both backends, and a worker's attach, agree bit for bit on random graphs."""
+    """Heap, directory, and a worker opening the directory's path agree
+    bit for bit on random graphs."""
     ctx = make_context(preprocess(graph, seed=5))
     basis = basis_from_context(ctx)
     labels = graph.labels()
     reference = canonical_run(ctx, labels)
 
-    with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as backends:
-        contexts = {name: backend.context() for name, backend in backends.items()}
-        contexts["attached"] = attach(backends["mmap"].spec())
+    directory = tmp_path_factory.mktemp("basis") / "b"
+    with all_backends(basis, directory) as contexts:
+        contexts["attached"] = context_from_basis(load_basis(directory))
         for name, stored_ctx in contexts.items():
             round_tripped = basis_from_context(stored_ctx)
             assert round_tripped.equal_bytes(basis), f"{name}: bytes diverged"
@@ -98,9 +97,9 @@ def test_block_kernel_identical_across_backends(
     np.testing.assert_array_equal(
         ctx.oracle.within_many(sources, targets, upper, skip_equal), want
     )
-    with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as backends:
-        for name, backend in backends.items():
-            oracle = backend.context().oracle
+    with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as contexts:
+        for name, stored_ctx in contexts.items():
+            oracle = stored_ctx.oracle
             assert isinstance(oracle, StoredPML), name
             got = oracle.within_many(sources, targets, upper, skip_equal)
             assert got.dtype == np.int32, name
@@ -117,9 +116,9 @@ def test_hop_kernel_identical_across_backends(tmp_path_factory, graph, data, hop
     subsets = st.lists(st.integers(0, graph.num_vertices - 1), unique=True)
     scanned, member = data.draw(subsets), data.draw(subsets)
     want = hop_pairs(graph, scanned, member, hops)
-    with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as backends:
-        for name, backend in backends.items():
-            stored = backend.context().graph
+    with all_backends(basis, tmp_path_factory.mktemp("basis") / "b") as contexts:
+        for name, stored_ctx in contexts.items():
+            stored = stored_ctx.graph
             if name == "mmap":
                 assert not any(a.flags.writeable for a in stored.raw_csr())
             got = hop_pairs(stored, scanned, member, hops)
@@ -128,16 +127,16 @@ def test_hop_kernel_identical_across_backends(tmp_path_factory, graph, data, hop
 
 
 def check_stored_index_against_heap(ctx, directory, upper, few, bad):
-    """Every backend's ``StoredPML`` against the heap index of ``ctx``:
+    """The heap's and the directory's ``StoredPML`` against the heap index of ``ctx``:
     ``distance`` and ``within`` on all pairs, ``distances_from`` on the
     ``few`` targets and on a list long enough for the dense path, and the
     same first offender raised for the vertex ``bad``."""
     heap, n = ctx.oracle, ctx.graph.num_vertices
     everyone = list(range(n)) * 16  # past the crossover at any label size
     want = [[heap.distance(u, v) for v in range(n)] for u in range(n)]
-    with all_backends(basis_from_context(ctx), directory) as backends:
-        for name, backend in backends.items():
-            stored = backend.context().oracle
+    with all_backends(basis_from_context(ctx), directory) as contexts:
+        for name, stored_ctx in contexts.items():
+            stored = stored_ctx.oracle
             assert isinstance(stored, StoredPML), name
             before = stored.query_count
             for u in range(n):
@@ -206,11 +205,8 @@ def test_scalar_queries_leave_a_stored_index_as_it_was(backend_name, tmp_path):
     from tests.conftest import build_fig2_graph
 
     ctx = make_context(preprocess(build_fig2_graph(), seed=1))
-    backend = open_backend(
-        backend_name, basis=basis_from_context(ctx), directory=tmp_path / "b"
-    )
-    try:
-        stored_ctx = backend.context()
+    with all_backends(basis_from_context(ctx), tmp_path / "b") as contexts:
+        stored_ctx = contexts[backend_name]
         stored, n = stored_ctx.oracle, ctx.graph.num_vertices
         before = dict(vars(stored))
         rng = np.random.default_rng(4)
@@ -233,14 +229,12 @@ def test_scalar_queries_leave_a_stored_index_as_it_was(backend_name, tmp_path):
         ):
             with pytest.raises(StaleIndexError):
                 call()
-    finally:
-        backend.close()
 
 
 def test_epoch_survives_publish_and_attach_on_every_backend(tmp_path):
-    """A basis extracted after an update is at epoch 1, and every backend
-    hands back epoch 1: its own context, and the context a pool worker
-    attaches from the mmap spec."""
+    """A basis extracted after an update is at epoch 1, and epoch 1 is what
+    comes back: from the heap, from the directory, and from the context a
+    pool worker opens from the directory's path."""
     from repro.updates import insert_edge
     from tests.conftest import build_fig2_graph
 
@@ -255,16 +249,12 @@ def test_epoch_survives_publish_and_attach_on_every_backend(tmp_path):
     insert_edge(ctx, u, v)
     basis = basis_from_context(ctx)
     assert basis.epoch == 1 and basis.scalars()["epoch"] == 1
-    with all_backends(basis, tmp_path / "b") as backends:
-        for name, backend in backends.items():
-            own = backend.context()
+    with all_backends(basis, tmp_path / "b") as contexts:
+        contexts["attached"] = context_from_basis(load_basis(tmp_path / "b"))
+        for name, own in contexts.items():
             assert (own.epoch, own.oracle.epoch) == (1, 1), name
             assert own.graph.has_edge(u, v), name
-            if name == "resident":
-                continue
-            attached = attach(backend.spec())
-            assert (attached.epoch, attached.oracle.epoch) == (1, 1), name
-            assert basis_from_context(attached).scalars() == basis.scalars(), name
+            assert basis_from_context(own).scalars() == basis.scalars(), name
 
 
 def test_mmap_pool_worker_end_to_end():
@@ -299,15 +289,13 @@ def test_mmap_pool_worker_end_to_end():
 
 
 def test_memmap_arrays_are_not_copies(tmp_path):
-    """The mmap backend's context reads the files, not heap copies."""
+    """A basis directory's context reads the files, not heap copies."""
     from tests.conftest import build_fig2_graph
 
     ctx = make_context(preprocess(build_fig2_graph(), seed=1))
-    basis = basis_from_context(ctx)
-    backend = open_backend("mmap", basis=basis, directory=tmp_path / "b")
+    hosted = BasisDirectory(basis_from_context(ctx), tmp_path / "b")
     try:
-        opened = backend.basis
         for name in ARRAY_NAMES:
-            assert isinstance(opened.arrays[name], np.memmap), name
+            assert isinstance(hosted.basis.arrays[name], np.memmap), name
     finally:
-        backend.close()
+        hosted.close()

@@ -27,10 +27,10 @@ from repro.indexing.oracle import BFSOracle
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import hop_pairs, two_hop_counts
 from repro.storage import (
+    BasisDirectory,
     basis_from_context,
     context_from_basis,
     load_basis,
-    open_backend,
     save_basis,
 )
 from repro.updates import (
@@ -265,20 +265,18 @@ class TestStorageEpochGuards:
         directory = save_basis(basis_from_context(ctx), tmp_path / "b")
         insert_edge(ctx, 0, 11)  # the live graph moves past the saved dir
         with pytest.raises(StaleIndexError, match="stale"):
-            open_backend(
-                "mmap", basis=basis_from_context(ctx), directory=directory
-            )
+            BasisDirectory(basis_from_context(ctx), directory)
 
     def test_current_basis_dir_reused(self, tmp_path):
         ctx = make_ctx(build_fig2_graph())
         insert_edge(ctx, 0, 11)
         basis = basis_from_context(ctx)
         directory = save_basis(basis, tmp_path / "b")
-        backend = open_backend("mmap", basis=basis, directory=directory)
+        hosted = BasisDirectory(basis, directory)
         try:
-            assert backend.basis.epoch == 1
+            assert hosted.basis.epoch == 1
         finally:
-            backend.close()
+            hosted.close()
 
     def test_basis_from_context_refuses_stale_oracle(self):
         ctx = make_ctx(build_fig2_graph())
