@@ -524,11 +524,12 @@ def _cmd_update_check(args: argparse.Namespace) -> int:
     """Seeded mini-conformance run for incremental graph updates.
 
     Generates seeded synthetic graphs, applies a random insert/delete
-    schedule through :mod:`repro.updates`, and asserts that the
-    maintained index answers every distance byte-identically to a fresh
-    PML build on the mutated graph (plus two-hop count parity).  This is
-    the fast CI gate next to the full hypothesis suite in
-    ``tests/test_updates_conformance.py``.
+    schedule through :mod:`repro.updates`, and asserts after every update
+    that the maintained index answers every distance byte-identically to
+    a fresh PML build on the mutated graph (plus two-hop count parity):
+    a delete repairs only what it reaches, so an error must be caught at
+    the step that made it.  This is the fast CI gate next to the full
+    hypothesis suite in ``tests/test_updates_conformance.py``.
     """
     import numpy as np
 
@@ -537,6 +538,23 @@ def _cmd_update_check(args: argparse.Namespace) -> int:
     from repro.indexing.twohop import two_hop_counts
     from repro.updates import delete_edge, insert_edge
     from repro.utils.rng import seeded_rng
+
+    def divergence(ctx) -> str | None:
+        graph = ctx.graph
+        fresh = PrunedLandmarkLabeling.build(graph)
+        targets = np.arange(graph.num_vertices, dtype=np.int64)
+        for source in range(graph.num_vertices):
+            got = np.asarray(ctx.oracle.distances_from(source, targets))
+            want = np.asarray(fresh.distances_from(source, targets))
+            if not np.array_equal(got, want):
+                bad = int(np.nonzero(got != want)[0][0])
+                return (
+                    f"dist({source}, {bad}) = {int(got[bad])} incremental "
+                    f"vs {int(want[bad])} fresh at epoch {graph.epoch}"
+                )
+        if not np.array_equal(np.asarray(ctx.two_hop), two_hop_counts(graph)):
+            return "two-hop counts diverged from a fresh recount"
+        return None
 
     rng = seeded_rng(args.seed)
     updates_applied = 0
@@ -552,8 +570,9 @@ def _cmd_update_check(args: argparse.Namespace) -> int:
                     u, v = rng.randrange(n), rng.randrange(n)
                     if u != v and not graph.has_edge(u, v):
                         insert_edge(ctx, u, v)
-                        updates_applied += 1
                         break
+                else:
+                    continue
             else:
                 edges = list(graph.iter_edges())
                 if not edges:
@@ -563,28 +582,15 @@ def _cmd_update_check(args: argparse.Namespace) -> int:
                     delete_edge(ctx, u, v)
                 except GraphMutationError:
                     continue
-                updates_applied += 1
-        fresh = PrunedLandmarkLabeling.build(graph)
-        targets = np.arange(n, dtype=np.int64)
-        for source in range(n):
-            got = np.asarray(ctx.oracle.distances_from(source, targets))
-            want = np.asarray(fresh.distances_from(source, targets))
-            if not np.array_equal(got, want):
-                bad = int(np.nonzero(got != want)[0][0])
+            updates_applied += 1
+            failure = divergence(ctx)
+            if failure is not None:
                 print(
-                    f"update-check FAIL (round {round_no}, seed {args.seed}): "
-                    f"dist({source}, {bad}) = {int(got[bad])} incremental "
-                    f"vs {int(want[bad])} fresh at epoch {graph.epoch}",
+                    f"update-check FAIL (round {round_no}, seed {args.seed}, "
+                    f"{kind} {u}-{v}): {failure}",
                     file=sys.stderr,
                 )
                 return EXIT_ERROR
-        if not np.array_equal(np.asarray(ctx.two_hop), two_hop_counts(graph)):
-            print(
-                f"update-check FAIL (round {round_no}, seed {args.seed}): "
-                "two-hop counts diverged from a fresh recount",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
         print(
             f"round {round_no}: {graph.num_vertices} vertices, "
             f"epoch {graph.epoch}, answers identical to fresh build",

@@ -22,6 +22,10 @@ is *pruned* (no label stored, no expansion).  Otherwise the pair
 and a query is a merge join over the two (rank-sorted) label lists —
 exactly the ``O(|C(u)| + |C(v)|)`` cost that Lemma 5.5 charges.
 
+Every pruned BFS, the build's and each one an update resumes or re-runs,
+is one kernel over plain Python lists, :func:`_pruned_bfs`.  The landmark
+order is fixed at build time and kept across updates.
+
 Batch queries
 -------------
 At construction the per-vertex label lists are also finalized into CSR
@@ -39,8 +43,8 @@ typically short labels.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
-from collections import deque
 from itertools import chain
 
 import numpy as np
@@ -52,13 +56,72 @@ from repro.indexing.order import degree_order
 
 __all__ = ["PrunedLandmarkLabeling"]
 
-UNREACHABLE = -1
-_INF = float("inf")
+#: A spread slot no landmark fills: ``_FAR + d`` exceeds every BFS depth.
+_FAR = 1 << 40
 
 #: :meth:`PrunedLandmarkLabeling.within_many` blocks: targets per bitset
 #: table (64-byte rows) and sources per gather (~13k rows, under 1 MB).
 _TARGET_BLOCK = 512
 _SOURCE_BLOCK = 256
+
+
+def _bfs_views(graph: Graph, ranks: list[list[int]], dists: list[list[int]]) -> tuple:
+    """What :func:`_pruned_bfs` runs over: the CSR as lists, the label
+    lists, and two clean scratch lists (spread slots, BFS depths)."""
+    offsets, neighbors = graph.raw_csr()
+    n = graph.num_vertices
+    return offsets.tolist(), neighbors.tolist(), ranks, dists, [_FAR] * n, [-1] * n
+
+
+def _pruned_bfs(
+    views: tuple, rank: int, root: int, start: int | None = None, depth: int = 0
+) -> list[tuple[int, int]]:
+    """Landmark ``rank``'s pruned BFS from ``root``: ``[(w, d)]`` for every
+    vertex it labels, in visit order; the labels are not written.
+
+    The prune reads only entries of rank < ``rank`` (the root's are spread
+    into their slots, every other slot is ``_FAR``).  Resumed from
+    ``start`` at ``depth`` (an insert), ``rank``'s own entry prunes too.
+    """
+    adj_off, adj, ranks, dists, spread, seen = views
+    root_ranks = ranks[root]
+    below = root_ranks[: bisect_left(root_ranks, rank)]
+    for lr, ld in zip(below, dists[root]):
+        spread[lr] = ld
+    spread[rank] = _FAR if start is None else 0
+    start = root if start is None else start
+    labelled = []
+    seen[start] = depth
+    queue = [start]
+    for w in queue:  # grows while iterated: FIFO order, BFS depths
+        dw = seen[w]
+        for lr, ld in zip(ranks[w], dists[w]):
+            if spread[lr] + ld <= dw:
+                break
+        else:
+            labelled.append((w, dw))
+            dw += 1
+            for x in adj[adj_off[w] : adj_off[w + 1]]:
+                if seen[x] < 0:
+                    seen[x] = dw
+                    queue.append(x)
+    for lr in below:
+        spread[lr] = _FAR
+    spread[rank] = _FAR
+    for w in queue:
+        seen[w] = -1
+    return labelled
+
+
+def _put(w_ranks: list[int], w_dists: list[int], rank: int, d: int) -> bool:
+    """Set entry ``(rank, d)`` in one rank-sorted label; True if it is new."""
+    pos = bisect_left(w_ranks, rank)
+    if pos < len(w_ranks) and w_ranks[pos] == rank:
+        w_dists[pos] = d
+        return False
+    w_ranks.insert(pos, rank)
+    w_dists.insert(pos, d)
+    return True
 
 
 class PrunedLandmarkLabeling:
@@ -81,9 +144,9 @@ class PrunedLandmarkLabeling:
     #: keys carry :attr:`epoch`: a superseded index's vectors are unreachable).
     cacheable_vectors = True
 
-    #: Whether :meth:`apply_edge_insert` can patch this index in place.
-    #: Label lists exist only on an index that can be patched: this one
-    #: holds them (its build and insert form) beside the arrays; the
+    #: Whether updates (:meth:`apply_edge_insert`, :meth:`rebuild_inplace`)
+    #: can patch this index in place.  Label lists exist only on an index
+    #: that can be patched: this one holds them beside the arrays; the
     #: storage layer's :class:`~repro.storage.basis.StoredPML` holds the
     #: read-only arrays and nothing else, says False, and must be rebuilt.
     supports_incremental = True
@@ -106,8 +169,8 @@ class PrunedLandmarkLabeling:
     def _finalize_labels(self) -> None:
         """Freeze the label lists into CSR arrays for the batch kernels.
 
-        Runs when the lists are set (``__init__``) and again each time
-        they change (:meth:`apply_edge_insert`), nowhere else; an index
+        Runs when the lists are set (``__init__``) and again each time an
+        update changes them, nowhere else; an index
         assembled over arrays that arrived frozen (:mod:`repro.storage.basis`)
         never calls it.
         """
@@ -139,62 +202,13 @@ class PrunedLandmarkLabeling:
         if order is None:
             order = degree_order(graph)
         n = graph.num_vertices
-        offsets, neighbors = graph.raw_csr()
-
         label_ranks: list[list[int]] = [[] for _ in range(n)]
         label_dists: list[list[int]] = [[] for _ in range(n)]
-
-        # Temporary dense arrays, reused across landmarks.
-        tmp = np.full(n, _INF, dtype=np.float64)  # root's label spread by rank
-        bfs_dist = np.full(n, UNREACHABLE, dtype=np.int32)
-        touched: list[int] = []
-
-        for rank in range(n):
-            root = int(order[rank])
-            # Spread the *root's* current label into tmp (indexed by rank of
-            # the landmark) so pruning queries are O(|label(w)|).
-            r_ranks = label_ranks[root]
-            r_dists = label_dists[root]
-            for lr, ld in zip(r_ranks, r_dists):
-                tmp[lr] = ld
-            tmp[rank] = 0.0
-
-            bfs_dist[root] = 0
-            touched.append(root)
-            frontier = deque([root])
-            while frontier:
-                u = frontier.popleft()
-                du = int(bfs_dist[u])
-
-                # Pruning test: query(root, u) via current labels.
-                w_ranks = label_ranks[u]
-                w_dists = label_dists[u]
-                pruned = False
-                for lr, ld in zip(w_ranks, w_dists):
-                    if tmp[lr] + ld <= du:
-                        pruned = True
-                        break
-                if pruned:
-                    continue
-
-                w_ranks.append(rank)
-                w_dists.append(du)
-
-                for idx in range(int(offsets[u]), int(offsets[u + 1])):
-                    w = int(neighbors[idx])
-                    if bfs_dist[w] == UNREACHABLE:
-                        bfs_dist[w] = du + 1
-                        touched.append(w)
-                        frontier.append(w)
-
-            # Reset temporaries touched this round.
-            for lr in r_ranks:
-                tmp[lr] = _INF
-            tmp[rank] = _INF
-            for v in touched:
-                bfs_dist[v] = UNREACHABLE
-            touched.clear()
-
+        views = _bfs_views(graph, label_ranks, label_dists)
+        for rank, root in enumerate(np.asarray(order).tolist()):
+            for w, d in _pruned_bfs(views, rank, root):
+                label_ranks[w].append(rank)
+                label_dists[w].append(d)
         return cls(graph, label_ranks, label_dists, order)
 
     # ------------------------------------------------------------------
@@ -414,16 +428,39 @@ class PrunedLandmarkLabeling:
         path root→…→u→v→… must pass through the edge, so for every label
         entry ``(r, d)`` of ``u`` it suffices to resume the pruned BFS of
         landmark ``order[r]`` from ``v`` at distance ``d + 1`` (and
-        symmetrically from ``u``).  Resumed visits use the same
-        query-based prune as the static build, so the patched label set
-        stays a valid 2-hop cover — possibly a superset of what a fresh
-        build would store, but answer-identical (the conformance suite
-        asserts exactly that).
+        symmetrically from ``u``).  Resumed visits prune on ranks up to
+        the landmark's own, never above, which :meth:`rebuild_inplace`
+        relies on.  The patched labels may be a superset of a fresh
+        build's and are answer-identical (the conformance suite asserts
+        exactly that).
 
         Must be called *after* :mod:`repro.updates` mutated the graph;
         returns ``(entries_added, entries_updated)`` and syncs
         :attr:`epoch` to the graph's.
         """
+        self._require_patchable(u, v)
+        # The R10 suppressions mark the tree's two legitimate stale reads,
+        # here and in rebuild_inplace: each is a repair path, invoked while
+        # the epoch intentionally lags the graph, and syncs it at exit.
+        ranks, dists = self._label_ranks, self._label_dists  # boomerlint: disable=R10
+        views = _bfs_views(self._graph, ranks, dists)
+        # Snapshot both endpoints' labels first: the first pass may add
+        # entries to u or v, and resuming from those would double-walk.
+        seeds = [(start, list(zip(ranks[end], dists[end]))) for start, end in ((v, u), (u, v))]
+        added = updated = 0
+        for start, entries in seeds:
+            for rank, dist in entries:
+                root = int(self._order[rank])
+                for w, d in _pruned_bfs(views, rank, root, start, dist + 1):
+                    new = _put(ranks[w], dists[w], rank, d)
+                    added += new
+                    updated += not new
+        if added or updated:
+            self._finalize_labels()
+        self._epoch = self._graph.epoch
+        return added, updated
+
+    def _require_patchable(self, u: int, v: int) -> None:
         if not self.supports_incremental:
             raise StaleIndexError(
                 f"{type(self).__name__} holds read-only label arrays and "
@@ -431,75 +468,96 @@ class PrunedLandmarkLabeling:
             )
         self._graph._check_vertex(u)
         self._graph._check_vertex(v)
-        # Snapshot both endpoints' labels first: the first pass may add
-        # entries to u or v, and resuming from those would double-walk.
-        # The R10 suppressions mark the one legitimate stale read in the
-        # tree: this method *is* the repair path, invoked while the epoch
-        # intentionally lags the graph, and it syncs self._epoch at exit.
-        seeds = [
-            (start, list(zip(self._label_ranks[end], self._label_dists[end])))  # boomerlint: disable=R10
-            for start, end in ((v, u), (u, v))
-        ]
+
+    def rebuild_inplace(self, u: int, v: int) -> tuple[int, int]:
+        """Repair the labels for an already-applied edge delete ``{u, v}``.
+
+        Off its root, every entry ``(r, d)`` has a neighbour holding
+        ``(r, <= d - 1)``, so only a landmark labelling ``u`` and ``v`` at
+        different distances, the farther keeping no such neighbour, can
+        hold a now-invalid entry.  Those ranks seed a min-heap; rank ``k``
+        popped is re-run whole (pruning on ranks < ``k``, repaired by
+        then) and the difference spliced in.  A rank-``k`` entry that grew
+        or went can lift a later landmark's prune: anywhere if it sits at
+        that landmark's root, else at ``w`` if the landmark reached ``w``
+        from a pre-delete neighbour and the old entry could have pruned it
+        there.  Those landmarks are queued.  Every vertex keeps the exact
+        entry of the lowest-ranked landmark on its shortest paths, so
+        answers stay exact; docs/UPDATES.md has the argument.
+
+        Returns ``(entries_added, entries_updated)``, removals counted as
+        updates, and syncs :attr:`epoch` to the graph's.
+        """
+        self._require_patchable(u, v)
+        ranks, dists = self._label_ranks, self._label_dists  # boomerlint: disable=R10
+        owners, old_dists, bounds = self._entries_by_rank()
+        views = _bfs_views(self._graph, ranks, dists)
+        adj_off, adj = views[:2]
+        order = np.asarray(self._order).tolist()
+
+        def entry(w: int, rank: int) -> int:
+            pos = bisect_left(ranks[w], rank)
+            hit = pos < len(ranks[w]) and ranks[w][pos] == rank
+            return dists[w][pos] if hit else _FAR
+
+        def later(w: int, k: int) -> zip:  # w's entries of rank > k
+            i = bisect_left(ranks[w], k + 1)
+            return zip(ranks[w][i:], dists[w][i:])
+
+        heap = []
+        for r in set(ranks[u]).intersection(ranks[v]):
+            (d_near, _), (d_far, far) = sorted([(entry(u, r), u), (entry(v, r), v)])
+            support = adj[adj_off[far] : adj_off[far + 1]]
+            if d_near < d_far and all(entry(x, r) >= d_far for x in support):
+                heap.append(r)
+        heapq.heapify(heap)
+        queued = set(heap)
         added = updated = 0
-        for start, entries in seeds:
-            for rank, dist in entries:
-                a, b = self._resume_pruned_bfs(int(rank), start, int(dist) + 1)
-                added += a
-                updated += b
+        while heap:
+            k = heapq.heappop(heap)
+            lo, hi = bounds[k], bounds[k + 1]
+            old = dict(zip(owners[lo:hi].tolist(), old_dists[lo:hi].tolist()))
+            now = dict(_pruned_bfs(views, k, order[k]))
+            longer = [w for w in old if w not in now]
+            for w in longer:  # labelled before, pruned or unreached now
+                pos = bisect_left(ranks[w], k)
+                del ranks[w][pos], dists[w][pos]
+            updated += len(longer)
+            for w, d in now.items():
+                was = old.get(w, _FAR)
+                if d != was:
+                    if d > was:
+                        longer.append(w)
+                    new = _put(ranks[w], dists[w], k, d)
+                    added += new
+                    updated += not new
+            suspects = {r for r in map(self.landmark_rank, longer) if r > k}
+            for w in longer:
+                reached = adj[adj_off[w] : adj_off[w + 1]]
+                if w in (u, v):
+                    reached.append(u + v - w)  # across the deleted edge
+                depth: dict[int, int] = {}
+                for x in reached:
+                    for r, e in later(x, k):
+                        depth[r] = min(depth.get(r, _FAR), e + 1)
+                suspects.update(
+                    r for r, dr in depth.items() if old.get(order[r], _FAR) + old[w] <= dr
+                )
+            for r in suspects - queued:
+                queued.add(r)
+                heapq.heappush(heap, r)
         if added or updated:
             self._finalize_labels()
         self._epoch = self._graph.epoch
         return added, updated
 
-    def _resume_pruned_bfs(self, rank: int, start: int, dist: int) -> tuple[int, int]:
-        """Resume landmark ``order[rank]``'s pruned BFS from one vertex."""
-        root = int(self._order[rank])
-        offsets, neighbors = self._graph.raw_csr()
-        added = updated = 0
-        best_seen = {start: dist}
-        frontier = deque([(start, dist)])
-        while frontier:
-            w, dw = frontier.popleft()
-            # Prune exactly like the static build: if the current labels
-            # already certify dist(root, w) <= dw, neither w's label nor
-            # anything beyond it can improve.  (root's own label holds
-            # (rank, 0), so an existing entry (rank, d<=dw) at w prunes.)
-            cur = self._merge(root, w) if w != root else 0
-            if 0 <= cur <= dw:
-                continue
-            ranks_w = self._label_ranks[w]
-            dists_w = self._label_dists[w]
-            pos = bisect_left(ranks_w, rank)
-            if pos < len(ranks_w) and ranks_w[pos] == rank:
-                dists_w[pos] = dw  # shorter path via the new edge
-                updated += 1
-            else:
-                ranks_w.insert(pos, rank)
-                dists_w.insert(pos, dw)
-                added += 1
-            for idx in range(int(offsets[w]), int(offsets[w + 1])):
-                x = int(neighbors[idx])
-                dx = dw + 1
-                if best_seen.get(x, dx + 1) > dx:
-                    best_seen[x] = dx
-                    frontier.append((x, dx))
-        return added, updated
-
-    def rebuild_inplace(self) -> None:
-        """Conservative fallback: rebuild the labels over the current CSR.
-
-        Edge deletes can *lengthen* distances, which would require
-        retracting label entries whose shortest paths died — identifying
-        those precisely costs about as much as rebuilding the affected
-        landmarks, so the fallback rebuilds outright (fresh degree
-        order, exactly what a cold build would produce) while keeping
-        this object's identity: every context, session, and cache key
-        holding the oracle sees the repaired index without re-plumbing.
-        """
-        fresh = PrunedLandmarkLabeling.build(self._graph)
-        fresh.query_count = self.query_count
-        self.__dict__.pop("_rank_of", None)  # landmark order may have changed
-        self.__dict__.update(fresh.__dict__)
+    def _entries_by_rank(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The frozen label CSR, rank-major: rank ``k``'s entries are
+        ``owners[b[k]:b[k + 1]]`` at ``dists[b[k]:b[k + 1]]``."""
+        offsets, by_rank = self._label_offsets, np.argsort(self._label_ranks_arr, kind="stable")
+        owners = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))[by_rank]
+        bounds = np.searchsorted(self._label_ranks_arr[by_rank], np.arange(offsets.size))
+        return owners, self._label_dists_arr[by_rank], bounds.tolist()
 
     # ------------------------------------------------------------------
     # Introspection

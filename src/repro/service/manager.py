@@ -406,8 +406,8 @@ class SessionManager:
         rather than stalling them indefinitely.
 
         The mutation itself is :mod:`repro.updates` orchestration —
-        epoch bump, incremental PML patch (insert) or conservative
-        rebuild (delete), two-hop repair, distance-cache invalidation —
+        epoch bump, incremental PML patch (insert) or decremental
+        repair (delete), two-hop repair, distance-cache invalidation —
         so a refusal (:class:`~repro.errors.GraphMutationError`,
         :class:`~repro.errors.StaleIndexError` for stored bases) leaves
         graph and indexes exactly as they were.

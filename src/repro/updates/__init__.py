@@ -12,7 +12,8 @@ flags CSR mutation anywhere else) and it keeps that assumption true:
 * :func:`insert_edge` / :func:`delete_edge` orchestrate a whole
   :class:`~repro.core.context.EngineContext` through an update —
   incremental PML label patching for inserts (resumed pruned BFS, the
-  dynamic-PLL rule), a conservative full rebuild for deletes, in-place
+  dynamic-PLL rule), a re-run of only the landmarks a delete can reach
+  (in rank order, the build's landmark order kept) for deletes, in-place
   two-hop count repair for the affected vertices, and proactive
   invalidation of the shared distance-vector cache;
 * every derived structure validates the epoch before answering, so a

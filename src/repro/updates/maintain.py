@@ -12,8 +12,9 @@ and :func:`delete_edge` move them *together*:
    graph and index never diverge);
 2. splice the CSR and bump the epoch (:mod:`repro.updates.csr`);
 3. repair the oracle — incremental label patching for inserts
-   (dynamic-PLL resumed pruned BFS), conservative full rebuild for
-   deletes, nothing for a BFS oracle (its epoch-checked memo self-heals);
+   (dynamic-PLL resumed pruned BFS), for deletes a rank-ordered re-run
+   of only the landmarks the delete can reach, nothing for a BFS oracle
+   (its epoch-checked memo self-heals);
 4. recompute the two-hop counts of the affected vertices in place
    (``{u, v} ∪ N(u) ∪ N(v)``, neighborhoods read on the side of the
    update where the edge exists);
@@ -48,8 +49,9 @@ class UpdateReport:
     """What one edge update did, and what it cost.
 
     ``strategy`` names how the oracle was maintained:
-    ``pml-incremental`` (resumed pruned BFS), ``pml-rebuild`` (the
-    conservative delete fallback), ``bfs-selfheal`` (nothing to do — the
+    ``pml-incremental`` (resumed pruned BFS), ``pml-decremental`` (the
+    affected landmarks' BFSs re-run in rank order; ``labels_updated``
+    counts changed and removed entries), ``bfs-selfheal`` (nothing to do — the
     BFS memo validates epochs itself), or ``none`` (an epoch-unaware
     scalar oracle with no retained state, e.g. a bare counting wrapper
     over one of the above is unwrapped first).
@@ -133,8 +135,8 @@ def _maintain_oracle(oracle: object, kind: str, u: int, v: int) -> tuple[str, in
         if kind == "insert":
             added, updated = oracle.apply_edge_insert(u, v)
             return "pml-incremental", added, updated
-        oracle.rebuild_inplace()
-        return "pml-rebuild", 0, 0
+        added, updated = oracle.rebuild_inplace(u, v)
+        return "pml-decremental", added, updated
     if isinstance(oracle, BFSOracle):
         return "bfs-selfheal", 0, 0
     return "none", 0, 0

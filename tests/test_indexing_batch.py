@@ -281,7 +281,7 @@ class TestBlockContract:
                 reference_block(ctx.graph, everyone, everyone, upper, True),
             )
         u, v = next(iter(ctx.graph.iter_edges()))
-        delete_edge(ctx, u, v)  # rebuild_inplace: fresh label arrays
+        delete_edge(ctx, u, v)  # rebuild_inplace: spliced, re-frozen labels
         for upper in (1, 2, 3):
             assert_block(
                 ctx.oracle.within_many(everyone, everyone, upper),

@@ -69,7 +69,7 @@ class TestManagerUpdate:
     def test_delete_rebuilds(self, ctx):
         manager = SessionManager(ctx)
         report = manager.apply_update("delete", 1, 4)
-        assert report.strategy == "pml-rebuild"
+        assert report.strategy == "pml-decremental"
         assert manager.base_ctx.graph.epoch == 1
 
     def test_unknown_kind_is_typed(self, ctx):

@@ -22,8 +22,10 @@ from repro.core.cost import CostModel
 from repro.errors import StaleIndexError
 from repro.graph.algorithms import bfs_distances
 from repro.graph.builder import GraphBuilder
+from repro.graph.generators import wordnet_like
 from repro.indexing.batch import DistanceVectorCache, shared_distance_cache
 from repro.indexing.oracle import BFSOracle
+from repro.indexing.order import degree_order
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import hop_pairs, two_hop_counts
 from repro.storage import (
@@ -39,15 +41,16 @@ from repro.updates import (
     graph_insert_edge,
     insert_edge,
 )
+from repro.utils.rng import seeded_rng
 from tests.conftest import build_fig2_graph
 from tests.test_property_graph import labeled_graphs
 
 
-def make_ctx(graph):
+def make_ctx(graph, order=None):
     """A lightweight context: real PML + two-hop, synthetic cost model."""
     return EngineContext(
         graph=graph,
-        oracle=PrunedLandmarkLabeling.build(graph),
+        oracle=PrunedLandmarkLabeling.build(graph, order),
         two_hop=two_hop_counts(graph),
         cost_model=CostModel(t_avg=1e-6, t_lat=0.1),
     )
@@ -152,11 +155,54 @@ class TestScheduleConformance:
         assert [r.epoch for r in reports] == [1, 2, 3]
         assert [r.strategy for r in reports] == [
             "pml-incremental",
-            "pml-rebuild",
+            "pml-decremental",
             "pml-incremental",
         ]
         assert reports[0].edge == (0, 11)
         assert all(r.two_hop_recomputed > 0 for r in reports)
+        assert_matches_fresh_build(ctx)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_mixed_schedule_checked_after_every_step(self, seed):
+        """A delete repairs only the landmarks it can reach, so an insert
+        patch's error would now outlive it: at a size where the delete
+        cascade runs, every step must answer like a fresh build."""
+        graph = wordnet_like(150, seed=seed)
+        ctx = make_ctx(graph)
+        rng = seeded_rng(seed)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                u, v = rng.sample(range(graph.num_vertices), 2)
+                if graph.has_edge(u, v):
+                    continue
+                insert_edge(ctx, u, v)
+            else:
+                delete_edge(ctx, *rng.choice(sorted(graph.iter_edges())))
+            assert_matches_fresh_build(ctx)
+        assert graph.epoch >= 20
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_delete_only_schedule_equals_same_order_build(self, seed):
+        """After deletes alone, the repaired labels are byte for byte what a
+        build in the kept landmark order stores."""
+        graph = wordnet_like(150, seed=seed)
+        order = degree_order(graph)  # the build's, kept through every delete
+        ctx = make_ctx(graph, order)
+        rng = seeded_rng(seed)
+        for _ in range(10):
+            delete_edge(ctx, *rng.choice(sorted(graph.iter_edges())))
+            fresh = make_ctx(graph, order)
+            got, want = basis_from_context(ctx), basis_from_context(fresh)
+            for name in ("pml_offsets", "pml_ranks", "pml_dists"):
+                assert np.array_equal(got.arrays[name], want.arrays[name]), name
+
+    def test_delete_report_counts_the_entries_it_changed(self):
+        ctx = make_ctx(build_fig2_graph())
+        total = ctx.oracle.total_label_entries()
+        report = delete_edge(ctx, 1, 4)  # v2's only edge: its labels go
+        assert report.strategy == "pml-decremental"
+        assert 0 < report.labels_added + report.labels_updated < total
+        assert ctx.oracle.total_label_entries() < total
         assert_matches_fresh_build(ctx)
 
     def test_apply_updates_unknown_kind(self):
