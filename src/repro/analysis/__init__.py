@@ -7,11 +7,10 @@ on are *enforced on every commit*, not sampled by tests:
   :mod:`~repro.analysis.rules`, :mod:`~repro.analysis.registry`,
   :mod:`~repro.analysis.suppress`) — an AST-walking lint engine whose
   rules encode this repo's contracts: seeded-RNG determinism (R1), the
-  typed error taxonomy (R2), the batch oracle contract (R3), the
-  metrics/span naming taxonomy (R4), public-API coherence (R5), and
-  service lock discipline (R6).  On top of the per-file tier sits a
-  whole-program tier (:mod:`~repro.analysis.project`,
-  :mod:`~repro.analysis.dataflow`, :mod:`~repro.analysis.rules_flow`,
+  typed error taxonomy (R2), the metrics/span naming taxonomy (R4),
+  public-API coherence (R5), and service lock discipline (R6).  On top
+  of the per-file tier sits a whole-program tier
+  (:mod:`~repro.analysis.project`, :mod:`~repro.analysis.dataflow`, :mod:`~repro.analysis.rules_flow`,
   :mod:`~repro.analysis.rules_project`): cross-module protocol-drift
   (R9), epoch-guard flow (R10), resource lifecycle (R11), and inferred
   lock-guard (R12) rules, plus SARIF output and a content-hash

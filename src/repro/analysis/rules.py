@@ -12,12 +12,6 @@ R2     Error taxonomy — ``raise`` sites in the user-facing paths
        (``repro/cli.py``, ``repro/gui/``, ``repro/service/``) must use
        typed :mod:`repro.errors` classes, never bare builtins, so the v2
        wire protocol's stable error codes cover every failure.
-R3     Oracle batch contract — any (non-Protocol) class exposing
-       ``distance``/``within`` must either implement the
-       :class:`~repro.indexing.oracle.BatchDistanceOracle` kernels
-       (``distances_from`` + ``within_many``) or declare
-       ``batch_via_shim = True``, acknowledging it is served by
-       :mod:`repro.indexing.batch`'s per-pair fallback shim.
 R4     Metrics & span taxonomy — instrument names must match the
        ``repro_*`` Prometheus conventions (counters end ``_total``,
        histograms carry a unit suffix) and literal span names must exist
@@ -61,7 +55,6 @@ from repro.analysis.registry import Rule, Violation, register
 __all__ = [
     "DeterminismRule",
     "ErrorTaxonomyRule",
-    "OracleContractRule",
     "MetricsSpanTaxonomyRule",
     "PublicApiRule",
     "LockDisciplineRule",
@@ -88,14 +81,6 @@ def _first_str_arg(call: ast.Call) -> tuple[str, ast.expr] | None:
         if isinstance(value, str):
             return value, call.args[0]
     return None
-
-
-def _method_names(cls: ast.ClassDef) -> set[str]:
-    return {
-        stmt.name
-        for stmt in cls.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
 
 
 # ----------------------------------------------------------------------
@@ -205,57 +190,6 @@ class ErrorTaxonomyRule(Rule):
                     f"untyped 'raise {target.id}' in a wire-visible path; "
                     "use a repro.errors class with a stable code",
                 )
-
-
-# ----------------------------------------------------------------------
-# R3 — oracle batch contract
-# ----------------------------------------------------------------------
-@register
-class OracleContractRule(Rule):
-    """Scalar-only oracles must declare how batch queries reach them."""
-
-    id = "R3"
-    title = "classes exposing distance() must implement or declare batch routing"
-
-    def check(self, module) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if any(_trailing_name(base) == "Protocol" for base in node.bases):
-                continue  # protocol definitions are the contract, not impls
-            methods = _method_names(node)
-            if "distance" not in methods or "within" not in methods:
-                continue
-            if {"distances_from", "within_many"} <= methods:
-                continue
-            if self._declares_shim(node):
-                continue
-            yield self.violation(
-                module,
-                node,
-                f"class {node.name} exposes distance()/within() but neither "
-                "implements distances_from()/within_many() nor declares "
-                "'batch_via_shim = True' (BatchDistanceOracle contract)",
-            )
-
-    @staticmethod
-    def _declares_shim(cls: ast.ClassDef) -> bool:
-        for stmt in cls.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "batch_via_shim"
-                    and isinstance(value, ast.Constant)
-                    and value.value is True
-                ):
-                    return True
-        return False
 
 
 # ----------------------------------------------------------------------

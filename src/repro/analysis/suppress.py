@@ -6,7 +6,7 @@ Two scopes, both spelled in ordinary comments so they survive formatters:
   *trailing* comment suppresses the named rules on that line; on a
   comment-only line it suppresses them on the next source line too (the
   "banner" form, for statements that are awkward to tail-comment);
-* file scope — ``# boomerlint: disable-file=R3`` anywhere in the file
+* file scope — ``# boomerlint: disable-file=R6`` anywhere in the file
   (conventionally the top) suppresses the named rules for the whole
   module.
 

@@ -27,10 +27,8 @@ class EngineCounters:
 
     distance_queries: int = 0
     #: Interpreter-level oracle invocations.  A scalar query is 1; a batch
-    #: query through a native kernel is 1 per kernel call (a whole
-    #: ``within_many`` block is one) regardless of how many logical
-    #: distances it answered; a batch query that fell back to the
-    #: per-pair shim counts every shim call.  The ratio
+    #: query is 1 per kernel call (a whole ``within_many`` block is one)
+    #: regardless of how many logical distances it answered.  The ratio
     #: ``distance_queries / oracle_calls`` is the batching win
     #: ``tests/test_batch_parity.py`` gates on.
     oracle_calls: int = 0
@@ -70,9 +68,9 @@ class EngineContext:
     A Results page (:func:`~repro.core.lowerbound.filter_by_lower_bound`
     over a chunk of rows) charges ``distance_queries`` one logical query
     per distinct (source, target) pair of its cells and ``oracle_calls``
-    one per distinct target (a kernel invocation; one per pair on the
-    scalar shim).  The BFS level arrays that answer every other distance
-    are graph reads, not oracle queries, and are charged to neither.
+    one per distinct target (a kernel invocation).  The BFS level arrays
+    that answer every other distance are graph reads, not oracle queries,
+    and are charged to neither.
     """
 
     graph: Graph
@@ -109,27 +107,16 @@ class EngineContext:
         self.counters.oracle_calls += 1
         return self.oracle.within(u, v, upper)
 
-    # -- batched queries (see repro.indexing.batch) --------------------
-    def _use_batch(self) -> bool:
-        """Native kernels when the oracle has them; scalar-only oracles
-        (counting wrappers, fault injectors) get the per-pair shim, so
-        every logical query still reaches them one call at a time."""
-        return _batch.supports_batch(self.oracle)
-
+    # -- kernel queries (see repro.indexing.batch) ---------------------
     def distances_from(self, source: int, targets) -> np.ndarray:
         """Counted batch distance query: ``dist(source, t)`` per target.
 
-        Counts one logical ``distance_queries`` per target either way;
-        ``oracle_calls`` records 1 for a native kernel call versus one
-        per target on the scalar fallback.
+        One logical ``distance_queries`` per target, one ``oracle_calls``.
         """
         t = np.asarray(targets, dtype=np.int64)
         self.counters.distance_queries += int(t.size)
-        if self._use_batch():
-            self.counters.oracle_calls += 1
-            return _batch.distances_from(self.oracle, source, t)
-        self.counters.oracle_calls += int(t.size)
-        return _batch.scalar_distances(self.oracle, source, t)
+        self.counters.oracle_calls += 1
+        return _batch.distances_from(self.oracle, source, t)
 
     def within_many(
         self, sources, targets, upper: int, skip_equal: bool = False
@@ -138,19 +125,10 @@ class EngineContext:
 
         Returns the qualifying pairs as an int32 ``(P, 2)`` block in the
         emission order of the per-pair double loop (source-major, targets
-        in the given order) under either path.  ``distance_queries`` is
-        charged all ``|sources|·|targets|`` logical queries (Lemma 5.5),
-        the diagonal ``skip_equal=True`` keeps from the oracle included;
-        ``oracle_calls`` 1 for the kernel, else one per evaluated pair.
+        in the given order).  ``distance_queries`` is charged all
+        ``|sources|·|targets|`` logical queries (Lemma 5.5), the diagonal
+        ``skip_equal=True`` keeps from the oracle included; ``oracle_calls`` 1.
         """
-        queries = len(sources) * len(targets)
-        self.counters.distance_queries += queries
-        if self._use_batch():
-            self.counters.oracle_calls += 1
-            return self.oracle.within_many(sources, targets, upper, skip_equal)
-        if skip_equal:
-            queries -= len(set(sources).intersection(targets))
-        self.counters.oracle_calls += queries
-        return _batch.scalar_within_many(
-            self.oracle, sources, targets, upper, skip_equal
-        )
+        self.counters.distance_queries += len(sources) * len(targets)
+        self.counters.oracle_calls += 1
+        return self.oracle.within_many(sources, targets, upper, skip_equal)

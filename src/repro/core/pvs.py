@@ -144,8 +144,7 @@ def large_upper_search(cap: CAPIndex, ctx: EngineContext, edge: QueryEdge) -> No
     the Lemma 5.5 accounting this search always reported.
     """
     qi, qj = edge.u, edge.v
-    # Ascending levels in, a block sorted by (v_i, v_j) out; on the per-pair
-    # fallback that also fixes the oracle call order and so the fault schedules.
+    # Ascending levels in, a block sorted by (v_i, v_j) out.
     pairs = ctx.within_many(
         cap.candidates(qi), cap.candidates(qj), edge.upper, skip_equal=True
     )

@@ -48,8 +48,13 @@ class InjectedFaultError(RuntimeError):
 class FaultyOracle:
     """Distance-oracle wrapper that fails and stalls per its spec.
 
-    Implements the :class:`~repro.indexing.oracle.DistanceOracle` protocol.
-    Three failure modes, all seeded:
+    Implements the :class:`~repro.indexing.oracle.DistanceOracle` protocol
+    and forwards all four methods to ``inner``.  A *call* is one method
+    invocation: a scalar query, or one ``distances_from``/``within_many``
+    kernel call however many pairs it answers — the unit
+    ``EngineCounters.oracle_calls`` counts, so :attr:`calls` equals it
+    for a session over this oracle.  Three failure modes, all seeded and
+    all per call:
 
     * *transient*: each call independently fails with probability
       ``spec.transient_rate`` (in bursts of ``spec.transient_burst``
@@ -60,11 +65,6 @@ class FaultyOracle:
       additionally sleeps ``spec.latency_spike_seconds`` — slow is a fault
       mode too, and it is what deadlines exist for.
     """
-
-    #: Scalar-only on purpose (R3): batch dispatch must reach the fault
-    #: schedule one ``distance``/``within`` call at a time, or injected
-    #: failures would stop lining up with the scalar replay.
-    batch_via_shim = True
 
     def __init__(self, inner: DistanceOracle, spec: OracleFaultSpec, seed: int = 0) -> None:
         self.inner = inner
@@ -108,6 +108,18 @@ class FaultyOracle:
         """Counted, possibly-faulty bounded-distance check."""
         self._tick()
         return self.inner.within(u, v, upper)
+
+    def distances_from(self, source: int, targets) -> np.ndarray:
+        """One counted, possibly-faulty kernel call for every target."""
+        self._tick()
+        return self.inner.distances_from(source, targets)
+
+    def within_many(
+        self, sources, targets, upper: int, skip_equal: bool = False
+    ) -> np.ndarray:
+        """One counted, possibly-faulty kernel call for the whole block."""
+        self._tick()
+        return self.inner.within_many(sources, targets, upper, skip_equal)
 
 
 class FaultyLatencyModel:

@@ -36,7 +36,13 @@ __all__ = ["OracleFaultSpec", "GUIFaultSpec", "CAPCorruptionSpec", "FaultPlan"]
 
 @dataclass(frozen=True)
 class OracleFaultSpec:
-    """How the distance oracle fails."""
+    """How the distance oracle fails.
+
+    Every field counts *calls*: one scalar ``distance``/``within``, or one
+    ``distances_from``/``within_many`` kernel call however many pairs it
+    answers — the unit of ``EngineCounters.oracle_calls``.  An upper-3
+    edge is one call, so a 2 % rate fails it about once in fifty.
+    """
 
     #: Per-call probability of a transient failure.
     transient_rate: float = 0.0

@@ -7,23 +7,17 @@ over per-vertex label lists.  BOOMER is orthogonal to the specific oracle
 (paper, footnote 5), so the package also ships a plain-BFS oracle used for
 testing and for the PML-vs-BFS ablation bench.
 
-Beside the scalar ``distance``/``within`` contract, oracles may implement
-the batch contract (``distances_from``/``within_many``); the
-:mod:`repro.indexing.batch` module dispatches to it — with a per-pair
-fallback shim for scalar-only oracles — and hosts the process-wide
-distance-vector cache shared across service sessions.
+An oracle answers the scalar ``distance``/``within`` and the kernels
+``distances_from``/``within_many``; :mod:`repro.indexing.batch` holds the
+pieces the kernels share and the process-wide distance-vector cache
+shared across service sessions.
 """
 
 from repro.indexing.batch import DistanceVectorCache, shared_distance_cache
 from repro.indexing.kneighborhood import KNeighborhoodIndex
 from repro.indexing.order import degree_order, random_order
 from repro.indexing.pml import PrunedLandmarkLabeling
-from repro.indexing.oracle import (
-    BatchDistanceOracle,
-    BFSOracle,
-    CountingOracle,
-    DistanceOracle,
-)
+from repro.indexing.oracle import BFSOracle, DistanceOracle
 from repro.indexing.twohop import two_hop_counts, two_hop_neighbors
 
 __all__ = [
@@ -32,9 +26,7 @@ __all__ = [
     "random_order",
     "PrunedLandmarkLabeling",
     "DistanceOracle",
-    "BatchDistanceOracle",
     "BFSOracle",
-    "CountingOracle",
     "DistanceVectorCache",
     "shared_distance_cache",
     "two_hop_counts",

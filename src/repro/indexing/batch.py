@@ -1,24 +1,16 @@
-"""Batched distance kernels and the shared distance-vector cache.
+"""Shared pieces of the oracle kernels and the distance-vector cache.
 
-AIVS materialization (PVS / Algorithm 8) and the BU baseline are dominated
-by interpreter-level ``oracle.within(u, v, upper)`` loops over candidate
-pairs.  This module is the batch side of the oracle contract:
+AIVS materialization (PVS / Algorithm 8) and the BU baseline ask an
+oracle's kernels (``distances_from``/``within_many``, see
+:class:`~repro.indexing.oracle.DistanceOracle`) instead of looping over
+candidate pairs.  This module holds what those kernels share:
 
-* :func:`distances_from` — routes a one-source-vs-many query to an
-  oracle's native kernel (:class:`~repro.indexing.pml.PrunedLandmarkLabeling`
-  answers over CSR label arrays, :class:`~repro.indexing.oracle.BFSOracle`
-  over cached BFS vectors) and otherwise falls back to the per-pair
-  scalar loop; :class:`~repro.core.context.EngineContext` makes the same
-  choice (:func:`supports_batch`) for a whole (sources x targets)
-  ``within_many`` block.  The fallback (:func:`scalar_distances`,
-  :func:`scalar_within_many`) is what keeps
-  :class:`~repro.indexing.oracle.CountingOracle` and the fault injectors
-  working unchanged: every logical query still reaches ``distance``/
-  ``within`` one call at a time, so counts and fault schedules are
-  preserved.  ``within_many`` returns, on every path, the same int32
-  ``(P, 2)`` block of qualifying pairs; :func:`checked_block` and
-  :func:`pair_block` are the pieces of that contract the native kernels
-  share.
+* :func:`distances_from` — a one-source-vs-many query, routed through
+  the full-vector cache below for oracles that advertise
+  ``cacheable_vectors`` and a target set wide enough to pay for it;
+  every other query goes straight to the oracle's own kernel.
+  :func:`checked_block` and :func:`pair_block` are the validation and
+  the int32 ``(P, 2)`` pair block every ``within_many`` kernel returns.
 * :class:`DistanceVectorCache` — a process-wide bounded LRU of full
   distance vectors for :func:`distances_from` (``within_many``, the Run
   path, never consults it), keyed so that neither a graph update nor a
@@ -26,7 +18,7 @@ pairs.  This module is the batch side of the oracle contract:
   :mod:`repro.obs.metrics` (``repro_distcache_hits_total`` /
   ``repro_distcache_misses_total``).
 
-Batch answers are bit-identical to the scalar path by construction, and
+Kernel answers are bit-identical to the scalar loop by construction, and
 every consumer that batches preserves its scalar iteration order.
 """
 
@@ -42,12 +34,9 @@ from repro.errors import VertexNotFoundError
 from repro.obs.metrics import metrics
 
 __all__ = [
-    "supports_batch",
     "distances_from",
     "checked_block",
     "pair_block",
-    "scalar_distances",
-    "scalar_within_many",
     "DistanceVectorCache",
     "shared_distance_cache",
 ]
@@ -56,7 +45,7 @@ __all__ = [
 Ids = Sequence[int] | np.ndarray
 
 #: Below this many targets a full-vector cache fill costs more than it
-#: saves; the query goes straight to the oracle's native kernel.
+#: saves; the query goes straight to the oracle's own kernel.
 FULL_VECTOR_MIN_TARGETS = 32
 
 #: The cache detour computes dist(source, *) for ALL n vertices, which is
@@ -66,25 +55,14 @@ FULL_VECTOR_MIN_TARGETS = 32
 FULL_VECTOR_MAX_OVERFILL = 4
 
 
-def supports_batch(oracle: object) -> bool:
-    """True iff ``oracle`` implements the native batch contract."""
-    return hasattr(oracle, "distances_from") and hasattr(oracle, "within_many")
-
-
-# ----------------------------------------------------------------------
-# Dispatcher
-# ----------------------------------------------------------------------
 def distances_from(oracle: object, source: int, targets: Ids) -> np.ndarray:
     """``dist(source, t)`` for every ``t`` in ``targets`` (int32, -1 = unreachable).
 
-    Uses the oracle's native vectorized kernel when it has one (routing
-    large target sets through :data:`shared_distance_cache` for oracles
-    that advertise ``cacheable_vectors``), else falls back to one scalar
-    ``distance`` call per target.
+    The oracle's own kernel, except that large target sets of an oracle
+    advertising ``cacheable_vectors`` go through
+    :data:`shared_distance_cache`.
     """
     t = np.asarray(targets, dtype=np.int64)
-    if not supports_batch(oracle):
-        return scalar_distances(oracle, source, t)
     graph = getattr(oracle, "graph", None)
     if (
         t.size >= FULL_VECTOR_MIN_TARGETS
@@ -133,32 +111,6 @@ def pair_block(
     block[:, 0] = sources[rows]
     block[:, 1] = targets[cols]
     return block, rows
-
-
-# ----------------------------------------------------------------------
-# Per-pair fallback shim
-# ----------------------------------------------------------------------
-def scalar_distances(oracle: object, source: int, targets: Ids) -> np.ndarray:
-    """The per-pair shim, one ``oracle.distance`` call per target: the
-    fallback for batch-incapable oracles (counting wrappers, fault
-    injectors) and the reference arm batch kernels are verified against."""
-    t = np.asarray(targets, dtype=np.int64).tolist()
-    source = int(source)
-    return np.array([oracle.distance(source, v) for v in t], dtype=np.int32)
-
-
-def scalar_within_many(
-    oracle: object, sources: Ids, targets: Ids, upper: int, skip_equal: bool = False
-) -> np.ndarray:
-    """One ``within`` per pair, same block and row order as the kernel."""
-    t = np.asarray(targets, dtype=np.int64).tolist()
-    pairs = [
-        (u, v)
-        for u in np.asarray(sources, dtype=np.int64).tolist()
-        for v in t
-        if not (skip_equal and u == v) and oracle.within(u, v, upper)
-    ]
-    return np.array(pairs, dtype=np.int32).reshape(-1, 2)
 
 
 # ----------------------------------------------------------------------

@@ -2,33 +2,27 @@
 
 The BOOMER framework "is orthogonal to the choice of exact shortest-path
 distance computation technique" (paper, footnote 5): any oracle exposing
-``distance``/``within`` can be plugged into the CAP machinery.  This module
-defines that protocol plus two implementations used beside PML:
+the four methods of :class:`DistanceOracle` can be plugged into the CAP
+machinery.  Two are scalar (``distance``, ``within``); two are kernels
+answering one source against many targets (``distances_from``) or a whole
+(sources x targets) block (``within_many``) in one interpreter-level
+call.  The engine sends every batch query to the kernels, so a wrapper
+(the fault injector) sees exactly the calls production makes.  Kernel
+answers must be bit-identical to the equivalent loop of scalar calls,
+errors included.
 
-* :class:`BFSOracle` — plain per-source BFS with memoization; the reference
-  oracle for correctness tests and the "no index" arm of the PML ablation.
-* :class:`CountingOracle` — a wrapper counting/delegating queries, used by
-  experiments to report how many distance queries each strategy issues.
-
-Batch contract
---------------
-Oracles may additionally implement :class:`BatchDistanceOracle` —
-``distances_from(source, targets)`` and ``within_many(sources, targets,
-upper, skip_equal)`` — answering one source against many targets, or a
-whole (sources x targets) block, in one interpreter-level call.  PML and
-:class:`BFSOracle` do; consumers go through :mod:`repro.indexing.batch`,
-whose per-pair shim keeps scalar-only oracles (:class:`CountingOracle`,
-the fault injectors) working unchanged.  Batch answers must be
-bit-identical to the equivalent loop of scalar calls, errors included.
+Beside PML this module ships :class:`BFSOracle` — plain per-source BFS
+with memoization; the reference oracle for correctness tests and the
+"no index" arm of the PML ablation.
 
 Thread safety
 -------------
 One oracle instance may back many concurrent sessions (the
 :mod:`repro.service` layer shares a single PML index across every hosted
 session).  PML queries are pure reads over frozen label arrays and need no
-synchronization; the two *stateful* oracles here take a lock around their
-mutable bits — :class:`BFSOracle`'s memo cache and both classes' query
-counters — so shared use never produces racy stats or a torn cache.
+synchronization; :class:`BFSOracle` takes a lock around its mutable bits
+(memo cache and query counter), so shared use never produces racy stats
+or a torn cache.
 
 :func:`shared_bfs_oracle` memoizes one :class:`BFSOracle` per data graph.
 The degradation ladder (PR 1) builds a BFS fallback whenever the session
@@ -47,18 +41,19 @@ from repro.graph.algorithms import bfs_distances
 from repro.graph.graph import Graph
 from repro.indexing.batch import checked_block, pair_block
 
-__all__ = [
-    "DistanceOracle",
-    "BatchDistanceOracle",
-    "BFSOracle",
-    "CountingOracle",
-    "shared_bfs_oracle",
-]
+__all__ = ["DistanceOracle", "BFSOracle", "shared_bfs_oracle"]
 
 
 @runtime_checkable
 class DistanceOracle(Protocol):
-    """Anything that answers exact shortest-path distance queries."""
+    """Anything that answers exact shortest-path distance queries.
+
+    The kernels must be answer- and error-identical to the scalar loop:
+    same int32 distances (``-1`` unreachable), same
+    ``VertexNotFoundError`` for the first invalid id in iteration order,
+    and ``within_many`` returns its pairs as an int32 ``(P, 2)`` block,
+    source-major with each source's targets in the given target order.
+    """
 
     def distance(self, u: int, v: int) -> int:
         """Exact ``dist(u, v)``; ``-1`` when disconnected."""
@@ -67,18 +62,6 @@ class DistanceOracle(Protocol):
     def within(self, u: int, v: int, upper: int) -> bool:
         """True iff ``0 <= dist(u, v) <= upper``."""
         ...
-
-
-@runtime_checkable
-class BatchDistanceOracle(DistanceOracle, Protocol):
-    """A distance oracle with native one-source-vs-many kernels.
-
-    Implementations must be answer- and error-identical to the scalar
-    loop: same int32 distances (``-1`` unreachable), same
-    ``VertexNotFoundError`` for the first invalid id in iteration order,
-    and ``within_many`` returns its pairs as an int32 ``(P, 2)`` block,
-    source-major with each source's targets in the given target order.
-    """
 
     def distances_from(self, source: int, targets) -> "np.ndarray":
         """``dist(source, t)`` for every ``t`` (int32; -1 unreachable)."""
@@ -189,7 +172,7 @@ class BFSOracle:
         d = self.distance(u, v)
         return 0 <= d <= upper
 
-    # -- batch contract (see repro.indexing.batch) ---------------------
+    # -- kernels ------------------------------------------------------
     def distances_from(self, source: int, targets) -> np.ndarray:
         """One cached BFS vector sliced against the whole target set."""
         _, t = checked_block(self._graph.num_vertices, [source], targets)
@@ -210,39 +193,6 @@ class BFSOracle:
         dists = dists.reshape(s.size, t.size)  # also when a side is empty
         hit = (dists >= 0) & (dists <= upper)
         return pair_block(s, t, hit, upper >= 0 and not skip_equal)[0]
-
-
-class CountingOracle:
-    """Delegating oracle that counts queries (experiment instrumentation).
-
-    The counter increment is lock-guarded so one instance can wrap the
-    shared oracle of many concurrent sessions without losing counts
-    (``+=`` on an int is not atomic across bytecode boundaries).
-    """
-
-    #: Scalar-only on purpose (R3): batch dispatch must fall back to the
-    #: per-pair shim so every logical query still increments the counter.
-    batch_via_shim = True
-
-    def __init__(self, inner: DistanceOracle) -> None:
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.query_count = 0
-
-    def distance(self, u: int, v: int) -> int:
-        with self._lock:
-            self.query_count += 1
-        return self._inner.distance(u, v)
-
-    def within(self, u: int, v: int, upper: int) -> bool:
-        with self._lock:
-            self.query_count += 1
-        return self._inner.within(u, v, upper)
-
-    def reset(self) -> None:
-        """Zero the counter."""
-        with self._lock:
-            self.query_count = 0
 
 
 #: One shared BFS fallback per data graph, identity-keyed.  ``Graph`` is

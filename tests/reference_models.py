@@ -1,21 +1,82 @@
-"""The container models the array CAP, the block DFS and the block
-lower-bound verify replaced.
+"""The container models the array CAP, the block DFS, the block
+lower-bound verify and the oracle kernels replaced.
 
 Kept here, and only here, as the references the conformance tests drive
 beside the real thing: a dict-of-set CAP with the scalar ``add_pair`` /
 ``remove_pair`` and Algorithm 7's worklist prune, the recursive
-depth-first enumeration over it, and Algorithms 13/14 as the per-match,
-per-DFS-node oracle loop they are stated as.  Plus two helpers that turn
-the array CAP's state into plain Python for ``==``.
+depth-first enumeration over it, Algorithms 13/14 as the per-match,
+per-DFS-node oracle loop they are stated as, and the oracle kernels as
+the per-pair loop of scalar calls (:class:`CountingOracle`).  Plus two
+helpers that turn the array CAP's state into plain Python for ``==``.
 """
 
 from __future__ import annotations
+
+import threading
+
+import numpy as np
 
 from repro.core.cap import CAPIndex
 from repro.core.context import EngineContext
 from repro.core.lowerbound import PathSearchStats, ResultSubgraph
 from repro.core.query import BPHQuery, canonical_edge
 from repro.obs.metrics import metrics
+
+
+def scalar_distances(oracle, source, targets) -> np.ndarray:
+    """``distances_from`` as one ``oracle.distance`` call per target."""
+    source = int(source)
+    t = np.asarray(targets, dtype=np.int64).tolist()
+    return np.array([oracle.distance(source, v) for v in t], dtype=np.int32)
+
+
+def scalar_within_many(oracle, sources, targets, upper, skip_equal=False) -> np.ndarray:
+    """``within_many`` as one ``oracle.within`` call per pair, in the
+    kernel's block and row order (the diagonal never asked under
+    ``skip_equal``)."""
+    t = np.asarray(targets, dtype=np.int64).tolist()
+    pairs = [
+        (u, v)
+        for u in np.asarray(sources, dtype=np.int64).tolist()
+        for v in t
+        if not (skip_equal and u == v) and oracle.within(u, v, upper)
+    ]
+    return np.array(pairs, dtype=np.int32).reshape(-1, 2)
+
+
+class CountingOracle:
+    """The scalar reference arm: a delegating oracle whose kernels are the
+    per-pair loops above, counting every logical query it asks ``inner``.
+
+    The counter is lock-guarded so one instance can wrap the shared oracle
+    of many concurrent sessions without losing counts.
+    """
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self._lock = threading.Lock()
+        self.query_count = 0
+
+    def distance(self, u: int, v: int) -> int:
+        with self._lock:
+            self.query_count += 1
+        return self._inner.distance(u, v)
+
+    def within(self, u: int, v: int, upper: int) -> bool:
+        with self._lock:
+            self.query_count += 1
+        return self._inner.within(u, v, upper)
+
+    def distances_from(self, source, targets) -> np.ndarray:
+        return scalar_distances(self, source, targets)
+
+    def within_many(self, sources, targets, upper, skip_equal=False) -> np.ndarray:
+        return scalar_within_many(self, sources, targets, upper, skip_equal)
+
+    def reset(self) -> None:
+        """Zero the counter."""
+        with self._lock:
+            self.query_count = 0
 
 
 def ids(array) -> set[int]:

@@ -23,7 +23,8 @@ from repro.errors import LintUsageError
 
 class TestRegistry:
     def test_rule_catalog_registered(self):
-        assert rule_ids() == [f"R{n}" for n in range(1, 13)]
+        # Ids are never renumbered (SARIF results stay comparable): R3 is retired.
+        assert rule_ids() == [f"R{n}" for n in range(1, 13) if n != 3]
 
     def test_get_rules_subset_and_order(self):
         rules = get_rules(["R5", "R1"])
@@ -177,8 +178,9 @@ class TestLintCLI:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == EXIT_OK
         out = capsys.readouterr().out
-        for rid in ("R1", "R2", "R3", "R4", "R5", "R6"):
+        for rid in ("R1", "R2", "R4", "R5", "R6"):
             assert rid in out
+        assert "R3" not in out
 
     def test_missing_path_exits_error(self, capsys):
         assert main(["lint", "/nonexistent/nowhere"]) == EXIT_ERROR

@@ -1,4 +1,4 @@
-"""Per-rule fixture tests for the boomerlint catalog (R1–R8).
+"""Per-rule fixture tests for the boomerlint catalog (R1, R2, R4–R8).
 
 Each rule gets at least one *bad* fixture that must fire and one *good*
 fixture that must stay silent.  Path-scoped rules (R1, R2, R6) are
@@ -110,69 +110,6 @@ class TestErrorTaxonomyRule:
     def test_bare_reraise_allowed(self):
         src = "def f():\n    try:\n        g()\n    except Exception:\n        raise\n"
         assert not rule_hits("R2", src, "repro/service/server.py")
-
-
-# ----------------------------------------------------------------------
-# R3 — oracle batch contract
-# ----------------------------------------------------------------------
-class TestOracleContractRule:
-    SCALAR_ONLY = """\
-    class MyOracle:
-        def distance(self, u, v):
-            return 0
-
-        def within(self, u, v, upper):
-            return True
-    """
-
-    def test_scalar_only_class_flagged(self):
-        hits = rule_hits("R3", self.SCALAR_ONLY)
-        assert len(hits) == 1
-        assert "MyOracle" in hits[0].message
-        assert "batch_via_shim" in hits[0].message
-
-    def test_batch_methods_satisfy(self):
-        src = """\
-        class MyOracle:
-            def distance(self, u, v):
-                return 0
-
-            def within(self, u, v, upper):
-                return True
-
-            def distances_from(self, source, targets):
-                return []
-
-            def within_many(self, sources, targets, upper):
-                return []
-        """
-        assert not rule_hits("R3", src)
-
-    def test_shim_marker_satisfies(self):
-        src = """\
-        class MyOracle:
-            batch_via_shim = True
-
-            def distance(self, u, v):
-                return 0
-
-            def within(self, u, v, upper):
-                return True
-        """
-        assert not rule_hits("R3", src)
-
-    def test_protocol_classes_exempt(self):
-        src = """\
-        from typing import Protocol
-
-        class DistanceOracle(Protocol):
-            def distance(self, u, v): ...
-            def within(self, u, v, upper): ...
-        """
-        assert not rule_hits("R3", src)
-
-    def test_unrelated_class_ignored(self):
-        assert not rule_hits("R3", "class Pure:\n    def distance(self, u, v):\n        return 0\n")
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ either (a) completes on the CAP path with the fault-free match set,
 silently wrong matches.
 """
 
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,21 @@ def clean_matches(pre):
     for action in triangle_actions():
         boomer.apply(action)
     return match_set(boomer.run_result.matches)
+
+
+def session(pre, plan: FaultPlan | None) -> VisualSession:
+    """A default-posture session harness over ``pre`` under ``plan``."""
+    return VisualSession(
+        make_context(pre), resilience=ResilienceConfig.default(), fault_plan=plan
+    )
+
+
+def clean_run_calls(pre, strategy: str = "IC") -> int:
+    """Kernel calls of a clean triangle Run, counted by a wrapper that
+    injects nothing (as ``_die_inside_the_page`` counts them)."""
+    probe = session(pre, FaultPlan(seed=5, oracle=OracleFaultSpec()))
+    probe.run_actions(triangle_actions(), strategy=strategy)
+    return probe.ctx.oracle.calls
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +213,47 @@ class TestProtected:
         with pytest.raises(RetryExhaustedError):
             boomer.apply(NewEdge(0, 1, 1, 3))
 
+    @pytest.mark.parametrize("strategy", ["IC", "DR", "DI"])
+    def test_every_death_inside_the_run_degrades_or_raises(
+        self, pre, clean_matches, strategy
+    ):
+        """The oracle dies at each kernel call of a clean Run in turn."""
+        calls = clean_run_calls(pre, strategy)
+        assert calls >= 1
+        for fail_after in range(calls):
+            plan = FaultPlan(seed=5, oracle=OracleFaultSpec(fail_after=fail_after))
+            try:
+                result = session(pre, plan).run_actions(
+                    triangle_actions(), strategy=strategy
+                )
+            except ResilienceError:
+                continue  # typed failure
+            assert result.degraded, fail_after
+            assert match_set(result.run.matches) == clean_matches
+
 
 # ---------------------------------------------------------------------------
 # Property: the trichotomy holds for arbitrary seeded fault plans
 # ---------------------------------------------------------------------------
+@functools.cache
+def fail_after_bound() -> int:
+    """Past the last kernel call of a triangle Run whose every call is
+    retried to exhaustion: ``fail_after`` up to here kills the oracle
+    before, during and after the Run."""
+    pre = preprocess(build_fig2_graph(), t_avg_samples=100)
+    attempts = ResilienceConfig.default().retry.max_attempts
+    return attempts * clean_run_calls(pre) + 1
+
+
 oracle_specs = st.one_of(
     st.none(),
     st.builds(
         OracleFaultSpec,
         transient_rate=st.sampled_from([0.0, 0.2, 0.6]),
         transient_burst=st.integers(min_value=1, max_value=3),
-        fail_after=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+        fail_after=st.one_of(
+            st.none(), st.deferred(lambda: st.integers(0, fail_after_bound()))
+        ),
     ),
 )
 cap_specs = st.one_of(
@@ -238,13 +285,8 @@ cap_specs = st.one_of(
 )
 def test_session_is_never_silently_wrong(pre, clean_matches, seed, oracle, cap, strategy):
     plan = FaultPlan(seed=seed, oracle=oracle, cap=cap)
-    session = VisualSession(
-        make_context(pre),
-        resilience=ResilienceConfig.default(),
-        fault_plan=plan,
-    )
     try:
-        result = session.run_actions(triangle_actions(), strategy=strategy)
+        result = session(pre, plan).run_actions(triangle_actions(), strategy=strategy)
     except ResilienceError:
         return  # typed failure: acceptable outcome, nothing silently wrong
     # Completed (CAP path or degraded BU): the matches must be the

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.actions import NewEdge, NewVertex
+from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.core.cost import GUILatencyConstants
 from repro.core.preprocessor import make_context, preprocess
@@ -18,7 +18,10 @@ from repro.faults import (
     OracleFaultSpec,
 )
 from repro.gui.latency import LatencyModel
+from repro.gui.session import VisualSession
+from repro.resilience import ResilienceConfig
 from tests.conftest import build_fig2_graph
+from tests.test_batch_parity import make_two_label_pre
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +153,47 @@ class TestFaultyOracle:
         global_random.seed(999)
         global_random.random()  # perturb ambient state between runs
         assert run() == first
+
+
+class TestNullOraclePlan:
+    """A plan whose oracle spec injects nothing changes nothing a session
+    reports: the wrapper forwards the kernels the engine calls, one tick
+    per kernel call, so it sees exactly what ``oracle_calls`` charges."""
+
+    @pytest.fixture(scope="class")
+    def two_label_pre(self):
+        return make_two_label_pre()
+
+    @pytest.mark.parametrize("strategy", ["IC", "DR", "DI"])
+    def test_null_oracle_plan_changes_nothing(self, two_label_pre, strategy):
+        # An upper-3 edge between two 12-vertex candidate sets: one
+        # within_many block of 144 logical queries.
+        actions = [
+            NewVertex(0, "A", latency_after=0.002),
+            NewVertex(1, "B", latency_after=0.002),
+            NewEdge(0, 1, 1, 3, latency_after=0.002),
+            Run(),
+        ]
+        reports = {}
+        for plan in (None, FaultPlan(seed=3, oracle=OracleFaultSpec())):
+            session = VisualSession(
+                make_context(two_label_pre),
+                resilience=ResilienceConfig.default(),
+                fault_plan=plan,
+            )
+            run = session.run_actions(actions, strategy=strategy).run
+            counters = session.ctx.counters
+            reports[plan is None] = (
+                counters.snapshot(),
+                run.matches.order,
+                run.matches.block.tobytes(),
+            )
+            if plan is not None:
+                assert isinstance(session.ctx.oracle, FaultyOracle)
+                assert session.ctx.oracle.calls == counters.oracle_calls
+                assert session.ctx.oracle.faults_injected == 0
+        assert reports[True] == reports[False]
+        assert reports[True][0]["distance_queries"] >= 12 * 12
 
 
 class TestFaultyLatencyModel:

@@ -1,8 +1,9 @@
-"""Oracle-conformance suite for the batched distance contract.
+"""Oracle-conformance suite for the kernel half of the oracle contract.
 
-Every oracle implementation — native batch kernels (PML CSR merge,
-BFSOracle vector slice) and the per-pair fallback shim that wraps
-batch-incapable oracles like :class:`CountingOracle` — must give
+Every oracle implementation — the PML CSR merge, the BFSOracle vector
+slice, and the per-pair reference arm (:class:`CountingOracle` in
+``tests/reference_models.py``, whose kernels are loops of scalar calls) —
+must give
 
 * identical answers to the scalar ``distance``/``within`` path,
 * identical validation errors for bad vertex ids, and
@@ -30,16 +31,14 @@ from repro.indexing.batch import (
     FULL_VECTOR_MIN_TARGETS,
     DistanceVectorCache,
     distances_from,
-    scalar_distances,
-    scalar_within_many,
     shared_distance_cache,
-    supports_batch,
 )
-from repro.indexing.oracle import BatchDistanceOracle, BFSOracle, CountingOracle
+from repro.indexing.oracle import BFSOracle, DistanceOracle
 from repro.indexing import pml as pml_module
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.updates import delete_edge, graph_insert_edge, insert_edge
 from tests.conftest import build_fig2_graph, build_path_graph
+from tests.reference_models import CountingOracle, scalar_within_many
 
 
 def make_oracle(kind: str, graph):
@@ -53,14 +52,6 @@ def make_oracle(kind: str, graph):
 
 
 ORACLE_KINDS = ["pml", "bfs", "counting"]
-
-
-def within_many(oracle, sources, targets, upper, skip_equal=False):
-    """The choice ``EngineContext.within_many`` makes: the oracle's block
-    kernel when it has one, the per-pair shim for a scalar-only oracle."""
-    if supports_batch(oracle):
-        return oracle.within_many(sources, targets, upper, skip_equal)
-    return scalar_within_many(oracle, sources, targets, upper, skip_equal)
 
 
 def reference_block(graph, sources, targets, upper, skip_equal=False):
@@ -89,17 +80,19 @@ def fig2_oracle(request):
 class TestConformance:
     """Batch == loop-of-scalar, for every oracle, on the fig2 graph."""
 
-    def test_native_batch_support(self):
-        g = build_path_graph(3)
-        assert supports_batch(PrunedLandmarkLabeling.build(g))
-        assert supports_batch(BFSOracle(g))
-        assert not supports_batch(CountingOracle(BFSOracle(g)))
-
     def test_protocol_membership(self):
+        class ScalarOnly:
+            def distance(self, u, v):
+                return 0
+
+            def within(self, u, v, upper):
+                return True
+
         g = build_path_graph(3)
-        assert isinstance(PrunedLandmarkLabeling.build(g), BatchDistanceOracle)
-        assert isinstance(BFSOracle(g), BatchDistanceOracle)
-        assert not isinstance(CountingOracle(BFSOracle(g)), BatchDistanceOracle)
+        assert isinstance(PrunedLandmarkLabeling.build(g), DistanceOracle)
+        assert isinstance(BFSOracle(g), DistanceOracle)
+        assert isinstance(CountingOracle(BFSOracle(g)), DistanceOracle)
+        assert not isinstance(ScalarOnly(), DistanceOracle)  # four methods, not two
 
     def test_distances_from_matches_scalar(self, fig2_oracle):
         _, oracle = fig2_oracle
@@ -119,7 +112,7 @@ class TestConformance:
         targets = list(range(graph.num_vertices))
         reference = make_oracle(kind, graph)
         expected = scalar_within_many(reference, sources, targets, upper, skip_equal)
-        got = within_many(oracle, sources, targets, upper, skip_equal=skip_equal)
+        got = oracle.within_many(sources, targets, upper, skip_equal=skip_equal)
         assert_block(got, expected, kind)  # same pairs, same source-major order
         assert_block(got, reference_block(graph, sources, targets, upper, skip_equal))
 
@@ -145,7 +138,7 @@ class TestConformance:
         oracle = CountingOracle(BFSOracle(graph))
         distances_from(oracle, 0, [1, 2, 3])
         assert oracle.query_count == 3  # one logical query per target
-        within_many(oracle, [0, 1], [2, 3], upper=4)
+        oracle.within_many([0, 1], [2, 3], upper=4)
         assert oracle.query_count == 3 + 4
 
 
@@ -220,7 +213,7 @@ class TestBlockContract:
     def test_empty_sides(self, kind):
         oracle = make_oracle(kind, build_fig2_graph())
         for sources, targets in (([], [1, 2]), ([0, 3], []), ([], [])):
-            got = within_many(oracle, sources, targets, upper=3)
+            got = oracle.within_many(sources, targets, upper=3)
             assert_block(got, np.empty((0, 2), dtype=np.int32), kind)
 
     def test_sizes_straddling_the_block_constants(self):
@@ -253,7 +246,7 @@ class TestBlockContract:
         with pytest.raises(VertexNotFoundError) as scalar:
             scalar_within_many(make_oracle(kind, graph), sources, targets, 3)
         with pytest.raises(VertexNotFoundError) as block:
-            within_many(make_oracle(kind, graph), sources, targets, 3)
+            make_oracle(kind, graph).within_many(sources, targets, 3)
         assert block.value.vertex == scalar.value.vertex
 
     def test_counts_every_logical_query(self):
@@ -472,7 +465,7 @@ class TestRandomizedConformance:
         reference = reference_block(graph, sources, targets, upper, skip)
         for kind in ORACLE_KINDS:
             oracle = make_oracle(kind, graph)
-            got = within_many(oracle, sources, targets, upper, skip_equal=skip)
+            got = oracle.within_many(sources, targets, upper, skip_equal=skip)
             assert_block(got, reference, kind)
         with mock.patch.multiple(pml_module, _TARGET_BLOCK=3, _SOURCE_BLOCK=2):
             got = make_oracle("pml", graph).within_many(sources, targets, upper, skip)

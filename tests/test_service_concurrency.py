@@ -14,8 +14,8 @@ import threading
 
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
-from repro.indexing.oracle import CountingOracle
 from repro.service import ServeConfig, SessionManager, canonical_matches
+from tests.reference_models import CountingOracle
 
 LAT = 0.01
 

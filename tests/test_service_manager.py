@@ -184,10 +184,19 @@ class TestSharedOracle:
         from repro.resilience import ResilienceConfig
 
         class DeadOracle:
+            """All four methods fail as a dead component does: a missing
+            kernel would raise AttributeError and pass for the wrong reason."""
+
             def distance(self, u, v):
                 raise RuntimeError("oracle down")
 
             def within(self, u, v, upper):
+                raise RuntimeError("oracle down")
+
+            def distances_from(self, source, targets):
+                raise RuntimeError("oracle down")
+
+            def within_many(self, sources, targets, upper, skip_equal=False):
                 raise RuntimeError("oracle down")
 
         ctx = replace(fig2_ctx, oracle=DeadOracle())

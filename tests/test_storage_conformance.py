@@ -22,7 +22,6 @@ from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context, preprocess
 from repro.errors import StaleIndexError, VertexNotFoundError
 from repro.graph.builder import GraphBuilder
-from repro.indexing.batch import scalar_within_many
 from repro.indexing.oracle import BFSOracle
 from repro.indexing.twohop import hop_pairs
 from repro.storage import (
@@ -33,6 +32,7 @@ from repro.storage import (
     load_basis,
 )
 from repro.storage.basis import StoredPML
+from tests.reference_models import scalar_within_many
 from tests.test_property_graph import labeled_graphs
 
 
