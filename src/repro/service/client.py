@@ -31,7 +31,9 @@ see exactly the old behavior):
   ``restore_session`` and retry the original request transparently.
 
 Every request carries the ``v``/``req_id`` envelope and every response
-must echo that ``req_id``.
+must echo that ``req_id``.  Both ends set ``TCP_NODELAY``.  A ``matches``
+reply is parsed as it streams in (``protocol.read_matches_reply``); every
+other reply is read as one line.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ class ServiceClient:
         self.retry_policy = retry_policy
         self.auto_restore = auto_restore
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._file = self._sock.makefile("rwb")
         self._next_id = 0
         self._dirty = False  # stream undefined after a timeout
@@ -167,13 +170,16 @@ class ServiceClient:
         try:
             self._file.write(protocol.encode_line(payload))
             self._file.flush()
-            line = self._file.readline()
+            if op == "matches":
+                response = protocol.read_matches_reply(self._read, self._next_id)
+            else:
+                line = self._file.readline()
+                if not line:
+                    raise ServiceError("server closed the connection mid-request")
+                response = protocol.decode_response(line)
         except TimeoutError as exc:  # socket.timeout: hung/partitioned peer
             self._dirty = True
             raise ServiceTimeoutError(op, self.timeout) from exc
-        if not line:
-            raise ServiceError("server closed the connection mid-request")
-        response = protocol.decode_response(line)
         echoed = response.get("req_id")
         if echoed != self._next_id:
             raise ServiceError(
@@ -184,6 +190,13 @@ class ServiceClient:
             raise RemoteServiceError(response.get("error") or {})
         result = response.get("result")
         return result if isinstance(result, dict) else {}
+
+    def _read(self) -> bytes:
+        """The next bytes the server sent (at least one, at most 64 KiB)."""
+        data = self._file.read1(1 << 16)
+        if not data:
+            raise ServiceError("server closed the connection mid-request")
+        return data
 
     def _sleep_server_hint(self, attempt: int, exc: BaseException) -> None:
         """Honor the server's ``retry_after_ms`` before the policy backoff."""

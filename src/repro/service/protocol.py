@@ -32,14 +32,17 @@ Match sets travel canonicalized (:func:`match_block`; as nested lists,
 data_vertex]`` pair list and the match list itself is sorted — two runs
 produced the same ``V_Δ`` iff the encoded JSON strings are identical.  The
 determinism tests and the serve acceptance check compare exactly these
-bytes.
+bytes.  A ``matches`` reply keeps them but streams: :func:`frame_chunks`
+writes it :data:`CHUNK_ROWS` rows at a time, and :func:`read_matches_reply`
+parses each run of whole rows as it lands, refusing (``bad_request``) any
+body that is not that canonical text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -65,10 +68,13 @@ __all__ = [
     "MatchBlock",
     "match_block",
     "canonical_matches",
+    "CHUNK_ROWS",
+    "frame_chunks",
     "encode_line",
     "decode_request",
     "best_effort_id",
     "decode_response",
+    "read_matches_reply",
     "ok_response",
     "error_response",
     "error_code",
@@ -175,9 +181,13 @@ class MatchBlock:
 
     def dumps(self) -> str:
         """``json.dumps(self.tolist(), separators=(",", ":"))``, byte for byte."""
+        return "[" + self.rows(0, len(self)) + "]"
+
+    def rows(self, lo: int, hi: int) -> str:
+        """Rows ``lo:hi`` of :meth:`dumps`, comma-separated, unbracketed."""
         row = "[" + ",".join(f"[{q},%d]" for q in self.qs) + "]"
-        rows = ",".join([row] * len(self.block))
-        return "[" + rows % tuple(self.block.ravel().tolist()) + "]"
+        block = self.block[lo:hi]
+        return ",".join([row] * len(block)) % tuple(block.ravel().tolist())
 
 
 def match_block(matches) -> MatchBlock:
@@ -217,24 +227,43 @@ def _spliced(obj: dict[str, Any], key: str, text: str) -> str:
     )
 
 
-def encode_line(payload: dict[str, Any]) -> bytes:
-    """One wire line: compact JSON + newline.  The :class:`MatchBlock` of a
-    ``matches`` reply writes its own text, spliced into the envelope instead
-    of handing the encoder the nested list; the bytes are the same."""
+#: Rows per piece of a ``matches`` reply as :func:`frame_chunks` writes it.
+CHUNK_ROWS = 1024
+_GAP = "\0"  # never in compact JSON: json.dumps escapes control characters
+
+
+def _envelope(payload: dict[str, Any]) -> list[str]:
+    """Compact JSON of a ``matches`` reply before and after its match list."""
+    result = _spliced(payload["result"], "matches", _GAP)
+    return _spliced(payload, "result", result).split(_GAP)
+
+
+def frame_chunks(payload: dict[str, Any]) -> Iterator[bytes]:
+    """One wire line (compact JSON + newline) in the pieces it is sent in:
+    for a ``matches`` reply's :class:`MatchBlock`, the envelope up to the
+    list, the rows :data:`CHUNK_ROWS` at a time, then the rest; else one."""
     result = payload.get("result")
     block = result.get("matches") if isinstance(result, dict) else None
-    if isinstance(block, MatchBlock):
-        text = _spliced(payload, "result", _spliced(result, "matches", block.dumps()))
-    else:
-        text = _compact(payload)
-    return (text + "\n").encode("utf-8")
+    if not isinstance(block, MatchBlock):
+        yield (_compact(payload) + "\n").encode("utf-8")
+        return
+    head, tail = _envelope(payload)
+    yield (head + "[").encode("utf-8")
+    for lo in range(0, len(block), CHUNK_ROWS):
+        yield (("," if lo else "") + block.rows(lo, lo + CHUNK_ROWS)).encode("ascii")
+    yield ("]" + tail + "\n").encode("utf-8")
 
 
-def _loads(line: bytes | str, what: str) -> Any:
+def encode_line(payload: dict[str, Any]) -> bytes:
+    """One wire line: the pieces of :func:`frame_chunks`, joined."""
+    return b"".join(frame_chunks(payload))
+
+
+def _loads(line: bytes | str, what: str, **options: Any) -> Any:
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
-        return json.loads(line)
+        return json.loads(line, **options)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"{what} is not valid JSON: {exc}") from exc
 
@@ -288,6 +317,81 @@ def decode_response(line: bytes | str) -> dict[str, Any]:
     if not isinstance(payload, dict) or "ok" not in payload:
         raise ProtocolError("response must be a JSON object with 'ok'")
     return payload
+
+
+def read_matches_reply(read: Callable[[], bytes], req_id: Any) -> dict[str, Any]:
+    """The reply to a ``matches`` request, its rows parsed as they land.
+    ``read`` returns the next bytes (at least one).  A success frame opens
+    with the envelope :func:`frame_chunks` writes for ``req_id`` and its
+    list ends at the first ``]]]`` (``[]`` when empty); any other frame must
+    be a failure (:func:`decode_response`).  The value is ``json.loads`` of
+    the frame, or :class:`ProtocolError`."""
+    head = (_envelope(ok_response(req_id, {"matches": None}))[0] + "[").encode("utf-8")
+    data = read()
+    while len(data) < len(head) and head.startswith(data):
+        data += read()
+    if not data.startswith(head):
+        while b"\n" not in data:
+            data += read()
+        if (response := decode_response(data))["ok"]:
+            raise ProtocolError("a matches reply opens with another envelope")
+        return response
+    body = data[len(head):] or read()
+    rows, tail = ([], body[1:]) if body[:1] == b"]" else _read_rows(body, read)
+    while b"\n" not in tail:
+        tail += read()
+    if tail.index(b"\n") != len(tail) - 1:
+        raise ProtocolError("bytes follow a matches reply")
+    response = _loads(head[:-1] + b"[]" + tail, "response", object_pairs_hook=_unique)
+    response["result"]["matches"] = rows  # no repeated key: the list json.loads keeps
+    return response
+
+
+def _unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    if len(obj := dict(pairs)) != len(pairs):
+        raise ProtocolError("a matches reply repeats a key")
+    return obj
+
+
+def _read_rows(body: bytes, read: Callable[[], bytes]) -> tuple[list, bytes]:
+    """The rows of the non-empty list ``body`` opens, parsed a run at a time,
+    and the bytes after it.  A query has vertices: every row ends ``]]``."""
+    rows, width = [], None
+    while True:
+        end = body.find(b"]]]")
+        if (cut := end if end >= 0 else body.rfind(b"]],")) >= 0:
+            run, width = _parse_rows(body[: cut + 2], width)
+            rows += run
+            body = body[cut + 3:]
+            if end >= 0:
+                return rows, body
+        if b"\n" in body:
+            raise ProtocolError("a matches reply ends inside its match list")
+        body += read()
+
+
+_BLANKS = bytes.maketrans(b"[],", b"   ")
+_POWERS = 10 ** np.arange(1, 9)  # a value has one digit more than those it reaches
+
+
+def _parse_rows(text: bytes, width: int | None) -> tuple[list, int]:
+    """The inverse of :meth:`MatchBlock.rows`, and the rows' width: ``text``
+    minus its digits must be rows of ``width`` (None: the first row's)
+    ``[,]`` pairs, and the numbers' digit counts must sum to the text's,
+    proving each was 1-9 digits with no leading zero."""
+    skeleton = text.translate(None, b"0123456789")
+    if width is None:
+        width = (skeleton.find(b"]]") + 1) // 4
+    row = b"[" + b",".join([b"[,]"] * width) + b"]"
+    m = (len(skeleton) + 1) // (len(row) + 1)
+    if skeleton != b",".join([row] * m):
+        raise ProtocolError("a match list must be rows of one width")
+    digits = len(text) - len(skeleton)
+    values = np.fromstring(text.translate(_BLANKS), np.int64, sep=" ")
+    counted = len(values) + int(np.searchsorted(_POWERS, values, side="right").sum())
+    if len(values) != 2 * width * m or counted != digits:
+        raise ProtocolError("match list numbers are 1-9 digits, no sign or leading 0")
+    return values.reshape(m, width, 2).tolist(), width
 
 
 def wire_action(payload: Any) -> Action:

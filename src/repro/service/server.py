@@ -41,9 +41,11 @@ MAX_REQUEST_BYTES = 1 << 20
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One connection: read request lines, write response lines."""
+    """One connection: read request lines, write each piece of a response
+    (``protocol.frame_chunks``) in its own ``sendall``, with NODELAY on."""
 
     server: "_TCPServer"
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         while True:
@@ -69,8 +71,8 @@ class _Handler(socketserver.StreamRequestHandler):
             # the wire.
             close = response.pop("_close", False)
             try:
-                self.wfile.write(protocol.encode_line(response))
-                self.wfile.flush()
+                for piece in protocol.frame_chunks(response):
+                    self.wfile.write(piece)
             except (ConnectionError, OSError):
                 return
             if close:

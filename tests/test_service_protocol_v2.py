@@ -10,8 +10,10 @@ socket.
 """
 
 import json
+import math
 import pickle
 import socket
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -305,6 +307,118 @@ def reference_frame(req_id, result) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+CHUNK = protocol.CHUNK_ROWS
+#: Match-list lengths around the chunk edges, and a full 10 000-match reply.
+FRAME_SIZES = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 10_000)
+#: Echoed ids, strings holding the reader's own landmarks included.
+REQ_IDS = st.one_of(
+    st.integers(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"matches":', "]],[[", "]]]", '"matches":[[[0,1]]]}}\n']),
+)
+
+
+@st.composite
+def blocks(draw, sizes=FRAME_SIZES, min_k=0):
+    """A block of width ``min_k``-4 and a length from ``sizes``, ids of
+    1-9 digits.  (A Run's query has vertices: its replies have k >= 1.)"""
+    k = draw(st.integers(min_k, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([10, 10**9]))
+    qs = sorted(rng.choice(high, size=k, replace=False).tolist())
+    m = draw(st.sampled_from(sizes))
+    return protocol.MatchBlock(qs, rng.integers(0, high, size=(m, k), dtype=np.int32))
+
+
+def matches_reply(req_id, block, routed) -> tuple[dict, bytes]:
+    """A ``matches`` reply payload and ``json.dumps`` of what it stands for,
+    with a key after ``matches`` when ``routed`` (as a pool adds)."""
+    extra = {"worker": 1} if routed else {}
+    payload = protocol.ok_response(req_id, {"matches": block, **extra})
+    return payload, reference_frame(req_id, {"matches": block.tolist(), **extra})
+
+
+def reads(frame: bytes, cuts):
+    """A ``read`` handing out ``frame`` split at ``cuts``; a reader that asks
+    for more than the frame would block on a real socket."""
+    bounds = sorted({0, len(frame), *cuts})
+    pieces = iter([frame[a:b] for a, b in zip(bounds, bounds[1:])])
+
+    def read() -> bytes:
+        piece = next(pieces, None)
+        if piece is None:
+            raise EOFError("read past the end of the frame")
+        return piece
+
+    return read
+
+
+def every(frame: bytes, size: int | None):
+    """``read`` in pieces of ``size`` bytes (None: the whole frame at once)."""
+    return reads(frame, range(size, len(frame), size) if size else ())
+
+
+def read_strictly(read, req_id) -> dict:
+    """The ``matches`` reader with every warning an error, so that a numpy
+    ``DeprecationWarning`` on a bad body cannot pass for a parse."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return protocol.read_matches_reply(read, req_id)
+
+
+def canonical(frame: bytes) -> bool:
+    """Is ``frame`` exactly what the server writes for the reply it parses
+    to: compact JSON, ``matches`` first in the result, rows of one width of
+    ``[int, int]`` pairs below 10**9?"""
+    try:
+        payload = json.loads(frame)
+        first = next(iter(payload["result"]), None)
+        rows = payload["result"]["matches"]
+        widths = {len(row) for row in rows}
+        pairs = [pair for row in rows for pair in row]
+    except (ValueError, TypeError, KeyError):
+        return False
+    return (
+        first == "matches"
+        and len(widths) <= 1
+        and all(type(p) is list and len(p) == 2 for p in pairs)
+        and all(type(x) is int and 0 <= x < 10**9 for p in pairs for x in p)
+        and (json.dumps(payload, separators=(",", ":")) + "\n").encode() == frame
+    )
+
+
+#: One defect each in a canonical frame of ``MUTATED_BLOCK``; some are JSON.
+MUTATIONS = {
+    "leading zero": (b"[1,17]", b"[1,017]"),
+    "zero padded": (b"[0,5]", b"[00,5]"),
+    "minus sign": (b"[1,17]", b"[1,-17]"),
+    "plus sign": (b"[1,17]", b"[1,+17]"),
+    "space in a pair": (b"[0,5]", b"[0, 5]"),
+    "space between rows": (b"]],[[", b"]], [["),
+    "ten digits": (b"190", b"1234567890"),
+    "twenty digits": (b"190", b"9" * 20),
+    "empty number": (b"[1,17]", b"[1,]"),
+    "float": (b"17", b"17.0"),
+    "exponent": (b"17", b"1e1"),
+    "null": (b"17", b"null"),
+    "string": (b"17", b'"17"'),
+    "ragged wide row": (b"[[0,6],[1,18]]", b"[[0,6],[1,18],[2,3]]"),
+    "ragged narrow row": (b"[[0,6],[1,18]]", b"[[0,6]]"),
+    "triple": (b"[1,18]", b"[1,18,2]"),
+    "deeper nesting": (b"[[0,6]", b"[[[0,6]]"),
+    "newline in the list": (b"]],[[", b"]],\n[["),
+    "truncated list": (b"]]]", b"]]"),
+    "list cut mid-row": (b"[1,190]]]", b"[1,19"),
+    "matches key repeated": (b"]]]}", b']]],"matches":[]}'),
+    "envelope spaced": (b'"ok":true', b'"ok": true'),
+    "matches not first": (b'{"matches":', b'{"worker":1,"matches":'),
+}
+MUTATED_BLOCK = protocol.MatchBlock(
+    [0, 1], np.array([[5, 17], [6, 18], [7, 190]], dtype=np.int32)
+)
+
+
 #: fig2 scripts: 3 matches over k = 3, k = 1, and M = 0 (no A next to a D).
 FRAME_SCRIPTS = {
     "q1": [
@@ -383,6 +497,98 @@ class TestMatchesFrameBytes:
         result = dispatcher.dispatch({"op": "matches", "session": sid})
         frame = protocol.encode_line(protocol.ok_response(7, result))
         assert frame == reference_frame(7, {"matches": want})
+
+    @given(blocks(), REQ_IDS, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_join_to_the_frame(self, block, req_id, routed):
+        """The server writes the envelope, the rows CHUNK at a time and the
+        rest of the envelope; joined, they are the one frame."""
+        payload, want = matches_reply(req_id, block, routed)
+        pieces = list(protocol.frame_chunks(payload))
+        assert b"".join(pieces) == protocol.encode_line(payload) == want
+        assert len(pieces) == math.ceil(len(block) / CHUNK) + 2
+        assert [piece.count(b"\n") for piece in pieces[-2:]] == [0, 1]
+
+    def test_every_other_frame_is_one_piece(self):
+        for payload in (
+            protocol.ok_response(3, {"pong": True}),
+            protocol.ok_response(3, {"matches": [[[0, 1]]]}),
+            protocol.error_response(3, SessionNotFoundError("s9")),
+        ):
+            assert list(protocol.frame_chunks(payload)) == [protocol.encode_line(payload)]
+
+    @given(blocks(min_k=1), REQ_IDS, st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reader_equals_json_loads_under_any_split(self, block, req_id, routed, data):
+        _, frame = matches_reply(req_id, block, routed)
+        cuts = data.draw(st.lists(st.integers(1, len(frame) - 1), max_size=40))
+        got = read_strictly(reads(frame, cuts), req_id)
+        assert json.dumps(got) == json.dumps(json.loads(frame))
+
+    def test_rows_of_no_pairs_are_refused(self):
+        """k = 0 has a frame but no Run: a query without vertices is refused."""
+        block = protocol.MatchBlock([], np.zeros((2, 0), dtype=np.int32))
+        _, frame = matches_reply(7, block, routed=False)
+        assert frame.endswith(b'"matches":[[],[]]}}\n')
+        with pytest.raises(ProtocolError):
+            read_strictly(every(frame, None), 7)
+
+    @pytest.mark.parametrize(
+        "m, size",
+        [
+            (m, size)
+            for m in FRAME_SIZES
+            for size in (1, 7, 64, 4096, None)
+            if m <= CHUNK + 1 or size is None or size >= 64
+        ],
+    )
+    def test_reader_from_one_byte_reads_to_the_whole_frame(self, m, size):
+        rng = np.random.default_rng(m)
+        block = protocol.MatchBlock([2, 5, 9], rng.integers(0, 10**9, (m, 3), dtype=np.int32))
+        _, frame = matches_reply(41, block, routed=m % 2 == 1)
+        got = read_strictly(every(frame, size), 41)
+        assert json.dumps(got) == json.dumps(json.loads(frame))
+
+    @pytest.mark.parametrize("size", [1, None])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutated_frame_is_refused(self, mutation, size):
+        _, frame = matches_reply(7, MUTATED_BLOCK, routed=False)
+        old, new = MUTATIONS[mutation]
+        mutated = frame.replace(old, new)
+        assert mutated != frame and not canonical(mutated)
+        with pytest.raises(ProtocolError):
+            read_strictly(every(mutated, size), 7)
+
+    @given(blocks(sizes=(1, 2, 5), min_k=1), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_byte_changed_in_the_list_is_exact_or_refused(self, block, routed, data):
+        """A change that leaves a canonical frame parses to its
+        ``json.loads``; any other raises ProtocolError, never blocks."""
+        _, frame = matches_reply(7, block, routed)
+        start = frame.index(b'"matches":') + len(b'"matches":')
+        at = data.draw(st.integers(start, start + len(block.dumps()) - 1))
+        byte = data.draw(st.sampled_from(b'0123456789[],-+ .e"\n'))
+        mutated = frame[:at] + bytes([byte]) + frame[at + 1:]
+        read = reads(mutated, data.draw(st.lists(st.integers(1, len(mutated) - 1))))
+        try:
+            got = read_strictly(read, 7)
+        except ProtocolError:
+            assert not canonical(mutated)
+        else:
+            assert canonical(mutated) and got == json.loads(mutated)
+
+    def test_bytes_after_the_frame_are_refused(self):
+        _, frame = matches_reply(7, MUTATED_BLOCK, routed=True)
+        with pytest.raises(ProtocolError, match="bytes follow"):
+            read_strictly(every(frame + b'{"v":2}\n', None), 7)
+
+    @pytest.mark.parametrize("size", [1, 5, None])
+    def test_error_frame_reads_as_today(self, size):
+        """A failure reply goes through ``decode_response`` unchanged."""
+        frame = protocol.encode_line(protocol.error_response(7, SessionNotFoundError("s9")))
+        got = read_strictly(every(frame, size), 7)
+        assert got == protocol.decode_response(frame)
+        assert got["error"]["code"] == "session_not_found"
 
 
 # ---------------------------------------------------------------------------

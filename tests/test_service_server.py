@@ -8,18 +8,25 @@ handshake are exactly the parts a manager-only test cannot see.
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
+from repro.core.preprocessor import make_context, preprocess
+from repro.errors import ProtocolError, ServiceError, ServiceTimeoutError
+from repro.graph.builder import GraphBuilder
 from repro.graph.io import save_edge_list
+from repro.gui.recording import action_from_dict
 from repro.service import (
     PROTOCOL_VERSION,
     QueryServer,
@@ -27,8 +34,12 @@ from repro.service import (
     ServiceClient,
     SessionManager,
     canonical_matches,
+    open_host,
+    protocol,
 )
+from repro.service import server as server_module
 from repro.service.client import RemoteServiceError
+from repro.service.session import MAX_RESULTS
 from tests.conftest import build_fig2_graph
 
 FIG2_ACTIONS = [
@@ -300,6 +311,208 @@ def test_drain_waits_for_inflight_reads(fig2_ctx):
         stopper.join(timeout=10.0)
         assert not stopper.is_alive()
     assert manager.checkpoints.get(sid) is not None
+
+
+# ---------------------------------------------------------------------------
+# The streamed `matches` reply
+# ---------------------------------------------------------------------------
+#: A star: one hub and 120 leaves, so a leaf-leaf edge of upper 2 matches
+#: every ordered pair of leaves (14 280), truncated to MAX_RESULTS.
+STAR_ACTIONS = [
+    {"kind": "NewVertex", "vertex_id": 0, "label": "L"},
+    {"kind": "NewVertex", "vertex_id": 1, "label": "L"},
+    {"kind": "NewEdge", "u": 0, "v": 1, "lower": 1, "upper": 2},
+]
+
+
+@pytest.fixture(scope="module")
+def star_pre():
+    builder = GraphBuilder("star")
+    builder.add_vertices(["H"] + ["L"] * 120)
+    for leaf in range(1, 121):
+        builder.add_edge(0, leaf)
+    return preprocess(builder.build(), t_avg_samples=50)
+
+
+class _WriteSpy:
+    """Stands in for a handler's ``wfile``: logs each write, then sends it."""
+
+    def __init__(self, wfile, log: list[bytes]) -> None:
+        self._wfile, self._log = wfile, log
+
+    def write(self, piece: bytes) -> int:
+        self._log.append(piece)
+        return self._wfile.write(piece)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+@pytest.fixture()
+def handler_spy(monkeypatch):
+    """Every piece the connection handlers write, and their sockets."""
+    spy = {"writes": [], "sockets": [], "outcomes": [], "errors": []}
+    setup, handle = server_module._Handler.setup, server_module._Handler.handle
+
+    def spied_setup(self):
+        setup(self)
+        spy["sockets"].append(self.connection)
+        self.wfile = _WriteSpy(self.wfile, spy["writes"])
+
+    def spied_handle(self):
+        try:
+            handle(self)
+        except BaseException as exc:
+            spy["outcomes"].append(exc)
+            raise
+        spy["outcomes"].append(None)
+
+    monkeypatch.setattr(server_module._Handler, "setup", spied_setup)
+    monkeypatch.setattr(server_module._Handler, "handle", spied_handle)
+    monkeypatch.setattr(
+        server_module._TCPServer, "handle_error",
+        lambda self, request, address: spy["errors"].append(address),
+    )
+    return spy
+
+
+def _nodelay(sock: socket.socket) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_streamed_matches_equal_the_engine_over_a_real_socket(
+    workers, star_pre, handler_spy, tmp_path, monkeypatch
+):
+    """A V_Δ of ten chunks arrives equal to ``canonical_matches`` on a
+    threaded host and through a two-worker pool (whose reply carries a key
+    after ``matches``), written in one piece per chunk plus two."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # a pool's temp basis
+    ctx = make_context(star_pre)
+    boomer = Boomer(ctx, strategy="DI", auto_idle=False, max_results=MAX_RESULTS)
+    for action in STAR_ACTIONS:
+        boomer.apply(action_from_dict(action))
+    boomer.apply(Run())
+    want = canonical_matches(boomer.run_result.matches)
+    assert len(want) == MAX_RESULTS == 10_000
+
+    srv = QueryServer(open_host(ctx, ServeConfig(workers=workers)), port=0).start()
+    try:
+        with ServiceClient(*srv.address) as client:
+            sid = client.create_session(strategy="DI")
+            for action in STAR_ACTIONS:
+                client.action(sid, action)
+            assert client.run(sid)["truncated"] is True
+            before = len(handler_spy["writes"])
+            assert client.matches(sid) == want
+            pieces = handler_spy["writes"][before:]
+            assert len(pieces) == math.ceil(10_000 / protocol.CHUNK_ROWS) + 2
+            assert b"".join(pieces).count(b"\n") == 1 and pieces[-1].endswith(b"\n")
+            assert _nodelay(client._sock)
+            assert [_nodelay(s) for s in handler_spy["sockets"]] == [True]
+    finally:
+        srv.stop()
+    assert handler_spy["errors"] == []
+
+
+def _stub_server(reply: bytes, hold: threading.Event):
+    """A listener that answers one request line with ``reply`` and then
+    closes the connection (``hold`` set) or keeps it open until it is."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        conn, _ = listener.accept()
+        with conn, listener:
+            conn.makefile("rb").readline()
+            conn.sendall(reply)
+            hold.wait(timeout=10.0)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[:2], thread
+
+
+#: Where a reply stops: inside the envelope, after it, mid-row, on a row
+#: boundary, and one byte short of the newline.
+STREAM_CUTS = {
+    "in the envelope": lambda frame: 20,
+    "after the envelope": lambda frame: frame.index(b"[[[") + 1,
+    "mid-row": lambda frame: frame.index(b"],[[") - 3,
+    "row boundary": lambda frame: frame.index(b"],[[") + 2,
+    "before the newline": lambda frame: len(frame) - 1,
+}
+
+
+def _streamed_frame() -> bytes:
+    block = protocol.MatchBlock([0, 1], np.arange(6000, dtype=np.int32).reshape(3000, 2))
+    return protocol.encode_line(protocol.ok_response(1, {"matches": block}))
+
+
+@pytest.mark.parametrize("cut", sorted(STREAM_CUTS))
+def test_server_closing_mid_stream_is_a_service_error(cut):
+    frame = _streamed_frame()
+    closed = threading.Event()
+    closed.set()
+    address, thread = _stub_server(frame[: STREAM_CUTS[cut](frame)], closed)
+    with ServiceClient(*address, timeout=10.0) as client:
+        with pytest.raises(ServiceError, match="closed the connection") as info:
+            client.matches("s1")
+    assert not isinstance(info.value, (ProtocolError, ServiceTimeoutError))
+    thread.join(timeout=5.0)
+
+
+@pytest.mark.parametrize("cut", ["after the envelope", "mid-row", "row boundary"])
+def test_timeout_mid_stream_marks_the_connection_dirty(cut):
+    frame = _streamed_frame()
+    release = threading.Event()
+    address, thread = _stub_server(frame[: STREAM_CUTS[cut](frame)], release)
+    try:
+        with ServiceClient(*address, timeout=0.3) as client:
+            with pytest.raises(ServiceTimeoutError):
+                client.matches("s1")
+            with pytest.raises(ServiceError, match="reconnect"):
+                client.ping()
+    finally:
+        release.set()
+        thread.join(timeout=5.0)
+
+
+def test_client_leaving_mid_stream_ends_only_its_handler(star_pre, handler_spy, monkeypatch):
+    """The reader hangs up after the first piece of a 10k-match reply: its
+    handler's next write fails, the handler returns without a traceback,
+    and another connection is served as before."""
+    hung_up = threading.Event()
+    write = _WriteSpy.write
+
+    def write_after_hangup(self, piece):
+        sent = write(self, piece)
+        if piece.startswith(b'{"v":2,"req_id":99,'):
+            hung_up.wait(timeout=10.0)
+        return sent
+
+    monkeypatch.setattr(_WriteSpy, "write", write_after_hangup)
+    srv = QueryServer(SessionManager(make_context(star_pre)), port=0).start()
+    try:
+        with ServiceClient(*srv.address) as client:
+            sid = client.create_session()
+            for action in STAR_ACTIONS:
+                client.action(sid, action)
+            client.run(sid)
+            with socket.create_connection(srv.address, timeout=10) as sock:
+                sock.sendall(b'{"v":2,"req_id":99,"op":"matches","session":"%s"}\n' % sid.encode())
+                assert sock.recv(16)
+            hung_up.set()
+            deadline = time.monotonic() + 10.0
+            while not handler_spy["outcomes"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert handler_spy["outcomes"] == [None]
+            assert handler_spy["errors"] == []
+            writes = handler_spy["writes"]
+            head = next(i for i, w in enumerate(writes) if w.startswith(b'{"v":2,"req_id":99,'))
+            assert not any(w.endswith(b"\n") for w in writes[head:])  # cut short
+            assert len(client.matches(sid)) == MAX_RESULTS
+    finally:
+        srv.stop()
 
 
 def test_cli_serve_subprocess_smoke(tmp_path):
