@@ -2,19 +2,17 @@
 
 The CI lint gate re-parses the whole tree on every push even though a
 typical commit touches a handful of files.  This cache memoizes the
-per-file work — parse, local-rule pass, suppression filtering, and the
-:class:`~repro.analysis.project.ModuleFacts` extraction — keyed by the
+per-file work — parse, rule pass, suppression filtering — keyed by the
 SHA-256 of the file *bytes*, so a warm run only re-analyzes files whose
-content actually changed.  Cross-module (project) rules are recomputed
-every run from the cached facts: they are cheap by construction, and
-their verdicts depend on *other* files, so caching them per-file would
-be wrong.
+content actually changed.  Every rule sees one file at a time, so a
+file's verdict depends on its bytes alone.
 
 Invalidation is wholesale: the cache records a ruleset signature
 (sorted rule ids) and a format version, and a mismatch in either
 discards everything.  A rule's *implementation* changing without its id
 changing is not detected — bump :data:`CACHE_VERSION` when rule
-semantics change, which is also what keeps stale CI caches harmless.
+semantics or the entry format change, which is also what keeps stale CI
+caches harmless (a restored older cache starts cold).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Any, Iterable
 
 __all__ = ["CACHE_VERSION", "LintCache", "ruleset_signature"]
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def ruleset_signature(rule_ids: Iterable[str]) -> str:
@@ -37,8 +35,8 @@ def ruleset_signature(rule_ids: Iterable[str]) -> str:
 class LintCache:
     """A JSON file of per-content-hash lint results.
 
-    Entries are opaque dicts owned by the engine (local violations,
-    suppression state, module facts).  ``save()`` persists only when
+    Entries are opaque dicts owned by the engine (the file's unsuppressed
+    violations and its suppressed count).  ``save()`` persists only when
     something changed, so a fully-warm run never rewrites the file.
     """
 

@@ -12,15 +12,10 @@ at all is reported as a ``PARSE`` violation rather than aborting the
 run: CI should list every problem of a tree in one pass, and a broken
 module must not hide rule hits in the other hundred.
 
-Two passes.  The per-file pass runs the local rules (R1–R8 and the
-dataflow rules) and extracts each module's
-:class:`~repro.analysis.project.ModuleFacts`; the project pass then
-feeds the assembled :class:`~repro.analysis.project.ProjectIndex` to the
-cross-module rules (R9+).  Project-rule violations go through the inline
-suppressions of the module they anchor in, exactly like local hits.
-With a :class:`~repro.analysis.cache.LintCache` attached, the per-file
-pass is skipped for content-unchanged files and the project pass runs
-from cached facts.
+One pass: every rule sees one module at a time, and its hits go through
+that module's inline suppressions.  With a
+:class:`~repro.analysis.cache.LintCache` attached, a content-unchanged
+file is served from the cache instead of being parsed again.
 """
 
 from __future__ import annotations
@@ -31,12 +26,6 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.analysis.cache import LintCache, ruleset_signature
-from repro.analysis.project import (
-    ModuleFacts,
-    ProjectIndex,
-    ProjectRule,
-    collect_facts,
-)
 from repro.analysis.registry import Rule, Violation, all_rules, get_rules
 from repro.analysis.suppress import Suppressions, parse_suppressions
 from repro.errors import LintUsageError
@@ -142,8 +131,6 @@ class LintEngine:
 
     def __init__(self, rules: Sequence[Rule] | None = None) -> None:
         self.rules: list[Rule] = list(rules) if rules is not None else all_rules()
-        self.local_rules = [r for r in self.rules if not isinstance(r, ProjectRule)]
-        self.project_rules = [r for r in self.rules if isinstance(r, ProjectRule)]
 
     @classmethod
     def for_rule_ids(cls, ids: Iterable[str]) -> "LintEngine":
@@ -160,11 +147,8 @@ class LintEngine:
     ) -> LintReport:
         """Lint every .py file under ``paths`` (files or directories)."""
         report = LintReport()
-        index = ProjectIndex()
-        suppressions: dict[str, Suppressions] = {}
         for path in iter_python_files(paths):
-            self._lint_file(path, report, index, suppressions, cache)
-        self._project_pass(index, suppressions, report)
+            self._lint_file(path, report, cache)
         report.violations.sort(key=lambda v: v.sort_key)
         if cache is not None:
             cache.save()
@@ -174,24 +158,16 @@ class LintEngine:
     def lint_source(self, text: str, path: Path | str = "<string>") -> LintReport:
         """Lint in-memory source (fixture tests, editor integrations)."""
         report = LintReport()
-        index = ProjectIndex()
-        suppressions: dict[str, Suppressions] = {}
         report.files_checked += 1
         module = self._parse(Path(path), str(path), text, report)
         if module is not None:
-            self._local_pass(module, report, index, suppressions)
-        self._project_pass(index, suppressions, report)
+            self._check(module, report)
         report.violations.sort(key=lambda v: v.sort_key)
         return report
 
     # -- per-file pass ----------------------------------------------------
     def _lint_file(
-        self,
-        path: Path,
-        report: LintReport,
-        index: ProjectIndex,
-        suppressions: dict[str, Suppressions],
-        cache: LintCache | None,
+        self, path: Path, report: LintReport, cache: LintCache | None
     ) -> None:
         report.files_checked += 1
         display = str(path)
@@ -212,7 +188,7 @@ class LintEngine:
             digest = cache.digest(data)
             entry = cache.lookup(digest)
             if entry is not None:
-                self._restore(entry, path, display, report, index, suppressions)
+                self._restore(entry, display, report)
                 return
         try:
             text = data.decode("utf-8")
@@ -231,17 +207,11 @@ class LintEngine:
         module = self._parse(path, display, text, report)
         if module is None:
             return
-        kept, suppressed = self._local_pass(module, report, index, suppressions)
+        kept, suppressed = self._check(module, report)
         if cache is not None:
-            facts = index.get(module.key) if self.project_rules else None
             cache.store(
                 digest,
-                {
-                    "violations": [v.to_dict() for v in kept],
-                    "suppressed": suppressed,
-                    "suppressions": module.suppressions.to_dict(),
-                    "facts": facts.to_dict() if facts is not None else None,
-                },
+                {"violations": [v.to_dict() for v in kept], "suppressed": suppressed},
             )
 
     def _parse(
@@ -269,17 +239,13 @@ class LintEngine:
             suppressions=parse_suppressions(text),
         )
 
-    def _local_pass(
-        self,
-        module: ModuleSource,
-        report: LintReport,
-        index: ProjectIndex,
-        suppressions: dict[str, Suppressions],
+    def _check(
+        self, module: ModuleSource, report: LintReport
     ) -> tuple[list[Violation], int]:
-        """Run local rules; returns (kept hits, suppressed count)."""
+        """Run every rule on ``module``; returns (kept hits, suppressed count)."""
         kept: list[Violation] = []
         suppressed = 0
-        for rule in self.local_rules:
+        for rule in self.rules:
             for violation in rule.check(module):
                 if module.suppressions.suppressed(violation.rule, violation.line):
                     suppressed += 1
@@ -287,19 +253,10 @@ class LintEngine:
                     kept.append(violation)
         report.violations.extend(kept)
         report.suppressed += suppressed
-        if self.project_rules:
-            index.add(collect_facts(module))
-            suppressions[module.display] = module.suppressions
         return kept, suppressed
 
     def _restore(
-        self,
-        entry: dict[str, Any],
-        path: Path,
-        display: str,
-        report: LintReport,
-        index: ProjectIndex,
-        suppressions: dict[str, Suppressions],
+        self, entry: dict[str, Any], display: str, report: LintReport
     ) -> None:
         """Fold one cache entry into the run, re-rooting stored paths
         (the same bytes may be linted under a different display path)."""
@@ -315,30 +272,3 @@ class LintEngine:
                 )
             report.violations.append(violation)
         report.suppressed += int(entry.get("suppressed", 0))
-        if self.project_rules:
-            facts_payload = entry.get("facts")
-            if facts_payload is not None:
-                facts = ModuleFacts.from_dict(facts_payload)
-                facts.key = module_key(path)
-                facts.display = display
-                index.add(facts)
-            suppressions[display] = Suppressions.from_dict(
-                entry.get("suppressions", {})
-            )
-
-    # -- project pass -----------------------------------------------------
-    def _project_pass(
-        self,
-        index: ProjectIndex,
-        suppressions: dict[str, Suppressions],
-        report: LintReport,
-    ) -> None:
-        for rule in self.project_rules:
-            for violation in rule.finalize(index):
-                module_sup = suppressions.get(violation.path)
-                if module_sup is not None and module_sup.suppressed(
-                    violation.rule, violation.line
-                ):
-                    report.suppressed += 1
-                else:
-                    report.violations.append(violation)

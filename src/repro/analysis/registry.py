@@ -1,11 +1,11 @@
 """The boomerlint rule registry: violations, the rule base class, lookup.
 
 A rule is a small AST-walking check encoding one of *this repo's*
-invariants (determinism, error taxonomy, the oracle batch contract, the
-metrics/span taxonomy, public-API coherence, lock discipline — see
-:mod:`repro.analysis.rules` for the catalog and docs/ANALYSIS.md for the
-prose).  Rules register themselves at import time via :func:`register`,
-so adding a rule is: subclass :class:`Rule`, decorate, write fixtures.
+invariants (determinism, error taxonomy, the metrics/span taxonomy, lock
+discipline, lock guards — see :mod:`repro.analysis.rules`,
+:mod:`repro.analysis.rules_flow` and docs/ANALYSIS.md).  Rules register
+themselves at import time via :func:`register`, so adding a rule is:
+subclass :class:`Rule`, decorate, write fixtures and a seeded mutation.
 
 Rules receive a :class:`~repro.analysis.engine.ModuleSource` (path key +
 parsed tree) and yield :class:`Violation` records; the engine applies
@@ -113,16 +113,15 @@ def _ensure_loaded() -> None:
     # import cycle; importing them here makes `all_rules()` self-contained.
     from repro.analysis import rules  # noqa: F401  (import registers)
     from repro.analysis import rules_flow  # noqa: F401
-    from repro.analysis import rules_project  # noqa: F401
 
 
 def _id_order(rule_id: str) -> tuple[int, str]:
-    # Natural order: R9 before R10 (plain string sort would interleave).
+    # Natural order: R2 before R12 (plain string sort would interleave).
     return (len(rule_id), rule_id)
 
 
 def rule_ids() -> list[str]:
-    """Registered rule ids, in natural (R1..R12) order."""
+    """Registered rule ids, in natural (R2 before R12) order."""
     _ensure_loaded()
     return sorted(_REGISTRY, key=_id_order)
 

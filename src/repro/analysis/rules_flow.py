@@ -1,31 +1,18 @@
-"""Dataflow-backed boomerlint rules: R10 epoch guards, R11 resource
-lifecycle, R12 lock-guard inference.
+"""The class-wide boomerlint rule: R12 lock-guard inference.
 
-These are per-module rules like R1–R8, but instead of pattern-matching
-single nodes they reason about *paths* (via :mod:`repro.analysis.dataflow`)
-or about a class's whole locking discipline:
+The rules in :mod:`repro.analysis.rules` pattern-match single nodes;
+R12 reasons about a class's whole locking discipline.  The guard map is *inferred*: an attribute written
+inside ``with self.<lock>:`` blocks — assigned, deleted, or mutated in
+place by a statement-level ``self.X.pop(...)``/``append``/``update``/… —
+is declared lock-guarded, and any bare access to it elsewhere in the
+class is flagged.  The static companion to the runtime lock-order
+monitor: the monitor catches wrong *order*, this catches missing
+*acquisition*.
 
-* **R10** — in an epoch-checked oracle class (one that defines
-  ``_check_fresh``), every public method that dereferences the PML label
-  arrays must be dominated by a ``self._check_fresh()`` call: a freshness
-  check on *some* paths is exactly the stale-read bug the epoch exists
-  to prevent.
-* **R11** — a resource acquired in the service/storage layer
-  (``SharedMemory``, ``np.memmap``, ``Popen``, sockets) and bound to a
-  local name must reach ``close``/``unlink``/``terminate`` on every
-  explicit path, be handed off (returned, stored, appended to a
-  registry), or be managed by ``with``/``finally``.
-* **R12** — the guard map is *inferred*: an attribute assigned inside
-  ``with self.<lock>:`` blocks is declared lock-guarded, and any bare
-  access to it elsewhere in the class is flagged.  The static companion
-  to the runtime lock-order monitor: the monitor catches wrong *order*,
-  this catches missing *acquisition*.
-
-Shared limitations (inherited from the CFG — see dataflow.py): explicit
-control flow only, ``finally`` handled lexically, nested ``def``/lambda
-bodies opaque.  Deliberate exceptions in the shipped tree carry inline
-``# boomerlint: disable=R<n>`` suppressions with a rationale, per
-docs/ANALYSIS.md.
+Limits: guards are inferred per class, so a read of *another* object's
+guarded state (``IdleScheduler._pick`` reading each session's engine) is
+out of reach, and nested ``def``/lambda bodies are opaque (they run
+later, under locks this rule cannot know).
 """
 
 from __future__ import annotations
@@ -33,13 +20,55 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.dataflow import build_cfg, iter_step_states, scoped_walk, solve_forward
 from repro.analysis.registry import Rule, Violation, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import ModuleSource
 
-__all__ = ["EpochGuardRule", "ResourceLifecycleRule", "LockGuardRule"]
+__all__ = ["LockGuardRule", "scoped_walk"]
+
+#: Nested-scope nodes a walk of one body must not descend into (they
+#: execute under a different frame, later or never).
+_SCOPE_NODES = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.Lambda,
+    ast.ClassDef,
+)
+
+#: Container methods whose statement-level call on ``self.X`` writes X.
+_MUTATORS = frozenset(
+    {
+        "pop",
+        "append",
+        "extend",
+        "insert",
+        "remove",
+        "discard",
+        "add",
+        "clear",
+        "update",
+        "setdefault",
+        "popitem",
+    }
+)
+
+
+def scoped_walk(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` that does not descend into nested function/class scopes.
+
+    The root itself is yielded even when it is a scope node (callers
+    dispatch on it); only *nested* scopes below the root are opaque.
+    """
+    stack: list[ast.AST] = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        for child in ast.iter_child_nodes(current):
+            if isinstance(child, _SCOPE_NODES):
+                yield child  # visible as a node, opaque inside
+                continue
+            stack.append(child)
 
 
 def _is_self_attr(node: ast.AST, attr: str | None = None) -> bool:
@@ -51,284 +80,6 @@ def _is_self_attr(node: ast.AST, attr: str | None = None) -> bool:
     )
 
 
-def _has_decorator(fn: ast.FunctionDef | ast.AsyncFunctionDef, *names: str) -> bool:
-    for decorator in fn.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name) and target.id in names:
-            return True
-        if isinstance(target, ast.Attribute) and target.attr in names:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# R10 — epoch-guard flow
-# ---------------------------------------------------------------------------
-@register
-class EpochGuardRule(Rule):
-    """Public reads of PML label arrays must be dominated by _check_fresh."""
-
-    id = "R10"
-    title = (
-        "epoch-guarded classes must call self._check_fresh() on every path "
-        "before dereferencing PML label arrays in public methods"
-    )
-
-    SCOPES = ("repro/indexing/", "repro/storage/")
-    LABEL_ATTRS = frozenset(
-        {
-            "_label_offsets",
-            "_label_ranks",
-            "_label_dists",
-            "_label_ranks_arr",
-            "_label_dists_arr",
-        }
-    )
-
-    def check(self, module: "ModuleSource") -> Iterator[Violation]:
-        if not module.key.startswith(self.SCOPES):
-            return
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            methods = {
-                stmt.name: stmt
-                for stmt in cls.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if "_check_fresh" not in methods:
-                continue  # not an epoch-checked class
-            for name, fn in methods.items():
-                if name.startswith("_"):
-                    # Private helpers are reached through checked entry
-                    # points; requiring a second check there would force
-                    # redundant epoch reads on the hot merge path.
-                    continue
-                if _has_decorator(fn, "staticmethod", "classmethod"):
-                    continue
-                yield from self._check_method(module, fn)
-
-    def _check_method(
-        self, module: "ModuleSource", fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Violation]:
-        derefs = [
-            node
-            for node in scoped_walk(fn)
-            if node is not fn
-            and _is_self_attr(node)
-            and node.attr in self.LABEL_ATTRS  # type: ignore[attr-defined]
-            and isinstance(node.ctx, ast.Load)  # type: ignore[attr-defined]
-        ]
-        if not derefs:
-            return
-
-        def transfer(held: bool, step: ast.AST) -> bool:
-            if held:
-                return True
-            return any(
-                isinstance(node, ast.Call)
-                and _is_self_attr(node.func, "_check_fresh")
-                for node in scoped_walk(step)
-            )
-
-        cfg = build_cfg(fn)
-        in_states = solve_forward(
-            cfg, False, transfer, lambda a, b: a and b
-        )
-        for step, held in iter_step_states(cfg, in_states, transfer):
-            if held:
-                continue
-            step_nodes = set(map(id, scoped_walk(step)))
-            guarded_in_step = any(
-                isinstance(node, ast.Call)
-                and _is_self_attr(node.func, "_check_fresh")
-                for node in scoped_walk(step)
-            )
-            if guarded_in_step:
-                continue  # the check and the deref share one statement
-            for deref in derefs:
-                if id(deref) in step_nodes:
-                    yield self.violation(
-                        module,
-                        deref,
-                        f"'{fn.name}' dereferences label array "
-                        f"'{deref.attr}' on a path not dominated by "  # type: ignore[attr-defined]
-                        "self._check_fresh(); a stale index would serve "
-                        "pre-mutation distances",
-                    )
-
-
-# ---------------------------------------------------------------------------
-# R11 — resource lifecycle
-# ---------------------------------------------------------------------------
-@register
-class ResourceLifecycleRule(Rule):
-    """Locally-acquired OS resources must be closed on every explicit path."""
-
-    id = "R11"
-    title = (
-        "SharedMemory/memmap/Popen/socket handles acquired in the "
-        "service/storage layers must reach close()/unlink() on all paths "
-        "or be handed off / managed by with/finally"
-    )
-
-    SCOPES = ("repro/service/", "repro/storage/")
-    ACQUIRERS = frozenset(
-        {"SharedMemory", "memmap", "Popen", "create_connection", "socket"}
-    )
-    CLOSERS = frozenset({"close", "unlink", "terminate", "kill", "shutdown"})
-
-    def check(self, module: "ModuleSource") -> Iterator[Violation]:
-        if not module.key.startswith(self.SCOPES):
-            return
-        for fn in ast.walk(module.tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(module, fn)
-
-    # -- per-function analysis ------------------------------------------
-    def _acquisitions(
-        self, fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> dict[str, tuple[ast.Assign, str]]:
-        """``name -> (assign, acquirer)`` for simple-name acquisitions."""
-        out: dict[str, tuple[ast.Assign, str]] = {}
-        for node in scoped_walk(fn):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue  # attribute/tuple targets are ownership handoffs
-            value = node.value
-            if not isinstance(value, ast.Call):
-                continue
-            func = value.func
-            called = (
-                func.attr
-                if isinstance(func, ast.Attribute)
-                else func.id if isinstance(func, ast.Name) else None
-            )
-            if called in self.ACQUIRERS:
-                out[target.id] = (node, called)
-        return out
-
-    def _escapes(
-        self, fn: ast.FunctionDef | ast.AsyncFunctionDef, name: str
-    ) -> bool:
-        """True when ownership of ``name`` leaves this function."""
-        for node in scoped_walk(fn):
-            if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None and self._mentions(value, name):
-                    return True
-            elif isinstance(node, ast.Call):
-                for arg in list(node.args) + [k.value for k in node.keywords]:
-                    if self._mentions(arg, name):
-                        return True  # handed to another owner
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                value = node.value
-                if value is not None and not (
-                    isinstance(value, ast.Call)
-                ) and self._mentions(value, name):
-                    return True  # aliased or stored somewhere
-            elif isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Dict)):
-                if any(
-                    isinstance(child, ast.Name) and child.id == name
-                    for child in ast.iter_child_nodes(node)
-                ):
-                    return True
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if (
-                        isinstance(item.context_expr, ast.Name)
-                        and item.context_expr.id == name
-                    ):
-                        return True  # context manager owns the close
-        return False
-
-    @staticmethod
-    def _mentions(node: ast.AST, name: str) -> bool:
-        return any(
-            isinstance(child, ast.Name) and child.id == name
-            for child in ast.walk(node)
-        )
-
-    def _finally_closed(
-        self, fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> set[str]:
-        """Names closed inside any ``finally`` block of this function.
-
-        The CFG routes ``return`` past finalbodies (see dataflow.py), so
-        finally-based cleanup is honored lexically instead: a name whose
-        close call lives in a finalbody is safe on every path by
-        construction of ``try/finally``.
-        """
-        closed: set[str] = set()
-        for node in scoped_walk(fn):
-            if not isinstance(node, ast.Try) or not node.finalbody:
-                continue
-            for final_stmt in node.finalbody:
-                for call in ast.walk(final_stmt):
-                    if (
-                        isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in self.CLOSERS
-                        and isinstance(call.func.value, ast.Name)
-                    ):
-                        closed.add(call.func.value.id)
-        return closed
-
-    def _check_function(
-        self, module: "ModuleSource", fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Violation]:
-        acquisitions = self._acquisitions(fn)
-        if not acquisitions:
-            return
-        exempt = self._finally_closed(fn)
-        tracked = {
-            name: info
-            for name, info in acquisitions.items()
-            if name not in exempt and not self._escapes(fn, name)
-        }
-        if not tracked:
-            return
-
-        def transfer(state: frozenset[str], step: ast.AST) -> frozenset[str]:
-            opened = set(state)
-            for node in scoped_walk(step):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target = node.targets[0]
-                    if isinstance(target, ast.Name) and target.id in tracked:
-                        if node is tracked[target.id][0]:
-                            opened.add(target.id)
-                        else:
-                            opened.discard(target.id)  # rebound
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.CLOSERS
-                    and isinstance(node.func.value, ast.Name)
-                ):
-                    opened.discard(node.func.value.id)
-            return frozenset(opened)
-
-        cfg = build_cfg(fn)
-        in_states = solve_forward(
-            cfg, frozenset(), transfer, lambda a, b: a | b
-        )
-        leaked = in_states.get(cfg.exit, frozenset())
-        for name in sorted(leaked):
-            assign, acquirer = tracked[name]
-            yield self.violation(
-                module,
-                assign,
-                f"'{name}' ({acquirer}) may never be closed on some path "
-                f"through '{fn.name}'; close it on every exit or manage it "
-                "with with/finally",
-            )
-
-
-# ---------------------------------------------------------------------------
-# R12 — lock-guard inference
-# ---------------------------------------------------------------------------
 @register
 class LockGuardRule(Rule):
     """Attributes written under ``with self._lock:`` must never go bare."""
@@ -383,7 +134,8 @@ class LockGuardRule(Rule):
 
     @staticmethod
     def _written_attrs(stmt: ast.stmt) -> Iterator[str]:
-        """Self attributes a statement writes (assign/augassign/del)."""
+        """Self attributes a statement writes: assign/augassign/del, or a
+        statement-level in-place mutation ``self.X.<mutator>(...)``."""
         targets: list[ast.expr] = []
         if isinstance(stmt, ast.Assign):
             targets = list(stmt.targets)
@@ -391,6 +143,10 @@ class LockGuardRule(Rule):
             targets = [stmt.target]
         elif isinstance(stmt, ast.Delete):
             targets = list(stmt.targets)
+        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            func = stmt.value.func
+            if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+                targets = [func.value]
         for target in targets:
             base = target
             while isinstance(base, ast.Subscript):

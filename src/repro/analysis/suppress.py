@@ -49,26 +49,6 @@ class Suppressions:
     def __bool__(self) -> bool:
         return bool(self.file_rules or self.line_rules)
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready form (the incremental cache's entry payload)."""
-        return {
-            "file_rules": sorted(self.file_rules),
-            "line_rules": {
-                str(line): sorted(rules)
-                for line, rules in sorted(self.line_rules.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "Suppressions":
-        out = cls()
-        out.file_rules = {str(r) for r in payload.get("file_rules", [])}  # type: ignore[union-attr]
-        line_rules = payload.get("line_rules", {})
-        if isinstance(line_rules, dict):
-            for line, rules in line_rules.items():
-                out.line_rules[int(line)] = {str(r) for r in rules}
-        return out
-
 
 def _parse_directive(comment: str) -> tuple[bool, set[str]] | None:
     match = _DIRECTIVE.search(comment)

@@ -55,9 +55,9 @@ registry from a *running* ``repro serve`` instance over the wire
 (Prometheus-style text by default, ``--format json`` for the snapshot).
 
 ``lint`` runs **boomerlint**, the codebase-aware static analyzer of
-:mod:`repro.analysis`: AST rules R1–R7 enforce this repo's determinism,
-error-taxonomy, oracle-contract, metrics/span-naming, public-API,
-lock-discipline, and storage-seam invariants (see docs/ANALYSIS.md).
+:mod:`repro.analysis`: AST rules R1, R2, R4, R6 and R12 enforce this
+repo's determinism, error-taxonomy, metrics/span-naming, lock-discipline
+and lock-guard invariants (see docs/ANALYSIS.md).
 Exits 0 when clean, 1 with ``file:line:col: RULE message`` diagnostics
 otherwise.
 

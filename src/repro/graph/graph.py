@@ -41,8 +41,7 @@ class Graph:
     updates exist, but only through :mod:`repro.updates`, which swaps the
     CSR arrays in place and bumps :attr:`epoch` — the monotonic version
     counter every derived structure (PML labels, distance caches, stored
-    bases) validates against before serving an answer.  boomerlint rule
-    R8 flags any other module touching the CSR internals.
+    bases) validates against before serving an answer.
     """
 
     __slots__ = (

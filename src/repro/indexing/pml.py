@@ -439,10 +439,10 @@ class PrunedLandmarkLabeling:
         :attr:`epoch` to the graph's.
         """
         self._require_patchable(u, v)
-        # The R10 suppressions mark the tree's two legitimate stale reads,
-        # here and in rebuild_inplace: each is a repair path, invoked while
-        # the epoch intentionally lags the graph, and syncs it at exit.
-        ranks, dists = self._label_ranks, self._label_dists  # boomerlint: disable=R10
+        # No freshness check, here or in rebuild_inplace: a repair path
+        # reads the labels while the epoch intentionally lags the graph,
+        # and syncs it at exit.
+        ranks, dists = self._label_ranks, self._label_dists
         views = _bfs_views(self._graph, ranks, dists)
         # Snapshot both endpoints' labels first: the first pass may add
         # entries to u or v, and resuming from those would double-walk.
@@ -489,7 +489,7 @@ class PrunedLandmarkLabeling:
         updates, and syncs :attr:`epoch` to the graph's.
         """
         self._require_patchable(u, v)
-        ranks, dists = self._label_ranks, self._label_dists  # boomerlint: disable=R10
+        ranks, dists = self._label_ranks, self._label_dists  # epoch lags, as above
         owners, old_dists, bounds = self._entries_by_rank()
         views = _bfs_views(self._graph, ranks, dists)
         adj_off, adj = views[:2]
@@ -572,12 +572,12 @@ class PrunedLandmarkLabeling:
         self._graph._check_vertex(v)
         # Introspection reads label *sizes*, never distances: a stale
         # epoch can only skew a statistic, so no freshness gate here.
-        return len(self._label_ranks[v])  # boomerlint: disable=R10
+        return len(self._label_ranks[v])
 
     def total_label_entries(self) -> int:
         """Total number of (landmark, distance) pairs stored."""
-        # Size statistic only — see label_size for why R10 is waived.
-        return sum(len(lst) for lst in self._label_ranks)  # boomerlint: disable=R10
+        # Size statistic only — see label_size for why there is no gate.
+        return sum(len(lst) for lst in self._label_ranks)
 
     def average_label_size(self) -> float:
         """Mean label size — the main space/speed figure of merit of PML."""

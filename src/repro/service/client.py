@@ -114,7 +114,14 @@ class ServiceClient:
         retried under the policy (sleeping the server's ``retry_after_ms``
         hint first); on exhaustion the *typed* last error is raised, not
         the policy's wrapper, so callers always switch on stable codes.
+
+        A param named like an envelope key (``protocol.ENVELOPE_KEYS``)
+        would overwrite that transport field; it is refused with
+        :class:`TypeError`, a caller bug, before anything is sent.
         """
+        clash = params.keys() & protocol.ENVELOPE_KEYS
+        if clash:
+            raise TypeError(f"request params {sorted(clash)} collide with envelope keys")
         if self.retry_policy is None:
             try:
                 return self._attempt(op, params)

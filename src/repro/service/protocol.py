@@ -64,6 +64,7 @@ from repro.gui.recording import action_from_dict, action_to_dict
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "ENVELOPE_KEYS",
     "OPS",
     "MatchBlock",
     "match_block",
@@ -88,6 +89,10 @@ __all__ = [
 
 #: The one dialect: the ``v`` every frame carries, in both directions.
 PROTOCOL_VERSION = 2
+
+#: Keys the transport owns.  A request's params sit beside them in one
+#: flat object, so no param may take one of these names.
+ENVELOPE_KEYS = frozenset({"v", "req_id", "op", "ok", "result", "error"})
 
 #: Every operation the server understands (documented in docs/SERVICE.md).
 OPS = (

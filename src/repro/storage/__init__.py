@@ -7,9 +7,7 @@ seam through which that basis is stored, shared, and reopened:
 
 * :mod:`repro.storage.basis` — the basis value itself plus the only
   sanctioned conversions to/from a live
-  :class:`~repro.core.context.EngineContext` (boomerlint rule R7
-  enforces "only sanctioned": direct label-array plumbing outside this
-  package is a lint violation);
+  :class:`~repro.core.context.EngineContext`;
 * :mod:`repro.storage.backends` — :class:`BasisDirectory`, a basis a
   hosting process serves from one saved directory (read-only npy files,
   demand-paged — the one medium a basis crosses a process boundary

@@ -13,9 +13,9 @@ carries — the dataset registry's disk cache (a saved basis directory,
 :class:`~repro.storage.backends.BasisDirectory`, and through it the
 worker pool alike:
 
-* :func:`basis_from_context` extracts it from a live context (this is
-  the *only* sanctioned reader of the PML label-CSR internals —
-  boomerlint rule R7 flags any other module touching them);
+* :func:`basis_from_context` extracts it from a live context (outside
+  :mod:`repro.indexing`, the only reader of the PML label-CSR
+  internals);
 * :func:`context_from_basis` rebuilds a full, query-identical
   :class:`~repro.core.context.EngineContext` over the basis' buffers —
   resident numpy arrays or read-only ``numpy.memmap`` files;

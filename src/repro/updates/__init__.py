@@ -3,8 +3,8 @@
 Production networks churn, and BOOMER's blended processing assumes the
 PML labels, two-hop counts, and distance caches all describe the
 *current* graph.  This package is the only sanctioned way to move a
-:class:`~repro.graph.graph.Graph` after construction (boomerlint rule R8
-flags CSR mutation anywhere else) and it keeps that assumption true:
+:class:`~repro.graph.graph.Graph` after construction, and it keeps that
+assumption true:
 
 * :func:`~repro.updates.csr.graph_insert_edge` /
   :func:`~repro.updates.csr.graph_delete_edge` splice the CSR arrays in

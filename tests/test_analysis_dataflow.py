@@ -1,9 +1,10 @@
-"""Dataflow-tier boomerlint tests: the CFG framework and rules R10–R12.
+"""R12 lock-guard inference (``repro.analysis.rules_flow``) and the walk
+it uses, which skips nested scopes.
 
-Each rule gets the fixture pair the issue demands: a seeded violation it
+The rule gets the fixture pair every rule gets: a seeded violation it
 must fire on, and the corrected form it must stay silent on — plus the
-shapes (finally-cleanup, ownership handoff, lock-held helpers) that a
-naive implementation would false-positive on.
+shapes (in-place mutation, lock-held helpers, condition variables) that
+a naive implementation would get wrong.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import ast
 import textwrap
 
+import pytest
+
 from repro.analysis import LintEngine
-from repro.analysis.dataflow import build_cfg, iter_step_states, scoped_walk, solve_forward
+from repro.analysis.rules_flow import scoped_walk
 
 
 def lint(src: str, path: str, rule: str):
@@ -22,77 +25,7 @@ def lint(src: str, path: str, rule: str):
     return report
 
 
-class TestCFG:
-    def _fn(self, src: str) -> ast.FunctionDef:
-        tree = ast.parse(textwrap.dedent(src))
-        fn = tree.body[0]
-        assert isinstance(fn, ast.FunctionDef)
-        return fn
-
-    def test_straight_line_reaches_exit(self):
-        cfg = build_cfg(self._fn("def f():\n    a = 1\n    b = 2\n"))
-        states = solve_forward(cfg, 0, lambda s, _: s + 1, max)
-        assert states[cfg.exit] == 2  # both steps on the only path
-
-    def test_branch_meet_is_applied(self):
-        src = """
-        def f(c):
-            if c:
-                a = 1
-            else:
-                a = 2
-            return a
-        """
-        cfg = build_cfg(self._fn(src))
-        # Count steps along each path: test + one assign + return.
-        states = solve_forward(cfg, 0, lambda s, _: s + 1, min)
-        assert states[cfg.exit] == 3
-
-    def test_raise_path_never_reaches_exit(self):
-        src = """
-        def f(c):
-            if c:
-                raise ValueError("boom")
-            x = 1
-        """
-        cfg = build_cfg(self._fn(src))
-        states = solve_forward(
-            cfg, "entry", lambda s, _: s, lambda a, b: a
-        )
-        # The raise arm contributes nothing to the exit meet; only the
-        # fall-through path arrives.
-        assert cfg.exit in states
-
-    def test_while_loop_back_edge_converges(self):
-        src = """
-        def f(n):
-            while n:
-                n -= 1
-            return n
-        """
-        cfg = build_cfg(self._fn(src))
-        states = solve_forward(
-            cfg,
-            frozenset(),
-            lambda s, _: s,
-            lambda a, b: a | b,
-        )
-        assert cfg.exit in states  # solver terminated despite the cycle
-
-    def test_iter_step_states_yields_every_step(self):
-        src = """
-        def f(c):
-            a = 1
-            if c:
-                b = 2
-            return a
-        """
-        cfg = build_cfg(self._fn(src))
-        in_states = solve_forward(cfg, 0, lambda s, _: s + 1, max)
-        steps = list(iter_step_states(cfg, in_states, lambda s, _: s + 1))
-        # a=1, the if-test, b=2, return — all visible with their in-state.
-        assert len(steps) == 4
-
+class TestScopedWalk:
     def test_scoped_walk_skips_nested_function_bodies(self):
         src = """
         def f():
@@ -101,175 +34,11 @@ class TestCFG:
                 hidden = 2
             return x
         """
-        fn = self._fn(src)
+        fn = ast.parse(textwrap.dedent(src)).body[0]
         names = {
             n.id for n in scoped_walk(fn) if isinstance(n, ast.Name)
         }
         assert "x" in names and "hidden" not in names
-
-
-class TestEpochGuardRule:
-    FIRES = """
-    class Oracle:
-        def _check_fresh(self):
-            pass
-
-        def distance(self, v):
-            if v > 0:
-                self._check_fresh()
-            return self._label_ranks[v]
-    """
-
-    CLEAN = """
-    class Oracle:
-        def _check_fresh(self):
-            pass
-
-        def distance(self, v):
-            self._check_fresh()
-            if v > 0:
-                return self._label_ranks[v]
-            return self._label_dists[v]
-    """
-
-    def test_fires_on_partially_guarded_deref(self):
-        report = lint(self.FIRES, "repro/indexing/pml.py", "R10")
-        assert [v.rule for v in report.violations] == ["R10"]
-        assert "_label_ranks" in report.violations[0].message
-
-    def test_silent_when_check_dominates_every_path(self):
-        assert lint(self.CLEAN, "repro/indexing/pml.py", "R10").ok
-
-    def test_private_methods_are_exempt(self):
-        src = """
-        class Oracle:
-            def _check_fresh(self):
-                pass
-
-            def _merge(self, v):
-                return self._label_ranks[v]
-        """
-        assert lint(src, "repro/indexing/pml.py", "R10").ok
-
-    def test_unchecked_class_is_out_of_scope(self):
-        src = """
-        class Plain:
-            def distance(self, v):
-                return self._label_ranks[v]
-        """
-        assert lint(src, "repro/indexing/pml.py", "R10").ok
-
-    def test_out_of_scope_path_is_ignored(self):
-        report = lint(self.FIRES, "repro/gui/panel.py", "R10")
-        assert report.ok
-
-    def test_stores_do_not_count_as_derefs(self):
-        src = """
-        class Oracle:
-            def _check_fresh(self):
-                pass
-
-            def rebuild(self, ranks):
-                self._label_ranks = ranks
-        """
-        assert lint(src, "repro/indexing/pml.py", "R10").ok
-
-
-class TestResourceLifecycleRule:
-    FIRES = """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def attach(name, fail):
-        seg = SharedMemory(name=name)
-        if fail:
-            return None
-        seg.close()
-        return None
-    """
-
-    CLEAN = """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def attach(name, fail):
-        seg = SharedMemory(name=name)
-        if fail:
-            seg.close()
-            return None
-        seg.close()
-        return None
-    """
-
-    def test_fires_on_leaky_early_return(self):
-        report = lint(self.FIRES, "repro/storage/shm.py", "R11")
-        assert [v.rule for v in report.violations] == ["R11"]
-        assert "seg" in report.violations[0].message
-
-    def test_silent_when_closed_on_every_path(self):
-        assert lint(self.CLEAN, "repro/storage/shm.py", "R11").ok
-
-    def test_finally_cleanup_is_exempt(self):
-        src = """
-        from subprocess import Popen
-
-        def run(cmd, fail):
-            proc = Popen(cmd)
-            try:
-                if fail:
-                    return None
-                return proc.wait()
-            finally:
-                proc.terminate()
-        """
-        assert lint(src, "repro/service/pool/worker.py", "R11").ok
-
-    def test_with_managed_resource_is_exempt(self):
-        src = """
-        import socket
-
-        def probe(addr):
-            sock = socket.create_connection(addr)
-            with sock:
-                return sock.recv(1)
-        """
-        assert lint(src, "repro/service/client.py", "R11").ok
-
-    def test_ownership_handoff_is_exempt(self):
-        src = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def publish(name, registry):
-            seg = SharedMemory(name=name, create=True, size=16)
-            registry.append(seg)
-            return seg
-        """
-        assert lint(src, "repro/storage/shm.py", "R11").ok
-
-    def test_attribute_targets_are_not_tracked(self):
-        src = """
-        import socket
-
-        class Client:
-            def connect(self, addr):
-                self._sock = socket.create_connection(addr)
-        """
-        assert lint(src, "repro/service/client.py", "R11").ok
-
-    def test_raise_path_does_not_require_close(self):
-        # Exceptional exits are not modeled (documented): a raise after
-        # acquisition is the caller's problem, not a leak on this path.
-        src = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def attach(name, fail):
-            seg = SharedMemory(name=name)
-            if fail:
-                raise RuntimeError("no")
-            seg.close()
-        """
-        assert lint(src, "repro/storage/shm.py", "R11").ok
-
-    def test_out_of_scope_path_is_ignored(self):
-        assert lint(self.FIRES, "repro/faults/harness.py", "R11").ok
 
 
 class TestLockGuardRule:
@@ -403,3 +172,35 @@ class TestLockGuardRule:
 
     def test_out_of_scope_path_is_ignored(self):
         assert lint(self.FIRES, "repro/indexing/pml.py", "R12").ok
+
+    IN_PLACE = """
+    import threading
+
+    class Manager:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._sessions = {}
+
+        def close(self, sid):
+            with self._lock:
+                self._sessions.{call}
+
+        def ids(self):
+            return list(self._sessions)
+    """
+
+    @pytest.mark.parametrize(
+        "call",
+        ["pop(sid, None)", "clear()", "update({sid: 1})", "setdefault(sid, 1)"],
+    )
+    def test_in_place_mutation_under_lock_is_a_write(self, call):
+        report = lint(
+            self.IN_PLACE.replace("{call}", call), "repro/service/manager.py", "R12"
+        )
+        assert [v.rule for v in report.violations] == ["R12"]
+        assert "'_sessions'" in report.violations[0].message
+        assert "'ids'" in report.violations[0].message
+
+    def test_read_only_method_call_is_not_a_write(self):
+        src = self.IN_PLACE.replace("self._sessions.{call}", "n = self._sessions.get(sid)")
+        assert lint(src, "repro/service/manager.py", "R12").ok

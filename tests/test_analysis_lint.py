@@ -23,12 +23,13 @@ from repro.errors import LintUsageError
 
 class TestRegistry:
     def test_rule_catalog_registered(self):
-        # Ids are never renumbered (SARIF results stay comparable): R3 is retired.
-        assert rule_ids() == [f"R{n}" for n in range(1, 13) if n != 3]
+        # Ids are never renumbered (SARIF results stay comparable): the
+        # gaps are retired rules.
+        assert rule_ids() == ["R1", "R2", "R4", "R6", "R12"]
 
     def test_get_rules_subset_and_order(self):
-        rules = get_rules(["R5", "R1"])
-        assert [r.id for r in rules] == ["R5", "R1"]
+        rules = get_rules(["R12", "R1"])
+        assert [r.id for r in rules] == ["R12", "R1"]
 
     def test_unknown_rule_id_rejected(self):
         with pytest.raises(LintUsageError, match="R99"):
@@ -163,8 +164,8 @@ class TestLintCLI:
         pkg = tmp_path / "repro"
         pkg.mkdir()
         (pkg / "bad.py").write_text("import random\n")
-        # R5 alone does not care about the import.
-        assert main(["lint", str(tmp_path), "--rules", "R5"]) == EXIT_OK
+        # R2 alone does not care about the import.
+        assert main(["lint", str(tmp_path), "--rules", "R2"]) == EXIT_OK
 
     def test_json_format(self, tmp_path, capsys):
         pkg = tmp_path / "repro"
@@ -178,9 +179,8 @@ class TestLintCLI:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == EXIT_OK
         out = capsys.readouterr().out
-        for rid in ("R1", "R2", "R4", "R5", "R6"):
-            assert rid in out
-        assert "R3" not in out
+        listed = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert listed == {"R1", "R2", "R4", "R6", "R12"}
 
     def test_missing_path_exits_error(self, capsys):
         assert main(["lint", "/nonexistent/nowhere"]) == EXIT_ERROR
@@ -207,3 +207,89 @@ class TestSelfClean:
         report = LintEngine.for_rule_ids(["R1"]).lint_paths([regressed])
         assert not report.ok
         assert all(v.rule == "R1" for v in report.violations)
+
+
+#: A rule keeps its place only with a seeded mutation: a small edit to a
+#: real module that introduces the defect the rule exists for, which the
+#: rule flags and the runtime suite (``pytest --ignore-glob=
+#: 'tests/test_analysis_*.py'``) does not.  Each entry is the module and
+#: its ``(old, new)`` edits; docs/ANALYSIS.md names the defect.
+SEEDED_MUTATIONS: dict[str, tuple[str, list[tuple[str, str]]]] = {
+    # The soak's SIGKILL target stops following the workload seed, so a
+    # failing soak no longer replays from its seed.
+    "R1": (
+        "soak/harness.py",
+        [
+            ("from repro.utils.rng import seeded_rng", "import random"),
+            ("seeded_rng(workload.seed).choice(", "random.choice("),
+        ],
+    ),
+    # A request line that is JSON but not an object is answered
+    # internal_error instead of the typed bad_request.
+    "R2": (
+        "service/protocol.py",
+        [
+            (
+                'raise ProtocolError("request must be a JSON object")',
+                'raise ValueError("request must be a JSON object")',
+            )
+        ],
+    ),
+    # The CAP audit leaves the taxonomy: ``trace`` reports verify = 0.
+    "R4": (
+        "core/blender.py",
+        [('self.tracer.span("run.verify_cap")', 'self.tracer.span("run.verify")')],
+    ),
+    # Every tenant's request, the overload door and drain's timeout wait
+    # out one session's Run behind the manager lock.
+    "R6": (
+        "service/manager.py",
+        [
+            (
+                "            with session.lock:\n"
+                "                self._touch(session)\n"
+                "                try:\n"
+                "                    result = session.run()",
+                "            with session.lock, self._lock:\n"
+                "                self._touch(session)\n"
+                "                try:\n"
+                "                    result = session.run()",
+            )
+        ],
+    ),
+    # An unsynchronized copy of the session table beside its locked
+    # writers: a concurrent close can change it mid-copy.
+    "R12": (
+        "service/manager.py",
+        [
+            (
+                "        with self._lock:\n            return list(self._sessions)",
+                "        return list(self._sessions)",
+            )
+        ],
+    ),
+}
+
+
+class TestSeededMutations:
+    def test_every_rule_has_a_seeded_mutation(self):
+        assert sorted(SEEDED_MUTATIONS) == sorted(rule_ids())
+
+    @pytest.mark.parametrize("rule", sorted(SEEDED_MUTATIONS))
+    def test_seeded_mutation_caught(self, tmp_path, rule):
+        """The real module lints clean under ``rule``; with the edit
+        applied, in a copy under the same package layout, it does not."""
+        relative, edits = SEEDED_MUTATIONS[rule]
+        text = (Path(repro.__file__).parent / relative).read_text(encoding="utf-8")
+        target = tmp_path / "repro" / relative
+        target.parent.mkdir(parents=True)
+        engine = LintEngine.for_rule_ids([rule])
+        target.write_text(text, encoding="utf-8")
+        assert engine.lint_paths([target]).ok
+        for old, new in edits:
+            assert text.count(old) == 1, f"the {rule} mutation no longer applies: {old!r}"
+            text = text.replace(old, new)
+        target.write_text(text, encoding="utf-8")
+        report = engine.lint_paths([target])
+        assert report.violations
+        assert {v.rule for v in report.violations} == {rule}

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.analysis import LintEngine, to_sarif
+from repro.analysis.cache import CACHE_VERSION
 from repro.analysis.engine import PARSE_RULE
 from repro.cli import EXIT_ERROR, main
 
@@ -184,22 +185,22 @@ class TestIncrementalCache:
         warm = other.lint_paths([root], cache=other.open_cache(cache_file))
         assert warm.cache_hits == 0
 
-    def test_project_rules_recompute_from_cached_facts(self, tmp_path):
-        from tests.test_analysis_project import PROTOCOL_OK, write_tree
-
-        drifted = PROTOCOL_OK.replace('("ping", "run")', '("ping", "run", "mystery")')
-        root = write_tree(tmp_path, protocol=drifted)
+    def test_older_cache_version_starts_cold(self, tmp_path):
+        """A CI cache restored from before a format change is ignored, not
+        misread: its entries are dropped and every file is re-linted."""
+        root = tree_with_violation(tmp_path)
         cache_file = tmp_path / "lint-cache.json"
-        engine = LintEngine.for_rule_ids(["R9"])
-        cold = engine.lint_paths([root], cache=engine.open_cache(cache_file))
-        assert not cold.ok
+        engine = LintEngine.for_rule_ids(["R1"])
+        engine.lint_paths([root], cache=engine.open_cache(cache_file))
+        payload = json.loads(cache_file.read_text(encoding="utf-8"))
+        payload["version"] = CACHE_VERSION - 1
+        for entry in payload["entries"].values():
+            entry.update(violations="not a list", facts={"key": "repro/bad.py"})
+        cache_file.write_text(json.dumps(payload), encoding="utf-8")
 
-        warm = engine.lint_paths([root], cache=engine.open_cache(cache_file))
-        assert warm.cache_hits == warm.files_checked
-        # The cross-module drift is still reported on a fully-warm run.
-        assert [v.format() for v in warm.violations] == [
-            v.format() for v in cold.violations
-        ]
+        report = engine.lint_paths([root], cache=engine.open_cache(cache_file))
+        assert report.cache_hits == 0
+        assert [v.rule for v in report.violations] == ["R1"]
 
     def test_corrupt_cache_file_starts_cold(self, tmp_path):
         root = tree_with_violation(tmp_path)

@@ -1,7 +1,8 @@
-"""Per-rule fixture tests for the boomerlint catalog (R1, R2, R4–R8).
+"""Per-rule fixture tests for the per-node rules (R1, R2, R4, R6).
 
 Each rule gets at least one *bad* fixture that must fire and one *good*
-fixture that must stay silent.  Path-scoped rules (R1, R2, R6) are
+fixture that must stay silent; its seeded mutation of a real module is
+in ``test_analysis_lint.py``.  Path-scoped rules (R1, R2, R6) are
 exercised through ``lint_source``'s path argument: the engine scopes by
 module key, so a fixture opts in by claiming a ``repro/...`` path.
 """
@@ -161,79 +162,6 @@ class TestMetricsSpanTaxonomyRule:
 
 
 # ----------------------------------------------------------------------
-# R5 — public-API coherence
-# ----------------------------------------------------------------------
-class TestPublicApiRule:
-    def test_missing_binding_flagged(self):
-        hits = rule_hits("R5", "__all__ = ['ghost']\n")
-        assert len(hits) == 1 and "ghost" in hits[0].message
-
-    def test_duplicate_flagged(self):
-        src = "__all__ = ['a', 'a']\na = 1\n"
-        hits = rule_hits("R5", src)
-        assert len(hits) == 1 and "more than once" in hits[0].message
-
-    def test_bindings_of_every_kind_seen(self):
-        src = """\
-        __all__ = ["f", "C", "x", "mod", "alias", "looped", "handled"]
-
-        import mod
-        from pkg import thing as alias
-
-        x = 1
-
-        def f():
-            local = 2  # noqa: F841 - locals never count as module names
-            return local
-
-        class C:
-            pass
-
-        for looped in range(3):
-            pass
-
-        try:
-            pass
-        except ValueError:
-            handled = True
-        """
-        assert not rule_hits("R5", src)
-
-    def test_except_as_name_is_drift(self):
-        # ``except ... as e`` names are deleted when the handler exits,
-        # so exporting one is genuine drift.
-        src = """\
-        __all__ = ["caught"]
-
-        try:
-            pass
-        except ValueError as caught:
-            pass
-        """
-        assert rule_hits("R5", src)
-
-    def test_function_locals_do_not_leak(self):
-        src = """\
-        __all__ = ["hidden"]
-
-        def f():
-            hidden = 1
-            return hidden
-        """
-        hits = rule_hits("R5", src)
-        assert len(hits) == 1 and "hidden" in hits[0].message
-
-    def test_star_import_disables_check(self):
-        assert not rule_hits("R5", "from os.path import *\n__all__ = ['join']\n")
-
-    def test_computed_all_skipped(self):
-        assert not rule_hits("R5", "__all__ = sorted(globals())\n")
-
-    def test_no_all_is_fine(self):
-        assert not rule_hits("R5", "a = 1\n")
-
-
-# ----------------------------------------------------------------------
 # R6 — lock discipline
 # ----------------------------------------------------------------------
 class TestLockDisciplineRule:
@@ -287,63 +215,6 @@ class TestLockDisciplineRule:
 
 
 # ----------------------------------------------------------------------
-# R7 — storage seam
-# ----------------------------------------------------------------------
-class TestStorageSeamRule:
-    def test_direct_label_array_access_flagged(self):
-        src = """\
-        def peek(oracle):
-            return oracle._label_offsets[0]
-        """
-        hits = rule_hits("R7", src, "repro/service/manager.py")
-        assert len(hits) == 1
-        assert "_label_offsets" in hits[0].message
-        assert "EngineBasis" in hits[0].message
-
-    def test_all_three_csr_arrays_flagged(self):
-        src = """\
-        def peek(pml):
-            a = pml._label_offsets
-            b = pml._label_ranks_arr
-            c = pml._label_dists_arr
-            return a, b, c
-        """
-        assert len(rule_hits("R7", src, "repro/core/blender.py")) == 3
-
-    def test_indexing_and_storage_exempt(self):
-        src = """\
-        def kernel(oracle):
-            return oracle._label_ranks_arr.sum()
-        """
-        assert not rule_hits("R7", src, "repro/indexing/batch.py")
-        assert not rule_hits("R7", src, "repro/storage/basis.py")
-
-    def test_self_access_clean(self):
-        src = """\
-        class MyOracle:
-            def peek(self):
-                return self._label_offsets[0]
-        """
-        assert not rule_hits("R7", src, "repro/core/blender.py")
-
-    def test_other_private_attrs_clean(self):
-        src = """\
-        def peek(pml):
-            return pml._order, pml.query_count
-        """
-        assert not rule_hits("R7", src, "repro/datasets/registry.py")
-
-    def test_tree_is_currently_clean(self):
-        from pathlib import Path
-
-        import repro
-
-        root = Path(repro.__file__).parent
-        report = LintEngine.for_rule_ids(["R7"]).lint_paths([root])
-        assert report.ok, [v.format() for v in report.violations]
-
-
-# ----------------------------------------------------------------------
 # Regression guards: the satellites this PR fixed stay fixed
 # ----------------------------------------------------------------------
 class TestFixedViolationsStayFixed:
@@ -367,64 +238,3 @@ class TestFixedViolationsStayFixed:
             path = Path(importlib.import_module(module).__file__)
             report = LintEngine.for_rule_ids(["R2"]).lint_paths([path])
             assert report.ok, [v.format() for v in report.violations]
-
-
-# ----------------------------------------------------------------------
-# R8 — graph mutation seam
-# ----------------------------------------------------------------------
-class TestGraphMutationSeamRule:
-    def test_epoch_write_flagged(self):
-        hits = rule_hits("R8", "def f(graph):\n    graph._epoch = 0\n")
-        assert len(hits) == 1
-        assert hits[0].rule == "R8"
-        assert "repro.updates" in hits[0].message
-
-    def test_csr_writes_flagged(self):
-        src = """\
-        def splice(g, arr):
-            g._neighbors = arr
-            g._offsets = arr
-            g._num_edges += 1
-        """
-        assert len(rule_hits("R8", src)) == 3
-
-    def test_label_index_write_flagged(self):
-        assert rule_hits("R8", "def f(g):\n    g._label_index = {}\n")
-
-    def test_annotated_assign_flagged(self):
-        # AnnAssign is a distinct AST node; the rule must catch it too.
-        assert rule_hits("R8", "def f(g):\n    g._epoch: int = 3\n")
-
-    def test_updates_and_graph_packages_exempt(self):
-        src = "def f(g):\n    g._epoch = 1\n    g._num_edges += 1\n"
-        assert not rule_hits("R8", src, "repro/updates/csr.py")
-        assert not rule_hits("R8", src, "repro/graph/graph.py")
-        assert not rule_hits("R8", src, "repro/storage/basis.py")
-
-    def test_self_writes_clean(self):
-        # A class managing its *own* slots (Graph itself, any view with an
-        # _offsets of its own) is construction, not cross-object mutation.
-        src = """\
-        class View:
-            def __init__(self, offsets):
-                self._offsets = offsets
-        """
-        assert not rule_hits("R8", src, "repro/core/somewhere.py")
-
-    def test_reads_and_other_attrs_clean(self):
-        src = """\
-        def peek(g):
-            e = g._epoch
-            g.cursor = e
-            return g.epoch
-        """
-        assert not rule_hits("R8", src)
-
-    def test_tree_is_currently_clean(self):
-        from pathlib import Path
-
-        import repro
-
-        root = Path(repro.__file__).parent
-        report = LintEngine.for_rule_ids(["R8"]).lint_paths([root])
-        assert report.ok, [v.format() for v in report.violations]

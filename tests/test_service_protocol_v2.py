@@ -685,6 +685,38 @@ class TestClientSpeaksV2:
             "type": "SessionNotFoundError", "session": "ghost"
         }
 
+    @pytest.mark.parametrize("key", sorted(protocol.ENVELOPE_KEYS - {"op"}))
+    def test_param_named_like_an_envelope_key_is_refused(self, server, key):
+        """A flat param would overwrite the transport field of that name
+        (the ``update`` verb once sent its vertex as ``v``)."""
+        with ServiceClient(*server.address) as client:
+            with pytest.raises(TypeError, match="envelope"):
+                client.request("ping", **{key: 1})
+            assert client.ping()["pong"] is True  # nothing was sent
+
+
+# ---------------------------------------------------------------------------
+# Every registered op reaches its handler, threaded and pooled
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def every_backend(fig2_pre):
+    ctx = make_context(fig2_pre)
+    pool = open_host(ctx, ServeConfig(workers=1, max_sessions=4))
+    yield {"local": open_host(ctx, ServeConfig()), "pool": pool}
+    pool.close()
+
+
+@pytest.mark.parametrize("backend", ["local", "pool"])
+@pytest.mark.parametrize("op", protocol.OPS)
+def test_every_op_reaches_a_handler(every_backend, backend, op):
+    """``OPS`` and both dispatchers agree: each verb, sent with a session
+    id nobody holds, is answered or refused by its own handler, never by
+    the ``unhandled op`` fall-through."""
+    try:
+        every_backend[backend].dispatch({"op": op, "session": "ghost"})
+    except ReproError as exc:
+        assert "unhandled op" not in str(exc)
+
 
 # ---------------------------------------------------------------------------
 # Error frames: threaded == through a two-worker pool, byte for byte

@@ -226,6 +226,7 @@ def test_scalar_queries_leave_a_stored_index_as_it_was(backend_name, tmp_path):
             lambda: stored.distance(u, v),
             lambda: stored.within(u, v, 2),
             lambda: stored.distances_from(u, [v]),
+            lambda: stored.within_many([u], [v], 2),
         ):
             with pytest.raises(StaleIndexError):
                 call()

@@ -245,10 +245,15 @@ class TestStaleReaders:
         graph = build_fig2_graph()
         pml = PrunedLandmarkLabeling.build(graph)
         graph_insert_edge(graph, 0, 11)  # bypasses maintenance on purpose
+        everyone = np.arange(graph.num_vertices)
         with pytest.raises(StaleIndexError, match="epoch"):
             pml.distance(0, 11)
         with pytest.raises(StaleIndexError):
-            pml.distances_from(0, np.arange(graph.num_vertices))
+            pml.within(0, 11, 2)
+        with pytest.raises(StaleIndexError):
+            pml.distances_from(0, everyone)
+        with pytest.raises(StaleIndexError):
+            pml.within_many([0], everyone, 2)
 
     def test_bfs_oracle_self_heals_cached_vectors(self):
         graph = build_fig2_graph()
