@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.query import QueryEdge, canonical_edge
 from repro.errors import CAPStateError
 from repro.indexing.twohop import hop_pairs
@@ -165,19 +163,20 @@ def _tighten(engine: "BlenderEngine", edge: QueryEdge) -> ModificationReport:
     stored block keeps the rows that are also in the block of still-valid
     pairs, then the isolation prune re-runs for this edge.  The re-check
     uses the same bound specialization as PVS: the bounded-hop kernel over
-    the two levels for upper 1 and 2, oracle distance otherwise.
+    the two levels for upper 1 and 2, one ``within_many`` block over them
+    otherwise (charged to ``distance_queries`` as the whole level product,
+    like :func:`~repro.core.pvs.large_upper_search`).
     """
     qi, qj = edge.u, edge.v
     cap = engine.cap
     ctx = engine.ctx
     upper = edge.upper
+    levels = cap.candidates(qi), cap.candidates(qj)
 
     if upper <= 2:
-        valid = hop_pairs(ctx.graph, cap.candidates(qi), cap.candidates(qj), upper)
+        valid = hop_pairs(ctx.graph, *levels, upper)
     else:
-        stored = cap.pairs(qi, qj)
-        checks = (ctx.within(vi, vj, upper) for vi, vj in stored.tolist())
-        valid = stored[np.fromiter(checks, bool, len(stored))]
+        valid = ctx.within_many(*levels, upper, skip_equal=True)
     cap.retain_pairs(qi, qj, valid)
     pruned = cap.prune_isolated(qi, qj)
     return ModificationReport(

@@ -22,9 +22,14 @@ is *pruned* (no label stored, no expansion).  Otherwise the pair
 and a query is a merge join over the two (rank-sorted) label lists —
 exactly the ``O(|C(u)| + |C(v)|)`` cost that Lemma 5.5 charges.
 
-Every pruned BFS, the build's and each one an update resumes or re-runs,
-is one kernel over plain Python lists, :func:`_pruned_bfs`.  The landmark
-order is fixed at build time and kept across updates.
+Every pruned BFS an update resumes or re-runs, and all but the build's
+top ranks, is one kernel over plain Python lists, :func:`_pruned_bfs`.
+The build runs its top landmarks, which sweep most of the graph, through
+:func:`_level_bfs` instead: the same BFS one level at a time in numpy,
+pruning against a table of the earlier top landmarks' distances.  It
+hands over to the list kernel between two ranks, never inside one, so
+both kernels label exactly what the other would.  The landmark order is
+fixed at build time and kept across updates.
 
 Batch queries
 -------------
@@ -44,6 +49,7 @@ typically short labels.
 from __future__ import annotations
 
 import heapq
+import mmap
 from bisect import bisect_left
 from itertools import chain
 
@@ -53,6 +59,7 @@ from repro.errors import IndexNotBuiltError, StaleIndexError
 from repro.graph.graph import Graph
 from repro.indexing.batch import checked_block, pair_block
 from repro.indexing.order import degree_order
+from repro.indexing.twohop import _distinct
 
 __all__ = ["PrunedLandmarkLabeling"]
 
@@ -63,6 +70,19 @@ _FAR = 1 << 40
 #: table (64-byte rows) and sources per gather (~13k rows, under 1 MB).
 _TARGET_BLOCK = 512
 _SOURCE_BLOCK = 256
+
+#: The build's level kernel keeps one uint8 row of distances per landmark
+#: it ran, in a table of at most this many bytes (DESIGN.md 4g) ...
+_TABLE_BYTES = 8 << 20
+#: ... and hands every later rank to the list kernel after the first rank
+#: whose BFS labels fewer vertices than this.
+_LEVEL_MIN_LABELLED = 16
+#: A table cell its landmark left empty; the first distance a row cannot hold.
+_NO_ENTRY = 255
+#: Table cells one prune gather reads at most: its int64 index stays a
+#: small heap allocation (a freed large one would raise glibc's mmap
+#: threshold, and the heap would then hold on to later temporaries).
+_PRUNE_BLOCK = 1 << 13
 
 
 def _bfs_views(graph: Graph, ranks: list[list[int]], dists: list[list[int]]) -> tuple:
@@ -111,6 +131,87 @@ def _pruned_bfs(
     for w in queue:
         seen[w] = -1
     return labelled
+
+
+def _level_bfs(
+    graph: Graph, table: np.ndarray, root: int, root_ranks: list[int],
+    root_dists: list[int], seen: np.ndarray,
+) -> list[np.ndarray] | None:
+    """:func:`_pruned_bfs` of the next rank from ``root``, one BFS level at
+    a time: the vertices it labels, one array per depth.  None if it would
+    label a vertex at depth ``_NO_ENTRY`` or more.
+
+    ``table[k * n + w]`` is landmark ``k``'s distance to ``w``
+    (``_NO_ENTRY`` where it stored none) for every rank ``k`` the root's
+    label names.  A frontier vertex ``w`` at depth ``d`` is pruned iff one
+    of those ``k`` has ``d(root, k) + d(k, w) <= d``: the list kernel's
+    test, with the same entries.  ``seen`` is all False in and out.
+    """
+    offsets, neighbors = graph.raw_csr()
+    rows = np.array(root_ranks, dtype=np.int64)[:, None] * graph.num_vertices
+    slack = -np.array(root_dists, dtype=np.int16)[:, None]
+    step = _PRUNE_BLOCK // max(len(root_ranks), 1) + 1
+    frontier = np.array([root])
+    seen[root] = True
+    reached, levels = [frontier], []
+    while True:
+        keep = np.empty(len(frontier), dtype=bool)
+        for lo in range(0, len(frontier), step):
+            part = table.take(rows + frontier[lo : lo + step])
+            keep[lo : lo + step] = (part > slack + len(levels)).all(axis=0)
+        frontier = frontier[keep]
+        if not frontier.size:
+            break
+        if len(levels) == _NO_ENTRY:
+            levels = None
+            break
+        levels.append(frontier)
+        starts = offsets[frontier]
+        counts = offsets[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        flat = np.repeat(starts - ends + counts, counts)
+        flat += np.arange(ends[-1])
+        frontier = neighbors[flat]
+        frontier = _distinct(frontier[~seen[frontier]])
+        seen[frontier] = True
+        reached.append(frontier)
+    for level in reached:
+        seen[level] = False
+    return levels
+
+
+def _level_ranks(
+    graph: Graph, roots: list[int], ranks: list[list[int]], dists: list[list[int]]
+) -> int:
+    """Run the top ranks through :func:`_level_bfs`, appending their entries
+    to the label lists; return how many ranks ran.
+
+    It stops between ranks only: after the first rank that labels fewer
+    than ``_LEVEL_MIN_LABELLED`` vertices, when the ``_TABLE_BYTES``
+    table is full, or before a rank that would store a distance the table
+    cannot hold (that rank is left whole to the list kernel).
+    """
+    n = graph.num_vertices
+    top = min(n, _TABLE_BYTES // max(n, 1))
+    # An anonymous mapping, not the heap: a freed multi-MB malloc chunk
+    # raises glibc's mmap threshold, and the heap then keeps what the
+    # later allocations free instead of returning it.  Rows fill on use.
+    table = np.frombuffer(mmap.mmap(-1, max(top * n, 1)), dtype=np.uint8)
+    seen = np.zeros(n, dtype=bool)
+    for rank, root in enumerate(roots[:top]):
+        levels = _level_bfs(graph, table, root, ranks[root], dists[root], seen)
+        if levels is None:
+            return rank
+        row = table[rank * n : (rank + 1) * n]
+        row.fill(_NO_ENTRY)
+        for d, level in enumerate(levels):
+            row[level] = d
+            for w in level.tolist():
+                ranks[w].append(rank)
+                dists[w].append(d)
+        if sum(map(len, levels)) < _LEVEL_MIN_LABELLED:
+            return rank + 1
+    return top
 
 
 def _put(w_ranks: list[int], w_dists: list[int], rank: int, d: int) -> bool:
@@ -198,15 +299,21 @@ class PrunedLandmarkLabeling:
     def build(
         cls, graph: Graph, order: np.ndarray | None = None
     ) -> "PrunedLandmarkLabeling":
-        """Build the index; ``order`` defaults to decreasing degree."""
+        """Build the index; ``order`` defaults to decreasing degree.
+
+        The top ranks run through the level kernel while they label many
+        vertices (:func:`_level_ranks`), the rest through the list kernel.
+        """
         if order is None:
             order = degree_order(graph)
         n = graph.num_vertices
         label_ranks: list[list[int]] = [[] for _ in range(n)]
         label_dists: list[list[int]] = [[] for _ in range(n)]
+        roots = np.asarray(order).tolist()
+        top = _level_ranks(graph, roots, label_ranks, label_dists)
         views = _bfs_views(graph, label_ranks, label_dists)
-        for rank, root in enumerate(np.asarray(order).tolist()):
-            for w, d in _pruned_bfs(views, rank, root):
+        for rank in range(top, n):
+            for w, d in _pruned_bfs(views, rank, roots[rank]):
                 label_ranks[w].append(rank)
                 label_dists[w].append(d)
         return cls(graph, label_ranks, label_dists, order)

@@ -5,9 +5,10 @@ vertex in G.  Note that we only record the *count* and not the exact vertex
 set" — the counts feed the out-scan/in-scan cost comparison of the two-hop
 search (Lemma 5.4), while the actual 2-hop *sets* are enumerated on the fly
 when a scan runs: :func:`hop_pairs` does it for a whole candidate level at
-once over the CSR arrays; :func:`two_hop_neighbors` is its per-vertex
-reference and what the counts are computed from.  :func:`bfs_levels` runs
-the same expansion to any radius (the Results page's level arrays).
+once over the CSR arrays, and the counts are its pairs over all vertices,
+counted per source; :func:`two_hop_neighbors` is its per-vertex reference
+and what an edge update recounts.  :func:`bfs_levels` runs the same
+expansion to any radius (the Results page's level arrays).
 """
 
 from __future__ import annotations
@@ -23,18 +24,26 @@ __all__ = [
 
 #: Adjacency entries :func:`hop_pairs` gathers per chunk (plus one row).
 _HOP_BLOCK = 1 << 16
+#: The same bound for :func:`two_hop_counts`, whose one call spans the
+#: whole graph: smaller, so its scratch stays under the build's.
+_COUNT_BLOCK = 1 << 13
 
 
 def two_hop_counts(graph: Graph) -> np.ndarray:
     """``TwoHop(v)`` for every vertex: |{u != v : dist(v, u) <= 2}|.
 
-    One pass of neighbor-of-neighbor set unions per vertex; computed once
-    per data graph by the preprocessor and cached with the dataset.
+    The pairs of :func:`hop_pairs` over all vertices, counted per source
+    one key run at a time, so they are never all held at once; computed
+    once per data graph by the preprocessor and cached with the dataset.
     """
     n = graph.num_vertices
-    return np.fromiter(
-        (len(two_hop_neighbors(graph, v)) for v in range(n)), dtype=np.int64, count=n
-    )
+    counts = np.zeros(n, dtype=np.int64)
+    everything = np.arange(n)
+    for keys in _hop_keys(graph, everything, everything, 2, _COUNT_BLOCK):
+        sources = keys >> 32
+        starts = np.flatnonzero(np.diff(sources, prepend=-1))
+        counts[sources[starts]] = np.diff(starts, append=len(sources))
+    return counts
 
 
 def two_hop_neighbors(graph: Graph, v: int) -> set[int]:
@@ -55,19 +64,20 @@ def two_hop_neighbors(graph: Graph, v: int) -> set[int]:
     return reach
 
 
-def adjacent(offsets, neighbors, owners, rows, closed: bool):
+def adjacent(offsets, neighbors, owners, rows, closed: bool, block: int | None = None):
     """Yield ``(owner, vertex)`` array chunks: ``owners[i]`` beside every
     neighbour of ``rows[i]`` (and beside ``rows[i]`` itself when ``closed``).
 
-    Rows whose flat start falls in the same ``_HOP_BLOCK`` window share a
-    chunk, so a chunk gathers at most ``_HOP_BLOCK`` entries plus one row.
+    Rows whose flat start falls in the same ``block`` window (default
+    ``_HOP_BLOCK``) share a chunk, so a chunk gathers at most ``block``
+    entries plus one row.
     """
     if not len(rows):
         return
     starts = offsets[rows]
     counts = offsets[rows + 1] - starts
     base = np.cumsum(counts) - counts
-    window = base // _HOP_BLOCK
+    window = base // (block or _HOP_BLOCK)
     cuts = [0] + (np.flatnonzero(window[1:] != window[:-1]) + 1).tolist()
     for lo, hi in zip(cuts, cuts[1:] + [len(rows)]):
         count = counts[lo:hi]
@@ -81,9 +91,41 @@ def adjacent(offsets, neighbors, owners, rows, closed: bool):
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """``keys`` ascending without repeats; faster than ``np.unique``."""
-    keys = np.sort(keys)
+    """``keys`` ascending without repeats; faster than ``np.unique``.
+    Sorts ``keys`` in place, so pass a temporary."""
+    keys.sort()
     return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+
+
+def _hop_keys(graph: Graph, scanned, member, hops: int, block: int | None = None):
+    """Yield :func:`hop_pairs`' pairs as sorted int64 key runs
+    ``(s << 32) | t``, ascending across runs, each source's keys in one run.
+
+    The adjacency rows of ``scanned`` (for ``hops == 2`` also the rows of
+    those neighbours) are gathered with flat index arithmetic on the CSR
+    arrays, endpoints outside ``member`` are dropped, and what is left is
+    de-duplicated, since a 2-hop target is reached along several paths.
+    Chunks arrive in source order, so only the last source of a chunk can
+    continue into the next one: its keys are carried over and everything
+    before them is final.  Scratch beyond the two sides is bounded by
+    ``block`` (default ``_HOP_BLOCK``) gathered entries plus one adjacency
+    row per level, never by the size of the balls.
+    """
+    offsets, neighbors = graph.raw_csr()
+    mask = np.zeros(max(graph.num_vertices, 1), dtype=bool)
+    mask[np.asarray(member, dtype=np.int64)] = True
+    scanned = np.sort(np.asarray(scanned, dtype=np.int64))
+    carry = np.empty(0, dtype=np.int64)
+    for chunk in adjacent(offsets, neighbors, scanned, scanned, False, block):
+        pieces = [chunk] if hops == 1 else adjacent(offsets, neighbors, *chunk, True, block)
+        for s, t in pieces:
+            keep = mask[t] & (t != s)
+            keys = (np.compress(keep, s) << 32) | np.compress(keep, t)
+            keys = _distinct(np.concatenate((carry, keys)))
+            cut = np.searchsorted(keys, keys[-1] >> 32 << 32) if len(keys) else 0
+            yield keys[:cut]
+            carry = keys[cut:]
+    yield carry
 
 
 def hop_pairs(graph: Graph, scanned, member, hops: int) -> np.ndarray:
@@ -92,33 +134,13 @@ def hop_pairs(graph: Graph, scanned, member, hops: int) -> np.ndarray:
     block sorted by ``(s, t)``.
 
     The bounded-hop search of a whole candidate level at once; the two
-    sides are collections of vertices and may overlap.  The adjacency
-    rows of ``scanned`` (for ``hops == 2`` also the rows of those
-    neighbours) are gathered with flat index arithmetic on the CSR arrays,
-    endpoints outside ``member`` are dropped, and what is left is
-    de-duplicated, since a 2-hop target is reached along several paths.
-    Chunks arrive in source order, so only the last source of a chunk can
-    continue into the next one: its pairs are carried over and everything
-    before them is final.  Scratch beyond the two sides is bounded by
-    ``_HOP_BLOCK`` plus one adjacency row per level, never by the size of
-    the balls.
+    sides are collections of vertices and may overlap (:func:`_hop_keys`).
     """
-    offsets, neighbors = graph.raw_csr()
-    n = max(graph.num_vertices, 1)
-    mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(member, dtype=np.int64)] = True
-    scanned = np.sort(np.asarray(scanned, dtype=np.int64))
-    final, carry = [], np.empty(0, dtype=np.int64)
-    for chunk in adjacent(offsets, neighbors, scanned, scanned, closed=False):
-        pieces = [chunk] if hops == 1 else adjacent(offsets, neighbors, *chunk, closed=True)
-        for s, t in pieces:
-            keep = mask[t] & (t != s)
-            keys = _distinct(np.concatenate((carry, s[keep] * n + t[keep])))
-            cut = np.searchsorted(keys, keys[-1] // n * n) if len(keys) else 0
-            final.append(keys[:cut])
-            carry = keys[cut:]
-    keys = np.concatenate(final + [carry])
-    return np.stack((keys // n, keys % n), axis=1).astype(np.int32)
+    keys = np.concatenate(list(_hop_keys(graph, scanned, member, hops)))
+    block = np.empty((len(keys), 2), dtype=np.int32)
+    block[:, 0] = keys >> 32
+    block[:, 1] = keys & 0xFFFFFFFF
+    return block
 
 
 def bfs_levels(graph: Graph, roots, radii) -> tuple[np.ndarray, np.ndarray]:

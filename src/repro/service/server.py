@@ -22,6 +22,7 @@ assertable exit.
 
 from __future__ import annotations
 
+import ctypes
 import socketserver
 import threading
 from typing import Any
@@ -38,6 +39,29 @@ __all__ = ["QueryServer", "MAX_REQUEST_BYTES"]
 #: Longest request line the server buffers, newline included.  A whole
 #: session sends about 1.5 KB of requests; only replies are large.
 MAX_REQUEST_BYTES = 1 << 20
+
+#: glibc ``mallopt`` parameters and the values a serving process pins them
+#: to (DESIGN.md, "The serving heap").
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 16 << 20
+_MMAP_THRESHOLD = 8 << 20
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's trim and mmap thresholds for the rest of the process.
+
+    Left dynamic, both start at 128 KB and rise only when a mapped block
+    is freed.  Then the largest temporary the boot happened to free
+    decides whether each request trims the heap and faults it back in.
+    Pinned, a request's page faults no longer depend on how the index
+    was built.  A no-op where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -135,6 +159,7 @@ class QueryServer:
                 self._tcp.server_close()
                 return
             self._serving = True
+        _pin_heap_thresholds()
         try:
             self._tcp.serve_forever(poll_interval=0.05)
         finally:

@@ -1,13 +1,16 @@
 """The container models the array CAP, the block DFS, the block
-lower-bound verify and the oracle kernels replaced.
+lower-bound verify, the oracle kernels and the PML build's level kernel
+replaced.
 
 Kept here, and only here, as the references the conformance tests drive
 beside the real thing: a dict-of-set CAP with the scalar ``add_pair`` /
 ``remove_pair`` and Algorithm 7's worklist prune, the recursive
 depth-first enumeration over it, Algorithms 13/14 as the per-match,
-per-DFS-node oracle loop they are stated as, and the oracle kernels as
-the per-pair loop of scalar calls (:class:`CountingOracle`).  Plus two
-helpers that turn the array CAP's state into plain Python for ``==``.
+per-DFS-node oracle loop they are stated as, the oracle kernels as
+the per-pair loop of scalar calls (:class:`CountingOracle`), and the PML
+build as every rank through the list kernel (:func:`list_kernel_build`).
+Plus two helpers that turn the array CAP's state into plain Python for
+``==``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,25 @@ from repro.core.cap import CAPIndex
 from repro.core.context import EngineContext
 from repro.core.lowerbound import PathSearchStats, ResultSubgraph
 from repro.core.query import BPHQuery, canonical_edge
+from repro.indexing.order import degree_order
+from repro.indexing.pml import PrunedLandmarkLabeling, _bfs_views, _pruned_bfs
 from repro.obs.metrics import metrics
+
+
+def list_kernel_build(graph, order=None) -> PrunedLandmarkLabeling:
+    """:meth:`PrunedLandmarkLabeling.build` with every rank, one after
+    another, through the list kernel ``_pruned_bfs``."""
+    if order is None:
+        order = degree_order(graph)
+    n = graph.num_vertices
+    label_ranks: list[list[int]] = [[] for _ in range(n)]
+    label_dists: list[list[int]] = [[] for _ in range(n)]
+    views = _bfs_views(graph, label_ranks, label_dists)
+    for rank, root in enumerate(np.asarray(order).tolist()):
+        for w, d in _pruned_bfs(views, rank, root):
+            label_ranks[w].append(rank)
+            label_dists[w].append(d)
+    return PrunedLandmarkLabeling(graph, label_ranks, label_dists, order)
 
 
 def scalar_distances(oracle, source, targets) -> np.ndarray:

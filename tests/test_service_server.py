@@ -7,6 +7,7 @@ handshake are exactly the parts a manager-only test cannot see.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -548,3 +549,37 @@ def test_cli_serve_subprocess_smoke(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd",
+            "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+        )
+    ]
+
+
+def test_serving_pins_the_heap_thresholds():
+    """After the pin a 4 MB block comes from the heap, and a 12 MB block
+    gets its own mapping every time: freeing one no longer raises the
+    threshold, as glibc's dynamic thresholds would."""
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc >= 2.33")
+    libc.mallinfo2.restype = _MallInfo2
+    libc.malloc.restype = ctypes.c_void_p
+    libc.free.argtypes = [ctypes.c_void_p]
+
+    def own_mapping(size: int) -> bool:
+        before = libc.mallinfo2().hblks
+        block = libc.malloc(size)
+        mapped = libc.mallinfo2().hblks > before
+        libc.free(block)
+        return mapped
+
+    server_module._pin_heap_thresholds()
+    assert not own_mapping(4 << 20)
+    assert own_mapping(12 << 20)
+    assert own_mapping(12 << 20)
