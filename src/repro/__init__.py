@@ -46,14 +46,11 @@ from repro.core import (
 )
 from repro.baseline import BoomerUnaware
 from repro.errors import (
-    CAPCorruptionError,
     DeadlineExceededError,
-    DegradedModeError,
     ReproError,
     ResilienceError,
     RetryExhaustedError,
 )
-from repro.faults import FaultPlan
 from repro.graph import Graph
 from repro.gui import SessionResult, VisualSession
 from repro.obs import (
@@ -62,8 +59,9 @@ from repro.obs import (
     Tracer,
     metrics,
 )
-from repro.resilience import Deadline, ResilienceConfig, RetryPolicy
 from repro.service import QueryServer, ServiceClient, SessionManager
+from repro.service.client import RetryPolicy
+from repro.utils.timing import Deadline
 
 __version__ = "1.0.0"
 
@@ -106,11 +104,7 @@ __all__ = [
     "ResilienceError",
     "DeadlineExceededError",
     "RetryExhaustedError",
-    "CAPCorruptionError",
-    "DegradedModeError",
-    "FaultPlan",
     "Deadline",
-    "ResilienceConfig",
     "RetryPolicy",
     "__version__",
 ]

@@ -8,7 +8,7 @@ Subcommands::
         [--strategy DI] [--limit 10] [--rank compactness] [--dot out.dot]
     python -m repro serve --graph graph.txt [--port 7474] \
         [--max-sessions 64] [--cap-budget 1000000]
-    python -m repro soak --dataset dblp [--sessions 20] [--chaos] \
+    python -m repro soak --dataset dblp [--sessions 20] \
         [--out BENCH_soak.json]
     python -m repro obs summarize --trace trace.json
     python -m repro obs tree --trace trace.json [--max-depth 3]
@@ -24,9 +24,10 @@ or a client ``shutdown`` op.
 
 ``soak`` stands up that same service with *deliberately tight* budgets,
 floods it with a seeded heavy-tailed traffic schedule
-(:mod:`repro.workload.traffic`) — optionally under a chaos
-:class:`repro.faults.FaultPlan` — then drains, restores checkpointed
-sessions, and gates the run on an SLO (:mod:`repro.soak`).  Exits 0 on
+(:mod:`repro.workload.traffic`) — overload sheds, evictions, abandoning
+users and, behind ``--workers N``, a worker SIGKILL — then drains,
+restores checkpointed sessions, and gates the run on an SLO
+(:mod:`repro.soak`).  Exits 0 on
 pass, 1 on any SLO violation; ``--out BENCH_soak.json`` archives the
 full report.
 
@@ -41,11 +42,9 @@ Lines are replayed through the blender in file order, so the file *is* the
 formulation sequence (vertex ids may be any integers; edges may only
 reference already-declared vertices).
 
-``query`` and ``replay`` accept resilience options: ``--resilience``
-(off/default/strict/paranoid), ``--deadline`` (Run-phase budget, seconds),
-and ``--fault-plan`` (a :class:`repro.faults.FaultPlan` JSON file or
-inline JSON, for reproducing failure scenarios).  Both also take
-``--trace FILE``: the session runs with a live :mod:`repro.obs` tracer and
+``query``, ``replay`` and ``serve`` accept ``--deadline`` (the Run-phase
+budget, seconds).  ``query`` and ``replay`` also take ``--trace FILE``:
+the session runs with a live :mod:`repro.obs` tracer and
 the span timeline (spans + summary + SRT decomposition) lands in ``FILE``
 as JSON, ready for ``repro obs summarize`` / ``repro obs tree``.
 
@@ -63,9 +62,8 @@ otherwise.
 
 Exit codes are distinct so scripts can branch on the outcome::
 
-    0  success (CAP path)
+    0  success
     1  error (bad input, protocol violation, unhandled failure)
-    2  success but *degraded* — matches came from the BU fallback ladder
     3  deadline exceeded
 """
 
@@ -81,25 +79,21 @@ from repro.core.blender import Boomer
 from repro.core.preprocessor import make_context, preprocess
 from repro.core.ranking import RANKINGS, rank_results
 from repro.errors import DeadlineExceededError, QueryFileError, ReproError
-from repro.faults import FaultPlan
 from repro.graph.generators import dblp_like, flickr_like, wordnet_like
 from repro.graph.io import load_edge_list, save_edge_list
 from repro.graph.stats import compute_stats
 from repro.gui.render import to_dot, to_text
-from repro.resilience import POSTURES, ResilienceConfig
 
 __all__ = [
     "main",
     "parse_query_file",
     "EXIT_OK",
     "EXIT_ERROR",
-    "EXIT_DEGRADED",
     "EXIT_DEADLINE",
 ]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_DEGRADED = 2
 EXIT_DEADLINE = 3
 
 _GENERATORS = {
@@ -160,11 +154,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_fault_plan(args: argparse.Namespace) -> FaultPlan | None:
-    raw = getattr(args, "fault_plan", None)
-    return FaultPlan.from_json(raw) if raw else None
-
-
 def _make_tracer(args: argparse.Namespace):
     """A live tracer when ``--trace`` was given, the no-op one otherwise."""
     from repro.obs.trace import NULL_TRACER, Tracer
@@ -191,20 +180,6 @@ def _write_trace(tracer, path: str) -> None:
     print(f"trace ({len(spans)} spans) written to {path}", file=sys.stderr)
 
 
-def _resilience_config(
-    args: argparse.Namespace, plan: FaultPlan | None
-) -> ResilienceConfig | None:
-    """Assemble the resilience posture the flags describe (None = off)."""
-    config = ResilienceConfig.from_posture(args.resilience, args.deadline)
-    if config is None:
-        return None
-    if plan is not None and plan.cap is not None and not config.verify_cap_on_run:
-        # Injected storage rot without an audit could silently change
-        # answers; storage is known untrusted here, so verification is on.
-        config = replace(config, verify_cap_on_run=True)
-    return config
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     graph = load_edge_list(args.graph)
     print(f"loaded {graph}", file=sys.stderr)
@@ -212,25 +187,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
     pre = preprocess(graph, t_avg_samples=args.t_avg_samples)
     print(pre.summary(), file=sys.stderr)
 
-    plan = _load_fault_plan(args)
-    config = _resilience_config(args, plan)
-    ctx = make_context(pre)
-    if plan is not None:
-        ctx = plan.wrap_context(ctx)
     tracer = _make_tracer(args)
     boomer = Boomer(
-        ctx,
+        make_context(pre),
         strategy=args.strategy,
         max_results=args.max_matches,
-        resilience=config,
+        deadline_seconds=args.deadline,
         tracer=tracer,
     )
-    for action in actions[:-1]:
+    for action in actions:
         boomer.apply(action)
-    if plan is not None:
-        # Storage rot lands after formulation, right before the Run click.
-        plan.corrupt_cap(boomer.cap)
-    boomer.apply(actions[-1])
     run = boomer.run_result
     print(
         f"V_delta: {run.num_matches} upper-bound matches"
@@ -239,11 +205,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"CAP size {run.cap_size.total}",
         file=sys.stderr,
     )
-    if run.degraded:
-        print(
-            f"DEGRADED: {run.degradation_reason} -> fallback {run.fallback}",
-            file=sys.stderr,
-        )
 
     results = boomer.results(limit=args.limit)
     if args.rank:
@@ -260,7 +221,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"\nDOT of top match written to {args.dot}", file=sys.stderr)
     if args.trace:
         _write_trace(tracer, args.trace)
-    return EXIT_DEGRADED if run.degraded else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -271,13 +232,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     actions = load_actions(args.recording)
     pre = preprocess(graph, t_avg_samples=args.t_avg_samples)
     print(pre.summary(), file=sys.stderr)
-    plan = _load_fault_plan(args)
     tracer = _make_tracer(args)
     session = VisualSession(
-        make_context(pre),
-        resilience=_resilience_config(args, plan),
-        fault_plan=plan,
-        tracer=tracer,
+        make_context(pre), deadline_seconds=args.deadline, tracer=tracer
     )
     result = session.run_actions(
         actions,
@@ -292,17 +249,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         f"CAP time {result.cap_construction_seconds * 1e3:.2f} ms",
         file=sys.stderr,
     )
-    if result.degraded:
-        print(
-            f"DEGRADED: {result.run.degradation_reason} -> fallback {result.fallback}",
-            file=sys.stderr,
-        )
     for subgraph in result.boomer.results(limit=args.limit):
         print()
         print(to_text(subgraph, graph, result.boomer.query))
     if args.trace:
         _write_trace(tracer, args.trace)
-    return EXIT_DEGRADED if result.degraded else EXIT_OK
+    return EXIT_OK
 
 
 def _load_served_context(args: argparse.Namespace):
@@ -331,7 +283,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_sessions=args.max_sessions,
         cap_entry_budget=args.cap_budget,
-        resilience=ResilienceConfig.from_posture(args.resilience, args.deadline),
+        deadline_seconds=args.deadline,
         checkpoint_dir=args.checkpoint_dir,
         storage=args.storage,
         storage_dir=args.storage_dir,
@@ -393,40 +345,19 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     from repro.service import ServeConfig
     from repro.service.overload import OverloadPolicy
-    from repro.soak import SLO, run_soak
+    from repro.soak import SLO, SOAK_CONFIG, run_soak
     from repro.workload import SoakWorkloadConfig
 
     base_ctx, _ = _load_served_context(args)
-
-    if args.workers > 0:
-        # Fault wrappers cannot cross the process boundary; the pool
-        # soak's chaos is the worker SIGKILL.
-        plan = None
-    elif args.fault_plan:
-        plan = FaultPlan.from_json(args.fault_plan)
-    elif args.chaos:
-        # Default chaos mix: transient oracle faults and GUI latency
-        # turbulence, seeded from the workload seed so one --seed pins
-        # the entire experiment.
-        from repro.faults import GUIFaultSpec, OracleFaultSpec
-
-        plan = FaultPlan(
-            seed=args.seed,
-            oracle=OracleFaultSpec(transient_rate=0.02, transient_burst=2),
-            gui=GUIFaultSpec(drop_rate=0.05, spike_rate=0.05),
-        )
-    else:
-        plan = None
-
     workload = SoakWorkloadConfig(
         seed=args.seed,
         sessions=args.sessions,
         mean_interarrival_seconds=args.mean_interarrival,
         modify_rate=args.modify_rate,
         abandon_rate=args.abandon_rate,
-        postures=tuple(args.postures.split(",")),
     )
     config = ServeConfig(
+        deadline_seconds=SOAK_CONFIG.deadline_seconds,
         workers=args.workers,
         max_sessions=args.max_sessions,
         cap_entry_budget=args.cap_budget,
@@ -440,7 +371,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         base_ctx,
         workload,
         config,
-        fault_plan=plan,
         slo=SLO(max_memory_growth_mib=args.max_memory_growth),
         time_scale=args.time_scale,
         lock_monitor=not args.no_lock_monitor,
@@ -450,9 +380,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     payload["workload"] = {
         "seed": workload.seed,
         "sessions": workload.sessions,
-        "postures": list(workload.postures),
     }
-    payload["fault_plan"] = plan.to_dict() if plan else None
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -672,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--rank", choices=sorted(RANKINGS), default=None)
     query.add_argument("--dot", default=None, help="write top match as DOT here")
     query.add_argument("--t-avg-samples", type=int, default=5000)
-    _add_resilience_flags(query)
+    _add_deadline_flag(query)
     _add_trace_flag(query)
     query.set_defaults(func=_cmd_query)
 
@@ -685,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--limit", type=int, default=10)
     replay.add_argument("--max-matches", type=int, default=100_000)
     replay.add_argument("--t-avg-samples", type=int, default=5000)
-    _add_resilience_flags(replay)
+    _add_deadline_flag(replay)
     _add_trace_flag(replay)
     replay.set_defaults(func=_cmd_replay)
 
@@ -733,19 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="total CAP entries across sessions before LRU eviction",
     )
     serve.add_argument("--t-avg-samples", type=int, default=5000)
-    serve.add_argument(
-        "--resilience",
-        choices=POSTURES,
-        default="off",
-        help="default resilience posture for hosted sessions",
-    )
-    serve.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-session Run-phase budget",
-    )
+    _add_deadline_flag(serve)
     serve.add_argument(
         "--workers",
         type=int,
@@ -765,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     soak = sub.add_parser(
         "soak",
-        help="chaos-soak a live service against an SLO (see docs/SERVICE.md)",
+        help="soak a live service against an SLO (see docs/SERVICE.md)",
     )
     soak_source = soak.add_mutually_exclusive_group(required=True)
     soak_source.add_argument("--graph", default=None, help="edge-list graph file")
@@ -787,10 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--modify-rate", type=float, default=0.3)
     soak.add_argument("--abandon-rate", type=float, default=0.1)
     soak.add_argument(
-        "--postures", default="default,strict",
-        help="comma-separated resilience postures to rotate through",
-    )
-    soak.add_argument(
         "--max-sessions", type=int, default=8,
         help="deliberately tight session budget so backpressure fires",
     )
@@ -801,14 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "--time-scale", type=float, default=0.02,
         help="wall seconds per virtual second of think/arrival time",
-    )
-    soak.add_argument(
-        "--chaos", action="store_true",
-        help="enable the default seeded fault plan (oracle + GUI faults)",
-    )
-    soak.add_argument(
-        "--fault-plan", default=None, metavar="FILE|JSON",
-        help="explicit FaultPlan (overrides --chaos)",
     )
     soak.add_argument(
         "--no-lock-monitor", action="store_true",
@@ -906,25 +810,13 @@ def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_resilience_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--resilience",
-        choices=POSTURES,
-        default="off",
-        help="resilience posture (retries, degradation, CAP verification)",
-    )
+def _add_deadline_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--deadline",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="Run-phase wall-clock budget (implies --resilience default)",
-    )
-    sub.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="JSON",
-        help="fault-injection plan: a JSON file path or inline JSON",
+        help="Run-phase wall-clock budget; past it the command exits 3",
     )
 
 

@@ -20,20 +20,19 @@ Two wall-clock accumulators:
 CAP *construction time* (Figures 8/10) is the sum of CAP work wherever it
 happened: formulation compute + run-phase pool drain.
 
-Resilience
-----------
-With a :class:`~repro.resilience.ResilienceConfig` attached, the engine
-defends the interactive illusion instead of assuming pristine components:
-per-edge CAP construction is retried on transient failures (a failed edge
-always returns to the pool, never half-processed), the Run phase honors a
-cooperative deadline, the CAP index can be audited and repaired before
-enumeration, and an unrecoverable CAP path degrades to the BU baseline —
-same matches, slower, flagged on the :class:`RunResult`.
+Failures
+--------
+A failed ``process_edge`` drops the edge's half-populated AIVS maps, and a
+pooled edge that fails returns to the pool, so every query edge is either
+processed or pooled.  The Run phase may carry a deadline (checked between
+edges and between enumeration chunks); a Run that raises leaves the
+session terminal.  Nothing is retried or answered another way: the error
+reaches the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.actions import (
     Action,
@@ -50,12 +49,7 @@ from repro.core.cost import CostModel
 from repro.core.edge_pool import EdgePool
 from repro.core.enumerate import PartialMatches, partial_vertex_sets
 from repro.core.lowerbound import ResultSubgraph, filter_by_lower_bound, valid_chunks
-from repro.core.modification import (
-    ModificationReport,
-    delete_edge,
-    modify_bounds,
-    quarantine_edge,
-)
+from repro.core.modification import ModificationReport, delete_edge, modify_bounds
 from repro.core.pvs import populate_vertex_set
 from repro.core.query import BPHQuery, QueryEdge
 from repro.core.strategies import (
@@ -64,22 +58,11 @@ from repro.core.strategies import (
     ImmediateStrategy,
     make_strategy,
 )
-from repro.errors import (
-    ActionError,
-    CAPCorruptionError,
-    CAPStateError,
-    DeadlineExceededError,
-    DegradedModeError,
-    ReproError,
-    RetryExhaustedError,
-    SessionError,
-)
-from repro.indexing.oracle import shared_bfs_oracle
+from repro.errors import ActionError, CAPStateError, SessionError
 from repro.obs.clock import now
 from repro.obs.metrics import record_run_counters
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.resilience import CAPInvariantChecker, Deadline, ResilienceConfig
-from repro.utils.timing import Stopwatch, TimeBudget
+from repro.utils.timing import Deadline, Stopwatch, TimeBudget
 
 __all__ = ["BlenderEngine", "Boomer", "ActionReport", "RunResult"]
 
@@ -101,19 +84,6 @@ class ActionReport:
     compute_seconds: float  # engine compute triggered by this action
     idle_probe_seconds: float = 0.0  # extra compute done in leftover latency
     modification: ModificationReport | None = None
-    #: "ok" — the action succeeded;
-    #: "failed-deferred" — a component failed mid-action but the session
-    #: survives (the affected CAP work is parked in the pool for Run);
-    #: "degraded" — this Run action produced its matches via the BU
-    #: degradation ladder.  Non-"ok" statuses only appear when a
-    #: resilience config is attached.
-    status: str = "ok"
-    error: str | None = None  # message of the absorbed failure, if any
-
-    @property
-    def ok(self) -> bool:
-        """True when the action completed without an absorbed failure."""
-        return self.status == "ok"
 
 
 @dataclass
@@ -130,17 +100,6 @@ class RunResult:
     cap_peak_size: int  # largest transient size (Figures 9/13/17)
     counters: dict[str, int]
     strategy: str
-    #: True when the CAP path failed and the matches came from a BU rung
-    #: of the degradation ladder (same match set, slower — see
-    #: :mod:`repro.resilience.policy`).
-    degraded: bool = False
-    #: ``TypeName: message`` of the failure that forced degradation.
-    degradation_reason: str | None = None
-    #: Which ladder rung produced the matches: "bu-oracle" (BU with the
-    #: session oracle) or "bu-bfs" (BU with a fresh index-free BFS oracle).
-    fallback: str | None = None
-    #: Edges rebuilt by the pre-enumeration CAP repair (0 = no repair ran).
-    cap_repaired_edges: int = 0
 
     @property
     def num_matches(self) -> int:
@@ -157,7 +116,6 @@ class BlenderEngine:
         strategy: ConstructionStrategy,
         pruning: bool = True,
         force_large_upper: bool = False,
-        resilience: ResilienceConfig | None = None,
         tracer: Tracer | NullTracer = NULL_TRACER,
     ) -> None:
         self.ctx = ctx
@@ -167,7 +125,6 @@ class BlenderEngine:
         self.cap = CAPIndex(pruning_enabled=pruning)
         self.pool = EdgePool()
         self.force_large_upper = force_large_upper
-        self.resilience = resilience
         #: Run-phase deadline; set by the facade around _run, checked at
         #: every cooperative checkpoint (pool drain, enumeration).
         self.deadline: Deadline | None = None
@@ -213,29 +170,17 @@ class BlenderEngine:
     def process_edge(self, edge: QueryEdge) -> float:
         """ProcessEdge (Algorithm 6): begin, populate, prune.  Returns cost.
 
-        With a resilience config attached, transient component failures
-        (anything that is not a :class:`ReproError`) are retried under its
-        :class:`~repro.resilience.RetryPolicy`; exhausted retries surface
-        as :class:`~repro.errors.RetryExhaustedError`.  Either way a failed
-        attempt rolls the half-populated AIVS maps back, so the edge is
-        never left half-processed.
+        Atomic with respect to the CAP index: a failure drops the
+        half-populated AIVS maps, so the edge is never left half-processed.
         """
         start = now()
         with self.tracer.span("cap.process_edge", edge=str(edge.key)):
             with self._active_timer():
-                if self.resilience is not None:
-                    self.resilience.retry.call(
-                        self._process_edge_once,
-                        edge,
-                        deadline=self.deadline,
-                        label=f"process_edge{edge.key}",
-                    )
-                else:
-                    self._process_edge_once(edge)
+                self._process_edge_once(edge)
         return now() - start
 
     def _process_edge_once(self, edge: QueryEdge) -> None:
-        """One attempt at ProcessEdge, atomic w.r.t. the CAP index."""
+        """ProcessEdge proper, rolled back on failure."""
         try:
             self.cap.begin_edge(edge.u, edge.v)
             populate_vertex_set(
@@ -243,9 +188,9 @@ class BlenderEngine:
             )
             self.cap.finish_edge(edge.u, edge.v)
         except Exception:
-            # Drop the partial AIVS maps: a retry (or a later Run-phase
-            # rebuild) must start from a clean, unprocessed edge — a
-            # half-populated AIVS would silently shrink V_Δ.
+            # Drop the partial AIVS maps: a later rebuild must start from
+            # a clean, unprocessed edge — a half-populated AIVS would
+            # silently shrink V_Δ.
             self.cap.drop_edge(edge.u, edge.v)
             raise
         self.ctx.counters.edges_processed += 1
@@ -254,9 +199,7 @@ class BlenderEngine:
         """Process an edge taken from the pool; re-pool it on failure.
 
         The pool is the unit of crash consistency: an edge is either
-        processed in the CAP or sitting in the pool — never lost.  That is
-        what lets the Run phase (or the degradation ladder) account for
-        every query edge after an arbitrary mid-stream failure.
+        processed in the CAP or sitting in the pool — never lost.
         """
         self.pool.remove(edge.u, edge.v)
         try:
@@ -360,12 +303,10 @@ class Boomer:
     max_results:
         Cap on ``|V_Δ|`` enumeration (None = unbounded); truncation is
         reported on the result.
-    resilience:
-        Optional :class:`~repro.resilience.ResilienceConfig`.  When set,
-        mid-stream component failures are absorbed (the session survives,
-        the affected action is reported ``failed-deferred``), the Run
-        phase is retried/deadline-bounded, and unrecoverable CAP failures
-        degrade to the BU baseline instead of raising.
+    deadline_seconds:
+        Wall-clock budget of the Run phase (None = unbounded); a Run past
+        it raises :class:`~repro.errors.DeadlineExceededError` and leaves
+        the session terminal.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When set, the session emits
         the span taxonomy in ``docs/OBSERVABILITY.md`` (a ``session``
@@ -381,19 +322,18 @@ class Boomer:
         force_large_upper: bool = False,
         max_results: int | None = None,
         auto_idle: bool = True,
-        resilience: ResilienceConfig | None = None,
+        deadline_seconds: float | None = None,
         tracer: Tracer | NullTracer | None = None,
     ) -> None:
         if isinstance(strategy, str):
             strategy = make_strategy(strategy)
-        self.resilience = resilience
+        self.deadline_seconds = deadline_seconds
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.engine = BlenderEngine(
             ctx,
             strategy,
             pruning=pruning,
             force_large_upper=force_large_upper,
-            resilience=resilience,
             tracer=self.tracer,
         )
         self.max_results = max_results
@@ -405,12 +345,6 @@ class Boomer:
         self.action_reports: list[ActionReport] = []
         self.run_result: RunResult | None = None
         self.result_generation = Stopwatch()
-        #: Context used for result generation; swapped to the fallback
-        #: context when a degraded run's lower-bound checks must not touch
-        #: the (possibly dead) session oracle.
-        self._result_ctx: EngineContext = ctx
-        #: Messages of every failure the resilience layer absorbed.
-        self.absorbed_failures: list[str] = []
         #: Session root span + the formulation phase child, opened lazily
         #: at the first action so the trace starts with real work.
         self._session_span = None
@@ -460,10 +394,10 @@ class Boomer:
         if self.run_result is not None:
             raise ActionError("query already executed; start a new session")
         if self.engine.phase == "run":
-            # Run was attempted and failed terminally (deadline blown,
-            # degradation refused or exhausted): timing accrual is already
-            # in SRT mode, so further formulation actions would corrupt the
-            # session's books.  Callers must start a fresh session.
+            # Run was attempted and failed terminally (deadline blown, an
+            # engine error): timing accrual is already in SRT mode, so
+            # further formulation actions would corrupt the session's
+            # books.  Callers must start a fresh session.
             raise CAPStateError(
                 "session is in a terminal failed-Run state; "
                 "no further actions are accepted — start a new session"
@@ -482,17 +416,12 @@ class Boomer:
                 run_span.close(error=message)
                 self._close_session_spans(error=message)
                 raise
-            run_span.set(
-                matches=self.run_result.num_matches,
-                degraded=self.run_result.degraded,
-            ).close()
+            run_span.set(matches=self.run_result.num_matches).close()
             self._close_session_spans()
             report = ActionReport(
                 action=action,
                 processed_now=True,
                 compute_seconds=self.run_result.srt_seconds,
-                status="degraded" if self.run_result.degraded else "ok",
-                error=self.run_result.degradation_reason,
             )
             self.action_reports.append(report)
             return report
@@ -502,8 +431,6 @@ class Boomer:
         start = now()
         modification: ModificationReport | None = None
         processed_now = True
-        status = "ok"
-        error: str | None = None
 
         try:
             if isinstance(action, NewVertex):
@@ -527,14 +454,8 @@ class Boomer:
             else:
                 raise ActionError(f"unsupported action {action!r}")
         except Exception as exc:
-            if not self._absorbable(exc):
-                span.close(error=f"{type(exc).__name__}: {exc}")
-                raise
-            self._repair_after_action_failure(action)
-            processed_now = False
-            status = "failed-deferred"
-            error = f"{type(exc).__name__}: {exc}"
-            self.absorbed_failures.append(error)
+            span.close(error=f"{type(exc).__name__}: {exc}")
+            raise
 
         spent = now() - start
         probe_seconds = 0.0
@@ -547,74 +468,27 @@ class Boomer:
             )
             probe_seconds = self.probe_idle(max(latency - spent, 0.0))
 
-        span.set(deferred=not processed_now, status=status).close(error=error)
+        span.set(deferred=not processed_now).close()
         report = ActionReport(
             action=action,
             processed_now=processed_now,
             compute_seconds=spent,
             idle_probe_seconds=probe_seconds,
             modification=modification,
-            status=status,
-            error=error,
         )
         self.action_reports.append(report)
         return report
-
-    def _absorbable(self, exc: Exception) -> bool:
-        """Is this mid-formulation failure one the session can survive?
-
-        Component crashes (non-``ReproError``) and exhausted retries are
-        absorbed — the affected CAP work is deferrable to Run, where the
-        degradation ladder has the final word.  Protocol errors
-        (:class:`ActionError`, bad bounds, ...) stay loud: they are caller
-        bugs, and hiding them would mask real defects.
-        """
-        if self.resilience is None or not self.resilience.absorb_action_failures:
-            return False
-        if isinstance(exc, RetryExhaustedError):
-            return True
-        return not isinstance(exc, ReproError)
-
-    def _repair_after_action_failure(self, action: Action) -> None:
-        """Restore the processed-or-pooled invariant after an absorbed failure.
-
-        * NewEdge: the query edge exists but CAP work died — park it in the
-          pool so Run (or the BU ladder) still accounts for it.
-        * Modify/Delete on a processed edge: the entry may now disagree
-          with the new bounds — quarantine its component (Algorithm 5),
-          which resets levels and re-pools the edges without re-processing.
-        """
-        engine = self.engine
-        if isinstance(action, NewEdge):
-            if (
-                engine.query.has_edge(action.u, action.v)
-                and not engine.pool.contains(action.u, action.v)
-                and not engine.cap.is_processed(action.u, action.v)
-            ):
-                engine.pool.insert(engine.query.edge_between(action.u, action.v))
-        elif isinstance(action, (ModifyBounds, DeleteEdge)):
-            if engine.query.has_edge(action.u, action.v) and engine.cap.is_processed(
-                action.u, action.v
-            ):
-                quarantine_edge(engine, action.u, action.v)
 
     def probe_idle(self, idle_seconds: float) -> float:
         """Give the strategy ``idle_seconds`` of leftover GUI latency.
 
         Only Defer-to-Idle acts on it (Algorithm 4's pool probe); returns
-        the compute time actually consumed.  With a resilience config,
-        failures during the probe are absorbed — the edge under
-        construction returns to the pool and the session carries on.
+        the compute time actually consumed.
         """
         if idle_seconds <= 0.0:
             return 0.0
         start = now()
-        try:
-            self.engine.strategy.on_idle(self.engine, idle_seconds)
-        except Exception as exc:
-            if not self._absorbable(exc):
-                raise
-            self.absorbed_failures.append(f"{type(exc).__name__}: {exc}")
+        self.engine.strategy.on_idle(self.engine, idle_seconds)
         return now() - start
 
     def execute_stream(self, actions: ActionStream | list[Action]) -> RunResult:
@@ -629,67 +503,32 @@ class Boomer:
     def _run(self) -> None:
         """The Run click: finish CAP, enumerate V_Δ, record the SRT.
 
-        With a resilience config: the whole phase honors the configured
-        deadline (a blown budget *raises* — degrading would only take
-        longer), the CAP index is optionally audited and repaired before
-        enumeration, and an unrecoverable CAP path walks the BU
-        degradation ladder instead of failing the query.
+        The whole phase honors :attr:`deadline_seconds`; a Run that raises
+        is counted as failed and leaves the session terminal.
         """
         engine = self.engine
-        config = self.resilience
         engine.query.validate()
         engine.enter_run_phase()
-
-        deadline: Deadline | None = None
-        if config is not None:
-            deadline = Deadline(config.deadline_seconds, label="Run phase")
-            engine.deadline = deadline
+        deadline = None
+        if self.deadline_seconds is not None:
+            deadline = engine.deadline = Deadline(self.deadline_seconds, label="Run phase")
 
         srt_start = now()
-        degraded = False
-        degradation_reason: str | None = None
-        fallback: str | None = None
-        repaired_edges = 0
         try:
-            try:
-                if config is not None and config.verify_cap_on_run:
-                    # Before the drain: pruning a pooled edge against rotten
-                    # entries would cascade the rot into a consistent,
-                    # wrong index that no later audit could tell from a
-                    # sound one.
-                    with self.tracer.span("run.verify_cap") as vspan:
-                        repaired_edges = self._verify_cap()
-                        vspan.set(repaired_edges=repaired_edges)
-                engine.drain_pool()
-                drain_seconds = now() - srt_start
+            engine.drain_pool()
+            drain_seconds = now() - srt_start
 
-                enum_start = now()
-                with self.tracer.span("run.enumerate") as espan:
-                    matches = partial_vertex_sets(
-                        engine.query,
-                        engine.cap,
-                        matching_order=engine.query.matching_order,
-                        max_results=self.max_results,
-                        deadline=deadline,
-                    )
-                    espan.set(matches=len(matches))
-                enumeration_seconds = now() - enum_start
-            except DeadlineExceededError:
-                raise  # never degrade past the deadline: BU is strictly slower
-            except Exception as exc:
-                if config is None or not config.degrade_to_bu or not self._degradable(exc):
-                    raise
-                drain_seconds = now() - srt_start
-                enum_start = now()
-                with self.tracer.span(
-                    "run.degrade", cause=f"{type(exc).__name__}: {exc}"
-                ) as dspan:
-                    matches, fallback = self._degrade(exc, deadline)
-                    dspan.set(rung=fallback, matches=len(matches))
-                enumeration_seconds = now() - enum_start
-                degraded = True
-                degradation_reason = f"{type(exc).__name__}: {exc}"
-                self.absorbed_failures.append(degradation_reason)
+            enum_start = now()
+            with self.tracer.span("run.enumerate") as espan:
+                matches = partial_vertex_sets(
+                    engine.query,
+                    engine.cap,
+                    matching_order=engine.query.matching_order,
+                    max_results=self.max_results,
+                    deadline=deadline,
+                )
+                espan.set(matches=len(matches))
+            enumeration_seconds = now() - enum_start
         except Exception:
             record_run_counters(
                 self._counters_delta(engine.ctx.counters.snapshot()),
@@ -712,17 +551,12 @@ class Boomer:
             cap_peak_size=engine.cap.peak_total,
             counters=engine.ctx.counters.snapshot(),
             strategy=engine.strategy.name,
-            degraded=degraded,
-            degradation_reason=degradation_reason,
-            fallback=fallback,
-            cap_repaired_edges=repaired_edges,
         )
         record_run_counters(
             self._counters_delta(self.run_result.counters),
             srt_seconds=self.run_result.srt_seconds,
             cap_construction_seconds=self.run_result.cap_construction_seconds,
-            outcome="degraded" if degraded else "ok",
-            fallback=fallback,
+            outcome="ok",
         )
 
     def _counters_delta(self, snapshot: dict[str, int]) -> dict[str, int]:
@@ -732,101 +566,12 @@ class Boomer:
             for key, value in snapshot.items()
         }
 
-    @staticmethod
-    def _degradable(exc: Exception) -> bool:
-        """Failures that feed the ladder vs. caller bugs that must raise."""
-        if isinstance(exc, (RetryExhaustedError, CAPCorruptionError)):
-            return True  # resilience layer's own verdicts on dead components
-        return not isinstance(exc, ReproError)  # external component crash
-
-    def _verify_cap(self) -> int:
-        """Pre-enumeration audit (+ repair if dirty); returns edges rebuilt."""
-        engine = self.engine
-        checker = CAPInvariantChecker(sample_pairs=self.resilience.audit_sample_pairs)
-        report = checker.audit(engine.cap, engine.query, engine.ctx)
-        if report.clean:
-            return 0
-        repair = checker.repair(engine, report)  # raises CAPCorruptionError if hopeless
-        return repair.rebuilt_edges
-
-    def _degrade(
-        self, cause: Exception, deadline: Deadline | None
-    ) -> tuple[PartialMatches, str]:
-        """Walk the BU degradation ladder; returns (matches, rung name).
-
-        Rung 2 ("bu-oracle") reuses the session oracle — survives arbitrary
-        CAP damage.  Rung 3 ("bu-bfs") builds a fresh BFS oracle from the
-        raw graph — survives a permanently dead oracle too.  Both produce
-        the same ``V_Δ`` as the CAP path (deferral neutrality), so only
-        latency is traded, never correctness.  The BU run inherits whatever
-        remains of the Run deadline; a timed-out BU converts back into
-        :class:`DeadlineExceededError`.
-        """
-        # Lazy import: core -> baseline is a deliberate, contained layer
-        # inversion that only the degraded path pays for.
-        from repro.baseline.bu import BoomerUnaware
-
-        engine = self.engine
-        timeout: float | None = None
-        if deadline is not None and deadline.limit is not None:
-            timeout = deadline.remaining()
-
-        rungs: list[tuple[str, EngineContext]] = [("bu-oracle", engine.ctx)]
-        rungs.append(
-            ("bu-bfs", replace(engine.ctx, oracle=shared_bfs_oracle(engine.ctx.graph)))
-        )
-
-        last_error: Exception = cause
-        for name, ctx in rungs:
-            bu = BoomerUnaware(ctx, timeout_seconds=timeout, max_results=self.max_results)
-            try:
-                result = bu.evaluate(engine.query)
-            except ReproError:
-                raise  # protocol errors are not the oracle's fault
-            except Exception as exc:  # this rung's oracle is broken too
-                last_error = exc
-                continue
-            if result.timed_out:
-                raise DeadlineExceededError(
-                    f"BU fallback ({name})",
-                    limit=deadline.limit if deadline is not None else None,
-                )
-            self._result_ctx = ctx  # lower-bound JIT checks use the live oracle
-            return (
-                PartialMatches.from_dicts(
-                    result.matches,
-                    order=result.order,
-                    truncated=result.truncated,
-                    extras={"fallback": name, "bu_srt_seconds": result.srt_seconds},
-                ),
-                name,
-            )
-        raise DegradedModeError(
-            f"every degradation rung failed after {type(cause).__name__}: {cause}"
-        ) from last_error
-
     # -- result generation (Section 5.4) ------------------------------------
     def _verify(self, rows: PartialMatches) -> list[ResultSubgraph | None]:
         """Lower-bound check + path materialization for a chunk of ``V_Δ``
-        rows: one span, one stopwatch and one oracle failover for all."""
+        rows: one span and one stopwatch for all."""
         with self.tracer.span("result.visualize", rows=len(rows)) as span, self.result_generation:
-            # _result_ctx is the session context normally; after a degraded
-            # run it is the fallback rung's context, so JIT lower-bound
-            # checks never touch a dead oracle.
-            try:
-                verdicts = filter_by_lower_bound(rows, self.engine.query, self._result_ctx)
-            except Exception as exc:
-                if not self._absorbable(exc):
-                    raise
-                # The oracle died *after* Run (CAP construction may never
-                # have needed it): fail result generation over to the
-                # shared BFS oracle — exact distances, so validation is
-                # unchanged, and repeated failures reuse its warm cache.
-                self.absorbed_failures.append(f"{type(exc).__name__}: {exc}")
-                self._result_ctx = replace(
-                    self.engine.ctx, oracle=shared_bfs_oracle(self.engine.ctx.graph)
-                )
-                verdicts = filter_by_lower_bound(rows, self.engine.query, self._result_ctx)
+            verdicts = filter_by_lower_bound(rows, self.engine.query, self.engine.ctx)
             span.set(valid=sum(subgraph is not None for subgraph in verdicts))
             return verdicts
 

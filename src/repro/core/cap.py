@@ -382,13 +382,10 @@ class CAPIndex:
             aivs_pairs=sum(map(len, self._blocks.values())),
         )
 
-    def integrity_issues(
-        self, query: BPHQuery
-    ) -> list[tuple[tuple[int, int] | None, str]]:
-        """Collect every structural-invariant violation without raising.
+    def integrity_issues(self, query: BPHQuery) -> list[str]:
+        """Describe every structural-invariant violation without raising.
 
-        Returns ``(edge_key, message)`` tuples — ``edge_key`` is the
-        canonical query edge whose entry is corrupt.  Checked invariants:
+        Checked invariants:
 
         * pair blocks exist exactly for processed edges, in both directions;
         * every block is sorted by (source, target) without repeats;
@@ -399,41 +396,37 @@ class CAPIndex:
         * with pruning on, no live candidate is isolated w.r.t. a
           processed incident edge.
 
-        This is the audit surface :class:`~repro.resilience.CAPInvariantChecker`
-        builds on; an empty list means the index is structurally sound.
+        An empty list means the index is structurally sound.
         """
-        issues: list[tuple[tuple[int, int] | None, str]] = []
+        issues: list[str] = []
         for qi, qj in sorted(self._processed):
             for a, b in ((qi, qj), (qj, qi)):
                 if (a, b) not in self._blocks:
-                    issues.append(((qi, qj), f"missing AIVS direction ({a}, {b})"))
+                    issues.append(f"missing AIVS direction ({a}, {b})")
             if not query.has_edge(qi, qj):
-                issues.append(((qi, qj), f"processed edge {(qi, qj)} not in query"))
+                issues.append(f"processed edge {(qi, qj)} not in query")
         for (a, b), block in sorted(self._blocks.items()):
-            key = canonical_edge(a, b)
-            if key not in self._processed:
-                issues.append((key, f"AIVS for unprocessed edge ({a}, {b})"))
+            if canonical_edge(a, b) not in self._processed:
+                issues.append(f"AIVS for unprocessed edge ({a}, {b})")
                 continue
-            found: list[str] = []
             keys = pair_keys(*block.T)
             if (np.diff(keys) <= 0).any():
-                found.append(f"pair block of ({a}, {b}) is out of order")
+                issues.append(f"pair block of ({a}, {b}) is out of order")
             for q, ids, role in ((a, block[:, 0], "source"), (b, block[:, 1], "target")):
-                found += [
+                issues += [
                     f"AIVS {role} {v} is not a live candidate of {q}"
                     for v in np.setdiff1d(ids, self._levels.get(q, _NO_IDS)).tolist()
                 ]
             flipped = pair_keys(*self._blocks.get((b, a), _NO_PAIRS).T[::-1])
-            found += [
+            issues += [
                 f"AIVS asymmetry: {v}->{w} on ({a},{b}) lacks reverse"
                 for v, w in _pair_block(np.setdiff1d(keys, flipped)).tolist()
             ]
             if self.pruning_enabled:
-                found += [
+                issues += [
                     f"candidate {v} of {a} is isolated w.r.t. ({a}, {b}) but was not pruned"
                     for v in np.setdiff1d(self._levels.get(a, _NO_IDS), block[:, 0]).tolist()
                 ]
-            issues += [(key, message) for message in found]
         return issues
 
     def check_consistency(self, query: BPHQuery) -> None:
@@ -441,7 +434,7 @@ class CAPIndex:
         :meth:`integrity_issues` (tests + debugging; not on hot paths)."""
         issues = self.integrity_issues(query)
         if issues:
-            raise CAPStateError(issues[0][1])
+            raise CAPStateError(issues[0])
 
     def __repr__(self) -> str:
         report = self.size_report()

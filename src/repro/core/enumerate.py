@@ -38,7 +38,7 @@ from repro.core.query import BPHQuery
 from repro.errors import CAPStateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.deadline import Deadline
+    from repro.utils.timing import Deadline
 
 __all__ = ["PartialMatches", "reorder_matching_order", "iter_partial_vertex_sets", "partial_vertex_sets"]
 

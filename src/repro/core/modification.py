@@ -36,7 +36,7 @@ from repro.utils.timing import Stopwatch
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.blender import BlenderEngine
 
-__all__ = ["ModificationReport", "delete_edge", "modify_bounds", "quarantine_edge"]
+__all__ = ["ModificationReport", "delete_edge", "modify_bounds"]
 
 
 @dataclass
@@ -132,27 +132,6 @@ def modify_bounds(
     return report
 
 
-def quarantine_edge(engine: "BlenderEngine", u: int, v: int) -> ModificationReport:
-    """Resilience repair: roll back the component of a corrupt edge entry.
-
-    Used by :class:`repro.resilience.CAPInvariantChecker` when the CAP
-    entry of processed edge ``{u, v}`` fails an integrity audit.  The same
-    Algorithm 5 machinery that serves query modification resets the
-    affected component's candidate levels and re-pools its edges — but
-    *without* the strategy's eager re-processing, because the caller
-    decides when (and under which retry/deadline regime) to rebuild.
-    """
-    watch = Stopwatch().start()
-    if not engine.cap.is_processed(u, v):
-        raise CAPStateError(
-            f"cannot quarantine edge ({u}, {v}): it is not processed"
-        )
-    report = _rollback(engine, canonical_edge(u, v), readd_edge=True, eager=False)
-    report.kind = "quarantine"
-    report.elapsed_seconds = watch.stop()
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Internals
 # ---------------------------------------------------------------------------
@@ -192,14 +171,11 @@ def _rollback(
     engine: "BlenderEngine",
     edge_key: tuple[int, int],
     readd_edge: bool,
-    eager: bool = True,
 ) -> ModificationReport:
     """Algorithm 5: rebuild the affected processed-edge component.
 
     ``readd_edge`` distinguishes loosening (the edge returns to the pool
-    with its new bound) from deletion (it does not).  ``eager=False`` skips
-    the strategy's immediate re-processing, leaving every re-pooled edge
-    for the caller (the resilience repair path controls rebuilds itself).
+    with its new bound) from deletion (it does not).
     """
     cap = engine.cap
     query = engine.query
@@ -229,6 +205,5 @@ def _rollback(
     )
     # Strategy decides how eagerly the re-pooled edges are processed
     # (Algorithm 5 line 12 probes the pool under Defer-to-Idle).
-    if eager:
-        engine.after_modification()
+    engine.after_modification()
     return report

@@ -105,8 +105,11 @@ def make_strategy(name: str) -> ConstructionStrategy:
     """Instantiate a strategy by its short name (case-insensitive).
 
     Accepts the paper's abbreviations (IC / DR / DI) and the long names
-    (immediate / defer-to-run / defer-to-idle).
+    (immediate / defer-to-run / defer-to-idle); anything else, a non-string
+    included, raises :class:`ValueError`.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"strategy must be a name string, got {name!r}")
     normalized = name.strip().lower().replace("_", "-")
     table = {
         "ic": ImmediateStrategy,

@@ -35,8 +35,6 @@ __all__ = [
     "ResilienceError",
     "DeadlineExceededError",
     "RetryExhaustedError",
-    "CAPCorruptionError",
-    "DegradedModeError",
     "ServiceError",
     "SessionNotFoundError",
     "SessionEvictedError",
@@ -250,20 +248,20 @@ class LatencyConfigError(SessionError, ValueError):
 
 
 # --------------------------------------------------------------------------
-# Resilience (retry / deadline / degradation — see repro.resilience)
+# Resilience (the Run deadline and the client's retries)
 # --------------------------------------------------------------------------
 class ResilienceError(ReproError):
-    """Base class for failures of the resilience machinery itself.
+    """Base class for the verdicts of a bound that ran out.
 
-    Raised when the defensive layer (retries, deadlines, CAP repair,
-    degradation) could not mask an underlying component failure.  Sessions
-    never silently return wrong matches: they either complete, degrade to
-    the BU baseline, or raise a subclass of this error.
+    A Run past its deadline and a client past its retry attempts raise a
+    subclass; a session never returns a partial or different match set
+    instead.
     """
 
 
 class DeadlineExceededError(ResilienceError, TimeoutError):
-    """Raised at a cooperative checkpoint once a :class:`Deadline` expires.
+    """Raised at a cooperative checkpoint once a
+    :class:`~repro.utils.timing.Deadline` expires.
 
     Carries the phase that overran so callers (and the CLI, which maps this
     to exit code 3) can report *where* the budget went.
@@ -279,7 +277,8 @@ class DeadlineExceededError(ResilienceError, TimeoutError):
 
 
 class RetryExhaustedError(ResilienceError):
-    """Raised when a :class:`RetryPolicy` runs out of attempts.
+    """Raised when a :class:`~repro.service.client.RetryPolicy` runs out
+    of attempts.
 
     ``last_error`` holds the final underlying exception (also chained as
     ``__cause__``); ``attempts`` is how many times the operation was tried.
@@ -295,32 +294,6 @@ class RetryExhaustedError(ResilienceError):
         self.operation = operation
         self.attempts = attempts
         self.last_error = last_error
-
-
-class CAPCorruptionError(ResilienceError, CAPError):
-    """Raised when CAP index integrity is violated and cannot be repaired.
-
-    Produced by :class:`repro.resilience.CAPInvariantChecker` when an audit
-    finds corrupted query-edge entries (asymmetric AIVS, dead candidates,
-    out-of-bound pairs) that quarantine + rebuild could not restore.
-    """
-
-    code = "cap_corrupted"
-
-    def __init__(self, message: str, corrupt_edges: list[tuple[int, int]] | None = None) -> None:
-        super().__init__(message)
-        self.corrupt_edges = list(corrupt_edges or [])
-
-
-class DegradedModeError(ResilienceError):
-    """Raised when every rung of the degradation ladder failed.
-
-    The CAP path failed, and so did the BU fallback (with the session
-    oracle *and* with the index-free BFS oracle) — there is no correct
-    answer left to return.
-    """
-
-    code = "degraded_mode"
 
 
 # --------------------------------------------------------------------------
@@ -371,7 +344,8 @@ class AdmissionError(ServiceError):
 
 
 class OverloadConfigError(ServiceError, ValueError):
-    """Raised for an invalid :class:`repro.service.OverloadPolicy`.
+    """Raised for an invalid :class:`repro.service.OverloadPolicy`, or an
+    invalid :class:`~repro.service.client.RetryPolicy` that backs off it.
 
     Watermarks must lie in ``(0, 1]`` and hints/depths must be
     non-negative; a policy that cannot be enforced is refused at
@@ -391,7 +365,7 @@ class ServiceOverloadedError(ServiceError):
     shutdown, and the condition clears as in-flight work completes.  The
     ``retry_after_ms`` hint tells well-behaved clients how long to back
     off before retrying; :class:`repro.service.client.ServiceClient`
-    honors it through its :class:`~repro.resilience.RetryPolicy`.
+    honors it through its :class:`~repro.service.client.RetryPolicy`.
     """
 
     code = "overloaded"
@@ -466,7 +440,7 @@ class WorkerDiedError(WorkerPoolError):
     Transient by contract: the dispatcher respawns the worker and
     requeues its sessions onto healthy processes from their disk
     checkpoints, so a retry normally lands on the restored session.
-    Clients holding a :class:`~repro.resilience.RetryPolicy` retry it
+    Clients holding a :class:`~repro.service.client.RetryPolicy` retry it
     like an overload shed.
     """
 

@@ -1,7 +1,7 @@
 """Classic graph algorithms over :class:`repro.graph.Graph`.
 
 These are the unindexed primitives: breadth-first distances (the ground
-truth the PML index is tested against, and the fallback distance oracle),
+truth the PML index is tested against, and the BFS distance oracle),
 k-hop neighborhoods (the two-hop search of Lemma 5.4), connected components
 (used when extracting the largest component of generated datasets and when
 rolling back CAP regions).

@@ -19,23 +19,14 @@ clicked (engine overloaded by expensive edges — the Exp 1/7 failure mode of
 Immediate construction), the leftover *backlog* is charged to the SRT, just
 as the user would experience it.
 
-Resilience & fault injection
-----------------------------
-A session optionally carries a :class:`~repro.resilience.ResilienceConfig`
-(handed to every :class:`Boomer` it creates) and a
-:class:`~repro.faults.FaultPlan` (the context's oracle and the latency
-model are wrapped once at construction; CAP corruption, if any, is applied
-right before the Run click — the worst possible moment).  With both set, a
-mid-stream component failure no longer kills the session: the affected
-action is reported ``failed-deferred`` and the Run either completes on the
-CAP path or degrades to the BU baseline, flagged on the result.
+A session may carry a Run deadline (``deadline_seconds``), handed to
+every :class:`Boomer` it creates.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.actions import Action, Run
 from repro.core.blender import ActionReport, Boomer, RunResult
@@ -45,11 +36,7 @@ from repro.errors import SessionError
 from repro.gui.latency import LatencyModel
 from repro.gui.simulator import SimulatedUser
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.resilience import ResilienceConfig
 from repro.workload.generator import QueryInstance
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults import FaultPlan
 
 __all__ = ["VisualSession", "SessionResult", "TimelineState"]
 
@@ -159,22 +146,6 @@ class SessionResult:
         """``|V_Δ|``."""
         return self.run.num_matches
 
-    # -- resilience outcome ----------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """True when the matches came from the BU degradation ladder."""
-        return self.run.degraded
-
-    @property
-    def fallback(self) -> str | None:
-        """Ladder rung that produced the matches ("bu-oracle"/"bu-bfs")."""
-        return self.run.fallback
-
-    @property
-    def absorbed_failures(self) -> list[str]:
-        """Failures the resilience layer absorbed during this session."""
-        return self.boomer.absorbed_failures
-
 
 class VisualSession:
     """Runs simulated formulation sessions against one engine context.
@@ -191,39 +162,18 @@ class VisualSession:
         jitter: float = 0.0,
         speed: float = 1.0,
         seed: int = 0,
-        resilience: ResilienceConfig | None = None,
-        fault_plan: "FaultPlan | None" = None,
+        deadline_seconds: float | None = None,
         tracer: Tracer | NullTracer | None = None,
     ) -> None:
-        if (
-            fault_plan is not None
-            and fault_plan.cap is not None
-            and resilience is not None
-            and not resilience.verify_cap_on_run
-        ):
-            # The plan will rot the CAP store; enumerating it unaudited
-            # could return silently wrong matches — the one failure mode
-            # the resilience layer must never allow.  Storage is known
-            # untrusted here, so verification is not optional.
-            from dataclasses import replace
-
-            resilience = replace(resilience, verify_cap_on_run=True)
-        self.resilience = resilience
-        self.fault_plan = fault_plan
+        self.deadline_seconds = deadline_seconds
         #: Shared across every session this harness runs; pass a fresh
         #: :class:`~repro.obs.trace.Tracer` per run for isolated timelines.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if fault_plan is not None:
-            # Oracle faults apply to every engine built from this context.
-            ctx = fault_plan.wrap_context(ctx)
         self.ctx = ctx
         constants = latency_constants or GUILatencyConstants()
-        model: LatencyModel = LatencyModel(
+        self.latency_model = LatencyModel(
             constants, jitter=jitter, speed=speed, seed=seed
         )
-        if fault_plan is not None:
-            model = fault_plan.wrap_latency_model(model)
-        self.latency_model = model
         self.user = SimulatedUser(self.latency_model)
 
     def run(
@@ -266,7 +216,7 @@ class VisualSession:
             force_large_upper=force_large_upper,
             max_results=max_results,
             auto_idle=False,
-            resilience=self.resilience,
+            deadline_seconds=self.deadline_seconds,
             tracer=self.tracer,
         )
 
@@ -279,10 +229,6 @@ class VisualSession:
             timeline.step(boomer, action)
 
         backlog = timeline.backlog_seconds  # CAP work pending at the Run click
-        if self.fault_plan is not None:
-            # Storage rot lands at the worst possible moment: after the
-            # last formulation action, before the Run click reads the CAP.
-            self.fault_plan.corrupt_cap(boomer.cap)
         run_result = _apply_run(boomer, actions[-1])
 
         qft = sum(

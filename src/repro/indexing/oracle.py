@@ -6,8 +6,7 @@ the four methods of :class:`DistanceOracle` can be plugged into the CAP
 machinery.  Two are scalar (``distance``, ``within``); two are kernels
 answering one source against many targets (``distances_from``) or a whole
 (sources x targets) block (``within_many``) in one interpreter-level
-call.  The engine sends every batch query to the kernels, so a wrapper
-(the fault injector) sees exactly the calls production makes.  Kernel
+call.  The engine sends every batch query to the kernels.  Kernel
 answers must be bit-identical to the equivalent loop of scalar calls,
 errors included.
 
@@ -23,11 +22,6 @@ session).  PML queries are pure reads over frozen label arrays and need no
 synchronization; :class:`BFSOracle` takes a lock around its mutable bits
 (memo cache and query counter), so shared use never produces racy stats
 or a torn cache.
-
-:func:`shared_bfs_oracle` memoizes one :class:`BFSOracle` per data graph.
-The degradation ladder (PR 1) builds a BFS fallback whenever the session
-oracle dies; caching it means N failed Runs in one process pay for one
-fallback's BFS frontier instead of N cold caches.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ from repro.graph.algorithms import bfs_distances
 from repro.graph.graph import Graph
 from repro.indexing.batch import checked_block, pair_block
 
-__all__ = ["DistanceOracle", "BFSOracle", "shared_bfs_oracle"]
+__all__ = ["DistanceOracle", "BFSOracle"]
 
 
 @runtime_checkable
@@ -194,31 +188,3 @@ class BFSOracle:
         hit = (dists >= 0) & (dists <= upper)
         return pair_block(s, t, hit, upper >= 0 and not skip_equal)[0]
 
-
-#: One shared BFS fallback per data graph, identity-keyed.  ``Graph`` is
-#: slotted without ``__weakref__``, so entries pin their graph; the cache is
-#: bounded (oldest-out) to keep that pinning harmless in long processes
-#: that churn through many graphs.  Guarded by a lock because fallback
-#: construction can race when several sessions degrade at once.
-_shared_bfs: dict[int, tuple[Graph, BFSOracle]] = {}
-_shared_bfs_lock = threading.Lock()
-_SHARED_BFS_MAX = 8
-
-
-def shared_bfs_oracle(graph: Graph) -> BFSOracle:
-    """The process-wide BFS fallback oracle for ``graph`` (built once).
-
-    The degradation ladder and post-Run result generation both reach for
-    an index-free BFS oracle when the session oracle is unusable; within
-    one process every such fallback on the same graph shares one instance
-    (and therefore one warm BFS cache).
-    """
-    key = id(graph)
-    with _shared_bfs_lock:
-        entry = _shared_bfs.get(key)
-        if entry is None or entry[0] is not graph:
-            if len(_shared_bfs) >= _SHARED_BFS_MAX:
-                _shared_bfs.pop(next(iter(_shared_bfs)))
-            entry = (graph, BFSOracle(graph))
-            _shared_bfs[key] = entry
-        return entry[1]

@@ -32,9 +32,7 @@ __all__ = [
     "POOL_PROBE",
     "POOL_DRAIN",
     "RUN_DRAIN",
-    "RUN_VERIFY_CAP",
     "RUN_ENUMERATE",
-    "RUN_DEGRADE",
     "RESULT_VISUALIZE",
     "spans_to_tree",
     "summarize",
@@ -55,9 +53,7 @@ POOL_PROBE = "pool.probe"
 #: until boomerlint R4 flagged the drift.
 POOL_DRAIN = "pool.drain"
 RUN_DRAIN = "run.drain"
-RUN_VERIFY_CAP = "run.verify_cap"
 RUN_ENUMERATE = "run.enumerate"
-RUN_DEGRADE = "run.degrade"
 RESULT_VISUALIZE = "result.visualize"
 
 
@@ -135,8 +131,7 @@ def srt_decomposition(records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
       ``cap.process_edge`` span, whichever phase it ran in (the paper's
       total CAP build cost; pool-probe and drain spans are *parents* of
       these and are therefore reported separately, never summed in);
-    - ``drain`` / ``verify`` / ``enumeration`` / ``degrade`` — the Run
-      phase's internal stages;
+    - ``drain`` / ``enumeration`` — the Run phase's internal stages;
     - ``visualize`` — post-Run result materialization;
     - ``phase_coverage`` — (formulation + srt) / session, the tiling
       check: ≈1.0 means the phase children fully account for the root.
@@ -149,9 +144,7 @@ def srt_decomposition(records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         CAP_PROCESS_EDGE: 0.0,
         POOL_PROBE: 0.0,
         RUN_DRAIN: 0.0,
-        RUN_VERIFY_CAP: 0.0,
         RUN_ENUMERATE: 0.0,
-        RUN_DEGRADE: 0.0,
         RESULT_VISUALIZE: 0.0,
     }
     counts = {name: 0 for name in totals}
@@ -169,9 +162,7 @@ def srt_decomposition(records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         "cap_construction": totals[CAP_PROCESS_EDGE] + totals[CAP_ADD_LEVEL],
         "idle_probe": totals[POOL_PROBE],
         "drain": totals[RUN_DRAIN],
-        "verify": totals[RUN_VERIFY_CAP],
         "enumeration": totals[RUN_ENUMERATE],
-        "degrade": totals[RUN_DEGRADE],
         "visualize": totals[RESULT_VISUALIZE],
         "edges_processed": counts[CAP_PROCESS_EDGE],
         "pool_probes": counts[POOL_PROBE],

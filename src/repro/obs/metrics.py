@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` per process (the module-level
 :data:`metrics`) aggregates what every session, server thread, and
 scheduler does: oracle calls, CAP entries, deferral decisions,
-evictions, degradation-ladder drops, per-verb service latency.  The
+evictions, per-verb service latency.  The
 registry is deliberately tiny and dependency-free:
 
 * metrics are named like Prometheus series (``repro_oracle_calls_total``)
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 #: Histogram bucket upper bounds (seconds) tuned for service latencies:
-#: sub-millisecond pings through multi-second degraded Runs.
+#: sub-millisecond pings through multi-second Runs.
 DEFAULT_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, float("inf"),
@@ -314,7 +314,6 @@ def record_run_counters(
     srt_seconds: float,
     cap_construction_seconds: float,
     outcome: str,
-    fallback: str | None = None,
     registry: MetricsRegistry | None = None,
 ) -> None:
     """Fold one completed Run's engine counters into the registry.
@@ -347,12 +346,6 @@ def record_run_counters(
     reg.counter(
         "repro_runs_total", "Run clicks by outcome", outcome=outcome
     ).inc()
-    if fallback is not None:
-        reg.counter(
-            "repro_degradation_drops_total",
-            "degradation-ladder rungs that served matches",
-            rung=fallback,
-        ).inc()
     reg.histogram(
         "repro_run_srt_seconds", "engine-side SRT per Run"
     ).observe(srt_seconds)

@@ -15,9 +15,9 @@ Balanced by construction
 ``with tracer.span(...)`` closes on *any* exit, recording the exception
 on the span; :meth:`Span.close` closes still-open descendants first
 (marked ``truncated``) so the exported forest is always balanced — no
-orphaned open spans survive a degradation-ladder fallback or a blown
-deadline.  :meth:`Tracer.finish` force-closes whatever remains (used at
-terminal session failure and export time).
+orphaned open spans survive a failed action or a blown deadline.
+:meth:`Tracer.finish` force-closes whatever remains (used at terminal
+session failure and export time).
 
 Cost model
 ----------

@@ -10,8 +10,8 @@ session by id*:
   — the formulation itself;
 * the **virtual timeline** (:class:`~repro.gui.session.TimelineState`
   scalars) — arrival/busy horizon/QFT accounting;
-* the **limits** — strategy and resilience posture (scalar fields;
-  exception-type tuples are rebuilt from policy defaults);
+* the **limits** — the strategy (the Run deadline is the host's, so a
+  restored session takes the deadline of the host restoring it);
 * the session's service-side **accounting** (actions applied, donated /
   serviced idle seconds).
 
@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING
 from repro.core.actions import Run
 from repro.errors import CheckpointError
 from repro.gui.recording import action_from_dict, action_to_dict
-from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.service.session import ManagedSession, SessionLimits
 from repro.utils.files import write_atomic
 
@@ -68,38 +67,16 @@ _CHECKPOINTABLE_STATES = ("formulating", "ran")
 
 
 # --------------------------------------------------------------------------
-# Limits / resilience serialization
+# Limits serialization
 # --------------------------------------------------------------------------
-def _limits_to_dict(limits: SessionLimits) -> dict[str, object]:
-    """``limits`` as JSON: every field by name, nested configs as objects.
-
-    The two exception-type tuples of a :class:`RetryPolicy` do not
-    serialize; restore rebuilds them from the policy defaults.
-    """
-    out = asdict(limits)
-    if out["resilience"] is not None:
-        for name in ("retry_on", "never_retry"):
-            del out["resilience"]["retry"][name]
-    return out
-
-
-def _from_dict(cls, payload: dict[str, object]):
-    """``cls`` from the payload keys that are still fields of it (a key
-    an older writer recorded and no field answers to is ignored)."""
-    known = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in payload.items() if k in known})
-
-
 def _limits_from_dict(payload: dict[str, object]) -> SessionLimits:
+    """The limits a checkpoint recorded: the payload keys that are still
+    fields of :class:`SessionLimits` (a key an older writer recorded and
+    no field answers to, such as a resilience posture, is ignored)."""
+    known = {f.name for f in fields(SessionLimits)}
     try:
-        resilience = payload["resilience"]
-        if resilience is not None:
-            retry = _from_dict(RetryPolicy, resilience["retry"])
-            resilience = _from_dict(
-                ResilienceConfig, {**resilience, "retry": retry}
-            )
-        return _from_dict(SessionLimits, {**payload, "resilience": resilience})
-    except (KeyError, TypeError, ValueError) as exc:
+        return SessionLimits(**{k: v for k, v in payload.items() if k in known})
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint limits: {exc}") from exc
 
 
@@ -193,7 +170,7 @@ def checkpoint_session(session: ManagedSession, reason: str) -> SessionCheckpoin
         session_id=session.id,
         state=session.state,
         reason=reason,
-        limits=_limits_to_dict(session.limits),
+        limits=asdict(session.limits),
         actions=tuple(action_to_dict(a) for a in session.action_log),
         timeline={
             "arrival": timeline.arrival,
@@ -210,7 +187,9 @@ def checkpoint_session(session: ManagedSession, reason: str) -> SessionCheckpoin
 
 
 def restore_session(
-    checkpoint: SessionCheckpoint, base_ctx: "EngineContext"
+    checkpoint: SessionCheckpoint,
+    base_ctx: "EngineContext",
+    deadline_seconds: float | None = None,
 ) -> ManagedSession:
     """Rebuild a live :class:`ManagedSession` from ``checkpoint``.
 
@@ -220,12 +199,12 @@ def restore_session(
     virtual timeline and accounting scalars, and — for a ``ran``
     checkpoint — re-executes the Run click.  Deferral neutrality makes
     the resumed session's matches byte-identical to the uninterrupted
-    original.
+    original.  ``deadline_seconds`` is the restoring host's Run deadline.
 
     Call **without** holding any manager lock: replay is engine compute.
     """
     limits = _limits_from_dict(checkpoint.limits)
-    session = ManagedSession(checkpoint.session_id, base_ctx, limits)
+    session = ManagedSession(checkpoint.session_id, base_ctx, limits, deadline_seconds)
     try:
         actions = [action_from_dict(item) for item in checkpoint.actions]
     except Exception as exc:

@@ -16,12 +16,11 @@ stable v2 error code (``error.code``), the original exception class name
 (``error.remote_type``), and whether the server considers the condition
 retryable (eviction, admission refusals, overload sheds).
 
-Resilience knobs (both optional, both off by default so existing callers
-see exactly the old behavior):
+Two knobs, both off by default:
 
-* ``retry_policy`` — a :class:`~repro.resilience.RetryPolicy`; retryable
-  server verdicts (``overloaded``, ``admission_refused``) are retried
-  under it, honoring the server's ``retry_after_ms`` back-off hint.
+* ``retry_policy`` — a :class:`RetryPolicy`; retryable server verdicts
+  (``overloaded``, ``admission_refused``) are retried under it, honoring
+  the server's ``retry_after_ms`` back-off hint.
   Transport timeouts are *not* silently retried — after a timeout the
   byte stream is undefined (a late response would misalign correlation
   ids), so they surface as the typed, retryable
@@ -40,24 +39,96 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Any
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import Any, TypeVar
 
 from repro.core.actions import Action
 from repro.errors import (
+    OverloadConfigError,
+    ReproError,
     RetryExhaustedError,
     ServiceError,
     ServiceTimeoutError,
 )
-from repro.resilience import RetryPolicy
 from repro.service import protocol
 
-__all__ = ["ServiceClient", "RemoteServiceError"]
+__all__ = ["ServiceClient", "RemoteServiceError", "RetryPolicy"]
+
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded retries with exponential backoff (immutable; share freely).
+
+    :meth:`call` retries an operation on any exception that is not a
+    :class:`~repro.errors.ReproError` — library-logic failures repeat
+    deterministically, so they propagate at once.  When attempts run out
+    the last error is wrapped in :class:`~repro.errors.RetryExhaustedError`
+    (``__cause__`` chained).
+
+    Parameters
+    ----------
+    max_attempts:
+        Total tries, including the first (1 = no retries).
+    base_delay:
+        Sleep before the first retry; grows by ``backoff`` per attempt.
+    backoff:
+        Multiplier applied to the delay after each failed attempt.
+    max_delay:
+        Upper clamp on any single sleep.
+    """
+
+    max_attempts: int = 3
+    base_delay: float = 0.001
+    backoff: float = 2.0
+    max_delay: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise OverloadConfigError("max_attempts must be >= 1")
+        if self.base_delay < 0 or self.max_delay < 0:
+            raise OverloadConfigError("delays must be >= 0")
+        if self.backoff < 1.0:
+            raise OverloadConfigError("backoff must be >= 1.0")
+
+    def delay_for(self, attempt: int) -> float:
+        """Backoff sleep after failed attempt ``attempt`` (1-based)."""
+        return min(self.base_delay * (self.backoff ** (attempt - 1)), self.max_delay)
+
+    def call(
+        self,
+        operation: Callable[..., T],
+        *args: Any,
+        on_retry: Callable[[int, BaseException], None] | None = None,
+        label: str | None = None,
+        **kwargs: Any,
+    ) -> T:
+        """Invoke ``operation`` under this policy and return its result.
+
+        ``on_retry(attempt, error)`` runs before each re-attempt;
+        ``label`` names the operation in the exhaustion error.
+        """
+        for attempt in range(1, self.max_attempts + 1):
+            try:
+                return operation(*args, **kwargs)
+            except ReproError:
+                raise
+            except Exception as exc:
+                if attempt == self.max_attempts:
+                    name = label or getattr(operation, "__name__", "operation")
+                    raise RetryExhaustedError(name, attempt, exc) from exc
+                if on_retry is not None:
+                    on_retry(attempt, exc)
+                time.sleep(self.delay_for(attempt))
+        raise AssertionError("unreachable")  # pragma: no cover
 
 
 class _TransientServiceFailure(Exception):
     """Internal retry carrier.
 
-    :class:`~repro.resilience.RetryPolicy` never retries
+    :class:`RetryPolicy` never retries
     :class:`~repro.errors.ReproError` (library-logic failures repeat
     deterministically) — but a remote ``overloaded`` verdict is the one
     ReproError that is transient *by contract*.  Wrapping it in a plain
@@ -230,18 +301,9 @@ class ServiceClient:
     def ping(self) -> dict[str, Any]:
         return self.request("ping")
 
-    def create_session(
-        self,
-        strategy: str | None = None,
-        resilience: str | None = None,
-    ) -> str:
-        """Create a session; returns its id.  Left out, ``strategy`` is DI
-        and ``resilience`` the server's posture."""
-        params: dict[str, Any] = {}
-        if strategy is not None:
-            params["strategy"] = strategy
-        if resilience is not None:
-            params["resilience"] = resilience
+    def create_session(self, strategy: str | None = None) -> str:
+        """Create a session; returns its id.  Left out, ``strategy`` is DI."""
+        params = {} if strategy is None else {"strategy": strategy}
         return str(self.request("create_session", **params)["session"])
 
     def action(self, session: str, action: Action | dict[str, Any]) -> dict[str, Any]:
@@ -254,7 +316,7 @@ class ServiceClient:
         return self.request("action", session=session, action=payload)
 
     def run(self, session: str) -> dict[str, Any]:
-        """Click Run; returns the run summary (SRT, degradation, sizes)."""
+        """Click Run; returns the run summary (SRT, match count, sizes)."""
         return self.request("run", session=session)
 
     def matches(self, session: str) -> list[list[list[int]]]:

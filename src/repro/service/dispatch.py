@@ -63,10 +63,7 @@ class LocalDispatcher:
                 "graph": self.graph_name,
             }
         if op == "create_session":
-            session = manager.create_session(
-                strategy=request.get("strategy"),
-                resilience=request.get("resilience"),
-            )
+            session = manager.create_session(protocol.session_strategy(request))
             return {"session": session.id, "strategy": session.limits.strategy}
         if op == "metrics":
             if request.get("format") == "text":

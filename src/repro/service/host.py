@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import AdmissionError, StorageError, WorkerPoolError
-from repro.resilience import ResilienceConfig
 from repro.service.overload import OverloadPolicy
 from repro.storage import BACKEND_NAMES, BasisDirectory, basis_from_context
 
@@ -49,9 +48,9 @@ class ServeConfig:
     max_sessions: int = 64
     #: Total CAP entries across sessions before LRU eviction (None = no bound).
     cap_entry_budget: int | None = 1_000_000
-    #: The resilience posture (Run deadline included) of a session whose
-    #: client names none; None is resilience off.
-    resilience: ResilienceConfig | None = None
+    #: Wall-clock budget of every hosted session's Run phase (None =
+    #: unbounded); a Run past it answers ``deadline_exceeded``.
+    deadline_seconds: float | None = None
     #: Watermark backpressure; None disables shedding (hard budgets and
     #: :class:`~repro.errors.AdmissionError` still apply).
     overload: OverloadPolicy | None = None

@@ -53,7 +53,6 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.obs.metrics import metrics
-from repro.resilience import ResilienceConfig
 from repro.service.checkpoint import (
     CheckpointStore,
     checkpoint_session as _capture_checkpoint,
@@ -84,7 +83,6 @@ class ManagerStats:
     sessions_checkpointed: int = 0
     sessions_restored: int = 0
     runs_completed: int = 0
-    runs_degraded: int = 0
     runs_failed: int = 0
     updates_applied: int = 0
     eviction_log: list[str] = field(default_factory=list)
@@ -109,7 +107,7 @@ class SessionManager:
         session_prefix: str = "s",
     ) -> None:
         self.base_ctx = base_ctx
-        #: Budgets, the default resilience posture, backpressure and the
+        #: Budgets, the Run deadline, backpressure and the
         #: checkpoint directory (see :class:`~repro.service.host.ServeConfig`).
         self.config = config = config or ServeConfig()
         #: Verdict builder for drain refusals even when shedding is off.
@@ -203,36 +201,28 @@ class SessionManager:
                 self._idle_cv.notify_all()
 
     # -- lifecycle -------------------------------------------------------
-    def create_session(
-        self,
-        strategy: str | None = None,
-        resilience: str | ResilienceConfig | None = None,
-    ) -> ManagedSession:
+    def create_session(self, strategy: str | None = None) -> ManagedSession:
         """Admit a new session (evicting idle LRU sessions if needed).
 
-        ``strategy`` defaults to DI and ``resilience`` (a posture name or
-        configuration) to the host's :attr:`ServeConfig.resilience`.
-        With an :class:`OverloadPolicy` set, admissions past the session
+        ``strategy`` defaults to DI; a name
+        :func:`~repro.core.strategies.make_strategy` does not know raises
+        :class:`ValueError` before anything is admitted.  The session's Run
+        takes the host's :attr:`ServeConfig.deadline_seconds`.  With an
+        :class:`OverloadPolicy` set, admissions past the session
         or CAP watermarks first try to reclaim idle sessions (which now
         checkpoints them) and, failing that, *shed* with the retryable
         :class:`~repro.errors.ServiceOverloadedError` — the hard
         :class:`~repro.errors.AdmissionError` is reserved for a budget
         that is exhausted outright.
         """
-        try:
-            posture = ResilienceConfig.from_posture(
-                resilience if resilience is not None else self.config.resilience
-            )
-        except ValueError as exc:  # a posture name the wire made up
-            raise AdmissionError(str(exc)) from None
-        chosen = {} if strategy is None else {"strategy": strategy}
-        limits = SessionLimits(resilience=posture, **chosen)
+        limits = SessionLimits() if strategy is None else SessionLimits(strategy)
 
         def new_session() -> ManagedSession:
             return ManagedSession(
                 f"{self.session_prefix}{next(self._id_counter)}",
                 self.base_ctx,
                 limits,
+                self.config.deadline_seconds,
             )
 
         with self._track_request(), self._lock:
@@ -384,8 +374,6 @@ class SessionManager:
                 self._write_through(session)
             with self._lock:
                 self.stats_counters.runs_completed += 1
-                if result.degraded:
-                    self.stats_counters.runs_degraded += 1
             self._enforce_cap_budget(active=session_id)
             return result
 
@@ -611,7 +599,9 @@ class SessionManager:
                         )
                     raise SessionNotFoundError(session_id)
             try:
-                session = _rebuild_from_checkpoint(checkpoint, self.base_ctx)
+                session = _rebuild_from_checkpoint(
+                    checkpoint, self.base_ctx, self.config.deadline_seconds
+                )
             except CheckpointError:
                 self.checkpoints.put(checkpoint)  # leave it restorable
                 raise
@@ -659,7 +649,7 @@ class SessionManager:
         checkpoint every idle session instead of dropping it.
 
         In-flight runs are not interrupted — they complete (or hit their
-        own cooperative :class:`~repro.resilience.Deadline` checkpoint)
+        own Run deadline)
         and retire through :meth:`_track_request`, which signals the
         condition this method waits on.  Returns a summary of what was
         checkpointed and what (if anything) was still busy at timeout.

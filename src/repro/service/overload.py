@@ -16,7 +16,7 @@ that actually saturate a hosting process —
 work with a typed, retryable :class:`~repro.errors.ServiceOverloadedError`
 carrying a ``retry_after_ms`` hint, instead of queueing it into collapse.
 Shedding is load-dependent and transient; clients holding a
-:class:`~repro.resilience.RetryPolicy` (see
+:class:`~repro.service.client.RetryPolicy` (see
 :class:`~repro.service.client.ServiceClient`) retry after the hint and
 normally succeed, which is what the soak harness (:mod:`repro.soak`)
 asserts: **every shed request either succeeds on retry or fails with a

@@ -16,7 +16,7 @@
   the dispatcher's own registry), so the wire surface still shows one
   coherent registry; ``stats`` sums worker manager stats recursively and
   adds a ``pool`` section; ``ping`` answers locally.
-* **Worker death folds into the resilience ladder.**  A dead pipe fails
+* **Worker death is a retryable verdict.**  A dead pipe fails
   that worker's in-flight requests with the *retryable*
   :class:`~repro.errors.WorkerDiedError` (clients already retry typed
   retryable verdicts), a replacement worker is spawned at the same index
@@ -372,6 +372,7 @@ class PoolDispatcher:
                 "--workers 0 or rebuild the basis"
             )
         if op == "create_session":
+            protocol.session_strategy(request)  # refuse at the door, not on a worker
             return self._place(request)
 
         session_id = request.get("session")

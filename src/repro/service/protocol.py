@@ -50,6 +50,7 @@ from repro.core.actions import Action
 from repro.core.blender import ActionReport, RunResult
 from repro.core.enumerate import PartialMatches
 from repro.core.lowerbound import ResultSubgraph
+from repro.core.strategies import make_strategy
 from repro.errors import (
     DeadlineExceededError,
     ProtocolError,
@@ -409,6 +410,22 @@ def wire_action(payload: Any) -> Action:
         raise ProtocolError(str(exc)) from exc
 
 
+def session_strategy(request: dict[str, Any]) -> str | None:
+    """The ``strategy`` a ``create_session`` request names (None: absent,
+    which hosts DI), checked at the door: a param other than ``strategy``,
+    or a strategy that is not a known name string, is a ``bad_request``."""
+    unknown = sorted(request.keys() - ENVELOPE_KEYS - {"strategy"})
+    if unknown:
+        raise ProtocolError(f"create_session takes only 'strategy', got {unknown}")
+    strategy = request.get("strategy")
+    if strategy is not None:
+        try:
+            make_strategy(strategy)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
+    return strategy
+
+
 def action_payload(action: Action) -> dict[str, Any]:
     """Encode an action for the wire (recording format)."""
     return action_to_dict(action)
@@ -417,15 +434,13 @@ def action_payload(action: Action) -> dict[str, Any]:
 def report_payload(report: ActionReport) -> dict[str, Any]:
     """Wire form of one :class:`ActionReport`."""
     return {
-        "status": report.status,
         "processed_now": report.processed_now,
         "compute_seconds": report.compute_seconds,
-        "error": report.error,
     }
 
 
 def run_payload(result: RunResult, backlog_seconds: float) -> dict[str, Any]:
-    """Wire form of a Run outcome (resilience status included)."""
+    """Wire form of a Run outcome."""
     return {
         "num_matches": result.num_matches,
         "truncated": result.matches.truncated,
@@ -436,10 +451,6 @@ def run_payload(result: RunResult, backlog_seconds: float) -> dict[str, Any]:
         "cap_size": result.cap_size.total,
         "cap_peak_size": result.cap_peak_size,
         "strategy": result.strategy,
-        "degraded": result.degraded,
-        "degradation_reason": result.degradation_reason,
-        "fallback": result.fallback,
-        "cap_repaired_edges": result.cap_repaired_edges,
     }
 
 

@@ -116,7 +116,7 @@ class IdleScheduler:
                 except Exception:
                     # The target's failure is not the donor's: the edge is
                     # back in the target's pool, and the target meets it
-                    # again at its own Run, under its own posture.
+                    # again at its own Run.
                     metrics.counter(
                         "repro_idle_cross_session_failures_total",
                         "donated edges that failed and went back to their pool",

@@ -1,7 +1,7 @@
 """JSON-lines-over-TCP front end for the :class:`SessionManager`.
 
 A deliberately thin layer: sockets and framing only — every decision
-(admission, scheduling, eviction, resilience) lives in the manager so it
+(admission, scheduling, eviction, deadlines) lives in the manager so it
 is testable without a socket in sight.  One OS thread per connection
 (:class:`socketserver.ThreadingTCPServer`); concurrency across sessions
 comes from the manager's per-session locking, so two clients formulating
@@ -180,7 +180,7 @@ class QueryServer:
         sequence before the accept loop unwinds: the manager refuses new
         mutating work (typed retryable ``draining`` sheds), in-flight
         requests retire at their own pace — a long Run still hits its
-        cooperative :class:`~repro.resilience.Deadline` checkpoint —
+        cooperative Run-deadline checkpoint —
         bounded by :data:`~repro.service.manager.DRAIN_TIMEOUT`, and every
         idle session is checkpointed for restore-by-id instead of
         dropped.  Returns the

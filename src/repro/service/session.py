@@ -27,11 +27,11 @@ from repro.core.actions import Action, Run
 from repro.core.blender import ActionReport, Boomer, RunResult
 from repro.core.context import EngineContext, EngineCounters
 from repro.core.enumerate import PartialMatches
+from repro.core.strategies import make_strategy
 from repro.errors import ActionError, SessionError
 from repro.gui.session import TimelineState
 from repro.obs import export as obs_export
 from repro.obs.trace import Tracer
-from repro.resilience import ResilienceConfig
 
 __all__ = ["ManagedSession", "SessionLimits", "MAX_RESULTS"]
 
@@ -45,17 +45,19 @@ MAX_RESULTS = 10_000
 
 @dataclass(frozen=True)
 class SessionLimits:
-    """What a client chooses when it creates a session.
+    """What a client chooses when it creates a session: the strategy.
 
     Everything else is the same for every hosted session: CAP pruning
-    on, enumeration capped at :data:`MAX_RESULTS`, and a span timeline
-    always recorded (the wire ``trace`` verb) — hosted sessions are
-    exactly where operators need the Fig.-7 decomposition, and the ring
-    buffer bounds the cost.
+    on, enumeration capped at :data:`MAX_RESULTS`, the host's Run
+    deadline, and a span timeline always recorded (the wire ``trace``
+    verb) — hosted sessions are exactly where operators need the Fig.-7
+    decomposition, and the ring buffer bounds the cost.
     """
 
     strategy: str = "DI"
-    resilience: ResilienceConfig | None = None
+
+    def __post_init__(self) -> None:
+        make_strategy(self.strategy)  # ValueError for a name it does not know
 
 
 class ManagedSession:
@@ -66,7 +68,7 @@ class ManagedSession:
     acquire it without blocking when donating another session's idle time.
 
     Lifecycle: ``formulating`` → (``ran`` | ``failed``) → ``closed``.
-    A ``failed`` session (blown deadline, exhausted degradation ladder) is
+    A ``failed`` session (blown deadline, an engine error in Run) is
     terminal: the underlying engine refuses further actions, so the wire
     layer reports the state and the client starts a new session.
     """
@@ -76,6 +78,7 @@ class ManagedSession:
         session_id: str,
         base_ctx: EngineContext,
         limits: SessionLimits | None = None,
+        deadline_seconds: float | None = None,
     ) -> None:
         self.id = session_id
         self.limits = limits or SessionLimits()
@@ -90,7 +93,7 @@ class ManagedSession:
             strategy=self.limits.strategy,
             max_results=MAX_RESULTS,
             auto_idle=False,
-            resilience=self.limits.resilience,
+            deadline_seconds=deadline_seconds,
             tracer=self.tracer,
         )
         self.timeline = TimelineState()
@@ -245,7 +248,6 @@ class ManagedSession:
             "donated_idle_seconds": self.donated_idle_seconds,
             "serviced_seconds": self.serviced_seconds,
             "serviced_edges": self.serviced_edges,
-            "absorbed_failures": list(self.boomer.absorbed_failures),
             "counters": self.ctx.counters.snapshot(),
             "trace": {
                 "enabled": self.tracer.enabled,
@@ -258,8 +260,6 @@ class ManagedSession:
         if result is not None:
             out["run"] = {
                 "num_matches": result.num_matches,
-                "degraded": result.degraded,
-                "fallback": result.fallback,
                 "srt_seconds": self.backlog_seconds + result.srt_seconds,
             }
         return out

@@ -4,15 +4,13 @@ One :func:`run_soak` call is a complete experiment:
 
 1. bring the service up through :func:`~repro.service.open_host` under
    a :class:`~repro.service.ServeConfig` with deliberately tight budgets
-   and an :class:`~repro.service.OverloadPolicy` (:data:`SOAK_CONFIG`)
-   over a (possibly fault-wrapped) engine context, and serve it over
-   real sockets;
+   and an :class:`~repro.service.OverloadPolicy` (:data:`SOAK_CONFIG`),
+   and serve it over real sockets;
 2. replay a deterministic :func:`~repro.workload.generate_soak_schedule`
    — one client thread per simulated user, Pareto arrival offsets,
    scaled GUI think time, mid-session bound revisions, and abandoning
-   users whose threads die without a goodbye (the injected worker-thread
-   death);
-3. clients retry shed work under a :class:`~repro.resilience.RetryPolicy`
+   users whose threads die without a goodbye (client-thread death);
+3. clients retry shed work under a :class:`~repro.service.client.RetryPolicy`
    (honoring ``retry_after_ms``) and transparently restore evicted
    sessions by id;
 4. gracefully drain (checkpointing idle sessions), then restore every
@@ -30,7 +28,7 @@ re-run with the same seed and fail the same way.
 With ``config.workers > 0`` the same traffic drives a
 :class:`~repro.service.PoolDispatcher` fleet instead of the threaded
 manager, and ``kill_worker_after`` SIGKILLs one seeded-chosen worker
-mid-traffic — the process-level analogue of the injected faults above.
+mid-traffic — the process-level analogue of the abandoning users above.
 The fleet must absorb it: the dispatcher replaces the worker, requeues
 its sessions from disk checkpoints, clients retry transparently, and the
 post-soak restore verification replays every completed session's disk
@@ -53,7 +51,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.obs import clock
-from repro.resilience import RetryPolicy
 from repro.service import (
     OverloadPolicy,
     QueryServer,
@@ -63,20 +60,21 @@ from repro.service import (
     open_host,
 )
 from repro.service import protocol
-from repro.service.client import RemoteServiceError
+from repro.service.client import RemoteServiceError, RetryPolicy
 from repro.soak.slo import SLO, SoakReport, percentile
 from repro.utils.rng import seeded_rng
 from repro.workload.traffic import SessionScript, SoakWorkloadConfig, generate_soak_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import EngineContext
-    from repro.faults import FaultPlan
 
 __all__ = ["run_soak", "SOAK_CONFIG"]
 
 #: What a soak hosts under unless told otherwise: budgets deliberately
-#: tight, so backpressure, eviction and checkpointing all fire.
+#: tight, so backpressure, eviction and checkpointing all fire, and a Run
+#: deadline whose verdict is one of the typed outcomes.
 SOAK_CONFIG = ServeConfig(
+    deadline_seconds=10.0,
     max_sessions=8,
     cap_entry_budget=100_000,
     overload=OverloadPolicy(
@@ -93,7 +91,6 @@ class _SharedState:
         self.started = 0
         self.abandoned = 0
         self.run_latencies: list[float] = []
-        self.runs_degraded = 0
         self.typed_errors: dict[str, int] = {}
         self.unexpected: list[str] = []
         self.unresolved_sheds = 0
@@ -137,19 +134,17 @@ def _drive_user(
             retry_policy=retry_policy,
             auto_restore=True,
         )
-        sid = client.create_session(resilience=script.posture)
+        sid = client.create_session()
         with state.lock:
             state.started += 1
         for action in script.actions:
             if action.get("kind") == "Run":
                 begin = clock.now()
-                summary = client.run(sid)
+                client.run(sid)
                 latency = clock.now() - begin
                 matches = client.matches(sid)
                 with state.lock:
                     state.run_latencies.append(latency)
-                    if summary.get("degraded"):
-                        state.runs_degraded += 1
                     state.completed[sid] = matches
             else:
                 client.action(sid, action)
@@ -179,7 +174,6 @@ def run_soak(
     workload: SoakWorkloadConfig,
     config: ServeConfig = SOAK_CONFIG,
     *,
-    fault_plan: "FaultPlan | None" = None,
     slo: SLO | None = None,
     time_scale: float = 0.02,
     client_timeout: float = 30.0,
@@ -189,21 +183,11 @@ def run_soak(
     join_timeout: float = 120.0,
     kill_worker_after: float | None = None,
 ) -> SoakReport:
-    """Run one complete chaos soak; returns the scored report."""
+    """Run one complete soak; returns the scored report."""
     slo = slo or SLO()
     retry_policy = retry_policy or RetryPolicy(
         max_attempts=5, base_delay=0.01, backoff=2.0, max_delay=0.25
     )
-    if config.workers > 0 and fault_plan is not None:
-        # Fault wrappers are in-process monkey-business around the oracle;
-        # they neither pickle across spawn nor save as basis arrays.
-        # The pool soak's chaos is the worker SIGKILL.
-        raise ValueError(
-            "fault_plan is process-local and cannot cross the worker "
-            "boundary; pool soaks inject chaos via kill_worker_after"
-        )
-    if fault_plan is not None:
-        ctx = fault_plan.wrap_context(ctx)
 
     schedule = generate_soak_schedule(ctx.graph, workload)
     report = SoakReport(sessions_scheduled=len(schedule), slo=slo.to_dict())
@@ -373,7 +357,6 @@ def run_soak(
     report.sessions_started = state.started
     report.sessions_abandoned = state.abandoned
     report.runs_completed = len(state.run_latencies)
-    report.runs_degraded = state.runs_degraded
     report.run_latency = {
         "count": float(len(state.run_latencies)),
         "p50": percentile(state.run_latencies, 0.50),

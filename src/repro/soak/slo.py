@@ -107,7 +107,7 @@ class SLO:
         if report.workers_killed and not report.workers_respawned:
             violations.append(
                 f"{report.workers_killed} worker(s) killed but none "
-                "respawned — the resilience ladder did not engage"
+                "respawned — the pool did not replace them"
             )
         if report.unexpected_errors:
             violations.append(
@@ -141,7 +141,6 @@ class SoakReport:
     sessions_started: int = 0
     sessions_abandoned: int = 0
     runs_completed: int = 0
-    runs_degraded: int = 0
     #: Wire ``run`` latencies: p50/p95/p99/max/count (wall seconds).
     run_latency: dict[str, float] = field(default_factory=dict)
     #: Typed failures seen client-side, keyed by stable v2 error code.
@@ -185,7 +184,6 @@ class SoakReport:
             "sessions_started": self.sessions_started,
             "sessions_abandoned": self.sessions_abandoned,
             "runs_completed": self.runs_completed,
-            "runs_degraded": self.runs_degraded,
             "run_latency": dict(self.run_latency),
             "typed_errors": dict(self.typed_errors),
             "unexpected_errors": list(self.unexpected_errors),

@@ -10,6 +10,9 @@ throughout the code base:
 * :class:`TimeBudget` — a countdown used by the Defer-to-Idle strategy's
   pool probing (Algorithm 10 in the paper) to stop draining the edge pool
   once the idle window is exhausted.
+* :class:`Deadline` — a :class:`TimeBudget` whose :meth:`~Deadline.checkpoint`
+  raises once it is spent: the Run deadline, checked between CAP edges
+  and between enumeration chunks.
 
 Both read the process-wide clock in :mod:`repro.obs.clock` at call time —
 the same source span timestamps use — so stopwatch accumulators, deadline
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import DeadlineExceededError
 from repro.obs import clock
 
 
@@ -114,3 +118,27 @@ class TimeBudget:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TimeBudget(limit={self._limit}, remaining={self.remaining():.4f})"
+
+
+class Deadline(TimeBudget):
+    """A :class:`TimeBudget` that cancels the loops that check it.
+
+    >>> Deadline(None).checkpoint("drain")     # unlimited: a no-op
+    >>> Deadline(0.0).exhausted
+    True
+
+    Cancellation is cooperative: the Run phase checks the deadline
+    between pooled edges and between enumeration chunks, never inside
+    ``process_edge``, so a :class:`~repro.errors.DeadlineExceededError`
+    leaves the CAP index consistent.  ``label`` names the phase when a
+    checkpoint gives no context of its own.
+    """
+
+    def __init__(self, seconds: float | None, label: str = "operation") -> None:
+        super().__init__(seconds)
+        self.label = label
+
+    def checkpoint(self, context: str | None = None) -> None:
+        """Raise :class:`DeadlineExceededError` once the budget is spent."""
+        if self.limit is not None and self.exhausted:
+            raise DeadlineExceededError(context or self.label, limit=self.limit)

@@ -66,11 +66,9 @@ class SoakWorkloadConfig:
     abandon_rate:
         Probability a session walks away mid-formulation: the schedule
         truncates its actions and never runs — the driving thread just
-        stops (or dies, under chaos) without closing the session.
+        stops without closing the session.
     templates:
         Template names to draw from (default: all six paper templates).
-    postures:
-        Resilience postures to rotate through (wire ``resilience`` values).
     """
 
     seed: int = 0
@@ -82,7 +80,6 @@ class SoakWorkloadConfig:
     modify_rate: float = 0.3
     abandon_rate: float = 0.1
     templates: tuple[str, ...] = ()
-    postures: tuple[str, ...] = ("default",)
 
     def __post_init__(self) -> None:
         if self.sessions < 1:
@@ -97,8 +94,6 @@ class SoakWorkloadConfig:
         for rate in (self.modify_rate, self.abandon_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ExperimentError("rates must be within [0, 1]")
-        if not self.postures:
-            raise ExperimentError("at least one resilience posture required")
 
 
 @dataclass
@@ -108,7 +103,6 @@ class SessionScript:
     index: int
     name: str  # instance name, e.g. "Q2@soak#17"
     arrival_offset: float  # virtual seconds after soak start
-    posture: str
     #: Recording-format dicts, ``Run`` last — unless the user abandons,
     #: in which case the list is truncated and ``abandoned`` is True.
     actions: list[dict] = field(default_factory=list)
@@ -120,7 +114,6 @@ class SessionScript:
             "index": self.index,
             "name": self.name,
             "arrival_offset": self.arrival_offset,
-            "posture": self.posture,
             "actions": list(self.actions),
             "abandoned": self.abandoned,
             "modified": self.modified,
@@ -201,7 +194,6 @@ def generate_soak_schedule(
                 index=index,
                 name=instance.name,
                 arrival_offset=clock,
-                posture=config.postures[index % len(config.postures)],
                 actions=[action_to_dict(a) for a in actions],
                 abandoned=abandoned,
                 modified=modified,

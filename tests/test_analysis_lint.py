@@ -196,14 +196,14 @@ class TestSelfClean:
         assert report.ok, "\n".join(v.format() for v in report.violations)
 
     def test_reintroduced_violation_caught(self, tmp_path):
-        """Un-fixing satellite 1 (raw ``random`` in an injector) is caught."""
-        source = Path(repro.__file__).parent / "faults" / "injectors.py"
-        regressed = tmp_path / "repro" / "faults"
+        """Raw ``random`` back in the latency model's jitter is caught."""
+        source = Path(repro.__file__).parent / "gui" / "latency.py"
+        regressed = tmp_path / "repro" / "gui"
         regressed.mkdir(parents=True)
         text = source.read_text(encoding="utf-8").replace(
             "from repro.utils.rng import seeded_rng", "import random"
         ).replace("seeded_rng(seed)", "random.Random(seed)")
-        (regressed / "injectors.py").write_text(text, encoding="utf-8")
+        (regressed / "latency.py").write_text(text, encoding="utf-8")
         report = LintEngine.for_rule_ids(["R1"]).lint_paths([regressed])
         assert not report.ok
         assert all(v.rule == "R1" for v in report.violations)
@@ -235,10 +235,16 @@ SEEDED_MUTATIONS: dict[str, tuple[str, list[tuple[str, str]]]] = {
             )
         ],
     ),
-    # The CAP audit leaves the taxonomy: ``trace`` reports verify = 0.
+    # The scheduler's donated probes leave the taxonomy: ``trace`` no
+    # longer counts them in ``idle_probe`` and ``pool_probes``.
     "R4": (
         "core/blender.py",
-        [('self.tracer.span("run.verify_cap")', 'self.tracer.span("run.verify")')],
+        [
+            (
+                'self.tracer.span("pool.probe", donated=True)',
+                'self.tracer.span("pool.donated", donated=True)',
+            )
+        ],
     ),
     # Every tenant's request, the overload door and drain's timeout wait
     # out one session's Run behind the manager lock.

@@ -219,7 +219,7 @@ class TestLockDisciplineRule:
 # ----------------------------------------------------------------------
 class TestFixedViolationsStayFixed:
     @pytest.mark.parametrize(
-        "module", ["repro.faults.injectors", "repro.resilience.checker"]
+        "module", ["repro.gui.latency", "repro.soak.harness"]
     )
     def test_no_raw_random(self, module):
         import importlib

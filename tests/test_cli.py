@@ -4,14 +4,12 @@ import pytest
 
 from repro.cli import (
     EXIT_DEADLINE,
-    EXIT_DEGRADED,
     EXIT_ERROR,
     EXIT_OK,
     main,
     parse_query_file,
 )
 from repro.errors import ReproError
-from repro.faults import FaultPlan, OracleFaultSpec
 from repro.graph.io import load_edge_list, save_edge_list
 from tests.conftest import build_fig2_graph
 
@@ -144,7 +142,7 @@ class TestCommands:
 
 
 class TestExitCodes:
-    """The four-way exit-code contract (0 ok / 1 error / 2 degraded / 3 deadline)."""
+    """The exit-code contract (0 ok / 1 error / 3 deadline; 2 is retired)."""
 
     def _query_argv(self, graph_file, query_file, *extra):
         return [
@@ -158,26 +156,6 @@ class TestExitCodes:
             *extra,
         ]
 
-    def test_degraded_run_exits_2(self, graph_file, query_file, tmp_path, capsys):
-        plan_path = tmp_path / "plan.json"
-        # fail_after=0: the oracle dies on its first call, which lands in
-        # CAP construction of the upper-3 edge -> Run must degrade to BU.
-        FaultPlan(seed=3, oracle=OracleFaultSpec(fail_after=0)).to_json(plan_path)
-        code = main(
-            self._query_argv(
-                graph_file,
-                query_file,
-                "--resilience",
-                "default",
-                "--fault-plan",
-                str(plan_path),
-            )
-        )
-        assert code == EXIT_DEGRADED
-        captured = capsys.readouterr()
-        assert "DEGRADED" in captured.err
-        assert "match:" in captured.out  # degraded still prints real results
-
     def test_deadline_exceeded_exits_3(self, graph_file, query_file, capsys):
         code = main(
             self._query_argv(graph_file, query_file, "--deadline", "0.0")
@@ -185,43 +163,13 @@ class TestExitCodes:
         assert code == EXIT_DEADLINE
         assert "deadline exceeded" in capsys.readouterr().err
 
-    def test_inline_fault_plan_json(self, graph_file, query_file, capsys):
-        code = main(
-            self._query_argv(
-                graph_file,
-                query_file,
-                "--resilience",
-                "default",
-                "--fault-plan",
-                '{"seed": 1, "oracle": {"transient_rate": 0.2}}',
-            )
-        )
-        # Transient faults are retried away: clean CAP-path success.
-        assert code == EXIT_OK
-        assert "V_delta: 3" in capsys.readouterr().err
-
-    def test_bad_fault_plan_exits_1(self, graph_file, query_file, capsys):
-        code = main(
-            self._query_argv(
-                graph_file, query_file, "--fault-plan", '{"bogus_key": 1}',
-                "--resilience", "default",
-            )
-        )
-        assert code == EXIT_ERROR
-        assert "unknown fault-plan keys" in capsys.readouterr().err
-
-    def test_unresilient_fault_crashes(self, graph_file, query_file, tmp_path):
-        # Without --resilience the injected crash propagates raw — the CLI
-        # only converts *typed* errors into exit codes.
-        plan_path = tmp_path / "plan.json"
-        FaultPlan(seed=3, oracle=OracleFaultSpec(fail_after=2)).to_json(plan_path)
-        with pytest.raises(Exception) as excinfo:
-            main(
-                self._query_argv(
-                    graph_file, query_file, "--fault-plan", str(plan_path)
-                )
-            )
-        assert "injected" in str(excinfo.value).lower()
+    @pytest.mark.parametrize(
+        "flag", [["--resilience", "default"], ["--fault-plan", "{}"]]
+    )
+    def test_removed_flags_are_usage_errors(self, graph_file, query_file, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._query_argv(graph_file, query_file, *flag))
+        assert excinfo.value.code == 2  # argparse's usage error
 
 
 class TestReplayCommand:
@@ -263,7 +211,7 @@ class TestReplayCommand:
         )
         assert code == EXIT_ERROR
 
-    def test_replay_degraded_exits_2(self, graph_file, tmp_path, capsys):
+    def test_replay_deadline_exceeded_exits_3(self, graph_file, tmp_path, capsys):
         from repro.gui.recording import save_actions
         from repro.core.actions import NewEdge, NewVertex, Run
 
@@ -272,14 +220,11 @@ class TestReplayCommand:
             [
                 NewVertex(0, "A", latency_after=0.01),
                 NewVertex(1, "B", latency_after=0.01),
-                # upper=3 routes PVS through the (dead) oracle.
                 NewEdge(0, 1, 1, 3, latency_after=0.01),
                 Run(),
             ],
             rec,
         )
-        plan_path = tmp_path / "plan.json"
-        FaultPlan(seed=3, oracle=OracleFaultSpec(fail_after=0)).to_json(plan_path)
         code = main(
             [
                 "replay",
@@ -289,14 +234,12 @@ class TestReplayCommand:
                 str(rec),
                 "--t-avg-samples",
                 "200",
-                "--resilience",
-                "default",
-                "--fault-plan",
-                str(plan_path),
+                "--deadline",
+                "0.0",
             ]
         )
-        assert code == EXIT_DEGRADED
-        assert "DEGRADED" in capsys.readouterr().err
+        assert code == EXIT_DEADLINE
+        assert "deadline exceeded" in capsys.readouterr().err
 
 
 class TestUpdateCheck:

@@ -20,7 +20,7 @@ from repro.core.enumerate import (
     reorder_matching_order,
 )
 from repro.errors import CAPStateError, DeadlineExceededError
-from repro.resilience import Deadline
+from repro.utils.timing import Deadline
 from tests.conftest import (
     brute_force_upper_matches,
     build_fig2_graph,

@@ -58,8 +58,8 @@ def test_resilience_errors_hierarchy():
     assert issubclass(errors.ResilienceError, errors.ReproError)
     assert issubclass(errors.DeadlineExceededError, errors.ResilienceError)
     assert issubclass(errors.RetryExhaustedError, errors.ResilienceError)
-    assert issubclass(errors.CAPCorruptionError, errors.ResilienceError)
-    assert issubclass(errors.DegradedModeError, errors.ResilienceError)
+    assert not hasattr(errors, "CAPCorruptionError")
+    assert not hasattr(errors, "DegradedModeError")
 
 
 def test_deadline_exceeded_is_timeout_error():
@@ -83,14 +83,6 @@ def test_retry_exhausted_payload():
     assert err.attempts == 3
     assert err.last_error is cause
     assert "probe" in str(err) and "RuntimeError" in str(err)
-
-
-def test_cap_corruption_is_cap_error():
-    # Existing CAPError handlers must also see corruption failures.
-    assert issubclass(errors.CAPCorruptionError, errors.CAPError)
-    err = errors.CAPCorruptionError("rotten", corrupt_edges=[(0, 1)])
-    assert err.corrupt_edges == [(0, 1)]
-    assert errors.CAPCorruptionError("rotten").corrupt_edges == []
 
 
 def test_single_except_clause_catches_everything():

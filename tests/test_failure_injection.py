@@ -1,33 +1,29 @@
-"""Failure injection through :mod:`repro.faults`: no silent corruption.
+"""Crash consistency on the failures production raises.
 
-The contract under test is the resilience trichotomy: a session driven
-under *any* seeded :class:`FaultPlan` with a resilience config attached
-either (a) completes on the CAP path with the fault-free match set,
-(b) degrades to the BU baseline with the *identical* match set, or
-(c) raises a typed error (:class:`ResilienceError` subclass, or the raw
-:class:`InjectedFaultError` when resilience is off) — it never returns
-silently wrong matches.
+The PML oracle refuses to answer for a graph whose epoch moved past the
+one it was built at (:class:`~repro.errors.StaleIndexError`).  Bumping
+the epoch without maintenance (``graph_insert_edge``, as
+``TestStaleReaders`` does) therefore makes the next oracle kernel call
+inside ``process_edge`` raise.  The contract under test: a failed edge is
+never half-processed — under IC it is neither processed nor holds an AIVS
+block and the typed error reaches the caller; under DR a drained edge
+goes back to the pool — and an engine bug (a non-``ReproError``) reaches a
+wire client as the typed ``internal_error``, never as another answer.
 """
 
-import functools
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from repro.core import blender
 from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
+from repro.core.cost import GUILatencyConstants
 from repro.core.preprocessor import make_context, preprocess
-from repro.errors import ResilienceError, RetryExhaustedError
-from repro.faults import (
-    CAPCorruptionSpec,
-    FaultPlan,
-    FaultyOracle,
-    InjectedFaultError,
-    OracleFaultSpec,
-)
-from repro.gui.session import VisualSession
-from repro.resilience import ResilienceConfig
+from repro.errors import CAPStateError, StaleIndexError
+from repro.service import QueryServer, ServeConfig, ServiceClient, open_host
+from repro.service.client import RemoteServiceError
+from repro.updates.csr import graph_insert_edge
 from tests.conftest import build_fig2_graph
 
 
@@ -36,9 +32,19 @@ def pre():
     return preprocess(build_fig2_graph(), t_avg_samples=100)
 
 
-def make_ctx(pre, plan: FaultPlan | None = None):
-    ctx = make_context(pre)
-    return plan.wrap_context(ctx) if plan is not None else ctx
+def stale_ctx(t_avg=None):
+    """A context over a fresh fig2 graph whose epoch then moved past its
+    PML index without maintenance: every oracle call raises.  A large
+    ``t_avg`` against the scaled ``t_lat`` classifies the upper-3 edges
+    expensive, so DR pools them (as the ``pooled_ctx`` fixture does)."""
+    ctx = make_context(
+        preprocess(build_fig2_graph(), t_avg_samples=100),
+        latency=GUILatencyConstants().scaled(0.001),
+    )
+    if t_avg is not None:
+        ctx = replace(ctx, cost_model=replace(ctx.cost_model, t_avg=t_avg))
+    graph_insert_edge(ctx.graph, 0, 11)  # bypasses maintenance on purpose
+    return ctx
 
 
 def triangle_actions():
@@ -60,237 +66,96 @@ def match_set(matches):
 
 @pytest.fixture(scope="module")
 def clean_matches(pre):
-    boomer = Boomer(make_ctx(pre), strategy="IC")
+    boomer = Boomer(make_context(pre), strategy="IC")
     for action in triangle_actions():
         boomer.apply(action)
     return match_set(boomer.run_result.matches)
 
 
-def session(pre, plan: FaultPlan | None) -> VisualSession:
-    """A default-posture session harness over ``pre`` under ``plan``."""
-    return VisualSession(
-        make_context(pre), resilience=ResilienceConfig.default(), fault_plan=plan
-    )
-
-
-def clean_run_calls(pre, strategy: str = "IC") -> int:
-    """Kernel calls of a clean triangle Run, counted by a wrapper that
-    injects nothing (as ``_die_inside_the_page`` counts them)."""
-    probe = session(pre, FaultPlan(seed=5, oracle=OracleFaultSpec()))
-    probe.run_actions(triangle_actions(), strategy=strategy)
-    return probe.ctx.oracle.calls
-
-
 # ---------------------------------------------------------------------------
-# Without resilience: injected faults surface raw, but never corrupt state
+# A stale index inside process_edge: the typed error surfaces, state holds
 # ---------------------------------------------------------------------------
 class TestUnprotected:
-    def test_oracle_failure_propagates_from_large_upper_search(self, pre):
-        plan = FaultPlan(seed=1, oracle=OracleFaultSpec(fail_after=0))
-        boomer = Boomer(make_ctx(pre, plan), strategy="IC")
+    def test_oracle_failure_propagates_from_large_upper_search(self):
+        boomer = Boomer(stale_ctx(), strategy="IC")
         boomer.apply(NewVertex(0, "A"))
         boomer.apply(NewVertex(1, "B"))
-        with pytest.raises(InjectedFaultError, match="injected"):
+        with pytest.raises(StaleIndexError, match="epoch"):
             boomer.apply(NewEdge(0, 1, 1, 3))  # all-pairs PML path
 
-    def test_failure_leaves_no_processed_mark(self, pre):
-        plan = FaultPlan(seed=1, oracle=OracleFaultSpec(fail_after=0))
-        boomer = Boomer(make_ctx(pre, plan), strategy="IC")
+    def test_failure_leaves_no_processed_mark(self):
+        boomer = Boomer(stale_ctx(), strategy="IC")
         boomer.apply(NewVertex(0, "A"))
         boomer.apply(NewVertex(1, "B"))
-        with pytest.raises(InjectedFaultError):
+        with pytest.raises(StaleIndexError):
             boomer.apply(NewEdge(0, 1, 1, 3))
-        # The failed edge must not be marked processed: enumeration would
-        # otherwise silently use a half-populated AIVS.
+        # The failed edge must not be marked processed nor keep a block:
+        # enumeration would otherwise silently use a half-populated AIVS.
         assert not boomer.cap.is_processed(0, 1)
-        with pytest.raises(Exception):
-            boomer.apply(Run())  # either enumeration guard or another failure
+        with pytest.raises(CAPStateError):
+            boomer.cap.pairs(0, 1)
+        boomer.cap.check_consistency(boomer.query)
+        with pytest.raises(CAPStateError, match="unprocessed"):
+            boomer.apply(Run())  # the enumeration guard refuses
+
+    def test_drained_edge_goes_back_to_the_pool(self):
+        boomer = Boomer(stale_ctx(t_avg=0.002), strategy="DR")
+        actions = triangle_actions()
+        for action in actions[:-1]:
+            boomer.apply(action)
+        assert boomer.engine.pool.contains(0, 2)  # DR deferred the upper-3 edge
+        with pytest.raises(StaleIndexError):
+            boomer.apply(actions[-1])
+        assert boomer.engine.pool.contains(0, 2)
+        assert not boomer.cap.is_processed(0, 2)
+        boomer.cap.check_consistency(boomer.query)
+        with pytest.raises(CAPStateError, match="terminal failed-Run state"):
+            boomer.apply(NewVertex(9, "A"))
 
     def test_recovery_with_fresh_engine_same_context_graph(self, pre, clean_matches):
         """A failure poisons only that session; a fresh engine with a
         healthy oracle over the same preprocessing succeeds."""
-        boomer = Boomer(make_ctx(pre), strategy="IC")
+        boomer = Boomer(make_context(pre), strategy="IC")
         for action in triangle_actions():
             boomer.apply(action)
         assert match_set(boomer.run_result.matches) == clean_matches
 
-    def test_failure_during_lower_bound_check(self, pre):
-        boomer = Boomer(make_ctx(pre), strategy="IC")
+    def test_failure_during_lower_bound_check(self):
+        ctx = make_context(preprocess(build_fig2_graph(), t_avg_samples=100))
+        boomer = Boomer(ctx, strategy="IC")
         boomer.apply(NewVertex(0, "A"))
         boomer.apply(NewVertex(1, "C"))
         boomer.apply(NewEdge(0, 1, 1, 3))
         boomer.apply(Run())
-        # Swap in an already-dead oracle: DetectPath's guided search fails.
-        boomer._result_ctx = make_ctx(
-            pre, FaultPlan(seed=1, oracle=OracleFaultSpec(fail_after=0))
-        )
+        graph_insert_edge(ctx.graph, 0, 11)  # the index goes stale after Run
         match = boomer.run_result.matches.matches[0]
-        with pytest.raises(InjectedFaultError, match="injected"):
+        with pytest.raises(StaleIndexError):
             boomer.visualize(match)
 
 
 # ---------------------------------------------------------------------------
-# With resilience: the session survives and the answers never change
+# An engine bug is an internal_error on the wire, not another answer
 # ---------------------------------------------------------------------------
-class TestProtected:
-    def test_transient_faults_retry_to_clean_result(self, pre, clean_matches):
-        plan = FaultPlan(
-            seed=5, oracle=OracleFaultSpec(transient_rate=0.4, transient_burst=1)
-        )
-        boomer = Boomer(
-            make_ctx(pre, plan), strategy="DI", resilience=ResilienceConfig.default()
-        )
-        for action in triangle_actions():
-            boomer.apply(action)
-        assert not boomer.run_result.degraded
-        assert match_set(boomer.run_result.matches) == clean_matches
+def test_an_engine_bug_reaches_the_client_as_internal_error(fig2_ctx, monkeypatch):
+    """A kernel bug inside PVS used to be routed to the BU ladder and
+    answered correctly but slowly, hidden from the differential tests."""
 
-    def test_permanent_death_degrades_to_identical_matches(self, pre, clean_matches):
-        plan = FaultPlan(seed=5, oracle=OracleFaultSpec(fail_after=0))
-        boomer = Boomer(
-            make_ctx(pre, plan), strategy="DI", resilience=ResilienceConfig.default()
-        )
-        for action in triangle_actions():
-            boomer.apply(action)
-        run = boomer.run_result
-        assert run.degraded and run.fallback == "bu-bfs"
-        assert "RetryExhaustedError" in run.degradation_reason
-        assert match_set(run.matches) == clean_matches
-        # Result generation must survive the dead oracle too.
-        assert boomer.results()  # lower=1 bounds: every match validates
+    def broken_kernel(*args, **kwargs):
+        raise IndexError("kernel read past its block")
 
-    def _die_inside_the_page(self, pre):
-        """A session whose oracle dies one call into its first results page,
-        plus the clean page.  ``fail_after`` comes from the counted calls of
-        a clean Run, not from how many a page happens to need today."""
-        probe = make_ctx(pre, FaultPlan(seed=5, oracle=OracleFaultSpec()))
-        clean = Boomer(probe, strategy="IC", resilience=ResilienceConfig.default())
-        for action in triangle_actions():
-            clean.apply(action)
-        run_calls = probe.oracle.calls
-        clean_page = clean.results()
-        assert probe.oracle.calls > run_calls + 1  # the page asks more than once
-        plan = FaultPlan(seed=5, oracle=OracleFaultSpec(fail_after=run_calls + 1))
-        boomer = Boomer(
-            make_ctx(pre, plan), strategy="IC", resilience=ResilienceConfig.default()
-        )
-        for action in triangle_actions():
-            boomer.apply(action)
-        assert not boomer.run_result.degraded
-        return boomer, clean_page
-
-    def test_dead_oracle_fails_over_during_result_generation(self, pre):
-        """Oracle dies *after* Run: the page's chunk swaps to a BFS oracle."""
-        boomer, _ = self._die_inside_the_page(pre)
-        results = boomer.results()
-        assert results
-        assert not isinstance(boomer._result_ctx.oracle, FaultyOracle)
-
-    def test_failed_over_page_equals_clean_page(self, pre):
-        """One absorbed failure for the chunk the death landed in (three
-        matches), the same page, and the shared BFS oracle from then on."""
-        from repro.indexing.oracle import shared_bfs_oracle
-
-        boomer, clean_page = self._die_inside_the_page(pre)
-        absorbed = len(boomer.absorbed_failures)
-        page = boomer.results()
-        assert len(page) == 3
-        assert [(s.assignment, s.paths) for s in page] == [
-            (s.assignment, s.paths) for s in clean_page
-        ]
-        assert len(boomer.absorbed_failures) == absorbed + 1
-        assert "InjectedFaultError" in boomer.absorbed_failures[-1]
-        assert boomer._result_ctx.oracle is shared_bfs_oracle(boomer.engine.ctx.graph)
-        assert boomer.results() and len(boomer.absorbed_failures) == absorbed + 1
-
-    def test_strict_config_raises_typed_error(self, pre):
-        plan = FaultPlan(seed=5, oracle=OracleFaultSpec(fail_after=0))
-        boomer = Boomer(
-            make_ctx(pre, plan), strategy="IC", resilience=ResilienceConfig.strict()
-        )
-        boomer.apply(NewVertex(0, "A"))
-        boomer.apply(NewVertex(1, "B"))
-        with pytest.raises(RetryExhaustedError):
-            boomer.apply(NewEdge(0, 1, 1, 3))
-
-    @pytest.mark.parametrize("strategy", ["IC", "DR", "DI"])
-    def test_every_death_inside_the_run_degrades_or_raises(
-        self, pre, clean_matches, strategy
-    ):
-        """The oracle dies at each kernel call of a clean Run in turn."""
-        calls = clean_run_calls(pre, strategy)
-        assert calls >= 1
-        for fail_after in range(calls):
-            plan = FaultPlan(seed=5, oracle=OracleFaultSpec(fail_after=fail_after))
-            try:
-                result = session(pre, plan).run_actions(
-                    triangle_actions(), strategy=strategy
-                )
-            except ResilienceError:
-                continue  # typed failure
-            assert result.degraded, fail_after
-            assert match_set(result.run.matches) == clean_matches
-
-
-# ---------------------------------------------------------------------------
-# Property: the trichotomy holds for arbitrary seeded fault plans
-# ---------------------------------------------------------------------------
-@functools.cache
-def fail_after_bound() -> int:
-    """Past the last kernel call of a triangle Run whose every call is
-    retried to exhaustion: ``fail_after`` up to here kills the oracle
-    before, during and after the Run."""
-    pre = preprocess(build_fig2_graph(), t_avg_samples=100)
-    attempts = ResilienceConfig.default().retry.max_attempts
-    return attempts * clean_run_calls(pre) + 1
-
-
-oracle_specs = st.one_of(
-    st.none(),
-    st.builds(
-        OracleFaultSpec,
-        transient_rate=st.sampled_from([0.0, 0.2, 0.6]),
-        transient_burst=st.integers(min_value=1, max_value=3),
-        fail_after=st.one_of(
-            st.none(), st.deferred(lambda: st.integers(0, fail_after_bound()))
-        ),
-    ),
-)
-cap_specs = st.one_of(
-    st.none(),
-    st.builds(
-        CAPCorruptionSpec,
-        drop_pair_count=st.integers(min_value=0, max_value=2),
-        bogus_pair_count=st.integers(min_value=0, max_value=2),
-        drop_candidate_count=st.integers(min_value=0, max_value=2),
-    ),
-)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    oracle=oracle_specs,
-    cap=cap_specs,
-    strategy=st.sampled_from(["IC", "DR", "DI"]),
-)
-@example(
-    # An edge left in the pool by an exhausted retry, then CAP rot, then
-    # Run: draining before the audit pruned the rot into an empty index
-    # that audited clean.
-    seed=1586,
-    oracle=OracleFaultSpec(transient_rate=0.2, transient_burst=1),
-    cap=CAPCorruptionSpec(bogus_pair_count=2, drop_candidate_count=1),
-    strategy="IC",
-)
-def test_session_is_never_silently_wrong(pre, clean_matches, seed, oracle, cap, strategy):
-    plan = FaultPlan(seed=seed, oracle=oracle, cap=cap)
+    monkeypatch.setattr(blender, "populate_vertex_set", broken_kernel)
+    backend = open_host(fig2_ctx, ServeConfig(deadline_seconds=30.0))
+    server = QueryServer(backend, host="127.0.0.1", port=0).start()
     try:
-        result = session(pre, plan).run_actions(triangle_actions(), strategy=strategy)
-    except ResilienceError:
-        return  # typed failure: acceptable outcome, nothing silently wrong
-    # Completed (CAP path or degraded BU): the matches must be the
-    # fault-free answer either way.
-    assert match_set(result.run.matches) == clean_matches
-    if result.degraded:
-        assert result.fallback in ("bu-oracle", "bu-bfs")
+        with ServiceClient(*server.address) as client:
+            sid = client.create_session()
+            with pytest.raises(RemoteServiceError) as excinfo:
+                for action in triangle_actions()[:-1]:
+                    client.action(sid, action)
+                client.run(sid)
+    finally:
+        server.stop()
+    error = excinfo.value
+    assert error.code == "internal_error"
+    assert error.remote_type == "IndexError"
+    assert not error.retryable

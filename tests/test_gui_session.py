@@ -111,6 +111,57 @@ class TestTimelineModel:
         result = session.run(instance, strategy="IC")
         assert result.backlog_seconds == 0.0
 
+    @pytest.mark.parametrize("perturb", ["drop", "spike", "mixed"])
+    def test_dropped_and_spiked_windows_keep_the_books(
+        self, session, q1_instance, monkeypatch, perturb
+    ):
+        """Steps whose latency collapses to 0 (no idle window at all) and
+        steps 10x longer than the model's (a frozen UI thread) change
+        neither the answer nor the timeline's books, and the DI probe only
+        ever sees a positive window."""
+        from dataclasses import replace
+
+        from repro.core.blender import Boomer
+
+        actions = session.user.formulate(q1_instance)
+
+        def perturbed(index, action):
+            if action.latency_after is None:
+                return action
+            if perturb == "drop" or (perturb == "mixed" and index % 2 == 0):
+                return replace(action, latency_after=0.0)
+            return replace(action, latency_after=action.latency_after * 10)
+
+        windows = []
+        probe_idle = Boomer.probe_idle
+
+        def recording_probe(self, idle_seconds):
+            windows.append(idle_seconds)
+            return probe_idle(self, idle_seconds)
+
+        monkeypatch.setattr(Boomer, "probe_idle", recording_probe)
+        steps = [perturbed(i, a) for i, a in enumerate(actions)]
+        result = session.run_actions(steps, strategy="DI")
+        monkeypatch.setattr(Boomer, "probe_idle", probe_idle)
+        clean = session.run_actions(actions, strategy="DI")
+
+        key = lambda r: {tuple(sorted(m.items())) for m in r.run.matches}
+        assert key(result) == key(clean)
+        assert result.simulated_qft_seconds == pytest.approx(
+            sum(a.latency_after for a in steps if a.latency_after is not None)
+        )
+        assert all(window > 0.0 for window in windows)
+        assert result.backlog_seconds >= 0.0
+        if perturb == "drop":
+            # No window ever opens: every compute second is backlog.
+            assert result.simulated_qft_seconds == 0.0
+            assert result.backlog_seconds == pytest.approx(
+                result.formulation_busy_seconds
+            )
+            assert windows == []
+        else:
+            assert windows
+
 
 class TestUserVariability:
     def test_same_seed_same_timeline(self, fig2_pre):

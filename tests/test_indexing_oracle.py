@@ -2,7 +2,6 @@
 
 from repro.graph.algorithms import bfs_distances
 from repro.graph.builder import GraphBuilder
-from repro.faults import FaultyOracle, OracleFaultSpec
 from repro.indexing.oracle import BFSOracle, DistanceOracle
 from repro.indexing.pml import PrunedLandmarkLabeling
 from tests.conftest import build_fig2_graph, build_path_graph
@@ -74,7 +73,6 @@ class TestProtocol:
         assert isinstance(BFSOracle(g), DistanceOracle)
         assert isinstance(PrunedLandmarkLabeling.build(g), DistanceOracle)
         assert isinstance(CountingOracle(BFSOracle(g)), DistanceOracle)
-        assert isinstance(FaultyOracle(BFSOracle(g), OracleFaultSpec()), DistanceOracle)
 
     def test_pml_and_bfs_agree(self):
         g = build_fig2_graph()

@@ -179,21 +179,19 @@ class TestRecordRunCounters:
         assert snap['repro_runs_total{outcome="ok"}'] == 1
         assert snap["repro_run_srt_seconds"]["count"] == 1
         assert snap["repro_cap_construction_seconds"]["count"] == 1
-        assert "repro_degradation_drops_total" not in "".join(snap)
 
-    def test_degraded_run_records_the_rung(self):
+    def test_failed_run_records_its_outcome(self):
         reg = MetricsRegistry()
         record_run_counters(
             self.COUNTERS,
             srt_seconds=1.0,
             cap_construction_seconds=0.0,
-            outcome="degraded",
-            fallback="bu-bfs",
+            outcome="failed",
             registry=reg,
         )
         snap = reg.snapshot()
-        assert snap['repro_runs_total{outcome="degraded"}'] == 1
-        assert snap['repro_degradation_drops_total{rung="bu-bfs"}'] == 1
+        assert snap['repro_runs_total{outcome="failed"}'] == 1
+        assert 'repro_runs_total{outcome="ok"}' not in snap
 
     def test_defaults_to_the_process_registry(self):
         before = metrics.snapshot()

@@ -49,11 +49,7 @@ EXPECTED = [
     "ResilienceError",
     "DeadlineExceededError",
     "RetryExhaustedError",
-    "CAPCorruptionError",
-    "DegradedModeError",
-    "FaultPlan",
     "Deadline",
-    "ResilienceConfig",
     "RetryPolicy",
     "__version__",
 ]

@@ -24,8 +24,7 @@ from repro.service import (
     canonical_matches,
 )
 from repro.service.checkpoint import checkpoint_session, restore_session
-from repro.service.client import RemoteServiceError
-from repro.resilience import RetryPolicy
+from repro.service.client import RemoteServiceError, RetryPolicy
 
 FIG2_ACTIONS = [
     NewVertex(0, "A", latency_after=0.002),
@@ -36,11 +35,11 @@ FIG2_ACTIONS = [
     NewEdge(0, 2, 1, 3, latency_after=0.002),
 ]
 
-POSTURES = ("off", "default", "strict", "paranoid")
+STRATEGIES = ("IC", "DR", "DI")
 
 
-def formulate(manager, posture, actions=FIG2_ACTIONS):
-    session = manager.create_session(resilience=posture)
+def formulate(manager, strategy=None, actions=FIG2_ACTIONS):
+    session = manager.create_session(strategy)
     for action in actions:
         manager.apply_action(session.id, action)
     return session
@@ -49,7 +48,7 @@ def formulate(manager, posture, actions=FIG2_ACTIONS):
 class TestSerialization:
     def test_json_round_trip(self, fig2_ctx):
         manager = SessionManager(fig2_ctx)
-        session = formulate(manager, "default")
+        session = formulate(manager)
         checkpoint = checkpoint_session(session, "test")
         clone = type(checkpoint).from_json(checkpoint.to_json())
         assert clone == checkpoint
@@ -76,7 +75,7 @@ class TestSerialization:
     def test_run_actions_not_replayed_twice(self, fig2_ctx):
         """Run is excluded from the action log; restore re-runs once."""
         manager = SessionManager(fig2_ctx)
-        session = formulate(manager, "default")
+        session = formulate(manager)
         manager.run(session.id)
         checkpoint = checkpoint_session(session, "test")
         kinds = [a["kind"] for a in checkpoint.actions]
@@ -85,7 +84,8 @@ class TestSerialization:
 
 
 #: A ``ran`` fig2 checkpoint exactly as PR 22 wrote it (paranoid posture,
-#: 30 s deadline): it still records ``trace_capacity``, since a constant.
+#: 30 s deadline): it still records ``trace_capacity``, since a constant,
+#: and the ``resilience`` object, since gone.
 PARENT_CHECKPOINT_JSON = (
     '{"actions": [{"kind": "NewVertex", "label": "A", "latency_after": 0.002, "vertex_id": 0}, '
     '{"kind": "NewVertex", "label": "B", "latency_after": 0.002, "vertex_id": 1}, '
@@ -107,32 +107,62 @@ PARENT_CHECKPOINT_JSON = (
 PARENT_MATCHES = [[[0, 1], [1, 4], [2, 11]], [[0, 2], [1, 5], [2, 11]], [[0, 2], [1, 7], [2, 11]]]
 
 
+#: The ``limits`` of a checkpoint as the parent wrote it: the strategy
+#: beside a whole resilience posture.
+PARENT_LIMITS = {
+    "strategy": "DI",
+    "resilience": {
+        "absorb_action_failures": True,
+        "audit_sample_pairs": 16,
+        "deadline_seconds": None,
+        "degrade_to_bu": True,
+        "retry": {"backoff": 2.0, "base_delay": 0.001, "max_attempts": 3, "max_delay": 0.05},
+        "verify_cap_on_run": False,
+    },
+}
+
+
 class TestLimitsRoundTrip:
     def test_parent_checkpoint_restores_byte_identical(self, fig2_ctx):
-        """Keys no field answers to any more (``trace_capacity``, and the
-        ``pruning``/``max_results``/``trace`` every hosted session now has
-        fixed) are ignored; everything else — nested posture included —
-        comes back as the parent set it."""
-        from repro.resilience import ResilienceConfig
+        """Keys no field answers to any more (``trace_capacity``,
+        ``resilience``, and the ``pruning``/``max_results``/``trace``
+        every hosted session now has fixed) are ignored; the strategy
+        comes back as the parent set it, and the Run deadline is the
+        restoring host's."""
         from repro.service.checkpoint import SessionCheckpoint
+        from repro.service.session import SessionLimits
 
         checkpoint = SessionCheckpoint.from_json(PARENT_CHECKPOINT_JSON)
-        session = restore_session(checkpoint, fig2_ctx)
+        manager = SessionManager(fig2_ctx, ServeConfig(deadline_seconds=7.0))
+        manager.checkpoints.put(checkpoint)
+        session = manager.restore_session(checkpoint.session_id)
         assert session.state == "ran"
         assert canonical_matches(session.matches()) == PARENT_MATCHES
-        assert session.limits.resilience == ResilienceConfig.paranoid(30.0)
-        # Re-captured, it is the parent's payload minus those keys.
+        assert session.limits == SessionLimits("DI")
+        assert session.boomer.deadline_seconds == 7.0
+        # Re-captured, the limits are the parent's strategy alone.
         again = checkpoint_session(session, "drain").to_dict()
         parent = json.loads(PARENT_CHECKPOINT_JSON)
-        for gone in ("trace_capacity", "pruning", "max_results", "trace"):
-            del parent["limits"][gone]
-        assert again["limits"] == parent["limits"]
+        assert again["limits"] == {"strategy": "DI"}
         assert again["actions"] == parent["actions"]
 
-    @pytest.mark.parametrize("posture", POSTURES)
-    def test_every_posture_round_trips(self, fig2_ctx, posture):
+    def test_parent_shaped_limits_restore(self, fig2_ctx):
+        from dataclasses import replace
+
         manager = SessionManager(fig2_ctx)
-        session = formulate(manager, posture)
+        checkpoint = checkpoint_session(formulate(manager), "test")
+        parent = replace(checkpoint, limits=PARENT_LIMITS)
+        restored = restore_session(parent, fig2_ctx)
+        manager.run(checkpoint.session_id)
+        restored.run()
+        assert canonical_matches(restored.matches()) == canonical_matches(
+            manager.matches(checkpoint.session_id)
+        )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_round_trips(self, fig2_ctx, strategy):
+        manager = SessionManager(fig2_ctx)
+        session = formulate(manager, strategy)
         checkpoint = checkpoint_session(session, "test")
         clone = type(checkpoint).from_json(checkpoint.to_json())
         assert restore_session(clone, fig2_ctx).limits == session.limits
@@ -141,22 +171,30 @@ class TestLimitsRoundTrip:
         from dataclasses import replace
 
         manager = SessionManager(fig2_ctx)
-        checkpoint = checkpoint_session(formulate(manager, "default"), "test")
-        broken = replace(checkpoint, limits={"strategy": "DI"})  # no resilience
-        with pytest.raises(CheckpointError, match="malformed checkpoint limits"):
-            restore_session(broken, fig2_ctx)
+        checkpoint = checkpoint_session(formulate(manager), "test")
+        for limits in (
+            {**PARENT_LIMITS, "strategy": 5},
+            {**PARENT_LIMITS, "strategy": "XYZ"},
+            {**PARENT_LIMITS, "strategy": None},
+        ):
+            broken = replace(checkpoint, limits=limits)
+            with pytest.raises(CheckpointError, match="malformed checkpoint limits"):
+                restore_session(broken, fig2_ctx)
+        for limits in (5, "DI"):
+            with pytest.raises(CheckpointError, match="malformed checkpoint"):
+                type(checkpoint).from_dict({**checkpoint.to_dict(), "limits": limits})
 
 
 class TestCheckpointStore:
     def _checkpoint(self, fig2_ctx, manager=None):
         manager = manager or SessionManager(fig2_ctx)
-        return checkpoint_session(formulate(manager, "off"), "test")
+        return checkpoint_session(formulate(manager), "test")
 
     def test_capacity_drops_oldest(self, fig2_ctx):
         manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=8))
         store = CheckpointStore(capacity=2)
         checkpoints = [
-            checkpoint_session(formulate(manager, "off"), "test")
+            checkpoint_session(formulate(manager), "test")
             for _ in range(3)
         ]
         for checkpoint in checkpoints:
@@ -176,17 +214,17 @@ class TestCheckpointStore:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("posture", POSTURES)
-    def test_evict_restore_matches_uninterrupted(self, fig2_ctx, posture):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_evict_restore_matches_uninterrupted(self, fig2_ctx, strategy):
         # Reference: the same formulation, never interrupted.
         serial = SessionManager(fig2_ctx)
-        reference = formulate(serial, posture)
+        reference = formulate(serial, strategy)
         serial.run(reference.id)
         expected = canonical_matches(serial.matches(reference.id))
         assert expected  # fig2 Q has matches; identity must be non-vacuous
 
         manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
-        victim = formulate(manager, posture)
+        victim = formulate(manager, strategy)
         manager.create_session()  # LRU-evicts (and checkpoints) the victim
         assert victim.id not in manager.session_ids()
 
@@ -196,15 +234,15 @@ class TestRoundTrip:
         manager.run(victim.id)
         assert canonical_matches(manager.matches(victim.id)) == expected
 
-    @pytest.mark.parametrize("posture", ("off", "strict"))
-    def test_evict_after_run_preserves_matches(self, fig2_ctx, posture):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_evict_after_run_preserves_matches(self, fig2_ctx, strategy):
         serial = SessionManager(fig2_ctx)
-        reference = formulate(serial, posture)
+        reference = formulate(serial, strategy)
         serial.run(reference.id)
         expected = canonical_matches(serial.matches(reference.id))
 
         manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
-        victim = formulate(manager, posture)
+        victim = formulate(manager, strategy)
         manager.run(victim.id)
         manager.create_session()  # evict a completed session
         restored = manager.restore_session(victim.id)
@@ -213,13 +251,13 @@ class TestRoundTrip:
 
     def test_restore_mid_formulation_then_continue(self, fig2_ctx):
         serial = SessionManager(fig2_ctx)
-        reference = formulate(serial, "default")
+        reference = formulate(serial)
         serial.apply_action(reference.id, ModifyBounds(0, 2, 1, 4))
         serial.run(reference.id)
         expected = canonical_matches(serial.matches(reference.id))
 
         manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
-        victim = formulate(manager, "default")  # formulated, not yet run
+        victim = formulate(manager)  # formulated, not yet run
         manager.create_session()
         manager.restore_session(victim.id)
         manager.apply_action(victim.id, ModifyBounds(0, 2, 1, 4))
@@ -228,7 +266,7 @@ class TestRoundTrip:
 
     def test_restore_is_idempotent_for_live_sessions(self, fig2_ctx):
         manager = SessionManager(fig2_ctx)
-        session = formulate(manager, "default")
+        session = formulate(manager)
         assert manager.restore_session(session.id) is session
 
     def test_unknown_session_restore_is_typed(self, fig2_ctx):
@@ -239,10 +277,10 @@ class TestRoundTrip:
     def test_expired_checkpoint_restore_is_typed(self, fig2_ctx):
         manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
         manager.checkpoints.capacity = 1  # the store's bound, shrunk to overflow
-        victim = formulate(manager, "off")
+        victim = formulate(manager)
         manager.create_session()  # evicts + checkpoints victim
         # A second eviction overflows the single-slot store: victim expires.
-        second = formulate(manager, "off")
+        second = formulate(manager)
         assert second.id not in (victim.id,)
         manager.create_session()
         with pytest.raises(SessionEvictedError, match="checkpoint expired"):
@@ -250,7 +288,7 @@ class TestRoundTrip:
 
     def test_eviction_error_advertises_restorability(self, fig2_ctx):
         manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=1))
-        victim = formulate(manager, "off")
+        victim = formulate(manager)
         manager.create_session()
         with pytest.raises(SessionEvictedError) as info:
             manager.apply_action(victim.id, NewVertex(9, "A"))
@@ -314,7 +352,7 @@ class TestDiskTier:
 
     def _checkpoint(self, fig2_ctx):
         manager = SessionManager(fig2_ctx)
-        return checkpoint_session(formulate(manager, "off"), "test")
+        return checkpoint_session(formulate(manager), "test")
 
     def test_put_writes_through_and_new_store_reads_back(self, fig2_ctx, tmp_path):
         first = CheckpointStore(capacity=4, directory=str(tmp_path))
@@ -343,8 +381,8 @@ class TestDiskTier:
     def test_memory_eviction_keeps_disk_copy(self, fig2_ctx, tmp_path):
         manager = SessionManager(fig2_ctx, ServeConfig(max_sessions=8))
         store = CheckpointStore(capacity=1, directory=str(tmp_path))
-        older = checkpoint_session(formulate(manager, "off"), "test")
-        newer = checkpoint_session(formulate(manager, "off"), "test")
+        older = checkpoint_session(formulate(manager), "test")
+        newer = checkpoint_session(formulate(manager), "test")
         store.put(older)
         store.put(newer)  # bumps `older` out of the memory tier
         assert len(store) == 1
@@ -371,7 +409,7 @@ class TestDiskTier:
     def test_manager_restart_restores_byte_identical(self, fig2_ctx, tmp_path):
         """The worker-pool contract, minus the pool: survive a restart."""
         before = SessionManager(fig2_ctx, ServeConfig(checkpoint_dir=str(tmp_path)))
-        session = formulate(before, "default")
+        session = formulate(before)
         before.run(session.id)
         expected = canonical_matches(before.matches(session.id))
         assert expected
@@ -396,7 +434,7 @@ class TestDiskTier:
 
         config = ServeConfig(checkpoint_dir=str(tmp_path))
         before = SessionManager(fig2_ctx, config)
-        session = formulate(before, "default")
+        session = formulate(before)
         before.run(session.id)
         expected = canonical_matches(before.matches(session.id))
 

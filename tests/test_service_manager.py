@@ -13,9 +13,15 @@ from repro.errors import (
     SessionEvictedError,
     SessionNotFoundError,
 )
-from repro.indexing.oracle import shared_bfs_oracle
-from repro.resilience import ResilienceConfig
-from repro.service import ServeConfig, SessionManager, canonical_matches
+from repro.service import (
+    QueryServer,
+    ServeConfig,
+    ServiceClient,
+    SessionManager,
+    canonical_matches,
+    open_host,
+)
+from repro.service.client import RemoteServiceError
 
 FIG2_ACTIONS = [
     NewVertex(0, "A", latency_after=0.002),
@@ -122,18 +128,6 @@ class TestAdmissionAndEviction:
         assert manager.stats()["admission_rejections"] == 1
         assert manager.get(session.id) is session  # survivor intact
 
-    def test_unknown_resilience_posture_is_refused(self, fig2_ctx):
-        """A posture name only the wire can make up: typed, nothing admitted."""
-        manager = SessionManager(fig2_ctx)
-        for made_up in ("bogus", 5, ["strict"]):
-            with pytest.raises(AdmissionError, match="unknown resilience posture"):
-                manager.create_session(resilience=made_up)
-        assert manager.session_ids() == []
-        strict = ServeConfig(resilience=ResilienceConfig.from_posture("strict", 2.0))
-        session = SessionManager(fig2_ctx, strict).create_session()
-        assert session.limits.resilience.deadline_seconds == 2.0
-        assert not session.limits.resilience.degrade_to_bu
-
     def test_cap_budget_evicts_largest_idle_history(self, fig2_ctx):
         manager = SessionManager(fig2_ctx, ServeConfig(cap_entry_budget=1))
         a = manager.create_session()
@@ -171,53 +165,47 @@ class TestAdmissionAndEviction:
             manager.get("s999")
 
 
-class TestSharedOracle:
-    def test_bfs_fallback_cached_per_graph(self, fig2_graph):
-        first = shared_bfs_oracle(fig2_graph)
-        second = shared_bfs_oracle(fig2_graph)
-        assert first is second
+class TestCreateSessionAtTheDoor:
+    """``create_session`` reads one param, ``strategy``, and refuses
+    anything else on the wire with the non-retryable ``bad_request``
+    before a session is admitted."""
 
-    def test_degraded_runs_share_one_bfs_fallback(self, fig2_ctx):
-        """Two failed Runs in one process reuse the same BFS oracle."""
-        from dataclasses import replace
+    @pytest.fixture()
+    def served(self, fig2_ctx):
+        server = QueryServer(
+            open_host(fig2_ctx, ServeConfig(deadline_seconds=2.0)),
+            host="127.0.0.1",
+            port=0,
+        ).start()
+        with ServiceClient(*server.address) as client:
+            yield client, server.backend.manager
+        server.stop()
 
-        from repro.resilience import ResilienceConfig
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"strategy": "XYZ"},
+            {"strategy": 5},
+            {"strategy": ["DI"]},
+            {"resilience": "bogus"},
+            {"resilience": "default"},
+            {"strategy": "DI", "resilience": "strict"},
+        ],
+    )
+    def test_bad_params_are_refused_and_admit_nothing(self, served, params):
+        client, manager = served
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.request("create_session", **params)
+        assert excinfo.value.code == "bad_request"
+        assert excinfo.value.retryable is False
+        assert manager.session_ids() == []
+        assert manager.stats()["sessions_created"] == 0
 
-        class DeadOracle:
-            """All four methods fail as a dead component does: a missing
-            kernel would raise AttributeError and pass for the wrong reason."""
-
-            def distance(self, u, v):
-                raise RuntimeError("oracle down")
-
-            def within(self, u, v, upper):
-                raise RuntimeError("oracle down")
-
-            def distances_from(self, source, targets):
-                raise RuntimeError("oracle down")
-
-            def within_many(self, sources, targets, upper, skip_equal=False):
-                raise RuntimeError("oracle down")
-
-        ctx = replace(fig2_ctx, oracle=DeadOracle())
-        fallback = shared_bfs_oracle(ctx.graph)
-        queries_before = fallback.query_count
-        observed = []
-        for _ in range(2):
-            boomer = Boomer(
-                ctx,
-                strategy="DI",
-                auto_idle=False,
-                resilience=ResilienceConfig.default(),
-            )
-            for action in FIG2_ACTIONS:
-                boomer.apply(action)
-            boomer.apply(Run())
-            assert boomer.run_result.degraded
-            assert boomer.run_result.fallback == "bu-bfs"
-            observed.append(canonical_matches(boomer.run_result.matches))
-        assert observed[0] == observed[1]
-        # The shared fallback did the work (its counter moved) and is the
-        # same instance both runs used — no per-run reconstruction.
-        assert fallback.query_count > queries_before
-        assert shared_bfs_oracle(ctx.graph) is fallback
+    def test_absent_strategy_hosts_di_under_the_host_deadline(self, served):
+        client, manager = served
+        sid = client.create_session()
+        assert client.stats(sid)["strategy"] == "DI"
+        assert manager.get(sid).boomer.deadline_seconds == 2.0
+        named = client.request("create_session", strategy="IC")
+        assert named["strategy"] == "IC"
+        assert client.request("create_session", strategy=None)["strategy"] == "DI"

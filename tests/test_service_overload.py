@@ -22,7 +22,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
-from repro.resilience import RetryPolicy
+from repro.service.client import RetryPolicy
 from repro.service import (
     OverloadPolicy,
     QueryServer,

@@ -158,8 +158,6 @@ ERROR_TABLE = {
     "ResilienceError": ("engine_error", False),
     "DeadlineExceededError": ("deadline_exceeded", False),
     "RetryExhaustedError": ("retry_exhausted", False),
-    "CAPCorruptionError": ("cap_corrupted", False),
-    "DegradedModeError": ("degraded_mode", False),
     "ServiceError": ("engine_error", False),
     "SessionNotFoundError": ("session_not_found", False),
     "SessionEvictedError": ("session_evicted", True),

@@ -136,7 +136,7 @@ def test_beneficiary_failure_does_not_fail_the_donor(pooled_ctx):
     donor's actions all apply and are logged, the failed edge stays in the
     beneficiary's pool, and the beneficiary's own Run still answers."""
     manager = SessionManager(pooled_ctx)
-    beneficiary = manager.create_session(strategy="DR", resilience="strict")
+    beneficiary = manager.create_session(strategy="DR")
     fill_pool(manager, beneficiary)
     pooled_before = len(beneficiary.boomer.engine.pool)
     assert pooled_before > 0

@@ -1,8 +1,8 @@
 """Smoke soak: a short chaos run must pass the SLO gate end to end.
 
 This is the ~30-second version of ``benchmarks/bench_soak.py`` (the
-nightly job runs the long one): real sockets, tight budgets, seeded
-faults, abandoning users, drain, restore-and-verify.  Plus unit tests
+nightly job runs the long one): real sockets, tight budgets that shed
+and evict, a Run deadline, abandoning users, drain, restore-and-verify.  Plus unit tests
 for the SLO arithmetic itself, which must stay boringly predictable.
 """
 
@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.faults import FaultPlan, GUIFaultSpec, OracleFaultSpec
 from repro.soak import SLO, SOAK_CONFIG, SoakReport, run_soak
 from repro.soak.slo import percentile
 from repro.workload import SoakWorkloadConfig
@@ -73,24 +72,17 @@ class TestSLO:
 @pytest.mark.slow
 class TestSmokeSoak:
     def test_chaos_soak_meets_slo(self, dblp_tiny):
-        plan = FaultPlan(
-            seed=99,
-            oracle=OracleFaultSpec(transient_rate=0.02, transient_burst=2),
-            gui=GUIFaultSpec(drop_rate=0.05, spike_rate=0.05),
-        )
         workload = SoakWorkloadConfig(
             seed=99,
             sessions=8,
             mean_interarrival_seconds=1.0,
             modify_rate=0.3,
             abandon_rate=0.2,
-            postures=("default", "strict"),
         )
         report = run_soak(
             dblp_tiny.make_context(),
             workload,
             replace(SOAK_CONFIG, max_sessions=6),
-            fault_plan=plan,
             slo=SLO(
                 p50_run_seconds=60.0,
                 p95_run_seconds=120.0,
@@ -111,7 +103,7 @@ class TestSmokeSoak:
         assert report.drain_summary.get("busy") == []
 
     def test_soak_without_chaos_or_monitor(self, dblp_tiny):
-        """The harness itself must not depend on faults or lockdep."""
+        """The harness itself must not depend on restore checks or lockdep."""
         report = run_soak(
             dblp_tiny.make_context(),
             SoakWorkloadConfig(seed=5, sessions=4, abandon_rate=0.0),

@@ -179,14 +179,6 @@ class TestSoakSchedule:
             assert "ModifyBounds" in kinds
             assert kinds.index("ModifyBounds") < kinds.index("Run")
 
-    def test_postures_rotate(self):
-        g = build_fig2_graph()
-        scripts = generate_soak_schedule(
-            g, SoakWorkloadConfig(seed=0, sessions=6,
-                                  postures=("default", "strict"))
-        )
-        assert [s.posture for s in scripts] == ["default", "strict"] * 3
-
     def test_validation_is_loud(self):
         with pytest.raises(ExperimentError):
             SoakWorkloadConfig(sessions=0)
@@ -194,8 +186,6 @@ class TestSoakSchedule:
             SoakWorkloadConfig(pareto_alpha=1.0)
         with pytest.raises(ExperimentError):
             SoakWorkloadConfig(modify_rate=1.5)
-        with pytest.raises(ExperimentError):
-            SoakWorkloadConfig(postures=())
 
     @settings(max_examples=20, deadline=None)
     @given(
