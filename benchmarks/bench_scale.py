@@ -8,16 +8,13 @@ serve`` brings it up (:func:`repro.service.open_host`):
 * **build** — graph generation + PML + two-hop, timed (the one-time cost
   the on-disk basis amortizes away across restarts);
 * **basis** — the fully-resident footprint (``EngineBasis.nbytes()``);
-* **serve** — one scripted session per arm: ``resident`` threaded over
-  the heap bundle, ``mmap`` threaded over the registry's saved basis
-  directory opened in place, and ``mmap_worker`` over that same
-  directory through one worker process — so the pipe hop reads apart
-  from the medium.  Recorded are the time to bring the host up, SRT and
-  the hosting process' peak RSS after the arm (for ``mmap_worker`` that
-  is the dispatcher, not the worker), asserting the matches are
+* **serve** — one scripted session per arm: ``resident`` over the heap
+  bundle and ``mmap`` over the registry's saved basis directory opened
+  in place.  Recorded are the time to bring the host up, SRT and the
+  hosting process' peak RSS after the arm, asserting the matches are
   byte-identical everywhere (the conformance invariant at bench scale).
   No arm has a cache to size: a stored index reads its label columns
-  where they lie (``docs/STORAGE.md``), so what the mmap arms keep
+  where they lie (``docs/STORAGE.md``), so what the mmap arm keeps
   resident is whatever pages the kernel decides to.
 
 The ``flickr/paper`` rung (1.8M vertices, ~23M edges) is hours of
@@ -106,13 +103,12 @@ def bench_step(name: str, scale: str, tmp_root: Path) -> dict:
         "arms": {},
     }
 
-    # The registry's cache entry is the basis the mmap arms open in place
+    # The registry's cache entry is the basis the mmap arm opens in place
     # (a read-only cache dir leaves none: save a private one instead).
     basis_dir = str(bundle.basis_dir or tmp_root / f"{name}-{scale}.basis")
     configs = {
         "resident": ServeConfig(),
         "mmap": ServeConfig(storage="mmap", storage_dir=basis_dir),
-        "mmap_worker": ServeConfig(workers=1, storage_dir=basis_dir),
     }
     matches_by_arm: dict[str, object] = {}
     for arm, config in configs.items():

@@ -25,9 +25,8 @@ or a client ``shutdown`` op.
 ``soak`` stands up that same service with *deliberately tight* budgets,
 floods it with a seeded heavy-tailed traffic schedule
 (:mod:`repro.workload.traffic`) — overload sheds, evictions, abandoning
-users and, behind ``--workers N``, a worker SIGKILL — then drains,
-restores checkpointed sessions, and gates the run on an SLO
-(:mod:`repro.soak`).  Exits 0 on
+users — then drains, restores checkpointed sessions, and gates the run
+on an SLO (:mod:`repro.soak`).  Exits 0 on
 pass, 1 on any SLO violation; ``--out BENCH_soak.json`` archives the
 full report.
 
@@ -280,7 +279,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.storage import context_from_basis, load_basis
 
     config = ServeConfig(
-        workers=args.workers,
         max_sessions=args.max_sessions,
         cap_entry_budget=args.cap_budget,
         deadline_seconds=args.deadline,
@@ -308,14 +306,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         base_ctx, basis_dir = _load_served_context(args)
         if config.basis_kind == "mmap" and not config.storage_dir and basis_dir:
             # The registry's cache entry is this very basis: open it in
-            # place (a pool's workers included) and write nothing.
+            # place and write nothing.
             config = replace(config, storage_dir=str(basis_dir))
 
     server = QueryServer(open_host(base_ctx, config), host=args.host, port=args.port)
     host, port = server.address
-    mode = (
-        f"{args.workers} workers" if args.workers > 0 else "threaded"
-    ) + f", {config.basis_kind} basis"
+    mode = f"threaded, {config.basis_kind} basis"
     # The banner line is a parsing contract (smoke tests, scripts): keep
     # it exactly `serving on host:port`; the mode goes to stderr.
     print(f"serving on {host}:{port}", flush=True)
@@ -358,7 +354,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     )
     config = ServeConfig(
         deadline_seconds=SOAK_CONFIG.deadline_seconds,
-        workers=args.workers,
         max_sessions=args.max_sessions,
         cap_entry_budget=args.cap_budget,
         overload=OverloadPolicy(
@@ -374,7 +369,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         slo=SLO(max_memory_growth_mib=args.max_memory_growth),
         time_scale=args.time_scale,
         lock_monitor=not args.no_lock_monitor,
-        kill_worker_after=args.kill_worker_after,
     )
     payload = report.to_dict()
     payload["workload"] = {
@@ -636,9 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("resident", "mmap"),
         default="resident",
         help="engine-basis storage: resident arrays (default, bit-for-bit "
-        "today's behavior) or a demand-paged on-disk mmap basis; with "
-        "--workers N the basis is always the mmap files, which every "
-        "worker opens read-only (see docs/STORAGE.md)",
+        "today's behavior) or a demand-paged on-disk mmap basis (see "
+        "docs/STORAGE.md)",
     )
     serve.add_argument(
         "--storage-dir",
@@ -663,19 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--t-avg-samples", type=int, default=5000)
     _add_deadline_flag(serve)
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes sharing one saved basis through the page "
-        "cache (0 = today's in-process threaded path)",
-    )
-    serve.add_argument(
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="persist session checkpoints here (restores survive process "
-        "restarts; the pool defaults to a private temp dir)",
+        help="persist session checkpoints here after every mutating op "
+        "(restores survive process restarts)",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -724,15 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "--out", default=None, metavar="FILE",
         help="write the report JSON here (e.g. BENCH_soak.json)",
-    )
-    soak.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="soak the worker-pool backend instead of the threaded manager",
-    )
-    soak.add_argument(
-        "--kill-worker-after", type=float, default=None, metavar="SECONDS",
-        help="SIGKILL one seeded-random worker this long into the soak "
-        "(requires --workers)",
     )
     soak.set_defaults(func=_cmd_soak)
 

@@ -35,8 +35,7 @@ an in-process memo plus one saved engine basis per configuration,
 prepared dataset: :func:`repro.storage.save_basis` writes it under its
 ``meta.json`` commit mark, a cache hit rebuilds from it the same
 patchable heap bundle a fresh build gives, and ``repro serve --storage
-mmap`` — or any ``--workers N``, whose workers share a basis as files —
-opens it in place.  Its format is :mod:`repro.storage.mmapstore`'s
+mmap`` opens it in place.  Its format is :mod:`repro.storage.mmapstore`'s
 alone; a directory that does not load as a committed basis of this very
 graph is rebuilt silently, never served.
 """

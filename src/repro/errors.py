@@ -44,9 +44,6 @@ __all__ = [
     "ServiceTimeoutError",
     "CheckpointError",
     "ProtocolError",
-    "WorkerPoolError",
-    "WorkerDiedError",
-    "RelayedError",
     "StorageError",
     "BasisFormatError",
     "AnalysisError",
@@ -421,55 +418,6 @@ class ProtocolError(ServiceError, ValueError):
     """Raised for malformed wire requests (bad JSON, unknown op, ...)."""
 
     code = "bad_request"
-
-
-class WorkerPoolError(ServiceError):
-    """Raised for worker-pool configuration and lifecycle failures.
-
-    Covers misconfiguration (zero workers, a graph update sent to a
-    fleet over a read-only basis) and dispatcher-side contract breaches
-    (dispatching into a closed pool).
-    """
-
-    code = "worker_pool"
-
-
-class WorkerDiedError(WorkerPoolError):
-    """Raised when a request was in flight on a worker that died.
-
-    Transient by contract: the dispatcher respawns the worker and
-    requeues its sessions onto healthy processes from their disk
-    checkpoints, so a retry normally lands on the restored session.
-    Clients holding a :class:`~repro.service.client.RetryPolicy` retry it
-    like an overload shed.
-    """
-
-    code = "worker_died"
-    retryable = True
-
-    def __init__(self, worker: int, detail: str = "") -> None:
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"worker {worker} died with a request in flight{suffix}")
-        self.worker = worker
-
-
-class RelayedError(ServiceError):
-    """A typed worker-side failure rehydrated in the dispatcher.
-
-    Worker processes report failures over the control pipe as the wire
-    protocol's ``error`` object, ``{code, message, retryable, details}``
-    (exceptions themselves are not pickled — custom ``__init__``
-    signatures make that fragile).  The dispatcher wraps that object in
-    this carrier, and serialising the carrier gives the object back
-    unchanged, so a client reads the same bytes with ``--workers N`` as
-    with ``--workers 0`` (see :func:`repro.service.protocol.error_object`).
-    """
-
-    def __init__(self, error: dict) -> None:
-        super().__init__(str(error["message"]))
-        self.error = error
-        self.code = error["code"]
-        self.retryable = error["retryable"]
 
 
 # --------------------------------------------------------------------------

@@ -28,15 +28,12 @@ PML oracle.  This package is that layer:
   it resumes by id with byte-identical subsequent matches; CAP entries
   are rebuilt warm by the scheduler (deferral neutrality).  The store
   optionally writes through to disk, which is what lets restore survive
-  a worker *process* dying, not just in-memory eviction.
-* :class:`LocalDispatcher` / :class:`PoolDispatcher` — the server's
-  backend seam: the former is the in-process threaded path, the latter
-  fans sessions out across N worker processes sharing one saved basis
-  directory through the page cache (``repro serve --workers N``; see
-  :mod:`repro.service.pool`).
+  the hosting *process* dying, not just in-memory eviction.
+* :class:`LocalDispatcher` — the server's backend seam: one manager
+  behind the dispatch/drain/close surface (:mod:`repro.service.dispatch`).
 * :class:`ServeConfig` / :func:`open_host` — the one configuration of a
-  hosting process and the one door that brings either backend up from
-  it (:mod:`repro.service.host`).
+  hosting process and the one door that brings the backend up from it
+  (:mod:`repro.service.host`).
 
 Layering: ``service`` sits *above* ``gui``/``core`` — it imports them,
 never the reverse.  Everything below the manager is unchanged BOOMER; the
@@ -50,7 +47,6 @@ from repro.service.dispatch import LocalDispatcher
 from repro.service.host import ServeConfig, open_host
 from repro.service.manager import ManagerStats, SessionManager
 from repro.service.overload import OverloadPolicy
-from repro.service.pool import PoolDispatcher
 from repro.service.protocol import PROTOCOL_VERSION, canonical_matches
 from repro.service.scheduler import IdleScheduler
 from repro.service.server import QueryServer
@@ -65,7 +61,6 @@ __all__ = [
     "QueryServer",
     "ServiceClient",
     "LocalDispatcher",
-    "PoolDispatcher",
     "ServeConfig",
     "open_host",
     "OverloadPolicy",

@@ -269,10 +269,9 @@ class CheckpointStore:
     ``put`` also lands as ``<session_id>.ckpt.json`` (written to a temp
     file then atomically renamed, so readers never observe a torn
     checkpoint), and ``get``/``pop`` fall back to disk on a memory miss.
-    That is what lets session restore survive a worker *process* dying:
-    a respawned worker — or a different healthy worker the dispatcher
-    requeues the session onto — opens a fresh store over the same
-    directory and finds every checkpoint its predecessor wrote.  The
+    That is what lets session restore survive the hosting *process*
+    dying: a restarted host opens a fresh store over the same directory
+    and finds every checkpoint its predecessor wrote.  The
     in-memory capacity bound does **not** evict disk files; disk is the
     durable tier, bounded only by explicit ``pop``.
     """
@@ -373,12 +372,14 @@ class CheckpointStore:
                 checkpoint = self._read_disk(session_id)
             return checkpoint
 
-    def ids(self) -> list[str]:
+    def __contains__(self, session_id: str) -> bool:
+        """True if a checkpoint for ``session_id`` is held in memory or on
+        disk (the file's presence; it is not parsed)."""
         with self._lock:
-            known = dict.fromkeys(self._checkpoints)
-            for session_id in self._disk_ids():
-                known.setdefault(session_id, None)
-            return list(known)
+            if session_id in self._checkpoints:
+                return True
+            path = self._path_for(session_id)
+            return path is not None and os.path.exists(path)
 
     def __len__(self) -> int:
         with self._lock:

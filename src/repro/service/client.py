@@ -353,8 +353,7 @@ class ServiceClient:
         (new epoch, maintenance strategy, label/cache churn).  In-flight
         requests finish on the old epoch; requests issued after this call
         returns see the new one.  A busy server may shed the update with
-        the retryable ``overloaded`` verdict; behind a worker pool the
-        verb is refused outright (``worker_pool``).
+        the retryable ``overloaded`` verdict.
         """
         return self.request("update", kind=kind, edge=[int(u), int(v)])
 

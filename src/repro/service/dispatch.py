@@ -1,22 +1,21 @@
 """The backend seam between the socket front end and session hosting.
 
-:class:`QueryServer` used to call a :class:`SessionManager` directly;
-the worker pool needs the same wire surface to fan out across processes
-instead.  This module names the seam: a **backend** is anything with
+A **backend** is anything with
 
 * ``dispatch(request) -> result dict`` — execute one decoded wire
-  request (everything except protocol framing, which stays in the
-  server, and ``shutdown`` plumbing, which stays in the server);
+  request (everything except protocol framing and ``shutdown``
+  plumbing, which stay in the server);
 * ``drain(timeout) -> summary`` — refuse new mutating work, wait out
   in-flight requests, checkpoint sessions;
-* ``close()`` — release process-level resources (worker processes, a
-  temp basis or checkpoint directory); idempotent;
-* ``graph_name`` — for the ``ping`` payload.
+* ``close()`` — release process-level resources (an mmap basis
+  directory); idempotent.
 
-:class:`LocalDispatcher` is the in-process backend: the exact dispatch
-body that lived in ``QueryServer._dispatch``, verb for verb, so
-``--workers 0`` is bit-for-bit today's threaded path.  The pool backend
-lives in :mod:`repro.service.pool.dispatcher`.
+:class:`LocalDispatcher` is the one backend.  It exists for two reasons:
+it owns the :class:`~repro.storage.BasisDirectory` an mmap host opened
+(:func:`repro.service.host.open_host`), so closing the backend releases
+the files; and it maps a decoded request onto the
+:class:`SessionManager` verb by verb, so the soak harness and the tests
+drive the exact wire surface in process, without a socket.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ class LocalDispatcher:
         self.manager = manager
         self._basis = basis
 
-    @property
-    def graph_name(self) -> str:
-        return self.manager.base_ctx.graph.name
-
     # -- backend API -----------------------------------------------------
     def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request["op"]
@@ -60,7 +55,7 @@ class LocalDispatcher:
             return {
                 "pong": True,
                 "protocol": protocol.PROTOCOL_VERSION,
-                "graph": self.graph_name,
+                "graph": manager.base_ctx.graph.name,
             }
         if op == "create_session":
             session = manager.create_session(protocol.session_strategy(request))

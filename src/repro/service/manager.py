@@ -104,7 +104,6 @@ class SessionManager:
         self,
         base_ctx: EngineContext,
         config: ServeConfig | None = None,
-        session_prefix: str = "s",
     ) -> None:
         self.base_ctx = base_ctx
         #: Budgets, the Run deadline, backpressure and the
@@ -114,13 +113,10 @@ class SessionManager:
         self._shed_policy = config.overload or OverloadPolicy()
         self.checkpoints = CheckpointStore(directory=config.checkpoint_dir)
         #: Write-through mode: with a checkpoint directory, checkpoint
-        #: after every successful mutating op, so a SIGKILL'd worker
-        #: process loses at most the request it was servicing (which the
-        #: client retries).
+        #: after every successful mutating op, so a killed host process
+        #: loses at most the request it was servicing (which the client
+        #: retries).
         self._write_through_on = config.checkpoint_dir is not None
-        #: Session-id namespace — worker ``k`` of a pool uses ``w{k}s``
-        #: so ids never collide across the fleet's managers.
-        self.session_prefix = session_prefix
         self.scheduler = IdleScheduler()
         self.stats_counters = ManagerStats()
         self._lock = threading.RLock()
@@ -218,8 +214,15 @@ class SessionManager:
         limits = SessionLimits() if strategy is None else SessionLimits(strategy)
 
         def new_session() -> ManagedSession:
+            # A fresh id never names a checkpoint the store holds: a host
+            # restarted over a checkpoint directory counts from 1 again,
+            # and handing out a stored id would overwrite that session's
+            # checkpoint and answer its restore with a stranger's session.
+            session_id = f"s{next(self._id_counter)}"
+            while session_id in self._sessions or session_id in self.checkpoints:
+                session_id = f"s{next(self._id_counter)}"
             return ManagedSession(
-                f"{self.session_prefix}{next(self._id_counter)}",
+                session_id,
                 self.base_ctx,
                 limits,
                 self.config.deadline_seconds,
@@ -337,9 +340,10 @@ class SessionManager:
         if reason is None and not restorable:
             raise SessionNotFoundError(session_id)
         # Unknown to *this* process, but a disk checkpoint exists: the id
-        # belonged to a manager that died (worker SIGKILL) or was
-        # requeued here.  Evicted-and-restorable is the truthful verdict;
-        # the client's auto-restore path then resumes it transparently.
+        # belonged to a manager that died or was restarted over the same
+        # checkpoint directory.  Evicted-and-restorable is the truthful
+        # verdict; the client's auto-restore path then resumes it
+        # transparently.
         error = SessionEvictedError(session_id, reason or "process restart")
         error.restorable = restorable
         raise error

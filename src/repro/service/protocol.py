@@ -20,8 +20,7 @@ Every failure is that one ``error`` object (:func:`error_object`): the
 stable ``code`` and the ``retryable`` verdict the exception class declares
 in :mod:`repro.errors` (what programs switch on), a human ``message``, and
 ``details`` carrying the exception class name plus any exception-specific
-extras.  A pool worker sends the same object over its pipe, so a failure
-has one shape from the raise site to the client.
+extras, so a failure has one shape from the raise site to the client.
 
 Actions on the wire reuse the session-recording dict format
 (:mod:`repro.gui.recording`), so a recorded formulation replays over the
@@ -54,12 +53,10 @@ from repro.core.strategies import make_strategy
 from repro.errors import (
     DeadlineExceededError,
     ProtocolError,
-    RelayedError,
     ReproError,
     ServiceOverloadedError,
     SessionEvictedError,
     SessionNotFoundError,
-    WorkerDiedError,
 )
 from repro.gui.recording import action_from_dict, action_to_dict
 
@@ -115,27 +112,16 @@ OPS = (
 
 def error_code(exc: BaseException) -> str:
     """The stable ``code`` of a failure: the one its class declares in
-    :mod:`repro.errors` (a :class:`~repro.errors.RelayedError` carries the
-    worker-side exception's), ``internal_error`` for anything that is not
-    a :class:`~repro.errors.ReproError` — an engine bug."""
+    :mod:`repro.errors`, ``internal_error`` for anything that is not a
+    :class:`~repro.errors.ReproError` — an engine bug."""
     return exc.code if isinstance(exc, ReproError) else "internal_error"
 
 
 def error_object(exc: BaseException) -> dict[str, Any]:
     """The ``error`` object of a failure frame: ``{code, message,
     retryable, details}``, ``details`` being the exception class name plus
-    its extras.
-
-    The one serialisation of a failure.  A pool worker sends this object
-    over its pipe and the dispatcher raises it inside a
-    :class:`~repro.errors.RelayedError`, which comes back out unchanged —
-    so the bytes a client reads do not depend on ``--workers``.
-    """
-    if isinstance(exc, RelayedError):
-        return exc.error
+    its extras — the one serialisation of a failure."""
     details: dict[str, Any] = {"type": type(exc).__name__}
-    if isinstance(exc, WorkerDiedError):
-        details["worker"] = exc.worker
     if isinstance(exc, DeadlineExceededError):
         details["deadline_context"] = exc.context
     if isinstance(exc, (SessionNotFoundError, SessionEvictedError)):

@@ -12,8 +12,7 @@ package is that proving ground:
   service runs under a :class:`~repro.service.ServeConfig` with
   deliberately tight budgets, a Run deadline and an
   :class:`~repro.service.OverloadPolicy` (:data:`SOAK_CONFIG`) so
-  shedding, eviction, checkpointing and restore all actually fire —
-  plus, behind a worker pool, a worker SIGKILL mid-traffic.
+  shedding, eviction, checkpointing and restore all actually fire.
 * :class:`SLO` declares the pass bar — latency percentiles, zero leaked
   sessions/locks, bounded memory growth, every shed resolved, restored
   sessions byte-identical — and :class:`SoakReport` is the machine-

@@ -24,29 +24,14 @@ Wall-clock use is confined to think-time sleeps (scaled by
 ``time_scale``) and latency measurement via :func:`repro.obs.clock.now`;
 all *behavior* derives from the workload seed, so a failing soak can be
 re-run with the same seed and fail the same way.
-
-With ``config.workers > 0`` the same traffic drives a
-:class:`~repro.service.PoolDispatcher` fleet instead of the threaded
-manager, and ``kill_worker_after`` SIGKILLs one seeded-chosen worker
-mid-traffic — the process-level analogue of the abandoning users above.
-The fleet must absorb it: the dispatcher replaces the worker, requeues
-its sessions from disk checkpoints, clients retry transparently, and the
-post-soak restore verification replays every completed session's disk
-checkpoint through a *fresh threaded manager* — proving restore survives
-not just eviction but the death of the entire hosting process.
 """
 
 from __future__ import annotations
 
 import gc
-import os
-import shutil
-import signal
-import tempfile
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
@@ -56,13 +41,11 @@ from repro.service import (
     QueryServer,
     ServeConfig,
     ServiceClient,
-    SessionManager,
     open_host,
 )
 from repro.service import protocol
 from repro.service.client import RemoteServiceError, RetryPolicy
 from repro.soak.slo import SLO, SoakReport, percentile
-from repro.utils.rng import seeded_rng
 from repro.workload.traffic import SessionScript, SoakWorkloadConfig, generate_soak_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -181,7 +164,6 @@ def run_soak(
     lock_monitor: bool = True,
     verify_restore: bool = True,
     join_timeout: float = 120.0,
-    kill_worker_after: float | None = None,
 ) -> SoakReport:
     """Run one complete soak; returns the scored report."""
     slo = slo or SLO()
@@ -211,42 +193,10 @@ def run_soak(
     memory_before, _ = tracemalloc.get_traced_memory()
     soak_began = clock.now()
 
-    report.workers = config.workers
-    pool = None
-    pool_stats: dict[str, object] = {}
-    killed_pids: list[int] = []
-    kill_timer: threading.Timer | None = None
-    ckpt_dir: str | None = None
-
     with monitor_ctx:
-        manager: SessionManager | None = None
-        if config.workers > 0:
-            # The harness owns the checkpoint directory so it outlives the
-            # pool: post-soak restore verification reads it with a fresh
-            # threaded manager after every worker process is gone.
-            ckpt_dir = tempfile.mkdtemp(prefix="repro-soak-ckpt-")
-            config = replace(config, checkpoint_dir=ckpt_dir)
-            backend = pool = open_host(ctx, config)
-        else:
-            backend = open_host(ctx, config)
-            manager = backend.manager
+        backend = open_host(ctx, config)
+        manager = backend.manager
         server = QueryServer(backend, host="127.0.0.1", port=0).start()
-        if pool is not None and kill_worker_after is not None:
-
-            def _kill_one_worker() -> None:
-                pids = pool.worker_pids()
-                if not pids:  # pragma: no cover - fleet already gone
-                    return
-                index = seeded_rng(workload.seed).choice(sorted(pids))
-                try:
-                    os.kill(pids[index], signal.SIGKILL)
-                except (ProcessLookupError, OSError):  # pragma: no cover
-                    return
-                killed_pids.append(pids[index])
-
-            kill_timer = threading.Timer(kill_worker_after, _kill_one_worker)
-            kill_timer.daemon = True
-            kill_timer.start()
         try:
             threads = [
                 threading.Thread(
@@ -277,65 +227,22 @@ def run_soak(
                     f"timeout: {stuck[:3]}"
                 )
         finally:
-            if kill_timer is not None:
-                kill_timer.cancel()
-            if pool is not None:
-                # Drain and harvest aggregated stats while the workers are
-                # still alive, then stop without re-draining: stop()'s
-                # close() tears the fleet (and its stats) down.
-                try:
-                    report.drain_summary = pool.drain() or {}
-                except Exception as exc:  # noqa: BLE001 - chaos is data
-                    state.unexpected.append(
-                        f"pool drain failed: {type(exc).__name__}: {exc}"
-                    )
-                try:
-                    pool_stats = pool.dispatch({"op": "stats"})
-                except Exception as exc:  # noqa: BLE001 - chaos is data
-                    state.unexpected.append(
-                        f"pool stats failed: {type(exc).__name__}: {exc}"
-                    )
-                server.stop(drain=False)
-            else:
-                report.drain_summary = server.stop(drain=True) or {}
+            report.drain_summary = server.stop(drain=True) or {}
 
-        if pool is not None:
-            # Sessions drain could not checkpoint are the pool's leaks.
-            busy = report.drain_summary.get("busy", [])
-            report.leaked_sessions = len(busy) if isinstance(busy, list) else 0
-            # A basis the pool had to save for its workers (no
-            # storage_dir to open in place) is the pool's to delete.
-            report.leaked_basis_dirs = int(
-                config.storage_dir is None and os.path.isdir(pool.basis_dir)
-            )
-        else:
-            assert manager is not None
-            report.leaked_sessions = len(manager.session_ids())
+        report.leaked_sessions = len(manager.session_ids())
 
         if verify_restore:
-            if pool is not None:
-                # Every worker process is dead; the only surviving state is
-                # the write-through checkpoint directory.  Restoring through
-                # a *fresh* threaded manager over that directory is the
-                # strongest form of the invariant: byte-identical matches
-                # across a full process generation.
-                verifier = SessionManager(
-                    ctx, replace(config, cap_entry_budget=None, overload=None)
-                )
-            else:
-                assert manager is not None
-                verifier = manager
-                verifier.end_drain()
+            manager.end_drain()
             # Resume every checkpointed completed session and demand the
             # exact bytes its original run produced — the wire-level
             # statement of deferral neutrality.
             for sid, recorded in sorted(state.completed.items()):
-                checkpoint = verifier.checkpoints.get(sid)
+                checkpoint = manager.checkpoints.get(sid)
                 if checkpoint is None or checkpoint.state != "ran":
                     continue
                 try:
-                    verifier.restore_session(sid)
-                    again = protocol.canonical_matches(verifier.matches(sid))
+                    manager.restore_session(sid)
+                    again = protocol.canonical_matches(manager.matches(sid))
                 except ReproError as exc:
                     report.restore_mismatches += 1
                     state.unexpected.append(
@@ -345,7 +252,7 @@ def run_soak(
                 if again != recorded:
                     report.restore_mismatches += 1
                 try:
-                    verifier.close_session(sid)
+                    manager.close_session(sid)
                 except ReproError:  # pragma: no cover - teardown
                     pass
 
@@ -367,11 +274,9 @@ def run_soak(
     report.typed_errors = dict(state.typed_errors)
     report.unexpected_errors = list(state.unexpected)
     report.unresolved_sheds = state.unresolved_sheds
-    # Counters come from the wire ``stats``: for a pool the aggregate
-    # harvested just before teardown (fleet-wide sums + the dispatcher's
-    # pool block), in-process the manager's own, read now that the
+    # Counters come from the wire ``stats``, read now that the
     # verification restores are in them.
-    stats = pool_stats if pool is not None else backend.dispatch({"op": "stats"})
+    stats = backend.dispatch({"op": "stats"})
 
     def _stat(name: str) -> int:
         value = stats.get(name, 0)
@@ -381,22 +286,6 @@ def run_soak(
     report.sessions_evicted = _stat("sessions_evicted")
     report.sessions_checkpointed = _stat("sessions_checkpointed")
     report.sessions_restored = _stat("sessions_restored")
-    if pool is not None:
-        report.workers_killed = len(killed_pids)
-        pool_block = stats.get("pool")
-        if isinstance(pool_block, dict):
-            report.worker_deaths = int(pool_block.get("worker_deaths", 0))
-            report.workers_respawned = int(
-                pool_block.get("workers_respawned", 0)
-            )
-            report.sessions_requeued = int(
-                pool_block.get("sessions_requeued", 0)
-            )
-            report.requeue_failures = int(
-                pool_block.get("requeue_failures", 0)
-            )
-        if ckpt_dir is not None:
-            shutil.rmtree(ckpt_dir, ignore_errors=True)
     report.memory_growth_mib = max(0.0, memory_after - memory_before) / (
         1024.0 * 1024.0
     )

@@ -42,11 +42,6 @@ class SLO:
     max_memory_growth_mib: float = 256.0
     #: The soak must actually exercise the engine to mean anything.
     min_completed_runs: int = 1
-    #: Pool mode only: temp basis directories the pool saved for its
-    #: workers and left behind after close.
-    max_leaked_basis_dirs: int = 0
-    #: Pool mode only: sessions a worker death orphaned for good.
-    max_requeue_failures: int = 0
 
     def check(self, report: "SoakReport") -> list[str]:
         """Every SLO clause ``report`` violates (empty = pass)."""
@@ -92,23 +87,6 @@ class SLO:
                 f"only {report.runs_completed} run(s) completed "
                 f"(need >= {self.min_completed_runs})"
             )
-        if report.leaked_basis_dirs > self.max_leaked_basis_dirs:
-            violations.append(
-                f"{report.leaked_basis_dirs} temp basis director(ies) "
-                f"left behind past pool close "
-                f"(allowed {self.max_leaked_basis_dirs})"
-            )
-        if report.requeue_failures > self.max_requeue_failures:
-            violations.append(
-                f"{report.requeue_failures} session(s) could not be "
-                f"requeued after a worker death "
-                f"(allowed {self.max_requeue_failures})"
-            )
-        if report.workers_killed and not report.workers_respawned:
-            violations.append(
-                f"{report.workers_killed} worker(s) killed but none "
-                "respawned — the pool did not replace them"
-            )
         if report.unexpected_errors:
             violations.append(
                 f"{len(report.unexpected_errors)} untyped client "
@@ -127,8 +105,6 @@ class SLO:
             "max_restore_mismatches": self.max_restore_mismatches,
             "max_memory_growth_mib": self.max_memory_growth_mib,
             "min_completed_runs": self.min_completed_runs,
-            "max_leaked_basis_dirs": self.max_leaked_basis_dirs,
-            "max_requeue_failures": self.max_requeue_failures,
         }
 
 
@@ -159,15 +135,6 @@ class SoakReport:
     drain_summary: dict[str, object] = field(default_factory=dict)
     leaked_sessions: int = 0
 
-    # -- worker pool (zero in threaded soaks) ----------------------------
-    workers: int = 0
-    workers_killed: int = 0
-    worker_deaths: int = 0
-    workers_respawned: int = 0
-    sessions_requeued: int = 0
-    requeue_failures: int = 0
-    leaked_basis_dirs: int = 0
-
     # -- resource health -------------------------------------------------
     memory_growth_mib: float = 0.0
     lock_inversions: int = 0
@@ -195,13 +162,6 @@ class SoakReport:
             "restore_mismatches": self.restore_mismatches,
             "drain_summary": dict(self.drain_summary),
             "leaked_sessions": self.leaked_sessions,
-            "workers": self.workers,
-            "workers_killed": self.workers_killed,
-            "worker_deaths": self.worker_deaths,
-            "workers_respawned": self.workers_respawned,
-            "sessions_requeued": self.sessions_requeued,
-            "requeue_failures": self.requeue_failures,
-            "leaked_basis_dirs": self.leaked_basis_dirs,
             "memory_growth_mib": self.memory_growth_mib,
             "lock_inversions": self.lock_inversions,
             "wall_seconds": self.wall_seconds,

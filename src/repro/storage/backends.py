@@ -4,16 +4,14 @@ A basis lives either on the heap (a live context,
 :func:`~repro.storage.basis.context_from_basis` of a basis value) or in
 one saved basis directory (:mod:`repro.storage.mmapstore`), read through
 ``numpy.memmap``.  :class:`BasisDirectory` is the second: a hosting
-process (:func:`repro.service.host.open_host`) opens it once, serves
-:meth:`BasisDirectory.context` from it, and hands pool workers nothing
-but its path — each opens the files itself with
-``context_from_basis(load_basis(path))``, and the kernel page cache is
-what the processes share.
+process (:func:`repro.service.host.open_host`) opens it once and serves
+:meth:`BasisDirectory.context` from it; any other process reopens the
+same files with ``context_from_basis(load_basis(path))``, and the kernel
+page cache is what the processes share.
 
 Byte identity between the heap and the directory is load-bearing (the
-conformance suite asserts it): checkpoint/restore, requeue-after-SIGKILL,
-and the SLO gates all compare matches produced by different processes
-over the same basis.
+conformance suite asserts it): checkpoint/restore and the SLO gates
+compare matches produced over either form of the same basis.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ constants, the graph epoch — is small scalar metadata.
 
 :class:`EngineBasis` is the single value every holder of that bundle
 carries — the dataset registry's disk cache (a saved basis directory,
-:mod:`repro.datasets.registry`), a hosted
-:class:`~repro.storage.backends.BasisDirectory`, and through it the
-worker pool alike:
+:mod:`repro.datasets.registry`) and a hosted
+:class:`~repro.storage.backends.BasisDirectory` alike:
 
 * :func:`basis_from_context` extracts it from a live context (outside
   :mod:`repro.indexing`, the only reader of the PML label-CSR

@@ -30,9 +30,9 @@ the frozen PML label CSR, and an attaching process reads them as they
 lie (:class:`repro.storage.basis.StoredPML`); a manifest without the
 flag is outside input we refuse.
 
-A pool worker receives nothing but the directory path and opens it with
-:func:`load_basis` itself: every worker opens the same files, and the
-page cache is shared by the kernel, not by us.
+Any process opens a saved directory by path with :func:`load_basis`:
+processes opening the same files share the page cache through the
+kernel, not through us.
 """
 
 from __future__ import annotations

@@ -215,13 +215,13 @@ class TestSelfClean:
 #: 'tests/test_analysis_*.py'``) does not.  Each entry is the module and
 #: its ``(old, new)`` edits; docs/ANALYSIS.md names the defect.
 SEEDED_MUTATIONS: dict[str, tuple[str, list[tuple[str, str]]]] = {
-    # The soak's SIGKILL target stops following the workload seed, so a
-    # failing soak no longer replays from its seed.
+    # ``repro update-check`` draws its graphs and edits from an unseeded
+    # generator, so a failing check no longer replays from its --seed.
     "R1": (
-        "soak/harness.py",
+        "cli.py",
         [
             ("from repro.utils.rng import seeded_rng", "import random"),
-            ("seeded_rng(workload.seed).choice(", "random.choice("),
+            ("seeded_rng(args.seed)", "random.Random()"),
         ],
     ),
     # A request line that is JSON but not an object is answered

@@ -171,6 +171,24 @@ class TestExitCodes:
             main(self._query_argv(graph_file, query_file, *flag))
         assert excinfo.value.code == 2  # argparse's usage error
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--workers", "2"],
+            ["soak", "--workers", "2"],
+            ["soak", "--kill-worker-after", "1"],
+        ],
+        ids=["serve-workers", "soak-workers", "soak-kill-worker-after"],
+    )
+    def test_removed_hosting_flags_are_usage_errors(self, tmp_path, argv):
+        """Hosting is one process: the worker-pool flags are gone.  The
+        graph path does not exist, so a parser that still took the flag
+        fails on the load instead of serving."""
+        missing = str(tmp_path / "missing.txt")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--graph", missing])
+        assert excinfo.value.code == 2  # argparse's usage error
+
 
 class TestReplayCommand:
     def test_replay_end_to_end(self, graph_file, tmp_path, capsys):

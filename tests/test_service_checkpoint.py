@@ -360,13 +360,13 @@ class TestDiskTier:
         first.put(checkpoint)
         assert (tmp_path / f"{checkpoint.session_id}.ckpt.json").exists()
 
-        # A fresh store over the same directory — the respawned worker.
+        # A fresh store over the same directory — the restarted host.
         second = CheckpointStore(capacity=4, directory=str(tmp_path))
         assert len(second) == 0  # nothing in memory...
         loaded = second.get(checkpoint.session_id)  # ...but disk delivers
         assert loaded == checkpoint
         assert second.stats()["disk_hits_total"] == 1
-        assert checkpoint.session_id in second.ids()
+        assert checkpoint.session_id in second
 
     def test_pop_deletes_the_file(self, fig2_ctx, tmp_path):
         store = CheckpointStore(capacity=4, directory=str(tmp_path))
@@ -407,7 +407,7 @@ class TestDiskTier:
         assert not (tmp_path.parent / "escape.ckpt.json").exists()
 
     def test_manager_restart_restores_byte_identical(self, fig2_ctx, tmp_path):
-        """The worker-pool contract, minus the pool: survive a restart."""
+        """Write-through: a session survives a restart of its host."""
         before = SessionManager(fig2_ctx, ServeConfig(checkpoint_dir=str(tmp_path)))
         session = formulate(before)
         before.run(session.id)
@@ -415,7 +415,7 @@ class TestDiskTier:
         assert expected
 
         # "Restart": a brand-new manager over the same directory; the old
-        # one is simply dropped, exactly like a SIGKILLed worker.
+        # one is simply dropped, exactly like a killed process.
         after = SessionManager(fig2_ctx, ServeConfig(checkpoint_dir=str(tmp_path)))
         with pytest.raises(SessionEvictedError) as info:
             after.get(session.id)
@@ -427,9 +427,9 @@ class TestDiskTier:
     def test_death_mid_restore_keeps_the_checkpoint(
         self, fig2_ctx, tmp_path, monkeypatch
     ):
-        """A process that dies while it replays a checkpoint (a SIGKILLed
-        pool worker, its client's ``restore_session`` in flight) has not
-        taken the session's only durable copy with it."""
+        """A process that dies while it replays a checkpoint (killed with
+        its client's ``restore_session`` in flight) has not taken the
+        session's only durable copy with it."""
         import repro.service.manager as manager_module
 
         config = ServeConfig(checkpoint_dir=str(tmp_path))
@@ -454,3 +454,39 @@ class TestDiskTier:
         after = SessionManager(fig2_ctx, config)
         assert after.restore_session(session.id).state == "ran"
         assert canonical_matches(after.matches(session.id)) == expected
+
+    def test_restarted_host_never_reissues_a_checkpointed_id(
+        self, fig2_ctx, tmp_path
+    ):
+        """A restarted host counts session ids from 1 again; a fresh id must
+        skip every id the checkpoint directory holds, or the new user's
+        session overwrites the old one's checkpoint and answers its
+        restore.  Checkpoints an older multi-process host wrote under ids
+        like ``w0s1`` restore too, and their files stay byte-identical."""
+        from dataclasses import replace
+
+        config = ServeConfig(checkpoint_dir=str(tmp_path))
+        first = SessionManager(fig2_ctx, config)
+        session = formulate(first)
+        first.run(session.id)
+        expected = canonical_matches(first.matches(session.id))
+        assert session.id == "s1" and len(expected) == 3
+        store = CheckpointStore(directory=str(tmp_path))
+        ran = store.get("s1")
+        for legacy_id in ("w0s1", "w1s1"):
+            store.put(replace(ran, session_id=legacy_id))
+        legacy_bytes = {
+            name: (tmp_path / f"{name}.ckpt.json").read_bytes()
+            for name in ("w0s1", "w1s1")
+        }
+
+        second = SessionManager(fig2_ctx, config)
+        stranger = second.create_session()
+        assert stranger.id not in ("s1", "w0s1", "w1s1")
+        restored = second.restore_session("s1")
+        assert restored is not stranger and restored.state == "ran"
+        assert canonical_matches(second.matches("s1")) == expected
+        for name, before in legacy_bytes.items():
+            assert second.restore_session(name).state == "ran"
+            assert canonical_matches(second.matches(name)) == expected
+            assert (tmp_path / f"{name}.ckpt.json").read_bytes() == before

@@ -5,7 +5,7 @@ frame and reports every failure through one typed error envelope; a frame
 that is not that envelope is refused with it.  An error's ``code`` and
 ``retryable`` verdict are class attributes in :mod:`repro.errors` — the
 frozen table below is what pins them, since clients switch on them.  Both
-are checked at the codec level, through a worker pool, and over a real
+are checked at the codec level, through the dispatcher, and over a real
 socket.
 """
 
@@ -30,7 +30,6 @@ from repro.errors import (
     AdmissionError,
     DeadlineExceededError,
     ProtocolError,
-    RelayedError,
     ReproError,
     SessionEvictedError,
     SessionNotFoundError,
@@ -167,8 +166,6 @@ ERROR_TABLE = {
     "ServiceTimeoutError": ("service_timeout", True),
     "CheckpointError": ("checkpoint_invalid", False),
     "ProtocolError": ("bad_request", False),
-    "WorkerPoolError": ("worker_pool", False),
-    "WorkerDiedError": ("worker_died", True),
     "StorageError": ("storage_error", False),
     "BasisFormatError": ("basis_format_invalid", False),
     "AnalysisError": ("analysis_error", False),
@@ -189,7 +186,6 @@ ERROR_ARGS = {
     "SessionEvictedError": ("s1", "cap pressure"),
     "ServiceOverloadedError": ("shed", "queue", 75),
     "ServiceTimeoutError": ("run", 1.5),
-    "WorkerDiedError": (1, "pipe closed"),
 }
 
 #: The ``details`` extras, in wire order, of the classes that have any.
@@ -198,26 +194,24 @@ ERROR_EXTRAS = {
     "SessionNotFoundError": {"session": "s9"},
     "SessionEvictedError": {"session": "s1", "restorable": False},
     "ServiceOverloadedError": {"retry_after_ms": 75, "reason": "queue"},
-    "WorkerDiedError": {"worker": 1},
 }
 
 
 class TestErrorTable:
     def test_table_names_every_error_class(self):
-        """Every ``ReproError`` subclass errors.py defines is in the table
-        (``RelayedError`` carries another exception's code per instance)."""
+        """Every ``ReproError`` subclass errors.py defines is in the table."""
         defined = {
             name
             for name, cls in vars(errors).items()
             if isinstance(cls, type) and issubclass(cls, ReproError)
         }
-        assert defined - {"RelayedError"} == set(ERROR_TABLE)
+        assert defined == set(ERROR_TABLE)
         assert defined == set(errors.__all__)
 
     @pytest.mark.parametrize("name", sorted(ERROR_TABLE))
     def test_code_retryable_and_frame_are_frozen(self, name):
-        """The class attributes, the serialised ``error`` object (key order
-        included) and its relay through a pool pipe, class by class."""
+        """The class attributes and the serialised ``error`` object (key
+        order included), class by class."""
         code, retryable = ERROR_TABLE[name]
         cls = getattr(errors, name)
         assert (cls.code, cls.retryable) == (code, retryable)
@@ -231,14 +225,6 @@ class TestErrorTable:
         error = protocol.error_object(exc)
         assert json.dumps(error) == json.dumps(want)
         assert protocol.error_code(exc) == code
-        # What the worker sends is what the dispatcher's carrier gives back.
-        relayed = RelayedError(pickle.loads(pickle.dumps(error)))
-        assert (relayed.code, relayed.retryable, str(relayed)) == (
-            code, retryable, str(exc)
-        )
-        assert protocol.encode_line(
-            protocol.error_response(7, relayed)
-        ) == protocol.encode_line(protocol.error_response(7, exc))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +315,10 @@ def blocks(draw, sizes=FRAME_SIZES, min_k=0):
     return protocol.MatchBlock(qs, rng.integers(0, high, size=(m, k), dtype=np.int32))
 
 
-def matches_reply(req_id, block, routed) -> tuple[dict, bytes]:
+def matches_reply(req_id, block, trailing) -> tuple[dict, bytes]:
     """A ``matches`` reply payload and ``json.dumps`` of what it stands for,
-    with a key after ``matches`` when ``routed`` (as a pool adds)."""
-    extra = {"worker": 1} if routed else {}
+    with a key after ``matches`` when ``trailing``."""
+    extra = {"tail": 1} if trailing else {}
     payload = protocol.ok_response(req_id, {"matches": block, **extra})
     return payload, reference_frame(req_id, {"matches": block.tolist(), **extra})
 
@@ -410,7 +396,7 @@ MUTATIONS = {
     "list cut mid-row": (b"[1,190]]]", b"[1,19"),
     "matches key repeated": (b"]]]}", b']]],"matches":[]}'),
     "envelope spaced": (b'"ok":true', b'"ok": true'),
-    "matches not first": (b'{"matches":', b'{"worker":1,"matches":'),
+    "matches not first": (b'{"matches":', b'{"tail":1,"matches":'),
 }
 MUTATED_BLOCK = protocol.MatchBlock(
     [0, 1], np.array([[5, 17], [6, 18], [7, 190]], dtype=np.int32)
@@ -451,10 +437,10 @@ class TestMatchesFrameBytes:
         st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_spliced_frame_equals_json_dumps(self, matches, req_id, routed):
+    def test_spliced_frame_equals_json_dumps(self, matches, req_id, trailing):
         """Any M and k (0 and 1 included), any echoed id, with and without
         a key after ``matches`` in the result."""
-        extra = {"worker": 1} if routed else {}
+        extra = {"tail": 1} if trailing else {}
         block = protocol.match_block(matches)
         got = protocol.encode_line(
             protocol.ok_response(req_id, {"matches": block, **extra})
@@ -475,15 +461,13 @@ class TestMatchesFrameBytes:
     @pytest.fixture(scope="class")
     def backends(self, fig2_pre):
         ctx = make_context(fig2_pre)
-        pool = open_host(ctx, ServeConfig(workers=2, max_sessions=8))
-        yield ctx, {"local": open_host(ctx, ServeConfig()), "pool": pool}
-        pool.close()
+        return ctx, {"local": open_host(ctx, ServeConfig())}
 
-    @pytest.mark.parametrize("backend", ["local", "pool"])
+    @pytest.mark.parametrize("backend", ["local"])
     @pytest.mark.parametrize("script", sorted(FRAME_SCRIPTS))
     def test_dispatched_frame_bytes(self, backends, backend, script):
-        """Threaded and through a two-worker pool's pipe: the frame is
-        ``json.dumps`` of the sorted comprehension."""
+        """Through the dispatcher: the frame is ``json.dumps`` of the
+        sorted comprehension."""
         ctx, dispatchers = backends
         dispatcher = dispatchers[backend]
         want = reference_canonical(serial_matches(ctx, FRAME_SCRIPTS[script]))
@@ -498,10 +482,10 @@ class TestMatchesFrameBytes:
 
     @given(blocks(), REQ_IDS, st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_chunks_join_to_the_frame(self, block, req_id, routed):
+    def test_chunks_join_to_the_frame(self, block, req_id, trailing):
         """The server writes the envelope, the rows CHUNK at a time and the
         rest of the envelope; joined, they are the one frame."""
-        payload, want = matches_reply(req_id, block, routed)
+        payload, want = matches_reply(req_id, block, trailing)
         pieces = list(protocol.frame_chunks(payload))
         assert b"".join(pieces) == protocol.encode_line(payload) == want
         assert len(pieces) == math.ceil(len(block) / CHUNK) + 2
@@ -517,8 +501,8 @@ class TestMatchesFrameBytes:
 
     @given(blocks(min_k=1), REQ_IDS, st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_reader_equals_json_loads_under_any_split(self, block, req_id, routed, data):
-        _, frame = matches_reply(req_id, block, routed)
+    def test_reader_equals_json_loads_under_any_split(self, block, req_id, trailing, data):
+        _, frame = matches_reply(req_id, block, trailing)
         cuts = data.draw(st.lists(st.integers(1, len(frame) - 1), max_size=40))
         got = read_strictly(reads(frame, cuts), req_id)
         assert json.dumps(got) == json.dumps(json.loads(frame))
@@ -526,7 +510,7 @@ class TestMatchesFrameBytes:
     def test_rows_of_no_pairs_are_refused(self):
         """k = 0 has a frame but no Run: a query without vertices is refused."""
         block = protocol.MatchBlock([], np.zeros((2, 0), dtype=np.int32))
-        _, frame = matches_reply(7, block, routed=False)
+        _, frame = matches_reply(7, block, trailing=False)
         assert frame.endswith(b'"matches":[[],[]]}}\n')
         with pytest.raises(ProtocolError):
             read_strictly(every(frame, None), 7)
@@ -543,14 +527,14 @@ class TestMatchesFrameBytes:
     def test_reader_from_one_byte_reads_to_the_whole_frame(self, m, size):
         rng = np.random.default_rng(m)
         block = protocol.MatchBlock([2, 5, 9], rng.integers(0, 10**9, (m, 3), dtype=np.int32))
-        _, frame = matches_reply(41, block, routed=m % 2 == 1)
+        _, frame = matches_reply(41, block, trailing=m % 2 == 1)
         got = read_strictly(every(frame, size), 41)
         assert json.dumps(got) == json.dumps(json.loads(frame))
 
     @pytest.mark.parametrize("size", [1, None])
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_mutated_frame_is_refused(self, mutation, size):
-        _, frame = matches_reply(7, MUTATED_BLOCK, routed=False)
+        _, frame = matches_reply(7, MUTATED_BLOCK, trailing=False)
         old, new = MUTATIONS[mutation]
         mutated = frame.replace(old, new)
         assert mutated != frame and not canonical(mutated)
@@ -559,10 +543,10 @@ class TestMatchesFrameBytes:
 
     @given(blocks(sizes=(1, 2, 5), min_k=1), st.booleans(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_one_byte_changed_in_the_list_is_exact_or_refused(self, block, routed, data):
+    def test_one_byte_changed_in_the_list_is_exact_or_refused(self, block, trailing, data):
         """A change that leaves a canonical frame parses to its
         ``json.loads``; any other raises ProtocolError, never blocks."""
-        _, frame = matches_reply(7, block, routed)
+        _, frame = matches_reply(7, block, trailing)
         start = frame.index(b'"matches":') + len(b'"matches":')
         at = data.draw(st.integers(start, start + len(block.dumps()) - 1))
         byte = data.draw(st.sampled_from(b'0123456789[],-+ .e"\n'))
@@ -576,7 +560,7 @@ class TestMatchesFrameBytes:
             assert canonical(mutated) and got == json.loads(mutated)
 
     def test_bytes_after_the_frame_are_refused(self):
-        _, frame = matches_reply(7, MUTATED_BLOCK, routed=True)
+        _, frame = matches_reply(7, MUTATED_BLOCK, trailing=True)
         with pytest.raises(ProtocolError, match="bytes follow"):
             read_strictly(every(frame + b'{"v":2}\n', None), 7)
 
@@ -694,22 +678,19 @@ class TestClientSpeaksV2:
 
 
 # ---------------------------------------------------------------------------
-# Every registered op reaches its handler, threaded and pooled
+# Every registered op reaches its handler
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def every_backend(fig2_pre):
-    ctx = make_context(fig2_pre)
-    pool = open_host(ctx, ServeConfig(workers=1, max_sessions=4))
-    yield {"local": open_host(ctx, ServeConfig()), "pool": pool}
-    pool.close()
+    return {"local": open_host(make_context(fig2_pre), ServeConfig())}
 
 
-@pytest.mark.parametrize("backend", ["local", "pool"])
+@pytest.mark.parametrize("backend", ["local"])
 @pytest.mark.parametrize("op", protocol.OPS)
 def test_every_op_reaches_a_handler(every_backend, backend, op):
-    """``OPS`` and both dispatchers agree: each verb, sent with a session
-    id nobody holds, is answered or refused by its own handler, never by
-    the ``unhandled op`` fall-through."""
+    """``OPS`` and the dispatcher agree: each verb, sent with a session id
+    nobody holds, is answered or refused by its own handler, never by the
+    ``unhandled op`` fall-through."""
     try:
         every_backend[backend].dispatch({"op": op, "session": "ghost"})
     except ReproError as exc:
@@ -717,7 +698,7 @@ def test_every_op_reaches_a_handler(every_backend, backend, op):
 
 
 # ---------------------------------------------------------------------------
-# Error frames: threaded == through a two-worker pool, byte for byte
+# Error frames: code, retryable and details of three verdicts
 # ---------------------------------------------------------------------------
 def error_frame(dispatcher, request) -> bytes:
     """The reply ``QueryServer.handle_line`` writes when ``request`` fails."""
@@ -726,40 +707,29 @@ def error_frame(dispatcher, request) -> bytes:
     return protocol.encode_line(protocol.error_response(7, info.value))
 
 
-def test_error_frames_byte_identical_threaded_and_pooled(fig2_pre):
-    """One non-retryable and two retryable verdicts with extras: the whole
-    frame a client reads is the same with ``--workers 0`` and through a
-    worker's pipe.  (The local manager numbers sessions like worker 0.)"""
-    ctx = make_context(fig2_pre)
-    local = LocalDispatcher(
-        SessionManager(ctx, ServeConfig(max_sessions=1), session_prefix="w0s")
+def test_error_frames_carry_code_retryable_and_details(fig2_pre):
+    """One non-retryable and two retryable verdicts with extras, read off
+    the frame a client receives."""
+    backend = LocalDispatcher(
+        SessionManager(make_context(fig2_pre), ServeConfig(max_sessions=1))
     )
-    pool = open_host(ctx, ServeConfig(workers=2, max_sessions=2))  # one session a worker
-    try:
-        frames = {}
-        for name, backend, creates in (("local", local, 2), ("pool", pool, 3)):
-            # The last create lands where the first did and evicts it.
-            sids = [
-                backend.dispatch({"op": "create_session"})["session"]
-                for _ in range(creates)
-            ]
-            assert (sids[0], sids[-1]) == ("w0s1", "w0s2")
-            unknown = error_frame(backend, {"op": "matches", "session": "w0s999"})
-            evicted = error_frame(backend, {"op": "run", "session": "w0s1"})
-            backend.drain(timeout=5.0)
-            shed = error_frame(backend, {"op": "run", "session": "w0s2"})
-            frames[name] = (unknown, evicted, shed)
-        assert frames["local"] == frames["pool"]
-        unknown, evicted, shed = (json.loads(f)["error"] for f in frames["pool"])
-        assert (unknown["code"], unknown["retryable"]) == ("session_not_found", False)
-        assert unknown["details"] == {"type": "SessionNotFoundError", "session": "w0s999"}
-        assert (evicted["code"], evicted["retryable"]) == ("session_evicted", True)
-        assert evicted["details"] == {
-            "type": "SessionEvictedError", "session": "w0s1", "restorable": True
-        }
-        assert (shed["code"], shed["retryable"]) == ("overloaded", True)
-        assert shed["details"] == {
-            "type": "ServiceOverloadedError", "retry_after_ms": 250, "reason": "draining"
-        }
-    finally:
-        pool.close()
+    # The second create evicts the first.
+    sids = [backend.dispatch({"op": "create_session"})["session"] for _ in range(2)]
+    assert sids == ["s1", "s2"]
+    frames = (
+        error_frame(backend, {"op": "matches", "session": "s999"}),
+        error_frame(backend, {"op": "run", "session": "s1"}),
+    )
+    backend.drain(timeout=5.0)
+    frames += (error_frame(backend, {"op": "run", "session": "s2"}),)
+    unknown, evicted, shed = (json.loads(f)["error"] for f in frames)
+    assert (unknown["code"], unknown["retryable"]) == ("session_not_found", False)
+    assert unknown["details"] == {"type": "SessionNotFoundError", "session": "s999"}
+    assert (evicted["code"], evicted["retryable"]) == ("session_evicted", True)
+    assert evicted["details"] == {
+        "type": "SessionEvictedError", "session": "s1", "restorable": True
+    }
+    assert (shed["code"], shed["retryable"]) == ("overloaded", True)
+    assert shed["details"] == {
+        "type": "ServiceOverloadedError", "retry_after_ms": 250, "reason": "draining"
+    }

@@ -14,7 +14,6 @@ import os
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 
@@ -381,14 +380,9 @@ def _nodelay(sock: socket.socket) -> bool:
     return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_streamed_matches_equal_the_engine_over_a_real_socket(
-    workers, star_pre, handler_spy, tmp_path, monkeypatch
-):
-    """A V_Δ of ten chunks arrives equal to ``canonical_matches`` on a
-    threaded host and through a two-worker pool (whose reply carries a key
-    after ``matches``), written in one piece per chunk plus two."""
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # a pool's temp basis
+def test_streamed_matches_equal_the_engine_over_a_real_socket(star_pre, handler_spy):
+    """A V_Δ of ten chunks arrives equal to ``canonical_matches``, written
+    in one piece per chunk plus two."""
     ctx = make_context(star_pre)
     boomer = Boomer(ctx, strategy="DI", auto_idle=False, max_results=MAX_RESULTS)
     for action in STAR_ACTIONS:
@@ -397,7 +391,7 @@ def test_streamed_matches_equal_the_engine_over_a_real_socket(
     want = canonical_matches(boomer.run_result.matches)
     assert len(want) == MAX_RESULTS == 10_000
 
-    srv = QueryServer(open_host(ctx, ServeConfig(workers=workers)), port=0).start()
+    srv = QueryServer(open_host(ctx, ServeConfig()), port=0).start()
     try:
         with ServiceClient(*srv.address) as client:
             sid = client.create_session(strategy="DI")

@@ -4,7 +4,7 @@ Contexts here are built fresh per test — the shared session-scoped
 ``fig2_ctx`` fixture must never be mutated — and each test drives the
 verb at the layer it pins: SessionManager for the quiet-window barrier,
 LocalDispatcher for wire validation, QueryServer + ServiceClient for the
-socket round trip, and the pool dispatcher for the typed refusal.
+socket round trip.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.errors import (
     ProtocolError,
     ServiceOverloadedError,
     StaleIndexError,
-    WorkerPoolError,
 )
 from repro.service import (
     QueryServer,
@@ -28,7 +27,6 @@ from repro.service import (
     protocol,
 )
 from repro.service.dispatch import LocalDispatcher
-from repro.service.pool.dispatcher import PoolDispatcher
 from tests.conftest import build_fig2_graph
 
 FIG2_ACTIONS = [
@@ -148,13 +146,6 @@ class TestDispatcherUpdate:
             "graph_mutation_invalid"
         )
         assert protocol.error_code(StaleIndexError("x")) == "stale_index"
-
-    def test_pool_backend_refuses_updates(self):
-        dispatcher = object.__new__(PoolDispatcher)  # dispatch needs no state
-        with pytest.raises(WorkerPoolError, match="worker pool"):
-            dispatcher.dispatch(
-                {"op": "update", "kind": "insert", "edge": [0, 1]}
-            )
 
 
 class TestWireUpdate:

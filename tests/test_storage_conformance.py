@@ -62,8 +62,8 @@ def all_backends(basis, directory):
 @given(labeled_graphs())
 @settings(max_examples=20, deadline=None)
 def test_backends_byte_and_answer_identical(tmp_path_factory, graph):
-    """Heap, directory, and a worker opening the directory's path agree
-    bit for bit on random graphs."""
+    """Heap, directory, and another process opening the directory's path
+    agree bit for bit on random graphs."""
     ctx = make_context(preprocess(graph, seed=5))
     basis = basis_from_context(ctx)
     labels = graph.labels()
@@ -234,8 +234,8 @@ def test_scalar_queries_leave_a_stored_index_as_it_was(backend_name, tmp_path):
 
 def test_epoch_survives_publish_and_attach_on_every_backend(tmp_path):
     """A basis extracted after an update is at epoch 1, and epoch 1 is what
-    comes back: from the heap, from the directory, and from the context a
-    pool worker opens from the directory's path."""
+    comes back: from the heap, from the directory, and from the context
+    another process opens from the directory's path."""
     from repro.updates import insert_edge
     from tests.conftest import build_fig2_graph
 
@@ -256,37 +256,6 @@ def test_epoch_survives_publish_and_attach_on_every_backend(tmp_path):
             assert (own.epoch, own.oracle.epoch) == (1, 1), name
             assert own.graph.has_edge(u, v), name
             assert basis_from_context(own).scalars() == basis.scalars(), name
-
-
-def test_mmap_pool_worker_end_to_end():
-    """A spawned pool over an mmap basis answers like the local engine."""
-    from tests.conftest import build_fig2_graph
-    from repro.service import ServeConfig, open_host
-
-    ctx = make_context(preprocess(build_fig2_graph(), seed=1))
-    reference = canonical_run(ctx, ctx.graph.labels())
-    dispatcher = open_host(ctx, ServeConfig(workers=2, storage="mmap"))
-    try:
-        sid = dispatcher.dispatch({"op": "create_session", "strategy": "DI"})[
-            "session"
-        ]
-        labels = ctx.graph.labels()
-        a = labels[0]
-        b = next((lab for lab in labels if lab != a), a)
-        for payload in (
-            {"kind": "NewVertex", "vertex_id": 0, "label": a},
-            {"kind": "NewVertex", "vertex_id": 1, "label": b},
-            {"kind": "NewEdge", "u": 0, "v": 1, "lower": 1, "upper": 2},
-        ):
-            dispatcher.dispatch(
-                {"op": "action", "session": sid, "action": payload}
-            )
-        run = dispatcher.dispatch({"op": "run", "session": sid})
-        assert run["num_matches"] == len(reference)
-        stats = dispatcher.dispatch({"op": "stats"})
-        assert stats["pool"]["basis_dir"] == dispatcher.basis_dir
-    finally:
-        dispatcher.close()
 
 
 def test_memmap_arrays_are_not_copies(tmp_path):

@@ -90,35 +90,29 @@ def _engine_answers(ctx) -> tuple[bytes, list]:
 
 
 @pytest.mark.parametrize("storage", BACKENDS)
-@pytest.mark.parametrize("workers", [0, 2])
-def test_boot_matrix(workers, storage, fig2_ctx, tmp_path, monkeypatch):
+def test_boot_matrix(storage, fig2_ctx, tmp_path, monkeypatch):
     """Every way up answers one fixed script with the in-process engine's
     bytes, and ``stop()`` leaves nothing behind."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # temp dirs land here
-    config = ServeConfig(workers=workers, storage=storage)
-    # A basis crosses a process boundary as files: any pool is mmap.
-    assert config.basis_kind == {
-        (0, "resident"): "resident", (0, "mmap"): "mmap",
-        (2, "resident"): "mmap", (2, "mmap"): "mmap",
-    }[workers, storage]
+    config = ServeConfig(storage=storage)
+    assert config.basis_kind == storage
     want = _engine_answers(fig2_ctx)
 
     server = QueryServer(open_host(fig2_ctx, config), host="127.0.0.1", port=0)
     try:
-        # An mmap basis with no directory to open is saved into a temp dir
-        # (and a pool makes itself a checkpoint dir beside it).
+        # An mmap basis with no directory to open is saved into a temp dir.
         assert any(tmp_path.iterdir()) == (config.basis_kind == "mmap")
         assert _serve_script(server.backend) == want
     finally:
         server.stop()
-    assert list(tmp_path.iterdir()) == []  # no temp basis, no temp checkpoints
+    assert list(tmp_path.iterdir()) == []  # no temp basis left behind
 
 
-def test_pool_opens_a_saved_basis_in_place(fig2_ctx, tmp_path, monkeypatch):
-    """A pool handed a directory that already holds its basis (``repro serve
-    --dataset ... --workers N`` hands over the registry's cache entry) reads
-    it where it lies: no file in it is rewritten or added, and no temp basis
-    is saved beside it."""
+def test_mmap_host_opens_a_saved_basis_in_place(fig2_ctx, tmp_path, monkeypatch):
+    """An mmap host handed a directory that already holds its basis
+    (``repro serve --dataset ... --storage mmap`` hands over the registry's
+    cache entry) reads it where it lies: no file in it is rewritten or
+    added, and no temp basis is saved beside it."""
     temp = tmp_path / "tmp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
@@ -129,13 +123,14 @@ def test_pool_opens_a_saved_basis_in_place(fig2_ctx, tmp_path, monkeypatch):
         return sorted((name, st.st_size, st.st_mtime_ns) for name, st in stats)
 
     before = listing()
-    pool = open_host(fig2_ctx, ServeConfig(workers=2, storage_dir=str(directory)))
+    host = open_host(
+        fig2_ctx, ServeConfig(storage="mmap", storage_dir=str(directory))
+    )
     try:
-        assert pool.basis_dir == str(directory)
-        assert not [p for p in temp.iterdir() if p.name.startswith("repro-basis-")]
-        assert _serve_script(pool) == _engine_answers(fig2_ctx)
+        assert list(temp.iterdir()) == []
+        assert _serve_script(host) == _engine_answers(fig2_ctx)
     finally:
-        pool.close()
+        host.close()
     assert listing() == before
     assert list(temp.iterdir()) == []
 
@@ -145,6 +140,6 @@ def test_serve_config_names_the_two_backends():
     a storage dir is legal exactly when the basis is files."""
     with pytest.raises(StorageError, match=r"shm.*\('resident', 'mmap'\)"):
         ServeConfig(storage="shm")
-    assert ServeConfig(workers=2, storage_dir="d").basis_kind == "mmap"
+    assert ServeConfig(storage="mmap", storage_dir="d").basis_kind == "mmap"
     with pytest.raises(StorageError, match="storage-dir"):
         ServeConfig(storage_dir="d")
