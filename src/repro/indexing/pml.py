@@ -22,14 +22,17 @@ is *pruned* (no label stored, no expansion).  Otherwise the pair
 and a query is a merge join over the two (rank-sorted) label lists —
 exactly the ``O(|C(u)| + |C(v)|)`` cost that Lemma 5.5 charges.
 
-Every pruned BFS an update resumes or re-runs, and all but the build's
-top ranks, is one kernel over plain Python lists, :func:`_pruned_bfs`.
-The build runs its top landmarks, which sweep most of the graph, through
+Most pruned BFSs run on one kernel over plain Python lists,
+:func:`_pruned_bfs`: every one an insert resumes, and every rank but the
+wide ones below.  The landmarks that sweep most of the graph run through
 :func:`_level_bfs` instead: the same BFS one level at a time in numpy,
-pruning against a table of the earlier top landmarks' distances.  It
-hands over to the list kernel between two ranks, never inside one, so
-both kernels label exactly what the other would.  The landmark order is
-fixed at build time and kept across updates.
+pruning against a table of the earlier landmarks' distances, one uint8
+row each.  The build runs its top ranks there and hands over to the list
+kernel between two ranks, never inside one, so both kernels label exactly
+what the other would.  A delete re-runs each landmark that held at least
+``_LEVEL_MIN_ENTRIES`` entries there too, and diffs its old and new
+entries as two such rows.  The landmark order is fixed at build time and
+kept across updates.
 
 Batch queries
 -------------
@@ -77,6 +80,9 @@ _TABLE_BYTES = 8 << 20
 #: ... and hands every later rank to the list kernel after the first rank
 #: whose BFS labels fewer vertices than this.
 _LEVEL_MIN_LABELLED = 16
+#: An edge delete re-runs a landmark through the level kernel when it held
+#: at least this many entries before the delete (DESIGN.md 4g).
+_LEVEL_MIN_ENTRIES = 150
 #: A table cell its landmark left empty; the first distance a row cannot hold.
 _NO_ENTRY = 255
 #: Table cells one prune gather reads at most: its int64 index stays a
@@ -223,6 +229,38 @@ def _put(w_ranks: list[int], w_dists: list[int], rank: int, d: int) -> bool:
     w_ranks.insert(pos, rank)
     w_dists.insert(pos, d)
     return True
+
+
+def _far_where_none(row: np.ndarray) -> np.ndarray:
+    """A uint8 row's distances as int64, ``_FAR`` where it holds ``_NO_ENTRY``."""
+    return np.where(row == _NO_ENTRY, _FAR, row.astype(np.int64))
+
+
+def _level_rerun(
+    graph: Graph, root: int, entries: list[tuple], root_dists: list[int], seen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Re-run a landmark whole from ``root`` through :func:`_level_bfs`:
+    its old and its new entries as uint8 rows, ``_NO_ENTRY`` where none.
+
+    ``entries`` holds the ``(owners, distances)`` of every earlier rank in
+    the root's label, at ``root_dists`` from it, then the landmark's own
+    old ones.  None if one of them, or a new entry, does not fit a byte:
+    the list kernel re-runs the landmark then.
+    """
+    n = graph.num_vertices
+    table = np.full((len(entries), n), _NO_ENTRY, dtype=np.uint8)
+    for row, (owners, dists) in zip(table, entries):
+        dists = np.asarray(dists)
+        if dists.size and int(dists.max()) >= _NO_ENTRY:
+            return None
+        row[owners] = dists
+    levels = _level_bfs(graph, table.ravel(), root, list(range(len(root_dists))), root_dists, seen)
+    if levels is None:
+        return None
+    new = np.full(n, _NO_ENTRY, dtype=np.uint8)
+    for d, level in enumerate(levels):
+        new[level] = d
+    return table[-1], new
 
 
 class PrunedLandmarkLabeling:
@@ -584,13 +622,18 @@ class PrunedLandmarkLabeling:
         different distances, the farther keeping no such neighbour, can
         hold a now-invalid entry.  Those ranks seed a min-heap; rank ``k``
         popped is re-run whole (pruning on ranks < ``k``, repaired by
-        then) and the difference spliced in.  A rank-``k`` entry that grew
-        or went can lift a later landmark's prune: anywhere if it sits at
-        that landmark's root, else at ``w`` if the landmark reached ``w``
-        from a pre-delete neighbour and the old entry could have pruned it
-        there.  Those landmarks are queued.  Every vertex keeps the exact
-        entry of the lowest-ranked landmark on its shortest paths, so
-        answers stay exact; docs/UPDATES.md has the argument.
+        then) and the difference spliced in.  A rank that held at least
+        ``_LEVEL_MIN_ENTRIES`` entries re-runs on the level kernel, over
+        byte rows of the entries it prunes on, and is diffed as two byte
+        rows; the rest, and any rank whose distances a byte cannot hold,
+        re-run on the list kernel.  Both write the same entries.  A
+        rank-``k`` entry that grew or went can lift a later landmark's
+        prune: anywhere if it sits at that landmark's root, else at ``w``
+        if the landmark reached ``w`` from a pre-delete neighbour and the
+        old entry could have pruned it there.  Those landmarks are queued.
+        Every vertex keeps the exact entry of the lowest-ranked landmark
+        on its shortest paths, so answers stay exact; docs/UPDATES.md has
+        the argument.
 
         Returns ``(entries_added, entries_updated)``, removals counted as
         updates, and syncs :attr:`epoch` to the graph's.
@@ -619,37 +662,64 @@ class PrunedLandmarkLabeling:
                 heap.append(r)
         heapq.heapify(heap)
         queued = set(heap)
+        fresh: dict[int, tuple] = {}  # re-run ranks' new entries: owners, distances
+
+        def current(j: int) -> tuple:  # rank j's entries as this repair left them
+            if j in fresh:
+                return fresh[j]
+            return owners[bounds[j] : bounds[j + 1]], old_dists[bounds[j] : bounds[j + 1]]
+
+        seen = np.zeros(self._graph.num_vertices, dtype=bool)
         added = updated = 0
         while heap:
             k = heapq.heappop(heap)
-            lo, hi = bounds[k], bounds[k + 1]
-            old = dict(zip(owners[lo:hi].tolist(), old_dists[lo:hi].tolist()))
-            now = dict(_pruned_bfs(views, k, order[k]))
-            longer = [w for w in old if w not in now]
-            for w in longer:  # labelled before, pruned or unreached now
-                pos = bisect_left(ranks[w], k)
-                del ranks[w][pos], dists[w][pos]
-            updated += len(longer)
-            for w, d in now.items():
-                was = old.get(w, _FAR)
-                if d != was:
-                    if d > was:
-                        longer.append(w)
+            root = order[k]
+            rows = None
+            if bounds[k + 1] - bounds[k] >= _LEVEL_MIN_ENTRIES:
+                below = bisect_left(ranks[root], k)
+                rows = _level_rerun(
+                    self._graph, root, [*map(current, ranks[root][:below]), current(k)],
+                    dists[root][:below], seen,
+                )
+            if rows is None:
+                lo, hi = bounds[k], bounds[k + 1]
+                old = dict(zip(owners[lo:hi].tolist(), old_dists[lo:hi].tolist()))
+                now = dict(_pruned_bfs(views, k, root))
+                fresh[k] = list(now), list(now.values())
+                changes = [(w, _FAR) for w in old if w not in now]
+                changes += [(w, d) for w, d in now.items() if d != old.get(w, _FAR)]
+            else:
+                old_row, new_row = rows
+                changed = np.flatnonzero(old_row != new_row)
+                changes = list(zip(changed.tolist(), _far_where_none(new_row[changed]).tolist()))
+                kept = np.flatnonzero(new_row != _NO_ENTRY)
+                fresh[k] = kept, new_row[kept]
+            for w, d in changes:
+                if d == _FAR:  # labelled before, pruned or unreached now
+                    pos = bisect_left(ranks[w], k)
+                    del ranks[w][pos], dists[w][pos]
+                    updated += 1
+                else:
                     new = _put(ranks[w], dists[w], k, d)
                     added += new
                     updated += not new
-            suspects = {r for r in map(self.landmark_rank, longer) if r > k}
-            for w in longer:
-                reached = adj[adj_off[w] : adj_off[w + 1]]
-                if w in (u, v):
-                    reached.append(u + v - w)  # across the deleted edge
-                depth: dict[int, int] = {}
-                for x in reached:
-                    for r, e in later(x, k):
-                        depth[r] = min(depth.get(r, _FAR), e + 1)
-                suspects.update(
-                    r for r, dr in depth.items() if old.get(order[r], _FAR) + old[w] <= dr
-                )
+            if rows is not None:
+                grew = changed[old_row[changed] < new_row[changed]]  # 255: went
+                suspects = self._lifted(k, grew, _far_where_none(old_row), u, v)
+            else:
+                longer = [w for w, d in changes if d > old.get(w, _FAR)]
+                suspects = {r for r in map(self.landmark_rank, longer) if r > k}
+                for w in longer:
+                    reached = adj[adj_off[w] : adj_off[w + 1]]
+                    if w in (u, v):
+                        reached.append(u + v - w)  # across the deleted edge
+                    depth: dict[int, int] = {}
+                    for x in reached:
+                        for r, e in later(x, k):
+                            depth[r] = min(depth.get(r, _FAR), e + 1)
+                    suspects.update(
+                        r for r, dr in depth.items() if old.get(order[r], _FAR) + old[w] <= dr
+                    )
             for r in suspects - queued:
                 queued.add(r)
                 heapq.heappush(heap, r)
@@ -657,6 +727,40 @@ class PrunedLandmarkLabeling:
             self._finalize_labels()
         self._epoch = self._graph.epoch
         return added, updated
+
+    def _lifted(self, k: int, grew: np.ndarray, old: np.ndarray, u: int, v: int) -> set[int]:
+        """:meth:`rebuild_inplace`'s cascade over arrays, for the vertices
+        ``grew`` where a rank-``k`` entry grew or went: the later ranks
+        rooted at one of them, and those whose least depth ``e + 1`` at
+        some ``w`` in ``grew``, over ``w``'s neighbours, the old entries
+        could have pruned (``old`` by vertex, ``_FAR`` where none).  No
+        rank above ``k`` is re-run yet, so the frozen CSR holds theirs."""
+        lifted = {r for r in self._ranks_of(grew).tolist() if r > k}
+        offsets, neighbors = self._graph.raw_csr()
+        starts = offsets[grew]
+        counts = offsets[grew + 1] - starts
+        flat = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        flat += np.arange(flat.size)
+        owner, reached = np.repeat(grew, counts), neighbors[flat]
+        across = [w for w in (u, v) if w in grew]  # over the deleted edge
+        if across:
+            owner = np.concatenate((owner, across))
+            reached = np.concatenate((reached, [u + v - w for w in across]))
+        if not reached.size:
+            return lifted
+        entries, per = self._label_entries(reached)
+        rank = self._label_ranks_arr[entries]
+        above = rank > k
+        owner, rank = np.repeat(owner, per)[above], rank[above]
+        depth = self._label_dists_arr[entries[above]] + 1
+        key = owner * len(old) + rank  # one per (w, later rank): its least depth
+        by_key = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[by_key], prepend=-1))
+        depth = np.minimum.reduceat(depth[by_key], first)
+        owner, rank = owner[by_key[first]], rank[by_key[first]]
+        roots = np.asarray(self._order)[rank]
+        lifted.update(rank[old[roots] + old[owner] <= depth].tolist())
+        return lifted
 
     def _entries_by_rank(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """The frozen label CSR, rank-major: rank ``k``'s entries are
@@ -693,12 +797,16 @@ class PrunedLandmarkLabeling:
 
     def landmark_rank(self, v: int) -> int:
         """Rank of vertex ``v`` in the landmark order used at build time."""
-        # order[rank] = vertex  =>  invert lazily (only introspection needs it)
+        return int(self._ranks_of(v))
+
+    def _ranks_of(self, vertices):
+        """Landmark ranks of ``vertices`` (an int or an array)."""
+        # order[rank] = vertex  =>  invert lazily (only updates need it)
         if not hasattr(self, "_rank_of"):
             rank_of = np.empty(self._graph.num_vertices, dtype=np.int32)
             rank_of[self._order] = np.arange(self._graph.num_vertices)
             self._rank_of = rank_of
-        return int(self._rank_of[v])
+        return self._rank_of[vertices]
 
     def __repr__(self) -> str:
         return (

@@ -9,6 +9,7 @@ are reproducible run to run.
 from __future__ import annotations
 
 import random
+import zlib
 
 __all__ = ["seeded_rng", "spawn_rng"]
 
@@ -28,7 +29,9 @@ def spawn_rng(parent: random.Random, stream: str) -> random.Random:
     ``stream`` names the purpose (e.g. ``"labels"``, ``"edges"``) so that
     adding a new consumer of randomness does not perturb the draws of
     existing consumers — the child seed mixes the parent's state with the
-    stream name rather than consuming draws positionally.
+    stream name rather than consuming draws positionally.  The name is
+    mixed in by CRC-32, not :func:`hash`: string hashes are salted per
+    process, and a child must draw the same in every process.
     """
     base = parent.getrandbits(64)
-    return random.Random(hash((base, stream)) & 0xFFFFFFFFFFFFFFFF)
+    return random.Random((base << 32) | zlib.crc32(stream.encode()))

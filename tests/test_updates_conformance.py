@@ -10,6 +10,10 @@ maintained either refuses loudly (PML, stored bases) or heals itself
 
 from __future__ import annotations
 
+import random
+from copy import deepcopy
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -19,13 +23,15 @@ from repro.core.actions import NewEdge, NewVertex, Run
 from repro.core.blender import Boomer
 from repro.core.context import EngineContext
 from repro.core.cost import CostModel
+from repro.datasets.registry import _build_graph, dataset_config
 from repro.errors import StaleIndexError
 from repro.graph.algorithms import bfs_distances
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import wordnet_like
+from repro.indexing import pml
 from repro.indexing.batch import DistanceVectorCache, shared_distance_cache
 from repro.indexing.oracle import BFSOracle
-from repro.indexing.order import degree_order
+from repro.indexing.order import degree_order, random_order
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import hop_pairs, two_hop_counts
 from repro.storage import (
@@ -42,7 +48,7 @@ from repro.updates import (
     insert_edge,
 )
 from repro.utils.rng import seeded_rng
-from tests.conftest import build_fig2_graph
+from tests.conftest import build_cycle_graph, build_fig2_graph
 from tests.test_property_graph import labeled_graphs
 
 
@@ -68,6 +74,25 @@ def assert_matches_fresh_build(ctx):
             f"source {source}: maintained {got.tolist()} != fresh {want.tolist()}"
         )
     assert np.array_equal(ctx.two_hop, two_hop_counts(graph))
+
+
+def level_repair(threshold=1):
+    """Re-run every landmark of at least ``threshold`` old entries, on a
+    delete, through the level kernel."""
+    return mock.patch.object(pml, "_LEVEL_MIN_ENTRIES", threshold)
+
+
+def list_repair():
+    """Re-run every landmark, on a delete, through the list kernel."""
+    return level_repair(threshold=1 << 62)
+
+
+def assert_same_labels(got, want):
+    """Two PML indexes hold byte-identical labels, lists and frozen arrays."""
+    assert got._label_ranks == want._label_ranks
+    assert got._label_dists == want._label_dists
+    for name in ("_label_offsets", "_label_ranks_arr", "_label_dists_arr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def draw_step(data, graph):
@@ -103,6 +128,29 @@ class TestScheduleConformance:
             apply = insert_edge if kind == "insert" else delete_edge
             report = apply(ctx, u, v)
             assert report.epoch == graph.epoch == ctx.epoch
+        assert_matches_fresh_build(ctx)
+
+    @given(labeled_graphs(max_n=12), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_schedule_on_the_level_kernel(self, graph, data):
+        """The same schedules with every delete re-run on the level kernel:
+        after each step, labels and counts equal the list kernel's repair."""
+        ctx, twin = make_ctx(graph), make_ctx(deepcopy(graph))
+        for _ in range(data.draw(st.integers(1, 8))):
+            step = draw_step(data, graph)
+            if step is None:
+                break
+            kind, u, v = step
+            apply = insert_edge if kind == "insert" else delete_edge
+            with level_repair():
+                report = apply(ctx, u, v)
+            with list_repair():
+                want = apply(twin, u, v)
+            assert (report.labels_added, report.labels_updated) == (
+                want.labels_added,
+                want.labels_updated,
+            )
+            assert_same_labels(ctx.oracle, twin.oracle)
         assert_matches_fresh_build(ctx)
 
     @given(labeled_graphs(max_n=12), st.data())
@@ -185,6 +233,15 @@ class TestScheduleConformance:
     def test_delete_only_schedule_equals_same_order_build(self, seed):
         """After deletes alone, the repaired labels are byte for byte what a
         build in the kept landmark order stores."""
+        self.check_delete_only_schedule(seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_delete_only_schedule_on_the_level_kernel(self, seed):
+        with level_repair():
+            self.check_delete_only_schedule(seed)
+
+    @staticmethod
+    def check_delete_only_schedule(seed):
         graph = wordnet_like(150, seed=seed)
         order = degree_order(graph)  # the build's, kept through every delete
         ctx = make_ctx(graph, order)
@@ -195,6 +252,49 @@ class TestScheduleConformance:
             got, want = basis_from_context(ctx), basis_from_context(fresh)
             for name in ("pml_offsets", "pml_ranks", "pml_dists"):
                 assert np.array_equal(got.arrays[name], want.arrays[name]), name
+
+    def test_ledger_delete_takes_the_level_kernel(self):
+        """The first edge of the benchmark's update stream, inserted into
+        wordnet/small and deleted again: the delete re-runs at least one
+        landmark on the level kernel, and repairs exactly as the list
+        kernel does."""
+        graph = _build_graph(dataset_config("wordnet", "small"))
+        rng, n = random.Random(1), graph.num_vertices
+        while True:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v and not graph.has_edge(u, v):
+                break
+        ctx, twin = make_ctx(graph), make_ctx(deepcopy(graph))
+        for each in (ctx, twin):
+            insert_edge(each, u, v)
+        with mock.patch.object(pml, "_level_bfs", wraps=pml._level_bfs) as spy:
+            report = delete_edge(ctx, u, v)
+        assert spy.call_count >= 1
+        with list_repair():
+            want = delete_edge(twin, u, v)
+        assert (report.labels_added, report.labels_updated) == (
+            want.labels_added,
+            want.labels_updated,
+        )
+        assert_same_labels(ctx.oracle, twin.oracle)
+
+    @pytest.mark.parametrize("threshold", [1, pml._LEVEL_MIN_ENTRIES])
+    def test_delete_on_a_long_cycle(self, threshold):
+        """A 700-cycle's landmarks hold distances a byte cannot: those ranks
+        stay on the list kernel, and the labels equal both the list-only
+        repair's and a build in the same order.  (In a random landmark
+        order the labels are logarithmic; in degree order, vertex order on
+        a cycle, they are quadratic.)"""
+        graph = build_cycle_graph(700)
+        order = random_order(graph, seed=0)
+        ctx, twin = make_ctx(graph, order), make_ctx(deepcopy(graph), order)
+        for u, v in ((0, 1), (350, 351)):
+            with level_repair(threshold):
+                delete_edge(ctx, u, v)
+            with list_repair():
+                delete_edge(twin, u, v)
+            assert_same_labels(ctx.oracle, twin.oracle)
+            assert_same_labels(ctx.oracle, PrunedLandmarkLabeling.build(graph, order))
 
     def test_delete_report_counts_the_entries_it_changed(self):
         ctx = make_ctx(build_fig2_graph())

@@ -1,6 +1,13 @@
 """Tests for repro.utils.rng."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.utils.rng import seeded_rng, spawn_rng
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_seeded_rng_reproducible():
@@ -42,3 +49,19 @@ def test_spawned_child_independent_of_parent_consumption():
     _ = spawn_rng(p2, "a")  # spawned but never drawn from
     c2b = spawn_rng(p2, "b")
     assert c1b.random() == c2b.random()
+
+
+def test_spawn_rng_draws_the_same_in_every_process():
+    """String hashing is salted per process; a child's draws must not be."""
+    script = (
+        "from repro.utils.rng import seeded_rng, spawn_rng\n"
+        "print(spawn_rng(seeded_rng(2024), 'arrivals').random())"
+    )
+    draws = set()
+    for salt in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        draws.add(out.stdout)
+    assert len(draws) == 1
