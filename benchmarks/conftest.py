@@ -1,76 +1,15 @@
-"""Shared benchmark infrastructure.
+"""Shared benchmark knobs for ``bench_soak`` and ``bench_obs_overhead``.
 
-Each ``bench_*`` module regenerates one (or a few) of the paper's artifacts
-at the ``small`` scale.  Experiment runs are expensive, so they execute
-once per pytest session (cached in ``_table_cache``) and every benchmark
-function then:
-
-1. prints the regenerated table (the same rows/series the paper reports),
-2. asserts the paper's qualitative *shape* (who wins, roughly by how much),
-3. times a representative measured operation through pytest-benchmark
-   (rounds kept minimal — the interesting numbers are in the tables, the
-   benchmark timer documents the per-operation cost).
-
-Set ``REPRO_BENCH_SCALE=tiny`` to smoke the whole bench suite quickly
-(shape assertions are relaxed at tiny scale, where latency windows dwarf
-compute and several paper effects vanish by design).
+Set ``REPRO_BENCH_SCALE=tiny`` to smoke them quickly; their budgets are
+enforced only at the calibrated ``small`` scale.  The paper's artifacts
+are not benchmarks: ``python -m repro.experiments all`` regenerates them
+and checks the claims table (``repro.experiments.claims``).
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro.experiments import get_experiment
-from repro.experiments.harness import ExperimentTable
-
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
-#: Shape assertions only run at the calibrated benchmark scale.
+#: Budgets and shape assertions only run at the calibrated benchmark scale.
 ASSERT_SHAPES = SCALE == "small"
-
-_table_cache: dict[str, dict[str, ExperimentTable]] = {}
-
-
-def experiment_tables(exp_id: str) -> dict[str, ExperimentTable]:
-    """Run (once) and cache an experiment's tables, keyed by artifact."""
-    if exp_id not in _table_cache:
-        experiment = get_experiment(exp_id)
-        _table_cache[exp_id] = {t.artifact: t for t in experiment.run(scale=SCALE)}
-    return _table_cache[exp_id]
-
-
-def show(table: ExperimentTable) -> None:
-    """Print a regenerated artifact (pytest -s / bench logs capture it)."""
-    print()
-    print(table.render())
-
-
-def column(table: ExperimentTable, header: str) -> list:
-    """Extract one column by header name."""
-    index = table.headers.index(header)
-    return [row[index] for row in table.rows]
-
-
-def rows_where(table: ExperimentTable, **filters) -> list[list]:
-    """Rows whose named columns equal the given values."""
-    indices = {table.headers.index(k): v for k, v in filters.items()}
-    return [
-        row
-        for row in table.rows
-        if all(row[i] == v for i, v in indices.items())
-    ]
-
-
-def numeric(values: list) -> list[float]:
-    """Drop non-numeric cells (e.g. 'DNF') and coerce the rest."""
-    out = []
-    for v in values:
-        if isinstance(v, (int, float)):
-            out.append(float(v))
-    return out
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> str:
-    return SCALE

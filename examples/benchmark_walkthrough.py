@@ -1,7 +1,7 @@
 """Driving the experiment harness from Python.
 
-The benchmark suite (`pytest benchmarks/ --benchmark-only`) regenerates
-every paper artifact, but the harness is also a plain library: pick an
+`python -m repro.experiments all` regenerates every paper artifact and
+checks the claims table, but the harness is also a plain library: pick an
 experiment, run it at a scale, inspect the tables, render markdown.  This
 example runs the cheapest experiment (exp9, the simulated-user panel) at
 the tiny scale and shows the full reporting pipeline, including the
@@ -29,7 +29,7 @@ def main() -> None:
 
     # The markdown path is what writes EXPERIMENTS.md; claim verdicts are
     # evaluated over whatever artifacts the run produced (exp9 alone feeds
-    # none of the paper-claim checkers, so all verdicts come back "—").
+    # only the user-panel claim, so every other verdict comes back "—").
     verdicts = evaluate_claims({t.artifact: t for t in tables})
     undecidable = sum(1 for v in verdicts if v.passed is None)
     print(

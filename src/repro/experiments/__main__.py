@@ -5,6 +5,11 @@ Examples::
     python -m repro.experiments list
     python -m repro.experiments run exp1 exp2 --scale tiny
     python -m repro.experiments all --scale small --out EXPERIMENTS.md
+
+``run`` and ``all`` print every table and the claim verdicts, and exit 1
+when a claim expected at the run's scale FAILs (see
+:mod:`repro.experiments.claims`); claims whose tables the run did not
+produce are not evaluated.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from repro.experiments import (
     get_experiment,
     write_report,
 )
+from repro.experiments.claims import evaluate_claims, render_claims
 from repro.experiments.harness import ExperimentTable
 
 
@@ -59,9 +65,15 @@ def main(argv: list[str] | None = None) -> int:
 
     ids = sorted(EXPERIMENT_REGISTRY) if args.command == "all" else args.ids
     tables = _run_ids(ids, args.scale)
+    verdicts = evaluate_claims({t.artifact: t for t in tables})
+    print(render_claims(verdicts, args.scale))
     if args.out:
         path = write_report(tables, args.scale, args.out)
         print(f"report written to {path}", file=sys.stderr)
+    failing = [v.claim_id for v in verdicts if v.passed is False and v.expected_at(args.scale)]
+    if failing:
+        print(f"claims expected at {args.scale} that FAIL: {', '.join(failing)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -52,6 +52,8 @@ class Exp1PVSStrategies(Experiment):
                     round(three["srt"] * 1e3, 3),
                     round(one["srt"] * 1e3, 3),
                     round(speedup, 2),
+                    int(three["distance_queries"]),
+                    int(one["distance_queries"]),
                     int(three["matches"]),
                 ]
             )
@@ -59,7 +61,10 @@ class Exp1PVSStrategies(Experiment):
             experiment=self.id,
             artifact="Figure 5",
             title=self.title,
-            headers=["query", "3-strategy SRT (ms)", "1-strategy SRT (ms)", "speedup", "|V_delta|"],
+            headers=[
+                "query", "3-strategy SRT (ms)", "1-strategy SRT (ms)", "speedup",
+                "3-strategy dist. queries", "1-strategy dist. queries", "|V_delta|",
+            ],
             rows=rows,
             notes=[
                 "paper shape: 3-strategy < 1-strategy for every query",

@@ -123,6 +123,7 @@ class Exp3Strategies(Experiment):
                     s: average_sessions(bundle, instance, s, settings)
                     for s in ("IC", "DR", "DI")
                 }
+                same = len({r["matches"] for r in per_strategy.values()}) == 1
                 bu_cell = (
                     "DNF"
                     if bu.timed_out
@@ -137,6 +138,7 @@ class Exp3Strategies(Experiment):
                         round(per_strategy["DR"]["srt"] * 1e3, 3),
                         round(per_strategy["DI"]["srt"] * 1e3, 3),
                         int(per_strategy["DI"]["matches"]),
+                        "yes" if same else "no",
                     ]
                 )
                 cap_time_rows.append(
@@ -165,7 +167,10 @@ class Exp3Strategies(Experiment):
                 experiment=self.id,
                 artifact="Figure 7",
                 title="SRT: BU vs IC vs DR vs DI",
-                headers=["dataset", "query", "BU (ms)", "IC (ms)", "DR (ms)", "DI (ms)", "|V_delta|"],
+                headers=[
+                    "dataset", "query", "BU (ms)", "IC (ms)", "DR (ms)", "DI (ms)",
+                    "|V_delta|", "same answers",
+                ],
                 rows=srt_rows,
                 notes=["paper shape: BU >> IC >> DR ~ DI on wordnet/dblp; all ~equal on flickr", note_scale],
             ),

@@ -1,4 +1,5 @@
-"""Exp 4 — Figures 10/11/13: effect of varying the upper bound.
+"""Exp 4 — Figures 10/11/13: effect of varying the upper bound, and the
+§5.2 Remark's index footprint.
 
 Paper setup (Sec. 7.2 + Appendix D): templates Q2, Q5, Q6 on DBLP and
 Flickr; the *varied* edges sweep ``upper ∈ {1, 3, 5, 10}`` while a few
@@ -16,6 +17,12 @@ peak CAP size (Fig. 13).
 Expected shapes: cost and size grow with the bound but flatten (companion
 strict bounds keep pruning); DR/DI below IC at high bounds on DBLP; all
 orders of magnitude below BU.
+
+The footprint table sets the paper's §5.2 Remark against the same sweep:
+a static SPath-style k-neighbourhood index (every vertex's labels within
+``k`` hops) against the peak CAP of a DI session on dblp/Q2 at upper bound
+``k``.  The Remark's shape: the static index is far larger, and it grows
+with ``k``.
 """
 
 from __future__ import annotations
@@ -29,11 +36,13 @@ from repro.experiments.harness import (
     run_bu,
     scale_settings,
 )
+from repro.indexing.kneighborhood import KNeighborhoodIndex
 from repro.workload.generator import QueryInstance, instantiate
 
 __all__ = ["Exp4UpperBound", "exp4_plan", "UPPER_SWEEP"]
 
 UPPER_SWEEP = (1, 3, 5, 10)
+FOOTPRINT_KS = (1, 2, 3)
 
 #: (dataset, template) -> (pinned {edge: upper}, varied edge indices)
 _PLAN: dict[tuple[str, str], tuple[dict[int, int], tuple[int, ...]]] = {
@@ -68,7 +77,7 @@ class Exp4UpperBound(Experiment):
 
     id = "exp4"
     title = "Effect of varying the upper bound"
-    artifacts = ("Figure 10", "Figure 11", "Figure 13")
+    artifacts = ("Figure 10", "Figure 11", "Figure 13", "§5.2 footprint")
     datasets = ("dblp", "flickr")
     templates = ("Q2", "Q5", "Q6")
 
@@ -118,6 +127,7 @@ class Exp4UpperBound(Experiment):
                             int(per_strategy["IC"]["cap_peak_size"]),
                             int(per_strategy["DR"]["cap_peak_size"]),
                             int(per_strategy["DI"]["cap_peak_size"]),
+                            bundle.graph.num_vertices,
                         ]
                     )
         return [
@@ -145,8 +155,26 @@ class Exp4UpperBound(Experiment):
                 experiment=self.id,
                 artifact="Figure 13",
                 title="Peak CAP size vs upper bound",
-                headers=["dataset", "query", "upper", "IC", "DR", "DI"],
+                headers=["dataset", "query", "upper", "IC", "DR", "DI", "|V|"],
                 rows=size_rows,
                 notes=["paper shape: grows with bound, modest in absolute terms"],
             ),
+            self._footprint(scale, settings),
         ]
+
+    def _footprint(self, scale: str, settings) -> ExperimentTable:
+        bundle = get_dataset("dblp", scale)
+        rows: list[list[object]] = []
+        for k in FOOTPRINT_KS:
+            static = KNeighborhoodIndex(bundle.graph, k=k).total_entries()
+            instance = exp4_instance("dblp", "Q2", bundle.graph, upper=k)
+            peak = int(average_sessions(bundle, instance, "DI", settings)["cap_peak_size"])
+            rows.append([k, static, peak, round(static / max(peak, 1), 1)])
+        return ExperimentTable(
+            experiment=self.id,
+            artifact="§5.2 footprint",
+            title="Static k-neighbourhood index vs peak CAP (dblp, Q2 at upper k, DI)",
+            headers=["k", "static entries", "CAP peak", "ratio"],
+            rows=rows,
+            notes=["paper shape: the static index is far larger and grows with k"],
+        )

@@ -68,6 +68,7 @@ class Exp7QFS(Experiment):
                             round(per_strategy[s]["srt"] * 1e3, 3)
                             for s in ("IC", "DR", "DI")
                         ]
+                        + [int(per_strategy["DI"]["matches"])]
                     )
                     size_rows.append(
                         tag
@@ -90,7 +91,7 @@ class Exp7QFS(Experiment):
                 experiment=self.id,
                 artifact="Figure 16",
                 title="SRT per QFS (ms)",
-                headers=headers,
+                headers=headers + ["|V_delta|"],
                 rows=srt_rows,
                 notes=["paper shape: IC worst when expensive edges drawn early"],
             ),

@@ -45,7 +45,8 @@ class ScaleSettings:
 
 
 def scale_settings(scale: str) -> ScaleSettings:
-    """Harness knobs for ``tiny`` (tests) and ``small`` (benchmarks)."""
+    """Harness knobs for ``tiny`` (the tier-1 smoke) and ``small`` (the
+    rung where the paper's shape claims are expected to hold)."""
     if scale == "tiny":
         return ScaleSettings(scale="tiny", bu_timeout_seconds=5.0, max_results=5_000, repeats=1)
     if scale == "small":
@@ -74,7 +75,7 @@ class ExperimentTable:
     def to_markdown(self) -> str:
         """Markdown rendering (what EXPERIMENTS.md embeds)."""
         lines = [f"#### {self.artifact} — {self.title}", ""]
-        lines.append("| " + " | ".join(self.headers) + " |")
+        lines.append("| " + " | ".join(_md_cell(h) for h in self.headers) + " |")
         lines.append("|" + "|".join(["---"] * len(self.headers)) + "|")
         for row in self.rows:
             lines.append("| " + " | ".join(_md_cell(c) for c in row) + " |")
@@ -88,7 +89,7 @@ class ExperimentTable:
 def _md_cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
-    return str(value)
+    return str(value).replace("|", "\\|")  # a bare pipe would split the cell
 
 
 class Experiment:
@@ -149,8 +150,9 @@ def average_sessions(
 ) -> dict[str, float]:
     """Run ``repeats`` sessions and average the headline metrics.
 
-    Returned keys: ``srt``, ``cap_time``, ``cap_size``, ``matches``,
-    ``backlog``, ``deferred``, ``truncated`` (0/1).
+    Returned keys: ``srt``, ``cap_time``, ``cap_size``, ``cap_peak_size``,
+    ``matches``, ``backlog``, ``deferred``, ``distance_queries``,
+    ``truncated`` (0/1).
     """
     runs: list[SessionResult] = []
     count = repeats if repeats is not None else settings.repeats
@@ -175,6 +177,9 @@ def average_sessions(
         "backlog": statistics.fmean(r.backlog_seconds for r in runs),
         "deferred": statistics.fmean(
             r.run.counters["edges_deferred"] for r in runs
+        ),
+        "distance_queries": statistics.fmean(
+            r.run.counters["distance_queries"] for r in runs
         ),
         "truncated": float(any(r.run.matches.truncated for r in runs)),
     }

@@ -8,9 +8,9 @@ whereas the CAP index is built on the fly only for the current query's
 candidates.
 
 This module implements the signature index faithfully enough to quantify
-that argument (the ``bench_index_memory`` benchmark compares its footprint
-against the CAP index) and to serve as an alternative candidate-filtering
-primitive:
+that argument (exp4's ``§5.2 footprint`` table sets its footprint against
+the CAP index, checked by claims C23 and C24) and to serve as an
+alternative candidate-filtering primitive:
 
 * ``signature(v)`` — ``{label: min distance <= k}`` around ``v``;
 * ``vertices_with_label_within(label, b)`` — all vertices having some

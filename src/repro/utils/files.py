@@ -20,10 +20,17 @@ def write_atomic(path: str | Path, text: str) -> None:
 
     The bytes land in a sibling temp file, reach the disk, and only then
     take the final name (``os.replace`` is atomic within a filesystem):
-    a crash at any point leaves no torn file under ``path``.
+    a crash at any point leaves no torn file under ``path``.  The rename
+    itself lives in the parent directory's entries, so that directory is
+    fsynced too: without it a write reported done can vanish on power loss.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
         flush_to_disk(handle)
     os.replace(tmp, path)
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)

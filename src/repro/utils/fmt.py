@@ -1,8 +1,8 @@
 """Human-readable formatting for experiment reports.
 
 The experiment harness prints the same rows/series the paper reports; these
-helpers keep that output consistent across the seven experiment modules and
-the benchmark suite.
+helpers keep that output consistent across the experiment modules and the
+reports they print.
 """
 
 from __future__ import annotations

@@ -1,14 +1,27 @@
-"""End-to-end experiment-module runs at tiny scale (fast ones only).
+"""Experiment runs at tiny scale: the whole runner once, exp9 through the
+module API.
 
-The heavy experiments are exercised by the benchmark suite; here we run
-the cheapest experiment through the module API and the CLI to pin the
-plumbing (table structure, report writing).
+``python -m repro.experiments all --scale tiny`` is the structure check of
+the evaluation layer: every registered artifact is produced, every claim of
+:mod:`repro.experiments.claims` is evaluated, and every claim expected at
+``tiny`` holds.  The paper's shapes are expected at ``small``; the nightly
+claims job runs that rung.
 """
+
+import contextlib
+import io
+from unittest import mock
 
 import pytest
 
-from repro.experiments import get_experiment
-from repro.experiments.__main__ import main
+from repro.core.cost import GUILatencyConstants
+from repro.core.preprocessor import make_context, preprocess
+from repro.experiments import EXPERIMENT_REGISTRY, get_experiment
+from repro.experiments import __main__ as cli
+from repro.experiments.claims import ClaimVerdict, evaluate_claims
+from repro.graph.generators import wordnet_like
+from repro.gui.session import VisualSession
+from repro.workload.generator import instantiate
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +55,53 @@ class TestExp9Run:
         assert "| strategy |" in table.to_markdown()
 
 
-class TestCLIRun:
-    def test_run_with_report(self, tmp_path, capsys):
-        out = tmp_path / "mini.md"
-        code = main(["run", "exp9", "--scale", "tiny", "--out", str(out)])
-        assert code == 0
-        text = out.read_text()
-        assert "paper vs measured" in text
-        assert "exp9" in text
-        printed = capsys.readouterr().out
-        assert "User panel" in printed
+def test_all_at_tiny_produces_every_artifact_and_claim(tmp_path):
+    out = tmp_path / "EXPERIMENTS.tiny.md"
+    seen: dict = {}
+
+    def spy(tables):
+        seen["artifacts"] = set(tables)
+        seen["verdicts"] = evaluate_claims(tables)
+        return seen["verdicts"]
+
+    printed = io.StringIO()
+    with mock.patch.object(cli, "evaluate_claims", spy), contextlib.redirect_stdout(printed):
+        code = cli.main(["all", "--scale", "tiny", "--out", str(out)])
+    assert code == 0
+    report = out.read_text(encoding="utf-8")
+    assert "paper vs measured" in report and "## Claim verdicts" in report
+    assert "User panel" in printed.getvalue()
+    registered = {a for cls in EXPERIMENT_REGISTRY.values() for a in cls.artifacts}
+    assert seen["artifacts"] == registered
+    for artifact in registered:
+        assert f"#### {artifact} —" in report, artifact
+    unevaluated = [v.claim_id for v in seen["verdicts"] if v.passed is None]
+    assert not unevaluated
+    failing = [(v.claim_id, v.detail) for v in seen["verdicts"] if v.expected_at("tiny") and not v.passed]
+    assert not failing
+
+
+@pytest.mark.parametrize("rung, code", [("tiny", 1), ("small", 0), (None, 0)])
+def test_exit_code_follows_the_claims_expected_at_the_scale(rung, code):
+    verdict = ClaimVerdict("C0", "Figure 0", "stmt", False, "d", rung)
+    with mock.patch.object(cli, "_run_ids", return_value=[]), mock.patch.object(
+        cli, "evaluate_claims", return_value=[verdict]
+    ), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "exp9", "--scale", "tiny"]) == code
+
+
+def test_cap_and_pml_labels_scale_gently():
+    """Over a 200 -> 400 vertex WordNet analog, a session's CAP stays under
+    60 x |V| and the average PML label grows clearly sublinearly in |V|."""
+    sizes = []
+    for n in (200, 400):
+        graph = wordnet_like(n, seed=5)
+        pre = preprocess(graph, t_avg_samples=2000)
+        latency = GUILatencyConstants().scaled(0.02)
+        session = VisualSession(make_context(pre, latency=latency), latency)
+        instance = instantiate("Q2", graph, seed=3, dataset=f"wn{n}")
+        result = session.run(instance, strategy="DI", max_results=10_000)
+        assert result.cap_size < 60 * graph.num_vertices
+        sizes.append((graph.num_vertices, pre.pml.average_label_size()))
+    (n0, label0), (n1, label1) = sizes
+    assert label1 / max(label0, 1e-9) < (n1 / n0) * 0.75
