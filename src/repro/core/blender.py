@@ -520,14 +520,21 @@ class Boomer:
 
             enum_start = now()
             with self.tracer.span("run.enumerate") as espan:
+                counters = engine.ctx.counters
+                before = counters.rows_expanded, counters.dfs_steps
                 matches = partial_vertex_sets(
                     engine.query,
                     engine.cap,
                     matching_order=engine.query.matching_order,
                     max_results=self.max_results,
                     deadline=deadline,
+                    counters=counters,
                 )
-                espan.set(matches=len(matches))
+                espan.set(
+                    matches=len(matches),
+                    rows_expanded=counters.rows_expanded - before[0],
+                    dfs_steps=counters.dfs_steps - before[1],
+                )
             enumeration_seconds = now() - enum_start
         except Exception:
             record_run_counters(

@@ -38,6 +38,10 @@ class EngineCounters:
     edges_processed: int = 0
     edges_deferred: int = 0
     pool_probes: int = 0
+    #: V_Δ enumeration work: DFS frames popped, and the partial-match rows
+    #: whose children were gathered, summed over depths.
+    dfs_steps: int = 0
+    rows_expanded: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""

@@ -6,7 +6,8 @@ candidate per level whose pairs are AIVS-linked for every query edge — the
 paper's partial-matched vertex sets ``V_P``, collectively ``V_Δ``.
 
 The enumeration is a depth-first search over a reordered matching order
-(levels sorted by increasing ``|V_q|``, Algorithm 11 line 2): at each step
+(Algorithm 11 line 2, priced from the final CAP's pair blocks by
+:func:`reorder_matching_order` rather than sorted by ``|V_q|``): at each step
 the candidate pool for the next query vertex is the intersection of the
 AIVS sets of its already-matched query neighbors, and the 1-1 requirement
 of Definition 3.1 is enforced by excluding already-used data vertices.
@@ -38,6 +39,7 @@ from repro.core.query import BPHQuery
 from repro.errors import CAPStateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.context import EngineCounters
     from repro.utils.timing import Deadline
 
 __all__ = ["PartialMatches", "reorder_matching_order", "iter_partial_vertex_sets", "partial_vertex_sets"]
@@ -104,36 +106,68 @@ class PartialMatches:
 def reorder_matching_order(
     query: BPHQuery, cap: CAPIndex, matching_order: list[int] | None = None
 ) -> list[int]:
-    """Sort the matching order by increasing live candidate-set size.
+    """A matching order priced from the final CAP (Algorithm 11's ``Reorder``).
 
-    Smaller levels first means fewer DFS branches near the root — the
-    classic candidate-size heuristic, applied by Algorithm 11's
-    ``Reorder``.  Ties keep the user's original drawing order, which makes
-    enumeration deterministic.
+    Greedy: start at the smallest level, then take the unmatched vertex
+    adjacent to the matched set with the fewest expected children per row,
+    ``|V_v|`` times the selectivity ``|pairs(m, v)| / (|V_m| |V_v|)`` of the
+    edge to each matched neighbor ``m``.  Equal prices go to the vertex
+    with more unmatched neighbors (more edges checked early), then to one
+    adjacent to the vertex placed last (the DFS stays on a path), then to
+    the smaller id.  A vertex with no matched neighbor comes last, priced by
+    ``|V_v|``.  The order depends on the query graph and the final CAP
+    alone, never on the drawing order, so a truncated Run returns one
+    answer per query.
     """
-    base = matching_order if matching_order is not None else query.matching_order
-    position = {q: i for i, q in enumerate(base)}
-    return sorted(base, key=lambda q: (cap.candidate_count(q), position[q]))
+    left = set(matching_order if matching_order is not None else query.matching_order)
+    size = {q: cap.candidate_count(q) for q in left}
+    adjacent = {q: query.neighbors(q) for q in left}
+    children = {q: float(size[q]) for q in left}
+    matched = dict.fromkeys(left, 0)
+    order: list[int] = []
+    while left:
+        last = order[-1] if order else None
+        v = min(
+            left,
+            key=lambda q: (
+                not matched[q],
+                children[q],
+                matched[q] - len(adjacent[q]) if matched[q] else 0,
+                last not in adjacent[q],
+                q,
+            ),
+        )
+        order.append(v)
+        left.remove(v)
+        for w in adjacent[v] & left:
+            children[w] *= len(cap.pairs(v, w)) / max(1, size[v] * size[w])
+            matched[w] += 1
+    return order
 
 
 def _resolve_order(
     query: BPHQuery, cap: CAPIndex, matching_order: list[int] | None, reorder: bool
 ) -> list[int]:
+    for edge in query.edges():
+        if not cap.is_processed(edge.u, edge.v):
+            raise CAPStateError(
+                f"cannot enumerate: query edge {edge.key} is unprocessed"
+            )
     if reorder:
         return reorder_matching_order(query, cap, matching_order)
     return list(matching_order if matching_order is not None else query.matching_order)
 
 
 def _full_rows(
-    query: BPHQuery, cap: CAPIndex, order: list[int], deadline: "Deadline | None"
+    query: BPHQuery,
+    cap: CAPIndex,
+    order: list[int],
+    deadline: "Deadline | None",
+    counters: "EngineCounters | None" = None,
 ) -> Iterator[np.ndarray]:
     """Yield ``V_Δ`` as int32 ``(R, len(order))`` blocks of full-depth rows,
-    in DFS order over ``order`` with ascending candidates."""
-    for edge in query.edges():
-        if not cap.is_processed(edge.u, edge.v):
-            raise CAPStateError(
-                f"cannot enumerate: query edge {edge.key} is unprocessed"
-            )
+    in DFS order over ``order`` with ascending candidates; ``counters``
+    gains the frames popped and the rows expanded."""
     if not order:
         return
     # Per position: (column, block sources, block targets, block keys) of
@@ -154,6 +188,8 @@ def _full_rows(
         if deadline is not None:
             deadline.checkpoint("V_Delta enumeration")
         depth, rows, spans = stack.pop()
+        if counters is not None:
+            counters.dfs_steps += 1
         neighbors = matched[depth]
         if spans is None and neighbors:
             # Gather from the neighbor whose AIVS entries are fewest.
@@ -163,14 +199,17 @@ def _full_rows(
                 key=lambda span: (span[2] - span[1]).sum(),
             )
         elif spans is None:
-            # No matched neighbor yet (the candidate-size order can put a
-            # vertex before all of its neighbors): the whole level.
+            # No matched neighbor yet (a drawing order, or a disconnected
+            # query, can put a vertex before all of its neighbors): the
+            # whole level.
             whole = np.full(len(rows), cap.candidate_count(order[depth]))
             spans = (None, np.zeros_like(whole), whole)
         gathered, lo, hi = spans
         pool = neighbors[gathered][2] if neighbors else cap.candidates(order[depth])
         ends = np.cumsum(hi - lo)
         cut = max(1, int(ends.searchsorted(_CHUNK, "right")))
+        if counters is not None:
+            counters.rows_expanded += cut
         if cut < len(rows):
             stack.append((depth, rows[cut:], (gathered, lo[cut:], hi[cut:])))
         lo, counts, ends = lo[:cut], (hi - lo)[:cut], ends[:cut]
@@ -226,18 +265,21 @@ def partial_vertex_sets(
     max_results: int | None = None,
     reorder: bool = True,
     deadline: "Deadline | None" = None,
+    counters: "EngineCounters | None" = None,
 ) -> PartialMatches:
     """Collect ``V_Δ`` eagerly, optionally capped at ``max_results``.
 
     The cap exists because low-selectivity queries on permissive bounds can
     have combinatorially many matches; experiments set a generous cap and
     report truncation explicitly (DESIGN.md, "no silent caps"): the result
-    is ``truncated`` iff a ``max_results + 1``-th match exists.
+    is ``truncated`` iff a ``max_results + 1``-th match exists.  A
+    truncated answer is the first ``max_results`` rows of the DFS over the
+    (priced) order.
     """
     order = _resolve_order(query, cap, matching_order, reorder)
     blocks = [np.empty((0, len(order)), dtype=np.int32)]
     found = 0
-    for block in _full_rows(query, cap, order, deadline):
+    for block in _full_rows(query, cap, order, deadline, counters):
         blocks.append(block)
         found += len(block)
         if max_results is not None and found > max_results:

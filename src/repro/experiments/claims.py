@@ -372,11 +372,11 @@ def _qfs_sensitive(artifact: str) -> Check:
 def _fig16_same_answers(t: Tables) -> tuple[bool, str]:
     table = t["Figure 16"]
     answers: dict[tuple[str, str], set] = {}
-    for dataset, tag, count in zip(
-        _cells(table, "dataset"), _cells(table, "query+QFS"), _cells(table, "|V_delta|")
+    for dataset, tag, answer in zip(
+        _cells(table, "dataset"), _cells(table, "query+QFS"), _cells(table, "answer sha256")
     ):
-        answers.setdefault((dataset, tag.split("S")[0]), set()).add(count)
-    split = sorted(f"{d}/{q}" for (d, q), counts in answers.items() if len(counts) > 1)
+        answers.setdefault((dataset, tag.split("S")[0]), set()).add(answer)
+    split = sorted(f"{d}/{q}" for (d, q), digests in answers.items() if len(digests) > 1)
     return not split, f"queries whose answer depends on the QFS: {split or 'none'}"
 
 

@@ -68,7 +68,7 @@ class Exp7QFS(Experiment):
                             round(per_strategy[s]["srt"] * 1e3, 3)
                             for s in ("IC", "DR", "DI")
                         ]
-                        + [int(per_strategy["DI"]["matches"])]
+                        + [int(per_strategy["DI"]["matches"]), per_strategy["DI"]["answer"]]
                     )
                     size_rows.append(
                         tag
@@ -91,7 +91,7 @@ class Exp7QFS(Experiment):
                 experiment=self.id,
                 artifact="Figure 16",
                 title="SRT per QFS (ms)",
-                headers=headers + ["|V_delta|"],
+                headers=headers + ["|V_delta|", "answer sha256"],
                 rows=srt_rows,
                 notes=["paper shape: IC worst when expensive edges drawn early"],
             ),

@@ -8,8 +8,8 @@ A. **Scan choice** (Lemma 5.3/5.4): cost-model choice vs forced in-scan vs
    the block kernel (``indexing.twohop.hop_pairs``), where an in-scan is
    one shared pass from the other level, so they land within noise of
    each other; the counters still say how each source was scanned.
-B. **Enumeration reorder** (Algorithm 11): matching order sorted by |V_q|
-   vs user drawing order, on enumeration time.
+B. **Enumeration reorder** (Algorithm 11): the matching order priced from
+   the CAP's pair blocks vs user drawing order, on enumeration time.
 C. **Distance oracle** (footnote 5): PML vs memoized plain BFS, on CAP
    construction time of a large-upper query.
 D. **Post-formulation evaluators** (Sec. 8): BU (nested loop) vs distance

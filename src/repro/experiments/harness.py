@@ -9,6 +9,7 @@ place (BU timeout = the analog of the paper's 2-hour cap, enumeration cap).
 
 from __future__ import annotations
 
+import hashlib
 import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from repro.baseline.bu import BoomerUnaware, BUResult
 from repro.datasets.registry import DatasetBundle
 from repro.errors import ExperimentError
 from repro.gui.session import SessionResult, VisualSession
+from repro.service.protocol import match_block
 from repro.utils.fmt import ascii_table
 from repro.workload.generator import QueryInstance
 
@@ -147,12 +149,13 @@ def average_sessions(
     pruning: bool = True,
     force_large_upper: bool = False,
     repeats: int | None = None,
-) -> dict[str, float]:
+) -> dict[str, float | str]:
     """Run ``repeats`` sessions and average the headline metrics.
 
     Returned keys: ``srt``, ``cap_time``, ``cap_size``, ``cap_peak_size``,
     ``matches``, ``backlog``, ``deferred``, ``distance_queries``,
-    ``truncated`` (0/1).
+    ``truncated`` (0/1), and ``answer``: the first 12 hex digits of the
+    sha256 of the first session's canonical ``V_Δ`` (its wire JSON).
     """
     runs: list[SessionResult] = []
     count = repeats if repeats is not None else settings.repeats
@@ -182,6 +185,9 @@ def average_sessions(
             r.run.counters["distance_queries"] for r in runs
         ),
         "truncated": float(any(r.run.matches.truncated for r in runs)),
+        "answer": hashlib.sha256(
+            match_block(runs[0].run.matches).dumps().encode()
+        ).hexdigest()[:12],
     }
 
 

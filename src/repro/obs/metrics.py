@@ -344,6 +344,12 @@ def record_run_counters(
         "repro_cap_pairs_added_total", "AIVS pairs materialized"
     ).inc(counters.get("pairs_added", 0))
     reg.counter(
+        "repro_enum_dfs_steps_total", "V_delta DFS frames popped"
+    ).inc(counters.get("dfs_steps", 0))
+    reg.counter(
+        "repro_enum_rows_expanded_total", "V_delta partial rows expanded, over all depths"
+    ).inc(counters.get("rows_expanded", 0))
+    reg.counter(
         "repro_runs_total", "Run clicks by outcome", outcome=outcome
     ).inc()
     reg.histogram(

@@ -34,6 +34,8 @@ class TestCounters:
             "edges_processed",
             "edges_deferred",
             "pool_probes",
+            "dfs_steps",
+            "rows_expanded",
         }
         assert all(v == 0 for v in snap.values())
 

@@ -66,22 +66,6 @@ class TestPaperExample:
         assert got == want
 
 
-class TestReorder:
-    def test_sorted_by_candidate_size(self, fig2_run):
-        order = reorder_matching_order(fig2_run.query, fig2_run.cap)
-        sizes = [fig2_run.cap.candidate_count(q) for q in order]
-        assert sizes == sorted(sizes)
-
-    def test_ties_keep_user_order(self, fig2_run):
-        cap = fig2_run.cap
-        # make all levels the same size artificially
-        base = fig2_run.query.matching_order
-        order = reorder_matching_order(fig2_run.query, cap, base)
-        # q2 (level C, 1 candidate) must come first
-        assert order[0] == 2
-        _ = base
-
-
 class TestEnumeration:
     def test_unprocessed_edge_rejected(self, fig2_ctx):
         boomer = Boomer(fig2_ctx, strategy="DR")
@@ -209,6 +193,39 @@ def built_caps(draw):
     for u, v in edges:
         boomer.apply(NewEdge(u, v, 1, draw(st.integers(1, 3))))
     return boomer.query, boomer.cap, list(draw(st.permutations(range(n))))
+
+
+class TestReorder:
+    """The priced order: connected, ties by vertex id, blind to drawing."""
+
+    def test_starts_at_the_smallest_level(self, fig2_run):
+        query, cap = fig2_run.query, fig2_run.cap
+        order = reorder_matching_order(query, cap)
+        assert order[0] == min(order, key=lambda q: (cap.candidate_count(q), q))
+        assert sorted(order) == sorted(query.matching_order)
+
+    def test_ties_break_by_vertex_id(self, fig2_ctx):
+        # A triangle of B vertices with equal bounds: every level and every
+        # pair block is the same size, so each step is a tie.
+        boomer = Boomer(fig2_ctx, strategy="IC")
+        for q in (2, 0, 1):
+            boomer.apply(NewVertex(q, "B"))
+        for u, v in ((2, 0), (0, 1), (1, 2)):
+            boomer.apply(NewEdge(u, v, 1, 2))
+        sizes = {boomer.cap.candidate_count(q) for q in (0, 1, 2)}
+        blocks = {len(boomer.cap.pairs(u, v)) for u in (0, 1, 2) for v in (0, 1, 2) if u != v}
+        assert len(sizes) == len(blocks) == 1
+        assert reorder_matching_order(boomer.query, boomer.cap) == [0, 1, 2]
+
+    @given(built_caps())
+    @settings(max_examples=100, deadline=None)
+    def test_connected_and_the_same_for_every_drawing_order(self, built):
+        query, cap, drawn = built
+        order = reorder_matching_order(query, cap, drawn)
+        assert order == reorder_matching_order(query, cap)
+        assert sorted(order) == sorted(drawn)
+        for i, q in enumerate(order[1:], start=1):
+            assert query.neighbors(q) & set(order[:i])
 
 
 class TestBlockDFSConformance:

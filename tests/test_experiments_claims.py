@@ -95,8 +95,8 @@ def make_passing_tables():
         ),
         _table(
             "Figure 16",
-            ["dataset", "query+QFS", "IC", "DR", "DI", "|V_delta|"],
-            [[d, q, ic, 10.0, 10.0, 7] for (d, q), ic in zip(QFS, (100.0, 10.0))],
+            ["dataset", "query+QFS", "IC", "DR", "DI", "|V_delta|", "answer sha256"],
+            [[d, q, ic, 10.0, 10.0, 7, "9f86d081884c"] for (d, q), ic in zip(QFS, (100.0, 10.0))],
         ),
         _table(
             "Figure 17",
@@ -163,6 +163,13 @@ def test_failing_claim_detected():
     verdicts = {v.claim_id: v for v in evaluate_claims(tables)}
     assert verdicts["C1"].passed is False
     assert verdicts["C2"].passed is True
+
+
+def test_c31_compares_answers_not_counts():
+    tables = make_passing_tables()
+    tables["Figure 16"].rows[1][-1] = "60303ae22b99"  # the same |V_delta|, other rows
+    verdicts = {v.claim_id: v for v in evaluate_claims(tables)}
+    assert verdicts["C31"].passed is False
 
 
 def test_render_claims_marks():
