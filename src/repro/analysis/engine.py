@@ -12,10 +12,8 @@ at all is reported as a ``PARSE`` violation rather than aborting the
 run: CI should list every problem of a tree in one pass, and a broken
 module must not hide rule hits in the other hundred.
 
-One pass: every rule sees one module at a time, and its hits go through
-that module's inline suppressions.  With a
-:class:`~repro.analysis.cache.LintCache` attached, a content-unchanged
-file is served from the cache instead of being parsed again.
+One pass: every rule sees one module at a time, and every hit is
+reported.  No comment in the source can silence a rule.
 """
 
 from __future__ import annotations
@@ -23,17 +21,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.cache import LintCache, ruleset_signature
 from repro.analysis.registry import Rule, Violation, all_rules, get_rules
-from repro.analysis.suppress import Suppressions, parse_suppressions
 from repro.errors import LintUsageError
 
 __all__ = ["ModuleSource", "LintReport", "LintEngine", "module_key", "iter_python_files"]
 
-#: Rule id used for files the parser rejects (not suppressible per-line:
-#: a file that does not parse has no trustworthy line table).
+#: Rule id used for files that cannot be read, decoded or parsed.
 PARSE_RULE = "PARSE"
 
 
@@ -95,9 +90,7 @@ class ModuleSource:
     path: Path
     display: str  # path as given (what violations print)
     key: str  # repro-rooted key (what scoping matches)
-    text: str
     tree: ast.Module
-    suppressions: Suppressions
 
 
 @dataclass
@@ -106,24 +99,11 @@ class LintReport:
 
     violations: list[Violation] = field(default_factory=list)
     files_checked: int = 0
-    suppressed: int = 0
-    #: Files served from the incremental cache (0 without a cache).
-    cache_hits: int = 0
 
     @property
     def ok(self) -> bool:
         """True when the tree is clean (exit code 0)."""
         return not self.violations
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready form (the CLI's ``--format json`` output)."""
-        return {
-            "ok": self.ok,
-            "files_checked": self.files_checked,
-            "suppressed": self.suppressed,
-            "cache_hits": self.cache_hits,
-            "violations": [v.to_dict() for v in self.violations],
-        }
 
 
 class LintEngine:
@@ -134,25 +114,16 @@ class LintEngine:
 
     @classmethod
     def for_rule_ids(cls, ids: Iterable[str]) -> "LintEngine":
-        """An engine restricted to the given rule ids (CLI ``--rules``)."""
+        """An engine restricted to the given rule ids."""
         return cls(rules=get_rules(ids))
 
-    def open_cache(self, path: Path) -> LintCache:
-        """An incremental cache bound to this engine's rule set."""
-        return LintCache(path, ruleset_signature(r.id for r in self.rules))
-
     # -- entry points ----------------------------------------------------
-    def lint_paths(
-        self, paths: Iterable[Path], cache: LintCache | None = None
-    ) -> LintReport:
+    def lint_paths(self, paths: Iterable[Path]) -> LintReport:
         """Lint every .py file under ``paths`` (files or directories)."""
         report = LintReport()
         for path in iter_python_files(paths):
-            self._lint_file(path, report, cache)
+            self._lint_file(path, report)
         report.violations.sort(key=lambda v: v.sort_key)
-        if cache is not None:
-            cache.save()
-            report.cache_hits = cache.hits
         return report
 
     def lint_source(self, text: str, path: Path | str = "<string>") -> LintReport:
@@ -166,9 +137,7 @@ class LintEngine:
         return report
 
     # -- per-file pass ----------------------------------------------------
-    def _lint_file(
-        self, path: Path, report: LintReport, cache: LintCache | None
-    ) -> None:
+    def _lint_file(self, path: Path, report: LintReport) -> None:
         report.files_checked += 1
         display = str(path)
         try:
@@ -184,12 +153,6 @@ class LintEngine:
                 )
             )
             return
-        if cache is not None:
-            digest = cache.digest(data)
-            entry = cache.lookup(digest)
-            if entry is not None:
-                self._restore(entry, display, report)
-                return
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -205,14 +168,8 @@ class LintEngine:
             )
             return
         module = self._parse(path, display, text, report)
-        if module is None:
-            return
-        kept, suppressed = self._check(module, report)
-        if cache is not None:
-            cache.store(
-                digest,
-                {"violations": [v.to_dict() for v in kept], "suppressed": suppressed},
-            )
+        if module is not None:
+            self._check(module, report)
 
     def _parse(
         self, path: Path, display: str, text: str, report: LintReport
@@ -234,41 +191,10 @@ class LintEngine:
             path=path,
             display=display,
             key=module_key(path),
-            text=text,
             tree=tree,
-            suppressions=parse_suppressions(text),
         )
 
-    def _check(
-        self, module: ModuleSource, report: LintReport
-    ) -> tuple[list[Violation], int]:
-        """Run every rule on ``module``; returns (kept hits, suppressed count)."""
-        kept: list[Violation] = []
-        suppressed = 0
+    def _check(self, module: ModuleSource, report: LintReport) -> None:
+        """Run every rule on ``module``."""
         for rule in self.rules:
-            for violation in rule.check(module):
-                if module.suppressions.suppressed(violation.rule, violation.line):
-                    suppressed += 1
-                else:
-                    kept.append(violation)
-        report.violations.extend(kept)
-        report.suppressed += suppressed
-        return kept, suppressed
-
-    def _restore(
-        self, entry: dict[str, Any], display: str, report: LintReport
-    ) -> None:
-        """Fold one cache entry into the run, re-rooting stored paths
-        (the same bytes may be linted under a different display path)."""
-        for payload in entry.get("violations", []):
-            violation = Violation.from_dict(payload)
-            if violation.path != display:
-                violation = Violation(
-                    rule=violation.rule,
-                    path=display,
-                    line=violation.line,
-                    col=violation.col,
-                    message=violation.message,
-                )
-            report.violations.append(violation)
-        report.suppressed += int(entry.get("suppressed", 0))
+            report.violations.extend(rule.check(module))

@@ -8,9 +8,8 @@ themselves at import time via :func:`register`, so adding a rule is:
 subclass :class:`Rule`, decorate, write fixtures and a seeded mutation.
 
 Rules receive a :class:`~repro.analysis.engine.ModuleSource` (path key +
-parsed tree) and yield :class:`Violation` records; the engine applies
-inline suppressions (:mod:`repro.analysis.suppress`) afterwards, so rules
-never need to reason about ``# boomerlint:`` comments themselves.
+parsed tree) and yield :class:`Violation` records; the engine reports
+every one of them.
 """
 
 from __future__ import annotations
@@ -41,27 +40,6 @@ class Violation:
         """``file:line:col: RULE message`` — the CLI's text output line."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready form (the CLI's ``--format json`` output)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "Violation":
-        """Inverse of :meth:`to_dict` (the incremental cache's restore)."""
-        return cls(
-            rule=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            col=int(payload["col"]),  # type: ignore[arg-type]
-            message=str(payload["message"]),
-        )
-
     @property
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -70,8 +48,8 @@ class Violation:
 class Rule:
     """Base class for boomerlint rules.
 
-    Subclasses set ``id`` (``R<n>``), ``title`` (one line, shown by
-    ``repro lint --list-rules``) and implement :meth:`check`.
+    Subclasses set ``id`` (``R<n>``), ``title`` (one line, the rule's
+    invariant) and implement :meth:`check`.
     """
 
     id: str = ""

@@ -27,8 +27,8 @@ R12, the class-wide lock-guard rule, lives in
 mutation of a real module shows it catching a defect the runtime tests
 do not (docs/ANALYSIS.md).  Rules are scoped by module key (see
 :func:`repro.analysis.engine.module_key`) so fixtures reproduce the
-package layout to opt in.  Suppress a deliberate exception inline:
-``# boomerlint: disable=R2`` (docs/ANALYSIS.md).
+package layout to opt in.  No comment silences a rule: a deliberate
+exception is a change to the rule's scope, made here and reviewed.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ Subcommands::
     python -m repro obs tree --trace trace.json [--max-depth 3]
     python -m repro obs metrics --port 7474 [--format json]
     python -m repro update-check [--seed 7] [--rounds 3] [--steps 12]
-    python -m repro lint src/repro [--rules R1,R2] [--format json]
+    python -m repro lint src/repro
 
 ``serve`` hosts the multi-session query service (see docs/SERVICE.md): a
 JSON-lines-over-TCP protocol multiplexing many concurrent visual sessions
@@ -526,42 +526,16 @@ def _cmd_update_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
+    from repro.analysis import LintEngine, rule_ids
 
-    from repro.analysis import LintEngine, rule_ids, to_sarif
-
-    if args.list_rules:
-        for rule in LintEngine().rules:
-            print(f"{rule.id}  {rule.title}")
-        return EXIT_OK
-    if args.rules:
-        wanted = [r.strip() for r in args.rules.split(",") if r.strip()]
-        engine = LintEngine.for_rule_ids(wanted)
+    report = LintEngine().lint_paths(args.paths)
+    for violation in report.violations:
+        print(violation.format())
+    if report.ok:
+        summary = f"clean: {report.files_checked} file(s), rules {', '.join(rule_ids())}"
     else:
-        engine = LintEngine()
-    cache = engine.open_cache(Path(args.cache)) if args.cache else None
-    report = engine.lint_paths(args.paths, cache=cache)
-
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(json.dumps(to_sarif(report, engine.rules), indent=2))
-    else:
-        for violation in report.violations:
-            print(violation.format())
-        summary = (
-            f"{len(report.violations)} violation(s) in "
-            f"{report.files_checked} file(s) ({report.suppressed} suppressed)"
-        )
-        print(summary if report.violations or report.suppressed else
-              f"clean: {report.files_checked} file(s), "
-              f"rules {', '.join(rule_ids())}", file=sys.stderr)
-        if cache is not None:
-            print(
-                f"cache: {cache.hits} hit(s), {cache.misses} miss(es)",
-                file=sys.stderr,
-            )
+        summary = f"{len(report.violations)} violation(s) in {report.files_checked} file(s)"
+    print(summary, file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_ERROR
 
 
@@ -760,18 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="list rules and exit"
-    )
-    lint.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    lint.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="content-hash incremental cache (created if absent)",
     )
     lint.set_defaults(func=_cmd_lint)
     return parser

@@ -13,7 +13,6 @@ __all__ = [
     "GraphError",
     "GraphBuildError",
     "VertexNotFoundError",
-    "EdgeNotFoundError",
     "GraphIOError",
     "QueryError",
     "QueryValidationError",
@@ -89,14 +88,6 @@ class VertexNotFoundError(GraphError, KeyError):
     def __init__(self, vertex: int) -> None:
         super().__init__(f"vertex {vertex!r} is not in the graph")
         self.vertex = vertex
-
-
-class EdgeNotFoundError(GraphError, KeyError):
-    """Raised when an operation references an edge the graph lacks."""
-
-    def __init__(self, u: int, v: int) -> None:
-        super().__init__(f"edge ({u!r}, {v!r}) is not in the graph")
-        self.edge = (u, v)
 
 
 class GraphIOError(GraphError):

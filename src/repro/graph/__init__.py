@@ -10,16 +10,8 @@ the in-scan cost model of Lemma 5.3) and a label -> vertices inverted index
 
 from repro.graph.graph import Graph
 from repro.graph.builder import GraphBuilder
-from repro.graph.io import (
-    load_edge_list,
-    save_edge_list,
-    load_json,
-    save_json,
-)
+from repro.graph.io import load_edge_list, save_edge_list
 from repro.graph.generators import (
-    erdos_renyi,
-    barabasi_albert,
-    watts_strogatz,
     assign_labels_uniform,
     assign_labels_zipf,
     wordnet_like,
@@ -29,10 +21,8 @@ from repro.graph.generators import (
 from repro.graph.algorithms import (
     bfs_distances,
     distance,
-    k_hop_neighborhood,
     connected_components,
     largest_component,
-    has_path_within,
     region_around,
 )
 from repro.graph.paths import bounded_paths, iter_bounded_paths
@@ -43,11 +33,6 @@ __all__ = [
     "GraphBuilder",
     "load_edge_list",
     "save_edge_list",
-    "load_json",
-    "save_json",
-    "erdos_renyi",
-    "barabasi_albert",
-    "watts_strogatz",
     "assign_labels_uniform",
     "assign_labels_zipf",
     "wordnet_like",
@@ -55,10 +40,8 @@ __all__ = [
     "flickr_like",
     "bfs_distances",
     "distance",
-    "k_hop_neighborhood",
     "connected_components",
     "largest_component",
-    "has_path_within",
     "region_around",
     "bounded_paths",
     "iter_bounded_paths",

@@ -2,9 +2,8 @@
 
 These are the unindexed primitives: breadth-first distances (the ground
 truth the PML index is tested against, and the BFS distance oracle),
-k-hop neighborhoods (the two-hop search of Lemma 5.4), connected components
-(used when extracting the largest component of generated datasets and when
-rolling back CAP regions).
+connected components (used when extracting the largest component of
+generated datasets) and the small regions results are drawn on.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from repro.graph.graph import Graph
 __all__ = [
     "bfs_distances",
     "distance",
-    "k_hop_neighborhood",
     "connected_components",
     "largest_component",
-    "has_path_within",
     "region_around",
 ]
 
@@ -82,17 +79,6 @@ def distance(graph: Graph, u: int, v: int, cutoff: int | None = None) -> int:
     return UNREACHABLE
 
 
-def k_hop_neighborhood(graph: Graph, source: int, k: int) -> set[int]:
-    """All vertices within ``k`` hops of ``source`` (excluding ``source``)."""
-    if k <= 0:
-        return set()
-    result: set[int] = set()
-    dist = bfs_distances(graph, source, cutoff=k)
-    for v in np.nonzero((dist > 0))[0]:
-        result.add(int(v))
-    return result
-
-
 def connected_components(graph: Graph) -> list[list[int]]:
     """Connected components as vertex-id lists, largest first."""
     offsets, neighbors = graph.raw_csr()
@@ -127,42 +113,6 @@ def largest_component(graph: Graph) -> Graph:
     if not components:
         return graph
     return graph.induced_subgraph(sorted(components[0]))
-
-
-def has_path_within(graph: Graph, u: int, v: int, lower: int, upper: int) -> bool:
-    """True iff a *simple* path of length in ``[lower, upper]`` joins u and v.
-
-    This is the semantic ground truth of the edge-bound constraint
-    (Definition 3.1), implemented as bounded DFS.  Exponential in the worst
-    case — it exists for tests and small visual regions, not for the query
-    engine (which uses the CAP index + DetectPath).
-    """
-    if lower > upper:
-        return False
-    if u == v:
-        return False  # matching paths are non-empty (Definition in Sec. 2)
-    offsets, neighbors = graph.raw_csr()
-    on_path = {u}
-
-    def dfs(x: int, steps: int) -> bool:
-        if steps > upper:
-            return False
-        if x == v:
-            return steps >= lower
-        if steps == upper:
-            return False
-        for idx in range(int(offsets[x]), int(offsets[x + 1])):
-            w = int(neighbors[idx])
-            if w in on_path:
-                continue
-            on_path.add(w)
-            if dfs(w, steps + 1):
-                on_path.discard(w)
-                return True
-            on_path.discard(w)
-        return False
-
-    return dfs(u, 0)
 
 
 def region_around(

@@ -3,22 +3,19 @@
 The paper evaluates on WordNet (82K vertices / 125K edges / 5 labels),
 DBLP (317K / 1.1M / 100 random labels) and Flickr (1.8M / 23M / 3000 random
 labels).  A pure-Python path-indexing stack cannot hold those scales in an
-interactive loop (reproduction band repro=3), so this module provides:
+interactive loop (reproduction band repro=3), so this module provides
+dataset *emulators* (:func:`wordnet_like`, :func:`dblp_like`,
+:func:`flickr_like`) that reproduce, at a configurable reduced scale, the
+properties the BOOMER algorithms are actually sensitive to:
 
-* generic random-graph generators (Erdős–Rényi, Barabási–Albert,
-  Watts–Strogatz), and
-* dataset *emulators* (:func:`wordnet_like`, :func:`dblp_like`,
-  :func:`flickr_like`) that reproduce, at a configurable reduced scale, the
-  properties the BOOMER algorithms are actually sensitive to:
+- the edge/vertex density ratio of each dataset (1.5 / 3.5 / ~13),
+- the label-alphabet size (5 / 100 / 3000) and, for WordNet, the skewed
+  label frequencies (nouns dominate) that create the huge candidate sets
+  |V_q| which make edges "expensive",
+- heavy-tailed degrees and ultra-small-world distances (preferential
+  attachment), which drive both PML label sizes and path-search costs.
 
-  - the edge/vertex density ratio of each dataset (1.5 / 3.5 / ~13),
-  - the label-alphabet size (5 / 100 / 3000) and, for WordNet, the skewed
-    label frequencies (nouns dominate) that create the huge candidate sets
-    |V_q| which make edges "expensive",
-  - heavy-tailed degrees and ultra-small-world distances (preferential
-    attachment), which drive both PML label sizes and path-search costs.
-
-All generators take an explicit seed and return the largest connected
+All emulators take an explicit seed and return the largest connected
 component so that distance queries are meaningful.
 """
 
@@ -33,9 +30,6 @@ from repro.graph.graph import Graph
 from repro.utils.rng import seeded_rng
 
 __all__ = [
-    "erdos_renyi",
-    "barabasi_albert",
-    "watts_strogatz",
     "assign_labels_uniform",
     "assign_labels_zipf",
     "wordnet_like",
@@ -50,116 +44,6 @@ Label = Hashable
 #: part-of-speech character codes n/v/a/s/r.
 WORDNET_LABELS: tuple[str, ...] = ("n", "v", "a", "s", "r")
 WORDNET_LABEL_WEIGHTS: tuple[float, ...] = (0.70, 0.12, 0.06, 0.09, 0.03)
-
-
-def _unlabeled_placeholder(n: int) -> list[str]:
-    return ["_"] * n
-
-
-def erdos_renyi(
-    n: int,
-    num_edges: int,
-    seed: int = 0,
-    labels: Sequence[Label] | None = None,
-) -> Graph:
-    """G(n, m) random graph with exactly ``num_edges`` distinct edges.
-
-    ``labels`` (length ``n``) assigns vertex labels; defaults to ``"_"``.
-    """
-    if n < 0 or num_edges < 0:
-        raise GraphBuildError("n and num_edges must be non-negative")
-    max_edges = n * (n - 1) // 2
-    if num_edges > max_edges:
-        raise GraphBuildError(
-            f"cannot place {num_edges} edges in a simple graph on {n} vertices"
-        )
-    rng = seeded_rng(seed)
-    builder = GraphBuilder(name=f"er-{n}-{num_edges}")
-    builder.add_vertices(labels if labels is not None else _unlabeled_placeholder(n))
-    placed = 0
-    while placed < num_edges:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if builder.add_edge_if_absent(u, v):
-            placed += 1
-    return builder.build()
-
-
-def barabasi_albert(
-    n: int,
-    m_attach: int,
-    seed: int = 0,
-    labels: Sequence[Label] | None = None,
-    name: str | None = None,
-) -> Graph:
-    """Barabási–Albert preferential attachment graph.
-
-    Each new vertex attaches to ``m_attach`` distinct existing vertices with
-    probability proportional to degree (implemented via the standard
-    repeated-endpoint trick: sampling uniformly from the list of all edge
-    endpoints is equivalent to degree-proportional sampling).
-    """
-    if m_attach < 1:
-        raise GraphBuildError("m_attach must be >= 1")
-    if n <= m_attach:
-        raise GraphBuildError("n must exceed m_attach")
-    rng = seeded_rng(seed)
-    builder = GraphBuilder(name=name or f"ba-{n}-{m_attach}")
-    builder.add_vertices(labels if labels is not None else _unlabeled_placeholder(n))
-
-    # Seed clique-ish core: a path over the first m_attach + 1 vertices.
-    endpoints: list[int] = []
-    for v in range(1, m_attach + 1):
-        builder.add_edge(v - 1, v)
-        endpoints.extend((v - 1, v))
-
-    for v in range(m_attach + 1, n):
-        targets: set[int] = set()
-        while len(targets) < m_attach:
-            targets.add(endpoints[rng.randrange(len(endpoints))])
-        for t in targets:
-            builder.add_edge(v, t)
-            endpoints.extend((v, t))
-    return builder.build()
-
-
-def watts_strogatz(
-    n: int,
-    k: int,
-    beta: float,
-    seed: int = 0,
-    labels: Sequence[Label] | None = None,
-) -> Graph:
-    """Watts–Strogatz small-world graph (ring lattice + rewiring).
-
-    ``k`` must be even; each vertex starts connected to its ``k`` nearest
-    ring neighbors and each lattice edge is rewired with probability
-    ``beta``.
-    """
-    if k % 2 != 0 or k < 2:
-        raise GraphBuildError("k must be even and >= 2")
-    if not 0.0 <= beta <= 1.0:
-        raise GraphBuildError("beta must be in [0, 1]")
-    if n <= k:
-        raise GraphBuildError("n must exceed k")
-    rng = seeded_rng(seed)
-    builder = GraphBuilder(name=f"ws-{n}-{k}-{beta}")
-    builder.add_vertices(labels if labels is not None else _unlabeled_placeholder(n))
-    for u in range(n):
-        for j in range(1, k // 2 + 1):
-            v = (u + j) % n
-            if rng.random() < beta:
-                # Rewire to a uniform random non-neighbor; skip on failure
-                # after a few tries to avoid pathological loops on dense k.
-                for _ in range(8):
-                    w = rng.randrange(n)
-                    if builder.add_edge_if_absent(u, w):
-                        break
-                else:
-                    builder.add_edge_if_absent(u, v)
-            else:
-                builder.add_edge_if_absent(u, v)
-    return builder.build()
 
 
 # ---------------------------------------------------------------------------

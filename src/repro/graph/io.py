@@ -1,31 +1,25 @@
 """Serialization of data graphs.
 
-Two formats are supported:
+One format: a plain-text *edge list* compatible with how SNAP-style
+datasets (the paper's WordNet/DBLP/Flickr sources) ship::
 
-* a plain-text *edge list* format compatible with how SNAP-style datasets
-  (the paper's WordNet/DBLP/Flickr sources) ship::
+    # comment lines start with '#'
+    v <id> <label>
+    e <u> <v>
 
-      # comment lines start with '#'
-      v <id> <label>
-      e <u> <v>
-
-  Vertex ids must be dense ``0..n-1``; every vertex line must precede the
-  edge lines that use it (conventionally all ``v`` lines come first).
-
-* a JSON format carrying ``{"name", "labels", "edges"}`` for interop with
-  notebook tooling.
+Vertex ids must be dense ``0..n-1``; every vertex line must precede the
+edge lines that use it (conventionally all ``v`` lines come first).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.errors import GraphIOError
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 
-__all__ = ["save_edge_list", "load_edge_list", "save_json", "load_json"]
+__all__ = ["save_edge_list", "load_edge_list"]
 
 
 def save_edge_list(graph: Graph, path: str | Path) -> None:
@@ -82,30 +76,3 @@ def load_edge_list(path: str | Path, name: str | None = None) -> Graph:
             except Exception as exc:  # GraphBuildError / VertexNotFoundError
                 raise GraphIOError(f"{path}:{lineno}: {exc}") from exc
     return builder.build()
-
-
-def save_json(graph: Graph, path: str | Path) -> None:
-    """Write ``graph`` to ``path`` as JSON."""
-    payload = {
-        "name": graph.name,
-        "labels": [str(graph.label(v)) for v in graph.iter_vertices()],
-        "edges": [[u, v] for u, v in graph.iter_edges()],
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_json(path: str | Path) -> Graph:
-    """Read a graph previously written by :func:`save_json`."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        builder = GraphBuilder(name=payload.get("name", Path(path).stem))
-        builder.add_vertices(payload["labels"])
-        for u, v in payload["edges"]:
-            builder.add_edge(int(u), int(v))
-        return builder.build()
-    except GraphIOError:
-        raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise GraphIOError(f"cannot parse graph JSON at {path}: {exc}") from exc
-    except Exception as exc:  # GraphBuildError and friends
-        raise GraphIOError(f"invalid graph described by {path}: {exc}") from exc

@@ -15,7 +15,7 @@ shared across service sessions.
 
 from repro.indexing.batch import DistanceVectorCache, shared_distance_cache
 from repro.indexing.kneighborhood import KNeighborhoodIndex
-from repro.indexing.order import degree_order, random_order
+from repro.indexing.order import degree_order
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.oracle import BFSOracle, DistanceOracle
 from repro.indexing.twohop import two_hop_counts, two_hop_neighbors
@@ -23,7 +23,6 @@ from repro.indexing.twohop import two_hop_counts, two_hop_neighbors
 __all__ = [
     "KNeighborhoodIndex",
     "degree_order",
-    "random_order",
     "PrunedLandmarkLabeling",
     "DistanceOracle",
     "BFSOracle",

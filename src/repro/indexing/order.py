@@ -2,9 +2,7 @@
 
 PML's pruning power depends almost entirely on processing "central" vertices
 first; degree order is the simple, robust choice recommended by Akiba et al.
-and is the default everywhere in this reproduction.  A random order is kept
-for the ordering ablation (it demonstrates how label sizes blow up without a
-centrality-aware order).
+and is the default everywhere in this reproduction.
 """
 
 from __future__ import annotations
@@ -12,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.rng import seeded_rng
 
-__all__ = ["degree_order", "random_order"]
+__all__ = ["degree_order"]
 
 
 def degree_order(graph: Graph) -> np.ndarray:
@@ -27,11 +24,3 @@ def degree_order(graph: Graph) -> np.ndarray:
     # argsort of (-degree, id): lexsort keys are applied last-key-major.
     ids = np.arange(graph.num_vertices, dtype=np.int64)
     return np.lexsort((ids, -degrees)).astype(np.int32)
-
-
-def random_order(graph: Graph, seed: int = 0) -> np.ndarray:
-    """A uniformly random landmark order (ablation baseline)."""
-    rng = seeded_rng(seed)
-    order = list(range(graph.num_vertices))
-    rng.shuffle(order)
-    return np.asarray(order, dtype=np.int32)

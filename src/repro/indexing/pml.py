@@ -58,7 +58,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.errors import IndexNotBuiltError, StaleIndexError
+from repro.errors import StaleIndexError
 from repro.graph.graph import Graph
 from repro.indexing.batch import checked_block, pair_block
 from repro.indexing.order import degree_order
@@ -813,12 +813,3 @@ class PrunedLandmarkLabeling:
             f"PrunedLandmarkLabeling(|V|={self._graph.num_vertices:,}, "
             f"avg_label={self.average_label_size():.1f})"
         )
-
-
-def require_built(index: PrunedLandmarkLabeling | None) -> PrunedLandmarkLabeling:
-    """Raise :class:`IndexNotBuiltError` when ``index`` is missing."""
-    if index is None:
-        raise IndexNotBuiltError(
-            "a PML index is required here; run the preprocessor first"
-        )
-    return index

@@ -18,7 +18,6 @@ from repro.workload.generator import (
     QueryInstance,
     instantiate,
     instantiate_from_region,
-    paper_query_set,
 )
 from repro.workload.qfs import QFS_SEQUENCES, qfs_edge_order
 from repro.workload.traffic import (
@@ -38,7 +37,6 @@ __all__ = [
     "QueryInstance",
     "instantiate",
     "instantiate_from_region",
-    "paper_query_set",
     "QFS_SEQUENCES",
     "qfs_edge_order",
 ]

@@ -7,10 +7,6 @@ on the dataset), labels are drawn from an actual *region* of the data graph
 so that instances are satisfiable rather than vacuously empty: a seeded
 random walk picks ``|V_B|`` nearby data vertices and their labels become
 the template's vertex labels.
-
-:func:`paper_query_set` reproduces the evaluation's query population —
-every template instantiated on the dataset with several label seeds and
-bound variations (the paper's "103 unique BPH queries" across 3 datasets).
 """
 
 from __future__ import annotations
@@ -21,9 +17,9 @@ from repro.core.query import BPHQuery, Bounds
 from repro.errors import ExperimentError
 from repro.graph.graph import Graph
 from repro.utils.rng import seeded_rng
-from repro.workload.templates import QueryTemplate, get_template, template_names
+from repro.workload.templates import QueryTemplate, get_template
 
-__all__ = ["QueryInstance", "instantiate", "instantiate_from_region", "paper_query_set"]
+__all__ = ["QueryInstance", "instantiate", "instantiate_from_region"]
 
 
 @dataclass(frozen=True)
@@ -159,25 +155,3 @@ def instantiate(
     return instantiate_from_region(
         get_template(template_name), graph, seed=seed, dataset=dataset
     )
-
-
-def paper_query_set(
-    graph: Graph,
-    dataset: str = "",
-    seeds_per_template: int = 2,
-) -> list[QueryInstance]:
-    """The evaluation's query population for one dataset.
-
-    The paper generates 103 unique queries over 3 datasets by varying
-    vertex labels and bounds across the 6 templates; here every template
-    contributes ``seeds_per_template`` label instantiations with default
-    bounds (experiment modules apply their own bound overrides on top,
-    which is how the paper derived its variations too).
-    """
-    instances: list[QueryInstance] = []
-    for name in template_names():
-        for seed in range(seeds_per_template):
-            instances.append(
-                instantiate(name, graph, seed=seed * 37 + 11, dataset=dataset)
-            )
-    return instances

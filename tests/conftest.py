@@ -10,9 +10,10 @@ import pytest
 from repro.core.preprocessor import make_context, preprocess
 from repro.core.cost import GUILatencyConstants
 from repro.core.query import BPHQuery
-from repro.graph.algorithms import bfs_distances, has_path_within
+from repro.graph.algorithms import bfs_distances
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
+from tests.reference_models import has_path_within
 
 
 def build_fig2_graph() -> Graph:

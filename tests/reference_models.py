@@ -11,11 +11,19 @@ the per-pair loop of scalar calls (:class:`CountingOracle`), and the PML
 build as every rank through the list kernel (:func:`list_kernel_build`).
 Plus two helpers that turn the array CAP's state into plain Python for
 ``==``.
+
+The brute-force references and inputs the tests use and nothing in the
+package calls live here too: the generic random-graph generators
+(Erdős–Rényi, Barabási–Albert, Watts–Strogatz), the bounded simple-path
+DFS that is the edge-bound semantics of Definition 3.1, the k-hop
+neighbourhood by BFS, a random landmark order, and the paper's query
+population.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
@@ -23,9 +31,16 @@ from repro.core.cap import CAPIndex
 from repro.core.context import EngineContext
 from repro.core.lowerbound import PathSearchStats, ResultSubgraph
 from repro.core.query import BPHQuery, canonical_edge
+from repro.errors import GraphBuildError
+from repro.graph.algorithms import bfs_distances
+from repro.graph.builder import GraphBuilder
+from repro.graph.graph import Graph
 from repro.indexing.order import degree_order
 from repro.indexing.pml import PrunedLandmarkLabeling, _bfs_views, _pruned_bfs
 from repro.obs.metrics import metrics
+from repro.utils.rng import seeded_rng
+from repro.workload.generator import QueryInstance, instantiate
+from repro.workload.templates import template_names
 
 
 def list_kernel_build(graph, order=None) -> PrunedLandmarkLabeling:
@@ -335,3 +350,186 @@ def scalar_filter_by_lower_bound(
             return None
         result.paths[edge.key] = path
     return result
+
+
+def erdos_renyi(
+    n: int,
+    num_edges: int,
+    seed: int = 0,
+    labels: Sequence[Hashable] | None = None,
+) -> Graph:
+    """G(n, m) random graph with exactly ``num_edges`` distinct edges.
+
+    ``labels`` (length ``n``) assigns vertex labels; defaults to ``"_"``.
+    """
+    if n < 0 or num_edges < 0:
+        raise GraphBuildError("n and num_edges must be non-negative")
+    max_edges = n * (n - 1) // 2
+    if num_edges > max_edges:
+        raise GraphBuildError(
+            f"cannot place {num_edges} edges in a simple graph on {n} vertices"
+        )
+    rng = seeded_rng(seed)
+    builder = GraphBuilder(name=f"er-{n}-{num_edges}")
+    builder.add_vertices(labels if labels is not None else ["_"] * n)
+    placed = 0
+    while placed < num_edges:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if builder.add_edge_if_absent(u, v):
+            placed += 1
+    return builder.build()
+
+
+def barabasi_albert(
+    n: int,
+    m_attach: int,
+    seed: int = 0,
+    labels: Sequence[Hashable] | None = None,
+    name: str | None = None,
+) -> Graph:
+    """Barabási–Albert preferential attachment graph.
+
+    Each new vertex attaches to ``m_attach`` distinct existing vertices with
+    probability proportional to degree (implemented via the standard
+    repeated-endpoint trick: sampling uniformly from the list of all edge
+    endpoints is equivalent to degree-proportional sampling).
+    """
+    if m_attach < 1:
+        raise GraphBuildError("m_attach must be >= 1")
+    if n <= m_attach:
+        raise GraphBuildError("n must exceed m_attach")
+    rng = seeded_rng(seed)
+    builder = GraphBuilder(name=name or f"ba-{n}-{m_attach}")
+    builder.add_vertices(labels if labels is not None else ["_"] * n)
+
+    # Seed clique-ish core: a path over the first m_attach + 1 vertices.
+    endpoints: list[int] = []
+    for v in range(1, m_attach + 1):
+        builder.add_edge(v - 1, v)
+        endpoints.extend((v - 1, v))
+
+    for v in range(m_attach + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m_attach:
+            targets.add(endpoints[rng.randrange(len(endpoints))])
+        for t in targets:
+            builder.add_edge(v, t)
+            endpoints.extend((v, t))
+    return builder.build()
+
+
+def watts_strogatz(
+    n: int,
+    k: int,
+    beta: float,
+    seed: int = 0,
+    labels: Sequence[Hashable] | None = None,
+) -> Graph:
+    """Watts–Strogatz small-world graph (ring lattice + rewiring).
+
+    ``k`` must be even; each vertex starts connected to its ``k`` nearest
+    ring neighbors and each lattice edge is rewired with probability
+    ``beta``.
+    """
+    if k % 2 != 0 or k < 2:
+        raise GraphBuildError("k must be even and >= 2")
+    if not 0.0 <= beta <= 1.0:
+        raise GraphBuildError("beta must be in [0, 1]")
+    if n <= k:
+        raise GraphBuildError("n must exceed k")
+    rng = seeded_rng(seed)
+    builder = GraphBuilder(name=f"ws-{n}-{k}-{beta}")
+    builder.add_vertices(labels if labels is not None else ["_"] * n)
+    for u in range(n):
+        for j in range(1, k // 2 + 1):
+            v = (u + j) % n
+            if rng.random() < beta:
+                # Rewire to a uniform random non-neighbor; skip on failure
+                # after a few tries to avoid pathological loops on dense k.
+                for _ in range(8):
+                    w = rng.randrange(n)
+                    if builder.add_edge_if_absent(u, w):
+                        break
+                else:
+                    builder.add_edge_if_absent(u, v)
+            else:
+                builder.add_edge_if_absent(u, v)
+    return builder.build()
+
+
+def has_path_within(graph: Graph, u: int, v: int, lower: int, upper: int) -> bool:
+    """True iff a *simple* path of length in ``[lower, upper]`` joins u and v.
+
+    This is the semantic ground truth of the edge-bound constraint
+    (Definition 3.1), implemented as bounded DFS.  Exponential in the worst
+    case — it exists for tests and small visual regions, not for the query
+    engine (which uses the CAP index + DetectPath).
+    """
+    if lower > upper:
+        return False
+    if u == v:
+        return False  # matching paths are non-empty (Definition in Sec. 2)
+    offsets, neighbors = graph.raw_csr()
+    on_path = {u}
+
+    def dfs(x: int, steps: int) -> bool:
+        if steps > upper:
+            return False
+        if x == v:
+            return steps >= lower
+        if steps == upper:
+            return False
+        for idx in range(int(offsets[x]), int(offsets[x + 1])):
+            w = int(neighbors[idx])
+            if w in on_path:
+                continue
+            on_path.add(w)
+            if dfs(w, steps + 1):
+                on_path.discard(w)
+                return True
+            on_path.discard(w)
+        return False
+
+    return dfs(u, 0)
+
+
+def k_hop_neighborhood(graph: Graph, source: int, k: int) -> set[int]:
+    """All vertices within ``k`` hops of ``source`` (excluding ``source``)."""
+    if k <= 0:
+        return set()
+    result: set[int] = set()
+    dist = bfs_distances(graph, source, cutoff=k)
+    for v in np.nonzero((dist > 0))[0]:
+        result.add(int(v))
+    return result
+
+
+def random_order(graph: Graph, seed: int = 0) -> np.ndarray:
+    """A uniformly random landmark order (ablation baseline)."""
+    rng = seeded_rng(seed)
+    order = list(range(graph.num_vertices))
+    rng.shuffle(order)
+    return np.asarray(order, dtype=np.int32)
+
+
+def paper_query_set(
+    graph: Graph,
+    dataset: str = "",
+    seeds_per_template: int = 2,
+) -> list[QueryInstance]:
+    """The evaluation's query population for one dataset.
+
+    The paper generates 103 unique queries over 3 datasets by varying
+    vertex labels and bounds across the 6 templates; here every template
+    contributes ``seeds_per_template`` label instantiations with default
+    bounds (experiment modules apply their own bound overrides on top,
+    which is how the paper derived its variations too).
+    """
+    instances: list[QueryInstance] = []
+    for name in template_names():
+        for seed in range(seeds_per_template):
+            instances.append(
+                instantiate(name, graph, seed=seed * 37 + 11, dataset=dataset)
+            )
+    return instances

@@ -6,10 +6,10 @@ from repro.core.context import EngineContext
 from repro.core.cost import CostModel
 from repro.core.lowerbound import detect_path, filter_by_lower_bound
 from repro.core.query import BPHQuery
-from repro.graph.algorithms import has_path_within
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import two_hop_counts
 from tests.conftest import build_cycle_graph, build_fig2_graph, build_path_graph
+from tests.reference_models import has_path_within
 
 
 def make_ctx(graph):

@@ -25,11 +25,10 @@ from repro.core.pvs import (
 from repro.core.query import BPHQuery
 from repro.graph.algorithms import bfs_distances
 from repro.graph.builder import GraphBuilder
-from repro.graph.generators import erdos_renyi
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import two_hop_counts
 from tests.conftest import build_fig2_graph
-from tests.reference_models import cap_state
+from tests.reference_models import cap_state, erdos_renyi
 from tests.test_property_graph import labeled_graphs
 
 

@@ -14,7 +14,6 @@ def test_all_errors_derive_from_repro_error():
 def test_graph_errors_hierarchy():
     assert issubclass(errors.GraphBuildError, errors.GraphError)
     assert issubclass(errors.VertexNotFoundError, errors.GraphError)
-    assert issubclass(errors.EdgeNotFoundError, errors.GraphError)
     assert issubclass(errors.GraphIOError, errors.GraphError)
 
 
@@ -33,11 +32,6 @@ def test_vertex_not_found_message_and_payload():
     err = errors.VertexNotFoundError(42)
     assert err.vertex == 42
     assert "42" in str(err)
-
-
-def test_edge_not_found_payload():
-    err = errors.EdgeNotFoundError(1, 2)
-    assert err.edge == (1, 2)
 
 
 def test_query_errors_hierarchy():

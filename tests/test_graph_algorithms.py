@@ -6,13 +6,12 @@ from repro.graph.algorithms import (
     bfs_distances,
     connected_components,
     distance,
-    has_path_within,
-    k_hop_neighborhood,
     largest_component,
     region_around,
 )
 from repro.graph.builder import GraphBuilder
 from tests.conftest import build_cycle_graph, build_fig2_graph, build_path_graph
+from tests.reference_models import has_path_within, k_hop_neighborhood
 
 
 @pytest.fixture()

@@ -7,14 +7,12 @@ from repro.graph.generators import (
     WORDNET_LABELS,
     assign_labels_uniform,
     assign_labels_zipf,
-    barabasi_albert,
     dblp_like,
-    erdos_renyi,
     flickr_like,
-    watts_strogatz,
     wordnet_like,
 )
 from repro.graph.algorithms import connected_components
+from tests.reference_models import barabasi_albert, erdos_renyi, watts_strogatz
 
 
 class TestErdosRenyi:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GraphIOError
-from repro.graph.io import load_edge_list, load_json, save_edge_list, save_json
+from repro.graph.io import load_edge_list, save_edge_list
 from tests.conftest import build_fig2_graph, build_path_graph
 
 
@@ -83,31 +83,3 @@ class TestEdgeListErrors:
         path.write_text("v 0 A\nbroken line\n")
         with pytest.raises(GraphIOError, match=":2"):
             load_edge_list(path)
-
-
-class TestJSON:
-    def test_roundtrip(self, tmp_path):
-        g = build_fig2_graph()
-        path = tmp_path / "g.json"
-        save_json(g, path)
-        loaded = load_json(path)
-        assert loaded.num_vertices == g.num_vertices
-        assert set(loaded.iter_edges()) == set(g.iter_edges())
-
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(GraphIOError):
-            load_json(path)
-
-    def test_missing_keys(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"labels": ["A"]}')
-        with pytest.raises(GraphIOError):
-            load_json(path)
-
-    def test_invalid_structure(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"labels": ["A"], "edges": [[0, 0]]}')
-        with pytest.raises(GraphIOError):
-            load_json(path)

@@ -3,8 +3,9 @@
 import numpy as np
 
 from repro.graph.builder import GraphBuilder
-from repro.indexing.order import degree_order, random_order
+from repro.indexing.order import degree_order
 from tests.conftest import build_fig2_graph, build_path_graph
+from tests.reference_models import random_order
 
 
 def test_degree_order_descending():

@@ -6,10 +6,10 @@ import pytest
 
 from repro.graph.algorithms import bfs_distances
 from repro.graph.builder import GraphBuilder
-from repro.graph.generators import barabasi_albert, erdos_renyi
-from repro.indexing.order import degree_order, random_order
+from repro.indexing.order import degree_order
 from repro.indexing.pml import PrunedLandmarkLabeling
 from tests.conftest import build_cycle_graph, build_fig2_graph, build_path_graph
+from tests.reference_models import barabasi_albert, erdos_renyi, random_order
 
 
 def exhaustive_check(graph):

@@ -17,13 +17,12 @@ from hypothesis import given, settings
 
 from repro.datasets.registry import _build_graph, dataset_config
 from repro.graph.builder import GraphBuilder
-from repro.graph.generators import barabasi_albert
 from repro.indexing import pml, twohop
-from repro.indexing.order import degree_order, random_order
+from repro.indexing.order import degree_order
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import two_hop_counts, two_hop_neighbors
 from tests.conftest import build_path_graph
-from tests.reference_models import list_kernel_build
+from tests.reference_models import barabasi_albert, list_kernel_build, random_order
 from tests.test_indexing_twohop import hop_graphs
 from tests.test_property_graph import labeled_graphs
 

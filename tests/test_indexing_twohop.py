@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.graph.algorithms import bfs_distances, k_hop_neighborhood
+from repro.graph.algorithms import bfs_distances
 from repro.graph.builder import GraphBuilder
 from repro.indexing import twohop
 from repro.indexing.twohop import bfs_levels, hop_pairs, level_of, two_hop_counts, two_hop_neighbors
 from tests.conftest import build_cycle_graph, build_fig2_graph, build_path_graph
+from tests.reference_models import k_hop_neighborhood
 
 
 def test_counts_match_sets():

@@ -16,10 +16,10 @@ from repro.core.query import BPHQuery
 from repro.gui.latency import LatencyModel
 from repro.gui.simulator import SimulatedUser
 from repro.gui.session import VisualSession
-from repro.graph.generators import erdos_renyi
 from repro.workload.generator import QueryInstance
 from repro.workload.templates import get_template
 from tests.conftest import brute_force_full_matches, brute_force_upper_matches
+from tests.reference_models import erdos_renyi
 
 
 def random_setup(seed: int):

@@ -3,20 +3,8 @@
 import pytest
 
 from repro.core.cap import CAPIndex
-from repro.errors import CAPStateError, IndexNotBuiltError
-from repro.indexing.pml import PrunedLandmarkLabeling, require_built
-from tests.conftest import build_path_graph
+from repro.errors import CAPStateError
 from tests.reference_models import ids
-
-
-class TestRequireBuilt:
-    def test_passes_through_built_index(self):
-        pml = PrunedLandmarkLabeling.build(build_path_graph(3))
-        assert require_built(pml) is pml
-
-    def test_raises_on_none(self):
-        with pytest.raises(IndexNotBuiltError):
-            require_built(None)
 
 
 class TestCAPErrorPaths:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from repro.core.context import EngineContext
 from repro.core.cost import CostModel
 from repro.core.lowerbound import detect_path
-from repro.graph.algorithms import has_path_within
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import two_hop_counts
+from tests.reference_models import has_path_within
 from tests.test_property_graph import labeled_graphs
 
 

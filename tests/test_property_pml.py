@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.graph.algorithms import bfs_distances
 from repro.indexing.pml import PrunedLandmarkLabeling
-from repro.indexing.order import random_order
+from tests.reference_models import random_order
 from tests.test_property_graph import labeled_graphs
 
 

@@ -135,7 +135,6 @@ ERROR_TABLE = {
     "GraphError": ("engine_error", False),
     "GraphBuildError": ("engine_error", False),
     "VertexNotFoundError": ("engine_error", False),
-    "EdgeNotFoundError": ("engine_error", False),
     "GraphIOError": ("engine_error", False),
     "QueryError": ("engine_error", False),
     "QueryValidationError": ("engine_error", False),
@@ -176,7 +175,6 @@ ERROR_TABLE = {
 #: Constructor arguments of the classes that do not take one message.
 ERROR_ARGS = {
     "VertexNotFoundError": (7,),
-    "EdgeNotFoundError": (1, 2),
     "QueryVertexNotFoundError": (3,),
     "QueryEdgeNotFoundError": (3, 4),
     "StaleIndexError": ("PML index", 3, 1),

@@ -31,7 +31,7 @@ from repro.graph.generators import wordnet_like
 from repro.indexing import pml
 from repro.indexing.batch import DistanceVectorCache, shared_distance_cache
 from repro.indexing.oracle import BFSOracle
-from repro.indexing.order import degree_order, random_order
+from repro.indexing.order import degree_order
 from repro.indexing.pml import PrunedLandmarkLabeling
 from repro.indexing.twohop import hop_pairs, two_hop_counts
 from repro.storage import (
@@ -49,6 +49,7 @@ from repro.updates import (
 )
 from repro.utils.rng import seeded_rng
 from tests.conftest import build_cycle_graph, build_fig2_graph
+from tests.reference_models import random_order
 from tests.test_property_graph import labeled_graphs
 
 

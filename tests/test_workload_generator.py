@@ -11,11 +11,11 @@ from repro.workload.generator import (
     QueryInstance,
     instantiate,
     instantiate_from_region,
-    paper_query_set,
 )
 from repro.workload.templates import get_template
 from repro.workload.traffic import SoakWorkloadConfig, generate_soak_schedule
 from tests.conftest import build_fig2_graph
+from tests.reference_models import paper_query_set
 
 
 class TestInstantiate:
