@@ -87,7 +87,6 @@ def iter_python_files(paths: Iterable[Path]) -> list[Path]:
 class ModuleSource:
     """One parsed module, as rules see it."""
 
-    path: Path
     display: str  # path as given (what violations print)
     key: str  # repro-rooted key (what scoping matches)
     tree: ast.Module
@@ -188,7 +187,6 @@ class LintEngine:
             )
             return None
         return ModuleSource(
-            path=path,
             display=display,
             key=module_key(path),
             tree=tree,

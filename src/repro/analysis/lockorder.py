@@ -18,10 +18,11 @@ kernel's lockdep does:
   schedule required.
 
 Non-blocking acquisitions (``acquire(blocking=False)``) record no edge:
-a trylock cannot deadlock, and the scheduler's donation path relies on
-exactly that to touch beneficiary sessions safely.  Reentrant
-acquisitions of an :class:`MonitoredRLock` the thread already owns are
-likewise edge-free.
+a trylock cannot deadlock, and the service's two trylocks rely on
+exactly that: ``SessionManager.drain`` skips a session still busy past
+its timeout, and ``ManagedSession.evictable`` probes whether anyone is
+operating on a session.  Reentrant acquisitions of an
+:class:`MonitoredRLock` the thread already owns are likewise edge-free.
 
 Use :func:`patch_locks` to instrument everything a code region creates::
 

@@ -286,11 +286,9 @@ class LockDisciplineRule(Rule):
         "run",
         "apply",
         "run_actions",
-        "probe_one",
         "probe_idle",
         "drain_pool",
         "process_edge",
-        "cheapest_cost",
         "build",
     }
 

@@ -10,9 +10,10 @@ monitor: the monitor catches wrong *order*, this catches missing
 *acquisition*.
 
 Limits: guards are inferred per class, so a read of *another* object's
-guarded state (``IdleScheduler._pick`` reading each session's engine) is
-out of reach, and nested ``def``/lambda bodies are opaque (they run
-later, under locks this rule cannot know).
+guarded state (one class reading another's lock-guarded attribute
+without taking that object's lock) is out of reach, and nested
+``def``/lambda bodies are opaque (they run later, under locks this rule
+cannot know).
 """
 
 from __future__ import annotations

@@ -231,26 +231,6 @@ class BlenderEngine:
             span.set(edges=processed)
         return processed
 
-    def probe_one(self, remaining_seconds: float) -> int:
-        """Process the single cheapest pooled edge if its estimate fits.
-
-        The cross-session idle scheduler uses this instead of
-        :meth:`probe_pool` so each pick spends exactly one edge and the
-        fair-share priorities are re-evaluated between edges.  Returns the
-        number of edges processed (0 or 1).
-        """
-        entry = self.pool.min_edge(self.cap, self.cost_model)
-        if entry is None:
-            return 0
-        edge, estimated = entry
-        if estimated > remaining_seconds:
-            return 0
-        self.ctx.counters.pool_probes += 1
-        with self.tracer.span("pool.probe", donated=True) as span:
-            self._process_pooled(edge)
-            span.set(edges=1)
-        return 1
-
     def drain_pool(self) -> int:
         """Process every pooled edge, cheapest (current T_est) first."""
         processed = 0

@@ -77,16 +77,6 @@ class EdgePool:
                 best = (edge, cost)
         return best
 
-    def cheapest_cost(self, cap: CAPIndex, model: CostModel) -> float | None:
-        """Current ``T_est`` of the cheapest pooled edge; None when empty.
-
-        A peek-only companion to :meth:`min_edge` for schedulers that rank
-        *pools* against each other (the service's cross-session idle
-        multiplexer) before committing to process anything.
-        """
-        entry = self.min_edge(cap, model)
-        return entry[1] if entry is not None else None
-
     def sync_query_bounds(self, query: BPHQuery) -> None:
         """Refresh pooled edges from the query (after bound modifications).
 

@@ -21,7 +21,6 @@ __all__ = [
     "BoundsError",
     "QueryFileError",
     "IndexError_",
-    "IndexNotBuiltError",
     "StaleIndexError",
     "GraphMutationError",
     "CAPError",
@@ -163,10 +162,6 @@ class IndexError_(ReproError):
     Named with a trailing underscore to avoid shadowing the builtin
     :class:`IndexError`.
     """
-
-
-class IndexNotBuiltError(IndexError_):
-    """Raised when an index is queried before :meth:`build` completed."""
 
 
 class StaleIndexError(IndexError_):

@@ -51,7 +51,8 @@ class TimelineState:
     timeline arithmetic: action *i* arrives at virtual ``T_i``; the engine
     starts it no earlier than ``max(T_i, busy_until)``; leftover GUI
     latency is the idle window handed to Defer-to-Idle (or, in the
-    service, donated to the cross-session :class:`IdleScheduler`).
+    service, donated to the :class:`IdleScheduler`, which probes the same
+    session's pool).
     """
 
     arrival: float = 0.0  # virtual time the next action is handed over

@@ -31,8 +31,8 @@ calls) are never spanned; they flow through counters
 
 Threading: a tracer is deliberately lock-free and therefore not
 thread-safe on its own.  Every writer must hold the owning session's
-lock — which the service layer already guarantees (requests and
-cross-session idle donations both run under the per-session lock).
+lock — which the service layer already guarantees (requests and the
+idle probes they donate both run under the per-session lock).
 """
 
 from __future__ import annotations

@@ -9,10 +9,9 @@ PML oracle.  This package is that layer:
   :class:`~repro.core.blender.Boomer` plus the hybrid virtual timeline
   (:class:`~repro.gui.session.TimelineState`), advanced one wire request
   at a time instead of one batch replay at a time.
-* :class:`IdleScheduler` — cooperative Defer-to-Idle multiplexer: the
-  idle GUI window of *any* session is donated to the cheapest pending CAP
-  work across *all* sessions, fair-share scheduled so a chatty session
-  never starves another's cheap edges.
+* :class:`IdleScheduler` — Defer-to-Idle for hosted sessions: each
+  session's idle GUI window is counted and spent probing that session's
+  own edge pool (Algorithm 10).
 * :class:`SessionManager` — the host: admission control (session and
   CAP-entry budgets), LRU eviction of idle sessions under memory
   pressure, per-session accounting, and thread-safe dispatch.
@@ -26,9 +25,10 @@ PML oracle.  This package is that layer:
 * :class:`SessionCheckpoint` / :class:`CheckpointStore` — eviction and
   drain capture the session (action log + virtual timeline + limits) so
   it resumes by id with byte-identical subsequent matches; CAP entries
-  are rebuilt warm by the scheduler (deferral neutrality).  The store
-  optionally writes through to disk, which is what lets restore survive
-  the hosting *process* dying, not just in-memory eviction.
+  are rebuilt by the session's own idle windows or its Run (deferral
+  neutrality).  The store optionally writes through to disk, which is
+  what lets restore survive the hosting *process* dying, not just
+  in-memory eviction.
 * :class:`LocalDispatcher` — the server's backend seam: one manager
   behind the dispatch/drain/close surface (:mod:`repro.service.dispatch`).
 * :class:`ServeConfig` / :func:`open_host` — the one configuration of a
@@ -37,8 +37,8 @@ PML oracle.  This package is that layer:
 
 Layering: ``service`` sits *above* ``gui``/``core`` — it imports them,
 never the reverse.  Everything below the manager is unchanged BOOMER; the
-deferral-neutrality invariant is what makes cross-session scheduling safe
-(moving CAP work between idle windows can never change ``V_Δ``).
+deferral-neutrality invariant is what makes restore safe (moving CAP work
+between idle windows can never change ``V_Δ``).
 """
 
 from repro.service.checkpoint import CheckpointStore, SessionCheckpoint

@@ -12,23 +12,22 @@ session by id*:
   scalars) — arrival/busy horizon/QFT accounting;
 * the **limits** — the strategy (the Run deadline is the host's, so a
   restored session takes the deadline of the host restoring it);
-* the session's service-side **accounting** (actions applied, donated /
-  serviced idle seconds).
+* the session's service-side **accounting** (actions applied, donated
+  idle seconds).
 
 What is deliberately *not* captured: the CAP index.  Replaying the action
 log with ``auto_idle=False`` re-pools every query edge, and the
 **deferral-neutrality invariant** (Theorem: moving CAP work between idle
 windows never changes ``V_Δ``) guarantees the restored session's Run
 produces byte-identical matches to the uninterrupted original — the CAP
-entries are rebuilt warm afterwards by the
-:class:`~repro.service.scheduler.IdleScheduler` on other sessions' idle
-donations, exactly like any cold session.  Checkpoints are therefore
+entries are rebuilt afterwards by the session's own idle windows or its
+Run, exactly like any cold session.  Checkpoints are therefore
 small (a formulation is a handful of actions), JSON-portable, and cheap
 enough to take on every eviction and drain.
 
 Restore replays **outside any manager lock** (engine compute never runs
-under service bookkeeping locks — lint rule R6) and re-registers the
-session with the scheduler under its original id.
+under service bookkeeping locks — lint rule R6); the manager re-admits
+the session under its original id.
 """
 
 from __future__ import annotations
@@ -101,8 +100,6 @@ class SessionCheckpoint:
     actions_applied: int = 0
     backlog_seconds: float = 0.0
     donated_idle_seconds: float = 0.0
-    serviced_seconds: float = 0.0
-    serviced_edges: int = 0
 
     # -- JSON round-trip -------------------------------------------------
     def to_dict(self) -> dict[str, object]:
@@ -132,8 +129,6 @@ class SessionCheckpoint:
                 actions_applied=int(payload["actions_applied"]),
                 backlog_seconds=float(payload["backlog_seconds"]),
                 donated_idle_seconds=float(payload["donated_idle_seconds"]),
-                serviced_seconds=float(payload["serviced_seconds"]),
-                serviced_edges=int(payload["serviced_edges"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc}") from exc
@@ -181,8 +176,6 @@ def checkpoint_session(session: ManagedSession, reason: str) -> SessionCheckpoin
         actions_applied=session.actions_applied,
         backlog_seconds=session.backlog_seconds,
         donated_idle_seconds=session.donated_idle_seconds,
-        serviced_seconds=session.serviced_seconds,
-        serviced_edges=session.serviced_edges,
     )
 
 
@@ -194,10 +187,10 @@ def restore_session(
     """Rebuild a live :class:`ManagedSession` from ``checkpoint``.
 
     Replays the action log directly through the session's fresh engine
-    (no idle probing: every query edge lands back in the Defer-to-Idle
-    pool, to be rebuilt warm by the scheduler), then reinstates the
-    virtual timeline and accounting scalars, and — for a ``ran``
-    checkpoint — re-executes the Run click.  Deferral neutrality makes
+    (no idle probing: every query edge that Definition 5.8 defers lands
+    back in the pool, to be processed by the session's own idle windows
+    or its Run), then reinstates the virtual timeline and accounting
+    scalars, and — for a ``ran`` checkpoint — re-executes the Run click.  Deferral neutrality makes
     the resumed session's matches byte-identical to the uninterrupted
     original.  ``deadline_seconds`` is the restoring host's Run deadline.
 
@@ -231,8 +224,6 @@ def restore_session(
     session.timeline.simulated_qft = float(checkpoint.timeline["simulated_qft"])
     session.actions_applied = checkpoint.actions_applied
     session.donated_idle_seconds = checkpoint.donated_idle_seconds
-    session.serviced_seconds = checkpoint.serviced_seconds
-    session.serviced_edges = checkpoint.serviced_edges
     session.restored = True
     if checkpoint.state == "ran":
         session.backlog_seconds = checkpoint.backlog_seconds

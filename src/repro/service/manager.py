@@ -268,7 +268,6 @@ class SessionManager:
         session.touch_seq = next(self._touch_counter)
         self._sessions[session.id] = session
         self._evicted.pop(session.id, None)
-        self.scheduler.register(session)
         self._note_open_sessions()
         return session
 
@@ -323,7 +322,6 @@ class SessionManager:
             self.checkpoints.pop(session_id)
         with self._lock:
             self._sessions.pop(session_id, None)
-            self.scheduler.unregister(session_id)
             self.stats_counters.sessions_closed += 1
             self._note_open_sessions()
 
@@ -526,7 +524,6 @@ class SessionManager:
         id answers ``session_evicted`` (caller holds the manager lock;
         the memory of retired ids is bounded)."""
         self._sessions.pop(session.id, None)
-        self.scheduler.unregister(session.id)
         if len(self._evicted) >= 1024:
             self._evicted.pop(next(iter(self._evicted)))
         self._evicted[session.id] = reason

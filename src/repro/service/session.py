@@ -11,10 +11,9 @@ Each session owns a private :class:`~repro.core.blender.Boomer` built over
 a per-session :class:`~repro.core.context.EngineContext` whose *immutable*
 parts (graph, oracle, two-hop counts, cost model) are shared with every
 other session in the process; only the counters are private.  The
-session's idle windows are not probed locally — they are donated to the
-manager's :class:`~repro.service.scheduler.IdleScheduler`, which may spend
-them on any session's pooled edges (deferral neutrality guarantees the
-final match set is unaffected by *where* CAP work happens).
+session's idle windows are donated to the manager's
+:class:`~repro.service.scheduler.IdleScheduler`, which counts them and
+spends each on this session's own pooled edges (Algorithm 10).
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ class ManagedSession:
     """One concurrent visual session hosted by the :class:`SessionManager`.
 
     All public methods must be called with :attr:`lock` held (the manager
-    does this); the lock is exposed so the idle scheduler can *try* to
-    acquire it without blocking when donating another session's idle time.
+    does this); the lock is exposed so the manager can *try* to acquire
+    it without blocking when it drains or evicts (:attr:`evictable`).
 
     Lifecycle: ``formulating`` → (``ran`` | ``failed``) → ``closed``.
     A ``failed`` session (blown deadline, an engine error in Run) is
@@ -85,8 +84,8 @@ class ManagedSession:
         #: Immutable engine parts shared process-wide; counters private.
         self.ctx = replace(base_ctx, counters=EngineCounters())
         #: Span recorder.  Writers always hold :attr:`lock`, which is the
-        #: tracer's whole thread-safety story — including cross-session
-        #: idle donations.
+        #: tracer's whole thread-safety story — including the idle probes
+        #: the session's actions donate.
         self.tracer = Tracer(capacity=TRACE_RING_SPANS)
         self.boomer = Boomer(
             self.ctx,
@@ -113,10 +112,6 @@ class ManagedSession:
         self.backlog_seconds = 0.0
         #: Idle seconds this session donated to the scheduler.
         self.donated_idle_seconds = 0.0
-        #: Scheduler compute spent on this session's pool by *other*
-        #: sessions' idle windows (+ edges processed that way).
-        self.serviced_seconds = 0.0
-        self.serviced_edges = 0
         #: LRU stamp, assigned by the manager on every touch.
         self.touch_seq = 0
 
@@ -246,8 +241,6 @@ class ManagedSession:
             "pooled_edges": len(self.boomer.engine.pool),
             "backlog_seconds": self.timeline.backlog_seconds,
             "donated_idle_seconds": self.donated_idle_seconds,
-            "serviced_seconds": self.serviced_seconds,
-            "serviced_edges": self.serviced_edges,
             "counters": self.ctx.counters.snapshot(),
             "trace": {
                 "enabled": self.tracer.enabled,

@@ -161,14 +161,14 @@ SEEDED_MUTATIONS: dict[str, tuple[str, list[tuple[str, str]]]] = {
             )
         ],
     ),
-    # The scheduler's donated probes leave the taxonomy: ``trace`` no
-    # longer counts them in ``idle_probe`` and ``pool_probes``.
+    # Algorithm 10's idle probes leave the taxonomy: ``trace`` no longer
+    # counts them in ``idle_probe`` and ``pool_probes``.
     "R4": (
         "core/blender.py",
         [
             (
-                'self.tracer.span("pool.probe", donated=True)',
-                'self.tracer.span("pool.donated", donated=True)',
+                'self.tracer.span("pool.probe", budget=budget.limit)',
+                'self.tracer.span("pool.idle", budget=budget.limit)',
             )
         ],
     ),

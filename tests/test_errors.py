@@ -40,7 +40,7 @@ def test_query_errors_hierarchy():
 
 
 def test_index_errors_hierarchy():
-    assert issubclass(errors.IndexNotBuiltError, errors.IndexError_)
+    assert issubclass(errors.StaleIndexError, errors.IndexError_)
     assert issubclass(errors.CAPStateError, errors.CAPError)
 
 

@@ -1,10 +1,10 @@
 """Session checkpoint/restore: evict → capture → resume, byte-identical.
 
 Deferral neutrality is what makes this sound: CAP work deferred across
-the eviction gap is rebuilt warm by the idle scheduler, and the restored
-session's subsequent matches must equal the uninterrupted session's
-exactly (``canonical_matches`` comparison — the same acceptance bar the
-service throughput benchmark enforces).
+the eviction gap is rebuilt by the session's own idle windows or its
+Run, and the restored session's subsequent matches must equal the
+uninterrupted session's exactly (``canonical_matches`` comparison — the
+same acceptance bar the service throughput benchmark enforces).
 """
 
 from __future__ import annotations
@@ -54,6 +54,16 @@ class TestSerialization:
         assert clone == checkpoint
         assert clone.actions == checkpoint.actions
         assert clone.session_id == session.id
+
+    def test_writer_drops_only_the_serviced_fields(self, fig2_ctx):
+        """No idle window serves another session's pool, so the writer
+        stops writing the parent's ``serviced_*`` accounting and keeps
+        every other top-level key the parent wrote."""
+        manager = SessionManager(fig2_ctx)
+        written = set(checkpoint_session(formulate(manager), "test").to_dict())
+        parent = set(json.loads(PARENT_CHECKPOINT_JSON))
+        assert parent - written == {"serviced_seconds", "serviced_edges"}
+        assert written <= parent
 
     def test_malformed_json_is_typed(self):
         from repro.service.checkpoint import SessionCheckpoint

@@ -3,8 +3,8 @@
 The acceptance property of the multi-session service is that concurrency
 moves only *timing*, never answers: N sessions driven from N threads over
 one shared graph/oracle must produce byte-identical canonical match sets
-to the same N scripts replayed serially.  Deferral neutrality covers the
-cross-session idle scheduling; these tests cover the locking.
+to the same N scripts replayed serially.  Deferral neutrality covers
+when each session's idle probes run; these tests cover the locking.
 """
 
 from __future__ import annotations

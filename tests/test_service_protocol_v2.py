@@ -143,7 +143,6 @@ ERROR_TABLE = {
     "BoundsError": ("engine_error", False),
     "QueryFileError": ("query_file_invalid", False),
     "IndexError_": ("engine_error", False),
-    "IndexNotBuiltError": ("engine_error", False),
     "StaleIndexError": ("stale_index", False),
     "GraphMutationError": ("graph_mutation_invalid", False),
     "CAPError": ("engine_error", False),

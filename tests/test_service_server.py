@@ -39,6 +39,7 @@ from repro.service import (
 )
 from repro.service import server as server_module
 from repro.service.client import RemoteServiceError
+from repro.service.scheduler import IdleScheduler
 from repro.service.session import MAX_RESULTS
 from tests.conftest import build_fig2_graph
 
@@ -178,6 +179,11 @@ def test_stats_over_the_wire(client):
     service = client.stats()
     assert service["open_sessions"] == 1
     assert service["sessions_created"] == 1
+    # The frozen perf/ ledger diffs these scheduler keys between rounds
+    # and patches IdleScheduler.donate by name.
+    assert {"donations", "cross_session_edges"} <= set(service["scheduler"])
+    assert service["scheduler"]["donations"] > 0
+    assert callable(IdleScheduler.donate)
     session = client.stats(outcome["session"])
     assert session["state"] == "ran"
     assert session["run"]["num_matches"] == outcome["run"]["num_matches"]
